@@ -21,13 +21,6 @@ trajectory point as JSON (``BENCH_9.json`` by default):
   and the repo's acceptance bar is >= 5x on the grid;
 * **warm/cold run_many** — a small evaluation batch through an
   ``EvaluationSession``, cold then fully warm;
-* **parallel run_many (--jobs)** — the same batch over a two-worker pool,
-  cold and partially warm (one workload's artifacts pre-seeded), so the
-  cache-aware worker protocol's cost stays tracked;
-* **remote run_many (--backend remote)** — the same batch dispatched to an
-  in-thread TCP worker daemon on localhost, with the coordinator-side
-  dispatch (serialize + submit) cost reported per work unit, so the remote
-  backend's wire-protocol overhead stays tracked;
 * **cache I/O** — persisting and bulk-reading a thousand-plus artifact
   entries through the legacy one-file-per-entry JSON layout vs the
   segmented pack store's batched group commits and ``get_many`` (the
@@ -59,7 +52,6 @@ import platform
 import random
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -81,7 +73,6 @@ from repro.isa.tiling import search_tiling, search_tiling_scalar  # noqa: E402
 from repro.session import EvaluationSession, Workload  # noqa: E402
 from repro.session.cache import CacheStats, ProgramStats, ResultCache  # noqa: E402
 from repro.session.engine import make_plan_resolver  # noqa: E402
-from repro.session.remote import RemoteBackend, WorkerServer  # noqa: E402
 from repro.sim.batched import simulate_blocks_batched, simulate_blocks_grid  # noqa: E402
 from repro.sim.executor import BitFusionSimulator  # noqa: E402
 
@@ -249,81 +240,6 @@ def bench_run_many(repeats: int) -> dict:
     }
 
 
-def bench_run_many_jobs(repeats: int) -> dict:
-    """The ``--jobs`` scenario: parallel run_many, cold and partially warm.
-
-    Pool start-up (worker process spawn + imports) is part of the cold
-    number on purpose — it is what a user of ``--jobs`` actually pays.  The
-    partially-warm run pre-seeds one workload's artifacts through a serial
-    session sharing the same cache, so the parallel path's warm-artifact
-    resolution (central planning, sliced work units) stays tracked.
-    """
-    workloads = [
-        Workload.bitfusion(name, batch_size=_BATCH) for name in _RUN_MANY_NETWORKS
-    ]
-    cold_s = partial_s = float("inf")
-    for _ in range(repeats):
-        with EvaluationSession(jobs=2) as session:
-            start = time.perf_counter()
-            session.run_many(workloads)
-            cold_s = min(cold_s, time.perf_counter() - start)
-        cache = ResultCache()
-        with EvaluationSession(cache=cache) as seeder:
-            seeder.run(workloads[0])
-        with EvaluationSession(jobs=2, cache=cache) as session:
-            start = time.perf_counter()
-            session.run_many(workloads)
-            partial_s = min(partial_s, time.perf_counter() - start)
-    return {
-        "run_many_jobs2_cold_s": cold_s,
-        "run_many_jobs2_partial_warm_s": partial_s,
-    }
-
-
-def bench_run_many_remote(repeats: int) -> dict:
-    """The ``--backend remote`` scenario: run_many over a localhost worker.
-
-    One in-thread ``WorkerServer`` on an ephemeral localhost port stands in
-    for a remote host — the cheapest honest measurement of the wire
-    protocol (JSON serialization, length-prefixed framing, a real TCP
-    round-trip per unit) without network variance.  The cold wall-clock is
-    what a ``--backend remote`` user pays end to end; the per-unit dispatch
-    number isolates the coordinator-side cost of serializing and submitting
-    one work unit, which is the overhead bound the committed baseline
-    enforces.
-    """
-    workloads = [
-        Workload.bitfusion(name, batch_size=_BATCH) for name in _RUN_MANY_NETWORKS
-    ]
-    cold_s = float("inf")
-    units = 0
-    dispatch_per_unit_s = float("inf")
-    for _ in range(repeats):
-        server = WorkerServer()
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            backend = RemoteBackend([server.address], timeout=60.0)
-            with EvaluationSession(backend=backend) as session:
-                start = time.perf_counter()
-                session.run_many(workloads)
-                cold_s = min(cold_s, time.perf_counter() - start)
-                workers = session.stats.workers
-                units = workers.units
-                if units:
-                    dispatch_per_unit_s = min(
-                        dispatch_per_unit_s, workers.dispatch_seconds / units
-                    )
-        finally:
-            server.close()
-            thread.join(timeout=10)
-    return {
-        "run_many_remote_cold_s": cold_s,
-        "remote_work_units": units,
-        "remote_dispatch_per_unit_s": dispatch_per_unit_s,
-    }
-
-
 def bench_cache_io(repeats: int) -> dict:
     """Artifact persistence and bulk reads: JSON dir vs segmented store.
 
@@ -333,8 +249,7 @@ def bench_cache_io(repeats: int) -> dict:
     single segment append.  Reading compares a per-key ``get`` loop over
     the JSON dir with one ``get_many`` index pass over the pack store —
     both through a fresh ``ResultCache`` so the open cost (manifest load,
-    index build) is included, exactly as a warm run or remote worker
-    sees it.  The speedups are machine-independent ratios; the repo's
+    index build) is included, exactly as a warm run sees it.  The speedups are machine-independent ratios; the repo's
     acceptance bar is >= 5x for batched persists at >= 1000 entries.
     """
     entries = 1200
@@ -495,8 +410,6 @@ def run_suite(repeats: int) -> dict:
     metrics.update(bench_tiling_memo_warm())
     metrics.update(bench_sim(repeats))
     metrics.update(bench_run_many(repeats))
-    metrics.update(bench_run_many_jobs(repeats))
-    metrics.update(bench_run_many_remote(repeats))
     metrics.update(bench_cache_io(repeats))
     metrics.update(bench_sweep_expand(repeats))
     metrics.update(bench_pareto(repeats))
@@ -600,16 +513,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"run_many: cold {metrics['run_many_cold_s'] * 1e3:.0f} ms, "
         f"warm {metrics['run_many_warm_s'] * 1e3:.1f} ms"
-    )
-    print(
-        f"run_many --jobs 2: cold {metrics['run_many_jobs2_cold_s'] * 1e3:.0f} ms, "
-        f"partially warm {metrics['run_many_jobs2_partial_warm_s'] * 1e3:.0f} ms"
-    )
-    print(
-        f"run_many --backend remote (localhost worker): "
-        f"cold {metrics['run_many_remote_cold_s'] * 1e3:.0f} ms, "
-        f"{metrics['remote_work_units']} work units, "
-        f"dispatch {metrics['remote_dispatch_per_unit_s'] * 1e6:.0f} us/unit"
     )
     print(
         f"cache io over {metrics['cache_io_entries']} entries: "

@@ -25,7 +25,7 @@ Public entry points
     Eyeriss, Stripes, temporal-design and GPU comparison models.
 ``repro.session``
     Unified evaluation session: fingerprinted workloads, a result cache
-    (in-memory + optional on-disk JSON) and a process-pool parallel
+    (in-memory + optional on-disk store) and a batched
     ``run``/``run_many``/``sweep`` engine shared by every experiment.
 ``repro.harness``
     One experiment runner per table/figure in the paper's evaluation,

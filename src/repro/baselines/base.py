@@ -85,7 +85,7 @@ class AcceleratorModel(ABC):
     ``evaluate(network, batch_size)`` is the protocol the evaluation session
     (:mod:`repro.session`) drives: every platform — Bit Fusion itself, the
     baselines, and the temporal design — implements it, so the session can
-    cache and parallelize all of them uniformly.  ``run`` is a concrete
+    cache and schedule all of them uniformly.  ``run`` is a concrete
     alias kept for the library's historical surface.
 
     Under the staged pipeline (compile → simulate-blocks → compose,

@@ -18,7 +18,6 @@ from typing import Any, Iterator
 from repro.dse.pareto import OBJECTIVES, ParetoArchive, pareto_front
 from repro.dse.spec import DesignPoint, SweepSpec, format_axis_value
 from repro.energy.components import accelerator_area_mm2
-from repro.session.backends import ExecutionBackend
 from repro.session.engine import QuarantineRecord, WorkloadExecutionError
 from repro.session.session import EvaluationSession, resolve_session
 from repro.session.workload import Workload
@@ -178,25 +177,19 @@ def run_sweep(
     session: EvaluationSession | None = None,
     *,
     allow_failures: bool = False,
-    backend: "ExecutionBackend | None" = None,
 ) -> DesignSpaceResult:
     """Expand and execute a sweep spec; returns the evaluated design space.
 
     All points go through :meth:`EvaluationSession.run_many
     <repro.session.session.EvaluationSession.run_many>` in one batch, so
-    duplicate points collapse onto one simulation, uncached points schedule
-    longest-job-first across ``--jobs`` workers, and the per-stage artifact
-    cache (programs keyed structure-only, blocks with a content-addressed
-    layer-level fallback) is shared with every other experiment the session
-    ran.  Parallel sweeps are warm-artifact aware: the main process compiles
-    centrally and ships workers only cache-missing blocks, and the session's
-    per-stage statistics (``session.stats``, rendered in the report footer)
-    include the worker-side reuse — work units dispatched, blocks simulated
-    remotely and blocks served from the cache instead.  Serial sweeps batch
-    the simulation stage instead: the missing blocks of *every* point in
-    the batch go through the vectorized executor in as few numpy passes as
-    possible (:func:`~repro.session.engine.simulate_planned_blocks`), and
-    points that differ only in simulation parameters (bandwidth, frequency,
+    duplicate points collapse onto one simulation and the per-stage
+    artifact cache (programs keyed structure-only, blocks with a
+    content-addressed layer-level fallback) is shared with every other
+    experiment the session ran.  The simulation stage is batched: the
+    missing blocks of *every* point in the batch go through the vectorized
+    executor in as few numpy passes as possible
+    (:func:`~repro.session.engine.simulate_planned_blocks`), and points
+    that differ only in simulation parameters (bandwidth, frequency,
     technology — same compiled blocks) collapse into one 2-D
     configs × blocks grid evaluation.
 
@@ -214,21 +207,7 @@ def run_sweep(
     reduced grid with ``quarantined`` filled in.  With the default
     ``allow_failures=False`` the error propagates after surviving artifacts
     are stored, preserving the historical contract.
-
-    ``backend`` (mutually exclusive with ``session``) runs the sweep in a
-    sweep-owned session on that
-    :class:`~repro.session.backends.ExecutionBackend` — e.g. a
-    ``RemoteBackend`` sharding work units across worker daemons — closed
-    when the sweep returns.
     """
-    if backend is not None:
-        if session is not None:
-            raise ValueError("pass either session or backend, not both")
-        owned = EvaluationSession(backend=backend)
-        try:
-            return run_sweep(spec, owned, allow_failures=allow_failures)
-        finally:
-            owned.close()
     points = spec.expand()
     extractors = [OBJECTIVES[name].extract for name in spec.objectives]
     # A unique workload may back several grid points (duplicate settings);

@@ -21,17 +21,10 @@ session runs them through a staged compile → simulate-blocks → compose
 pipeline with a cacheable artifact at each seam, so a full report simulates
 each unique workload exactly once no matter how many figures need it, and
 finishes with per-stage cache statistics (workload, program, block and
-layer-dedup hit counts; parallel runs add the worker-side reuse — work
-units dispatched, blocks simulated remotely, blocks served from the
-cache).  ``--jobs N`` fans uncached workloads out over a process pool,
-scheduled longest-job-first, with compilation kept central and only
-cache-missing blocks shipped to workers (results are ordered
-deterministically, so parallel reports are byte-identical to serial ones
-and a partially-warm parallel run does no redundant work);
-``--cache-dir PATH`` persists compiled programs and per-block results as
-JSON so later invocations skip recompilation and unchanged-block
-simulation entirely, and ``--cache-max-mb`` bounds that directory with LRU
-eviction.
+layer-dedup hit counts).  ``--cache-dir PATH`` persists compiled programs
+and per-block results so later invocations skip recompilation and
+unchanged-block simulation entirely, and ``--cache-max-mb`` bounds that
+directory with LRU eviction.
 """
 
 from __future__ import annotations
@@ -67,10 +60,8 @@ from repro.session import (
     NAS_CHECKPOINT_NAME,
     SWEEP_CHECKPOINT_NAME,
     EvaluationSession,
-    ExecutionBackend,
     ResultCache,
     SweepCheckpoint,
-    make_backend,
     migrate_json_dir,
     resolve_session,
     use_session,
@@ -89,7 +80,6 @@ __all__ = [
     "main",
     "nas_main",
     "sweep_main",
-    "worker_main",
 ]
 
 
@@ -237,28 +227,21 @@ def build_report(
     keys: list[str] | None = None,
     benchmarks: tuple[str, ...] | None = None,
     session: EvaluationSession | None = None,
-    jobs: int = 1,
     cache_dir: str | None = None,
     max_cache_bytes: int | None = None,
     profile: bool = False,
-    backend: ExecutionBackend | None = None,
 ) -> str:
     """Run the selected experiments and assemble a markdown report.
 
     One :class:`EvaluationSession` backs the whole report (built from
-    ``jobs``/``cache_dir``/``max_cache_bytes``/``backend`` unless an
-    explicit ``session`` is given); the report ends with the session's
-    per-stage cache statistics.  ``profile=True`` (the ``--profile`` flag)
-    appends a per-stage wall-time table (:func:`_profile_table`).
+    ``cache_dir``/``max_cache_bytes`` unless an explicit ``session`` is
+    given); the report ends with the session's per-stage cache statistics.
+    ``profile=True`` (the ``--profile`` flag) appends a per-stage
+    wall-time table (:func:`_profile_table`).
     """
     owns_session = session is None
     if session is None:
-        session = EvaluationSession(
-            jobs=jobs if backend is None else 1,
-            cache_dir=cache_dir,
-            max_cache_bytes=max_cache_bytes,
-            backend=backend,
-        )
+        session = EvaluationSession(cache_dir=cache_dir, max_cache_bytes=max_cache_bytes)
     sections = [
         "# Bit Fusion reproduction — experiment report",
         "",
@@ -305,8 +288,7 @@ def _session_footer(session: EvaluationSession) -> list[str]:
     # a trajectory; the footer makes compile-cost regressions visible on
     # every ordinary report run.
     lines.append(f"compile time: {session.stats.compile_seconds:.3f} s")
-    # Same idea for the simulate stage (fresh block/workload simulations,
-    # including worker-side time on parallel runs).
+    # Same idea for the simulate stage (fresh block/workload simulations).
     lines.append(f"sim time: {session.stats.sim_seconds:.3f} s")
     if session.cache.cache_dir is not None:
         lines.append(f"persistent cache: {session.cache.cache_dir}")
@@ -314,19 +296,6 @@ def _session_footer(session: EvaluationSession) -> list[str]:
             lines.append(
                 f"cache size budget: {session.cache.max_bytes / (1024 * 1024):.1f} MB (LRU)"
             )
-    backend = getattr(session, "backend", None)
-    if backend is not None and backend.name != "inline":
-        # Which execution backend dispatched the work, and to whom.
-        lines.append(f"backend: {backend.describe()}")
-        if session.jobs > 1:
-            lines.append(f"worker processes: {session.jobs}")
-        # Worker-side reuse: how much of the batch the cache-aware protocol
-        # kept off the workers (the CI parallel smoke job greps this line
-        # for "0 work units dispatched" on a warm re-run).
-        lines.append(session.stats.workers.summary())
-        per_worker = session.stats.workers.per_worker_summary()
-        if per_worker is not None:
-            lines.append(per_worker)
     return lines
 
 
@@ -334,12 +303,12 @@ def _profile_table(session: EvaluationSession) -> str:
     """The ``--profile`` per-stage wall-time table.
 
     Covers the tracked pipeline stages — compile (fresh compilations),
-    simulate (fresh block/workload simulations, worker-side time included
-    on parallel runs) and compose (result assembly + fresh-artifact
-    stores).  The total is the tracked-stage sum, not the report's
-    end-to-end wall clock — rendering and table formatting are
-    deliberately excluded so the table answers "where does the *pipeline*
-    spend its time", which is what future hot-path hunts need.  cache-IO
+    simulate (fresh block/workload simulations) and compose (result
+    assembly + fresh-artifact stores).  The total is the tracked-stage
+    sum, not the report's end-to-end wall clock — rendering and table
+    formatting are deliberately excluded so the table answers "where does
+    the *pipeline* spend its time", which is what future hot-path hunts
+    need.  cache-IO
     (on-disk entry reads/writes) is reported separately below the total:
     it happens *inside* the stage rows (mostly compose, which stores fresh
     artifacts), so adding it in would double-count.
@@ -359,20 +328,6 @@ def _profile_table(session: EvaluationSession) -> str:
     lines.append(
         f"{'cache-IO':<8}  {session.cache.io_seconds:7.3f}  (spent inside the stages above)"
     )
-    workers = stats.workers
-    if workers.backend:
-        # Backend dispatch overhead: coordinator-side time spent submitting
-        # units vs blocking on their replies.  Reply wait overlaps the
-        # simulate row (workers simulate while the coordinator waits), so
-        # like cache-IO it reports separately instead of joining the total.
-        lines.append(
-            f"{'dispatch':<8}  {workers.dispatch_seconds:7.3f}  "
-            f"({workers.backend} backend: submitting work units)"
-        )
-        lines.append(
-            f"{'wait':<8}  {workers.wait_seconds:7.3f}  "
-            f"({workers.backend} backend: blocking on replies)"
-        )
     return "\n".join(lines)
 
 
@@ -381,12 +336,10 @@ def _profile_table(session: EvaluationSession) -> str:
 # ---------------------------------------------------------------------- #
 def build_sweep_report(
     spec_path: str,
-    jobs: int = 1,
     cache_dir: str | None = None,
     max_cache_bytes: int | None = None,
     session: EvaluationSession | None = None,
     resume: bool = False,
-    backend: ExecutionBackend | None = None,
 ) -> str:
     """Run one spec-file sweep and render its report (grid + Pareto + stats).
 
@@ -425,11 +378,9 @@ def build_sweep_report(
                 "next to the artifact cache"
             )
         session = EvaluationSession(
-            jobs=jobs if backend is None else 1,
             cache_dir=cache_dir,
             max_cache_bytes=max_cache_bytes,
             checkpoint=checkpoint,
-            backend=backend,
         )
     resumed_line: str | None = None
     if resume and checkpoint is not None:
@@ -568,46 +519,6 @@ def build_sweep_dry_run_report(spec_path: str, cache_dir: str | None = None) -> 
     return "\n".join(lines)
 
 
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``--backend`` / ``--workers`` flags shared by report and sweep."""
-    parser.add_argument(
-        "--backend",
-        choices=("inline", "pool", "remote"),
-        default=None,
-        metavar="NAME",
-        help="execution backend: inline (serial), pool (local process pool, "
-        "the --jobs default), or remote (TCP worker daemons started with "
-        "'python -m repro.harness worker'); default: pool when --jobs > 1, "
-        "inline otherwise",
-    )
-    parser.add_argument(
-        "--workers",
-        default=None,
-        metavar="HOST:PORT[,HOST:PORT...]",
-        help="comma-separated worker addresses for --backend remote",
-    )
-
-
-def _resolve_backend(
-    parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> ExecutionBackend | None:
-    """Build the requested backend, or ``None`` for the historical default."""
-    workers = [
-        address.strip()
-        for address in (args.workers or "").split(",")
-        if address.strip()
-    ]
-    if workers and args.backend != "remote":
-        parser.error("--workers requires --backend remote")
-    if args.backend is None:
-        return None
-    try:
-        return make_backend(args.backend, jobs=args.jobs, workers=workers)
-    except ValueError as error:
-        parser.error(str(error))
-    return None  # unreachable; parser.error raises
-
-
 def sweep_main(argv: list[str] | None = None) -> int:
     """Entry point of the ``sweep`` subcommand."""
     parser = argparse.ArgumentParser(
@@ -621,13 +532,6 @@ def sweep_main(argv: list[str] | None = None) -> int:
         "--output",
         metavar="PATH",
         help="write the sweep report to a file instead of stdout",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for uncached simulations (default: 1, serial)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -658,11 +562,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
         "work, and the footer reports 'resumed: X/Y points, quarantined: Z' "
         "(requires --cache-dir)",
     )
-    _add_backend_arguments(parser)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    backend = _resolve_backend(parser, args)
     if args.resume and args.cache_dir is None:
         parser.error("--resume requires --cache-dir")
     if args.resume and args.dry_run:
@@ -680,11 +580,9 @@ def sweep_main(argv: list[str] | None = None) -> int:
         else:
             report = build_sweep_report(
                 args.spec,
-                jobs=args.jobs,
                 cache_dir=args.cache_dir,
                 max_cache_bytes=max_cache_bytes,
                 resume=args.resume,
-                backend=backend,
             )
     except (OSError, RuntimeError, ValueError) as error:
         parser.error(str(error))
@@ -816,70 +714,6 @@ def nas_main(argv: list[str] | None = None) -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Remote worker daemon (``python -m repro.harness worker``)
-# ---------------------------------------------------------------------- #
-def worker_main(argv: list[str] | None = None) -> int:
-    """Entry point of the ``worker`` subcommand: one remote worker daemon.
-
-    Binds a TCP socket, prints ``worker listening on HOST:PORT`` (flushed,
-    so coordinators launching workers on port 0 can parse the ephemeral
-    port), and serves coordinator connections until a ``shutdown`` request
-    or SIGINT.  With ``--cache-dir`` the worker also stores every freshly
-    simulated layer record into that (typically shared) artifact cache.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness worker",
-        description="Run a remote execution worker for sharded sweeps: "
-        "accepts serialized work units over TCP from a coordinator started "
-        "with --backend remote --workers HOST:PORT[,...]. "
-        "See docs/sweeps.md for the multi-host walkthrough.",
-    )
-    parser.add_argument(
-        "--bind",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="address to listen on (port 0 picks an ephemeral port; "
-        "default: 127.0.0.1:0)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="store freshly simulated layer records under PATH (point every "
-        "worker and the coordinator at one shared directory)",
-    )
-    parser.add_argument(
-        "--fail-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="chaos knob: serve N work units, then hard-exit without "
-        "replying on the next one (deterministic stand-in for a worker "
-        "SIGKILLed mid-unit; used by the CI remote-smoke job)",
-    )
-    args = parser.parse_args(argv)
-    from repro.session.remote import WorkerServer, parse_worker_address
-
-    try:
-        host, port = parse_worker_address(args.bind)
-    except ValueError as error:
-        parser.error(str(error))
-    if args.fail_after is not None and args.fail_after < 0:
-        parser.error(f"--fail-after must be >= 0, got {args.fail_after}")
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    server = WorkerServer(host, port, cache=cache, fail_after=args.fail_after)
-    print(f"worker listening on {server.address}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-        if cache is not None:
-            cache.flush()
-    return 0
-
-
-# ---------------------------------------------------------------------- #
 # Cache introspection (``--cache-info``)
 # ---------------------------------------------------------------------- #
 def format_cache_info(cache_dir: str) -> str:
@@ -983,8 +817,6 @@ def main(argv: list[str] | None = None) -> int:
         return sweep_main(argv[1:])
     if argv and argv[0] == "nas":
         return nas_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return worker_main(argv[1:])
     if argv and argv[0] == "cache":
         return cache_main(argv[1:])
     parser = argparse.ArgumentParser(
@@ -1014,13 +846,6 @@ def main(argv: list[str] | None = None) -> int:
         help="write the markdown report to a file instead of stdout",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for uncached simulations (default: 1, serial)",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="PATH",
         help="persist compiled programs and per-block simulation results as "
@@ -1037,11 +862,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="append a per-stage (compile / simulate / compose / cache-IO, "
-        "plus backend dispatch/wait when a backend dispatched work) "
+        help="append a per-stage (compile / simulate / compose / cache-IO) "
         "wall-time table to the report",
     )
-    _add_backend_arguments(parser)
     parser.add_argument(
         "--list",
         action="store_true",
@@ -1069,9 +892,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(error))
         return 0
 
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    backend = _resolve_backend(parser, args)
     max_cache_bytes = None
     if args.cache_max_mb is not None:
         if args.cache_dir is None:
@@ -1090,11 +910,9 @@ def main(argv: list[str] | None = None) -> int:
     report = build_report(
         keys=args.experiments,
         benchmarks=benchmarks,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         max_cache_bytes=max_cache_bytes,
         profile=args.profile,
-        backend=backend,
     )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.config import BitFusionConfig
 from repro.dnn.network import Network
@@ -60,9 +59,6 @@ from repro.session.engine import (
     store_layer_record,
 )
 from repro.sim.results import LayerResult, NetworkResult, compose_network_result
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.session.backends import ExecutionBackend
 
 __all__ = ["Estimator", "EstimatorStats"]
 
@@ -146,11 +142,6 @@ class Estimator:
         exactness guarantee relies on.
     enable_loop_ordering, enable_layer_fusion:
         Compiler flags, part of the program cache key.
-    backend:
-        Optional :class:`~repro.session.backends.ExecutionBackend` whose
-        ``simulate_plans`` runs the batched simulation stage — a
-        ``RemoteBackend`` shards candidate blocks across worker daemons.
-        Defaults to inline batched simulation.
 
     ``stats`` (:class:`EstimatorStats`) counts candidates and layers;
     ``cache_stats`` (:class:`~repro.session.cache.CacheStats`) carries the
@@ -165,7 +156,6 @@ class Estimator:
         batch_size: int | None = None,
         enable_loop_ordering: bool = True,
         enable_layer_fusion: bool = True,
-        backend: "ExecutionBackend | None" = None,
     ) -> None:
         self.config = config if config is not None else BitFusionConfig.eyeriss_matched()
         self.batch_size = self.config.batch_size if batch_size is None else batch_size
@@ -174,7 +164,6 @@ class Estimator:
         self.cache = cache if cache is not None else ResultCache()
         self.enable_loop_ordering = enable_loop_ordering
         self.enable_layer_fusion = enable_layer_fusion
-        self.backend = backend
         self.stats = EstimatorStats()
         self.cache_stats = CacheStats()
         self._resolver = make_plan_resolver(self.config, self.cache, self.cache_stats)
@@ -222,16 +211,13 @@ class Estimator:
                 for fingerprint, network in unique.items()
             ]
             sim_started = time.perf_counter()
-            if self.backend is not None:
-                remote = self.backend.simulate_plans(plans)
-            else:
-                remote = simulate_planned_blocks(plans)
+            simulated = simulate_planned_blocks(plans)
             sim_seconds = time.perf_counter() - sim_started
             self.stats.sim_seconds += sim_seconds
             self.cache_stats.sim_seconds += sim_seconds
             results = {
-                plan.fingerprint: self._compose(plan, remote_layers)
-                for plan, remote_layers in zip(plans, remote)
+                plan.fingerprint: self._compose(plan, fresh_layers)
+                for plan, fresh_layers in zip(plans, simulated)
             }
         finally:
             # Release this batch's claims whether or not it survived: a
@@ -313,12 +299,12 @@ class Estimator:
         )
 
     def _compose(
-        self, plan: _CandidatePlan, remote_layers: dict[int, LayerResult]
+        self, plan: _CandidatePlan, fresh_layers: dict[int, LayerResult]
     ) -> NetworkResult:
         # Group-commit the candidate's store-backs: every freshly simulated
         # layer of this plan lands in one segment append on pack caches.
         with self.cache.batch():
-            layers = self._compose_layers(plan, remote_layers)
+            layers = self._compose_layers(plan, fresh_layers)
         return compose_network_result(
             network_name=plan.program.network_name,
             platform=self.config.name,
@@ -328,15 +314,15 @@ class Estimator:
         )
 
     def _compose_layers(
-        self, plan: _CandidatePlan, remote_layers: dict[int, LayerResult]
+        self, plan: _CandidatePlan, fresh_layers: dict[int, LayerResult]
     ) -> list[LayerResult]:
         layers: list[LayerResult] = []
         for index, compiled in enumerate(plan.program):
             if index in plan.cached_layers:
                 layers.append(plan.cached_layers[index])
                 continue
-            if index in remote_layers:
-                layer = remote_layers[index]
+            if index in fresh_layers:
+                layer = fresh_layers[index]
                 store_layer_record(
                     self.cache,
                     self.config,

@@ -37,7 +37,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
@@ -49,9 +49,6 @@ from repro.nas.mutations import MUTATION_AXES, mutate
 from repro.session.cache import ResultCache
 from repro.session.checkpoint import SweepCheckpoint
 from repro.sim.results import NetworkResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.session.backends import ExecutionBackend
 
 __all__ = [
     "Candidate",
@@ -221,7 +218,6 @@ def run_search(
     cache: ResultCache | None = None,
     estimator: Estimator | None = None,
     checkpoint: SweepCheckpoint | None = None,
-    backend: "ExecutionBackend | None" = None,
 ) -> SearchResult:
     """Run the search described by ``spec`` and return its frontier.
 
@@ -238,20 +234,11 @@ def run_search(
     which fingerprints were priced (their layer artifacts are in the
     cache — a rerun against the same cache directory re-prices them by
     composition, not simulation).
-
-    ``backend`` routes the estimator's batched simulation stage through an
-    :class:`~repro.session.backends.ExecutionBackend` (e.g. a
-    ``RemoteBackend`` sharding candidate blocks across worker daemons);
-    mutually exclusive with passing a pre-built ``estimator``.
     """
     if estimator is None:
-        estimator = Estimator(
-            config, cache, batch_size=spec.batch_size, backend=backend
-        )
-    elif config is not None or cache is not None or backend is not None:
-        raise ValueError(
-            "pass either an estimator or config/cache/backend, not both"
-        )
+        estimator = Estimator(config, cache, batch_size=spec.batch_size)
+    elif config is not None or cache is not None:
+        raise ValueError("pass either an estimator or config/cache, not both")
     extractors = [_OBJECTIVE_EXTRACTORS[name] for name in spec.objectives]
     rng = random.Random(spec.seed)
     base = models.load(spec.base_network)

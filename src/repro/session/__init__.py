@@ -1,4 +1,4 @@
-"""Unified evaluation session: cached, parallel workload engine.
+"""Unified evaluation session: cached, batched workload engine.
 
 This subsystem is the single entry point every experiment and baseline
 comparison routes through:
@@ -17,7 +17,7 @@ comparison routes through:
   eviction by segment compaction — with the legacy JSON-per-entry layout
   served as a read-compatible fallback).
 * :class:`~repro.session.session.EvaluationSession` — ``run`` /
-  ``run_many`` (process-pool parallel, longest-job-first) / declarative
+  ``run_many`` (one batched simulation pass per batch) / declarative
   ``sweep`` execution with per-stage cache-hit accounting.
 
 Cache keys and invalidation
@@ -54,35 +54,25 @@ eventually LRU-evicted from disk).
   search, so duplicate GEMM shapes — within a network, across networks,
   and across sweep points that share buffer geometry — plan once.
 
-Parallel execution (``jobs > 1``) is warm-artifact aware: the session
-compiles centrally through the program cache, resolves warm blocks in the
-main process, ships workers :class:`~repro.session.engine.WorkUnit`\\ s
-holding only the missing block indices, and composes the returned
-:class:`~repro.session.engine.WorkResult`\\ s — a partially-warm parallel
-run recompiles and re-simulates nothing the cache already holds, and a
-failed workload surfaces as a
-:class:`~repro.session.engine.WorkloadExecutionError` without costing the
-rest of the batch.
+Execution is warm-artifact aware: the session compiles through the program
+cache, resolves warm blocks, simulates only the missing blocks of the whole
+batch in one vectorized pass and composes — a partially-warm run
+recompiles and re-simulates nothing the cache already holds, and a failed
+workload surfaces as a :class:`~repro.session.engine.WorkloadExecutionError`
+without costing the rest of the batch.
 
 See ``python -m repro.harness --help`` for the report runner built on top
-(``--jobs``, ``--cache-dir`` and ``--cache-max-mb`` map directly onto a
-session), ``python -m repro.harness sweep`` / :mod:`repro.dse` for
+(``--cache-dir`` and ``--cache-max-mb`` map directly onto a session),
+``python -m repro.harness sweep`` / :mod:`repro.dse` for
 declarative design-space sweeps over the same cache, and
 ``docs/architecture.md`` for the full pipeline walkthrough.
 """
 
-from repro.session.backends import (
-    ExecutionBackend,
-    InlineBackend,
-    ProcessPoolBackend,
-    make_backend,
-)
 from repro.session.cache import (
     CacheStats,
     ProgramStats,
     ResultCache,
     StageStats,
-    WorkerStats,
 )
 from repro.session.checkpoint import (
     CheckpointRecord,
@@ -93,8 +83,6 @@ from repro.session.checkpoint import (
 from repro.session.engine import (
     CacheAudit,
     QuarantineRecord,
-    WorkResult,
-    WorkUnit,
     WorkloadExecutionError,
     audit_workload_cache,
     block_cache_key,
@@ -102,9 +90,7 @@ from repro.session.engine import (
     build_model,
     compile_program,
     compile_workload,
-    execute_work_unit,
     execute_workload,
-    execute_workload_cached,
     layer_cache_key,
     make_plan_resolver,
     program_cache_key,
@@ -134,11 +120,8 @@ __all__ = [
     "CacheStats",
     "CheckpointRecord",
     "EvaluationSession",
-    "ExecutionBackend",
-    "InlineBackend",
     "NAS_CHECKPOINT_NAME",
     "PLATFORMS",
-    "ProcessPoolBackend",
     "ProgramStats",
     "QuarantineRecord",
     "ResultCache",
@@ -148,9 +131,6 @@ __all__ = [
     "SweepCheckpoint",
     "SweepPoint",
     "SweepResult",
-    "WorkResult",
-    "WorkUnit",
-    "WorkerStats",
     "Workload",
     "WorkloadExecutionError",
     "audit_workload_cache",
@@ -160,14 +140,11 @@ __all__ = [
     "compile_workload",
     "describe_workload_error",
     "estimated_cost",
-    "execute_work_unit",
     "execute_workload",
-    "execute_workload_cached",
     "fixed_bitwidth_network",
     "get_default_session",
     "layer_cache_key",
     "load_network",
-    "make_backend",
     "make_plan_resolver",
     "migrate_json_dir",
     "network_digest",

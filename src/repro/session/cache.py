@@ -95,7 +95,6 @@ from repro.sim.results import (
 __all__ = [
     "CacheStats",
     "StageStats",
-    "WorkerStats",
     "ProgramStats",
     "ResultCache",
     "MANIFEST_SCHEMA_VERSION",
@@ -173,54 +172,6 @@ class StageStats:
 
 
 @dataclass
-class WorkerStats:
-    """Counters of the cache-aware parallel worker protocol.
-
-    ``units`` counts :class:`~repro.session.engine.WorkUnit`s dispatched to
-    pool workers, ``remote_blocks`` the blocks those units actually
-    simulated, and ``reused_blocks`` the blocks the main process resolved
-    from the artifact cache (or from another in-flight workload of the same
-    batch) instead of shipping — the waste the protocol exists to avoid.
-
-    ``backend`` names the execution backend that dispatched the units
-    (``pool``, ``remote``; empty when everything ran inline), ``per_worker``
-    counts units per worker identity (pool pid or remote address), and
-    ``dispatch_seconds`` / ``wait_seconds`` accumulate the coordinator-side
-    wall time spent serializing/submitting units versus blocking on their
-    replies — the ``--profile`` table's per-backend overhead row.
-    """
-
-    units: int = 0
-    remote_blocks: int = 0
-    reused_blocks: int = 0
-    backend: str = ""
-    dispatch_seconds: float = 0.0
-    wait_seconds: float = 0.0
-    per_worker: dict[str, int] = field(default_factory=dict)
-
-    def record_worker(self, worker_id: str) -> None:
-        """Attribute one completed work unit to a worker identity."""
-        self.per_worker[worker_id] = self.per_worker.get(worker_id, 0) + 1
-
-    def summary(self) -> str:
-        label = f"parallel workers [{self.backend}]" if self.backend else "parallel workers"
-        return (
-            f"{label}: {self.units} work units dispatched, "
-            f"{self.remote_blocks} blocks simulated remotely, "
-            f"{self.reused_blocks} blocks reused from cache"
-        )
-
-    def per_worker_summary(self) -> str | None:
-        """One footer line of per-worker unit counts, or None when inline."""
-        if not self.per_worker:
-            return None
-        parts = ", ".join(
-            f"{worker}: {count}" for worker, count in sorted(self.per_worker.items())
-        )
-        return f"per-worker units: {parts}"
-
-
-@dataclass
 class CacheStats:
     """Counters the session reports at the end of a run.
 
@@ -242,16 +193,12 @@ class CacheStats:
     simulate-blocks stage (misses are per-block simulations) and ``layers``
     tracks the content-addressed layer-level fallback consulted on every
     block-key miss (hits are simulations avoided by cross-network layer
-    dedupe).  ``workers`` tracks the parallel worker protocol.
-    ``compile_seconds`` accumulates the wall-clock time spent inside
-    ``FusionCompiler.compile`` (cache misses only), surfaced by the report
-    footer's ``compile time`` line so compile-cost regressions are visible
-    on every run.  ``sim_seconds`` accumulates block/workload simulation
-    wall time the same way (the ``sim time`` footer line), and
-    ``compose_seconds`` the result-composition time; parallel runs fold the
-    worker-side timings from each
-    :class:`~repro.session.engine.WorkResult` into both, so serial and
-    parallel footers measure the same stages.
+    dedupe).  ``compile_seconds`` accumulates the wall-clock time spent
+    inside ``FusionCompiler.compile`` (cache misses only), surfaced by the
+    report footer's ``compile time`` line so compile-cost regressions are
+    visible on every run.  ``sim_seconds`` accumulates block/workload
+    simulation wall time the same way (the ``sim time`` footer line), and
+    ``compose_seconds`` the result-composition time.
     """
 
     hits: int = 0
@@ -270,7 +217,6 @@ class CacheStats:
     tilings: StageStats = field(default_factory=StageStats)
     blocks: StageStats = field(default_factory=StageStats)
     layers: StageStats = field(default_factory=StageStats)
-    workers: WorkerStats = field(default_factory=WorkerStats)
 
     @property
     def lookups(self) -> int:

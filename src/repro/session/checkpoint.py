@@ -33,30 +33,16 @@ of truth for what work exists (its entry files are written atomically and
 read directly from disk, independent of the batched manifest), and the
 checkpoint is the source of truth for *progress accounting* — what the
 ``sweep --resume`` footer reports and what the quarantine policy remembers.
-
-**Concurrent writers** are safe two ways.  Every append takes an advisory
-``fcntl`` lock on the journal file (where the platform has ``fcntl``), so
-two coordinators sharing a cache directory cannot interleave a torn JSONL
-line.  Alternatively, a coordinator constructed with a ``writer`` name
-appends to its own suffixed sibling (``sweep-checkpoint.alice.jsonl``) and
-never contends at all; loading replays the base journal and then every
-sibling in sorted-name order, so any coordinator resuming against the
-shared directory sees the union of all writers' progress.
+One process writes a journal at a time.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, IO
-
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # non-Unix: appends stay single-writer-safe only
-    fcntl = None  # type: ignore[assignment]
 
 __all__ = ["CheckpointRecord", "SweepCheckpoint"]
 
@@ -86,30 +72,11 @@ class SweepCheckpoint:
     ----------
     path:
         The journal file.  Created (with its parent directory) on the first
-        recorded event; an existing file is replayed on construction —
-        along with any per-writer siblings (``<stem>.<writer><suffix>``)
-        other coordinators left beside it.
-    writer:
-        Optional writer name (e.g. a hostname).  When given, this
-        checkpoint's appends go to its own suffixed sibling journal instead
-        of ``path`` itself, so multiple coordinators sharing a cache
-        directory never contend on one file.  Names are restricted to
-        ``[A-Za-z0-9._-]`` so the sibling glob stays unambiguous.
+        recorded event; an existing file is replayed on construction.
     """
 
-    def __init__(self, path: str | Path, writer: str | None = None) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        if writer is not None and not re.fullmatch(r"[A-Za-z0-9._-]+", writer):
-            raise ValueError(
-                f"writer name {writer!r} must match [A-Za-z0-9._-]+"
-            )
-        self.writer = writer
-        #: Where this instance appends: the base path, or a writer sibling.
-        self.write_path = (
-            self.path
-            if writer is None
-            else self.path.with_name(f"{self.path.stem}.{writer}{self.path.suffix}")
-        )
         self._handle: IO[str] | None = None
         #: fingerprint -> label, every workload ever scheduled.
         self._planned: dict[str, str] = {}
@@ -125,32 +92,14 @@ class SweepCheckpoint:
     # ------------------------------------------------------------------ #
     # Loading (corruption-tolerant)
     # ------------------------------------------------------------------ #
-    def _sibling_paths(self) -> list[Path]:
-        """Per-writer sibling journals beside the base path, sorted by name."""
-        pattern = f"{self.path.stem}.*{self.path.suffix}"
-        return sorted(
-            sibling
-            for sibling in self.path.parent.glob(pattern)
-            if sibling != self.path
-        )
-
     def _load(self) -> None:
-        # Replay the base journal first, then every writer sibling in
-        # sorted-name order: the merge is deterministic, and since a later
-        # ``completed`` supersedes an earlier ``quarantined`` (and vice
-        # versa per _apply), the union of all coordinators' progress is
-        # what a resumed run sees.
-        for journal in [self.path, *self._sibling_paths()]:
-            self._load_file(journal)
-
-    def _load_file(self, journal: Path) -> None:
-        if not journal.exists():
+        if not self.path.exists():
             return
         try:
-            text = journal.read_text(encoding="utf-8")
+            text = self.path.read_text(encoding="utf-8")
         except OSError as error:  # unreadable journal: warn, start fresh
             warnings.warn(
-                f"sweep checkpoint {journal} is unreadable ({error}); "
+                f"sweep checkpoint {self.path} is unreadable ({error}); "
                 "treating its events as unrecorded",
                 stacklevel=2,
             )
@@ -169,7 +118,7 @@ class SweepCheckpoint:
                 # artifact cache, not the journal, decides what re-runs.
                 self.corrupt_lines += 1
                 warnings.warn(
-                    f"sweep checkpoint {journal} line {number} is corrupt; "
+                    f"sweep checkpoint {self.path} line {number} is corrupt; "
                     "skipping it (affected workloads will simply replan)",
                     stacklevel=2,
                 )
@@ -206,38 +155,27 @@ class SweepCheckpoint:
     # ------------------------------------------------------------------ #
     def _append(self, event: dict[str, Any]) -> None:
         if self._handle is None:
-            self.write_path.parent.mkdir(parents=True, exist_ok=True)
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             # A SIGKILLed writer can leave the file ending mid-line; close
             # that line off before appending, or the first new event would
             # concatenate onto the garbage and be lost to the next load.
             unterminated = False
             try:
-                with self.write_path.open("rb") as probe:
+                with self.path.open("rb") as probe:
                     probe.seek(-1, 2)
                     unterminated = probe.read(1) != b"\n"
             except (OSError, ValueError):  # missing or empty file
                 unterminated = False
-            self._handle = self.write_path.open("a", encoding="utf-8")
+            self._handle = self.path.open("a", encoding="utf-8")
             if unterminated:
                 self._handle.write("\n")
-        line = json.dumps(event, sort_keys=True) + "\n"
-        # Advisory lock per append: two coordinators sharing one journal
-        # (no ``writer`` names) serialize their writes, so a concurrent
-        # append can never tear a JSONL line.  The lock is held only for
-        # the write+flush — contention is one line's worth of I/O.
-        if fcntl is not None:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
-        try:
-            self._handle.write(line)
-            # Flush per event: a SIGKILL between events must never lose a
-            # committed point.  (OS-level buffering after flush() is enough —
-            # the kernel keeps the data even when the process dies; fsync
-            # would only guard against whole-machine crashes, which a sweep
-            # checkpoint does not need to survive.)
-            self._handle.flush()
-        finally:
-            if fcntl is not None:
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
+        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
+        # Flush per event: a SIGKILL between events must never lose a
+        # committed point.  (OS-level buffering after flush() is enough —
+        # the kernel keeps the data even when the process dies; fsync would
+        # only guard against whole-machine crashes, which a sweep checkpoint
+        # does not need to survive.)
+        self._handle.flush()
         self._apply(event)
 
     def record_planned(self, fingerprint: str, label: str = "") -> None:
@@ -300,11 +238,7 @@ class SweepCheckpoint:
         return tuple(self._failed.get(fingerprint, ()))
 
     def reset(self) -> None:
-        """Truncate the journal: a non-``--resume`` run starts fresh.
-
-        Per-writer sibling journals are deleted too — a fresh sweep must
-        not inherit another coordinator's stale progress on the next load.
-        """
+        """Truncate the journal: a non-``--resume`` run starts fresh."""
         self.close()
         self._planned.clear()
         self._completed.clear()
@@ -313,11 +247,6 @@ class SweepCheckpoint:
         self.corrupt_lines = 0
         if self.path.exists():
             self.path.write_text("", encoding="utf-8")
-        for sibling in self._sibling_paths():
-            try:
-                sibling.unlink()
-            except OSError:
-                pass
 
     def close(self) -> None:
         """Close the append handle (idempotent; reopened on the next event)."""

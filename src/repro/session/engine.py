@@ -35,24 +35,19 @@ byte-identical.
 Baseline platforms (Eyeriss, Stripes, GPUs, the temporal design) have no
 compile stage; they run as a single simulate step and cache whole results.
 
-Parallel execution is **warm-artifact aware**.  The main process plans each
-uncached workload against the cache (:func:`plan_workload`): it compiles
-centrally through the program cache (structure-only keys, exactly-once per
-network), resolves every block whose result is already cached, and ships a
-worker a :class:`WorkUnit` carrying the program *sliced down to the
-genuinely missing blocks* (plus their full-program indices).  Workers
-(:func:`execute_work_unit`) simulate just those blocks and return
-:class:`WorkResult`\\ s; the main process stores the fresh records and
-composes (:func:`compose_plan`).  Worker failures never poison the pool
-batch: they come back as error strings carrying the workload's label, and
-:class:`~repro.session.session.EvaluationSession` raises a
-:class:`WorkloadExecutionError` only after every surviving result is
-stored.
+Execution is **warm-artifact aware**.  The session plans each uncached
+workload against the cache (:func:`plan_workload`): it compiles through
+the program cache (structure-only keys, exactly-once per network) and
+resolves every block whose result is already cached.  The genuinely
+missing blocks of a whole batch of plans then simulate together
+(:func:`simulate_planned_blocks`), and each plan composes from cached plus
+fresh records, storing the fresh ones (:func:`compose_plan`).  A failing
+workload surfaces as a :class:`WorkloadExecutionError` only after every
+surviving result is stored.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
@@ -82,8 +77,6 @@ __all__ = [
     "PlanLike",
     "QuarantineRecord",
     "WorkPlan",
-    "WorkResult",
-    "WorkUnit",
     "WorkloadExecutionError",
     "audit_workload_cache",
     "build_model",
@@ -92,9 +85,7 @@ __all__ = [
     "compile_workload",
     "compose_plan",
     "describe_workload_error",
-    "execute_work_unit",
     "execute_workload",
-    "execute_workload_cached",
     "layer_cache_key",
     "make_plan_resolver",
     "obtain_program",
@@ -335,8 +326,8 @@ def simulator_for(config: BitFusionConfig) -> BitFusionSimulator:
 
     Building a :class:`~repro.sim.executor.BitFusionSimulator` re-derives
     the per-component energy models (SRAM bank sizing, technology scaling)
-    every time; memoizing per configuration means pool workers — and the
-    serial path — stop rebuilding identical model state once per workload.
+    every time; memoizing per configuration means the session stops
+    rebuilding identical model state once per workload.
     ``BitFusionConfig`` is frozen/hashable and the simulator is stateless,
     so sharing instances is safe.  The module-global class is resolved at
     call time (and is part of the memo key), so tests that monkeypatch
@@ -652,28 +643,8 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
     return CacheAudit(state, missing, len(program), 0, 0)
 
 
-def execute_workload_cached(
-    workload: Workload, cache: ResultCache, stats: CacheStats
-) -> NetworkResult:
-    """Run one workload through the staged pipeline with per-stage caching.
-
-    Bit Fusion workloads reuse the cached program and every cached block
-    result; the genuinely missing blocks simulate in one batched call
-    (:func:`simulate_planned_blocks`).  Baseline platforms fall through to
-    the monolithic path (their whole results are cached at the workload
-    level by the session).
-    """
-    if workload.platform != "bitfusion":
-        return execute_workload(workload)
-    plan = plan_workload(workload, cache, stats, set())
-    started = time.perf_counter()
-    remote = simulate_planned_blocks([plan])[0]
-    stats.sim_seconds += time.perf_counter() - started
-    return compose_plan(plan, remote, cache, stats)
-
-
 # ---------------------------------------------------------------------- #
-# The cache-aware parallel worker protocol
+# Planning, failure reporting and batched simulation
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class QuarantineRecord:
@@ -707,131 +678,19 @@ class WorkloadExecutionError(RuntimeError):
         self.quarantined = quarantined
         details = "; ".join(failures)
         super().__init__(
-            f"{len(failures)} workload(s) failed during parallel execution: {details}"
+            f"{len(failures)} workload(s) failed execution: {details}"
         )
 
 
 def describe_workload_error(workload: Workload, error: BaseException) -> str:
     """The labelled one-line error message a failed workload reports.
 
-    One format everywhere — worker replies, serial-path failures, retry
-    failures and quarantine records all describe a failure the same way, so
-    footer greps and :class:`WorkloadExecutionError` assertions never depend
-    on which execution path hit the fault.
+    One format everywhere — first-attempt failures, retry failures and
+    quarantine records all describe a failure the same way, so footer greps
+    and :class:`WorkloadExecutionError` assertions never depend on which
+    step hit the fault.
     """
     return f"workload {workload.label()}: {type(error).__name__}: {error}"
-
-
-@dataclass(frozen=True)
-class WorkUnit:
-    """What the main process ships a pool worker: just the missing blocks.
-
-    ``program_payload`` is a *slice* of the centrally compiled (or
-    cache-restored) program — ``Program.to_dict`` shape, but its ``blocks``
-    list holds only the blocks at ``simulate_indices`` (in that order), so
-    a wide, mostly-warm sweep never pickles the blocks the cache already
-    resolved.  Workers rebuild the slice with ``Program.from_dict`` and
-    simulate every shipped block; block simulation is independent, so a
-    sliced program simulates exactly like the full artifact would.
-    ``simulate_indices`` keeps the blocks' positions in the *full* program —
-    the reply is keyed by them so the main process can compose.  Baseline
-    workloads ship with ``program_payload=None`` and execute whole.
-
-    The NAS estimator ships *anonymous* units (``workload=None``): a
-    candidate plan has no :class:`Workload`, so the simulation
-    configuration rides along explicitly in ``config`` and
-    :attr:`sim_config` resolves whichever of the two is present.
-    """
-
-    workload: Workload | None
-    program_payload: dict[str, Any] | None
-    simulate_indices: tuple[int, ...] = ()
-    config: Any = None
-
-    @property
-    def sim_config(self) -> Any:
-        """The simulation configuration, from the workload or ``config``."""
-        return self.workload.config if self.workload is not None else self.config
-
-
-@dataclass(frozen=True)
-class WorkResult:
-    """A worker's reply: the missing block results, or a whole result.
-
-    Exactly one of three shapes: ``layers`` holds ``(index, LayerResult)``
-    pairs for a Bit Fusion unit, ``result`` a whole ``NetworkResult`` for a
-    baseline unit, and ``error`` a message (carrying the workload's label)
-    when execution raised — workers never let an exception escape into
-    ``ProcessPoolExecutor.map``, which would abort the entire batch.
-
-    ``compile_seconds`` and ``sim_seconds`` carry the worker-side wall time
-    of program reconstruction and block simulation so the session can fold
-    remote work into its per-stage timing statistics.  ``worker_id`` names
-    who did the work (a pool worker's pid, a remote worker's address) for
-    the footer's per-worker unit counts.
-    """
-
-    layers: tuple[tuple[int, LayerResult], ...] = ()
-    result: NetworkResult | None = None
-    error: str | None = None
-    compile_seconds: float = 0.0
-    sim_seconds: float = 0.0
-    worker_id: str = ""
-
-
-def execute_work_unit(unit: WorkUnit) -> WorkResult:
-    """Run one work unit in a pool worker process.
-
-    Failures are converted into :attr:`WorkResult.error` strings instead of
-    raised, so one bad workload cannot poison the pool batch.
-
-    Fault-injection seam: a work-unit wrapper installed through
-    :mod:`repro.session.testing` intercepts the call — it can return a
-    fabricated failure reply, delay, or raise to model a crashed worker.
-    The hook lives in the installing process only; real pool workers never
-    see it, so tests that exercise it run inline (``jobs=1`` or an in-process
-    pool).
-    """
-    wrapper = testing.work_unit_wrapper()
-    if wrapper is not None:
-        return wrapper(unit, _execute_work_unit)
-    return _execute_work_unit(unit)
-
-
-def _execute_work_unit(unit: WorkUnit) -> WorkResult:
-    worker_id = f"pid-{os.getpid()}"
-    try:
-        if unit.program_payload is None:
-            if unit.workload is None:
-                raise ValueError("anonymous work unit carries no program payload")
-            started = time.perf_counter()
-            result = execute_workload(unit.workload)
-            return WorkResult(
-                result=result,
-                sim_seconds=time.perf_counter() - started,
-                worker_id=worker_id,
-            )
-        # The payload is sliced to exactly the missing blocks; simulate all
-        # of them and map the results back to their full-program indices.
-        started = time.perf_counter()
-        program = Program.from_dict(unit.program_payload)
-        compile_seconds = time.perf_counter() - started
-        simulator = simulator_for(unit.sim_config)
-        started = time.perf_counter()
-        layers = simulator.run_selected_blocks(program, range(len(program)))
-        sim_seconds = time.perf_counter() - started
-        return WorkResult(
-            layers=tuple(zip(unit.simulate_indices, layers)),
-            compile_seconds=compile_seconds,
-            sim_seconds=sim_seconds,
-            worker_id=worker_id,
-        )
-    except Exception as error:  # noqa: BLE001 — must not escape into pool.map
-        if unit.workload is None:
-            message = f"candidate work unit: {type(error).__name__}: {error}"
-        else:
-            message = describe_workload_error(unit.workload, error)
-        return WorkResult(error=message, worker_id=worker_id)
 
 
 class PlanLike(Protocol):
@@ -853,13 +712,13 @@ class PlanLike(Protocol):
 
 @dataclass(frozen=True)
 class WorkPlan:
-    """The main process's cache-resolution plan for one pending workload.
+    """The cache-resolution plan for one pending workload.
 
     ``cached_layers`` maps block index → result resolved at plan time;
-    ``simulate_indices`` are the blocks a worker must simulate;
+    ``simulate_indices`` are the blocks that must be simulated;
     ``deferred_indices`` are blocks whose key an earlier workload of the
     same batch already claimed — their results are read from the cache at
-    compose time, after the claiming unit has been stored.
+    compose time, after the claiming workload has been stored.
     """
 
     workload: Workload
@@ -879,44 +738,18 @@ class WorkPlan:
         """
         return self.workload.config
 
-    @property
-    def needs_worker(self) -> bool:
-        return self.program is None or bool(self.simulate_indices)
-
-    def work_unit(self) -> WorkUnit:
-        """The unit to ship: the program sliced to only the missing blocks.
-
-        Slicing keeps pickle traffic proportional to the genuinely missing
-        work instead of the whole program — on a wide, mostly-warm parallel
-        sweep the difference is most of the payload.
-        """
-        if self.program is None:
-            return WorkUnit(workload=self.workload, program_payload=None)
-        blocks = self.program.blocks
-        payload = {
-            "network_name": self.program.network_name,
-            "blocks": [blocks[index].to_dict() for index in self.simulate_indices],
-        }
-        return WorkUnit(
-            workload=self.workload,
-            program_payload=payload,
-            simulate_indices=self.simulate_indices,
-        )
-
 
 def plan_workload(
     workload: Workload, cache: ResultCache, stats: CacheStats, claimed: set[str]
 ) -> WorkPlan:
-    """Plan one pending workload: compile centrally, resolve warm blocks.
+    """Plan one pending workload: compile, resolve warm blocks.
 
     Compilation goes through the program cache (structure-only key), so a
-    batch sharing a network compiles it exactly once in the main process.
-    Every block is then resolved through both cache levels; only genuinely
-    missing blocks are scheduled for remote simulation.  ``claimed`` tracks
-    block keys already scheduled by earlier workloads of the same batch —
-    duplicates are deferred to compose time instead of being simulated
-    twice, which keeps the reported stage statistics identical to a serial
-    run.
+    batch sharing a network compiles it exactly once.  Every block is then
+    resolved through both cache levels; only genuinely missing blocks are
+    scheduled for simulation.  ``claimed`` tracks block keys already
+    scheduled by earlier workloads of the same batch — duplicates are
+    deferred to compose time instead of being simulated twice.
     """
     if workload.platform != "bitfusion":
         return WorkPlan(
@@ -935,15 +768,14 @@ def plan_workload(
         value, level, source = lookup_block(compiled, workload.config, cache)
         if value is not None:
             (stats.blocks if level == "block" else stats.layers).record_hit(source)
-            stats.workers.reused_blocks += 1
             cached[index] = value
             continue
         block_key = block_cache_key(compiled.fingerprint(), workload.config)
         layer_key = layer_cache_key(compiled, workload.config)
         # Claim both cache levels: a block whose *layer content* an earlier
-        # in-batch block already claimed would be served by the layer-level
-        # fallback serially, so the parallel path must defer it too rather
-        # than re-simulate identical content under a different name.
+        # in-batch block already claimed is served by the layer-level
+        # fallback at compose time, so defer it rather than re-simulate
+        # identical content under a different name.
         if block_key in claimed or layer_key in claimed:
             deferred.append(index)
             continue
@@ -963,20 +795,21 @@ def plan_workload(
 
 def compose_plan(
     plan: WorkPlan,
-    remote_layers: dict[int, LayerResult],
+    fresh_layers: dict[int, LayerResult],
     cache: ResultCache,
     stats: CacheStats,
 ) -> NetworkResult:
-    """Assemble a planned workload's result from cached + worker-simulated blocks.
+    """Assemble a planned workload's result from cached + fresh blocks.
 
-    Fresh worker results are stored under both cache levels as they are
-    composed — inside one :meth:`ResultCache.batch` scope, so a plan's
-    store-backs land as a single group-committed segment append instead of
-    one write per artifact.  Deferred blocks (claimed by an earlier
-    workload of the batch) are read from the cache now that the claiming
-    unit has been stored; if that unit failed, the block is simulated
-    inline as a last resort so one failure never corrupts a neighbouring
-    workload's result.
+    ``fresh_layers`` maps block index → result simulated for this plan
+    (:func:`simulate_planned_blocks`).  Fresh results are stored under both
+    cache levels as they are composed — inside one :meth:`ResultCache.batch`
+    scope, so a plan's store-backs land as a single group-committed segment
+    append instead of one write per artifact.  Deferred blocks (claimed by
+    an earlier workload of the batch) are read from the cache now that the
+    claiming workload has been stored; if that workload failed, the block
+    is simulated here as a last resort so one failure never corrupts a
+    neighbouring workload's result.
     """
     workload = plan.workload
     assert plan.program is not None
@@ -986,15 +819,14 @@ def compose_plan(
             if index in plan.cached_layers:
                 layers.append(plan.cached_layers[index])
                 continue
-            if index in remote_layers:
-                layer = remote_layers[index]
+            if index in fresh_layers:
+                layer = fresh_layers[index]
                 store_block_result(cache, workload, compiled, layer)
                 layers.append(layer)
                 continue
             value, level, source = lookup_block(compiled, workload.config, cache)
             if value is not None:
                 (stats.blocks if level == "block" else stats.layers).record_hit(source)
-                stats.workers.reused_blocks += 1
                 layers.append(value)
                 continue
             stats.blocks.record_miss()
@@ -1010,10 +842,8 @@ def simulate_planned_blocks(
 ) -> list[dict[int, LayerResult]]:
     """Simulate every planned-but-missing block across ``plans``, batched.
 
-    The serial-path counterpart of the worker protocol: instead of shipping
-    each plan to a pool worker, the missing blocks of *all* in-flight plans
-    are gathered into as few :func:`~repro.sim.batched.simulate_blocks_grid`
-    calls as possible.  Plans are grouped by their simulation-affecting
+    The missing blocks of *all* in-flight plans are gathered into as few
+    :func:`~repro.sim.batched.simulate_blocks_grid` calls as possible.  Plans are grouped by their simulation-affecting
     configuration payload (:func:`_sim_config_payload` — so e.g. a
     frequency sweep shares one group), and groups whose ordered block
     fingerprints are identical are merged into one 2-D grid call: the same
@@ -1023,7 +853,7 @@ def simulate_planned_blocks(
     ``N`` separate passes.
 
     Returns one ``{block index → LayerResult}`` dict per plan, shaped
-    exactly like the ``remote_layers`` argument of :func:`compose_plan`.
+    exactly like the ``fresh_layers`` argument of :func:`compose_plan`.
     Baseline plans (``program is None``) and plans with nothing to simulate
     get an empty dict.
     """

@@ -1,11 +1,11 @@
-"""EvaluationSession: the shared, cached, parallel workload engine.
+"""EvaluationSession: the shared, cached workload engine.
 
 One session backs one report (or one interactive study).  Every experiment
 routes its simulations through :meth:`EvaluationSession.run` /
 :meth:`~EvaluationSession.run_many`, so a full-report invocation simulates
 each unique (platform config, network, batch, compiler flags) point exactly
-once regardless of how many figures need it, and batches of independent
-workloads can fan out over a process pool.
+once regardless of how many figures need it, and the missing blocks of a
+whole batch of workloads simulate together through the vectorized executor.
 
 :meth:`EvaluationSession.sweep` is the declarative face of the engine:
 bandwidth, batch-size and benchmark scans (Figures 15/16 and any new
@@ -24,32 +24,27 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.config import BitFusionConfig
 from repro.session import testing
-from repro.session.backends import (
-    ExecutionBackend,
-    Failure,
-    InlineBackend,
-    ProcessPoolBackend,
-)
 from repro.session.cache import CacheStats, ProgramStats, ResultCache
 from repro.session.checkpoint import SweepCheckpoint
 from repro.session.engine import (
     QuarantineRecord,
     WorkloadExecutionError,
+    WorkPlan,
     compose_plan,
     describe_workload_error,
-    execute_work_unit,
     execute_workload,
     obtain_program,
     plan_workload,
     program_cache_key,
+    simulate_planned_blocks,
     try_compose_from_cache,
 )
 from repro.session.workload import Workload, estimated_cost
-from repro.sim.results import NetworkResult
+from repro.sim.results import LayerResult, NetworkResult
 
 __all__ = [
     "EvaluationSession",
@@ -67,12 +62,12 @@ __all__ = [
 ResultCallback = Callable[[Workload, NetworkResult], None]
 
 
-class _RetryError(RuntimeError):
-    """A retry attempt failed; carries the already-formatted failure message."""
+class _Failure(NamedTuple):
+    """One failed execution attempt, pending the session's retry."""
 
-    def __init__(self, message: str) -> None:
-        self.message = message
-        super().__init__(message)
+    key: str
+    workload: Workload
+    message: str
 
 
 @dataclass(frozen=True)
@@ -134,25 +129,10 @@ class SweepResult:
 
 
 class EvaluationSession:
-    """Cached, optionally parallel executor of evaluation workloads.
+    """Cached executor of evaluation workloads.
 
     Parameters
     ----------
-    jobs:
-        Worker processes for :meth:`run_many` / :meth:`sweep`.  1 (the
-        default) executes inline; higher values fan uncached workloads out
-        over a ``ProcessPoolExecutor``.  Results are ordered by the input
-        workload order either way, so parallel runs are byte-identical to
-        serial ones.  Shorthand for ``backend=ProcessPoolBackend(jobs)``.
-    backend:
-        Explicit :class:`~repro.session.backends.ExecutionBackend` owning
-        where pending work executes (inline, process pool, or remote TCP
-        workers).  Mutually exclusive with a non-default ``jobs``; the
-        session adopts the backend's job count when it has one.  The
-        session retains everything else — cache resolution, commit
-        ordering, retry-once/quarantine, the checkpoint journal — so every
-        backend shares the same fault-tolerance and byte-identity
-        contracts.
     cache_dir:
         Optional directory for the persistent artifact store (segmented
         pack-file layout by default; legacy JSON-per-entry directories are
@@ -169,8 +149,8 @@ class EvaluationSession:
         Optional :class:`~repro.session.checkpoint.SweepCheckpoint` journal.
         When given, every scheduled workload is journaled as planned before
         execution and as completed the moment its result is stored — and
-        the serial path commits **per workload** (plan → simulate → compose
-        → store → journal, in schedule order) instead of batching the whole
+        the session commits **per workload** (plan → simulate → compose →
+        store → journal, in schedule order) instead of batching the whole
         schedule's simulations, so a run killed at an arbitrary point loses
         at most its one in-flight workload.  The trade is deliberate:
         checkpointed runs give up cross-point grid merging
@@ -182,45 +162,25 @@ class EvaluationSession:
 
     def __init__(
         self,
-        jobs: int = 1,
         cache_dir: str | Path | None = None,
         cache: ResultCache | None = None,
         max_cache_bytes: int | None = None,
         checkpoint: SweepCheckpoint | None = None,
-        backend: ExecutionBackend | None = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if backend is not None and jobs != 1:
-            raise ValueError("pass either backend or jobs, not both")
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
         if cache is not None and max_cache_bytes is not None:
             raise ValueError("max_cache_bytes only applies when the session owns its cache")
-        if backend is None:
-            backend = ProcessPoolBackend(jobs) if jobs > 1 else InlineBackend()
-        self.backend = backend
-        self.jobs = getattr(backend, "jobs", jobs)
         self.cache = cache if cache is not None else ResultCache(cache_dir, max_cache_bytes)
         self.stats = CacheStats()
         self.checkpoint = checkpoint
 
-    @property
-    def _pool(self):
-        """The process-pool backend's executor (tests swap in stand-ins)."""
-        return getattr(self.backend, "_pool", None)
-
-    @_pool.setter
-    def _pool(self, pool) -> None:
-        self.backend._pool = pool
-
     def close(self) -> None:
-        """Shut down the execution backend and flush cache bookkeeping.
+        """Close the checkpoint journal and flush cache bookkeeping.
 
         Idempotent; cached entries themselves are untouched (only batched
         manifest recency updates are written out).
         """
-        self.backend.close()
         if self.checkpoint is not None:
             self.checkpoint.close()
         self.cache.close()
@@ -253,22 +213,15 @@ class EvaluationSession:
         no cached value existed when they were looked up.  Genuinely new
         workloads are scheduled longest-job-first (estimated by network MAC
         count x batch size, ties broken by workload fingerprint so the
-        schedule never depends on input order) so a process pool's tail is
-        as short as possible, and results are returned in input order either
-        way — parallel runs are byte-identical to serial ones.  Each unique
-        workload is simulated at most once per session lifetime.
+        schedule never depends on input order) and results are returned in
+        input order.  Each unique workload is simulated at most once per
+        session lifetime.
 
-        With ``jobs > 1`` the parallel path is warm-artifact aware: the main
-        process compiles centrally through the program cache and ships each
-        worker only the blocks whose results are genuinely missing (see
-        :mod:`repro.session.engine`).
-
-        **Fault tolerance** (serial and parallel alike): a workload whose
-        execution fails — a worker error reply, a crashed worker process, a
-        raising simulation or composition — is retried exactly once, inline
-        in the coordinating process (immune to pool state).  If the retry
-        fails too, the workload is quarantined: journaled (when a checkpoint
-        is attached), counted in ``stats.retries``, and reported through a
+        **Fault tolerance**: a workload whose execution fails — a raising
+        simulation or composition — is retried exactly once against the
+        cache its neighbours have filled by then.  If the retry fails too,
+        the workload is quarantined: journaled (when a checkpoint is
+        attached), counted in ``stats.retries``, and reported through a
         :class:`~repro.session.engine.WorkloadExecutionError` carrying the
         quarantine list — raised only *after* every surviving result and
         artifact has been stored, so one bad workload costs the batch
@@ -317,12 +270,11 @@ class EvaluationSession:
             self.stats.misses += 1
             pending[key] = workload
         if pending:
-            # Longest job first: the costliest simulations start earliest so
-            # pool workers never idle behind one giant network queued last.
-            # Equal-cost workloads tie-break on their (stable, content-based)
-            # fingerprint rather than input order, so the schedule is
-            # identical no matter how the calling experiments ordered their
-            # workloads — parallel sweep execution stays reproducible.
+            # Longest job first.  Equal-cost workloads tie-break on their
+            # (stable, content-based) fingerprint rather than input order,
+            # so the schedule — and with it which in-batch workload claims
+            # a shared block — is identical no matter how the calling
+            # experiments ordered their workloads.
             items = sorted(
                 pending.items(),
                 key=lambda item: (-estimated_cost(item[1]), item[0]),
@@ -331,8 +283,7 @@ class EvaluationSession:
                 for key, workload in items:
                     self.checkpoint.record_planned(key, workload.label())
             try:
-                executed, failures = self.backend.execute(self, items, on_result)
-                resolved.update(executed)
+                failures = self._execute(items, resolved, on_result)
                 if failures:
                     self._finish_failures(failures, resolved, on_result)
             finally:
@@ -343,28 +294,107 @@ class EvaluationSession:
                 self.cache.flush()
         return [resolved[key] for key in keys]
 
-    def _finish_plan(self, workload: Workload, plan, layers) -> NetworkResult:
-        """Compose a planned Bit Fusion workload (or run a baseline whole)."""
-        if plan.program is None:
-            started = time.perf_counter()
-            result = execute_workload(workload)
-            self.stats.sim_seconds += time.perf_counter() - started
-        else:
-            started = time.perf_counter()
-            result = compose_plan(plan, layers, self.cache, self.stats)
-            self.stats.compose_seconds += time.perf_counter() - started
-        return result
+    def _execute(
+        self,
+        items: list[tuple[str, Workload]],
+        resolved: dict[str, NetworkResult],
+        on_result: ResultCallback | None,
+    ) -> list[_Failure]:
+        """Execute the pending schedule; commit successes, return failures.
 
-    def _compose_plan(self, plan, remote) -> NetworkResult:
-        """Compose a plan from worker-delivered layers plus cached artifacts."""
-        return compose_plan(plan, remote, self.cache, self.stats)
+        Without a checkpoint, every Bit Fusion workload of the batch is
+        planned against the cache first (compile through the program cache,
+        per-block resolution through both cache levels, in-batch duplicate
+        blocks deferred to their claimant); the genuinely missing blocks of
+        *all* plans then simulate through as few vectorized calls as
+        possible (:func:`~repro.session.engine.simulate_planned_blocks` — a
+        sweep varying only simulation parameters collapses into one 2-D
+        grid pass) before each workload composes and commits in schedule
+        order, so deferred blocks resolve from their claimant's stored
+        records.  Baseline workloads (no compile stage) execute whole.  If
+        the all-plans batched call raises, the batch degrades to per-plan
+        simulation so one faulting block fails only its own workload.  The
+        whole batch — compile-stage artifacts and every composed workload's
+        store-backs — lands as one group commit.
+
+        With a checkpoint, workloads run strictly one at a time — plan,
+        simulate, compose, store, journal — so a kill at any point loses at
+        most the in-flight workload.
+        """
+        failures: list[_Failure] = []
+        claimed: set[str] = set()
+
+        def complete(
+            key: str,
+            workload: Workload,
+            plan: WorkPlan | None,
+            layers: dict[int, LayerResult] | None,
+        ) -> None:
+            try:
+                if plan is None:
+                    plan = plan_workload(workload, self.cache, self.stats, claimed)
+                result = self._finish_plan(workload, plan, layers, self.stats)
+            except Exception as error:
+                failures.append(
+                    _Failure(key, workload, describe_workload_error(workload, error))
+                )
+                return
+            self._commit(key, workload, result, on_result)
+            resolved[key] = result
+
+        if self.checkpoint is not None:
+            for key, workload in items:
+                complete(key, workload, None, None)
+            return failures
+        with self.cache.batch():
+            plans = [
+                plan_workload(workload, self.cache, self.stats, claimed)
+                for _, workload in items
+            ]
+            batched: Sequence[dict[int, LayerResult] | None]
+            try:
+                started = time.perf_counter()
+                batched = simulate_planned_blocks(plans)
+                self.stats.sim_seconds += time.perf_counter() - started
+            except Exception:
+                # One faulting block aborted the whole batched call; each
+                # plan simulates on its own in ``complete`` instead.
+                batched = [None] * len(plans)
+            for (key, workload), plan, layers in zip(items, plans, batched):
+                complete(key, workload, plan, layers)
+        return failures
+
+    def _finish_plan(
+        self,
+        workload: Workload,
+        plan: WorkPlan,
+        layers: dict[int, LayerResult] | None,
+        stats: CacheStats,
+    ) -> NetworkResult:
+        """Finish one planned workload: simulate what is missing, compose.
+
+        ``layers`` holds the plan's freshly simulated blocks, or ``None``
+        to simulate them here.  Baseline workloads (no program) run whole.
+        """
+        started = time.perf_counter()
+        if plan.program is None:
+            result = execute_workload(workload)
+            stats.sim_seconds += time.perf_counter() - started
+            return result
+        if layers is None:
+            layers = simulate_planned_blocks([plan])[0]
+            stats.sim_seconds += time.perf_counter() - started
+            started = time.perf_counter()
+        result = compose_plan(plan, layers, self.cache, stats)
+        stats.compose_seconds += time.perf_counter() - started
+        return result
 
     # ------------------------------------------------------------------ #
     # Retry-once / quarantine policy
     # ------------------------------------------------------------------ #
     def _finish_failures(
         self,
-        failures: list[Failure],
+        failures: list[_Failure],
         resolved: dict[str, NetworkResult],
         on_result: ResultCallback | None,
     ) -> None:
@@ -372,13 +402,12 @@ class EvaluationSession:
 
         Runs after the batch's surviving workloads have all been committed,
         so a retried workload resolves every artifact a successful neighbour
-        (or in-batch claimant) already stored.  Retries execute inline in
-        the coordinating process through :func:`~repro.session.engine.
-        execute_work_unit` — a fresh execution immune to worker-pool state,
-        and still routed through the fault-injection seam so chaos tests
-        can exercise both outcomes.  If any workload fails its retry, a
-        :class:`~repro.session.engine.WorkloadExecutionError` carrying the
-        quarantine list is raised at the very end.
+        (or in-batch claimant) already stored.  The retry replans with
+        throwaway statistics — retry work is accounted by ``stats.retries``
+        alone, so the per-stage counters (and the footer lines CI greps)
+        keep describing the fault-free pipeline.  If any workload fails its
+        retry, a :class:`~repro.session.engine.WorkloadExecutionError`
+        carrying the quarantine list is raised at the very end.
         """
         messages: list[str] = []
         quarantined: list[QuarantineRecord] = []
@@ -388,14 +417,12 @@ class EvaluationSession:
                     failure.key, failure.workload.label(), failure.message, attempt=1
                 )
             self.stats.retries += 1
+            retry_stats = CacheStats()
             try:
-                result = self._retry_workload(failure.workload)
+                plan = plan_workload(failure.workload, self.cache, retry_stats, set())
+                result = self._finish_plan(failure.workload, plan, None, retry_stats)
             except Exception as error:
-                message = (
-                    error.message
-                    if isinstance(error, _RetryError)
-                    else describe_workload_error(failure.workload, error)
-                )
+                message = describe_workload_error(failure.workload, error)
                 messages.append(message)
                 quarantined.append(
                     QuarantineRecord(
@@ -413,28 +440,6 @@ class EvaluationSession:
             resolved[failure.key] = result
         if quarantined:
             raise WorkloadExecutionError(messages, quarantined=tuple(quarantined))
-
-    def _retry_workload(self, workload: Workload) -> NetworkResult:
-        """One retry attempt: replan against the cache, execute, compose.
-
-        Planned with throwaway statistics — retry work is accounted by
-        ``stats.retries`` alone, so the per-stage counters (and the footer
-        lines CI greps) keep describing the fault-free pipeline.  The replan
-        sees everything the failed first attempt and its neighbours already
-        stored, so a transient fault usually retries into a mostly-warm
-        compose.
-        """
-        retry_stats = CacheStats()
-        plan = plan_workload(workload, self.cache, retry_stats, set())
-        remote: dict[int, object] = {}
-        if plan.needs_worker:
-            reply = execute_work_unit(plan.work_unit())
-            if reply.error is not None:
-                raise _RetryError(reply.error)
-            if reply.result is not None:
-                return reply.result
-            remote = dict(reply.layers)
-        return compose_plan(plan, remote, self.cache, retry_stats)
 
     # ------------------------------------------------------------------ #
     # Committing results

@@ -8,16 +8,14 @@ same entries in a handful of **append-only pack segments** instead:
 
 * **Record**: a 4-byte big-endian length prefix followed by one compact
   (``sort_keys``, no whitespace) UTF-8 JSON object ``{"key", "kind",
-  "payload", "workload"}`` — the exact entry shape of the JSON layout,
-  framed the same way the remote worker protocol frames its messages
-  (:mod:`repro.session.remote`), so a record is self-delimiting and a
-  truncated tail (a writer killed mid-append) is detected and dropped at
-  the next scan instead of poisoning the file.
+  "payload", "workload"}`` — the exact entry shape of the JSON layout —
+  so a record is self-delimiting and a truncated tail (a writer killed
+  mid-append) is detected and dropped at the next scan instead of
+  poisoning the file.
 * **Segment**: ``pack-<pid>-<nonce>.seg``, append-only, owned by exactly
   one writer process for its lifetime.  Writers never share a segment, so
-  the data path needs no locks — the same per-writer-sibling design the
-  sweep checkpoint journal proved out — and readers merge all segments at
-  open time.  The ``.seg`` suffix keeps segments invisible to the JSON
+  the data path needs no locks, and readers merge all segments at open
+  time.  The ``.seg`` suffix keeps segments invisible to the JSON
   layout's ``*.json`` glob, so both layouts coexist in one directory.
 * **Index sidecar**: ``<segment>.idx``, a JSON map of key → (offset,
   length, kind) plus the segment size it describes.  Advisory: a missing
@@ -72,11 +70,11 @@ INDEX_SUFFIX = ".idx"
 #: (readers treat an unknown sidecar schema as stale and rescan).
 STORE_SCHEMA_VERSION = 1
 
-#: Length prefix of one record — the remote protocol's framing struct.
+#: Length prefix of one record.
 _LENGTH = struct.Struct(">I")
 
 #: Sanity cap on one record's body; anything larger is treated as a torn
-#: or corrupt tail when scanning (matches the wire protocol's cap).
+#: or corrupt tail when scanning.
 MAX_RECORD_BYTES = 256 * 1024 * 1024
 
 

@@ -1,32 +1,18 @@
 """Deterministic fault-injection seams for the execution engine.
 
-Production code in :mod:`repro.session.engine` consults three module-level
-hooks — all ``None`` (zero-cost no-ops) unless a test installs one:
+Production code consults two module-level hooks — both ``None`` (zero-cost
+no-ops) unless a test installs one:
 
-* **work-unit wrapper** — wraps every :func:`~repro.session.engine.
-  execute_work_unit` call.  Receives ``(unit, execute)`` and must return a
-  :class:`~repro.session.engine.WorkResult`; it may instead raise to
-  simulate a worker process crash (an exception surfacing at
-  ``Future.result()``, e.g. ``BrokenProcessPool``).
 * **simulator wrapper** — wraps every :func:`~repro.session.engine.
   simulator_for` resolution.  Receives ``(config, simulator)`` and returns
   a simulator-like object (anything exposing ``batched`` / ``run_block`` /
   ``run_selected_blocks``), so tests can inject faults or delays at the
-  block-simulation level of both the serial batched path and worker units.
+  block-simulation level of both the batched path and per-plan simulation.
 * **after-commit hook** — fired by :class:`~repro.session.session.
   EvaluationSession` right after a workload's result has been stored and
   journaled.  This is the kill point: a hook that raises (or SIGKILLs the
   process) right here models a crash *between* durable commits, which is
   exactly the boundary a resumable sweep must survive.
-* **transport wrapper** — wraps every coordinator-side remote request the
-  :class:`~repro.session.remote.RemoteBackend` makes.  Receives
-  ``(address, unit, transport)`` and must return the reply dict (usually by
-  calling ``transport()``); raising a ``ConnectionError`` models a dropped
-  connection or dead worker without any real socket misbehaving.
-
-Hooks only exist in the installing process: real pool workers import this
-module fresh and see no hooks, so multiprocess runs are unaffected — tests
-that inject worker-side faults run with inline pools or ``jobs=1``.
 
 ``tests/faults.py`` builds the deterministic injectors (seeded fault plans,
 fail-once simulators, crash-at-commit kill switches) on top of these seams;
@@ -46,46 +32,22 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 __all__ = [
-    "after_commit_hook",
     "fire_after_commit",
     "install_kill_after_commits",
     "on_commit",
     "simulator_wrapper",
-    "transport_wrapper",
-    "work_unit_wrapper",
     "wrap_simulators",
-    "wrap_transport",
-    "wrap_work_units",
 ]
 
-# (unit, execute) -> WorkResult; may raise to model a worker crash.
-_work_unit_wrapper: Callable[[Any, Callable[[Any], Any]], Any] | None = None
 # (config, simulator) -> simulator-like object.
 _simulator_wrapper: Callable[[Any, Any], Any] | None = None
 # (workload, result) -> None; fired after each durable commit.
 _after_commit: Callable[[Any, Any], None] | None = None
-# (address, unit, transport) -> reply dict; may raise ConnectionError.
-_transport_wrapper: Callable[[str, Any, Callable[[], Any]], Any] | None = None
-
-
-def work_unit_wrapper() -> Callable[[Any, Callable[[Any], Any]], Any] | None:
-    """The installed work-unit wrapper, or ``None``."""
-    return _work_unit_wrapper
 
 
 def simulator_wrapper() -> Callable[[Any, Any], Any] | None:
     """The installed simulator wrapper, or ``None``."""
     return _simulator_wrapper
-
-
-def after_commit_hook() -> Callable[[Any, Any], None] | None:
-    """The installed after-commit hook, or ``None``."""
-    return _after_commit
-
-
-def transport_wrapper() -> Callable[[str, Any, Callable[[], Any]], Any] | None:
-    """The installed remote-transport wrapper, or ``None``."""
-    return _transport_wrapper
 
 
 def fire_after_commit(workload: Any, result: Any) -> None:
@@ -100,20 +62,6 @@ def fire_after_commit(workload: Any, result: Any) -> None:
 
 
 @contextmanager
-def wrap_work_units(
-    wrapper: Callable[[Any, Callable[[Any], Any]], Any],
-) -> Iterator[None]:
-    """Scope a work-unit wrapper for the duration of a ``with`` block."""
-    global _work_unit_wrapper
-    previous = _work_unit_wrapper
-    _work_unit_wrapper = wrapper
-    try:
-        yield
-    finally:
-        _work_unit_wrapper = previous
-
-
-@contextmanager
 def wrap_simulators(wrapper: Callable[[Any, Any], Any]) -> Iterator[None]:
     """Scope a simulator wrapper for the duration of a ``with`` block."""
     global _simulator_wrapper
@@ -123,26 +71,6 @@ def wrap_simulators(wrapper: Callable[[Any, Any], Any]) -> Iterator[None]:
         yield
     finally:
         _simulator_wrapper = previous
-
-
-@contextmanager
-def wrap_transport(
-    wrapper: Callable[[str, Any, Callable[[], Any]], Any],
-) -> Iterator[None]:
-    """Scope a remote-transport wrapper for the duration of a ``with`` block.
-
-    The wrapper sits between the coordinator and the socket, so chaos tests
-    can drop, delay or corrupt a remote exchange deterministically — the
-    worker daemon on the other end stays perfectly healthy, which is what
-    distinguishes a *connection* fault from a *worker* fault.
-    """
-    global _transport_wrapper
-    previous = _transport_wrapper
-    _transport_wrapper = wrapper
-    try:
-        yield
-    finally:
-        _transport_wrapper = previous
 
 
 @contextmanager

@@ -1,15 +1,12 @@
 """Workload: one (platform, network, batch, compiler-flags) evaluation point.
 
 A :class:`Workload` is the unit of work the evaluation session caches and
-parallelizes.  It names everything that determines a simulation's outcome —
+schedules.  It names everything that determines a simulation's outcome —
 the platform and its configuration, the benchmark network (and any variant
 or bitwidth transform applied to it), the batch size and the Bit Fusion
 compiler flags — and condenses all of it into a stable content
 :meth:`~Workload.fingerprint` suitable as a cache key that survives process
 boundaries and on-disk round trips.
-
-Workloads are frozen dataclasses built from picklable parts only, so a
-process pool can ship them to worker processes unchanged.
 """
 
 from __future__ import annotations
@@ -260,9 +257,8 @@ class Workload:
     def label(self) -> str:
         """Compact one-line description for logs and error messages.
 
-        Parallel execution attaches this to worker failures so one raising
-        workload in a pool batch names itself instead of aborting the whole
-        batch anonymously.
+        Attached to execution failures so one raising workload in a batch
+        names itself instead of aborting the whole batch anonymously.
         """
         parts = [f"{self.platform}/{self.network}", f"batch={self.batch_size}"]
         if self.variant != "quantized":
@@ -318,10 +314,10 @@ def network_digest(workload: Workload) -> str:
 def estimated_cost(workload: Workload) -> int:
     """Rough simulation-cost estimate: network MAC count x batch size.
 
-    The estimate only needs to *rank* jobs: :meth:`EvaluationSession.run_many
-    <repro.session.session.EvaluationSession.run_many>` schedules uncached
-    workloads longest-job-first so a process pool is never left waiting on
-    one giant network scheduled last (the classic long-tail of wide sweeps).
+    The estimate only needs to *rank* workloads: :meth:`EvaluationSession.
+    run_many <repro.session.session.EvaluationSession.run_many>` schedules
+    uncached workloads longest-job-first, which fixes which in-batch
+    workload claims (simulates) a block that several of them share.
     """
     macs_key = (workload.network, workload.variant, workload.fixed_bits)
     if macs_key not in _NETWORK_MACS:

@@ -241,11 +241,9 @@ class BitFusionSimulator:
     ) -> list[LayerResult]:
         """Simulate only the blocks at ``indices``, in the given order.
 
-        This is the worker-side entry point of the cache-aware parallel
-        protocol: the main process resolves every block it already has a
-        cached :class:`~repro.sim.results.LayerResult` for and ships a
-        worker just the indices that genuinely need simulating, so a
-        partially-warm parallel run never re-simulates warm blocks.
+        Callers that already hold cached
+        :class:`~repro.sim.results.LayerResult`\\ s for some blocks pass
+        just the indices that genuinely need simulating.
         """
         return self.simulate_compiled_blocks(
             [program[index] for index in indices]

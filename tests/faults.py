@@ -1,11 +1,11 @@
 """Deterministic fault injectors for chaos-testing the execution engine.
 
-Built on the three seams :mod:`repro.session.testing` exposes (work-unit
-wrapper, simulator wrapper, after-commit hook).  Everything here is
-deterministic — faults target explicit workload fingerprints, block names
-or commit counts, never wall-clock or randomness — so every chaos test
-replays exactly, and hypothesis can drive kill points / crash sets as
-ordinary strategy inputs.
+Built on the two seams :mod:`repro.session.testing` exposes (simulator
+wrapper, after-commit hook) plus a patch of the session's per-workload
+finish step.  Everything here is deterministic — faults target explicit
+workload fingerprints, block names or commit counts, never wall-clock or
+randomness — so every chaos test replays exactly, and hypothesis can drive
+kill points / crash sets as ordinary strategy inputs.
 
 The injectors:
 
@@ -16,43 +16,32 @@ The injectors:
   durable commits exactly like a real kill, but recoverably enough for an
   in-process test to resume with a fresh session.  Real-``SIGKILL`` coverage
   rides on the ``REPRO_SWEEP_KILL_AFTER`` subprocess smokes.
-* :func:`crash_work_units` — makes the work units of chosen workload
-  fingerprints raise :class:`InjectedWorkerCrash` (surfacing at
-  ``Future.result()``, like a died worker process), each fingerprint at most
-  ``times`` times — ``times=1`` exercises retry-success, a large ``times``
-  exercises quarantine.
+* :func:`crash_workloads` — makes the execution attempts of chosen workload
+  fingerprints raise :class:`InjectedWorkloadCrash`, each fingerprint at
+  most ``times`` times — ``times=1`` exercises retry-success, ``times=2``
+  (first attempt + retry) exercises quarantine.
 * :func:`faulty_simulators` — wraps every resolved simulator in a
   :class:`FaultySimulator` proxy that raises :class:`InjectedSimulatorFault`
   for chosen block names.  The proxy advertises ``batched = False`` so the
   grid executor routes every block through the interceptable scalar
   ``run_block`` loop.
-* :class:`CapturingInlinePool` — an in-process pool whose ``submit`` runs
-  the callable immediately but re-raises any exception at ``.result()``
-  time, matching real executor semantics (needed so injected worker crashes
-  surface where ``BrokenProcessPool`` would).
-* :func:`drop_connections` — makes the remote backend's transport raise
-  :class:`InjectedConnectionDrop` for chosen worker addresses, each at most
-  ``times`` times, without any real socket misbehaving — the worker daemon
-  on the other end stays healthy, so the test isolates the *connection*
-  fault path (dead-client marking, work-stealing redistribution, retry).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
+from unittest import mock
 
 from repro.session import testing
+from repro.session.session import EvaluationSession
 
 __all__ = [
-    "CapturingInlinePool",
     "FaultySimulator",
-    "InjectedConnectionDrop",
     "InjectedSimulatorFault",
-    "InjectedWorkerCrash",
+    "InjectedWorkloadCrash",
     "SimulatedKill",
-    "crash_work_units",
-    "drop_connections",
+    "crash_workloads",
     "faulty_simulators",
     "kill_after_commits",
 ]
@@ -62,16 +51,12 @@ class SimulatedKill(BaseException):
     """In-process crash marker; escapes ``except Exception`` everywhere."""
 
 
-class InjectedWorkerCrash(RuntimeError):
-    """Models a worker process dying before it could reply."""
+class InjectedWorkloadCrash(RuntimeError):
+    """Models one workload's execution attempt dying mid-flight."""
 
 
 class InjectedSimulatorFault(RuntimeError):
     """Models a block simulation raising mid-flight."""
-
-
-class InjectedConnectionDrop(ConnectionError):
-    """Models a remote worker connection dying mid-exchange."""
 
 
 @contextmanager
@@ -97,33 +82,31 @@ def kill_after_commits(count: int) -> Iterator[list[str]]:
 
 
 @contextmanager
-def crash_work_units(
+def crash_workloads(
     fingerprints: Iterable[str], times: int = 1
 ) -> Iterator[dict[str, int]]:
-    """Crash the work units of the given workload fingerprints.
+    """Crash the execution attempts of the given workload fingerprints.
 
-    Each targeted fingerprint raises :class:`InjectedWorkerCrash` on its
-    first ``times`` executions and behaves normally afterwards — so
-    ``times=1`` fails the first attempt and lets the session's single retry
-    succeed, while ``times=2`` (attempt + retry) forces quarantine.  Yields
-    the per-fingerprint crash counter for accounting assertions.
-
-    Only reaches in-process execution (inline pools, serial runs, retries):
-    hooks do not cross real process boundaries.
+    Patches :meth:`EvaluationSession._finish_plan` — the step every first
+    attempt and every retry goes through once its blocks are planned — so
+    each targeted fingerprint raises :class:`InjectedWorkloadCrash` on its
+    first ``times`` attempts and behaves normally afterwards.  The crash
+    lands before the attempt stores anything, like a process dying before
+    its results were written.  Yields the per-fingerprint crash counter
+    for accounting assertions.
     """
     targets = set(fingerprints)
     crashes: dict[str, int] = {}
+    original = EvaluationSession._finish_plan
 
-    def wrapper(unit: Any, execute: Callable[[Any], Any]) -> Any:
-        if unit.workload is None:  # anonymous NAS units carry no fingerprint
-            return execute(unit)
-        key = unit.workload.fingerprint()
+    def finish(session: Any, workload: Any, *args: Any) -> Any:
+        key = workload.fingerprint()
         if key in targets and crashes.get(key, 0) < times:
             crashes[key] = crashes.get(key, 0) + 1
-            raise InjectedWorkerCrash(f"injected worker crash for {unit.workload.label()}")
-        return execute(unit)
+            raise InjectedWorkloadCrash(f"injected crash for {workload.label()}")
+        return original(session, workload, *args)
 
-    with testing.wrap_work_units(wrapper):
+    with mock.patch.object(EvaluationSession, "_finish_plan", finish):
         yield crashes
 
 
@@ -133,9 +116,9 @@ class FaultySimulator:
     Wraps a real :class:`~repro.sim.executor.BitFusionSimulator`;
     ``batched = False`` forces the grid executor onto the scalar
     ``run_block`` loop where each block is individually interceptable.
-    ``run_selected_blocks`` (the worker-unit entry point) goes through the
-    same per-block check.  ``budget`` bounds the total number of injected
-    faults (``None`` = unlimited — every matching block always raises).
+    ``run_selected_blocks`` goes through the same per-block check.
+    ``budget`` bounds the total number of injected faults (``None`` =
+    unlimited — every matching block always raises).
     """
 
     batched = False
@@ -189,59 +172,3 @@ def faulty_simulators(
 
     with testing.wrap_simulators(wrapper):
         yield counter
-
-
-@contextmanager
-def drop_connections(
-    addresses: Iterable[str] | None = None, times: int = 1
-) -> Iterator[dict[str, int]]:
-    """Drop the remote transport for the given worker addresses.
-
-    Each targeted address raises :class:`InjectedConnectionDrop` on its
-    first ``times`` exchanges and passes traffic through afterwards;
-    ``addresses=None`` targets every worker.  Yields the per-address drop
-    counter.  The coordinator treats a drop exactly like a dead worker —
-    the in-flight unit fails into the retry path and the client is marked
-    dead — so ``times=1`` against a two-worker backend exercises the
-    survivor absorbing the rest of the schedule.
-    """
-    targets = None if addresses is None else set(addresses)
-    drops: dict[str, int] = {}
-
-    def wrapper(address: str, unit: Any, transport: Callable[[], Any]) -> Any:
-        if (targets is None or address in targets) and drops.get(address, 0) < times:
-            drops[address] = drops.get(address, 0) + 1
-            raise InjectedConnectionDrop(f"injected connection drop to {address}")
-        return transport()
-
-    with testing.wrap_transport(wrapper):
-        yield drops
-
-
-class CapturingInlinePool:
-    """In-process pool with real executor error semantics.
-
-    ``submit`` runs the callable immediately; an exception is captured and
-    re-raised at ``.result()``, exactly where a real ``ProcessPoolExecutor``
-    surfaces a died worker (``BrokenProcessPool``).  Accepts the
-    ``shutdown`` keywords the session uses when discarding a broken pool.
-    """
-
-    class _Future:
-        def __init__(self, value: Any = None, error: BaseException | None = None):
-            self._value = value
-            self._error = error
-
-        def result(self) -> Any:
-            if self._error is not None:
-                raise self._error
-            return self._value
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "CapturingInlinePool._Future":
-        try:
-            return self._Future(value=fn(*args))
-        except Exception as error:  # noqa: BLE001 — captured, re-raised at .result()
-            return self._Future(error=error)
-
-    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
-        pass

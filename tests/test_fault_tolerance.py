@@ -8,8 +8,9 @@ The contracts under test (see ``docs/testing.md``):
   redundant block simulations across both legs combined (hypothesis drives
   the kill point).
 * **Retry-once** — a workload whose execution fails once is retried exactly
-  once on a fresh inline execution; a transient fault costs the batch
-  nothing and is accounted in ``stats.retries`` (and the stats footer).
+  once against the cache its neighbours filled; a transient fault costs the
+  batch nothing and is accounted in ``stats.retries`` (and the stats
+  footer).
 * **Quarantine isolation** — a workload that fails its retry too is
   quarantined: every surviving workload still completes byte-identically to
   a fault-free serial run, and the raised
@@ -36,10 +37,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faults import (
-    CapturingInlinePool,
     InjectedSimulatorFault,
     SimulatedKill,
-    crash_work_units,
+    crash_workloads,
     faulty_simulators,
     kill_after_commits,
 )
@@ -51,7 +51,7 @@ from repro.session import (
     WorkloadExecutionError,
 )
 from repro.session.cache import network_result_to_dict
-from repro.session.engine import execute_workload
+from repro.session.engine import compile_program, execute_workload
 
 # A small mixed batch: three genuinely distinct simulation jobs plus one
 # frequency variant that shares LeNet-5's blocks (frequency only affects
@@ -68,10 +68,9 @@ def _grid() -> list[Workload]:
     ]
 
 
-# Crash-injection tests need every workload to own a work unit, so no two
-# workloads may share block keys (a non-claimant composes without ever
-# executing a unit, and an injected crash would silently never fire).
-# Distinct (network, batch) pairs guarantee distinct block content.
+# Crash-subset tests want every workload to simulate its own blocks, so no
+# two workloads may share block keys.  Distinct (network, batch) pairs
+# guarantee distinct block content.
 def _distinct_grid() -> list[Workload]:
     return [
         Workload.bitfusion("LeNet-5", batch_size=4),
@@ -156,14 +155,12 @@ class TestKillPointResume:
 
 
 class TestRetryOnce:
-    def test_transient_worker_crash_retries_once_and_succeeds(self):
+    def test_transient_crash_retries_once_and_succeeds(self):
         grid = _distinct_grid()
         serial_baseline = _dicts([execute_workload(workload) for workload in grid])
         target = grid[1].fingerprint()
-        session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
-        try:
-            with crash_work_units([target], times=1) as crashes:
+        with EvaluationSession() as session:
+            with crash_workloads([target], times=1) as crashes:
                 results = session.run_many(grid)
             assert crashes == {target: 1}
             assert session.stats.retries == 1
@@ -171,8 +168,6 @@ class TestRetryOnce:
                 session.stats.summary()
             )
             assert _dicts(results) == serial_baseline
-        finally:
-            session.close()
 
     def test_transient_simulator_fault_retries_once_serially(self, serial_baseline):
         # Serial path, checkpointed (per-workload simulation): one injected
@@ -208,11 +203,10 @@ class TestQuarantine:
         grid = _distinct_grid()
         serial_baseline = _dicts([execute_workload(workload) for workload in grid])
         target = grid[1]
-        session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
+        session = EvaluationSession()
         try:
             # times=2 kills the first attempt *and* the retry.
-            with crash_work_units([target.fingerprint()], times=2) as crashes:
+            with crash_workloads([target.fingerprint()], times=2) as crashes:
                 with pytest.raises(WorkloadExecutionError) as excinfo:
                     session.run_many(grid)
             assert crashes == {target.fingerprint(): 2}
@@ -237,12 +231,11 @@ class TestQuarantine:
 
     def test_crashed_claimant_recovers_through_neighbors_artifacts(self):
         # Two workloads share every block key; the *claimant* (first in
-        # schedule order — equal cost, fingerprint tie-break) crashes every
-        # work unit it is ever given.  The deferred neighbour composes via
-        # its inline fallback (storing the shared blocks), so the
-        # claimant's retry replans into pure cache hits and needs no work
-        # unit at all — a crashed worker cannot quarantine a workload whose
-        # artifacts a neighbour already produced.
+        # schedule order — equal cost, fingerprint tie-break) crashes before
+        # storing the blocks it simulated.  The deferred neighbour composes
+        # via its fallback (simulating and storing the shared blocks), so
+        # the claimant's retry replans into pure cache hits — a crashed
+        # attempt never corrupts a neighbour that deferred to it.
         from repro.core.config import BitFusionConfig
 
         base = BitFusionConfig.eyeriss_matched(batch_size=4)
@@ -253,34 +246,31 @@ class TestQuarantine:
             ),
         ]
         claimant = min(pair, key=lambda workload: workload.fingerprint())
-        session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
-        try:
-            with crash_work_units([claimant.fingerprint()], times=99) as crashes:
+        with EvaluationSession() as session:
+            with crash_workloads([claimant.fingerprint()], times=1) as crashes:
                 results = session.run_many(pair)
-            # The crash fired exactly once: the retry found every block
-            # cached and never dispatched another unit.
             assert crashes == {claimant.fingerprint(): 1}
             assert session.stats.retries == 1
+            # The claimant's simulations died with its crash; the neighbour
+            # simulated every shared block again and stored it for the retry.
+            blocks = len(compile_program(claimant))
+            assert session.stats.blocks.misses == 2 * blocks
             for workload, result in zip(pair, results):
                 assert network_result_to_dict(result) == network_result_to_dict(
                     execute_workload(workload)
                 )
-        finally:
-            session.close()
 
     @settings(deadline=None, max_examples=8)
     @given(crashed=st.sets(st.integers(min_value=0, max_value=3), min_size=1, max_size=3))
-    def test_parallel_crash_subset_property(self, crashed):
-        # Property: crashing any K workers quarantines exactly those
+    def test_crash_subset_property(self, crashed):
+        # Property: crashing any K workloads quarantines exactly those
         # fingerprints and leaves every survivor byte-identical to serial.
         grid = _distinct_grid()
         baseline = _dicts([execute_workload(workload) for workload in grid])
         targets = {grid[index].fingerprint() for index in crashed}
-        session = EvaluationSession(jobs=2)
-        session._pool = CapturingInlinePool()
+        session = EvaluationSession()
         try:
-            with crash_work_units(targets, times=2):
+            with crash_workloads(targets, times=2):
                 with pytest.raises(WorkloadExecutionError) as excinfo:
                     session.run_many(grid)
             assert {
@@ -295,9 +285,9 @@ class TestQuarantine:
             session.close()
 
     def test_quarantine_is_journaled(self):
-        # Serial checkpointed run; a persistent simulator fault on LSTM's
-        # 'lstm1' block fails both the first attempt (batched path) and the
-        # retry (inline work unit) — the journal must carry both events.
+        # Checkpointed run; a persistent simulator fault on LSTM's 'lstm1'
+        # block fails both the first attempt and the retry — the journal
+        # must carry both events.
         grid = _grid()[:2]
         target = grid[1]
         with tempfile.TemporaryDirectory() as tmp:
@@ -414,9 +404,7 @@ class TestResumeCli:
         )
         assert killed.returncode == -signal.SIGKILL
 
-        resumed = _sweep_cli(
-            [str(spec), "--cache-dir", str(cache_dir), "--resume", "--jobs", "2"]
-        )
+        resumed = _sweep_cli([str(spec), "--cache-dir", str(cache_dir), "--resume"])
         assert resumed.returncode == 0, resumed.stderr
         assert "resumed: 2/4 points, quarantined: 0" in resumed.stdout
         assert "Pareto frontier" in resumed.stdout

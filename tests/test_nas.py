@@ -19,11 +19,17 @@ from hypothesis import given, settings, strategies as st
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
-from repro.dnn.layers import FCLayer
+from repro.dnn.layers import ConvLayer, FCLayer
 from repro.dnn.network import Network
 from repro.harness.runner import main
 from repro.nas import Estimator, SearchSpec, mutate, run_search
-from repro.nas.mutations import mutate_bits, mutate_depth, mutate_width
+from repro.nas.mutations import (
+    MUTATION_AXES,
+    mutate_bits,
+    mutate_depth,
+    mutate_kernel,
+    mutate_width,
+)
 from repro.session import EvaluationSession, ResultCache, Workload
 from repro.session.workload import load_network
 
@@ -226,6 +232,52 @@ class TestMutations:
             mutate(models.load("LeNet-5"), random.Random(0), axes=("nope",))
         with pytest.raises(ValueError, match="at least one"):
             mutate(models.load("LeNet-5"), random.Random(0), axes=())
+
+
+class TestKernelMutation:
+    def test_kernel_mutation_preserves_output_dims(self):
+        network = models.load("AlexNet")
+        rng = random.Random(11)
+        seen_changes = 0
+        for _ in range(32):
+            candidate = mutate_kernel(network, rng)
+            if candidate is None:
+                continue
+            assert len(candidate) == len(network)
+            for before, after in zip(network, candidate):
+                if not isinstance(before, ConvLayer):
+                    assert before == after
+                    continue
+                assert after.padding >= 0
+                assert after.out_height == before.out_height
+                assert after.out_width == before.out_width
+                if after.kernel != before.kernel:
+                    seen_changes += 1
+                    assert after.kernel in (3, 5, 7)
+                    assert after.padding - before.padding == (
+                        after.kernel - before.kernel
+                    ) // 2
+        assert seen_changes > 0
+
+    def test_kernel_mutation_is_deterministic(self):
+        network = models.load("LeNet-5")
+        first = mutate_kernel(network, random.Random(3))
+        second = mutate_kernel(network, random.Random(3))
+        assert first is not None and second is not None
+        assert first.fingerprint() == second.fingerprint()
+
+    def test_kernel_mutation_skips_conv_free_networks(self):
+        network = models.load("LSTM")
+        assert mutate_kernel(network, random.Random(0)) is None
+        # mutate() with only the kernel axis then returns the input network.
+        assert mutate(network, random.Random(0), axes=("kernel",)) is network
+
+    def test_kernel_axis_is_registered(self):
+        assert "kernel" in MUTATION_AXES
+        candidate = mutate(
+            models.load("AlexNet"), random.Random(1), axes=("kernel",)
+        )
+        assert "/nas-" in candidate.name
 
 
 class TestNetworkFingerprintMemo:

@@ -35,7 +35,7 @@ from repro.session import (
     program_cache_key,
 )
 from repro.session.cache import network_result_to_dict
-from repro.session.engine import WorkUnit, execute_work_unit
+from repro.session.engine import simulator_for
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -143,24 +143,16 @@ class TestStagedPipelineEquivalence:
         monolithic = execute_workload(workload)
         assert network_result_to_dict(staged) == network_result_to_dict(monolithic)
 
-    def test_work_unit_blocks_are_byte_identical_to_monolithic(self):
-        # A worker simulating blocks from the serialized program payload must
-        # reproduce the monolithic per-layer results bit for bit.
+    def test_serialized_program_blocks_are_byte_identical_to_monolithic(self):
+        # Simulating blocks of a program rebuilt from its serialized payload
+        # must reproduce the monolithic per-layer results bit for bit.
         workload = Workload.bitfusion("LSTM", batch_size=4)
-        program = compile_program(workload)
-        unit = WorkUnit(
-            workload=workload,
-            program_payload=program.to_dict(),
-            simulate_indices=tuple(range(len(program))),
+        payload = json.loads(json.dumps(compile_program(workload).to_dict()))
+        program = Program.from_dict(payload)
+        layers = simulator_for(workload.config).run_selected_blocks(
+            program, range(len(program))
         )
-        reply = execute_work_unit(unit)
-        assert reply.error is None
-        assert [index for index, _ in reply.layers] == list(range(len(program)))
-        monolithic = execute_workload(workload)
-        assert [layer.name for _, layer in reply.layers] == [
-            layer.name for layer in monolithic.layers
-        ]
-        assert tuple(layer for _, layer in reply.layers) == monolithic.layers
+        assert tuple(layers) == execute_workload(workload).layers
 
     def test_disk_restored_program_simulates_byte_identical(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
