@@ -33,7 +33,10 @@ of truth for what work exists (its entry files are written atomically and
 read directly from disk, independent of the batched manifest), and the
 checkpoint is the source of truth for *progress accounting* — what the
 ``sweep --resume`` footer reports and what the quarantine policy remembers.
-One process writes a journal at a time.
+
+Two sweeps sharing a cache directory append to the same journal.  Every
+append takes an advisory ``fcntl`` lock on the file (where the platform has
+``fcntl``), so concurrent appends never interleave a torn JSONL line.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, IO
+
+try:  # pragma: no cover - platform probe
+    import fcntl
+except ImportError:  # non-Unix: appends stay single-writer-safe only
+    fcntl = None  # type: ignore[assignment]
 
 __all__ = ["CheckpointRecord", "SweepCheckpoint"]
 
@@ -169,13 +177,22 @@ class SweepCheckpoint:
             self._handle = self.path.open("a", encoding="utf-8")
             if unterminated:
                 self._handle.write("\n")
-        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-        # Flush per event: a SIGKILL between events must never lose a
-        # committed point.  (OS-level buffering after flush() is enough —
-        # the kernel keeps the data even when the process dies; fsync would
-        # only guard against whole-machine crashes, which a sweep checkpoint
-        # does not need to survive.)
-        self._handle.flush()
+        line = json.dumps(event, sort_keys=True) + "\n"
+        # Advisory lock per append, held only for the write+flush: two
+        # sweeps sharing one journal serialize their lines.
+        if fcntl is not None:
+            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
+        try:
+            self._handle.write(line)
+            # Flush per event: a SIGKILL between events must never lose a
+            # committed point.  (OS-level buffering after flush() is enough
+            # — the kernel keeps the data even when the process dies; fsync
+            # would only guard against whole-machine crashes, which a sweep
+            # checkpoint does not need to survive.)
+            self._handle.flush()
+        finally:
+            if fcntl is not None:
+                fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
         self._apply(event)
 
     def record_planned(self, fingerprint: str, label: str = "") -> None:
