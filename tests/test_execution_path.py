@@ -94,17 +94,6 @@ class TestBatchEquivalence:
         single = [EvaluationSession().run(workload) for workload in workloads]
         assert _dicts(batch) == _dicts(single)
 
-    def test_mixed_platform_batch_matches_serial(self):
-        workloads = [
-            Workload.bitfusion("LeNet-5", batch_size=4),
-            Workload.eyeriss("LeNet-5", batch_size=4),
-            Workload.stripes("LeNet-5", batch_size=4),
-            Workload.temporal("LeNet-5", batch_size=4),
-        ]
-        with EvaluationSession() as session:
-            results = session.run_many(workloads)
-        assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
-
     def test_disk_cached_batch_matches_in_memory_batch(self, tmp_path):
         workloads = _shared()
         with EvaluationSession() as memory:
@@ -246,15 +235,6 @@ class TestSchedule:
             workloads, key=lambda w: (-estimated_cost(w), w.fingerprint())
         )
         assert _commit_order(workloads) == [w.fingerprint() for w in expected]
-
-    def test_duplicates_return_in_input_order(self):
-        first, second = _distinct()[:2]
-        with EvaluationSession() as session:
-            results = session.run_many([first, second, first])
-        assert results[0] is results[2]
-        assert _dicts(results) == _dicts(
-            execute_workload(w) for w in (first, second, first)
-        )
 
 
 class TestResultStream:

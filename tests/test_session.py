@@ -243,6 +243,10 @@ class TestEvaluationSession:
     def test_run_many_matches_serial_order(self):
         workloads = [Workload.bitfusion(name, batch_size=4) for name in _FAST]
         workloads += [Workload.eyeriss(name, batch_size=4) for name in _FAST]
+        workloads += [
+            Workload.stripes("LeNet-5", batch_size=4),
+            Workload.temporal("LeNet-5", batch_size=4),
+        ]
         batch = EvaluationSession().run_many(workloads)
         serial = [execute_workload(w) for w in workloads]
         assert [network_result_to_dict(r) for r in batch] == [
