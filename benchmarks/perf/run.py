@@ -22,10 +22,8 @@ trajectory point as JSON (``BENCH_9.json`` by default):
 * **warm/cold run_many** — a small evaluation batch through an
   ``EvaluationSession``, cold then fully warm;
 * **cache I/O** — persisting and bulk-reading a thousand-plus artifact
-  entries through the legacy one-file-per-entry JSON layout vs the
-  segmented pack store's batched group commits and ``get_many`` (the
-  speedups are machine-independent ratios and the repo's acceptance bar
-  is >= 5x on batched persists);
+  entries through the segmented pack store's batched group commits and
+  ``get_many``;
 * **sweep grid expansion** — ``SweepSpec.expand`` on a few-hundred-point
   spec;
 * **Pareto reduction** — the sort-based frontier on synthetic points;
@@ -69,9 +67,15 @@ from repro.nas import Estimator, SearchSpec, mutate, run_search  # noqa: E402
 from repro.dse.pareto import pareto_indices  # noqa: E402
 from repro.dse.spec import SweepSpec  # noqa: E402
 from repro.isa.compiler import FusionCompiler  # noqa: E402
-from repro.isa.tiling import search_tiling, search_tiling_scalar  # noqa: E402
+from repro.isa.instructions import LoopOrder  # noqa: E402
+from repro.isa.tiling import (  # noqa: E402
+    GemmWorkload,
+    TilingPlan,
+    search_tiling,
+    search_tiling_scalar,
+)
 from repro.session import EvaluationSession, Workload  # noqa: E402
-from repro.session.cache import CacheStats, ProgramStats, ResultCache  # noqa: E402
+from repro.session.cache import CacheStats, ResultCache  # noqa: E402
 from repro.session.engine import make_plan_resolver  # noqa: E402
 from repro.sim.batched import simulate_blocks_batched, simulate_blocks_grid  # noqa: E402
 from repro.sim.executor import BitFusionSimulator  # noqa: E402
@@ -241,26 +245,29 @@ def bench_run_many(repeats: int) -> dict:
 
 
 def bench_cache_io(repeats: int) -> dict:
-    """Artifact persistence and bulk reads: JSON dir vs segmented store.
+    """Artifact persistence and bulk reads through the segmented store.
 
     Persisting measures what ``run_many`` and the NAS store-back actually
-    pay per artifact batch: the legacy layout writes (and fsync-queues) one
-    file per entry, the pack store group-commits the whole batch as a
-    single segment append.  Reading compares a per-key ``get`` loop over
-    the JSON dir with one ``get_many`` index pass over the pack store —
-    both through a fresh ``ResultCache`` so the open cost (manifest load,
-    index build) is included, exactly as a warm run sees it.  The speedups are machine-independent ratios; the repo's
-    acceptance bar is >= 5x for batched persists at >= 1000 entries.
+    pay per artifact batch: the pack store group-commits the whole batch
+    as a single segment append.  Reading is one ``get_many`` index pass
+    through a fresh ``ResultCache``, so the open cost (manifest load,
+    index build) is included, exactly as a warm run sees it.
     """
     entries = 1200
+    gemm = GemmWorkload(m=64, n=64, r=64, input_bits=8, weight_bits=8, output_bits=8)
     items = [
         (
             f"bench-entry-{index:05d}",
-            ProgramStats(
-                network_name=f"net-{index:05d}",
-                block_instruction_counts=(index, index + 1, index + 2),
-                total_instructions=3 * index + 3,
-                binary_bytes=12 * index,
+            TilingPlan(
+                workload=gemm,
+                loop_order=LoopOrder.OUTPUT_STATIONARY,
+                tile_m=64,
+                tile_n=64,
+                tile_r=64,
+                dram_weight_bits=index,
+                dram_input_bits=index + 1,
+                dram_output_write_bits=index + 2,
+                dram_output_read_bits=0,
             ),
         )
         for index in range(entries)
@@ -271,56 +278,36 @@ def bench_cache_io(repeats: int) -> dict:
         root = Path(base)
         fresh = itertools.count()
 
-        def json_put() -> None:
-            cache = ResultCache(root / f"json-{next(fresh)}", layout="json")
-            for key, value in items:
-                cache.put(key, value)
-            cache.flush()
-            cache.close()
-
         def pack_put() -> None:
-            cache = ResultCache(root / f"pack-{next(fresh)}", layout="pack")
+            cache = ResultCache(root / f"pack-{next(fresh)}")
             with cache.batch():
                 for key, value in items:
                     cache.put(key, value)
             cache.flush()
             cache.close()
 
-        json_put_s = _best_of(repeats, json_put)
         pack_put_s = _best_of(repeats, pack_put)
 
-        json_dir, pack_dir = root / "json-read", root / "pack-read"
-        for directory, layout in ((json_dir, "json"), (pack_dir, "pack")):
-            seeder = ResultCache(directory, layout=layout)
-            with seeder.batch():
-                for key, value in items:
-                    seeder.put(key, value)
-            seeder.flush()
-            seeder.close()
-
-        def json_get() -> None:
-            cache = ResultCache(json_dir, layout="json")
-            for key in keys:
-                assert cache.get(key) is not None
-            cache.close()
+        pack_dir = root / "pack-read"
+        seeder = ResultCache(pack_dir)
+        with seeder.batch():
+            for key, value in items:
+                seeder.put(key, value)
+        seeder.flush()
+        seeder.close()
 
         def pack_get_many() -> None:
-            cache = ResultCache(pack_dir, layout="pack")
+            cache = ResultCache(pack_dir)
             assert len(cache.get_many(keys)) == entries
             cache.close()
 
-        json_get_s = _best_of(repeats, json_get)
         pack_get_s = _best_of(repeats, pack_get_many)
 
     return {
         "cache_io_entries": entries,
-        "cache_put_json_s": json_put_s,
         "cache_put_pack_s": pack_put_s,
-        "cache_put_speedup": json_put_s / pack_put_s,
         "cache_put_pack_entries_per_s": entries / pack_put_s,
-        "cache_get_json_s": json_get_s,
         "cache_get_many_pack_s": pack_get_s,
-        "cache_get_speedup": json_get_s / pack_get_s,
         "cache_get_many_entries_per_s": entries / pack_get_s,
     }
 
@@ -516,10 +503,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"cache io over {metrics['cache_io_entries']} entries: "
-        f"batched pack persist {metrics['cache_put_pack_entries_per_s']:.0f} entries/s "
-        f"({metrics['cache_put_speedup']:.1f}x vs json files), "
-        f"get_many {metrics['cache_get_many_entries_per_s']:.0f} entries/s "
-        f"({metrics['cache_get_speedup']:.1f}x vs per-key json gets)"
+        f"batched pack persist {metrics['cache_put_pack_entries_per_s']:.0f} entries/s, "
+        f"get_many {metrics['cache_get_many_entries_per_s']:.0f} entries/s"
     )
     print(
         f"nas estimator: warm estimate {metrics['nas_warm_estimate_s'] * 1e6:.0f} us "

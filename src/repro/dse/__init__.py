@@ -10,7 +10,7 @@ declarative operation on top of the evaluation session:
   loadable from JSON/YAML, expanding to a fingerprinted
   :class:`~repro.session.workload.Workload` grid.
 * :func:`~repro.dse.runner.run_sweep` — executes the grid through an
-  :class:`~repro.session.session.EvaluationSession`, so the two-level
+  :class:`~repro.session.session.EvaluationSession`, so the staged
   artifact cache applies: axes that do not affect compilation (technology
   node, bandwidth, frequency, array geometry) compile each network exactly
   once, and warm re-runs skip simulation entirely.

@@ -4,7 +4,7 @@
 :class:`~repro.dse.spec.SweepSpec` expands to its fingerprinted workload
 grid, the grid executes through an
 :class:`~repro.session.session.EvaluationSession` (and therefore through
-the two-level artifact cache — a technology/bandwidth/array sweep compiles
+the staged artifact cache — a technology/bandwidth/array sweep compiles
 each network exactly once), and every point is distilled into an
 :class:`EvaluatedPoint` carrying the minimized objective metrics.  The
 :class:`DesignSpaceResult` holds the full grid plus its Pareto frontier.
@@ -183,8 +183,8 @@ def run_sweep(
     All points go through :meth:`EvaluationSession.run_many
     <repro.session.session.EvaluationSession.run_many>` in one batch, so
     duplicate points collapse onto one simulation and the per-stage
-    artifact cache (programs keyed structure-only, blocks with a
-    content-addressed layer-level fallback) is shared with every other
+    artifact cache (programs keyed structure-only, simulated blocks keyed
+    by name-free layer content) is shared with every other
     experiment the session ran.  The simulation stage is batched: the
     missing blocks of *every* point in the batch go through the vectorized
     executor in as few numpy passes as possible

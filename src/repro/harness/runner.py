@@ -62,7 +62,6 @@ from repro.session import (
     EvaluationSession,
     ResultCache,
     SweepCheckpoint,
-    migrate_json_dir,
     resolve_session,
     use_session,
 )
@@ -769,47 +768,6 @@ def format_cache_info(cache_dir: str) -> str:
     return "\n".join(lines)
 
 
-def cache_main(argv: list[str] | None = None) -> int:
-    """Entry point of the ``cache`` subcommand: store maintenance.
-
-    ``cache migrate --cache-dir PATH`` converts a legacy JSON-per-entry
-    cache directory to the segmented pack-file layout in place (batched
-    group commits, then the per-entry files are deleted).  Idempotent: a
-    directory that is already segmented migrates zero entries.
-    """
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness cache",
-        description="Artifact-store maintenance for a --cache-dir directory.",
-    )
-    parser.add_argument(
-        "action",
-        choices=["migrate"],
-        help="migrate: convert a JSON-layout cache directory to the "
-        "segmented pack-file store in place",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        required=True,
-        metavar="PATH",
-        help="cache directory to operate on (must exist)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        entries, size = migrate_json_dir(args.cache_dir)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if entries:
-        print(
-            f"migrated {entries} entries ({size / 1024:.1f} KiB) "
-            f"to the segmented pack store"
-        )
-    else:
-        print("nothing to migrate: no JSON-layout entries found")
-    print(format_cache_info(args.cache_dir))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Command-line entry point (``python -m repro.harness``)."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -817,8 +775,6 @@ def main(argv: list[str] | None = None) -> int:
         return sweep_main(argv[1:])
     if argv and argv[0] == "nas":
         return nas_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return cache_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate the Bit Fusion paper's tables and figures. "
@@ -848,8 +804,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
-        help="persist compiled programs and per-block simulation results as "
-        "JSON under PATH and reuse them across report invocations",
+        help="persist compiled programs, tiling plans and per-layer simulation "
+        "results under PATH and reuse them across report invocations",
     )
     parser.add_argument(
         "--cache-max-mb",
@@ -899,6 +855,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.cache_max_mb <= 0:
             parser.error(f"--cache-max-mb must be positive, got {args.cache_max_mb}")
         max_cache_bytes = int(args.cache_max_mb * 1024 * 1024)
+    unknown = [key for key in args.experiments or () if key not in _EXPERIMENTS_BY_KEY]
+    if unknown:
+        parser.error(
+            f"unknown experiment(s) {unknown}; available: {sorted(_EXPERIMENTS_BY_KEY)}"
+        )
     benchmarks = None
     if args.benchmarks:
         try:

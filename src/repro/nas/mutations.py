@@ -24,9 +24,9 @@ explores on Bit Fusion:
 Candidate networks are named by the *content* of their layer list
 (``base/nas-<digest>``): two mutation paths that land on the same
 architecture produce fingerprint-identical networks, so the search archive
-and the estimator's in-batch dedupe collapse them — and the estimator's
-layer-level cache dedupes everything else, because layer fingerprints are
-name-free.
+and the estimator's in-batch dedupe collapse them — and the
+content-addressed layer cache dedupes everything else, because layer
+fingerprints are name-free.
 """
 
 from __future__ import annotations

@@ -8,21 +8,20 @@ comparison routes through:
   fingerprint.
 * :mod:`~repro.session.engine` — the staged compile → simulate-blocks →
   compose pipeline, with a cacheable artifact at every seam (compiled
-  programs keyed structure-only; per-block results keyed by block
-  fingerprint + simulation-affecting config).
+  programs keyed structure-only; per-block results keyed by the name-free
+  layer fingerprint + simulation-affecting config).
 * :class:`~repro.session.cache.ResultCache` — fingerprint-keyed artifact
   store, in-memory with an optional manifest-indexed, LRU-bounded on-disk
-  layer (segmented pack-file store by default —
+  layer (a segmented pack-file store —
   :class:`~repro.session.store.SegmentedStore`, group-committed appends,
-  eviction by segment compaction — with the legacy JSON-per-entry layout
-  served as a read-compatible fallback).
+  eviction by segment compaction).
 * :class:`~repro.session.session.EvaluationSession` — ``run`` /
   ``run_many`` (one batched simulation pass per batch) / declarative
   ``sweep`` execution with per-stage cache-hit accounting.
 
 Cache keys and invalidation
 ---------------------------
-Three fingerprint families key the cache, each hashing exactly the inputs
+Four fingerprint families key the cache, each hashing exactly the inputs
 that determine its artifact — so invalidation is automatic: change an
 input and the key changes, leaving the stale entry unreferenced (and
 eventually LRU-evicted from disk).
@@ -37,16 +36,14 @@ eventually LRU-evicted from disk).
   and compiler flags, the only inputs the compiler reads.  Bandwidth,
   array geometry, frequency and technology node are deliberately excluded,
   so sweeps along those axes reuse one compiled program.
-* **Block key** (:func:`~repro.session.engine.block_cache_key`): the
-  block's content fingerprint plus the simulation-affecting configuration
-  (array geometry, buffer capacities and access width, bandwidth,
-  technology node).  Frequency and the configuration name are excluded —
-  they only affect composition metadata.
-* **Layer key** (:func:`~repro.session.engine.layer_cache_key`): the
-  block's *name-free* content fingerprint plus the same
-  simulation-affecting configuration.  Block-key lookups fall back to this
-  content-addressed level on a miss, so identical (layer, tiling) pairs
-  dedupe across different networks in model-family sweeps.
+* **Layer key** (:func:`~repro.session.engine.layer_cache_key`): one
+  simulated block's *name-free* content fingerprint (layer shape,
+  bitwidths, tiling, instruction image) plus the simulation-affecting
+  configuration (array geometry, buffer capacities and access width,
+  bandwidth, technology node).  Frequency and the configuration name are
+  excluded — they only affect composition metadata.  Identical (layer,
+  tiling) pairs therefore share one record across networks in
+  model-family sweeps.
 * **Tiling key** (:func:`~repro.session.engine.tiling_cache_key`): one
   tiling search's inputs — GEMM shape and bitwidths, the loop orders
   considered, and the scratchpad capacities.  The compiler consults this
@@ -85,7 +82,6 @@ from repro.session.engine import (
     QuarantineRecord,
     WorkloadExecutionError,
     audit_workload_cache,
-    block_cache_key,
     describe_workload_error,
     build_model,
     compile_program,
@@ -96,7 +92,7 @@ from repro.session.engine import (
     program_cache_key,
     tiling_cache_key,
 )
-from repro.session.store import SegmentedStore, migrate_json_dir
+from repro.session.store import SegmentedStore
 from repro.session.session import (
     EvaluationSession,
     SweepPoint,
@@ -134,7 +130,6 @@ __all__ = [
     "Workload",
     "WorkloadExecutionError",
     "audit_workload_cache",
-    "block_cache_key",
     "build_model",
     "compile_program",
     "compile_workload",
@@ -146,7 +141,6 @@ __all__ = [
     "layer_cache_key",
     "load_network",
     "make_plan_resolver",
-    "migrate_json_dir",
     "network_digest",
     "program_cache_key",
     "tiling_cache_key",

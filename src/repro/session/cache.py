@@ -1,4 +1,4 @@
-"""Two-level artifact cache keyed by content fingerprints (memory + disk).
+"""Artifact cache keyed by content fingerprints (memory + disk).
 
 The staged compile → simulate-blocks → compose pipeline produces cacheable
 artifacts at every seam, and this module stores all of them behind one
@@ -8,16 +8,13 @@ fingerprint-keyed interface:
   *structure-only* fingerprint (network structure, batch, scratchpad sizes,
   compiler flags), so sweeps that vary only simulation parameters (e.g.
   off-chip bandwidth) reuse one compilation;
-* ``layer_result`` — one simulated block's
-  :class:`~repro.sim.results.LayerResult`, keyed by the block fingerprint
-  plus the simulation-affecting configuration, so unchanged blocks are never
-  re-simulated;
-* ``layer`` — the same record stored *content-addressed*: keyed by the
-  name-free layer fingerprint (layer shape + bitwidths + tiling +
-  instruction image) plus the simulation-affecting configuration, with the
-  record's name normalized away.  Block-level lookups fall back to this
-  level on a miss, so identical layers dedupe across different networks in
-  model-family sweeps (the entry is renamed to the requesting block on use);
+* ``layer`` — one simulated block's
+  :class:`~repro.sim.results.LayerResult`, stored *content-addressed*:
+  keyed by the name-free layer fingerprint (layer shape + bitwidths +
+  tiling + instruction image) plus the simulation-affecting configuration,
+  with the record's name normalized away.  Identical layers therefore
+  share one record across networks in model-family sweeps (the record is
+  renamed to the requesting block on use);
 * ``network_result`` — a full composed/simulated
   :class:`~repro.sim.results.NetworkResult` (the baselines' unit of work);
 * ``tiling`` — one :class:`~repro.isa.tiling.TilingPlan`, keyed by the GEMM
@@ -27,41 +24,27 @@ fingerprint-keyed interface:
   and duplicate GEMM shapes are everywhere — within a network (ResNet's
   repeated blocks), across networks, and across sweep points that do not
   vary the buffers — so memoizing plans here is what makes cold compiles
-  cheap and warm ones nearly free;
-* ``program_stats`` — lightweight instruction statistics (legacy kind,
-  still readable).
+  cheap and warm ones nearly free.
 
 Every payload serializes losslessly to JSON — ints, floats and strings
 only, and Python's JSON round-trips floats exactly — so an entry read back
 from disk is bit-identical to the freshly computed artifact.
 
-On-disk layout — two formats, one directory contract:
+On disk, entries live in append-only pack segments managed by
+:class:`repro.session.store.SegmentedStore` (length-prefixed compact
+records + per-segment index sidecars).  The key index is built once at
+open; lookups are dictionary hits, writes are group-committed appends
+(:meth:`ResultCache.batch` buffers a batch's records into a single segment
+write), bulk reads go through :meth:`ResultCache.get_many`/
+:meth:`ResultCache.prefetch`, and eviction is segment compaction instead
+of per-file unlinks.
 
-* ``pack`` (default for new directories): entries live in append-only
-  pack segments managed by :class:`repro.session.store.SegmentedStore`
-  (length-prefixed compact records + per-segment index sidecars).  The
-  key index is built once at open; lookups are dictionary hits, writes
-  are group-committed appends (:meth:`ResultCache.batch` buffers a
-  batch's records into a single segment write), bulk reads go through
-  :meth:`ResultCache.get_many`/:meth:`ResultCache.prefetch`, and
-  eviction is segment compaction instead of per-file unlinks.
-* ``json`` (legacy, read-compatible fallback and correctness oracle):
-  one ``<fingerprint>.json`` file per entry.  Opening an old JSON-layout
-  directory keeps serving it unchanged; ``python -m repro.harness cache
-  migrate`` converts it in place.  Both formats produce byte-identical
-  results and statistics — only the I/O cost differs.
-
-The layout is auto-detected from the directory contents (segments → pack,
-per-entry files → json, empty → pack), overridable per cache via the
-``layout=`` parameter or globally via ``REPRO_CACHE_LAYOUT=json|pack``.
-A pack-layout cache still reads stray ``<key>.json`` entries left in the
-directory (mixed dirs mid-migration), so the two formats can coexist.
-
-Either way a ``manifest.json`` carries a schema version and an entry
-index (kind, size, recency).  The manifest makes a cache directory safe to
-share across machines and CI runs: a schema bump or a hand-edited directory
-degrades to a rebuild, never a crash, and an optional ``max_bytes`` budget
-evicts least-recently-used entries so shared directories stay bounded.
+A ``manifest.json`` carries a schema version and an entry index (kind,
+size, recency).  The manifest makes a cache directory safe to share across
+machines and CI runs: a schema bump or a hand-edited directory degrades to
+a rebuild from the store index, never a crash, and an optional
+``max_bytes`` budget evicts least-recently-used entries so shared
+directories stay bounded.
 
 The manifest is strictly advisory: entry lookups always check the backing
 store, so a stale, missing or read-only manifest never affects
@@ -75,7 +58,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -83,7 +65,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.isa.program import Program
-from repro.session.store import SEGMENT_SUFFIX, SegmentedStore, encode_body
+from repro.session.store import SegmentedStore, encode_body
 from repro.isa.tiling import TilingPlan
 from repro.sim.results import (
     LayerResult,
@@ -102,11 +84,12 @@ __all__ = [
     "network_result_from_dict",
 ]
 
-#: Version of the on-disk manifest schema; a mismatch triggers a rebuild.
-#: v2 added the content-addressed ``layer`` entry kind; v3 added the
-#: ``tiling`` entry kind (older manifests rebuild cleanly — entry payloads
-#: are unchanged and stay readable).
-MANIFEST_SCHEMA_VERSION = 3
+#: Version of the on-disk manifest schema; a mismatch triggers a rebuild
+#: from the store index.  v4 stores simulated blocks under the layer key
+#: only (older directories stay warm: their ``layer``, ``program`` and
+#: ``tiling`` records keep their keys, and the unused block-keyed records
+#: age out under the size budget).
+MANIFEST_SCHEMA_VERSION = 4
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -189,11 +172,10 @@ class CacheStats:
     (misses are compilations), ``tilings`` tracks the tiling-plan memo the
     compiler consults before every search (misses are actual searches —
     the compiler's dominant cost — and hits are duplicate GEMM shapes
-    served from the memo), ``blocks`` tracks block-key lookups of the
-    simulate-blocks stage (misses are per-block simulations) and ``layers``
-    tracks the content-addressed layer-level fallback consulted on every
-    block-key miss (hits are simulations avoided by cross-network layer
-    dedupe).  ``compile_seconds`` accumulates the wall-clock time spent
+    served from the memo) and ``blocks`` tracks the layer-key lookups of
+    the simulate-blocks stage (misses are per-block simulations; hits
+    include identical layers shared across networks).
+    ``compile_seconds`` accumulates the wall-clock time spent
     inside ``FusionCompiler.compile`` (cache misses only), surfaced by the
     report footer's ``compile time`` line so compile-cost regressions are
     visible on every run.  ``sim_seconds`` accumulates block/workload
@@ -216,7 +198,6 @@ class CacheStats:
     programs: StageStats = field(default_factory=StageStats)
     tilings: StageStats = field(default_factory=StageStats)
     blocks: StageStats = field(default_factory=StageStats)
-    layers: StageStats = field(default_factory=StageStats)
 
     @property
     def lookups(self) -> int:
@@ -250,7 +231,6 @@ class CacheStats:
         lines.append(self.programs.summary("program cache", "compiles"))
         lines.append(self.tilings.summary("tiling memo", "tiling searches"))
         lines.append(self.blocks.summary("block cache", "block simulations"))
-        lines.append(self.layers.summary("layer dedup", "layer-key misses"))
         if self.retries:
             # Only on faulty runs: fault-free footers must stay byte-identical
             # across releases (CI greps them).
@@ -278,32 +258,12 @@ def network_result_from_dict(payload: dict[str, Any]) -> NetworkResult:
     )
 
 
-def _program_stats_to_dict(stats: ProgramStats) -> dict[str, Any]:
-    return {
-        "network_name": stats.network_name,
-        "block_instruction_counts": list(stats.block_instruction_counts),
-        "total_instructions": stats.total_instructions,
-        "binary_bytes": stats.binary_bytes,
-    }
-
-
-def _program_stats_from_dict(payload: dict[str, Any]) -> ProgramStats:
-    return ProgramStats(
-        network_name=payload["network_name"],
-        block_instruction_counts=tuple(payload["block_instruction_counts"]),
-        total_instructions=payload["total_instructions"],
-        binary_bytes=payload["binary_bytes"],
-    )
-
-
 _SERIALIZERS = {
     "network_result": (network_result_to_dict, network_result_from_dict),
-    "layer_result": (layer_result_to_dict, layer_result_from_dict),
-    # Content-addressed layer entries are LayerResults stored under a
-    # name-free key (and with a normalized name); the payload is identical.
+    # Simulated blocks are stored content-addressed under the layer key
+    # (name-free key, normalized name); see repro.session.engine.
     "layer": (layer_result_to_dict, layer_result_from_dict),
     "program": (Program.to_dict, Program.from_dict),
-    "program_stats": (_program_stats_to_dict, _program_stats_from_dict),
     "tiling": (TilingPlan.to_dict, TilingPlan.from_dict),
 }
 
@@ -312,40 +272,12 @@ def _kind_of(value: Any) -> str:
     if isinstance(value, NetworkResult):
         return "network_result"
     if isinstance(value, LayerResult):
-        return "layer_result"
+        return "layer"
     if isinstance(value, Program):
         return "program"
-    if isinstance(value, ProgramStats):
-        return "program_stats"
     if isinstance(value, TilingPlan):
         return "tiling"
     raise TypeError(f"cannot cache values of type {type(value).__name__}")
-
-
-#: Environment override for the on-disk layout (``json`` or ``pack``);
-#: an explicit ``layout=`` argument wins over it, auto-detection applies
-#: when neither is set.  CI's format-compatibility smoke uses this to seed
-#: a legacy JSON-layout directory without code changes.
-LAYOUT_ENV = "REPRO_CACHE_LAYOUT"
-
-#: Entry files put ``"kind"`` first (``json.dumps(sort_keys=True)`` of a
-#: dict whose first sorted key is ``kind``), so a bounded prefix is enough
-#: to recover it during a manifest rebuild — reading whole payloads (which
-#: can be megabytes for network results) made rebuilds scale with payload
-#: bytes instead of entry count.
-_KIND_PREFIX_BYTES = 256
-_KIND_PATTERN = re.compile(r'"kind":\s*"([a-z_]+)"')
-
-
-def _read_entry_kind(path: Path) -> str:
-    """Recover an entry file's ``kind`` from a bounded prefix read."""
-    try:
-        with path.open("rb") as handle:
-            head = handle.read(_KIND_PREFIX_BYTES).decode("utf-8", errors="replace")
-    except OSError:
-        return "unknown"
-    match = _KIND_PATTERN.search(head)
-    return match.group(1) if match is not None else "unknown"
 
 
 class ResultCache:
@@ -354,25 +286,20 @@ class ResultCache:
     Parameters
     ----------
     cache_dir:
-        When given, entries are also persisted under this directory and
-        later sessions (or processes) can reuse them; when ``None`` the
-        cache is memory-only and lives for one session.
+        When given, entries are also persisted under this directory (a
+        :class:`~repro.session.store.SegmentedStore`) and later sessions
+        (or processes) can reuse them; when ``None`` the cache is
+        memory-only and lives for one session.
     max_bytes:
         Optional size budget for the on-disk store.  When the sum of entry
         sizes exceeds the budget after a write, least-recently-used entries
         are evicted until it fits (the entry just written always survives).
-    layout:
-        On-disk format: ``"pack"`` (segmented pack-file store) or
-        ``"json"`` (legacy one-file-per-entry).  ``None`` consults the
-        ``REPRO_CACHE_LAYOUT`` environment variable, then auto-detects
-        from the directory contents; fresh directories default to pack.
     """
 
     def __init__(
         self,
         cache_dir: str | Path | None = None,
         max_bytes: int | None = None,
-        layout: str | None = None,
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
@@ -384,15 +311,11 @@ class ResultCache:
         self._memory: dict[str, Any] = {}
         #: Bulk-read staging (:meth:`prefetch`): values read from disk but
         #: not yet handed out, so the first :meth:`get_with_source` on a
-        #: prefetched key still reports ``"disk"`` exactly like the
-        #: one-file-per-entry oracle would.
+        #: prefetched key still reports ``"disk"``.
         self._prefetched: dict[str, Any] = {}
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_bytes = max_bytes
         self._manifest: dict[str, dict[str, Any]] = {}
-        #: Memory-only keys whose recency touches route to another key's
-        #: manifest entry (:meth:`alias`) — promoted layer-level hits.
-        self._aliases: dict[str, str] = {}
         self._manifest_dirty = False
         self._seq = 0
         #: Running total of manifest entry bytes, maintained incrementally
@@ -400,63 +323,24 @@ class ResultCache:
         #: whole manifest on every write.
         self._live_bytes = 0
         self._store: SegmentedStore | None = None
-        #: Pack layout only: whether stray per-entry JSON files exist in
-        #: the directory and must be consulted as a read fallback.
-        self._json_fallback = False
         #: Group-commit state (:meth:`batch`): nesting depth plus the
         #: encoded record bodies queued for the next single segment append.
         self._batch_depth = 0
         self._batch_records: dict[str, tuple[str, bytes]] = {}
-        self.layout = "memory"
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self.layout = self._resolve_layout(layout)
-            if self.layout == "pack":
-                self._store = SegmentedStore(self.cache_dir)
+            self._store = SegmentedStore(self.cache_dir)
             self._load_manifest()
-
-    def _resolve_layout(self, layout: str | None) -> str:
-        """Explicit argument > ``REPRO_CACHE_LAYOUT`` > directory contents."""
-        assert self.cache_dir is not None
-        if layout is None:
-            layout = os.environ.get(LAYOUT_ENV) or None
-        if layout not in (None, "json", "pack"):
-            raise ValueError(f"unknown cache layout {layout!r} (expected 'json' or 'pack')")
-        has_segments = False
-        has_entries = False
-        try:
-            for item in os.scandir(self.cache_dir):
-                name = item.name
-                if name.startswith("pack-") and name.endswith(SEGMENT_SUFFIX):
-                    has_segments = True
-                elif (
-                    name.endswith(".json")
-                    and name != _MANIFEST_NAME
-                    and not name.endswith(".tmp")
-                ):
-                    has_entries = True
-        except OSError:
-            pass
-        self._json_fallback = has_entries
-        if layout is not None:
-            return layout
-        if has_segments:
-            return "pack"
-        if has_entries:
-            return "json"
-        return "pack"
 
     def __len__(self) -> int:
         return len(self._memory)
 
     def __contains__(self, key: str) -> bool:
-        if key in self._memory or key in self._prefetched:
-            return True
-        if self._store is not None:
-            if key in self._store:
-                return True
-            return self._json_fallback and self._entry_path(key) is not None
-        return self._entry_path(key) is not None
+        return (
+            key in self._memory
+            or key in self._prefetched
+            or (self._store is not None and key in self._store)
+        )
 
     # ------------------------------------------------------------------ #
     # Manifest (schema version + entry index + recency for LRU)
@@ -482,7 +366,7 @@ class ResultCache:
             self._manifest = entries
         except (OSError, ValueError, KeyError, TypeError):
             # Missing, stale-schema or corrupted manifest: rebuild the index
-            # from the entry files actually present.  Entry payloads stay
+            # from the records actually present.  Entry payloads stay
             # readable either way — the manifest is bookkeeping, not data.
             self._rebuild_manifest()
         self._seq = max(
@@ -493,40 +377,17 @@ class ResultCache:
         )
 
     def _rebuild_manifest(self) -> None:
-        """Rebuild the advisory index from the entries actually present.
+        """Rebuild the advisory index from the store index.
 
-        Sizes come from ``stat`` (json files) or the store index (pack
-        records), and an entry's ``kind`` comes from the store index or a
-        bounded prefix read of the file — never a full payload read, so a
-        rebuild scales with the entry *count*, not the payload bytes.
+        Pack records carry their kind and size in the store index, so a
+        rebuild reads no payloads and scales with the entry *count*, not
+        the payload bytes.  Recency follows record order (segment, offset).
         """
-        assert self.cache_dir is not None
-        records: list[tuple[float, str, Path, int]] = []
-        for path in self.cache_dir.glob("*.json"):
-            if path.name == _MANIFEST_NAME or path.name.endswith(".tmp"):
-                continue
-            try:
-                stat = path.stat()
-            except OSError:
-                # A concurrent evictor may unlink entries mid-scan; a file
-                # that vanished simply is not part of the rebuilt index.
-                continue
-            records.append((stat.st_mtime, path.name, path, stat.st_size))
-        entries: dict[str, dict[str, Any]] = {}
-        # Oldest files get the lowest recency so a fresh manifest preserves a
-        # sensible LRU order.
-        seq = 0
-        for seq, (_, _, path, size) in enumerate(sorted(records), 1):
-            entries[path.stem] = {"kind": _read_entry_kind(path), "bytes": size, "seq": seq}
-        if self._store is not None:
-            # Pack records carry their kind and size in the store index —
-            # no reads at all.  Store entries are newer than any leftover
-            # json files by construction (migration deletes the files), so
-            # they take the higher recency and win key collisions.
-            for key, kind, size in self._store.index_entries():
-                seq += 1
-                entries[key] = {"kind": kind, "bytes": size, "seq": seq}
-        self._manifest = entries
+        assert self._store is not None
+        self._manifest = {
+            key: {"kind": kind, "bytes": size, "seq": seq}
+            for seq, (key, kind, size) in enumerate(self._store.index_entries(), 1)
+        }
         self._manifest_dirty = True
         self._flush_manifest()
 
@@ -556,31 +417,17 @@ class ResultCache:
         """Flush pending manifest updates and the store's index sidecar.
 
         One call lands everything batched since the last flush: recency
-        touches, new entries' bookkeeping, and (pack layout) the writer
-        segment's index sidecar — a single index flush per executed batch,
-        not one per record.  Records queued inside an open :meth:`batch`
-        scope are left for the scope's own drain.
+        touches, new entries' bookkeeping, and the writer segment's index
+        sidecar — a single index flush per executed batch, not one per
+        record.  Records queued inside an open :meth:`batch` scope are left
+        for the scope's own drain.
         """
-        self._flush_manifest()
         if self._store is not None:
+            self._flush_manifest()
             self._store.flush()
 
-    def alias(self, key: str, target: str) -> None:
-        """Route recency touches on a memory-only ``key`` to ``target``.
-
-        The engine's layer-level dedupe promotes a layer hit into memory
-        under the requesting *block* key without persisting it (the payload
-        already lives on disk under the layer key).  Repeat memory hits on
-        that block key would otherwise touch nothing — the block key has no
-        manifest entry — leaving the hot backing layer entry LRU-coldest
-        and first to be evicted under a size budget.  Aliasing makes those
-        touches land on the persistent entry that actually serves them.
-        """
-        if key != target:
-            self._aliases[key] = target
-
     def _touch(self, key: str) -> None:
-        """Mark an entry (or the entry it aliases) most-recently-used.
+        """Mark an entry most-recently-used.
 
         Touches are batched in memory and flushed with the next write (or an
         explicit :meth:`flush`): a warm, read-mostly run should not rewrite
@@ -590,10 +437,7 @@ class ResultCache:
         """
         entry = self._manifest.get(key)
         if entry is None:
-            target = self._aliases.get(key)
-            entry = self._manifest.get(target) if target is not None else None
-            if entry is None:
-                return
+            return
         self._seq += 1
         entry["seq"] = self._seq
         entry["refs"] = int(entry.get("refs", 0)) + 1
@@ -604,12 +448,12 @@ class ResultCache:
 
         The budget check runs on every put, so it compares the maintained
         running total (``_live_bytes``) instead of re-summing the manifest,
-        and only sorts by recency once actually over budget.  Pack layout:
-        eviction drops the key from the store index (its record bytes
-        become dead) and one compaction pass afterwards rewrites segments
-        that are now mostly dead — no per-entry unlinks.
+        and only sorts by recency once actually over budget.  Eviction
+        drops the key from the store index (its record bytes become dead)
+        and one compaction pass afterwards rewrites segments that are now
+        mostly dead — no per-entry unlinks.
         """
-        if self.max_bytes is None or self.cache_dir is None:
+        if self.max_bytes is None or self._store is None:
             return
         if self._live_bytes <= self.max_bytes:
             return
@@ -620,36 +464,23 @@ class ResultCache:
         for key in by_recency:
             if self._live_bytes <= self.max_bytes:
                 break
-            if self._store is not None:
-                self._batch_records.pop(key, None)
-                self._store.discard(key)
-            else:
-                try:
-                    (self.cache_dir / f"{key}.json").unlink(missing_ok=True)
-                except OSError:
-                    continue
+            self._batch_records.pop(key, None)
+            self._store.discard(key)
             self._live_bytes -= int(self._manifest[key].get("bytes", 0))
             del self._manifest[key]
             # Batched like every other manifest update (the index is
             # advisory; a stale entry for a deleted record is harmless until
             # the next flush or rebuild reconciles it).
             self._manifest_dirty = True
-        if self._store is not None:
-            # Aggressive: an evicted record must be gone for the *next*
-            # reader too, so any idle segment now carrying dead bytes is
-            # rewritten (evictions landing in this process's own segment
-            # stay dead-byte marks — its index sidecar hides them).
-            self._store.compact(aggressive=True)
+        # Aggressive: an evicted record must be gone for the *next* reader
+        # too, so any idle segment now carrying dead bytes is rewritten
+        # (evictions landing in this process's own segment stay dead-byte
+        # marks — its index sidecar hides them).
+        self._store.compact(aggressive=True)
 
     # ------------------------------------------------------------------ #
     # Lookup / store
     # ------------------------------------------------------------------ #
-    def _entry_path(self, key: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        path = self.cache_dir / f"{key}.json"
-        return path if path.exists() else None
-
     @staticmethod
     def _decode_entry(entry: dict[str, Any]) -> Any | None:
         """Deserialize one entry record's payload; None when unreadable."""
@@ -660,32 +491,13 @@ class ResultCache:
             return None
 
     def _read_disk_entry(self, key: str) -> Any | None:
-        """One on-disk entry (store record or json file), deserialized.
-
-        Pack layout consults the store index first and falls back to a
-        stray ``<key>.json`` file when the directory still carries legacy
-        entries (mid-migration mixed dirs).  IO time is accounted here.
-        """
+        """One store record, deserialized (IO time is accounted here)."""
+        if self._store is None:
+            return None
         started = time.perf_counter()
         try:
-            if self._store is not None:
-                record = self._store.get_record(key)
-                if record is not None:
-                    return self._decode_entry(record)
-                if not self._json_fallback:
-                    return None
-            path = self._entry_path(key)
-            if path is None:
-                return None
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                if not isinstance(entry, dict):
-                    return None
-            except (OSError, ValueError):
-                # A corrupted or schema-stale entry is a miss, not a crash;
-                # the fresh computation overwrites it on the next put().
-                return None
-            return self._decode_entry(entry)
+            record = self._store.get_record(key)
+            return self._decode_entry(record) if record is not None else None
         finally:
             self.io_seconds += time.perf_counter() - started
 
@@ -706,47 +518,38 @@ class ResultCache:
         self._touch(key)
         return value
 
-    def prefetch(self, keys: Iterable[str]) -> set[str] | None:
+    def prefetch(self, keys: Iterable[str]) -> None:
         """Bulk-stage on-disk entries for upcoming :meth:`get` calls.
 
-        Pack layout: one index pass plus per-segment reads in offset order
-        resolves the whole batch; staged values sit apart from the memory
-        tier so the first :meth:`get_with_source` on each still reports
-        ``"disk"`` — statistics stay byte-identical to the json oracle.
-        Returns the keys that are *not* available (a following ``get``
-        would miss), or ``None`` when there is nothing to bulk-read (json
-        or memory-only layout, where per-entry reads are already the cost).
+        One index pass plus per-segment reads in offset order resolves the
+        whole batch; staged values sit apart from the memory tier so the
+        first :meth:`get_with_source` on each still reports ``"disk"`` —
+        statistics are identical to one :meth:`get` per key.  A no-op on a
+        memory-only cache.
         """
         if self._store is None:
-            return None
+            return
         wanted = [
             key
             for key in keys
             if key not in self._memory and key not in self._prefetched
         ]
-        missing: set[str] = set()
         if not wanted:
-            return missing
+            return
         started = time.perf_counter()
         records = self._store.get_records(wanted)
         self.io_seconds += time.perf_counter() - started
-        for key in wanted:
-            record = records.get(key)
-            value = self._decode_entry(record) if record is not None else None
-            if value is None and self._json_fallback:
-                value = self._read_disk_entry(key)
-            if value is None:
-                missing.add(key)
-            else:
+        for key, record in records.items():
+            value = self._decode_entry(record)
+            if value is not None:
                 self._prefetched[key] = value
-        return missing
 
     def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
         """Resolve a batch of keys in one index pass; absent keys omitted.
 
         Equivalent to (and accounted exactly like) a :meth:`get` per key,
-        but pack-layout reads are grouped per segment instead of probing
-        the filesystem once per key.
+        but reads are grouped per segment instead of probing the store
+        once per key.
         """
         keys = list(keys)
         self.prefetch(keys)
@@ -771,7 +574,6 @@ class ResultCache:
         value: Any,
         description: dict[str, Any] | None = None,
         persist: bool = True,
-        kind: str | None = None,
     ) -> None:
         """Store an entry in memory and, when configured, on disk.
 
@@ -780,64 +582,35 @@ class ResultCache:
         network results whose per-block artifacts already live on disk
         (persisting the composition too would just duplicate them).
 
-        ``kind`` overrides the kind inferred from the value's type; the
-        engine uses it to store content-addressed ``layer`` entries, which
-        are ordinary :class:`~repro.sim.results.LayerResult` payloads filed
-        under a different kind than the block-keyed ``layer_result`` ones.
-
-        Json layout: the entry file is written immediately (and
-        atomically).  Pack layout: the record is appended to this process's
-        segment immediately — or, inside a :meth:`batch` scope, queued and
-        group-committed as one segment write when the scope closes.  Either
-        way manifest updates are batched and land with the next eviction
-        pass or :meth:`flush` (the session flushes after every executed
-        batch and on close), so storing N artifacts costs O(1) manifest
-        rewrites instead of N.
+        The record is appended to this process's segment immediately — or,
+        inside a :meth:`batch` scope, queued and group-committed as one
+        segment write when the scope closes.  Either way manifest updates
+        are batched and land with the next eviction pass or :meth:`flush`
+        (the session flushes after every executed batch and on close), so
+        storing N artifacts costs O(1) manifest rewrites instead of N.
         """
-        if kind is None:
-            kind = _kind_of(value)
-        elif kind not in _SERIALIZERS:
-            raise ValueError(f"unknown cache entry kind {kind!r}")
+        kind = _kind_of(value)
         self._memory[key] = value
         self._prefetched.pop(key, None)
-        if self.cache_dir is None or not persist:
+        if self._store is None or not persist:
             return
         serialize, _ = _SERIALIZERS[kind]
-        entry = {
-            "kind": kind,
-            "workload": description or {},
-            "payload": serialize(value),
-        }
-        if self._store is not None:
-            body = encode_body(key, entry)
-            if self._batch_depth > 0:
-                # Pure CPU: the queued record's I/O happens (and is timed)
-                # at the batch drain.
-                self._batch_records[key] = (kind, body)
-            else:
-                started = time.perf_counter()
-                sizes = self._store.append_encoded([(key, kind, body)])
-                self.io_seconds += time.perf_counter() - started
-                if sizes is None:
-                    # A read-only shared cache directory still serves reads;
-                    # the fresh value simply stays memory-only this session.
-                    return
-            entry_bytes = len(body)
+        body = encode_body(
+            key,
+            {"kind": kind, "workload": description or {}, "payload": serialize(value)},
+        )
+        if self._batch_depth > 0:
+            # Pure CPU: the queued record's I/O happens (and is timed) at
+            # the batch drain.
+            self._batch_records[key] = (kind, body)
         else:
             started = time.perf_counter()
-            path = self.cache_dir / f"{key}.json"
-            # Per-process temp name so concurrent runs sharing a cache dir
-            # never tear each other's writes; the final replace is atomic.
-            tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
-            text = json.dumps(entry, sort_keys=True)
-            try:
-                tmp.write_text(text, encoding="utf-8")
-                tmp.replace(path)
-            except OSError:
+            sizes = self._store.append_encoded([(key, kind, body)])
+            self.io_seconds += time.perf_counter() - started
+            if sizes is None:
+                # A read-only shared cache directory still serves reads;
+                # the fresh value simply stays memory-only this session.
                 return
-            finally:
-                self.io_seconds += time.perf_counter() - started
-            entry_bytes = len(text.encode("utf-8"))
         self._seq += 1
         # Overwrites keep the accumulated reference count: the entry's
         # payload is new but its reuse history is not.
@@ -846,11 +619,11 @@ class ResultCache:
         self._live_bytes -= int(previous.get("bytes", 0)) if previous else 0
         self._manifest[key] = {
             "kind": kind,
-            "bytes": entry_bytes,
+            "bytes": len(body),
             "seq": self._seq,
             "refs": refs,
         }
-        self._live_bytes += entry_bytes
+        self._live_bytes += len(body)
         self._manifest_dirty = True
         if self.max_bytes is not None:
             self._evict_over_budget(protected=key)
@@ -865,7 +638,7 @@ class ResultCache:
         stays stored) the queue drains as a single segment write.  Memory
         and manifest bookkeeping still update per put, so lookups, recency
         and eviction behave identically inside and outside a batch.  Nests
-        flatly; a no-op for the json and memory-only layouts.
+        flatly; a no-op for a memory-only cache.
         """
         self._batch_depth += 1
         try:
@@ -919,7 +692,7 @@ class ResultCache:
         Each record carries the entry's fingerprint ``key``, its ``refs``
         count (touches accumulated in the manifest — recency refreshes, so
         every memory or disk hit counts one) and the stored ``workload``
-        description (read from the entry file; empty when unreadable).
+        description (read from the store record; empty when unreadable).
         Zero-reference entries are omitted: an entry that was only ever
         written tells nothing about reuse.  ``--cache-info`` prints this for
         the content-addressed ``layer`` kind, which is what a NAS search
@@ -935,61 +708,26 @@ class ResultCache:
         )
         records: list[dict[str, Any]] = []
         for refs, key in ranked[:limit]:
-            description: dict[str, Any] = {}
-            payload: dict[str, Any] | None = None
-            if self._store is not None:
-                payload = self._store.get_record(key)
-            if payload is None and self.cache_dir is not None:
-                try:
-                    payload = json.loads(
-                        (self.cache_dir / f"{key}.json").read_text(encoding="utf-8")
-                    )
-                except (OSError, ValueError):
-                    payload = None
-            if isinstance(payload, dict):
-                description = payload.get("workload", {}) or {}
+            record = self._store.get_record(key) if self._store is not None else None
+            description = (record or {}).get("workload", {}) or {}
             records.append({"key": key, "refs": refs, "workload": description})
         return records
 
     def disk_keys(self) -> set[str]:
         """Keys currently resolvable from the on-disk store.
 
-        Store-index keys plus (json layout or mixed dirs) per-entry file
-        stems — the ground truth eviction tests and tooling check against,
+        The ground truth eviction tests and tooling check against,
         independent of the advisory manifest.
         """
-        keys: set[str] = set()
-        if self.cache_dir is None:
-            return keys
-        if self._store is not None:
-            keys.update(self._store.keys())
-            if not self._json_fallback:
-                return keys
-        try:
-            for path in self.cache_dir.glob("*.json"):
-                if path.name != _MANIFEST_NAME and not path.name.endswith(".tmp"):
-                    keys.add(path.stem)
-        except OSError:
-            pass
-        return keys
+        return set(self._store.keys()) if self._store is not None else set()
 
     def describe_layout(self) -> str:
-        """One human-readable line describing the on-disk format.
-
-        Printed by ``--cache-info`` so operators can tell at a glance
-        whether a directory still uses the legacy one-file-per-entry
-        layout (and would benefit from ``cache migrate``).
-        """
-        if self.cache_dir is None:
+        """One human-readable line describing the on-disk format (``--cache-info``)."""
+        if self._store is None:
             return "memory-only (no cache directory)"
-        if self._store is not None:
-            segments = self._store.segment_count
-            noun = "segment" if segments == 1 else "segments"
-            line = f"segmented pack ({segments} {noun})"
-            if self._json_fallback:
-                line += ", serving legacy json entries as fallback"
-            return line
-        return "json files, one per entry (convert with: cache migrate)"
+        segments = self._store.segment_count
+        noun = "segment" if segments == 1 else "segments"
+        return f"segmented pack ({segments} {noun})"
 
     def close(self) -> None:
         """Flush pending state and release store file handles.

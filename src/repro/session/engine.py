@@ -14,23 +14,18 @@ seam:
    program across all its points.
 2. **simulate-blocks** — run each instruction block independently through
    :class:`~repro.sim.executor.BitFusionSimulator` into a serializable
-   :class:`~repro.sim.results.LayerResult`, keyed by the block fingerprint
-   plus the simulation-affecting configuration (:func:`block_cache_key`).
-   Blocks whose cycle/energy inputs are unchanged are never re-simulated.
+   :class:`~repro.sim.results.LayerResult`, keyed by the *name-free* layer
+   fingerprint plus the simulation-affecting configuration
+   (:func:`layer_cache_key`).  Blocks whose cycle/energy inputs are
+   unchanged are never re-simulated, and identical (layer, tiling) pairs
+   share one record across networks in model-family sweeps; a record is
+   renamed to the requesting block on use, so composition stays
+   byte-identical.
 3. **compose** — assemble the per-block results into a
    :class:`~repro.sim.results.NetworkResult`
    (:func:`~repro.sim.results.compose_network_result`).  Composition is
    pure, so a result composed from cached artifacts is byte-identical to a
    fresh monolithic simulation.
-
-The simulate stage resolves each block through **two cache levels**: the
-block key (:func:`block_cache_key`, block content fingerprint + sim config)
-and, on a miss, the content-addressed **layer key**
-(:func:`layer_cache_key`, the *name-free* layer fingerprint + sim config).
-The layer level is what dedupes identical (layer, tiling) pairs across
-different networks in model-family sweeps; a record found through it is
-renamed to the requesting block before use, so composition stays
-byte-identical.
 
 Baseline platforms (Eyeriss, Stripes, GPUs, the temporal design) have no
 compile stage; they run as a single simulate step and cache whole results.
@@ -49,7 +44,7 @@ surviving result is stored.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
@@ -80,7 +75,6 @@ __all__ = [
     "WorkloadExecutionError",
     "audit_workload_cache",
     "build_model",
-    "block_cache_key",
     "compile_program",
     "compile_workload",
     "compose_plan",
@@ -94,7 +88,6 @@ __all__ = [
     "program_content_key",
     "simulate_planned_blocks",
     "simulator_for",
-    "store_block_result",
     "store_layer_record",
     "tiling_cache_key",
     "try_compose_from_cache",
@@ -358,8 +351,8 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
     only) and the batch size (already folded into the block's tiling).
 
     Memoized per configuration (``BitFusionConfig`` is frozen, hence
-    hashable): the payload rides every block- and layer-level cache key,
-    once per block per lookup.  Callers never mutate the returned dict —
+    hashable): the payload rides every layer cache key, once per block per
+    lookup.  Callers never mutate the returned dict —
     it feeds straight into :func:`~repro.fingerprint.fingerprint_payload`.
     """
     return {
@@ -372,24 +365,6 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
         "buffer_access_bits": config.buffer_access_bits,
         "technology": asdict(config.technology),
     }
-
-
-@lru_cache(maxsize=None)
-def block_cache_key(block_fingerprint: str, config: BitFusionConfig) -> str:
-    """Cache key of one simulated block: block content + sim-affecting config.
-
-    Memoized: both inputs are hashable and the key is pure, and the NAS
-    estimator's warm path (:mod:`repro.nas`) resolves every block of every
-    candidate through this key — re-hashing the sim-config payload per
-    lookup would dominate a fully-cached estimate.
-    """
-    return fingerprint_payload(
-        {
-            "artifact": "block",
-            "block": block_fingerprint,
-            "sim": _sim_config_payload(config),
-        }
-    )
 
 
 @lru_cache(maxsize=None)
@@ -406,74 +381,46 @@ def _layer_content_key(layer_fingerprint: str, config: BitFusionConfig) -> str:
 def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
     """Content-addressed cache key of one simulated layer.
 
-    Unlike :func:`block_cache_key`, the layer key hashes the block's
-    *name-free* content (:meth:`~repro.isa.program.CompiledBlock.
-    layer_fingerprint`): identical (layer shape, bitwidths, tiling,
-    instruction image) pairs collapse onto one key no matter which network —
-    or which layer name within a network — produced them.  Block-level
-    lookups fall back to this key on a miss, which is what dedupes
+    Hashes the block's *name-free* content (:meth:`~repro.isa.program.
+    CompiledBlock.layer_fingerprint`) plus the simulation-affecting
+    configuration: identical (layer shape, bitwidths, tiling, instruction
+    image) pairs collapse onto one key no matter which network — or which
+    layer name within a network — produced them, which is what dedupes
     simulations across the model-family sweeps the paper's benchmark suite
-    is full of.  Memoized like :func:`block_cache_key` (the layer
-    fingerprint is itself memoized on the block instance).
+    is full of.  Memoized: the layer fingerprint is memoized on the block
+    instance and the key on (fingerprint, config), so the NAS estimator's
+    warm path does not re-hash the sim-config payload per lookup.
     """
     return _layer_content_key(compiled.layer_fingerprint(), config)
 
 
 def lookup_block(
     compiled: CompiledBlock, config: BitFusionConfig, cache: ResultCache
-) -> tuple[LayerResult | None, str | None, str]:
-    """Resolve one block's simulated result through both cache levels.
+) -> tuple[LayerResult | None, str]:
+    """Resolve one block's simulated result through its layer key.
 
-    Tries the block key first, then falls back to the content-addressed
-    layer key.  Returns ``(value, level, source)`` where ``level`` is
-    ``"block"`` or ``"layer"`` (``None`` on a miss) and ``source`` is
-    ``"memory"``/``"disk"``/``"miss"``.  A layer-level hit is renamed to the
-    requesting block and promoted into memory under the block key (memory
-    only — the layer-level entry already persists the payload), so repeat
-    lookups skip the fallback.  No statistics are recorded here; callers
-    account for hits and misses in their own stage counters.
+    Returns ``(value, source)`` with ``source`` one of
+    ``"memory"``/``"disk"``/``"miss"``; a hit is renamed to the requesting
+    block.  No statistics are recorded here; callers account for hits and
+    misses in their own stage counters.
     """
-    block_key = block_cache_key(compiled.fingerprint(), config)
-    value, source = cache.get_with_source(block_key)
-    if value is not None:
-        return value, "block", source
-    layer_key = layer_cache_key(compiled, config)
-    value, source = cache.get_with_source(layer_key)
+    value, source = cache.get_with_source(layer_cache_key(compiled, config))
     if value is None:
-        return None, None, "miss"
-    value = replace(value, name=compiled.name)
-    cache.put(block_key, value, persist=False)
-    # The promoted block key has no manifest entry of its own (the payload
-    # persists under the layer key), so route its recency touches to the
-    # backing layer entry — otherwise a hot shared layer served through
-    # promoted block keys looks LRU-coldest on disk and is evicted first.
-    cache.alias(block_key, layer_key)
-    return value, "layer", source
+        return None, "miss"
+    return value.renamed(compiled.name), source
 
 
 def prefetch_block_artifacts(
     program: Program, config: BitFusionConfig, cache: ResultCache
 ) -> None:
-    """Bulk-stage a program's block-level artifacts: one index pass.
+    """Bulk-stage a program's layer records: one index pass.
 
-    Resolves every block key through :meth:`ResultCache.prefetch`, then
-    the content-addressed layer keys of only the blocks whose block-keyed
-    entry is absent — exactly the records the per-block
-    :func:`lookup_block` loop that follows would read one at a time.  A
-    no-op (``prefetch`` returns ``None``) on json and memory-only caches,
-    where there is no bulk read to exploit; lookup semantics and statistics
-    are identical either way.
+    Resolves every block's layer key through :meth:`ResultCache.prefetch`
+    — exactly the records the per-block :func:`lookup_block` loop that
+    follows would read one at a time.  Lookup semantics and statistics are
+    identical either way.
     """
-    block_keys = [
-        block_cache_key(compiled.fingerprint(), config) for compiled in program
-    ]
-    missing = cache.prefetch(block_keys)
-    if missing:
-        cache.prefetch(
-            layer_cache_key(compiled, config)
-            for compiled, block_key in zip(program, block_keys)
-            if block_key in missing
-        )
+    cache.prefetch(layer_cache_key(compiled, config) for compiled in program)
 
 
 def store_layer_record(
@@ -483,34 +430,18 @@ def store_layer_record(
     layer: LayerResult,
     description: dict[str, Any] | None = None,
 ) -> None:
-    """Store one freshly simulated block under both cache levels.
+    """Store one freshly simulated block under its layer key.
 
-    The block-keyed entry serves exact repeats; the layer-keyed entry (name
-    normalized away, so the stored payload is independent of which network
-    asked first) serves any block with identical layer content.  Takes the
-    raw configuration rather than a :class:`Workload` so callers pricing
-    arbitrary networks (the NAS estimator) insert records the same way
-    session runs do.
+    The record's name is normalized away, so the stored payload is
+    independent of which network asked first.  Takes the raw configuration
+    rather than a :class:`Workload` so callers pricing arbitrary networks
+    (the NAS estimator) insert records the same way session runs do.
     """
-    description = description or {}
-    cache.put(
-        block_cache_key(compiled.fingerprint(), config),
-        layer,
-        {**description, "artifact": "block", "block": compiled.name},
-    )
     cache.put(
         layer_cache_key(compiled, config),
-        replace(layer, name=""),
-        {**description, "artifact": "layer", "block": compiled.name},
-        kind="layer",
+        layer.renamed(""),
+        {**(description or {}), "artifact": "layer", "block": compiled.name},
     )
-
-
-def store_block_result(
-    cache: ResultCache, workload: Workload, compiled: CompiledBlock, layer: LayerResult
-) -> None:
-    """Store one freshly simulated workload block (:func:`store_layer_record`)."""
-    store_layer_record(cache, workload.config, compiled, layer, workload.describe())
 
 
 # ---------------------------------------------------------------------- #
@@ -543,18 +474,18 @@ def try_compose_from_cache(
     if program is None:
         return None, False
     prefetch_block_artifacts(program, workload.config, cache)
-    found: list[tuple[LayerResult, str, str]] = []
+    found: list[tuple[LayerResult, str]] = []
     for compiled in program:
-        value, level, source = lookup_block(compiled, workload.config, cache)
+        value, source = lookup_block(compiled, workload.config, cache)
         if value is None:
             return None, False
-        found.append((value, level, source))
+        found.append((value, source))
     stats.programs.record_hit(program_source)
     from_disk = program_source == "disk"
-    for _, level, source in found:
-        (stats.blocks if level == "block" else stats.layers).record_hit(source)
+    for _, source in found:
+        stats.blocks.record_hit(source)
         from_disk = from_disk or source == "disk"
-    return _compose(workload, program, [layer for layer, _, _ in found]), from_disk
+    return _compose(workload, program, [layer for layer, _ in found]), from_disk
 
 
 class CacheAudit(NamedTuple):
@@ -603,7 +534,7 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
 
     * ``"cached"`` — the workload would execute without any fresh work: a
       whole result is stored (baselines), or every artifact needed to
-      compose one is (Bit Fusion: program plus all block/layer results);
+      compose one is (Bit Fusion: program plus all layer results);
     * ``"partial"`` — the compiled program is cached but
       ``missing_blocks`` of its ``total_blocks`` blocks would simulate;
     * ``"cold"`` — no program artifact is cached (``total_blocks`` is 0
@@ -616,8 +547,8 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
       is never misreported as entirely unstarted.
 
     No statistics are recorded and nothing executes.  Only the program
-    payload is read (its blocks are needed to derive the block/layer
-    keys); block, layer and tiling records are probed for *existence*
+    payload is read (its blocks are needed to derive the layer keys);
+    layer and tiling records are probed for *existence*
     without deserializing or memory-promoting them, so auditing a planned
     grid against a large cache directory stays cheap — ``python -m
     repro.harness sweep --dry-run`` uses this to diff a grid against a
@@ -632,13 +563,9 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
     if program is None:
         cached, total = _audit_tilings(workload, cache)
         return CacheAudit("cold", 0, 0, cached, total)
-    missing = 0
-    for compiled in program:
-        if (
-            block_cache_key(compiled.fingerprint(), workload.config) not in cache
-            and layer_cache_key(compiled, workload.config) not in cache
-        ):
-            missing += 1
+    missing = sum(
+        1 for compiled in program if layer_cache_key(compiled, workload.config) not in cache
+    )
     state = "cached" if missing == 0 else "partial"
     return CacheAudit(state, missing, len(program), 0, 0)
 
@@ -746,10 +673,11 @@ def plan_workload(
 
     Compilation goes through the program cache (structure-only key), so a
     batch sharing a network compiles it exactly once.  Every block is then
-    resolved through both cache levels; only genuinely missing blocks are
-    scheduled for simulation.  ``claimed`` tracks block keys already
-    scheduled by earlier workloads of the same batch — duplicates are
-    deferred to compose time instead of being simulated twice.
+    resolved through its layer key; only genuinely missing blocks are
+    scheduled for simulation.  ``claimed`` tracks layer keys already
+    scheduled by earlier blocks of the same batch — duplicates (identical
+    layer content under any name) are deferred to compose time instead of
+    being simulated twice.
     """
     if workload.platform != "bitfusion":
         return WorkPlan(
@@ -765,24 +693,17 @@ def plan_workload(
     simulate: list[int] = []
     deferred: list[int] = []
     for index, compiled in enumerate(program):
-        value, level, source = lookup_block(compiled, workload.config, cache)
+        value, source = lookup_block(compiled, workload.config, cache)
         if value is not None:
-            (stats.blocks if level == "block" else stats.layers).record_hit(source)
+            stats.blocks.record_hit(source)
             cached[index] = value
             continue
-        block_key = block_cache_key(compiled.fingerprint(), workload.config)
         layer_key = layer_cache_key(compiled, workload.config)
-        # Claim both cache levels: a block whose *layer content* an earlier
-        # in-batch block already claimed is served by the layer-level
-        # fallback at compose time, so defer it rather than re-simulate
-        # identical content under a different name.
-        if block_key in claimed or layer_key in claimed:
+        if layer_key in claimed:
             deferred.append(index)
             continue
-        claimed.add(block_key)
         claimed.add(layer_key)
         stats.blocks.record_miss()
-        stats.layers.record_miss()
         simulate.append(index)
     return WorkPlan(
         workload=workload,
@@ -802,16 +723,17 @@ def compose_plan(
     """Assemble a planned workload's result from cached + fresh blocks.
 
     ``fresh_layers`` maps block index → result simulated for this plan
-    (:func:`simulate_planned_blocks`).  Fresh results are stored under both
-    cache levels as they are composed — inside one :meth:`ResultCache.batch`
-    scope, so a plan's store-backs land as a single group-committed segment
-    append instead of one write per artifact.  Deferred blocks (claimed by
-    an earlier workload of the batch) are read from the cache now that the
-    claiming workload has been stored; if that workload failed, the block
-    is simulated here as a last resort so one failure never corrupts a
-    neighbouring workload's result.
+    (:func:`simulate_planned_blocks`).  Fresh results are stored under
+    their layer keys as they are composed — inside one
+    :meth:`ResultCache.batch` scope, so a plan's store-backs land as a
+    single group-committed segment append instead of one write per
+    artifact.  Deferred blocks (claimed by an earlier workload of the
+    batch) are read from the cache now that the claiming workload has been
+    stored; if that workload failed, the block is simulated here as a last
+    resort so one failure never corrupts a neighbouring workload's result.
     """
     workload = plan.workload
+    config = workload.config
     assert plan.program is not None
     layers: list[LayerResult] = []
     with cache.batch():
@@ -821,18 +743,17 @@ def compose_plan(
                 continue
             if index in fresh_layers:
                 layer = fresh_layers[index]
-                store_block_result(cache, workload, compiled, layer)
+                store_layer_record(cache, config, compiled, layer, workload.describe())
                 layers.append(layer)
                 continue
-            value, level, source = lookup_block(compiled, workload.config, cache)
+            value, source = lookup_block(compiled, config, cache)
             if value is not None:
-                (stats.blocks if level == "block" else stats.layers).record_hit(source)
+                stats.blocks.record_hit(source)
                 layers.append(value)
                 continue
             stats.blocks.record_miss()
-            stats.layers.record_miss()
-            layer = simulator_for(workload.config).run_block(compiled)
-            store_block_result(cache, workload, compiled, layer)
+            layer = simulator_for(config).run_block(compiled)
+            store_layer_record(cache, config, compiled, layer, workload.describe())
             layers.append(layer)
     return _compose(workload, plan.program, layers)
 

@@ -207,7 +207,7 @@ class EvaluationSession:
 
         The batch is deduplicated by fingerprint and resolved against the
         cache in three steps: whole results from memory, Bit Fusion results
-        composed from cached program/block/layer artifacts, and only then
+        composed from cached program and layer artifacts, and only then
         fresh execution.  In-batch duplicates of a still-pending workload
         count as deduplication wins (``stats.deduped``), not cache hits —
         no cached value existed when they were looked up.  Genuinely new
@@ -304,7 +304,7 @@ class EvaluationSession:
 
         Without a checkpoint, every Bit Fusion workload of the batch is
         planned against the cache first (compile through the program cache,
-        per-block resolution through both cache levels, in-batch duplicate
+        per-block resolution through the layer key, in-batch duplicate
         blocks deferred to their claimant); the genuinely missing blocks of
         *all* plans then simulate through as few vectorized calls as
         possible (:func:`~repro.session.engine.simulate_planned_blocks` — a

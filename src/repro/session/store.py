@@ -1,22 +1,18 @@
 """Segmented pack-file artifact store: append-only segments + index sidecars.
 
-The one-file-per-entry JSON layout (:mod:`repro.session.cache`) pays an
-``open`` + ``write`` + ``rename`` per artifact and a filesystem probe per
-lookup — fine for hundreds of entries, dominant at the 10⁵–10⁶ artifact
-counts sharded sweeps and NAS searches produce.  This module stores the
-same entries in a handful of **append-only pack segments** instead:
+:class:`~repro.session.cache.ResultCache` persists its entries in a
+handful of **append-only pack segments** instead of one file per entry,
+so a write is one buffered append and a lookup is a dictionary hit:
 
 * **Record**: a 4-byte big-endian length prefix followed by one compact
   (``sort_keys``, no whitespace) UTF-8 JSON object ``{"key", "kind",
-  "payload", "workload"}`` — the exact entry shape of the JSON layout —
-  so a record is self-delimiting and a truncated tail (a writer killed
-  mid-append) is detected and dropped at the next scan instead of
-  poisoning the file.
+  "payload", "workload"}``, so a record is self-delimiting and a truncated
+  tail (a writer killed mid-append) is detected and dropped at the next
+  scan instead of poisoning the file.
 * **Segment**: ``pack-<pid>-<nonce>.seg``, append-only, owned by exactly
   one writer process for its lifetime.  Writers never share a segment, so
   the data path needs no locks, and readers merge all segments at open
-  time.  The ``.seg`` suffix keeps segments invisible to the JSON
-  layout's ``*.json`` glob, so both layouts coexist in one directory.
+  time.
 * **Index sidecar**: ``<segment>.idx``, a JSON map of key → (offset,
   length, kind) plus the segment size it describes.  Advisory: a missing
   or stale sidecar (size mismatch after a crash) degrades to one
@@ -27,12 +23,6 @@ same entries in a handful of **append-only pack segments** instead:
   dead; once a closed segment is mostly dead (and its owner is gone — the
   on-disk size still matches what we scanned), its live records are
   rewritten into the current writer segment and the file is deleted.
-
-:class:`~repro.session.cache.ResultCache` drives this store when a cache
-directory uses the segmented layout and keeps the JSON-dir layout as a
-read-compatible fallback and correctness oracle; :func:`migrate_json_dir`
-converts an existing JSON-layout directory in place (``python -m
-repro.harness cache migrate``).
 """
 
 from __future__ import annotations
@@ -53,17 +43,14 @@ __all__ = [
     "encode_body",
     "encode_record",
     "iter_records",
-    "migrate_json_dir",
 ]
 
 #: Segment files are ``pack-<pid>-<nonce>.seg``; the prefix + suffix pair is
-#: what layout auto-detection and the open-time merge glob for.
+#: what the open-time merge globs for.
 SEGMENT_SUFFIX = ".seg"
 _SEGMENT_GLOB = f"pack-*{SEGMENT_SUFFIX}"
 
-#: Per-segment index sidecar (``<segment>.idx``).  Deliberately *not* a
-#: ``.json`` name: the JSON entry layout globs ``*.json`` and must never
-#: pick a sidecar up as an entry.
+#: Per-segment index sidecar (``<segment>.idx``).
 INDEX_SUFFIX = ".idx"
 
 #: Version of the record/sidecar format; bumped on incompatible changes
@@ -257,10 +244,6 @@ class SegmentedStore:
         location = self._index.get(key)
         return location.kind if location is not None else None
 
-    def entry_bytes(self, key: str) -> int | None:
-        location = self._index.get(key)
-        return location.length if location is not None else None
-
     @property
     def segment_count(self) -> int:
         return len(self._segments)
@@ -379,14 +362,6 @@ class SegmentedStore:
         self._own_dirty = True
         return {key: location.length for key, location in placed}
 
-    def append(self, items: list[tuple[str, dict[str, Any]]]) -> dict[str, int] | None:
-        """Group-commit entry dicts (see :meth:`append_encoded`)."""
-        encoded = [
-            (key, str(entry.get("kind", "unknown")), encode_body(key, entry))
-            for key, entry in items
-        ]
-        return self.append_encoded(encoded)
-
     def discard(self, key: str) -> None:
         """Drop a key from the live index (its record bytes become dead)."""
         location = self._index.pop(key, None)
@@ -471,72 +446,3 @@ class SegmentedStore:
         if self._own_handle is not None:
             self._own_handle.close()
             self._own_handle = None
-
-
-# ---------------------------------------------------------------------- #
-# JSON-dir migration
-# ---------------------------------------------------------------------- #
-def migrate_json_dir(cache_dir: str | Path, batch: int = 512) -> tuple[int, int]:
-    """Convert a JSON-layout cache directory to the segmented layout, in place.
-
-    Every per-entry ``<key>.json`` file is appended to pack segments (in
-    batched group commits) and then deleted; ``manifest.json`` survives
-    with its recency/refs bookkeeping intact (entry sizes are updated to
-    the record sizes).  Unreadable entry files are skipped, not fatal.
-    Returns ``(entries_migrated, record_bytes_written)``.
-    """
-    directory = Path(cache_dir)
-    if not directory.is_dir():
-        raise ValueError(f"cache directory {str(directory)!r} does not exist")
-    store = SegmentedStore(directory)
-    migrated = 0
-    written = 0
-    new_sizes: dict[str, int] = {}
-    pending: list[tuple[Path, str, dict[str, Any]]] = []
-
-    def commit() -> None:
-        nonlocal migrated, written
-        if not pending:
-            return
-        sizes = store.append([(key, entry) for _, key, entry in pending])
-        if sizes is None:
-            raise OSError(f"cache directory {str(directory)!r} is not writable")
-        for path, key, _ in pending:
-            path.unlink(missing_ok=True)
-            migrated += 1
-            written += sizes[key]
-            new_sizes[key] = sizes[key]
-        pending.clear()
-
-    for path in sorted(directory.glob("*.json")):
-        if path.name == "manifest.json" or path.name.endswith(".tmp"):
-            continue
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-            if not isinstance(entry, dict) or "payload" not in entry:
-                continue
-        except (OSError, ValueError):
-            continue  # corrupt entries are misses in both layouts; drop from migration
-        pending.append((path, path.stem, entry))
-        if len(pending) >= batch:
-            commit()
-    commit()
-    store.close()
-
-    # Keep the manifest's recency and reference counts; only entry sizes
-    # change (record bytes instead of file bytes).  A missing or stale
-    # manifest is fine — the next open rebuilds it from the store index.
-    manifest_path = directory / "manifest.json"
-    try:
-        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-        entries = payload.get("entries", {})
-        if isinstance(entries, dict):
-            for key, size in new_sizes.items():
-                if isinstance(entries.get(key), dict):
-                    entries[key]["bytes"] = size
-            tmp = manifest_path.with_suffix(f".json.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-            tmp.replace(manifest_path)
-    except (OSError, ValueError, KeyError, TypeError):
-        pass
-    return migrated, written

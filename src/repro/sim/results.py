@@ -13,12 +13,13 @@ and energy ratios uniformly:
 Both records are frozen and serialize losslessly to JSON (ints, floats and
 strings only), which is what lets the evaluation session cache them:
 ``LayerResult`` is the per-block artifact of the simulate stage, keyed by
-block fingerprint plus the simulation-affecting configuration (see
-:func:`repro.session.engine.block_cache_key`), and a cached record read
-back from disk is bit-identical to the freshly simulated one.  A cached
-layer result is invalidated only by its key changing — there is no epoch
-or timestamp scheme; if the block content or any simulation-affecting
-parameter changes, the old entry is simply never looked up again.
+the name-free layer fingerprint plus the simulation-affecting
+configuration (see :func:`repro.session.engine.layer_cache_key`), and a
+cached record read back from disk is bit-identical to the freshly
+simulated one.  A cached layer result is invalidated only by its key
+changing — there is no epoch or timestamp scheme; if the layer content or
+any simulation-affecting parameter changes, the old entry is simply never
+looked up again.
 """
 
 from __future__ import annotations
@@ -157,6 +158,18 @@ class LayerResult:
     @property
     def is_memory_bound(self) -> bool:
         return self.memory_cycles > self.compute_cycles
+
+    def renamed(self, name: str) -> "LayerResult":
+        """This record under another name.
+
+        Equal to ``dataclasses.replace(self, name=name)`` but skips
+        re-validating fields that were validated when this record was
+        built: every block-cache hit renames its shared record to the
+        requesting block, and ``replace`` dominated warm NAS estimates.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, name=name)
+        return clone
 
 
 @dataclass(frozen=True)

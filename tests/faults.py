@@ -25,16 +25,22 @@ The injectors:
   for chosen block names.  The proxy advertises ``batched = False`` so the
   grid executor routes every block through the interceptable scalar
   ``run_block`` loop.
+* :func:`drop_records` and :func:`tear_last_record` — on-disk faults in a
+  closed cache directory: every record of one kind deleted from the pack
+  store (evicted, or never written), or the newest record torn mid-write
+  (a writer killed mid-append).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Any, Iterable, Iterator
 from unittest import mock
 
-from repro.session import testing
+from repro.session import SegmentedStore, testing
 from repro.session.session import EvaluationSession
+from repro.session.store import iter_records
 
 __all__ = [
     "FaultySimulator",
@@ -42,8 +48,10 @@ __all__ = [
     "InjectedWorkloadCrash",
     "SimulatedKill",
     "crash_workloads",
+    "drop_records",
     "faulty_simulators",
     "kill_after_commits",
+    "tear_last_record",
 ]
 
 
@@ -172,3 +180,33 @@ def faulty_simulators(
 
     with testing.wrap_simulators(wrapper):
         yield counter
+
+
+def drop_records(cache_dir: str | Path, kind: str) -> list[str]:
+    """Delete every pack record of ``kind`` from a closed cache directory.
+
+    The keys are discarded, the segments holding them are compacted away
+    and the manifest is removed, so the next open rebuilds it from the
+    store alone.  Returns the dropped keys.
+    """
+    store = SegmentedStore(cache_dir)
+    dropped = [key for key in list(store.keys()) if store.kind(key) == kind]
+    for key in dropped:
+        store.discard(key)
+    store.compact(aggressive=True)
+    store.close()
+    (Path(cache_dir) / "manifest.json").unlink(missing_ok=True)
+    return dropped
+
+
+def tear_last_record(cache_dir: str | Path) -> dict[str, Any]:
+    """Truncate a one-segment cache directory halfway into its last record.
+
+    The state a writer killed mid-append leaves behind.  Returns the torn
+    record (``key``, ``kind``, ``payload``, ``workload``).
+    """
+    (segment,) = Path(cache_dir).glob("pack-*.seg")
+    data = segment.read_bytes()
+    offset, length, record = list(iter_records(data))[-1]
+    segment.write_bytes(data[: offset + length // 2])
+    return record

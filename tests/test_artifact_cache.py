@@ -1,4 +1,4 @@
-"""Tests for the two-level artifact cache: manifest, eviction, warm sweeps.
+"""Tests for the artifact cache: manifest, eviction, warm sweeps.
 
 Covers the acceptance criteria of the staged-pipeline refactor:
 
@@ -19,76 +19,92 @@ import re
 from dataclasses import replace
 
 import pytest
+from faults import tear_last_record
 
 from repro.harness.experiments import fig16_batch
 from repro.harness.runner import build_report, format_cache_info
 from repro.isa.block import InstructionBlock
+from repro.isa.instructions import LoopOrder
 from repro.isa.program import CompiledBlock
+from repro.isa.tiling import GemmWorkload, TilingPlan
 from repro.session import (
     EvaluationSession,
     ResultCache,
     Workload,
+    audit_workload_cache,
     compile_program,
     estimated_cost,
-    execute_workload,
     layer_cache_key,
     tiling_cache_key,
 )
 from repro.session.cache import (
     MANIFEST_SCHEMA_VERSION,
     CacheStats,
-    ProgramStats,
-    network_result_to_dict,
 )
 from repro.session.workload import load_network
 
 
-def _stats(tag: str) -> ProgramStats:
-    return ProgramStats(
-        network_name=f"net-{tag}",
-        block_instruction_counts=(10, 20, 30),
-        total_instructions=60,
-        binary_bytes=240,
+def _plan(tag: str) -> TilingPlan:
+    """A small cacheable artifact; one-character tags give equal-size entries."""
+    return TilingPlan(
+        workload=GemmWorkload(m=16, n=16, r=16, input_bits=8, weight_bits=8, output_bits=8),
+        loop_order=LoopOrder.OUTPUT_STATIONARY,
+        tile_m=16,
+        tile_n=16,
+        tile_r=16,
+        dram_weight_bits=1000 + int(tag, 36),
+        dram_input_bits=0,
+        dram_output_write_bits=0,
+        dram_output_read_bits=0,
+    )
+
+
+def _renamed(compiled: CompiledBlock, prefix: str) -> CompiledBlock:
+    """The same block content under new block and layer names."""
+    return CompiledBlock(
+        block=InstructionBlock(f"{prefix}/{compiled.name}", compiled.block.instructions),
+        layer=replace(compiled.layer, name=f"{prefix}-layer"),
+        tiling=compiled.tiling,
+        loop_order=compiled.loop_order,
+        fused_layers=tuple(
+            replace(layer, name=f"{prefix}-{i}")
+            for i, layer in enumerate(compiled.fused_layers)
+        ),
     )
 
 
 def _live_keys(cache_dir) -> set[str]:
-    """Keys a fresh reader can resolve from disk — layout-independent.
-
-    The pack layout has no per-entry files to glob, so eviction tests check
-    what a brand-new :class:`ResultCache` actually serves (store-index keys
-    plus any legacy per-entry files).
-    """
+    """Keys a fresh reader can resolve from disk (the store index)."""
     return ResultCache(cache_dir).disk_keys()
 
 
 class TestManifest:
     def test_manifest_written_with_schema_version_and_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("alpha", _stats("a"))
-        cache.put("beta", _stats("b"))
+        cache.put("alpha", _plan("a"))
+        cache.put("beta", _plan("b"))
         cache.flush()  # manifest updates are batched; flush makes them visible
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION
         assert set(manifest["entries"]) == {"alpha", "beta"}
         for entry in manifest["entries"].values():
-            assert entry["kind"] == "program_stats"
+            assert entry["kind"] == "tiling"
             assert entry["bytes"] > 0
             assert entry["seq"] > 0
 
     def test_missing_manifest_is_rebuilt_from_entry_files(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _stats("a"))
+        first.put("alpha", _plan("a"))
         first.flush()
         (tmp_path / "manifest.json").unlink()
         second = ResultCache(tmp_path)
-        assert second.get("alpha") == _stats("a")
+        assert second.get("alpha") == _plan("a")
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert set(manifest["entries"]) == {"alpha"}
 
     def test_stale_schema_version_triggers_rebuild(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _stats("a"))
+        first.put("alpha", _plan("a"))
         first.flush()
         manifest_path = tmp_path / "manifest.json"
         payload = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -96,21 +112,21 @@ class TestManifest:
         payload["entries"] = {"ghost": {"kind": "x", "bytes": 1, "seq": 1}}
         manifest_path.write_text(json.dumps(payload), encoding="utf-8")
         second = ResultCache(tmp_path)
-        assert second.get("alpha") == _stats("a")
+        assert second.get("alpha") == _plan("a")
         rebuilt = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert rebuilt["schema_version"] == MANIFEST_SCHEMA_VERSION
         assert set(rebuilt["entries"]) == {"alpha"}
 
     def test_malformed_manifest_entry_values_trigger_rebuild(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _stats("a"))
+        first.put("alpha", _plan("a"))
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(
             json.dumps({"schema_version": MANIFEST_SCHEMA_VERSION, "entries": {"abc": 5}}),
             encoding="utf-8",
         )
         second = ResultCache(tmp_path)  # must rebuild, not crash
-        assert second.get("alpha") == _stats("a")
+        assert second.get("alpha") == _plan("a")
         rebuilt = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert set(rebuilt["entries"]) == {"alpha"}
 
@@ -120,7 +136,7 @@ class TestManifest:
 
     def test_read_only_cache_dir_still_serves_entries(self, tmp_path):
         writer = ResultCache(tmp_path)
-        writer.put("alpha", _stats("a"))
+        writer.put("alpha", _plan("a"))
         writer.flush()
         # Force the next open to attempt a manifest rebuild, then make the
         # directory read-only: reads must degrade gracefully, not crash.
@@ -128,18 +144,18 @@ class TestManifest:
         os.chmod(tmp_path, 0o555)
         try:
             reader = ResultCache(tmp_path)
-            assert reader.get("alpha") == _stats("a")
+            assert reader.get("alpha") == _plan("a")
             reader.flush()  # no pending write must escape as an error either
             # A miss that computes fresh data keeps it memory-only instead
             # of crashing on the unwritable entry file.
-            reader.put("beta", _stats("b"))
-            assert reader.get("beta") == _stats("b")
+            reader.put("beta", _plan("b"))
+            assert reader.get("beta") == _plan("b")
         finally:
             os.chmod(tmp_path, 0o755)
 
     def test_non_numeric_manifest_fields_trigger_rebuild(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _stats("a"))
+        first.put("alpha", _plan("a"))
         first.flush()
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(
@@ -152,15 +168,15 @@ class TestManifest:
             encoding="utf-8",
         )
         second = ResultCache(tmp_path)  # must rebuild, not crash
-        assert second.get("alpha") == _stats("a")
+        assert second.get("alpha") == _plan("a")
 
 
 class TestLruEviction:
     def test_size_budget_evicts_oldest_entries(self, tmp_path):
         # Probe one entry's stored size in a scratch directory (all the
-        # _stats payloads here are the same size by construction).
+        # _plan payloads here are the same size by construction).
         probe = ResultCache(tmp_path / "probe")
-        probe.put("probe", _stats("p"))
+        probe.put("probe", _plan("p"))
         probe.flush()
         manifest = json.loads(
             (tmp_path / "probe" / "manifest.json").read_text(encoding="utf-8")
@@ -171,7 +187,7 @@ class TestLruEviction:
         cache_dir = tmp_path / "real"
         cache = ResultCache(cache_dir, max_bytes=int(entry_bytes * 2.5))
         for index in range(4):
-            cache.put(f"key{index}", _stats(str(index)))
+            cache.put(f"key{index}", _plan(str(index)))
         cache.flush()
         keys = _live_keys(cache_dir)
         assert "key3" in keys  # the newest entry always survives
@@ -184,14 +200,14 @@ class TestLruEviction:
     def test_recently_read_entries_survive_eviction(self, tmp_path):
         writer = ResultCache(tmp_path)
         for index in range(3):
-            writer.put(f"key{index}", _stats(str(index)))
+            writer.put(f"key{index}", _plan(str(index)))
         writer.flush()
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         total = sum(entry["bytes"] for entry in manifest["entries"].values())
 
         reader = ResultCache(tmp_path, max_bytes=total)
         assert reader.get("key0") is not None  # touch: key0 becomes most recent
-        reader.put("key3", _stats("3"))  # over budget: evict LRU, now key1
+        reader.put("key3", _plan("3"))  # over budget: evict LRU, now key1
         keys = _live_keys(tmp_path)
         assert "key0" in keys
         assert "key3" in keys
@@ -202,8 +218,8 @@ class TestLruEviction:
         # must refresh their on-disk recency or --cache-max-mb evicts the
         # hottest entries first.
         writer = ResultCache(tmp_path)
-        writer.put("key0", _stats("0"))
-        writer.put("key1", _stats("1"))
+        writer.put("key0", _plan("0"))
+        writer.put("key1", _plan("1"))
         writer.flush()
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         total = sum(entry["bytes"] for entry in manifest["entries"].values())
@@ -212,7 +228,7 @@ class TestLruEviction:
         assert reader.get("key0") is not None  # disk -> memory promotion
         assert reader.get("key1") is not None  # key1 now most recent...
         assert reader.get("key0") is not None  # ...until this memory hit
-        reader.put("key2", _stats("2"))  # over budget: evict the LRU entry
+        reader.put("key2", _plan("2"))  # over budget: evict the LRU entry
         keys = _live_keys(tmp_path)
         assert "key0" in keys  # touched by the memory hit, survives
         assert "key2" in keys
@@ -278,16 +294,7 @@ class TestContentAddressedLayerLevel:
     def test_layer_cache_key_ignores_block_and_layer_names(self):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         compiled = compile_program(workload)[0]
-        renamed = CompiledBlock(
-            block=InstructionBlock("other-net/blk0", compiled.block.instructions),
-            layer=replace(compiled.layer, name="other-layer"),
-            tiling=compiled.tiling,
-            loop_order=compiled.loop_order,
-            fused_layers=tuple(
-                replace(layer, name=f"other-{i}")
-                for i, layer in enumerate(compiled.fused_layers)
-            ),
-        )
+        renamed = _renamed(compiled, "other")
         # The block-level fingerprint sees the rename; the layer-level
         # content fingerprint (and hence the cache key) does not.
         assert renamed.fingerprint() != compiled.fingerprint()
@@ -301,74 +308,71 @@ class TestContentAddressedLayerLevel:
             compiled, workload.config
         )
 
-    def test_layer_entries_serve_blocks_when_block_entries_are_gone(self, tmp_path):
-        # Simulate the cross-network dedupe case: all block-keyed entries
-        # vanish (here: deleted; in a model-family sweep: never written for
-        # the sibling network) and every block resolves through the
-        # content-addressed layer level — zero re-simulation, byte-identical.
-        # The legacy json layout is forced so entries can be deleted
-        # per-file; the pack-store equivalent lives in test_pack_store.py.
+    def test_layer_records_serve_renamed_twins(self, tmp_path):
+        # The cross-network dedupe case: a sibling network whose blocks
+        # carry other names but identical content is served the records
+        # another network stored — zero simulation, each record renamed to
+        # the requesting block.
+        from repro.session.engine import lookup_block
+
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
+        with EvaluationSession(cache_dir=tmp_path) as first:
             fresh = first.run(workload)
-        blocks = len(compile_program(workload))
-        removed = 0
-        for path in tmp_path.glob("*.json"):
-            if path.name == "manifest.json":
-                continue
-            if json.loads(path.read_text(encoding="utf-8"))["kind"] == "layer_result":
-                path.unlink()
-                removed += 1
-        assert removed == blocks
-        with EvaluationSession(cache_dir=tmp_path) as second:
-            restored = second.run(workload)
-        assert second.stats.unique_executions == 0
-        assert second.stats.blocks.hits == 0
-        assert second.stats.blocks.misses == 0
-        assert second.stats.layers.hits == blocks
-        assert network_result_to_dict(restored) == network_result_to_dict(fresh)
+        reader = ResultCache(tmp_path)
+        for compiled, layer in zip(compile_program(workload), fresh.layers):
+            twin = _renamed(compiled, "sibling")
+            value, source = lookup_block(twin, workload.config, reader)
+            assert source in ("disk", "memory")  # in-network twins share a record
+            assert value == replace(layer, name=twin.name)
+
+    def test_audit_counts_blocks_whose_layer_record_is_missing(self, tmp_path):
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        program = compile_program(workload)
+        assert audit_workload_cache(workload, ResultCache(tmp_path)).state == "cold"
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            session.run(workload)
+        audit = audit_workload_cache(workload, ResultCache(tmp_path))
+        assert (audit.state, audit.missing_blocks) == ("cached", 0)
+        torn = tear_last_record(tmp_path)["key"]
+        audit = audit_workload_cache(workload, ResultCache(tmp_path))
+        sharing = sum(1 for block in program if layer_cache_key(block, workload.config) == torn)
+        assert (audit.state, audit.missing_blocks) == ("partial", sharing)
+        assert audit.total_blocks == len(program)
 
     def test_entry_summary_reports_the_layer_kind(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        blocks = len(compile_program(workload))
+        program = compile_program(workload)
+        layer_keys = {layer_cache_key(compiled, workload.config) for compiled in program}
         with EvaluationSession(cache_dir=tmp_path) as session:
             session.run(workload)
         summary = ResultCache(tmp_path).entry_summary()
-        assert summary["layer"]["entries"] == blocks
-        assert summary["layer_result"]["entries"] == blocks
+        # One record per distinct layer and nothing else per block.
+        assert set(summary) == {"layer", "program", "tiling"}
+        assert summary["layer"]["entries"] == len(layer_keys)
         assert summary["program"]["entries"] == 1
         assert summary["layer"]["bytes"] > 0
 
     def test_layer_entries_are_stored_name_free(self, tmp_path):
-        # The stored layer-level payload must not depend on which network
-        # (or layer name) wrote it first, or the dedupe would leak names.
-        # Checked against the raw stored record in both layouts.
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path / "json", layout="json")) as session:
-            session.run(workload)
-        compiled = compile_program(workload)[0]
-        key = layer_cache_key(compiled, workload.config)
-        entry = json.loads((tmp_path / "json" / f"{key}.json").read_text(encoding="utf-8"))
-        assert entry["kind"] == "layer"
-        assert entry["payload"]["name"] == ""
-
-        with EvaluationSession(cache=ResultCache(tmp_path / "pack", layout="pack")) as session:
-            session.run(workload)
+        # The stored layer payload must not depend on which network (or
+        # layer name) wrote it first, or the dedupe would leak names.
+        # Checked against the raw stored record.
         from repro.session import SegmentedStore
 
-        record = SegmentedStore(tmp_path / "pack").get_record(key)
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            session.run(workload)
+        key = layer_cache_key(compile_program(workload)[0], workload.config)
+        record = SegmentedStore(tmp_path).get_record(key)
         assert record is not None
         assert record["kind"] == "layer"
         assert record["payload"]["name"] == ""
 
 
 class TestLayerRecencyAndReuseStats:
-    def test_promoted_block_hits_keep_the_backing_layer_entry_hot(self, tmp_path):
-        # A layer-level dedupe hit is promoted into memory under the block
-        # key without a manifest entry of its own; the recency touch of
-        # every repeat hit on that block key must land on the *layer* entry
-        # that actually serves it, or the hottest shared layers look
-        # LRU-coldest under --cache-max-mb and are evicted first.
+    def test_repeat_block_hits_keep_the_layer_record_hot(self, tmp_path):
+        # Every block lookup, memory hits included, touches the layer
+        # record that serves it: the hottest shared layers must not look
+        # LRU-coldest under --cache-max-mb and be evicted first.
         from repro.session.engine import lookup_block
         from repro.sim import BitFusionSimulator
 
@@ -379,22 +383,21 @@ class TestLayerRecencyAndReuseStats:
         key_a = layer_cache_key(compiled_a, config)
         key_b = layer_cache_key(compiled_b, config)
         writer = ResultCache(tmp_path)
-        writer.put(key_a, replace(simulator.run_block(compiled_a), name=""), kind="layer")
-        writer.put(key_b, replace(simulator.run_block(compiled_b), name=""), kind="layer")
+        writer.put(key_a, replace(simulator.run_block(compiled_a), name=""))
+        writer.put(key_b, replace(simulator.run_block(compiled_b), name=""))
         writer.flush()
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         total = sum(entry["bytes"] for entry in manifest["entries"].values())
 
         reader = ResultCache(tmp_path, max_bytes=total)
-        value, level, _ = lookup_block(compiled_a, config, reader)
-        assert value is not None
-        assert level == "layer"  # dedupe hit, promoted memory-only
+        _, source = lookup_block(compiled_a, config, reader)
+        assert source == "disk"
         assert reader.get(key_b) is not None  # key_b now most recent on disk
-        value, level, source = lookup_block(compiled_a, config, reader)
-        assert (level, source) == ("block", "memory")  # served by the promotion
-        reader.put("filler", _stats("f"))  # over budget: evict the LRU entry
+        _, source = lookup_block(_renamed(compiled_a, "twin"), config, reader)
+        assert source == "memory"  # a renamed twin's hit touches key_a too
+        reader.put("filler", _plan("f"))  # over budget: evict the LRU entry
         keys = _live_keys(tmp_path)
-        assert key_a in keys  # the aliased touch kept it hot
+        assert key_a in keys  # the memory hit kept it hot
         assert key_b not in keys  # genuinely least recently used
 
     def test_cache_info_reports_layer_reuse_statistics(self, tmp_path):

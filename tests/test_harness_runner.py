@@ -67,6 +67,23 @@ class TestCommandLine:
         out = capsys.readouterr().out
         assert "Figure 1" in out
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "message"),
+        [
+            ("--benchmarks", "NoSuchNet", "NoSuchNet"),
+            ("--experiments", "nope", "unknown experiment(s) ['nope']; available:"),
+        ],
+    )
+    def test_unknown_selection_is_a_one_line_usage_error(
+        self, flag, value, message, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"
         assert (

@@ -109,6 +109,10 @@ class TestEstimatorExactness:
         estimate = estimator.estimate(clone)
         assert estimator.stats.layers_simulated == simulated
         assert estimate == BitFusionAccelerator(config).evaluate(clone)
+        # Every block lookup lands in the one block counter.
+        blocks = estimator.cache_stats.blocks
+        assert blocks.misses == estimator.stats.layers_simulated
+        assert blocks.hits == estimator.stats.layers_composed + estimator.stats.deduped
 
     def test_estimate_many_dedupes_identical_candidates(self):
         config = _config()

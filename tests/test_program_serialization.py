@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from faults import drop_records
 
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
@@ -28,7 +29,6 @@ from repro.isa.compiler import FusionCompiler
 from repro.isa.program import CompiledBlock, Program
 from repro.session import (
     EvaluationSession,
-    ResultCache,
     Workload,
     compile_program,
     execute_workload,
@@ -157,22 +157,13 @@ class TestStagedPipelineEquivalence:
     def test_disk_restored_program_simulates_byte_identical(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         monolithic = execute_workload(workload)
-        # The legacy json layout is forced so block records can be deleted
-        # per-file below; the pack-store path is covered in
-        # test_pack_store.py.
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
+        with EvaluationSession(cache_dir=tmp_path) as first:
             first.run(workload)
-        # A fresh session restores the compiled program from disk but must
-        # re-simulate every block: same result, bit for bit.
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as second:
-            second.cache.clear_memory()
-            for path in tmp_path.glob("*.json"):
-                entry = path.read_text(encoding="utf-8")
-                # Drop both cache levels of the simulated-block records (the
-                # content-addressed layer entries would otherwise serve the
-                # blocks right back through the fallback).
-                if '"kind": "layer_result"' in entry or '"kind": "layer"' in entry:
-                    path.unlink()
+        # Drop every simulated-block record: a fresh session restores the
+        # compiled program from disk but must re-simulate every block —
+        # same result, bit for bit.
+        assert drop_records(tmp_path, "layer")
+        with EvaluationSession(cache_dir=tmp_path) as second:
             restored = second.run(workload)
         assert second.stats.programs.hits == 1
         assert second.stats.blocks.misses > 0

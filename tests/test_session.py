@@ -3,7 +3,7 @@
 The acceptance properties the session layer guarantees:
 
 * a cached result is bit-identical to a freshly simulated one (including
-  after an on-disk JSON round trip),
+  after an on-disk round trip),
 * workload fingerprints are stable across processes and change whenever
   anything that affects the simulation changes (compiler flags included),
 * ``run_many`` returns results in input order, identical to executing each
@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from faults import tear_last_record
 
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
@@ -29,7 +30,6 @@ from repro.session import (
     EvaluationSession,
     ResultCache,
     Workload,
-    block_cache_key,
     compile_program,
     execute_workload,
     fixed_bitwidth_network,
@@ -162,24 +162,20 @@ class TestResultCache:
             cache.put("key", object())
 
     def test_corrupted_block_artifact_is_a_miss_and_gets_rewritten(self, tmp_path):
-        # Json layout throughout: the corruption is injected per entry file
-        # (pack-record torn tails are covered in test_pack_store.py).
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
+        with EvaluationSession(cache_dir=tmp_path) as first:
             fresh = first.run(workload)
         program = compile_program(workload)
-        # Corrupt both cache levels of block 0 (block-keyed and
-        # content-addressed layer entry) so nothing can serve it back.
-        for key in (
-            block_cache_key(program[0].fingerprint(), workload.config),
-            layer_cache_key(program[0], workload.config),
-        ):
-            (tmp_path / f"{key}.json").write_text("not json", encoding="utf-8")
+        # The last record written is a block's layer record; tearing it
+        # leaves nothing that could serve that block back.
+        torn = tear_last_record(tmp_path)
+        assert torn["kind"] == "layer"
+        assert torn["key"] in {layer_cache_key(block, workload.config) for block in program}
         with EvaluationSession(cache_dir=tmp_path) as second:
             recovered = second.run(workload)
         assert second.stats.misses == 1
         assert second.stats.unique_executions == 1
-        # Only the corrupted block was re-simulated; the compiled program and
+        # Only the torn block was re-simulated; the compiled program and
         # every other block result came straight from disk.
         assert second.stats.programs.misses == 0
         assert second.stats.blocks.misses == 1
@@ -191,24 +187,6 @@ class TestResultCache:
             assert third.stats.disk_hits == 1
             assert third.stats.unique_executions == 0
 
-    def test_corrupted_block_entry_is_served_by_the_layer_level(self, tmp_path):
-        # When only the block-keyed entry is corrupt, the content-addressed
-        # layer entry steps in: no re-simulation, byte-identical result.
-        # Json layout: the corruption is injected per entry file.
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache=ResultCache(tmp_path, layout="json")) as first:
-            fresh = first.run(workload)
-        program = compile_program(workload)
-        corrupted = block_cache_key(program[0].fingerprint(), workload.config)
-        (tmp_path / f"{corrupted}.json").write_text("not json", encoding="utf-8")
-        with EvaluationSession(cache_dir=tmp_path) as second:
-            recovered = second.run(workload)
-        assert second.stats.unique_executions == 0
-        assert second.stats.blocks.misses == 0
-        assert second.stats.layers.hits == 1
-        assert second.stats.blocks.hits == len(program) - 1
-        assert network_result_to_dict(recovered) == network_result_to_dict(fresh)
-
     def test_corrupted_manifest_is_rebuilt_not_fatal(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as first:
@@ -219,7 +197,7 @@ class TestResultCache:
         assert second.stats.unique_executions == 0
         assert network_result_to_dict(restored) == network_result_to_dict(fresh)
 
-    def test_program_stats_disk_round_trip(self, tmp_path):
+    def test_compile_stats_disk_round_trip(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5")
         with EvaluationSession(cache_dir=tmp_path) as first:
             fresh = first.compile_stats(workload)
@@ -393,11 +371,15 @@ class TestPartiallyWarmRuns:
         assert session.stats.blocks.misses == blocks
         # The deferred workload read every block back from the claimant.
         assert session.stats.blocks.hits == blocks
+        # One footer line counts every block lookup.
+        footer = session.stats.summary()
+        assert f"block cache: {blocks} hits (0 from disk), {blocks} block simulations" in footer
+        assert "layer dedup" not in footer
 
     def test_in_batch_identical_layer_content_defers_not_resimulates(self):
         # Two blocks with identical layer *content* but different names
-        # (different block keys, same layer key) simulate once in a batch:
-        # the twin is served by the layer-level fallback.
+        # share one layer key: they simulate once in a batch, and the twin
+        # is served that one record under its own name.
         from dataclasses import replace as dc_replace
 
         from repro.isa.block import InstructionBlock
@@ -419,9 +401,12 @@ class TestPartiallyWarmRuns:
         filler = Workload.bitfusion("LSTM", batch_size=4)
         with EvaluationSession() as session:
             session.cache.put(program_cache_key(workload), Program("LeNet-5", [original, renamed]))
-            session.run_many([workload, filler])
+            twins, _ = session.run_many([workload, filler])
         assert session.stats.blocks.misses == 1 + len(compile_program(filler))
-        assert session.stats.layers.hits == 1
+        assert session.stats.blocks.hits == 1
+        first, second = twins.layers
+        assert (first.name, second.name) == (original.name, "renamed-twin")
+        assert dc_replace(second, name=original.name) == first
 
     def test_partially_warm_experiments_match_cold(self, tmp_path):
         with EvaluationSession() as reference:
