@@ -367,6 +367,56 @@ class TestContentAddressedLayerLevel:
         assert record["kind"] == "layer"
         assert record["payload"]["name"] == ""
 
+    def test_lookup_block_misses_until_the_layer_record_is_stored(self, tmp_path):
+        from repro.session.engine import lookup_block, store_layer_record
+        from repro.sim import BitFusionSimulator
+
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        config = workload.config
+        compiled = compile_program(workload)[0]
+        writer = ResultCache(tmp_path)
+        assert lookup_block(compiled, config, writer) == (None, "miss")
+        layer = BitFusionSimulator(config).run_block(compiled)
+        store_layer_record(writer, config, compiled, layer)
+        assert lookup_block(compiled, config, writer) == (layer, "memory")
+        writer.close()
+        # A fresh reader is served from disk, renamed to whichever block asks.
+        twin = _renamed(compiled, "twin")
+        value, source = lookup_block(twin, config, ResultCache(tmp_path))
+        assert source == "disk"
+        assert value == replace(layer, name=twin.name)
+
+    def test_prefetch_stages_every_layer_record_of_a_program(self, tmp_path):
+        from repro.session.engine import lookup_block, prefetch_block_artifacts
+
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        program = compile_program(workload)
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            session.run(workload)
+        reader = ResultCache(tmp_path)
+        prefetch_block_artifacts(program, workload.config, reader)
+        staged_io = reader.io_seconds
+        sources = [lookup_block(block, workload.config, reader)[1] for block in program]
+        # Every lookup was served from the staged records: no further reads.
+        assert reader.io_seconds == staged_io
+        distinct = {layer_cache_key(block, workload.config) for block in program}
+        assert sources.count("disk") == len(distinct)
+        assert sources.count("memory") == len(program) - len(distinct)
+
+    def test_block_stage_counts_every_block_lookup(self, tmp_path):
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        program = compile_program(workload)
+        distinct = {layer_cache_key(block, workload.config) for block in program}
+        with EvaluationSession(cache_dir=tmp_path) as cold:
+            cold.run(workload)
+        assert cold.stats.blocks.misses == len(distinct)
+        assert cold.stats.blocks.lookups == len(program)
+        with EvaluationSession(cache_dir=tmp_path) as warm:
+            warm.run(workload)
+        assert (warm.stats.blocks.hits, warm.stats.blocks.misses) == (len(program), 0)
+        assert not hasattr(warm.stats, "layers")
+        assert "layer dedup" not in warm.stats.summary()
+
 
 class TestLayerRecencyAndReuseStats:
     def test_repeat_block_hits_keep_the_layer_record_hot(self, tmp_path):

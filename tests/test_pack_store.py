@@ -173,6 +173,33 @@ class TestPackCache:
         info = format_cache_info(str(tmp_path))
         assert "format: segmented pack (1 segment)" in info
 
+    def test_format_line_counts_one_segment_per_writer(self, tmp_path):
+        for tag in ("a", "b"):
+            writer = ResultCache(tmp_path)
+            writer.put(f"key-{tag}", _plan(tag))
+            writer.close()
+        assert ResultCache(tmp_path).describe_layout() == "segmented pack (2 segments)"
+
+    def test_memory_only_cache_has_no_disk_format(self):
+        cache = ResultCache()
+        cache.put("alpha", _plan("a"))
+        assert cache.describe_layout() == "memory-only (no cache directory)"
+        assert cache.get("alpha") == _plan("a")
+        assert cache.disk_keys() == set()
+        assert cache.entry_summary() == {}
+
+    def test_contains_sees_memory_staged_and_disk_entries(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.put("staged", _plan("s"))
+        writer.put("on-disk", _plan("d"))
+        writer.close()
+        reader = ResultCache(tmp_path)
+        reader.put("in-memory", _plan("m"), persist=False)
+        reader.prefetch(["staged"])
+        for key in ("in-memory", "staged", "on-disk"):
+            assert key in reader
+        assert "ghost" not in reader
+
     def test_put_without_flush_is_visible_to_a_fresh_reader(self, tmp_path):
         # A put is on disk before any flush (the segment append is
         # immediate; only the advisory sidecar/manifest bookkeeping
@@ -275,6 +302,18 @@ class TestManifestRebuildScaling:
         assert rebuilt.entry_summary()["tiling"]["entries"] == 1
         assert rebuilt.get("alpha") == _plan("a")
 
+    def test_rebuild_recovers_every_kind_a_session_writes(self, tmp_path):
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            session.run(workload)
+        written = ResultCache(tmp_path).entry_summary()
+        (tmp_path / "manifest.json").unlink()
+        rebuilt = ResultCache(tmp_path).entry_summary()
+        assert set(rebuilt) == {"layer", "program", "tiling"}
+        for kind, bucket in written.items():
+            assert rebuilt[kind]["entries"] == bucket["entries"]
+            assert rebuilt[kind]["bytes"] == bucket["bytes"]
+
 
 class TestEvictionOrderRegression:
     def test_running_total_preserves_lru_eviction_order(self, tmp_path):
@@ -357,6 +396,51 @@ class TestOldDirectories:
         summary = ResultCache(tmp_path).entry_summary()
         assert summary["layer_result"]["entries"] == 1  # ages out under the budget
         assert "unknown" not in summary
+
+    def test_stray_json_entry_is_invisible_to_the_cache(self, tmp_path):
+        stray = tmp_path / "alpha.json"
+        stray.write_text(
+            json.dumps({"kind": "tiling", "payload": _plan("a").to_dict()}), encoding="utf-8"
+        )
+        cache = ResultCache(tmp_path)
+        assert "alpha" not in cache
+        assert cache.get("alpha") is None
+        assert cache.disk_keys() == set()
+        cache.put("beta", _plan("b"))
+        cache.close()
+        reader = ResultCache(tmp_path)
+        assert reader.disk_keys() == {"beta"}
+        assert reader.entry_summary()["tiling"]["entries"] == 1
+        assert set(reader.entry_summary()) == {"tiling"}
+        assert stray.exists()
+
+    def test_old_block_keyed_records_age_out_first_under_a_budget(self, tmp_path):
+        # Measure the footprint of one cold run, then replay it into a
+        # directory that already holds an older release's block-keyed
+        # record, with exactly that footprint as the budget: the old
+        # record is never looked up, so it is the one evicted.
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        reference_dir, old_dir = tmp_path / "reference", tmp_path / "old"
+        with EvaluationSession(cache_dir=reference_dir) as reference:
+            fresh = reference.run(workload)
+        reference_cache = ResultCache(reference_dir)
+        budget = sum(bucket["bytes"] for bucket in reference_cache.entry_summary().values())
+        store = SegmentedStore(old_dir)
+        old_record = {
+            "kind": "layer_result",
+            "workload": {},
+            "payload": layer_result_to_dict(fresh.layers[0]),
+        }
+        _append(store, [("old-block-key", old_record)])
+        store.close()
+
+        with EvaluationSession(cache_dir=old_dir, max_cache_bytes=budget) as cold:
+            cold.run(workload)
+        assert ResultCache(old_dir).disk_keys() == reference_cache.disk_keys()
+        with EvaluationSession(cache_dir=old_dir) as warm:
+            warm.run(workload)
+        assert warm.stats.blocks.misses == 0
+        assert warm.stats.programs.misses == 0
 
 
 _WRITER_SCRIPT = """

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.energy.breakdown import EnergyBreakdown
@@ -72,6 +74,16 @@ class TestLayerResult:
         with pytest.raises(ValueError):
             LayerResult(name="x", macs=0, input_bits=4, weight_bits=4,
                         compute_cycles=0, memory_cycles=0, utilization=1.5)
+
+    def test_renamed_copy_changes_only_the_name(self):
+        layer = _layer(name="conv1")
+        copy = layer.renamed("net/conv1")
+        assert copy == replace(layer, name="net/conv1")
+        assert copy is not layer
+        assert layer.name == "conv1"  # the shared record is untouched
+        assert copy.total_cycles == layer.total_cycles
+        with pytest.raises(FrozenInstanceError):
+            copy.name = "other"
 
 
 class TestNetworkResult:

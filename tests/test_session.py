@@ -28,7 +28,9 @@ from repro.dnn import models
 from repro.harness.runner import build_report, run_experiments
 from repro.session import (
     EvaluationSession,
+    ProgramStats,
     ResultCache,
+    SegmentedStore,
     Workload,
     compile_program,
     execute_workload,
@@ -37,6 +39,7 @@ from repro.session import (
     load_network,
 )
 from repro.session.cache import network_result_from_dict, network_result_to_dict
+from repro.session.store import encode_body
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _FAST = ("LeNet-5", "LSTM")
@@ -205,6 +208,30 @@ class TestResultCache:
             restored = second.compile_stats(workload)
         assert restored == fresh
         assert second.stats.disk_hits == 1
+
+    def test_program_stats_is_not_a_cache_kind(self, tmp_path):
+        # compile_stats derives its ProgramStats from the cached program;
+        # the summary itself is never stored, and a record of that retired
+        # kind reads as a miss.
+        workload = Workload.bitfusion("LeNet-5")
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError):
+            cache.put("stats", ProgramStats.from_program(compile_program(workload)))
+        store = SegmentedStore(tmp_path)
+        store.append_encoded(
+            [("old", "program_stats", encode_body("old", {"kind": "program_stats", "payload": {}}))]
+        )
+        store.close()
+        assert ResultCache(tmp_path).get("old") is None
+
+    def test_unpersisted_put_stays_in_memory(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = execute_workload(Workload.bitfusion("LeNet-5", batch_size=2))
+        cache.put("composed", result, persist=False)
+        assert cache.get("composed") is result
+        cache.flush()
+        assert "composed" not in cache.disk_keys()
+        assert ResultCache(tmp_path).get("composed") is None
 
 
 class TestEvaluationSession:
