@@ -52,7 +52,6 @@ from repro.session.engine import (
     layer_cache_key,
     lookup_block,
     make_plan_resolver,
-    prefetch_block_artifacts,
     program_content_key,
     simulate_planned_blocks,
     store_layer_record,
@@ -118,6 +117,7 @@ class _CandidatePlan:
     fingerprint: str
     program: Program
     config: BitFusionConfig
+    layer_keys: tuple[str, ...]
     cached_layers: dict[int, LayerResult] = field(default_factory=dict)
     simulate_indices: tuple[int, ...] = ()
     deferred_indices: tuple[int, ...] = ()
@@ -259,27 +259,27 @@ class Estimator:
 
     def _plan(self, network: Network, fingerprint: str, claimed: set[str]) -> _CandidatePlan:
         program = self._obtain_program(network, fingerprint)
-        prefetch_block_artifacts(program, self.config, self.cache)
+        keys = tuple(layer_cache_key(compiled, self.config) for compiled in program)
+        self.cache.prefetch(keys)
         cached: dict[int, LayerResult] = {}
         simulate: list[int] = []
         deferred: list[int] = []
-        for index, compiled in enumerate(program):
-            value, source = lookup_block(compiled, self.config, self.cache)
+        for index, (compiled, key) in enumerate(zip(program, keys)):
+            value, source = lookup_block(self.cache, key, compiled.name)
             if value is not None:
                 self.cache_stats.blocks.record_hit(source)
                 self.stats.layers_composed += 1
                 cached[index] = value
                 continue
-            layer_key = layer_cache_key(compiled, self.config)
             # Same in-batch claim protocol as plan_workload: identical layer
             # content already scheduled (claimed in flight) is deferred to
             # compose time, never simulated twice.
-            if layer_key in self._in_flight:
+            if key in self._in_flight:
                 deferred.append(index)
                 self.stats.deduped += 1
                 continue
-            self._in_flight.add(layer_key)
-            claimed.add(layer_key)
+            self._in_flight.add(key)
+            claimed.add(key)
             self.cache_stats.blocks.record_miss()
             self.stats.layers_simulated += 1
             simulate.append(index)
@@ -288,6 +288,7 @@ class Estimator:
             fingerprint=fingerprint,
             program=program,
             config=self.config,
+            layer_keys=keys,
             cached_layers=cached,
             simulate_indices=tuple(simulate),
             deferred_indices=tuple(deferred),
@@ -312,24 +313,19 @@ class Estimator:
         self, plan: _CandidatePlan, fresh_layers: dict[int, LayerResult]
     ) -> list[LayerResult]:
         layers: list[LayerResult] = []
-        for index, compiled in enumerate(plan.program):
+        description = {"network": plan.network.name, "estimator": "nas"}
+        for index, (compiled, key) in enumerate(zip(plan.program, plan.layer_keys)):
             if index in plan.cached_layers:
                 layers.append(plan.cached_layers[index])
                 continue
             if index in fresh_layers:
                 layer = fresh_layers[index]
-                store_layer_record(
-                    self.cache,
-                    self.config,
-                    compiled,
-                    layer,
-                    {"network": plan.network.name, "estimator": "nas"},
-                )
+                store_layer_record(self.cache, key, compiled.name, layer, description)
                 layers.append(layer)
                 continue
             # Deferred: the claiming plan (earlier in this batch, or an
             # earlier block of this very program) has stored the record.
-            value, source = lookup_block(compiled, self.config, self.cache)
+            value, source = lookup_block(self.cache, key, compiled.name)
             if value is None:  # pragma: no cover — claim protocol guarantees it
                 raise RuntimeError(
                     f"deferred block {compiled.name!r} of {plan.network.name!r} "

@@ -60,7 +60,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -242,8 +242,18 @@ class CacheStats:
 # NetworkResult <-> JSON
 # ---------------------------------------------------------------------- #
 def network_result_to_dict(result: NetworkResult) -> dict[str, Any]:
-    """Serialize a NetworkResult to a JSON-compatible dictionary."""
-    return asdict(result)
+    """Serialize a NetworkResult to a JSON-compatible dictionary.
+
+    Equal to ``dataclasses.asdict(result)`` (``layers`` stays a tuple),
+    built from :func:`~repro.sim.results.layer_result_to_dict` per layer.
+    """
+    return {
+        "network_name": result.network_name,
+        "platform": result.platform,
+        "batch_size": result.batch_size,
+        "frequency_mhz": result.frequency_mhz,
+        "layers": tuple(layer_result_to_dict(layer) for layer in result.layers),
+    }
 
 
 def network_result_from_dict(payload: dict[str, Any]) -> NetworkResult:

@@ -43,6 +43,8 @@ surviving result is stored.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -340,8 +342,8 @@ def simulator_for(config: BitFusionConfig) -> BitFusionSimulator:
 
 
 @lru_cache(maxsize=None)
-def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
-    """The configuration parameters that affect one block's simulation.
+def _sim_config_json(config: BitFusionConfig) -> str:
+    """Canonical JSON of the configuration parameters one block's simulation reads.
 
     Everything :meth:`~repro.sim.executor.BitFusionSimulator.run_block`
     reads: array geometry (cycle model and buffer-traffic counts),
@@ -350,12 +352,12 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
     excluded: frequency and the configuration name (composition metadata
     only) and the batch size (already folded into the block's tiling).
 
-    Memoized per configuration (``BitFusionConfig`` is frozen, hence
-    hashable): the payload rides every layer cache key, once per block per
-    lookup.  Callers never mutate the returned dict —
-    it feeds straight into :func:`~repro.fingerprint.fingerprint_payload`.
+    Dumped exactly as :func:`~repro.fingerprint.fingerprint_payload` dumps a
+    nested payload, and memoized per configuration (``BitFusionConfig`` is
+    frozen, hence hashable): the string is spliced into every layer key and
+    groups plans by simulation config in :func:`simulate_planned_blocks`.
     """
-    return {
+    payload = {
         "rows": config.rows,
         "columns": config.columns,
         "ibuf_kb": config.ibuf_kb,
@@ -365,17 +367,19 @@ def _sim_config_payload(config: BitFusionConfig) -> dict[str, Any]:
         "buffer_access_bits": config.buffer_access_bits,
         "technology": asdict(config.technology),
     }
+    return json.dumps(payload, sort_keys=True, default=str)
 
 
 @lru_cache(maxsize=None)
 def _layer_content_key(layer_fingerprint: str, config: BitFusionConfig) -> str:
-    return fingerprint_payload(
-        {
-            "artifact": "layer",
-            "layer": layer_fingerprint,
-            "sim": _sim_config_payload(config),
-        }
+    # The exact text fingerprint_payload({"artifact": "layer", "layer": ...,
+    # "sim": ...}) hashes (sorted keys, default separators), built from the
+    # memoized config JSON instead of re-dumping the nested payload.
+    text = (
+        f'{{"artifact": "layer", "layer": "{layer_fingerprint}", '
+        f'"sim": {_sim_config_json(config)}}}'
     )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
@@ -387,60 +391,50 @@ def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
     image) pairs collapse onto one key no matter which network — or which
     layer name within a network — produced them, which is what dedupes
     simulations across the model-family sweeps the paper's benchmark suite
-    is full of.  Memoized: the layer fingerprint is memoized on the block
-    instance and the key on (fingerprint, config), so the NAS estimator's
-    warm path does not re-hash the sim-config payload per lookup.
+    is full of.  The digest is ``fingerprint_payload({"artifact": "layer",
+    "layer": <layer fingerprint>, "sim": <sim config>})``, so keys written by
+    earlier releases stay valid.  Memoized: the layer fingerprint on the
+    block instance, the config JSON per config and the key on
+    (fingerprint, config).  Planners derive each block's key once and pass
+    it on (:attr:`WorkPlan.layer_keys`).
     """
     return _layer_content_key(compiled.layer_fingerprint(), config)
 
 
 def lookup_block(
-    compiled: CompiledBlock, config: BitFusionConfig, cache: ResultCache
+    cache: ResultCache, key: str, name: str
 ) -> tuple[LayerResult | None, str]:
-    """Resolve one block's simulated result through its layer key.
+    """Resolve one block's simulated result through its layer ``key``.
 
     Returns ``(value, source)`` with ``source`` one of
     ``"memory"``/``"disk"``/``"miss"``; a hit is renamed to the requesting
-    block.  No statistics are recorded here; callers account for hits and
-    misses in their own stage counters.
+    block ``name``.  No statistics are recorded here; callers account for
+    hits and misses in their own stage counters.
     """
-    value, source = cache.get_with_source(layer_cache_key(compiled, config))
+    value, source = cache.get_with_source(key)
     if value is None:
         return None, "miss"
-    return value.renamed(compiled.name), source
-
-
-def prefetch_block_artifacts(
-    program: Program, config: BitFusionConfig, cache: ResultCache
-) -> None:
-    """Bulk-stage a program's layer records: one index pass.
-
-    Resolves every block's layer key through :meth:`ResultCache.prefetch`
-    — exactly the records the per-block :func:`lookup_block` loop that
-    follows would read one at a time.  Lookup semantics and statistics are
-    identical either way.
-    """
-    cache.prefetch(layer_cache_key(compiled, config) for compiled in program)
+    return value.renamed(name), source
 
 
 def store_layer_record(
     cache: ResultCache,
-    config: BitFusionConfig,
-    compiled: CompiledBlock,
+    key: str,
+    name: str,
     layer: LayerResult,
     description: dict[str, Any] | None = None,
 ) -> None:
-    """Store one freshly simulated block under its layer key.
+    """Store one freshly simulated block (named ``name``) under its layer ``key``.
 
     The record's name is normalized away, so the stored payload is
-    independent of which network asked first.  Takes the raw configuration
-    rather than a :class:`Workload` so callers pricing arbitrary networks
-    (the NAS estimator) insert records the same way session runs do.
+    independent of which network asked first.  Takes the key rather than a
+    :class:`Workload` so callers pricing arbitrary networks (the NAS
+    estimator) insert records the same way session runs do.
     """
     cache.put(
-        layer_cache_key(compiled, config),
+        key,
         layer.renamed(""),
-        {**(description or {}), "artifact": "layer", "block": compiled.name},
+        {**(description or {}), "artifact": "layer", "block": name},
     )
 
 
@@ -473,10 +467,11 @@ def try_compose_from_cache(
     program, program_source = cache.get_with_source(program_cache_key(workload))
     if program is None:
         return None, False
-    prefetch_block_artifacts(program, workload.config, cache)
+    keys = [layer_cache_key(compiled, workload.config) for compiled in program]
+    cache.prefetch(keys)
     found: list[tuple[LayerResult, str]] = []
-    for compiled in program:
-        value, source = lookup_block(compiled, workload.config, cache)
+    for compiled, key in zip(program, keys):
+        value, source = lookup_block(cache, key, compiled.name)
         if value is None:
             return None, False
         found.append((value, source))
@@ -641,6 +636,8 @@ class PlanLike(Protocol):
 class WorkPlan:
     """The cache-resolution plan for one pending workload.
 
+    ``layer_keys`` holds every block's :func:`layer_cache_key`, derived
+    once at plan time and reused by every later lookup and store;
     ``cached_layers`` maps block index → result resolved at plan time;
     ``simulate_indices`` are the blocks that must be simulated;
     ``deferred_indices`` are blocks whose key an earlier workload of the
@@ -650,6 +647,7 @@ class WorkPlan:
 
     workload: Workload
     program: Program | None
+    layer_keys: tuple[str, ...]
     cached_layers: dict[int, LayerResult]
     simulate_indices: tuple[int, ...]
     deferred_indices: tuple[int, ...]
@@ -683,31 +681,33 @@ def plan_workload(
         return WorkPlan(
             workload=workload,
             program=None,
+            layer_keys=(),
             cached_layers={},
             simulate_indices=(),
             deferred_indices=(),
         )
     program, _ = obtain_program(workload, cache, stats)
-    prefetch_block_artifacts(program, workload.config, cache)
+    keys = tuple(layer_cache_key(compiled, workload.config) for compiled in program)
+    cache.prefetch(keys)
     cached: dict[int, LayerResult] = {}
     simulate: list[int] = []
     deferred: list[int] = []
-    for index, compiled in enumerate(program):
-        value, source = lookup_block(compiled, workload.config, cache)
+    for index, (compiled, key) in enumerate(zip(program, keys)):
+        value, source = lookup_block(cache, key, compiled.name)
         if value is not None:
             stats.blocks.record_hit(source)
             cached[index] = value
             continue
-        layer_key = layer_cache_key(compiled, workload.config)
-        if layer_key in claimed:
+        if key in claimed:
             deferred.append(index)
             continue
-        claimed.add(layer_key)
+        claimed.add(key)
         stats.blocks.record_miss()
         simulate.append(index)
     return WorkPlan(
         workload=workload,
         program=program,
+        layer_keys=keys,
         cached_layers=cached,
         simulate_indices=tuple(simulate),
         deferred_indices=tuple(deferred),
@@ -733,27 +733,27 @@ def compose_plan(
     resort so one failure never corrupts a neighbouring workload's result.
     """
     workload = plan.workload
-    config = workload.config
     assert plan.program is not None
+    description = workload.describe()
     layers: list[LayerResult] = []
     with cache.batch():
-        for index, compiled in enumerate(plan.program):
+        for index, (compiled, key) in enumerate(zip(plan.program, plan.layer_keys)):
             if index in plan.cached_layers:
                 layers.append(plan.cached_layers[index])
                 continue
             if index in fresh_layers:
                 layer = fresh_layers[index]
-                store_layer_record(cache, config, compiled, layer, workload.describe())
+                store_layer_record(cache, key, compiled.name, layer, description)
                 layers.append(layer)
                 continue
-            value, source = lookup_block(compiled, config, cache)
+            value, source = lookup_block(cache, key, compiled.name)
             if value is not None:
                 stats.blocks.record_hit(source)
                 layers.append(value)
                 continue
             stats.blocks.record_miss()
-            layer = simulator_for(config).run_block(compiled)
-            store_layer_record(cache, config, compiled, layer, workload.describe())
+            layer = simulator_for(workload.config).run_block(compiled)
+            store_layer_record(cache, key, compiled.name, layer, description)
             layers.append(layer)
     return _compose(workload, plan.program, layers)
 
@@ -765,8 +765,8 @@ def simulate_planned_blocks(
 
     The missing blocks of *all* in-flight plans are gathered into as few
     :func:`~repro.sim.batched.simulate_blocks_grid` calls as possible.  Plans are grouped by their simulation-affecting
-    configuration payload (:func:`_sim_config_payload` — so e.g. a
-    frequency sweep shares one group), and groups whose ordered block
+    configuration (:func:`_sim_config_json` — so e.g. a frequency sweep
+    shares one group), and groups whose ordered block
     fingerprints are identical are merged into one 2-D grid call: the same
     block batch evaluated under every distinct sim config in one numpy
     pass.  That is the bandwidth/frequency-sweep fast path — ``N`` sweep
@@ -779,14 +779,13 @@ def simulate_planned_blocks(
     get an empty dict.
     """
     out: list[dict[int, LayerResult]] = [{} for _ in plans]
-    # config-payload fingerprint -> (config, [(plan idx, block idx, block)])
+    # sim config JSON -> (config, [(plan idx, block idx, block)])
     by_config: dict[str, tuple[BitFusionConfig, list[tuple[int, int, CompiledBlock]]]] = {}
     for plan_index, plan in enumerate(plans):
         if plan.program is None or not plan.simulate_indices:
             continue
         config = plan.config
-        key = fingerprint_payload({"sim": _sim_config_payload(config)})
-        _, items = by_config.setdefault(key, (config, []))
+        _, items = by_config.setdefault(_sim_config_json(config), (config, []))
         blocks = plan.program.blocks
         items.extend(
             (plan_index, block_index, blocks[block_index])

@@ -236,7 +236,16 @@ class Workload:
         Includes the *structure* of the resolved network (via
         :meth:`repro.dnn.network.Network.fingerprint`), so a change to the
         model zoo invalidates cached results for the affected benchmark.
+
+        Memoized on the (frozen) instance like
+        :meth:`~repro.isa.program.CompiledBlock.fingerprint`: a sweep point
+        is fingerprinted by the sweep runner, the session and the report.
+        The memo sits outside the dataclass fields, so equality, hashing,
+        ``asdict`` and ``replace`` ignore it.
         """
+        cached = self.__dict__.get("_fingerprint")
+        if cached is not None:
+            return cached
         payload: dict[str, Any] = {
             "platform": self.platform,
             "network": self.network,
@@ -252,7 +261,9 @@ class Workload:
                 "enable_loop_ordering": self.enable_loop_ordering,
                 "enable_layer_fusion": self.enable_layer_fusion,
             }
-        return fingerprint_payload(payload)
+        digest = fingerprint_payload(payload)
+        object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     def label(self) -> str:
         """Compact one-line description for logs and error messages.

@@ -321,7 +321,8 @@ class TestContentAddressedLayerLevel:
         reader = ResultCache(tmp_path)
         for compiled, layer in zip(compile_program(workload), fresh.layers):
             twin = _renamed(compiled, "sibling")
-            value, source = lookup_block(twin, workload.config, reader)
+            key = layer_cache_key(twin, workload.config)
+            value, source = lookup_block(reader, key, twin.name)
             assert source in ("disk", "memory")  # in-network twins share a record
             assert value == replace(layer, name=twin.name)
 
@@ -374,32 +375,36 @@ class TestContentAddressedLayerLevel:
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         config = workload.config
         compiled = compile_program(workload)[0]
+        key = layer_cache_key(compiled, config)
         writer = ResultCache(tmp_path)
-        assert lookup_block(compiled, config, writer) == (None, "miss")
+        assert lookup_block(writer, key, compiled.name) == (None, "miss")
         layer = BitFusionSimulator(config).run_block(compiled)
-        store_layer_record(writer, config, compiled, layer)
-        assert lookup_block(compiled, config, writer) == (layer, "memory")
+        store_layer_record(writer, key, compiled.name, layer)
+        assert lookup_block(writer, key, compiled.name) == (layer, "memory")
         writer.close()
         # A fresh reader is served from disk, renamed to whichever block asks.
         twin = _renamed(compiled, "twin")
-        value, source = lookup_block(twin, config, ResultCache(tmp_path))
+        value, source = lookup_block(ResultCache(tmp_path), key, twin.name)
         assert source == "disk"
         assert value == replace(layer, name=twin.name)
 
     def test_prefetch_stages_every_layer_record_of_a_program(self, tmp_path):
-        from repro.session.engine import lookup_block, prefetch_block_artifacts
+        from repro.session.engine import lookup_block
 
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         program = compile_program(workload)
+        keys = [layer_cache_key(block, workload.config) for block in program]
         with EvaluationSession(cache_dir=tmp_path) as session:
             session.run(workload)
         reader = ResultCache(tmp_path)
-        prefetch_block_artifacts(program, workload.config, reader)
+        reader.prefetch(keys)
         staged_io = reader.io_seconds
-        sources = [lookup_block(block, workload.config, reader)[1] for block in program]
+        sources = [
+            lookup_block(reader, key, block.name)[1] for block, key in zip(program, keys)
+        ]
         # Every lookup was served from the staged records: no further reads.
         assert reader.io_seconds == staged_io
-        distinct = {layer_cache_key(block, workload.config) for block in program}
+        distinct = set(keys)
         assert sources.count("disk") == len(distinct)
         assert sources.count("memory") == len(program) - len(distinct)
 
@@ -440,10 +445,10 @@ class TestLayerRecencyAndReuseStats:
         total = sum(entry["bytes"] for entry in manifest["entries"].values())
 
         reader = ResultCache(tmp_path, max_bytes=total)
-        _, source = lookup_block(compiled_a, config, reader)
+        _, source = lookup_block(reader, key_a, compiled_a.name)
         assert source == "disk"
         assert reader.get(key_b) is not None  # key_b now most recent on disk
-        _, source = lookup_block(_renamed(compiled_a, "twin"), config, reader)
+        _, source = lookup_block(reader, key_a, "twin")
         assert source == "memory"  # a renamed twin's hit touches key_a too
         reader.put("filler", _plan("f"))  # over budget: evict the LRU entry
         keys = _live_keys(tmp_path)

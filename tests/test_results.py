@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core.accelerator import BitFusionAccelerator
+from repro.core.config import BitFusionConfig
+from repro.dnn import models
 from repro.energy.breakdown import EnergyBreakdown
-from repro.sim.results import LayerResult, MemoryTraffic, NetworkResult
+from repro.session.cache import network_result_to_dict
+from repro.sim.results import (
+    LayerResult,
+    MemoryTraffic,
+    NetworkResult,
+    layer_result_from_dict,
+    layer_result_to_dict,
+)
 
 
 def _layer(name="layer", compute=1000, memory=500, macs=10_000, energy_j=1e-6) -> LayerResult:
@@ -138,6 +149,54 @@ class TestNetworkResult:
         with pytest.raises(ValueError):
             NetworkResult(network_name="n", platform="p", batch_size=1, frequency_mhz=0,
                           layers=(_layer(),))
+
+
+_counts = st.integers(min_value=0, max_value=2**62)
+_joules = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_layer_results = st.builds(
+    LayerResult,
+    name=st.text(max_size=12),
+    macs=_counts,
+    input_bits=st.integers(min_value=1, max_value=16),
+    weight_bits=st.integers(min_value=1, max_value=16),
+    compute_cycles=_counts,
+    memory_cycles=_counts,
+    overhead_cycles=_counts,
+    traffic=st.builds(
+        MemoryTraffic,
+        **{name: _counts for name in MemoryTraffic().as_dict()},
+    ),
+    energy=st.builds(
+        EnergyBreakdown,
+        **{name: _joules for name in EnergyBreakdown().as_dict()},
+    ),
+    utilization=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestSerializers:
+    """The hand-written encoders must stay field-for-field equal to ``asdict``.
+
+    A field added to ``LayerResult``, ``MemoryTraffic`` or
+    ``EnergyBreakdown`` but not to the encoder would silently drop out of
+    every cached record.
+    """
+
+    def test_zoo_results_encode_like_asdict(self):
+        accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
+        names = models.benchmark_names()
+        assert len(names) == 8
+        for name in names:
+            result = accelerator.evaluate(models.load(name))
+            assert network_result_to_dict(result) == asdict(result)
+            for layer in result.layers:
+                assert layer_result_to_dict(layer) == asdict(layer)
+
+    @given(_layer_results)
+    def test_drawn_layer_result_encodes_like_asdict_and_round_trips(self, layer):
+        payload = layer_result_to_dict(layer)
+        assert payload == asdict(layer)
+        assert layer_result_from_dict(payload) == layer
 
 
 class TestStatsHelpers:

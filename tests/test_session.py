@@ -16,8 +16,10 @@ The acceptance properties the session layer guarantees:
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,9 @@ from faults import tear_last_record
 
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
+from repro.fingerprint import fingerprint_payload
 from repro.harness.runner import build_report, run_experiments
+from repro.isa.compiler import FusionCompiler
 from repro.session import (
     EvaluationSession,
     ProgramStats,
@@ -37,12 +41,45 @@ from repro.session import (
     fixed_bitwidth_network,
     layer_cache_key,
     load_network,
+    program_cache_key,
+    tiling_cache_key,
 )
 from repro.session.cache import network_result_from_dict, network_result_to_dict
 from repro.session.store import encode_body
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _FAST = ("LeNet-5", "LSTM")
+
+#: Cache keys existing ``--cache-dir`` directories were written under:
+#: LeNet-5 at batch 16 on the Eyeriss-matched configuration at each node,
+#: its first and last block and the first and last tiling search.  A
+#: changed byte here turns every shared cache directory cold.
+_GOLDEN_KEYS = {
+    "45nm": {
+        "workload": "216bf583ebe258097d556e1239d375bb096d25db4c480abe516fa4441a14a605",
+        "program": "9c98ea47d28da398e60738ed4a792115849a5d61e1f9fc12f0710e8a88da98a3",
+        "layer": [
+            "1011c086f9fb4639e6e3215486096505be7911b8cee5a4653cf839c1e4f019b8",
+            "a85e318f5627b92ca01abc03a751f8211bd24a625fc3c5705301a9317f7cea55",
+        ],
+        "tiling": [
+            "d18242222163a1b0f05e50399e3ee676cbe4fea4e1ce99b256eea7375b54bc28",
+            "c127b9d959fae6de05de71fb01d2aa618484314810e645557bf0c5e6dd15c7bb",
+        ],
+    },
+    "16nm": {
+        "workload": "8e230a04e852e83e1de785f035db40ccaa83dc88ab4ef5745aaec62072e48643",
+        "program": "9c98ea47d28da398e60738ed4a792115849a5d61e1f9fc12f0710e8a88da98a3",
+        "layer": [
+            "60dfb3221a153fd5eada1beaf15f6b3f3350ed0175bdf7f819576bf69eb350b1",
+            "62484118c8cc028cca20a634ed828416f7ccceb958f31832475e8f960279a697",
+        ],
+        "tiling": [
+            "d18242222163a1b0f05e50399e3ee676cbe4fea4e1ce99b256eea7375b54bc28",
+            "c127b9d959fae6de05de71fb01d2aa618484314810e645557bf0c5e6dd15c7bb",
+        ],
+    },
+}
 
 
 class TestFingerprints:
@@ -124,6 +161,69 @@ class TestFingerprints:
         named = Workload.bitfusion("LeNet-5", batch_size=4)
         assert bare.fingerprint() == named.fingerprint()
         assert bare.config == named.config
+
+    @pytest.mark.parametrize("technology", sorted(_GOLDEN_KEYS))
+    def test_cache_keys_are_pinned(self, technology):
+        golden = _GOLDEN_KEYS[technology]
+        config = BitFusionConfig.eyeriss_matched().with_technology(technology)
+        workload = Workload.bitfusion("LeNet-5", config=config)
+        program = compile_program(workload)
+        requests = FusionCompiler(config).tiling_requests(
+            load_network(workload), batch_size=workload.batch_size
+        )
+        assert workload.fingerprint() == golden["workload"]
+        assert program_cache_key(workload) == golden["program"]
+        assert [layer_cache_key(program[i], config) for i in (0, -1)] == golden["layer"]
+        assert [
+            tiling_cache_key(*requests[i], config) for i in (0, -1)
+        ] == golden["tiling"]
+
+    def test_layer_cache_key_hashes_the_nested_payload(self):
+        # The key is spliced together from memoized strings; it must equal
+        # the digest of the documented nested payload on every sim axis.
+        # Buffer sizes are floats, as every config constructor makes them.
+        base = BitFusionConfig.eyeriss_matched()
+        compiled = compile_program(Workload.bitfusion("LeNet-5", batch_size=4))[1]
+        for config in (
+            base,
+            base.with_array(32, 32),
+            base.with_buffers(16.0, 32.0, 8.0),
+            base.with_technology("16nm").with_bandwidth(256),
+        ):
+            sim = {
+                "rows": config.rows,
+                "columns": config.columns,
+                "ibuf_kb": config.ibuf_kb,
+                "wbuf_kb": config.wbuf_kb,
+                "obuf_kb": config.obuf_kb,
+                "dram_bandwidth_bits_per_cycle": config.dram_bandwidth_bits_per_cycle,
+                "buffer_access_bits": config.buffer_access_bits,
+                "technology": asdict(config.technology),
+            }
+            expected = fingerprint_payload(
+                {"artifact": "layer", "layer": compiled.layer_fingerprint(), "sim": sim}
+            )
+            assert layer_cache_key(compiled, config) == expected
+
+    def test_workload_fingerprint_memo_is_invisible(self):
+        fresh = Workload.bitfusion("LeNet-5", batch_size=4)
+        memoized = Workload.bitfusion("LeNet-5", batch_size=4)
+        digest = memoized.fingerprint()
+        assert memoized.fingerprint() is digest  # the second call is a memo hit
+        assert memoized == fresh
+        assert hash(memoized) == hash(fresh)
+        assert asdict(memoized) == asdict(fresh)
+        restored = pickle.loads(pickle.dumps(memoized))
+        assert restored == fresh
+        assert restored.fingerprint() == digest == fresh.fingerprint()
+
+    def test_replaced_workload_gets_a_fresh_fingerprint(self):
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        workload.fingerprint()
+        bigger = replace(workload, batch_size=8)
+        assert bigger.fingerprint() != workload.fingerprint()
+        unmemoized = replace(Workload.bitfusion("LeNet-5", batch_size=4), batch_size=8)
+        assert bigger.fingerprint() == unmemoized.fingerprint()
 
     def test_temporal_workload_rejects_a_config(self):
         with pytest.raises(ValueError, match="temporal"):
