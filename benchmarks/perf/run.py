@@ -116,9 +116,10 @@ def bench_compile(repeats: int) -> dict:
 
     per_network: dict[str, float] = {}
     for name, network in networks.items():
-        compiler = FusionCompiler(config)
+        # A fresh compiler per repeat: a compiler hands back the blocks it
+        # already built, so reusing one would time memo hits, not a compile.
         per_network[name] = _best_of(
-            repeats, lambda c=compiler, n=network: c.compile(n, batch_size=16)
+            repeats, lambda n=network: FusionCompiler(config).compile(n, batch_size=16)
         )
     cold_total = sum(per_network.values())
 

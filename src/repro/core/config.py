@@ -151,6 +151,9 @@ class BitFusionConfig:
         ):
             if value <= 0:
                 raise ValueError(f"{label} must be positive, got {value}")
+            # Canonical float: equal configs built with 16 and 16.0 compare and
+            # hash equal, so they must also serialize to the same key bytes.
+            object.__setattr__(self, label, float(value))
 
     # ------------------------------------------------------------------ #
     # Derived quantities

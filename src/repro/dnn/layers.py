@@ -22,7 +22,7 @@ The layer classes expose
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "GemmShape",
@@ -367,6 +367,10 @@ _LAYER_TYPES: dict[str, type[Layer]] = {
 }
 
 
+#: Field names of each layer class, in declaration order (filled on first use).
+_FIELD_NAMES: dict[type[Layer], tuple[str, ...]] = {}
+
+
 def layer_to_dict(layer: Layer) -> dict[str, object]:
     """JSON-compatible payload of a layer: a type tag plus every field value.
 
@@ -374,8 +378,19 @@ def layer_to_dict(layer: Layer) -> dict[str, object]:
     through JSON; :func:`layer_from_dict` rebuilds an equal layer instance.
     This is what lets compiled :class:`~repro.isa.program.Program` artifacts
     (which embed the layer each block implements) persist across processes.
+
+    Equal to ``{"type": ..., **dataclasses.asdict(layer)}`` but built from a
+    per-class tuple of field names: ``asdict`` recurses and deep-copies every
+    leaf, and it dominated the cost of cache keys and network fingerprints.
     """
-    return {"type": type(layer).__name__, **asdict(layer)}
+    cls = type(layer)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    payload: dict[str, object] = {"type": cls.__name__}
+    for name in names:
+        payload[name] = getattr(layer, name)
+    return payload
 
 
 def layer_from_dict(payload: dict[str, object]) -> Layer:

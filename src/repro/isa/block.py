@@ -83,6 +83,7 @@ class InstructionBlock:
             raise ValueError("instruction block name must be non-empty")
         self.name = name
         self._instructions = tuple(instructions)
+        self._image: str | None = None
         self._validate()
 
     # ------------------------------------------------------------------ #
@@ -194,8 +195,14 @@ class InstructionBlock:
         The instruction encoder/decoder pair round-trips every instruction
         kind exactly (see :mod:`repro.isa.encoding`), so rebuilding through
         :meth:`from_dict` yields an equal instruction sequence.
+
+        The hex image is encoded once and memoized (the instructions are an
+        immutable tuple), so a compiled block's payload, fingerprint and
+        name-free layer fingerprint share one encoding.
         """
-        return {"name": self.name, "image": encode_block_hex(list(self._instructions))}
+        if self._image is None:
+            self._image = encode_block_hex(list(self._instructions))
+        return {"name": self.name, "image": self._image}
 
     @classmethod
     def from_dict(cls, payload: dict[str, str]) -> "InstructionBlock":

@@ -148,6 +148,9 @@ class FusionCompiler:
         self.enable_layer_fusion = enable_layer_fusion
         self.plan_resolver = plan_resolver
         self.vectorized_search = vectorized_search
+        # Blocks already built, keyed by (head layer, fused followers,
+        # batch size): see :meth:`compile`.
+        self._blocks: dict[tuple[Layer, tuple[Layer, ...], int | None], CompiledBlock] = {}
 
     def _plan_tiling(
         self, workload: GemmWorkload, orders: tuple[LoopOrder, ...]
@@ -584,19 +587,35 @@ class FusionCompiler:
     # Network compilation
     # ------------------------------------------------------------------ #
     def compile(self, network: Network, batch_size: int | None = None) -> Program:
-        """Compile a whole network into an ordered program of blocks."""
+        """Compile a whole network into an ordered program of blocks.
+
+        Each fusion group is built once per compiler: a block's instructions
+        depend only on its head layer, fused followers and batch size (plus
+        this compiler's config, flags and resolver), and every block ends in
+        ``block-end 0``, so its position in the network never enters the
+        image.  A group seen before — a NAS mutant's unchanged layers, say —
+        returns the same :class:`CompiledBlock` object, with its memoized
+        fingerprints.  Layers compare as dataclasses, so two layers differing
+        only in name or concrete class never share a block.
+        """
         decision = fuse_layers(network.layers, enable=self.enable_layer_fusion)
         program = Program(network.name)
         for group in decision.groups:
             head, followers = group[0], group[1:]
-            if head.has_gemm():
-                program.append(
-                    self.compile_compute_layer(head, fused=followers, batch_size=batch_size)
-                )
-            else:
-                # A non-compute group never has followers (fusion only attaches
-                # pool/activation layers to a preceding compute layer).
-                program.append(self.compile_auxiliary_layer(head, batch_size=batch_size))
+            key = (head, followers, batch_size)
+            compiled = self._blocks.get(key)
+            if compiled is None:
+                if head.has_gemm():
+                    compiled = self.compile_compute_layer(
+                        head, fused=followers, batch_size=batch_size
+                    )
+                else:
+                    # A non-compute group never has followers (fusion only
+                    # attaches pool/activation layers to a preceding compute
+                    # layer).
+                    compiled = self.compile_auxiliary_layer(head, batch_size=batch_size)
+                self._blocks[key] = compiled
+            program.append(compiled)
         return program
 
 

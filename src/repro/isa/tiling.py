@@ -36,7 +36,7 @@ overflow 64-bit traffic arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -91,8 +91,15 @@ class GemmWorkload:
         return self.m * self.n * self.r
 
     def to_dict(self) -> dict[str, int]:
-        """JSON-compatible payload (every field is an int)."""
-        return asdict(self)
+        """JSON-compatible payload (every field is an int); equals ``asdict``."""
+        return {
+            "m": self.m,
+            "n": self.n,
+            "r": self.r,
+            "input_bits": self.input_bits,
+            "weight_bits": self.weight_bits,
+            "output_bits": self.output_bits,
+        }
 
     @classmethod
     def from_dict(cls, payload: dict[str, int]) -> "GemmWorkload":

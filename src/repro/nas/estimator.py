@@ -12,7 +12,9 @@ latency/energy estimator for arbitrary candidate
    keyed by :func:`~repro.session.engine.program_content_key`, the exact
    payload session runs use, so a zoo network priced here reuses the program
    a report compiled (and vice versa); fresh compilations go through the
-   session's tiling memo (:func:`~repro.session.engine.make_plan_resolver`);
+   session's tiling memo (:func:`~repro.session.engine.make_plan_resolver`)
+   and one long-lived compiler, which hands a mutant's unchanged blocks
+   back as the very objects it built for the parent;
 2. **resolve every block through its layer key**
    (:func:`~repro.session.engine.lookup_block`) — blocks whose content the
    cache has seen, under *any* network or layer name, compose for free;
@@ -165,7 +167,14 @@ class Estimator:
         self.enable_layer_fusion = enable_layer_fusion
         self.stats = EstimatorStats()
         self.cache_stats = CacheStats()
-        self._resolver = make_plan_resolver(self.config, self.cache, self.cache_stats)
+        # One compiler for the whole search: it builds each block once, so a
+        # mutant's unchanged layers reuse their parent's compiled blocks.
+        self._compiler = FusionCompiler(
+            self.config,
+            enable_loop_ordering=enable_loop_ordering,
+            enable_layer_fusion=enable_layer_fusion,
+            plan_resolver=make_plan_resolver(self.config, self.cache, self.cache_stats),
+        )
         # In-flight layer claims: keys some plan has promised to
         # simulate and store but has not yet composed.  Later plans defer to
         # the claimant instead of re-simulating.  Claims are released in
@@ -246,13 +255,7 @@ class Estimator:
         self.cache_stats.programs.record_miss()
         self.stats.programs_compiled += 1
         compile_started = time.perf_counter()
-        compiler = FusionCompiler(
-            self.config,
-            enable_loop_ordering=self.enable_loop_ordering,
-            enable_layer_fusion=self.enable_layer_fusion,
-            plan_resolver=self._resolver,
-        )
-        program = compiler.compile(network, batch_size=self.batch_size)
+        program = self._compiler.compile(network, batch_size=self.batch_size)
         self.cache_stats.compile_seconds += time.perf_counter() - compile_started
         self.cache.put(key, program, {"artifact": "program", "network": network.name})
         return program

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.dnn import models
@@ -9,6 +11,8 @@ from repro.dnn.layers import ActivationLayer, ConvLayer, FCLayer, LSTMLayer, Poo
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler, compile_layer, compile_network
 from repro.isa.instructions import Compute, ComputeFn, LdMem, Loop, ScratchpadType, StMem
+from repro.isa.optimizations import fuse_layers
+from repro.nas.mutations import mutate_bits
 
 
 @pytest.fixture
@@ -183,3 +187,109 @@ class TestNetworkCompilation:
             for compiled in program:
                 for loop in compiled.block.loops():
                     assert 1 <= loop.iterations <= (1 << 16) - 1
+
+
+class _RenamedRNN(RNNLayer):
+    """Same fields (and hash) as an RNNLayer, different concrete class."""
+
+
+class TestBlockReuse:
+    """One long-lived compiler builds each (head, followers, batch) group once."""
+
+    @pytest.fixture
+    def networks(self) -> tuple[Network, Network]:
+        base = models.load("ResNet-18")
+        mutant = mutate_bits(base, random.Random(5))
+        assert mutant is not None
+        return base, mutant
+
+    @staticmethod
+    def _changed_indices(base: Network, mutant: Network) -> list[int]:
+        base_groups = fuse_layers(base.layers).groups
+        mutant_groups = fuse_layers(mutant.layers).groups
+        assert len(base_groups) == len(mutant_groups)
+        return [i for i, (a, b) in enumerate(zip(base_groups, mutant_groups)) if a != b]
+
+    @pytest.fixture
+    def counted(self, monkeypatch) -> list:
+        """Record the head layer of every block the compiler actually builds."""
+        built: list = []
+        for method in ("compile_compute_layer", "compile_auxiliary_layer"):
+            original = getattr(FusionCompiler, method)
+
+            def counting(self, layer, *args, _original=original, **kwargs):
+                built.append(layer)
+                return _original(self, layer, *args, **kwargs)
+
+            monkeypatch.setattr(FusionCompiler, method, counting)
+        return built
+
+    def test_programs_equal_a_fresh_compilers(self, default_config, networks):
+        shared = FusionCompiler(default_config)
+        for network in networks:
+            program = shared.compile(network)
+            fresh = FusionCompiler(default_config).compile(network)
+            assert program.to_dict() == fresh.to_dict()
+            assert program.fingerprint() == fresh.fingerprint()
+
+    def test_mutant_shares_unchanged_blocks(self, default_config, networks):
+        base, mutant = networks
+        changed = self._changed_indices(base, mutant)
+        assert len(changed) == 1
+        shared = FusionCompiler(default_config)
+        base_program = shared.compile(base)
+        mutant_program = shared.compile(mutant)
+        for index, (old, new) in enumerate(zip(base_program, mutant_program)):
+            if index in changed:
+                assert new is not old
+                assert new.to_dict() != old.to_dict()
+            else:
+                assert new is old
+
+    def test_only_changed_groups_compile(self, default_config, networks, counted):
+        base, mutant = networks
+        shared = FusionCompiler(default_config)
+        shared.compile(base)
+        assert len(counted) == len(fuse_layers(base.layers).groups)
+        counted.clear()
+        shared.compile(mutant)
+        heads = fuse_layers(mutant.layers).groups
+        assert counted == [heads[i][0] for i in self._changed_indices(base, mutant)]
+        counted.clear()
+        shared.compile(base)
+        assert counted == []
+
+    def test_batch_size_is_part_of_the_entry(self, default_config, counted):
+        network = models.load("LeNet-5")
+        shared = FusionCompiler(default_config)
+        one = shared.compile(network, batch_size=1)
+        four = shared.compile(network, batch_size=4)
+        assert len(counted) == 2 * len(one)
+        assert all(a is not b for a, b in zip(one, four))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (
+                FCLayer(name="fc_a", in_features=64, out_features=32),
+                FCLayer(name="fc_b", in_features=64, out_features=32),
+            ),
+            (
+                LSTMLayer(name="rec", input_size=32, hidden_size=32, timesteps=4),
+                RNNLayer(name="rec", input_size=32, hidden_size=32, timesteps=4),
+            ),
+            (
+                RNNLayer(name="rec", input_size=32, hidden_size=32, timesteps=4),
+                _RenamedRNN(name="rec", input_size=32, hidden_size=32, timesteps=4),
+            ),
+        ],
+        ids=["name", "lstm-vs-rnn", "subclass"],
+    )
+    def test_distinct_layers_never_share_an_entry(self, default_config, first, second):
+        shared = FusionCompiler(default_config)
+        a = shared.compile(Network("a", [first]))[0]
+        b = shared.compile(Network("b", [second]))[0]
+        assert a is not b
+        assert a.layer is first and b.layer is second
+        fresh = FusionCompiler(default_config).compile(Network("b", [second]))[0]
+        assert b.to_dict() == fresh.to_dict()

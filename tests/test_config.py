@@ -5,6 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import BitFusionConfig, TechnologyNode
+from repro.isa.compiler import FusionCompiler
+from repro.session import Workload, compile_program, engine, program_cache_key
+from repro.session.engine import layer_cache_key, tiling_cache_key
+from repro.session.workload import load_network
 
 
 class TestTechnologyNode:
@@ -104,3 +108,46 @@ class TestBitFusionConfig:
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             BitFusionConfig(**kwargs)
+
+
+class TestBufferSizesAreCanonical:
+    """Equal configs built with int or float buffer sizes key identically.
+
+    They compare and hash equal, so the per-config memos behind the layer
+    key serve whichever instance a process saw first; their key bytes must
+    therefore agree too.
+    """
+
+    @staticmethod
+    def _keys(config: BitFusionConfig) -> tuple:
+        # Fresh memos: each instance derives its own key bytes.
+        engine._sim_config_json.cache_clear()
+        engine._layer_content_key.cache_clear()
+        workload = Workload.bitfusion("LeNet-5", config=config)
+        program = compile_program(workload)
+        requests = FusionCompiler(config).tiling_requests(
+            load_network(workload), batch_size=workload.batch_size
+        )
+        return (
+            config.fingerprint(),
+            workload.fingerprint(),
+            program_cache_key(workload),
+            [layer_cache_key(compiled, config) for compiled in program],
+            [tiling_cache_key(gemm, orders, config) for gemm, orders in requests],
+        )
+
+    def test_buffer_sizes_are_stored_as_floats(self):
+        config = BitFusionConfig(ibuf_kb=16, wbuf_kb=32, obuf_kb=8)
+        for value in (config.ibuf_kb, config.wbuf_kb, config.obuf_kb):
+            assert type(value) is float
+        assert type(config.with_buffers(8, 8, 8).obuf_kb) is float
+
+    def test_int_and_float_built_configs_key_identically(self):
+        as_int = BitFusionConfig(ibuf_kb=24, wbuf_kb=40, obuf_kb=12, name="int-vs-float")
+        as_float = BitFusionConfig(ibuf_kb=24.0, wbuf_kb=40.0, obuf_kb=12.0, name="int-vs-float")
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        try:
+            assert self._keys(as_int) == self._keys(as_float)
+        finally:
+            engine._sim_config_json.cache_clear()
+            engine._layer_content_key.cache_clear()

@@ -22,6 +22,7 @@ from repro.dnn import models
 from repro.dnn.layers import ConvLayer, FCLayer
 from repro.dnn.network import Network
 from repro.harness.runner import main
+from repro.isa.compiler import FusionCompiler
 from repro.nas import Estimator, SearchSpec, mutate, run_search
 from repro.nas.mutations import (
     MUTATION_AXES,
@@ -75,6 +76,29 @@ class TestEstimatorExactness:
         # the genuinely novel ones may simulate.
         novel = estimator.stats.layers_simulated - simulated_before
         assert novel < len(list(mutant.compute_layers()))
+
+    def test_mutant_compiles_only_its_changed_block(self, monkeypatch):
+        # One compiler serves the whole search: pricing a bits mutant after
+        # its base lowers only the re-quantized layer, and stays exact.
+        config = _config()
+        estimator = Estimator(config)
+        base = models.load("ResNet-18")
+        estimator.estimate(base)
+        mutant = mutate_bits(base, random.Random(5))
+        reference = BitFusionAccelerator(config).evaluate(mutant)
+        built: list[str] = []
+        original = FusionCompiler.compile_compute_layer
+
+        def counting(self, layer, *args, **kwargs):
+            built.append(layer.name)
+            return original(self, layer, *args, **kwargs)
+
+        monkeypatch.setattr(FusionCompiler, "compile_compute_layer", counting)
+        assert estimator.estimate(mutant) == reference
+        changed = [a.name for a, b in zip(base, mutant) if a != b]
+        assert len(changed) == 1
+        assert built == changed
+        assert estimator.stats.programs_compiled == 2
 
     def test_session_warmed_cache_prices_without_simulation(self, tmp_path):
         # A report/sweep run and the estimator share the artifact store:

@@ -17,15 +17,29 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from faults import drop_records
+from hypothesis import given, strategies as st
 
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
-from repro.dnn.layers import layer_from_dict, layer_to_dict
+from repro.dnn.layers import (
+    ActivationLayer,
+    ConvLayer,
+    FCLayer,
+    Layer,
+    LSTMLayer,
+    PoolLayer,
+    RNNLayer,
+    layer_from_dict,
+    layer_to_dict,
+)
+from repro.isa.block import InstructionBlock
 from repro.isa.compiler import FusionCompiler
+from repro.isa.encoding import encode_block_hex
 from repro.isa.program import CompiledBlock, Program
 from repro.session import (
     EvaluationSession,
@@ -62,6 +76,91 @@ class TestLayerSerialization:
         payload = layer_to_dict(lstm)
         payload["gates"] = 99  # derived field: must be ignored on rebuild
         assert layer_from_dict(payload).gates == lstm.gates
+
+
+_bits = st.sampled_from((1, 2, 4, 8, 16))
+_sizes = st.integers(min_value=1, max_value=4096)
+_names = st.text(min_size=1, max_size=12)
+_common = {"name": _names, "input_bits": _bits, "weight_bits": _bits, "output_bits": _bits}
+_drawn_layers = st.one_of(
+    st.builds(
+        ConvLayer,
+        in_channels=_sizes,
+        out_channels=_sizes,
+        in_height=st.integers(min_value=7, max_value=64),
+        in_width=st.integers(min_value=7, max_value=64),
+        kernel=st.integers(min_value=1, max_value=7),
+        stride=st.integers(min_value=1, max_value=3),
+        padding=st.integers(min_value=0, max_value=3),
+        **_common,
+    ),
+    st.builds(FCLayer, in_features=_sizes, out_features=_sizes, **_common),
+    st.builds(
+        PoolLayer,
+        channels=_sizes,
+        in_height=st.integers(min_value=4, max_value=64),
+        in_width=st.integers(min_value=4, max_value=64),
+        kernel=st.integers(min_value=1, max_value=3),
+        stride=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(("max", "avg")),
+        **_common,
+    ),
+    st.builds(
+        ActivationLayer,
+        elements=_sizes,
+        function=st.sampled_from(("relu", "sigmoid", "tanh")),
+        **_common,
+    ),
+    *(
+        st.builds(cls, input_size=_sizes, hidden_size=_sizes, timesteps=_sizes, **_common)
+        for cls in (LSTMLayer, RNNLayer)
+    ),
+)
+
+
+def _asdict_payload(layer: Layer) -> dict:
+    return {"type": type(layer).__name__, **asdict(layer)}
+
+
+class TestSerializersMatchAsdict:
+    """The field-by-field encoders must equal the ``asdict`` payloads they
+    replaced: a field added to a layer class or to ``GemmWorkload`` but
+    missed by its encoder would silently drop out of every cache key."""
+
+    def test_zoo_layers_encode_like_asdict(self):
+        names = models.benchmark_names()
+        assert len(names) == 8
+        for name in names:
+            for layer in models.load(name):
+                assert layer_to_dict(layer) == _asdict_payload(layer)
+
+    @given(_drawn_layers)
+    def test_drawn_layer_encodes_like_asdict_and_round_trips(self, layer):
+        payload = layer_to_dict(layer)
+        assert payload == _asdict_payload(layer)
+        assert list(payload) == list(_asdict_payload(layer))
+        assert layer_from_dict(json.loads(json.dumps(payload))) == layer
+
+    @pytest.mark.parametrize("benchmark_name", ["LeNet-5", "LSTM", "ResNet-18"])
+    def test_gemm_workloads_encode_like_asdict(self, benchmark_name):
+        for compiled in _compile(benchmark_name):
+            workload = compiled.tiling.workload
+            assert workload.to_dict() == asdict(workload)
+
+    @pytest.mark.parametrize("benchmark_name", ["LeNet-5", "LSTM", "ResNet-18"])
+    def test_memoized_block_image_matches_fresh_encoding(self, benchmark_name):
+        for compiled in _compile(benchmark_name):
+            block = compiled.block
+            fresh = encode_block_hex(list(block))
+            assert block.to_dict()["image"] == fresh
+            # The memo serves every later call, including through the
+            # compiled block's payload and its name-free content payload.
+            assert block.to_dict()["image"] == fresh
+            assert compiled.to_dict()["block"]["image"] == fresh
+            assert compiled.layer_content_dict()["image"] == fresh
+            rebuilt = InstructionBlock.from_dict(block.to_dict())
+            assert rebuilt.instructions == block.instructions
+            assert rebuilt.to_dict() == block.to_dict()
 
 
 class TestProgramSerialization:
