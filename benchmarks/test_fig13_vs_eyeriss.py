@@ -1,11 +1,11 @@
 """Figure 13 — Bit Fusion speedup and energy reduction over Eyeriss.
 
-Shape checks (the acceptance criteria of DESIGN.md): Bit Fusion wins on
-every benchmark, the binary networks (Cifar-10, SVHN) gain the most, the
-recurrent and 8-bit-heavy networks gain the least, and the geometric means
-land in the multi-x band the paper reports (3.9x / 5.1x).  Absolute factors
-from this analytical simulator overshoot the paper's RTL-validated numbers;
-EXPERIMENTS.md records the gap.
+Shape checks: Bit Fusion wins on every benchmark, the binary networks
+(Cifar-10, SVHN) gain the most, the recurrent and 8-bit-heavy networks gain
+the least, and the geometric means land in the multi-x band the paper
+reports (3.9x / 5.1x).  Absolute factors from this analytical simulator
+overshoot the paper's RTL-validated numbers; the report's Figure 13 table
+prints both side by side.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from typing import Any, Iterator
 from repro.dse.pareto import OBJECTIVES, ParetoArchive, pareto_front
 from repro.dse.spec import DesignPoint, SweepSpec, format_axis_value
 from repro.energy.components import accelerator_area_mm2
-from repro.session.engine import QuarantineRecord, WorkloadExecutionError
 from repro.session.session import EvaluationSession, resolve_session
 from repro.session.workload import Workload
 from repro.sim.results import NetworkResult
@@ -86,27 +85,21 @@ class EvaluatedPoint:
 class DesignSpaceResult:
     """The evaluated grid of one sweep plus its Pareto frontier.
 
-    ``quarantined`` lists the workloads that failed execution twice and were
-    excluded from the grid (see :func:`run_sweep` with
-    ``allow_failures=True``); empty on a clean run.  ``streamed`` optionally
-    carries the per-(network, batch) incremental
+    ``streamed`` optionally carries the per-(network, batch) incremental
     :class:`~repro.dse.pareto.ParetoArchive` frontiers accumulated while the
     sweep ran — by transitivity of dominance they hold exactly the same
     frontier membership :meth:`pareto` computes one-shot from the full grid
-    (property-tested), but are available live, point by point, during a
-    resumable run.
+    (property-tested), but are built point by point as results arrive.
     """
 
     def __init__(
         self,
         spec: SweepSpec,
         points: list[EvaluatedPoint],
-        quarantined: tuple[QuarantineRecord, ...] = (),
         streamed: dict[tuple[str, int], ParetoArchive] | None = None,
     ) -> None:
         self.spec = spec
         self.points = tuple(points)
-        self.quarantined = tuple(quarantined)
         self.streamed = streamed
         self._frontier: list[EvaluatedPoint] | None = None
         for name in spec.objectives:
@@ -173,10 +166,7 @@ class DesignSpaceResult:
 
 
 def run_sweep(
-    spec: SweepSpec,
-    session: EvaluationSession | None = None,
-    *,
-    allow_failures: bool = False,
+    spec: SweepSpec, session: EvaluationSession | None = None
 ) -> DesignSpaceResult:
     """Expand and execute a sweep spec; returns the evaluated design space.
 
@@ -195,18 +185,9 @@ def run_sweep(
 
     The Pareto reduction streams: as each unique workload's result lands
     (cache hit or fresh commit), every grid point it backs feeds its
-    per-(network, batch) :class:`~repro.dse.pareto.ParetoArchive`, so a
-    checkpointed, resumable sweep always has a live incremental frontier —
-    the archives ride on the result under ``streamed``.
-
-    ``allow_failures=True`` makes a quarantine survivable: when the session
-    raises :class:`~repro.session.engine.WorkloadExecutionError` (each
-    failed workload has already been retried once), the sweep drops exactly
-    the quarantined points, re-collects the survivors from the now-warm
-    session (pure cache hits — nothing re-executes), and returns the
-    reduced grid with ``quarantined`` filled in.  With the default
-    ``allow_failures=False`` the error propagates after surviving artifacts
-    are stored, preserving the historical contract.
+    per-(network, batch) :class:`~repro.dse.pareto.ParetoArchive`; the
+    archives ride on the result under ``streamed``.  A failing point raises
+    the session's :class:`~repro.session.engine.WorkloadExecutionError`.
     """
     points = spec.expand()
     extractors = [OBJECTIVES[name].extract for name in spec.objectives]
@@ -225,26 +206,11 @@ def run_sweep(
             )
             group.add(evaluated, [extract(evaluated) for extract in extractors])
 
-    active = resolve_session(session)
-    quarantined: tuple[QuarantineRecord, ...] = ()
-    workloads = [point.workload for point in points]
-    try:
-        results = active.run_many(workloads, on_result=on_result)
-    except WorkloadExecutionError as error:
-        if not allow_failures:
-            raise
-        quarantined = error.quarantined
-        dropped = {record.fingerprint for record in quarantined}
-        points = [
-            point for point in points if point.workload.fingerprint() not in dropped
-        ]
-        # Survivors were all committed before the session raised; this
-        # collection pass is pure cache hits.  No ``on_result`` — the
-        # archives already saw every survivor exactly once.
-        results = active.run_many([point.workload for point in points])
+    results = resolve_session(session).run_many(
+        [point.workload for point in points], on_result=on_result
+    )
     return DesignSpaceResult(
         spec,
         [EvaluatedPoint(point=point, result=result) for point, result in zip(points, results)],
-        quarantined=quarantined,
         streamed=archives,
     )

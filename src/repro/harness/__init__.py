@@ -5,7 +5,7 @@ data rows (dataclasses) plus a ``format_table(...)`` helper that renders the
 same rows the paper reports.  The benchmark suite under ``benchmarks/``
 wraps these runners with ``pytest-benchmark`` so that regenerating every
 figure is a single ``pytest benchmarks/ --benchmark-only`` invocation, and
-``EXPERIMENTS.md`` records the measured-versus-paper numbers.
+``python -m repro.harness`` renders every table next to the paper's numbers.
 
 Experiment index
 ----------------

@@ -1,8 +1,8 @@
 """Published numbers from the paper's evaluation, for side-by-side reporting.
 
-The benchmark harness prints each reproduced table/figure next to the
-numbers the paper reports so EXPERIMENTS.md can record paper-vs-measured at
-a glance.  Everything here is transcribed from the paper (figures 1 and
+The report runner (``python -m repro.harness``) prints each reproduced
+table/figure next to the numbers the paper reports, so paper-vs-measured
+reads at a glance.  Everything here is transcribed from the paper (figures 1 and
 13-18, tables II and III, and the embedded data tables in the arXiv
 source); nothing in the simulator reads these values.
 """

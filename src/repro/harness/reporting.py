@@ -2,7 +2,8 @@
 
 The experiments return plain rows (lists of dictionaries or dataclasses with
 ``as_row()``); these helpers render them as aligned text tables (for
-benchmark console output) or GitHub-flavoured markdown (for EXPERIMENTS.md).
+benchmark console output) or GitHub-flavoured markdown (for the report that
+``python -m repro.harness`` writes).
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ directory with LRU eviction.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -57,15 +56,11 @@ from repro.harness.experiments import (
 )
 from repro.harness.reporting import format_table
 from repro.session import (
-    NAS_CHECKPOINT_NAME,
-    SWEEP_CHECKPOINT_NAME,
     EvaluationSession,
     ResultCache,
-    SweepCheckpoint,
     resolve_session,
     use_session,
 )
-from repro.session import testing as session_testing
 
 __all__ = [
     "EXPERIMENTS",
@@ -338,87 +333,26 @@ def build_sweep_report(
     cache_dir: str | None = None,
     max_cache_bytes: int | None = None,
     session: EvaluationSession | None = None,
-    resume: bool = False,
 ) -> str:
     """Run one spec-file sweep and render its report (grid + Pareto + stats).
 
-    With a ``--cache-dir``, the sweep journals its progress to
-    ``<cache-dir>/sweep-checkpoint.jsonl`` (planned / completed / failed /
-    quarantined events, flushed per event).  ``resume=True`` keeps the
-    existing journal and reports how much of the planned grid was already
-    complete — every completed fingerprint is double-checked against the
-    artifact cache before being trusted, so a resumed leg re-executes
-    nothing that survived the crash and everything that did not.  Without
-    ``resume`` the journal is truncated so the sweep's accounting starts
-    fresh (the artifact cache itself is untouched — warm artifacts still
-    hit).  Workloads that fail execution are retried once and then
-    quarantined: the sweep completes without them and the footer names each
-    one with its error.
-
-    The ``REPRO_SWEEP_KILL_AFTER`` environment variable (an integer N)
-    SIGKILLs the process after N durable commits — the CI ``fault-smoke``
-    job uses it to prove a killed sweep resumes with zero redundant work.
+    A failing workload stops the sweep with a
+    :class:`~repro.session.engine.WorkloadExecutionError` naming it; points
+    committed before it stay in the ``--cache-dir``.
     """
     # Imported here so `python -m repro.harness --list` stays import-light.
     from repro.dse import SweepSpec, format_sweep_report, run_sweep
-    from repro.session.engine import audit_workload_cache
 
     spec = SweepSpec.from_file(spec_path)
     owns_session = session is None
-    checkpoint: SweepCheckpoint | None = None
     if session is None:
-        if cache_dir is not None:
-            checkpoint = SweepCheckpoint(Path(cache_dir) / SWEEP_CHECKPOINT_NAME)
-            if not resume:
-                checkpoint.reset()
-        elif resume:
-            raise ValueError(
-                "--resume requires --cache-dir: the checkpoint journal lives "
-                "next to the artifact cache"
-            )
-        session = EvaluationSession(
-            cache_dir=cache_dir,
-            max_cache_bytes=max_cache_bytes,
-            checkpoint=checkpoint,
-        )
-    resumed_line: str | None = None
-    if resume and checkpoint is not None:
-        # Progress accounting for the footer: a point counts as already
-        # complete only when the journal says so *and* the artifact cache
-        # can actually serve it (the journal is advisory; artifacts are the
-        # source of truth).
-        unique: dict[str, object] = {}
-        for point in spec.expand():
-            unique.setdefault(point.workload.fingerprint(), point.workload)
-        already = sum(
-            1
-            for key, workload in unique.items()
-            if key in checkpoint.completed
-            and audit_workload_cache(workload, session.cache).state == "cached"
-        )
-        resumed_line = (
-            f"resumed: {already}/{len(unique)} points, "
-            f"quarantined: {len(checkpoint.quarantined)}"
-        )
-    kill_after = os.environ.get("REPRO_SWEEP_KILL_AFTER")
-    if kill_after:
-        session_testing.install_kill_after_commits(int(kill_after))
+        session = EvaluationSession(cache_dir=cache_dir, max_cache_bytes=max_cache_bytes)
     try:
-        result = run_sweep(spec, session, allow_failures=True)
+        result = run_sweep(spec, session)
     finally:
         if owns_session:
             session.close()
     footer = _session_footer(session)
-    if resumed_line is not None:
-        footer.append(resumed_line)
-    if result.quarantined:
-        footer.append(
-            f"quarantined workloads: {len(result.quarantined)} "
-            "(each retried once, then excluded from the grid)"
-        )
-        footer.extend(
-            f"  {record.label}: {record.error}" for record in result.quarantined
-        )
     sections = [
         "# Bit Fusion design-space sweep",
         "",
@@ -552,20 +486,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
         "already holds (fully/partially cached vs cold) without running "
         "any compilation or simulation",
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="keep the --cache-dir's sweep-checkpoint.jsonl journal and "
-        "resume an interrupted sweep: completed points (journal entry "
-        "cross-checked against cached artifacts) are served without fresh "
-        "work, and the footer reports 'resumed: X/Y points, quarantined: Z' "
-        "(requires --cache-dir)",
-    )
     args = parser.parse_args(argv)
-    if args.resume and args.cache_dir is None:
-        parser.error("--resume requires --cache-dir")
-    if args.resume and args.dry_run:
-        parser.error("--resume and --dry-run are mutually exclusive")
     max_cache_bytes = None
     if args.cache_max_mb is not None:
         if args.cache_dir is None:
@@ -581,7 +502,6 @@ def sweep_main(argv: list[str] | None = None) -> int:
                 args.spec,
                 cache_dir=args.cache_dir,
                 max_cache_bytes=max_cache_bytes,
-                resume=args.resume,
             )
     except (OSError, RuntimeError, ValueError) as error:
         parser.error(str(error))
@@ -609,26 +529,14 @@ def build_nas_report(
     so a second search — or a search after a report run against the same
     directory — starts warm.  The footer reports the estimator's hit rate,
     layers simulated vs composed, and candidates per second.
-
-    With a ``--cache-dir``, candidate progress journals to
-    ``<cache-dir>/nas-checkpoint.jsonl`` (planned / completed fingerprints,
-    same format as the sweep journal), so an interrupted search leaves a
-    durable record of exactly which candidates were priced.
     """
     # Imported here so `python -m repro.harness --list` stays import-light.
     from repro.nas import Estimator, SearchSpec, format_search_report, run_search
 
     spec = SearchSpec.from_file(spec_path)
     cache = ResultCache(cache_dir, max_bytes=max_cache_bytes)
-    checkpoint: SweepCheckpoint | None = None
-    if cache_dir is not None:
-        checkpoint = SweepCheckpoint(Path(cache_dir) / NAS_CHECKPOINT_NAME)
     estimator = Estimator(cache=cache, batch_size=spec.batch_size)
-    try:
-        result = run_search(spec, estimator=estimator, checkpoint=checkpoint)
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+    result = run_search(spec, estimator=estimator)
     stats = estimator.stats
     footer = [
         stats.summary(),

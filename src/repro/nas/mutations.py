@@ -4,7 +4,7 @@ Candidate generators for the NAS search loop (:mod:`repro.nas.search`).
 Every operator takes a :class:`~repro.dnn.network.Network` and a seeded
 ``random.Random`` and returns a *new* network (inputs are never mutated), or
 ``None`` when the operator does not apply to the layer it drew (the caller
-retries).  The axes mirror the knobs a hardware-aware search actually
+draws again).  The axes mirror the knobs a hardware-aware search actually
 explores on Bit Fusion:
 
 * **bits** — re-quantize one compute layer to a different

@@ -47,7 +47,6 @@ from repro.energy.components import accelerator_area_mm2
 from repro.nas.estimator import Estimator
 from repro.nas.mutations import MUTATION_AXES, mutate
 from repro.session.cache import ResultCache
-from repro.session.checkpoint import SweepCheckpoint
 from repro.sim.results import NetworkResult
 
 __all__ = [
@@ -217,7 +216,6 @@ def run_search(
     config: BitFusionConfig | None = None,
     cache: ResultCache | None = None,
     estimator: Estimator | None = None,
-    checkpoint: SweepCheckpoint | None = None,
 ) -> SearchResult:
     """Run the search described by ``spec`` and return its frontier.
 
@@ -227,13 +225,6 @@ def run_search(
     Every candidate — including the base network, priced in generation 0 —
     is evaluated through :meth:`Estimator.estimate_many`, so a fingerprint
     seen in any earlier generation costs nothing to propose again.
-
-    A ``checkpoint`` journal (the sweep format) records each fresh
-    candidate as planned before its pricing batch and completed right
-    after, so an interrupted search leaves a durable record of exactly
-    which fingerprints were priced (their layer artifacts are in the
-    cache — a rerun against the same cache directory re-prices them by
-    composition, not simulation).
     """
     if estimator is None:
         estimator = Estimator(config, cache, batch_size=spec.batch_size)
@@ -254,9 +245,6 @@ def run_search(
             if fingerprint not in seen and fingerprint not in fresh:
                 fresh[fingerprint] = network
         if fresh:
-            if checkpoint is not None:
-                for fingerprint, network in fresh.items():
-                    checkpoint.record_planned(fingerprint, network.name)
             results = estimator.estimate_many(list(fresh.values()))
             batch: list[tuple[Candidate, tuple[float, ...]]] = []
             for (fingerprint, network), result in zip(fresh.items(), results):
@@ -272,8 +260,6 @@ def run_search(
                 )
                 seen[fingerprint] = candidate
                 batch.append((candidate, vector))
-                if checkpoint is not None:
-                    checkpoint.record_completed(fingerprint)
             archive.extend(batch)
         if generation + 1 < spec.generations:
             parents = [candidate.network for candidate in archive.items]

@@ -54,9 +54,9 @@ eventually LRU-evicted from disk).
 Execution is warm-artifact aware: the session compiles through the program
 cache, resolves warm blocks, simulates only the missing blocks of the whole
 batch in one vectorized pass and composes — a partially-warm run
-recompiles and re-simulates nothing the cache already holds, and a failed
-workload surfaces as a :class:`~repro.session.engine.WorkloadExecutionError`
-without costing the rest of the batch.
+recompiles and re-simulates nothing the cache already holds.  The first
+failing workload stops the batch with a
+:class:`~repro.session.engine.WorkloadExecutionError` naming it.
 
 See ``python -m repro.harness --help`` for the report runner built on top
 (``--cache-dir`` and ``--cache-max-mb`` map directly onto a session),
@@ -71,15 +71,8 @@ from repro.session.cache import (
     ResultCache,
     StageStats,
 )
-from repro.session.checkpoint import (
-    CheckpointRecord,
-    NAS_CHECKPOINT_NAME,
-    SWEEP_CHECKPOINT_NAME,
-    SweepCheckpoint,
-)
 from repro.session.engine import (
     CacheAudit,
-    QuarantineRecord,
     WorkloadExecutionError,
     audit_workload_cache,
     describe_workload_error,
@@ -114,17 +107,12 @@ from repro.session.workload import (
 __all__ = [
     "CacheAudit",
     "CacheStats",
-    "CheckpointRecord",
     "EvaluationSession",
-    "NAS_CHECKPOINT_NAME",
     "PLATFORMS",
     "ProgramStats",
-    "QuarantineRecord",
     "ResultCache",
-    "SWEEP_CHECKPOINT_NAME",
     "SegmentedStore",
     "StageStats",
-    "SweepCheckpoint",
     "SweepPoint",
     "SweepResult",
     "Workload",

@@ -187,10 +187,6 @@ class CacheStats:
     misses: int = 0
     deduped: int = 0
     disk_hits: int = 0
-    #: Failed executions retried once (the retry-once / quarantine policy);
-    #: 0 on every fault-free run, so the summary only mentions it when a
-    #: retry actually happened and fault-free footers stay byte-identical.
-    retries: int = 0
     compile_seconds: float = 0.0
     sim_seconds: float = 0.0
     compose_seconds: float = 0.0
@@ -231,10 +227,6 @@ class CacheStats:
         lines.append(self.programs.summary("program cache", "compiles"))
         lines.append(self.tilings.summary("tiling memo", "tiling searches"))
         lines.append(self.blocks.summary("block cache", "block simulations"))
-        if self.retries:
-            # Only on faulty runs: fault-free footers must stay byte-identical
-            # across releases (CI greps them).
-            lines.append(f"workload retries: {self.retries} failed execution(s) retried once")
         return "\n".join(lines)
 
 

@@ -36,9 +36,9 @@ the program cache (structure-only keys, exactly-once per network) and
 resolves every block whose result is already cached.  The genuinely
 missing blocks of a whole batch of plans then simulate together
 (:func:`simulate_planned_blocks`), and each plan composes from cached plus
-fresh records, storing the fresh ones (:func:`compose_plan`).  A failing
-workload surfaces as a :class:`WorkloadExecutionError` only after every
-surviving result is stored.
+fresh records, storing the fresh ones (:func:`compose_plan`).  The first
+failing workload stops the batch with a :class:`WorkloadExecutionError`
+naming it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from repro.isa.compiler import FusionCompiler, PlanResolver
 from repro.isa.instructions import LoopOrder
 from repro.isa.program import CompiledBlock, Program
 from repro.isa.tiling import GemmWorkload, TilingPlan
-from repro.session import testing
 from repro.session.cache import CacheStats, ProgramStats, ResultCache
 from repro.session.workload import Workload, load_network, network_digest
 from repro.sim.batched import simulate_blocks_grid
@@ -72,7 +71,6 @@ from repro.sim.results import LayerResult, NetworkResult, compose_network_result
 __all__ = [
     "CacheAudit",
     "PlanLike",
-    "QuarantineRecord",
     "WorkPlan",
     "WorkloadExecutionError",
     "audit_workload_cache",
@@ -327,18 +325,8 @@ def simulator_for(config: BitFusionConfig) -> BitFusionSimulator:
     so sharing instances is safe.  The module-global class is resolved at
     call time (and is part of the memo key), so tests that monkeypatch
     ``engine.BitFusionSimulator`` get their own entries.
-
-    Fault-injection seam: when a test installed a simulator wrapper
-    (:mod:`repro.session.testing`), the memoized instance is passed through
-    it — the wrapper's proxy (not the instance) is what callers receive, so
-    chaos tests can fail or delay individual block simulations without
-    touching the memo.
     """
-    simulator = _build_simulator(BitFusionSimulator, config)
-    wrapper = testing.simulator_wrapper()
-    if wrapper is not None:
-        return wrapper(config, simulator)
-    return simulator
+    return _build_simulator(BitFusionSimulator, config)
 
 
 @lru_cache(maxsize=None)
@@ -547,8 +535,7 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
     without deserializing or memory-promoting them, so auditing a planned
     grid against a large cache directory stays cheap — ``python -m
     repro.harness sweep --dry-run`` uses this to diff a grid against a
-    ``--cache-dir`` before committing to the run, and ``sweep --resume``
-    uses it to double-check journaled completions against the artifacts.
+    ``--cache-dir`` before committing to the run.
     """
     if workload.fingerprint() in cache:
         return CacheAudit("cached", 0, 0, 0, 0)
@@ -568,50 +555,18 @@ def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
 # ---------------------------------------------------------------------- #
 # Planning, failure reporting and batched simulation
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class QuarantineRecord:
-    """One workload set aside after failing its execution *and* its retry."""
-
-    fingerprint: str
-    label: str
-    error: str
-
-
 class WorkloadExecutionError(RuntimeError):
-    """One or more workloads of a batch failed their execution and retry.
+    """A workload of a batch failed to plan, simulate or compose.
 
     Raised by :meth:`EvaluationSession.run_many
-    <repro.session.session.EvaluationSession.run_many>` *after* every
-    surviving result and artifact has been stored — a failed workload is
-    retried exactly once and, if the retry fails too, quarantined; the rest
-    of the batch always completes, so a single bad workload costs the batch
-    nothing but its own point.  :attr:`failures` carries one message per
-    quarantined workload, each naming the workload it came from;
-    :attr:`quarantined` carries the same failures as structured
-    :class:`QuarantineRecord`\\ s (fingerprint, label, final error).
+    <repro.session.session.EvaluationSession.run_many>` for the first
+    failing workload; the message is :func:`describe_workload_error`'s and
+    the original exception is chained as ``__cause__``.
     """
-
-    def __init__(
-        self,
-        failures: list[str],
-        quarantined: tuple[QuarantineRecord, ...] = (),
-    ) -> None:
-        self.failures = tuple(failures)
-        self.quarantined = quarantined
-        details = "; ".join(failures)
-        super().__init__(
-            f"{len(failures)} workload(s) failed execution: {details}"
-        )
 
 
 def describe_workload_error(workload: Workload, error: BaseException) -> str:
-    """The labelled one-line error message a failed workload reports.
-
-    One format everywhere — first-attempt failures, retry failures and
-    quarantine records all describe a failure the same way, so footer greps
-    and :class:`WorkloadExecutionError` assertions never depend on which
-    step hit the fault.
-    """
+    """The labelled one-line error message a failed workload reports."""
     return f"workload {workload.label()}: {type(error).__name__}: {error}"
 
 
@@ -728,9 +683,8 @@ def compose_plan(
     :meth:`ResultCache.batch` scope, so a plan's store-backs land as a
     single group-committed segment append instead of one write per
     artifact.  Deferred blocks (claimed by an earlier workload of the
-    batch) are read from the cache now that the claiming workload has been
-    stored; if that workload failed, the block is simulated here as a last
-    resort so one failure never corrupts a neighbouring workload's result.
+    batch) are read from the cache: the claiming workload composed, and so
+    stored them, first.
     """
     workload = plan.workload
     assert plan.program is not None
@@ -747,14 +701,10 @@ def compose_plan(
                 layers.append(layer)
                 continue
             value, source = lookup_block(cache, key, compiled.name)
-            if value is not None:
-                stats.blocks.record_hit(source)
-                layers.append(value)
-                continue
-            stats.blocks.record_miss()
-            layer = simulator_for(workload.config).run_block(compiled)
-            store_layer_record(cache, key, compiled.name, layer, description)
-            layers.append(layer)
+            if value is None:
+                raise RuntimeError(f"deferred block {compiled.name!r} has no stored record")
+            stats.blocks.record_hit(source)
+            layers.append(value)
     return _compose(workload, plan.program, layers)
 
 

@@ -24,14 +24,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.config import BitFusionConfig
-from repro.session import testing
 from repro.session.cache import CacheStats, ProgramStats, ResultCache
-from repro.session.checkpoint import SweepCheckpoint
 from repro.session.engine import (
-    QuarantineRecord,
     WorkloadExecutionError,
     WorkPlan,
     compose_plan,
@@ -62,12 +59,13 @@ __all__ = [
 ResultCallback = Callable[[Workload, NetworkResult], None]
 
 
-class _Failure(NamedTuple):
-    """One failed execution attempt, pending the session's retry."""
-
-    key: str
-    workload: Workload
-    message: str
+@contextmanager
+def _attributed(workload: Workload) -> Iterator[None]:
+    """Re-raise any failure inside the scope as one naming ``workload``."""
+    try:
+        yield
+    except Exception as error:
+        raise WorkloadExecutionError(describe_workload_error(workload, error)) from error
 
 
 @dataclass(frozen=True)
@@ -134,30 +132,15 @@ class EvaluationSession:
     Parameters
     ----------
     cache_dir:
-        Optional directory for the persistent artifact store (segmented
-        pack-file layout by default; legacy JSON-per-entry directories are
-        served and migrated transparently — see
-        :mod:`repro.session.store`); ``None`` keeps the cache in memory
-        only.
+        Optional directory for the persistent artifact store (the segmented
+        pack-file layout of :mod:`repro.session.store`); ``None`` keeps the
+        cache in memory only.
     cache:
         Pre-built :class:`ResultCache` to share between sessions (mutually
         exclusive with ``cache_dir``).
     max_cache_bytes:
         Optional size budget for the on-disk store (least-recently-used
         entries are evicted past it); only meaningful with ``cache_dir``.
-    checkpoint:
-        Optional :class:`~repro.session.checkpoint.SweepCheckpoint` journal.
-        When given, every scheduled workload is journaled as planned before
-        execution and as completed the moment its result is stored — and
-        the session commits **per workload** (plan → simulate → compose →
-        store → journal, in schedule order) instead of batching the whole
-        schedule's simulations, so a run killed at an arbitrary point loses
-        at most its one in-flight workload.  The trade is deliberate:
-        checkpointed runs give up cross-point grid merging
-        (:func:`~repro.session.engine.simulate_planned_blocks` over the
-        whole batch) in exchange for kill-anywhere resumability; results
-        are bit-identical either way (the batched executor is bit-exact
-        against the scalar path by contract).
     """
 
     def __init__(
@@ -165,7 +148,6 @@ class EvaluationSession:
         cache_dir: str | Path | None = None,
         cache: ResultCache | None = None,
         max_cache_bytes: int | None = None,
-        checkpoint: SweepCheckpoint | None = None,
     ) -> None:
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
@@ -173,16 +155,13 @@ class EvaluationSession:
             raise ValueError("max_cache_bytes only applies when the session owns its cache")
         self.cache = cache if cache is not None else ResultCache(cache_dir, max_cache_bytes)
         self.stats = CacheStats()
-        self.checkpoint = checkpoint
 
     def close(self) -> None:
-        """Close the checkpoint journal and flush cache bookkeeping.
+        """Flush cache bookkeeping.
 
         Idempotent; cached entries themselves are untouched (only batched
         manifest recency updates are written out).
         """
-        if self.checkpoint is not None:
-            self.checkpoint.close()
         self.cache.close()
 
     def __enter__(self) -> "EvaluationSession":
@@ -217,22 +196,16 @@ class EvaluationSession:
         input order.  Each unique workload is simulated at most once per
         session lifetime.
 
-        **Fault tolerance**: a workload whose execution fails — a raising
-        simulation or composition — is retried exactly once against the
-        cache its neighbours have filled by then.  If the retry fails too,
-        the workload is quarantined: journaled (when a checkpoint is
-        attached), counted in ``stats.retries``, and reported through a
-        :class:`~repro.session.engine.WorkloadExecutionError` carrying the
-        quarantine list — raised only *after* every surviving result and
-        artifact has been stored, so one bad workload costs the batch
-        nothing but its own point.
+        Execution is fail-fast: the first workload whose planning,
+        simulation or composition raises stops the batch with a
+        :class:`~repro.session.engine.WorkloadExecutionError` naming it.
+        Workloads committed before it stay cached; it leaves no result.
+        Simulation is deterministic, so a retry would only fail again.
 
         ``on_result`` (when given) fires once per unique workload the moment
         its result is known — at cache-lookup time for warm workloads, at
         commit time for fresh ones — so callers can stream incremental
         reductions (the sweep runner's Pareto archive) while the batch runs.
-        With a session :attr:`checkpoint`, every scheduled workload is
-        journaled as planned up front and as completed at commit.
         """
         ordered = list(workloads)
         keys = [workload.fingerprint() for workload in ordered]
@@ -248,27 +221,24 @@ class EvaluationSession:
                 self.stats.hits += 1
                 continue
             value, source = self.cache.get_with_source(key)
-            if value is not None:
-                self.stats.hits += 1
-                if source == "disk":
-                    self.stats.disk_hits += 1
-                resolved[key] = value
-                self._note_resolved(key, workload, value, on_result)
+            if value is None:
+                value, from_disk = try_compose_from_cache(workload, self.cache, self.stats)
+                if value is not None:
+                    # Memoize the composition (memory-only: its per-block
+                    # artifacts already live on disk) so repeat lookups skip
+                    # the artifact walk.
+                    self.cache.put(key, value, workload.describe(), persist=False)
+                    source = "disk" if from_disk else "memory"
+            if value is None:
+                self.stats.misses += 1
+                pending[key] = workload
                 continue
-            composed, from_disk = try_compose_from_cache(workload, self.cache, self.stats)
-            if composed is not None:
-                self.stats.hits += 1
-                if from_disk:
-                    self.stats.disk_hits += 1
-                # Memoize the composition (memory-only: its per-block
-                # artifacts already live on disk) so repeat lookups skip
-                # the artifact walk.
-                self.cache.put(key, composed, workload.describe(), persist=False)
-                resolved[key] = composed
-                self._note_resolved(key, workload, composed, on_result)
-                continue
-            self.stats.misses += 1
-            pending[key] = workload
+            self.stats.hits += 1
+            if source == "disk":
+                self.stats.disk_hits += 1
+            resolved[key] = value
+            if on_result is not None:
+                on_result(workload, value)
         if pending:
             # Longest job first.  Equal-cost workloads tie-break on their
             # (stable, content-based) fingerprint rather than input order,
@@ -279,18 +249,11 @@ class EvaluationSession:
                 pending.items(),
                 key=lambda item: (-estimated_cost(item[1]), item[0]),
             )
-            if self.checkpoint is not None:
-                for key, workload in items:
-                    self.checkpoint.record_planned(key, workload.label())
             try:
-                failures = self._execute(items, resolved, on_result)
-                if failures:
-                    self._finish_failures(failures, resolved, on_result)
+                self._execute(items, resolved, on_result)
             finally:
-                # One manifest (and, pack layout, one segment-index) write
-                # per executed batch, not one per artifact — and surviving
-                # artifacts are flushed even when a batch raises for a
-                # quarantined workload.
+                # One manifest (and one segment-index) write per executed
+                # batch, not one per artifact — also when a workload fails.
                 self.cache.flush()
         return [resolved[key] for key in keys]
 
@@ -299,83 +262,60 @@ class EvaluationSession:
         items: list[tuple[str, Workload]],
         resolved: dict[str, NetworkResult],
         on_result: ResultCallback | None,
-    ) -> list[_Failure]:
-        """Execute the pending schedule; commit successes, return failures.
+    ) -> None:
+        """Execute the pending schedule, committing each workload in order.
 
-        Without a checkpoint, every Bit Fusion workload of the batch is
-        planned against the cache first (compile through the program cache,
-        per-block resolution through the layer key, in-batch duplicate
-        blocks deferred to their claimant); the genuinely missing blocks of
-        *all* plans then simulate through as few vectorized calls as
-        possible (:func:`~repro.session.engine.simulate_planned_blocks` — a
-        sweep varying only simulation parameters collapses into one 2-D
-        grid pass) before each workload composes and commits in schedule
-        order, so deferred blocks resolve from their claimant's stored
-        records.  Baseline workloads (no compile stage) execute whole.  If
-        the all-plans batched call raises, the batch degrades to per-plan
-        simulation so one faulting block fails only its own workload.  The
-        whole batch — compile-stage artifacts and every composed workload's
-        store-backs — lands as one group commit.
+        Every Bit Fusion workload of the batch is planned against the cache
+        first (compile through the program cache, per-block resolution
+        through the layer key, in-batch duplicate blocks deferred to their
+        claimant).  The genuinely missing blocks of *all* plans then
+        simulate through as few vectorized calls as possible
+        (:func:`~repro.session.engine.simulate_planned_blocks` — a sweep
+        varying only simulation parameters collapses into one 2-D grid
+        pass) before each workload composes and commits in schedule order,
+        so deferred blocks resolve from their claimant's stored records.
+        Baseline workloads (no compile stage) execute whole.
 
-        With a checkpoint, workloads run strictly one at a time — plan,
-        simulate, compose, store, journal — so a kill at any point loses at
-        most the in-flight workload.
+        Each workload's compile-stage artifacts and each workload's
+        composed store-backs land as one group commit, so no segment append
+        ever buffers more than one workload's records.  If the all-plans
+        batched call raises, every plan simulates on its own instead, which
+        attributes the fault to the workload that owns it.
         """
-        failures: list[_Failure] = []
         claimed: set[str] = set()
-
-        def complete(
-            key: str,
-            workload: Workload,
-            plan: WorkPlan | None,
-            layers: dict[int, LayerResult] | None,
-        ) -> None:
-            try:
-                if plan is None:
-                    plan = plan_workload(workload, self.cache, self.stats, claimed)
-                result = self._finish_plan(workload, plan, layers, self.stats)
-            except Exception as error:
-                failures.append(
-                    _Failure(key, workload, describe_workload_error(workload, error))
-                )
-                return
-            self._commit(key, workload, result, on_result)
+        plans: list[WorkPlan] = []
+        for _, workload in items:
+            with _attributed(workload), self.cache.batch():
+                plans.append(plan_workload(workload, self.cache, self.stats, claimed))
+        batched: Sequence[dict[int, LayerResult] | None]
+        try:
+            started = time.perf_counter()
+            batched = simulate_planned_blocks(plans)
+            self.stats.sim_seconds += time.perf_counter() - started
+        except Exception:
+            # One faulting block aborted the whole batched call; each plan
+            # simulates on its own in ``_finish_plan`` instead.
+            batched = [None] * len(plans)
+        for (key, workload), plan, layers in zip(items, plans, batched):
+            with _attributed(workload):
+                result = self._finish_plan(workload, plan, layers)
+            self._store_result(key, workload, result)
             resolved[key] = result
-
-        if self.checkpoint is not None:
-            for key, workload in items:
-                complete(key, workload, None, None)
-            return failures
-        with self.cache.batch():
-            plans = [
-                plan_workload(workload, self.cache, self.stats, claimed)
-                for _, workload in items
-            ]
-            batched: Sequence[dict[int, LayerResult] | None]
-            try:
-                started = time.perf_counter()
-                batched = simulate_planned_blocks(plans)
-                self.stats.sim_seconds += time.perf_counter() - started
-            except Exception:
-                # One faulting block aborted the whole batched call; each
-                # plan simulates on its own in ``complete`` instead.
-                batched = [None] * len(plans)
-            for (key, workload), plan, layers in zip(items, plans, batched):
-                complete(key, workload, plan, layers)
-        return failures
+            if on_result is not None:
+                on_result(workload, result)
 
     def _finish_plan(
         self,
         workload: Workload,
         plan: WorkPlan,
         layers: dict[int, LayerResult] | None,
-        stats: CacheStats,
     ) -> NetworkResult:
         """Finish one planned workload: simulate what is missing, compose.
 
         ``layers`` holds the plan's freshly simulated blocks, or ``None``
         to simulate them here.  Baseline workloads (no program) run whole.
         """
+        stats = self.stats
         started = time.perf_counter()
         if plan.program is None:
             result = execute_workload(workload)
@@ -388,97 +328,6 @@ class EvaluationSession:
         result = compose_plan(plan, layers, self.cache, stats)
         stats.compose_seconds += time.perf_counter() - started
         return result
-
-    # ------------------------------------------------------------------ #
-    # Retry-once / quarantine policy
-    # ------------------------------------------------------------------ #
-    def _finish_failures(
-        self,
-        failures: list[_Failure],
-        resolved: dict[str, NetworkResult],
-        on_result: ResultCallback | None,
-    ) -> None:
-        """Retry every failed workload once; quarantine what fails again.
-
-        Runs after the batch's surviving workloads have all been committed,
-        so a retried workload resolves every artifact a successful neighbour
-        (or in-batch claimant) already stored.  The retry replans with
-        throwaway statistics — retry work is accounted by ``stats.retries``
-        alone, so the per-stage counters (and the footer lines CI greps)
-        keep describing the fault-free pipeline.  If any workload fails its
-        retry, a :class:`~repro.session.engine.WorkloadExecutionError`
-        carrying the quarantine list is raised at the very end.
-        """
-        messages: list[str] = []
-        quarantined: list[QuarantineRecord] = []
-        for failure in failures:
-            if self.checkpoint is not None:
-                self.checkpoint.record_failed(
-                    failure.key, failure.workload.label(), failure.message, attempt=1
-                )
-            self.stats.retries += 1
-            retry_stats = CacheStats()
-            try:
-                plan = plan_workload(failure.workload, self.cache, retry_stats, set())
-                result = self._finish_plan(failure.workload, plan, None, retry_stats)
-            except Exception as error:
-                message = describe_workload_error(failure.workload, error)
-                messages.append(message)
-                quarantined.append(
-                    QuarantineRecord(
-                        fingerprint=failure.key,
-                        label=failure.workload.label(),
-                        error=message,
-                    )
-                )
-                if self.checkpoint is not None:
-                    self.checkpoint.record_quarantined(
-                        failure.key, failure.workload.label(), message
-                    )
-                continue
-            self._commit(failure.key, failure.workload, result, on_result)
-            resolved[failure.key] = result
-        if quarantined:
-            raise WorkloadExecutionError(messages, quarantined=tuple(quarantined))
-
-    # ------------------------------------------------------------------ #
-    # Committing results
-    # ------------------------------------------------------------------ #
-    def _note_resolved(
-        self,
-        key: str,
-        workload: Workload,
-        result: NetworkResult,
-        on_result: ResultCallback | None,
-    ) -> None:
-        """A workload resolved straight from the cache at lookup time."""
-        if self.checkpoint is not None:
-            self.checkpoint.record_completed(key)
-        if on_result is not None:
-            on_result(workload, result)
-
-    def _commit(
-        self,
-        key: str,
-        workload: Workload,
-        result: NetworkResult,
-        on_result: ResultCallback | None,
-    ) -> None:
-        """Store a fresh result, journal it, and notify the stream.
-
-        Ordering is the crash-safety contract: the artifacts and result are
-        stored first, the checkpoint's ``completed`` event is appended and
-        flushed second, stream callbacks fire third, and the test-only
-        after-commit hook (the kill point of the fault-injection harness)
-        fires last — so anything that dies *at* the hook leaves a journal
-        that only ever under-reports completed work, never over-reports it.
-        """
-        self._store_result(key, workload, result)
-        if self.checkpoint is not None:
-            self.checkpoint.record_completed(key)
-        if on_result is not None:
-            on_result(workload, result)
-        testing.fire_after_commit(workload, result)
 
     def _store_result(self, key: str, workload: Workload, result: NetworkResult) -> None:
         """Record an execution and store its workload-level result.

@@ -87,8 +87,7 @@ def iter_records(data: bytes) -> Iterator[tuple[int, int, dict[str, Any]]]:
 
     Stops at the first torn or undecodable record: a writer killed
     mid-append leaves a truncated tail, and everything before it is intact
-    by construction (single-writer, append-only) — the same
-    truncated-final-line tolerance the checkpoint journal applies.
+    by construction (single-writer, append-only).
     """
     position = 0
     total = len(data)

@@ -293,3 +293,39 @@ class TestBlockReuse:
         assert a.layer is first and b.layer is second
         fresh = FusionCompiler(default_config).compile(Network("b", [second]))[0]
         assert b.to_dict() == fresh.to_dict()
+
+
+#: Per zoo network: (source layers, compiled blocks) with layer fusion on.
+#: A fusion change fails here by name instead of surfacing as figure drift.
+ZOO_STRUCTURE = {
+    "AlexNet": (13, 8),
+    "Cifar-10": (12, 9),
+    "LSTM": (2, 2),
+    "LeNet-5": (6, 4),
+    "ResNet-18": (23, 21),
+    "RNN": (2, 2),
+    "SVHN": (12, 9),
+    "VGG-7": (11, 8),
+}
+
+
+class TestZooStructure:
+    def test_table_covers_the_zoo(self):
+        assert sorted(ZOO_STRUCTURE) == sorted(models.benchmark_names())
+
+    @pytest.mark.parametrize("name", sorted(ZOO_STRUCTURE))
+    def test_layer_and_block_counts(self, default_config, name):
+        network = models.load(name)
+        program = FusionCompiler(default_config).compile(network)
+        assert (len(network.layers), len(program)) == ZOO_STRUCTURE[name]
+
+    @pytest.mark.parametrize("name", sorted(ZOO_STRUCTURE))
+    def test_every_source_layer_maps_to_exactly_one_block(self, default_config, name):
+        network = models.load(name)
+        program = FusionCompiler(default_config).compile(network)
+        covered = [
+            layer for compiled in program for layer in (compiled.layer, *compiled.fused_layers)
+        ]
+        # In source order, each layer object exactly once.
+        assert len(covered) == len(network.layers)
+        assert all(a is b for a, b in zip(covered, network.layers))

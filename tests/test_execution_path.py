@@ -6,34 +6,30 @@ and commits in schedule order.  The guarantees under test:
 
 * batched execution is byte-identical to running each workload on its own,
   with or without a disk cache;
-* the missing blocks of a batch go through one batched simulation call
-  (one call per workload when a checkpoint asks for per-workload commits);
-* a faulting batched call degrades to per-plan simulation, so one bad
-  workload fails only itself, and retry work stays out of the per-stage
-  counters;
+* the missing blocks of a batch go through one batched simulation call,
+  ``--cache-dir`` sweeps included;
+* every segment append carries the records of at most one workload;
+* a faulting batched call degrades to per-plan simulation, and a workload
+  that still fails stops the batch with one error naming it, and the
+  workloads committed before it stay cached;
 * the schedule is longest-job-first;
 * ``on_result`` fires exactly once per unique workload, after its result
-  is stored;
-* the checkpoint journal records planned events before completions,
-  successive legs append to one file, and concurrent appends never tear a
-  line.
+  is stored.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import warnings
 
 import pytest
 
-from faults import crash_workloads, faulty_simulators
+from faults import InjectedSimulatorFault, faulty_simulators
 from repro.core.config import BitFusionConfig
-from repro.harness.runner import run_experiments
+from repro.harness.runner import build_sweep_report, run_experiments, sweep_main
 from repro.session import (
     EvaluationSession,
     ResultCache,
-    SweepCheckpoint,
+    SegmentedStore,
     Workload,
     WorkloadExecutionError,
     compile_program,
@@ -44,7 +40,6 @@ from repro.session import (
     use_session,
 )
 from repro.session import session as session_module
-from repro.session import testing
 from repro.session.cache import network_result_to_dict
 
 _FAST = ("LeNet-5", "LSTM")
@@ -117,6 +112,21 @@ class TestBatchEquivalence:
         assert rendered == expected
 
 
+    def test_sweep_grid_and_frontier_match_with_and_without_cache_dir(self, tmp_path):
+        spec = str(_spec_file(tmp_path, ["LeNet-5", "LSTM"]))
+        cache_dir = str(tmp_path / "cache")
+        reports = [
+            build_sweep_report(spec),
+            build_sweep_report(spec, cache_dir=cache_dir),
+            build_sweep_report(spec, cache_dir=cache_dir),
+        ]
+        # The first fenced block holds the grid and the Pareto frontier;
+        # the session statistics that follow differ by design.
+        grids = [report.split("```")[1] for report in reports]
+        assert "Pareto frontier" in grids[0]
+        assert grids[1] == grids[0]
+        assert grids[2] == grids[0]
+
 class TestBatchedSimulation:
     def test_missing_blocks_of_a_batch_simulate_in_one_call(self, sim_calls):
         workloads = _distinct()
@@ -124,12 +134,46 @@ class TestBatchedSimulation:
             session.run_many(workloads)
         assert sim_calls == [len(workloads)]
 
-    def test_checkpointed_run_simulates_one_workload_at_a_time(self, sim_calls, tmp_path):
+    def test_cache_dir_sweep_simulates_the_whole_batch_in_one_call(self, sim_calls, tmp_path):
+        spec = _spec_file(tmp_path, ["LeNet-5", "LSTM"])
+        build_sweep_report(str(spec), cache_dir=str(tmp_path / "cache"))
+        assert sim_calls == [4]
+
+    def test_each_segment_append_carries_one_workload(self, monkeypatch, tmp_path):
+        # Attribute every stored key to the workload being planned or
+        # composed when it was put, then check each append's keys.
+        current: list[str] = []
+        owner: dict[str, str] = {}
+        appended: list[set[str]] = []
+
+        def tracking(function):
+            def wrapper(first, *args, **kwargs):
+                workload = getattr(first, "workload", first)
+                current[:] = [workload.label()]
+                return function(first, *args, **kwargs)
+
+            return wrapper
+
+        real_put = ResultCache.put
+        real_append = SegmentedStore.append_encoded
+
+        def put(cache, key, *args, **kwargs):
+            owner[key] = current[0]
+            return real_put(cache, key, *args, **kwargs)
+
+        def append_encoded(store, items):
+            appended.append({owner[key] for key, _, _ in items})
+            return real_append(store, items)
+
+        for name in ("plan_workload", "compose_plan"):
+            monkeypatch.setattr(session_module, name, tracking(getattr(session_module, name)))
+        monkeypatch.setattr(ResultCache, "put", put)
+        monkeypatch.setattr(SegmentedStore, "append_encoded", append_encoded)
         workloads = _distinct()
-        checkpoint = SweepCheckpoint(tmp_path / "journal.jsonl")
-        with EvaluationSession(checkpoint=checkpoint) as session:
+        with EvaluationSession(cache_dir=tmp_path) as session:
             session.run_many(workloads)
-        assert sim_calls == [1] * len(workloads)
+        assert len(appended) == 2 * len(workloads)
+        assert all(len(owners) == 1 for owners in appended)
 
     def test_warm_batch_never_reaches_the_simulator(self, sim_calls, tmp_path):
         workloads = _distinct()
@@ -156,7 +200,7 @@ class TestBatchedSimulation:
         assert session.stats.compose_seconds > 0.0
 
 
-class TestFailureIsolation:
+class TestFailFast:
     def test_workload_error_carries_the_workload_label(self):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         message = describe_workload_error(workload, RuntimeError("boom"))
@@ -164,14 +208,16 @@ class TestFailureIsolation:
         assert "batch=4" in message
         assert "RuntimeError: boom" in message
 
-    def test_quarantined_workload_leaves_no_result_and_reruns_cleanly(self):
+    def test_failing_workload_raises_one_error_and_reruns_cleanly(self):
         bad = Workload.bitfusion("LSTM", batch_size=4)
         with EvaluationSession() as session:
-            # 'lstm1' is a block of the LSTM program only; the fault is
-            # persistent, so the first attempt and the retry both fail.
+            # 'lstm1' is a block of the LSTM program only.
             with faulty_simulators(["lstm1"]):
-                with pytest.raises(WorkloadExecutionError):
-                    session.run_many([bad])
+                with pytest.raises(WorkloadExecutionError) as raised:
+                    session.run_many(_distinct())
+            cause = raised.value.__cause__
+            assert isinstance(cause, InjectedSimulatorFault)
+            assert str(raised.value) == describe_workload_error(bad, cause)
             assert session.cache.get(bad.fingerprint()) is None
             result = session.run(bad)
         assert network_result_to_dict(result) == network_result_to_dict(
@@ -193,38 +239,143 @@ class TestFailureIsolation:
         with EvaluationSession() as session:
             results = session.run_many(workloads)
         assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
-        # One failed batched call, then one call per plan — and no retry:
-        # the fallback is part of the first attempt.
+        # One failed batched call, then one call per plan.
         assert calls == [len(workloads)] + [1] * len(workloads)
-        assert session.stats.retries == 0
 
-    def test_transient_block_fault_in_the_batched_call_costs_no_retry(self):
+    def test_transient_block_fault_in_the_batched_call_is_absorbed(self):
         workloads = _distinct()
         with EvaluationSession() as session:
             with faulty_simulators(["lstm1"], budget=1) as counter:
                 results = session.run_many(workloads)
         assert sum(counter.values()) == 1
-        assert session.stats.retries == 0
         assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
 
-    def test_retry_work_stays_out_of_the_stage_counters(self):
+    def test_sweep_on_a_failing_spec_exits_with_one_error_line(self, tmp_path, capsys):
+        spec = _spec_file(tmp_path, ["LSTM"])
+        with faulty_simulators(["lstm1"]):
+            with pytest.raises(SystemExit) as raised:
+                sweep_main([str(spec)])
+        assert raised.value.code != 0
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "workload bitfusion/LSTM" in errors[0]
+        assert "InjectedSimulatorFault" in errors[0]
+        assert captured.out == ""
+
+
+    def test_workloads_committed_before_the_failure_stay_cached(self, monkeypatch):
+        # Schedule: LSTM b4, LeNet-5 b4, LeNet-5 b2 (longest job first).
         workloads = _distinct()
-        with EvaluationSession() as fault_free:
-            fault_free.run_many(workloads)
+        bad = workloads[2]
+        seen: list[str] = []
         with EvaluationSession() as session:
-            with crash_workloads([workloads[1].fingerprint()], times=1):
-                results = session.run_many(workloads)
-        assert session.stats.retries == 1
-        assert session.stats.blocks.misses == fault_free.stats.blocks.misses
-        assert session.stats.programs.misses == fault_free.stats.programs.misses
+            _fail_compose_for(monkeypatch, bad)
+            with pytest.raises(WorkloadExecutionError, match="batch=2"):
+                session.run_many(
+                    workloads,
+                    on_result=lambda workload, result: seen.append(workload.label()),
+                )
+            assert seen == [workloads[1].label(), workloads[0].label()]
+            for workload in workloads[:2]:
+                assert session.cache.get(workload.fingerprint()) is not None
+            assert session.cache.get(bad.fingerprint()) is None
+            assert session.stats.unique_executions == 2
+
+    def test_rerun_on_the_cache_dir_executes_only_the_failed_workload(
+        self, monkeypatch, tmp_path
+    ):
+        workloads = _distinct()
+        bad = workloads[2]
+        with monkeypatch.context() as patched:
+            _fail_compose_for(patched, bad)
+            with EvaluationSession(cache_dir=tmp_path) as failed:
+                with pytest.raises(WorkloadExecutionError):
+                    failed.run_many(workloads)
+        with EvaluationSession(cache_dir=tmp_path) as rerun:
+            results = rerun.run_many(workloads)
+        assert rerun.stats.disk_hits == 2
+        assert list(rerun.stats.executions) == [bad.fingerprint()]
         assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
+
+    def test_planning_failure_names_the_workload(self, monkeypatch):
+        workloads = _distinct()
+        bad = workloads[1]  # LSTM: scheduled first
+        real = session_module.plan_workload
+
+        def plan(workload, *args, **kwargs):
+            if workload == bad:
+                raise ValueError("injected planning failure")
+            return real(workload, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "plan_workload", plan)
+        with EvaluationSession() as session:
+            with pytest.raises(WorkloadExecutionError) as raised:
+                session.run_many(workloads)
+        assert str(raised.value) == describe_workload_error(bad, raised.value.__cause__)
+        assert "ValueError: injected planning failure" in str(raised.value)
+        assert session.stats.unique_executions == 0
+
+    def test_baseline_failure_names_the_workload(self, monkeypatch):
+        bad = Workload.eyeriss("LSTM", batch_size=4)
+        real = session_module.execute_workload
+
+        def execute(workload):
+            if workload == bad:
+                raise RuntimeError("injected baseline failure")
+            return real(workload)
+
+        monkeypatch.setattr(session_module, "execute_workload", execute)
+        with EvaluationSession() as session:
+            with pytest.raises(WorkloadExecutionError, match="workload eyeriss/LSTM"):
+                session.run_many([Workload.eyeriss(name, batch_size=4) for name in _FAST])
+            assert session.cache.get(bad.fingerprint()) is None
+
+    def test_degraded_run_keeps_the_clean_run_counters(self, monkeypatch):
+        workloads = _distinct()
+        with EvaluationSession() as clean:
+            clean.run_many(workloads)
+        real = session_module.simulate_planned_blocks
+
+        def batch_fails(plans):
+            if len(plans) > 1:
+                raise RuntimeError("injected batched-call failure")
+            return real(plans)
+
+        monkeypatch.setattr(session_module, "simulate_planned_blocks", batch_fails)
+        with EvaluationSession() as degraded:
+            degraded.run_many(workloads)
+        for name in ("hits", "misses", "deduped", "disk_hits", "executions"):
+            assert getattr(degraded.stats, name) == getattr(clean.stats, name), name
+        for stage in ("programs", "tilings", "blocks"):
+            assert getattr(degraded.stats, stage) == getattr(clean.stats, stage), stage
+
+
+def _fail_compose_for(monkeypatch, bad: Workload) -> None:
+    """Make composing ``bad``'s plan raise; every other plan composes."""
+    real = session_module.compose_plan
+
+    def compose(plan, *args, **kwargs):
+        if plan.workload == bad:
+            raise RuntimeError("injected composition failure")
+        return real(plan, *args, **kwargs)
+
+    monkeypatch.setattr(session_module, "compose_plan", compose)
+
+
+def _spec_file(tmp_path, networks):
+    path = tmp_path / "spec.json"
+    spec = {"networks": networks, "axes": {"bandwidth": [64, 128]}}
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return path
 
 
 def _commit_order(workloads: list[Workload]) -> list[str]:
     order: list[str] = []
-    with testing.on_commit(lambda workload, result: order.append(workload.fingerprint())):
-        with EvaluationSession() as session:
-            session.run_many(workloads)
+    with EvaluationSession() as session:
+        session.run_many(
+            workloads, on_result=lambda workload, result: order.append(workload.fingerprint())
+        )
     return order
 
 
@@ -272,137 +423,6 @@ class TestResultStream:
         assert len(results) == len(workloads)
 
 
-def _events(path):
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-
-
-class TestSessionJournal:
-    def test_planned_events_precede_completions(self, tmp_path):
-        workloads = _distinct()
-        journal = tmp_path / "journal.jsonl"
-        with EvaluationSession(checkpoint=SweepCheckpoint(journal)) as session:
-            session.run_many(workloads)
-        kinds = [event["event"] for event in _events(journal)]
-        assert kinds == ["planned"] * len(workloads) + ["completed"] * len(workloads)
-
-    def test_cache_hits_journal_completion_without_planning(self, tmp_path):
-        workloads = _distinct()
-        with EvaluationSession(cache_dir=tmp_path / "cache") as cold:
-            cold.run_many(workloads)
-        journal = tmp_path / "journal.jsonl"
-        with EvaluationSession(
-            cache_dir=tmp_path / "cache", checkpoint=SweepCheckpoint(journal)
-        ) as warm:
-            warm.run_many(workloads)
-        replayed = SweepCheckpoint(journal)
-        assert replayed.planned == {}
-        assert replayed.completed == {w.fingerprint() for w in workloads}
-
-    def test_successive_legs_append_to_one_journal(self, tmp_path):
-        workloads = _distinct()
-        cache_dir = tmp_path / "cache"
-        journal = cache_dir / "sweep-checkpoint.jsonl"
-        with EvaluationSession(cache_dir=cache_dir, checkpoint=SweepCheckpoint(journal)) as first:
-            first.run_many(workloads[:1])
-        with EvaluationSession(cache_dir=cache_dir, checkpoint=SweepCheckpoint(journal)) as second:
-            second.run_many(workloads)
-        assert sorted(path.name for path in cache_dir.glob("*.jsonl")) == [journal.name]
-        replayed = SweepCheckpoint(journal)
-        assert replayed.completed == {w.fingerprint() for w in workloads}
-        assert set(replayed.planned) == {w.fingerprint() for w in workloads}
-
-
-class TestCheckpointJournal:
-    def test_reset_truncates_the_journal(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = SweepCheckpoint(path)
-        journal.record_planned("fp-a", "a")
-        journal.record_completed("fp-a")
-        journal.reset()
-        assert journal.planned == {}
-        assert journal.completed == frozenset()
-        assert path.read_text(encoding="utf-8") == ""
-        assert SweepCheckpoint(path).planned == {}
-
-    def test_concurrent_appends_never_tear_lines(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        writers, events_each = 4, 50
-
-        def append(writer: int) -> None:
-            journal = SweepCheckpoint(path)
-            for index in range(events_each):
-                journal.record_planned(
-                    f"fp-{writer}-{index}", f"label-{writer}-{index}" * 8
-                )
-            journal.close()
-
-        threads = [
-            threading.Thread(target=append, args=(writer,)) for writer in range(writers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a torn line would warn
-            replayed = SweepCheckpoint(path)
-        assert replayed.corrupt_lines == 0
-        assert len(replayed.planned) == writers * events_each
-
-    def test_later_completion_supersedes_quarantine(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepCheckpoint(path) as journal:
-            journal.record_planned("fp-a", "a")
-            journal.record_quarantined("fp-a", "a", "boom")
-            journal.record_completed("fp-a")
-        replayed = SweepCheckpoint(path)
-        assert replayed.completed == {"fp-a"}
-        assert replayed.quarantined == ()
-
-    def test_later_quarantine_supersedes_completion(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepCheckpoint(path) as journal:
-            journal.record_completed("fp-a")
-            journal.record_quarantined("fp-a", "a", "boom")
-        replayed = SweepCheckpoint(path)
-        assert replayed.completed == frozenset()
-        assert [record.error for record in replayed.quarantined] == ["boom"]
-
-    def test_repeated_planned_and_completed_events_are_written_once(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepCheckpoint(path) as journal:
-            for _ in range(3):
-                journal.record_planned("fp-a", "a")
-                journal.record_completed("fp-a")
-        assert [event["event"] for event in _events(path)] == ["planned", "completed"]
-
-    def test_failed_attempts_accumulate_in_order(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with SweepCheckpoint(path) as journal:
-            journal.record_planned("fp-a", "a")
-            journal.record_failed("fp-a", "a", "first", attempt=1)
-            journal.record_failed("fp-a", "a", "second", attempt=2)
-        replayed = SweepCheckpoint(path)
-        assert [record.error for record in replayed.failed_attempts("fp-a")] == [
-            "first",
-            "second",
-        ]
-        assert replayed.failed_attempts("fp-b") == ()
-
-    def test_close_is_idempotent_and_reopens_on_next_event(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = SweepCheckpoint(path)
-        journal.record_planned("fp-a", "a")
-        journal.close()
-        journal.close()
-        journal.record_planned("fp-b", "b")
-        journal.close()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            replayed = SweepCheckpoint(path)
-        assert set(replayed.planned) == {"fp-a", "fp-b"}
-
-
 class TestSessionLifecycle:
     def test_cache_and_cache_dir_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(ValueError):
@@ -413,13 +433,20 @@ class TestSessionLifecycle:
             EvaluationSession(cache=ResultCache(), max_cache_bytes=1024)
 
     def test_close_is_idempotent(self, tmp_path):
-        session = EvaluationSession(
-            cache_dir=tmp_path / "cache",
-            checkpoint=SweepCheckpoint(tmp_path / "journal.jsonl"),
-        )
+        session = EvaluationSession(cache_dir=tmp_path / "cache")
         session.run(Workload.bitfusion("LeNet-5", batch_size=4))
         session.close()
         session.close()
+
+    def test_cache_dir_sweep_leaves_only_the_pack_store(self, tmp_path):
+        spec = str(_spec_file(tmp_path, ["LeNet-5"]))
+        cache_dir = tmp_path / "cache"
+        build_sweep_report(spec, cache_dir=str(cache_dir))
+        names = sorted(path.name for path in cache_dir.iterdir())
+        assert "manifest.json" in names
+        assert all(
+            name == "manifest.json" or name.startswith("pack-") for name in names
+        ), names
 
     def test_compile_stats_after_run_reuses_the_program(self):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)

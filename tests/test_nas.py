@@ -16,6 +16,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from faults import InjectedSimulatorFault, faulty_simulators
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
@@ -32,6 +33,7 @@ from repro.nas.mutations import (
     mutate_width,
 )
 from repro.session import EvaluationSession, ResultCache, Workload
+from repro.session.cache import network_result_to_dict
 from repro.session.workload import load_network
 
 
@@ -152,6 +154,26 @@ class TestEstimatorExactness:
     def test_rejects_non_positive_batch_size(self):
         with pytest.raises(ValueError, match="batch size"):
             Estimator(_config(), batch_size=0)
+
+
+class TestEstimatorClaimRelease:
+    def test_failed_batch_releases_claims(self):
+        # Regression: a raising batched simulation must release its
+        # in-flight block claims, or every later estimate defers to a
+        # claimant that never stored anything and dies at compose time.
+        estimator = Estimator()
+        network = models.load("LeNet-5")
+        program = estimator._obtain_program(network, network.fingerprint())
+        first_block = program.blocks[0].name
+        with faulty_simulators([first_block]):
+            with pytest.raises(InjectedSimulatorFault):
+                estimator.estimate(network)
+        # Same estimator, faults removed: must price cleanly (no
+        # deferred-block RuntimeError from leaked claims).
+        result = estimator.estimate(network)
+        fresh = Estimator().estimate(network)
+        assert network_result_to_dict(result) == network_result_to_dict(fresh)
+        assert not estimator._in_flight
 
 
 class TestExactSimulationAccounting:

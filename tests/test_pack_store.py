@@ -5,8 +5,7 @@ sidecars, compaction), the :class:`~repro.session.cache.ResultCache`
 integration (group commits, ``get_many``/``prefetch`` source accounting,
 eviction durability, manifest rebuilds), directories written by older
 releases, and the concurrent-writer model (per-process segments, readers
-merge at open) — including a real multi-process stress test mirroring the
-checkpoint journal's torn-line test.
+merge at open) — including a real multi-process stress test.
 """
 
 from __future__ import annotations
@@ -475,9 +474,9 @@ print("done")
 
 class TestConcurrentWriters:
     def test_two_processes_append_concurrently_without_torn_records(self, tmp_path):
-        # Mirrors the checkpoint journal's concurrency test: two writer
-        # processes group-commit into a shared store simultaneously; a
-        # fresh reader sees the exact union, every record intact.
+        # Two writer processes group-commit into a shared store
+        # simultaneously; a fresh reader sees the exact union, every record
+        # intact.
         count = 200
         env = {**os.environ, "PYTHONPATH": _SRC}
         procs = [
