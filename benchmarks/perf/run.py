@@ -21,17 +21,22 @@ trajectory point as JSON (``BENCH_9.json`` by default):
   and the repo's acceptance bar is >= 5x on the grid;
 * **warm/cold run_many** — a small evaluation batch through an
   ``EvaluationSession``, cold then fully warm;
-* **cache I/O** — persisting and bulk-reading a thousand-plus artifact
-  entries through the segmented pack store's batched group commits and
-  ``get_many``;
+* **cache I/O** — persisting and bulk-reading a thousand-plus composed
+  ``NetworkResult`` records (the one kind the disk holds) through the
+  segmented pack store's batched group commits and ``get_many``;
 * **sweep grid expansion** — ``SweepSpec.expand`` on a few-hundred-point
   spec;
 * **Pareto reduction** — the sort-based frontier on synthetic points;
 * **NAS estimator** — a mutated ResNet-18 candidate priced through the
-  cache-composition estimator on a warm cache vs full ``evaluate()`` (the
-  repo's acceptance bar is >= 50x, with zero fresh simulations), the
-  unseen-layer dedupe rate of a fingerprint-deduped candidate batch, and
-  the candidates/second of a fully-warm search.
+  cache-composition estimator from a warm layer memo vs full
+  ``evaluate()`` (the repo's acceptance bar is >= 50x, with zero fresh
+  simulations), the unseen-layer dedupe rate of a fingerprint-deduped
+  candidate batch, and the candidates/second of a fully-warm search.
+
+Every speedup is measured by interleaving: the slow and the fast side run
+back to back, round after round, and the metric is the median of the
+per-round ratios, so a host that drifts between rounds moves both sides
+of each ratio alike.
 
 ``--check BASELINE`` compares the measured metrics against a committed
 baseline (``benchmarks/perf/baseline.json``) and exits non-zero on any
@@ -44,13 +49,16 @@ ratios (speedups, hit rates) are machine-independent and tight.  See
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import platform
 import random
+import statistics
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -67,14 +75,8 @@ from repro.nas import Estimator, SearchSpec, mutate, run_search  # noqa: E402
 from repro.dse.pareto import pareto_indices  # noqa: E402
 from repro.dse.spec import SweepSpec  # noqa: E402
 from repro.isa.compiler import FusionCompiler  # noqa: E402
-from repro.isa.instructions import LoopOrder  # noqa: E402
-from repro.isa.tiling import (  # noqa: E402
-    GemmWorkload,
-    TilingPlan,
-    search_tiling,
-    search_tiling_scalar,
-)
-from repro.session import EvaluationSession, Workload  # noqa: E402
+from repro.isa.tiling import search_tiling, search_tiling_scalar  # noqa: E402
+from repro.session import EvaluationSession, Workload, execute_workload  # noqa: E402
 from repro.session.cache import CacheStats, ResultCache  # noqa: E402
 from repro.session.engine import make_plan_resolver  # noqa: E402
 from repro.sim.batched import simulate_blocks_batched, simulate_blocks_grid  # noqa: E402
@@ -86,14 +88,39 @@ _RUN_MANY_NETWORKS = ("LeNet-5", "LSTM")
 _BATCH = 4
 
 
-def _best_of(repeats: int, fn) -> float:
-    """Minimum wall-clock seconds over ``repeats`` runs (noise suppression)."""
-    best = float("inf")
-    for _ in range(repeats):
+def _timed(fn) -> float:
+    """Wall-clock seconds of one ``fn()`` call, garbage collector paused.
+
+    As in :mod:`timeit`: a collection triggered by garbage an earlier call
+    left behind would otherwise be charged to whichever call runs next.
+    """
+    gc.disable()
+    try:
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def _best_of(repeats: int, fn) -> float:
+    """Minimum wall-clock seconds over ``repeats`` runs (noise suppression)."""
+    return min(_timed(fn) for _ in range(repeats))
+
+
+def _interleaved(rounds: int, slow, fast, inner: int = 3) -> tuple[float, float, float]:
+    """Alternate ``slow`` and ``fast`` for ``rounds`` back-to-back pairs.
+
+    Each side of a pair is its best of ``inner`` consecutive calls, so its
+    first call (run with CPU caches cold from the other side) does not
+    decide it.  Returns the best slow and fast seconds and the median of
+    the per-pair slow/fast ratios.  Both sides of a pair see the same host
+    speed, so drift between pairs cancels out of every ratio; the median
+    then drops the pairs a burst of load split.
+    """
+    pairs = [(_best_of(inner, slow), _best_of(inner, fast)) for _ in range(rounds)]
+    ratio = statistics.median(slow_s / fast_s for slow_s, fast_s in pairs)
+    return min(s for s, _ in pairs), min(f for _, f in pairs), ratio
 
 
 def _collect_searches(config: BitFusionConfig) -> list[tuple]:
@@ -124,14 +151,14 @@ def bench_compile(repeats: int) -> dict:
     cold_total = sum(per_network.values())
 
     searches = _collect_searches(config)
-    scalar_search_s = _best_of(
-        repeats,
-        lambda: [search_tiling_scalar(g, config, o) for g, o in searches],
-    )
-    vector_search_s = _best_of(
-        repeats,
-        lambda: [search_tiling(g, config, o) for g, o in searches],
-    )
+
+    def scalar_searches() -> None:
+        for gemm, orders in searches:
+            search_tiling_scalar(gemm, config, orders)
+
+    def vector_searches() -> None:
+        for gemm, orders in searches:
+            search_tiling(gemm, config, orders)
 
     memo_stats_runs: list[CacheStats] = []
 
@@ -142,21 +169,28 @@ def bench_compile(repeats: int) -> dict:
             FusionCompiler(config, plan_resolver=resolver).compile(network, batch_size=16)
         memo_stats_runs.append(stats)
 
-    memo_total = _best_of(repeats, memoized_compile)
+    # One round times all three sides back to back, so every round's ratio
+    # sees one host speed.  The pre-vectorization compiler = today's
+    # emission (cold total minus vectorized searches) + scalar searches.
+    rounds = [
+        (_timed(scalar_searches), _timed(vector_searches), _timed(memoized_compile))
+        for _ in range(max(repeats, 5))
+    ]
     memo_stats = memo_stats_runs[-1]
-
-    # The pre-vectorization compiler = today's emission + scalar searches.
-    legacy_total = cold_total - vector_search_s + scalar_search_s
     return {
         "cold_compile_total_s": cold_total,
         "cold_compile_per_network_s": per_network,
         "tiling_searches": len(searches),
-        "tiling_search_scalar_s": scalar_search_s,
-        "tiling_search_vectorized_s": vector_search_s,
-        "tiling_search_speedup": scalar_search_s / vector_search_s,
-        "memoized_compile_total_s": memo_total,
+        "tiling_search_scalar_s": min(scalar for scalar, _, _ in rounds),
+        "tiling_search_vectorized_s": min(vector for _, vector, _ in rounds),
+        "tiling_search_speedup": statistics.median(
+            scalar / vector for scalar, vector, _ in rounds
+        ),
+        "memoized_compile_total_s": min(memo for _, _, memo in rounds),
         "tiling_memo_cold_hit_rate": memo_stats.tilings.hit_rate,
-        "compile_speedup_vs_scalar": legacy_total / memo_total,
+        "compile_speedup_vs_scalar": statistics.median(
+            (cold_total - vector + scalar) / memo for scalar, vector, memo in rounds
+        ),
     }
 
 
@@ -191,8 +225,12 @@ def bench_sim(repeats: int) -> dict:
 
     batched_sim = BitFusionSimulator(config)
     scalar_sim = BitFusionSimulator(config, batched=False)
-    scalar_s = _best_of(repeats, lambda: [scalar_sim.run_block(b) for b in blocks])
-    batched_s = _best_of(repeats, lambda: simulate_blocks_batched(batched_sim, blocks))
+    rounds = max(repeats * 3, 9)
+    scalar_s, batched_s, batched_speedup = _interleaved(
+        rounds,
+        lambda: [scalar_sim.run_block(b) for b in blocks],
+        lambda: simulate_blocks_batched(batched_sim, blocks),
+    )
 
     # The bandwidth-sweep fast path: one block batch under several sim
     # configs in a single 2-D pass (extraction amortized across rows).
@@ -204,20 +242,20 @@ def bench_sim(repeats: int) -> dict:
     ]
     grid_sims = [BitFusionSimulator(c) for c in grid_configs]
     grid_oracles = [BitFusionSimulator(c, batched=False) for c in grid_configs]
-    grid_scalar_s = _best_of(
-        repeats,
+    grid_scalar_s, grid_batched_s, grid_speedup = _interleaved(
+        rounds,
         lambda: [[sim.run_block(b) for b in blocks] for sim in grid_oracles],
+        lambda: simulate_blocks_grid(grid_sims, blocks),
     )
-    grid_batched_s = _best_of(repeats, lambda: simulate_blocks_grid(grid_sims, blocks))
     return {
         "sim_blocks": len(blocks),
         "sim_scalar_s": scalar_s,
         "sim_batched_s": batched_s,
-        "sim_batched_speedup": scalar_s / batched_s,
+        "sim_batched_speedup": batched_speedup,
         "sim_grid_configs": len(grid_configs),
         "sim_grid_scalar_s": grid_scalar_s,
         "sim_grid_batched_s": grid_batched_s,
-        "sim_grid_speedup": grid_scalar_s / grid_batched_s,
+        "sim_grid_speedup": grid_speedup,
     }
 
 
@@ -225,52 +263,39 @@ def bench_run_many(repeats: int) -> dict:
     workloads = [
         Workload.bitfusion(name, batch_size=_BATCH) for name in _RUN_MANY_NETWORKS
     ]
-    # Cold is only cold once per session, so each repeat gets a fresh one;
-    # warm lookups are sub-millisecond, so they especially need the
-    # best-of-N noise suppression (the CI gate bounds the speedup).
-    cold_s = warm_s = float("inf")
-    warm_hits = 0
-    for _ in range(repeats):
-        with EvaluationSession() as session:
-            start = time.perf_counter()
-            session.run_many(workloads)
-            cold_s = min(cold_s, time.perf_counter() - start)
-            warm_s = min(warm_s, _best_of(repeats, lambda: session.run_many(workloads)))
-            warm_hits = session.stats.hits
+    # Cold is only cold once per session, so every cold call gets a fresh
+    # one; the warm side then re-runs the batch on the latest session.
+    sessions: list[EvaluationSession] = []
+
+    def cold() -> None:
+        sessions[:] = [EvaluationSession()]
+        sessions[0].run_many(workloads)
+
+    cold_s, warm_s, speedup = _interleaved(
+        max(repeats * 3, 9), cold, lambda: sessions[0].run_many(workloads)
+    )
     return {
         "run_many_cold_s": cold_s,
         "run_many_warm_s": warm_s,
-        "run_many_warm_speedup": cold_s / warm_s,
-        "run_many_warm_hits": warm_hits,
+        "run_many_warm_speedup": speedup,
+        "run_many_warm_hits": sessions[0].stats.hits,
     }
 
 
 def bench_cache_io(repeats: int) -> dict:
-    """Artifact persistence and bulk reads through the segmented store.
+    """Result persistence and bulk reads through the segmented store.
 
-    Persisting measures what ``run_many`` and the NAS store-back actually
-    pay per artifact batch: the pack store group-commits the whole batch
-    as a single segment append.  Reading is one ``get_many`` index pass
-    through a fresh ``ResultCache``, so the open cost (manifest load,
-    index build) is included, exactly as a warm run sees it.
+    The entries are composed ``NetworkResult`` records — the one kind the
+    disk holds — each a real LeNet-5 result under its own network name.
+    Persisting measures a group commit of the whole set as a single
+    segment append.  Reading is one ``get_many`` index pass through a
+    fresh ``ResultCache``, so the open cost (manifest load, index build)
+    is included, exactly as a warm run sees it.
     """
     entries = 1200
-    gemm = GemmWorkload(m=64, n=64, r=64, input_bits=8, weight_bits=8, output_bits=8)
+    result = execute_workload(Workload.bitfusion("LeNet-5", batch_size=16))
     items = [
-        (
-            f"bench-entry-{index:05d}",
-            TilingPlan(
-                workload=gemm,
-                loop_order=LoopOrder.OUTPUT_STATIONARY,
-                tile_m=64,
-                tile_n=64,
-                tile_r=64,
-                dram_weight_bits=index,
-                dram_input_bits=index + 1,
-                dram_output_write_bits=index + 2,
-                dram_output_read_bits=0,
-            ),
-        )
+        (f"bench-entry-{index:05d}", replace(result, network_name=f"LeNet-5/{index:05d}"))
         for index in range(entries)
     ]
     keys = [key for key, _ in items]
@@ -345,12 +370,14 @@ def bench_nas(repeats: int) -> dict:
     """The NAS estimator scenarios: warm pricing, batch dedupe, search rate.
 
     Warm pricing is the acceptance-criteria number: after one cold pricing,
-    re-estimating a mutated ResNet-18 candidate must be pure cache lookup +
-    composition — zero fresh simulations (tracked exactly) and >= 50x
-    faster than ``BitFusionAccelerator.evaluate``.  The dedupe rate is
-    deterministic (seeded mutations), so its bound is tight; the
-    candidates/second of a fully-warm search is wall-clock and bounded
-    generously.
+    re-estimating a mutated ResNet-18 candidate must be pure layer-memo
+    lookup + composition — zero fresh simulations (tracked exactly) and
+    >= 50x faster than ``BitFusionAccelerator.evaluate``.  The estimator's
+    cache has no directory, so it stores no composed results: every warm
+    estimate composes from the layer memo rather than reading a whole
+    result back.  The dedupe rate is deterministic (seeded mutations), so
+    its bound is tight; the candidates/second of a fully-warm search is
+    wall-clock and bounded generously.
     """
     config = BitFusionConfig.eyeriss_matched()
     base = models.load("ResNet-18")
@@ -360,9 +387,16 @@ def bench_nas(repeats: int) -> dict:
     estimator.estimate(base)
     estimator.estimate(mutant)
     simulated_before = estimator.stats.layers_simulated
-    warm_s = _best_of(max(repeats * 7, 20), lambda: estimator.estimate(mutant))
+    composed_before = estimator.stats.layers_composed
+    evaluate_s, warm_s, speedup = _interleaved(
+        max(repeats * 3, 9),
+        lambda: BitFusionAccelerator(config).evaluate(mutant),
+        lambda: estimator.estimate(mutant),
+        inner=5,
+    )
     warm_simulated = estimator.stats.layers_simulated - simulated_before
-    evaluate_s = _best_of(repeats, lambda: BitFusionAccelerator(config).evaluate(mutant))
+    assert estimator.stats.results_read == 0
+    assert estimator.stats.layers_composed > composed_before
 
     # Unseen-layer batch efficiency: one cold fingerprint-deduped generation
     # (eight seeded mutants + the base).  Most blocks repeat across the
@@ -383,7 +417,7 @@ def bench_nas(repeats: int) -> dict:
     return {
         "nas_warm_estimate_s": warm_s,
         "nas_evaluate_s": evaluate_s,
-        "nas_estimator_speedup": evaluate_s / warm_s,
+        "nas_estimator_speedup": speedup,
         "nas_warm_simulated": warm_simulated,
         "nas_batch_layer_lookups": batch_stats.layer_lookups,
         "nas_batch_simulated": batch_stats.layers_simulated,

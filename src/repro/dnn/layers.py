@@ -376,8 +376,8 @@ def layer_to_dict(layer: Layer) -> dict[str, object]:
 
     Every layer field is an int or str, so the payload round-trips losslessly
     through JSON; :func:`layer_from_dict` rebuilds an equal layer instance.
-    This is what lets compiled :class:`~repro.isa.program.Program` artifacts
-    (which embed the layer each block implements) persist across processes.
+    Compiled :class:`~repro.isa.program.Program` payloads (which embed the
+    layer each block implements) and hence their fingerprints build on it.
 
     Equal to ``{"type": ..., **dataclasses.asdict(layer)}`` but built from a
     per-class tuple of field names: ``asdict`` recurses and deep-copies every

@@ -52,8 +52,8 @@ def run(
     """Compile every benchmark and collect per-block instruction statistics.
 
     Compilation goes through the session's :meth:`~repro.session.session.
-    EvaluationSession.compile_stats`, so repeated report runs against a
-    persistent cache directory skip recompilation entirely.
+    EvaluationSession.compile_stats`, so a report that already simulated a
+    benchmark reuses its memoized program instead of recompiling it.
     """
     names = benchmarks if benchmarks is not None else tuple(models.benchmark_names())
     session = resolve_session(session)

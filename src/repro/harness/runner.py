@@ -11,7 +11,7 @@ Two further entry points share the same session machinery: ``python -m
 repro.harness sweep SPEC`` runs a declarative multi-axis design-space sweep
 (:mod:`repro.dse`) from a JSON/YAML spec file and reports its Pareto
 frontier, and ``--cache-info`` summarizes a ``--cache-dir``'s contents
-(entry counts and bytes per artifact kind, from ``manifest.json``) without
+(entry counts and bytes per record kind, from ``manifest.json``) without
 running anything.  ``docs/cli.md`` is the full command-line reference.
 
 Every report is backed by one :class:`repro.session.EvaluationSession` — the
@@ -21,10 +21,10 @@ session runs them through a staged compile → simulate-blocks → compose
 pipeline with a cacheable artifact at each seam, so a full report simulates
 each unique workload exactly once no matter how many figures need it, and
 finishes with per-stage cache statistics (workload, program, block and
-layer-dedup hit counts).  ``--cache-dir PATH`` persists compiled programs
-and per-block results so later invocations skip recompilation and
-unchanged-block simulation entirely, and ``--cache-max-mb`` bounds that
-directory with LRU eviction.
+layer-dedup hit counts).  ``--cache-dir PATH`` persists each workload's
+composed result so later invocations read it back instead of compiling
+and simulating, and ``--cache-max-mb`` bounds that directory with LRU
+eviction.
 """
 
 from __future__ import annotations
@@ -273,8 +273,9 @@ def build_report(
 def _session_footer(session: EvaluationSession) -> list[str]:
     """The per-stage cache statistics footer shared by reports and sweeps.
 
-    CI greps these lines to assert 100% program-cache hits on warm re-runs,
-    so the report and the ``sweep`` subcommand must emit the same format.
+    CI greps these lines to assert that a warm re-run reads every workload
+    from disk with no fresh execution, so the report and the ``sweep``
+    subcommand must emit the same format.
     """
     lines = [session.stats.summary()]
     # Wall-clock cost of the compile stage (fresh compilations only —
@@ -302,10 +303,9 @@ def _profile_table(session: EvaluationSession) -> str:
     sum, not the report's end-to-end wall clock — rendering and table
     formatting are deliberately excluded so the table answers "where does
     the *pipeline* spend its time", which is what future hot-path hunts
-    need.  cache-IO
-    (on-disk entry reads/writes) is reported separately below the total:
-    it happens *inside* the stage rows (mostly compose, which stores fresh
-    artifacts), so adding it in would double-count.
+    need.  cache-IO (on-disk result reads and writes) is reported
+    separately below the total: it happens outside the stage rows, in the
+    session's result lookups and its group commits.
     """
     stats = session.stats
     rows = [
@@ -320,7 +320,7 @@ def _profile_table(session: EvaluationSession) -> str:
         lines.append(f"{name:<8}  {seconds:7.3f}  {share:6.1%}")
     lines.append(f"{'total':<8}  {total:7.3f}")
     lines.append(
-        f"{'cache-IO':<8}  {session.cache.io_seconds:7.3f}  (spent inside the stages above)"
+        f"{'cache-IO':<8}  {session.cache.io_seconds:7.3f}  (outside the stages above)"
     )
     return "\n".join(lines)
 
@@ -375,16 +375,13 @@ def build_sweep_report(
 def build_sweep_dry_run_report(spec_path: str, cache_dir: str | None = None) -> str:
     """Expand a sweep spec and diff the planned grid against a cache directory.
 
-    Nothing compiles or simulates: every expanded workload is audited
-    against the ``--cache-dir`` artifacts
-    (:func:`~repro.session.engine.audit_workload_cache`) and the report
-    says how much of the planned grid is already cached — fully
-    composable, partially cached (program present, some blocks missing) or
-    cold — plus the directory's per-kind entry summary.  Run this before
-    committing to an expensive sweep to see what it will actually cost.
+    Nothing compiles or simulates: each expanded workload is either
+    cached (its composed result is stored in ``--cache-dir``) or cold, and
+    the report counts both, plus the directory's per-kind entry summary.
+    Run this before committing to an expensive sweep to see what it will
+    actually cost.
     """
     from repro.dse import SweepSpec
-    from repro.session.engine import CacheAudit, audit_workload_cache
 
     spec = SweepSpec.from_file(spec_path)
     points = spec.expand()
@@ -392,23 +389,11 @@ def build_sweep_dry_run_report(spec_path: str, cache_dir: str | None = None) -> 
         raise ValueError(f"cache directory {cache_dir!r} does not exist")
     cache = ResultCache(cache_dir) if cache_dir is not None else ResultCache()
 
-    audited: dict[str, CacheAudit] = {}
-    grid_states: list[str] = []
-    for point in points:
-        key = point.workload.fingerprint()
-        if key not in audited:
-            audited[key] = audit_workload_cache(point.workload, cache)
-        grid_states.append(audited[key].state)
-
-    unique = list(audited.values())
-    counts = {
-        state: sum(1 for audit in unique if audit.state == state)
-        for state in ("cached", "partial", "cold")
-    }
-    missing_blocks = sum(audit.missing_blocks for audit in unique)
-    partial_blocks = sum(
-        audit.total_blocks for audit in unique if audit.state == "partial"
-    )
+    keys = [point.workload.fingerprint() for point in points]
+    cached = {key: key in cache for key in dict.fromkeys(keys)}
+    cached_unique = sum(cached.values())
+    cached_points = sum(cached[key] for key in keys)
+    fraction = cached_points / len(points) if points else 0.0
     lines = [
         "# Bit Fusion design-space sweep — dry run",
         "",
@@ -416,34 +401,13 @@ def build_sweep_dry_run_report(spec_path: str, cache_dir: str | None = None) -> 
         "",
         "```",
         spec.describe(),
-        f"grid: {len(points)} points, {len(audited)} unique workloads",
-        (
-            f"fully cached: {counts['cached']} workloads "
-            f"(would compose without any fresh work)"
-        ),
-        (
-            f"partially cached: {counts['partial']} workloads "
-            f"({missing_blocks} of {partial_blocks} blocks missing)"
-        ),
-        f"cold: {counts['cold']} workloads (no usable artifacts)",
+        f"grid: {len(points)} points, {len(cached)} unique workloads",
+        f"cached: {cached_unique} workloads (result stored, no fresh work)",
+        f"cold: {len(cached) - cached_unique} workloads (compile and simulate)",
+        f"planned grid already cached: {cached_points}/{len(points)} points ({fraction:.0%})",
+        "```",
+        "",
     ]
-    # The tiling memo serves cold workloads before their programs exist, so
-    # "cold" alone overstates the cost of a grid whose GEMM shapes already
-    # planned: say how many of the searches a cold start would actually run.
-    tilings_total = sum(audit.tilings_total for audit in unique)
-    if tilings_total:
-        tilings_cached = sum(audit.tilings_cached for audit in unique)
-        lines.append(
-            f"tiling memo: {tilings_cached}/{tilings_total} searches of the "
-            "cold workloads already memoized"
-        )
-    cached_points = sum(1 for state in grid_states if state == "cached")
-    fraction = cached_points / len(points) if points else 0.0
-    lines.append(
-        f"planned grid already cached: {cached_points}/{len(points)} points ({fraction:.0%})"
-    )
-    lines.append("```")
-    lines.append("")
     if cache_dir is not None:
         lines.extend(["## Cache directory", "", "```", format_cache_info(cache_dir), "```", ""])
     else:
@@ -469,8 +433,8 @@ def sweep_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
-        help="persist compiled programs and per-block simulation results "
-        "under PATH and reuse them across invocations",
+        help="persist each grid point's composed result under PATH and "
+        "reuse it across invocations",
     )
     parser.add_argument(
         "--cache-max-mb",
@@ -483,8 +447,8 @@ def sweep_main(argv: list[str] | None = None) -> int:
         "--dry-run",
         action="store_true",
         help="expand the grid and report how much of it the --cache-dir "
-        "already holds (fully/partially cached vs cold) without running "
-        "any compilation or simulation",
+        "already holds (cached vs cold) without running any compilation "
+        "or simulation",
     )
     args = parser.parse_args(argv)
     max_cache_bytes = None
@@ -525,10 +489,10 @@ def build_nas_report(
     """Run one spec-file NAS search and render its report.
 
     The search prices candidates through the cache-composition estimator
-    (:mod:`repro.nas`); ``--cache-dir`` makes the layer cache persistent,
-    so a second search — or a search after a report run against the same
-    directory — starts warm.  The footer reports the estimator's hit rate,
-    layers simulated vs composed, and candidates per second.
+    (:mod:`repro.nas`); ``--cache-dir`` persists each priced candidate's
+    composed result, so a second search reads back every candidate the
+    first one priced.  The footer reports the estimator's hit rate, stored
+    results read, layers simulated vs composed, and candidates per second.
     """
     # Imported here so `python -m repro.harness --list` stays import-light.
     from repro.nas import Estimator, SearchSpec, format_search_report, run_search
@@ -587,8 +551,8 @@ def nas_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
-        help="persist programs and per-layer simulation results under PATH; "
-        "searches (and report runs) sharing the directory start warm",
+        help="persist each priced candidate's composed result under PATH; "
+        "searches sharing the directory start warm",
     )
     parser.add_argument(
         "--cache-max-mb",
@@ -624,16 +588,14 @@ def nas_main(argv: list[str] | None = None) -> int:
 # Cache introspection (``--cache-info``)
 # ---------------------------------------------------------------------- #
 def format_cache_info(cache_dir: str) -> str:
-    """Summarize a cache directory: entries and bytes per artifact kind.
+    """Summarize a cache directory: entries and bytes per record kind.
 
     The numbers come straight from the directory's ``manifest.json`` index
-    (rebuilt from the entry files if missing or stale), so the output always
+    (rebuilt from the store if missing or stale), so the output always
     matches what the manifest records.  A path that is not an existing
     directory is an error: introspection must never create the directory a
     mistyped ``--cache-dir`` points at.
     """
-    from pathlib import Path
-
     if not Path(cache_dir).is_dir():
         raise ValueError(f"cache directory {cache_dir!r} does not exist")
     cache = ResultCache(cache_dir)
@@ -645,34 +607,12 @@ def format_cache_info(cache_dir: str) -> str:
     if not summary:
         lines.append("(empty)")
         return "\n".join(lines)
-    total_entries = sum(bucket["entries"] for bucket in summary.values())
-    total_bytes = sum(bucket["bytes"] for bucket in summary.values())
     for kind in sorted(summary):
         bucket = summary[kind]
-        line = f"{kind}: {bucket['entries']} entries, {bucket['bytes'] / 1024:.1f} KiB"
-        # Reuse traffic per kind: how many lookups the directory has served
-        # since its entries were written (touch counts from the manifest).
-        if bucket.get("refs"):
-            line += f", {bucket['refs']} reuse hits"
-        lines.append(line)
+        lines.append(f"{kind}: {bucket['entries']} entries, {bucket['bytes'] / 1024:.1f} KiB")
+    total_entries = sum(bucket["entries"] for bucket in summary.values())
+    total_bytes = sum(bucket["bytes"] for bucket in summary.values())
     lines.append(f"total: {total_entries} entries, {total_bytes / 1024:.1f} KiB")
-    # The layer level is what the NAS estimator composes from for free:
-    # report its dedupe ratio (reuse hits per stored entry) and the hottest
-    # content fingerprints so users can see what a search will inherit.
-    layers = summary.get("layer")
-    if layers and layers["entries"]:
-        ratio = layers["refs"] / layers["entries"]
-        lines.append(f"layer dedupe ratio: {ratio:.1f} reuse hits per stored layer")
-        top = cache.top_referenced("layer", limit=5)
-        if top:
-            lines.append("most-referenced layers:")
-            for entry in top:
-                workload = entry.get("workload") or {}
-                origin = workload.get("network") or workload.get("workload") or "?"
-                lines.append(
-                    f"  {entry['key'][:16]}…  {entry['refs']} hits  "
-                    f"(first stored by {origin})"
-                )
     return "\n".join(lines)
 
 
@@ -712,8 +652,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         metavar="PATH",
-        help="persist compiled programs, tiling plans and per-layer simulation "
-        "results under PATH and reuse them across report invocations",
+        help="persist each workload's composed result under PATH and reuse "
+        "it across report invocations",
     )
     parser.add_argument(
         "--cache-max-mb",
@@ -738,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-info",
         action="store_true",
         help="summarize the --cache-dir contents (entries and bytes per "
-        "artifact kind, from manifest.json) and exit without running anything",
+        "record kind, from manifest.json) and exit without running anything",
     )
     args = parser.parse_args(argv)
 

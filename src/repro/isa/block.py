@@ -22,7 +22,6 @@ from typing import Iterator, Sequence
 
 from repro.isa.encoding import (
     INSTRUCTION_BYTES,
-    decode_block_hex,
     encode_block,
     encode_block_hex,
 )
@@ -193,8 +192,8 @@ class InstructionBlock:
         """JSON-compatible payload: the block name plus its hex binary image.
 
         The instruction encoder/decoder pair round-trips every instruction
-        kind exactly (see :mod:`repro.isa.encoding`), so rebuilding through
-        :meth:`from_dict` yields an equal instruction sequence.
+        kind exactly (see :mod:`repro.isa.encoding`), so the image
+        identifies the instruction sequence.
 
         The hex image is encoded once and memoized (the instructions are an
         immutable tuple), so a compiled block's payload, fingerprint and
@@ -203,11 +202,6 @@ class InstructionBlock:
         if self._image is None:
             self._image = encode_block_hex(list(self._instructions))
         return {"name": self.name, "image": self._image}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, str]) -> "InstructionBlock":
-        """Rebuild (and re-validate) a block from :meth:`to_dict` output."""
-        return cls(payload["name"], decode_block_hex(payload["image"]))
 
     def stats(self) -> BlockStats:
         """Per-block statistics (instruction counts, binary footprint)."""

@@ -210,7 +210,7 @@ class FusionCompiler:
         The data still flows as a (1, 1, elements x batch) workload so the
         simulator can charge its DRAM traffic; shared between
         :meth:`compile_auxiliary_layer` and :meth:`tiling_requests` so the
-        search an audit predicts is exactly the search compilation runs.
+        search a request predicts is exactly the search compilation runs.
         """
         batch = self.config.batch_size if batch_size is None else batch_size
         if batch <= 0:
@@ -230,13 +230,9 @@ class FusionCompiler:
         """The ``(gemm, orders)`` tiling searches compiling ``network`` would run.
 
         Derivable without searching or emitting a single instruction: fusion
-        grouping plus GEMM-shape lowering only.  This is what lets a sweep
-        ``--dry-run`` report how much of a *cold* workload's compile cost the
-        persistent tiling memo already covers
-        (:func:`~repro.session.engine.audit_workload_cache`) — the keys
-        built from these pairs are exactly the keys
-        :meth:`~FusionCompiler.compile` would consult through its plan
-        resolver, in program order.
+        grouping plus GEMM-shape lowering only.  The keys built from these
+        pairs are exactly the keys :meth:`~FusionCompiler.compile` would
+        consult through its plan resolver, in program order.
         """
         decision = fuse_layers(network.layers, enable=self.enable_layer_fusion)
         requests: list[tuple[GemmWorkload, tuple[LoopOrder, ...]]] = []

@@ -164,8 +164,9 @@ def encode_block_hex(instructions: list[Instruction]) -> str:
     """Binary image of a block as a lowercase hex string.
 
     The hex form is the JSON-friendly face of :func:`encode_block`; it is
-    what serialized :class:`~repro.isa.program.Program` artifacts store, so
-    an instruction sequence survives a disk round trip bit-for-bit.
+    what a compiled block's payload (and hence its fingerprints) carries,
+    and :func:`decode_block_hex` recovers the instruction sequence
+    bit-for-bit.
     """
     return encode_block(instructions).hex()
 

@@ -9,11 +9,9 @@ order and any fused follow-on layers).
 Programs (and their blocks) serialize deterministically to JSON-compatible
 dictionaries — instructions through the Table I binary encoding, layers and
 tiling plans field by field — and fingerprint themselves over that payload.
-This is what makes a compiled program a first-class cacheable artifact of
-the staged compile → simulate-blocks → compose pipeline: the evaluation
-session persists programs on disk, reuses them across sweeps that only vary
-simulation parameters, and keys per-block simulation results on the block
-fingerprint.
+The evaluation session memoizes programs in process, reuses them across
+sweep points that only vary simulation parameters, and keys per-block
+simulation results on the name-free block fingerprint.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
-from repro.dnn.layers import Layer, layer_from_dict, layer_to_dict
+from repro.dnn.layers import Layer, layer_to_dict
 from repro.fingerprint import fingerprint_payload
 from repro.isa.block import InstructionBlock
 from repro.isa.instructions import LoopOrder
@@ -75,17 +73,6 @@ class CompiledBlock:
             "loop_order": self.loop_order.value,
             "fused_layers": [layer_to_dict(layer) for layer in self.fused_layers],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "CompiledBlock":
-        """Rebuild a compiled block from :meth:`to_dict` output."""
-        return cls(
-            block=InstructionBlock.from_dict(payload["block"]),
-            layer=layer_from_dict(payload["layer"]),
-            tiling=TilingPlan.from_dict(payload["tiling"]),
-            loop_order=LoopOrder(payload["loop_order"]),
-            fused_layers=tuple(layer_from_dict(item) for item in payload["fused_layers"]),
-        )
 
     def fingerprint(self) -> str:
         """Stable content hash over the serialized block payload.
@@ -199,19 +186,6 @@ class Program:
             "network_name": self.network_name,
             "blocks": [compiled.to_dict() for compiled in self],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Program":
-        """Rebuild a program from :meth:`to_dict` output.
-
-        Instruction blocks re-validate their structural invariants on
-        construction, so a corrupted payload raises instead of silently
-        producing a malformed program.
-        """
-        return cls(
-            payload["network_name"],
-            [CompiledBlock.from_dict(item) for item in payload["blocks"]],
-        )
 
     def fingerprint(self) -> str:
         """Stable content hash over the serialized program payload.

@@ -101,11 +101,6 @@ class GemmWorkload:
             "output_bits": self.output_bits,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, int]) -> "GemmWorkload":
-        """Rebuild (and re-validate) a workload from :meth:`to_dict` output."""
-        return cls(**payload)
-
     @property
     def weight_footprint_bits(self) -> int:
         return self.m * self.n * self.weight_bits
@@ -180,21 +175,6 @@ class TilingPlan:
             "dram_output_write_bits": self.dram_output_write_bits,
             "dram_output_read_bits": self.dram_output_read_bits,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "TilingPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(
-            workload=GemmWorkload.from_dict(dict(payload["workload"])),  # type: ignore[arg-type]
-            loop_order=LoopOrder(payload["loop_order"]),
-            tile_m=int(payload["tile_m"]),  # type: ignore[arg-type]
-            tile_n=int(payload["tile_n"]),  # type: ignore[arg-type]
-            tile_r=int(payload["tile_r"]),  # type: ignore[arg-type]
-            dram_weight_bits=int(payload["dram_weight_bits"]),  # type: ignore[arg-type]
-            dram_input_bits=int(payload["dram_input_bits"]),  # type: ignore[arg-type]
-            dram_output_write_bits=int(payload["dram_output_write_bits"]),  # type: ignore[arg-type]
-            dram_output_read_bits=int(payload["dram_output_read_bits"]),  # type: ignore[arg-type]
-        )
 
     def fingerprint(self) -> str:
         """Stable content hash of the plan (tile choice plus traffic totals).

@@ -7,14 +7,14 @@ comparison routes through:
   batch, compiler-flags) evaluation point with a stable content
   fingerprint.
 * :mod:`~repro.session.engine` — the staged compile → simulate-blocks →
-  compose pipeline, with a cacheable artifact at every seam (compiled
+  compose pipeline, with a memoized artifact at every seam (compiled
   programs keyed structure-only; per-block results keyed by the name-free
   layer fingerprint + simulation-affecting config).
-* :class:`~repro.session.cache.ResultCache` — fingerprint-keyed artifact
-  store, in-memory with an optional manifest-indexed, LRU-bounded on-disk
-  layer (a segmented pack-file store —
+* :class:`~repro.session.cache.ResultCache` — fingerprint-keyed store of
+  composed results, in-memory with an optional manifest-indexed,
+  LRU-bounded on-disk layer (a segmented pack-file store —
   :class:`~repro.session.store.SegmentedStore`, group-committed appends,
-  eviction by segment compaction).
+  eviction by segment compaction), plus the in-process artifact memo.
 * :class:`~repro.session.session.EvaluationSession` — ``run`` /
   ``run_many`` (one batched simulation pass per batch) / declarative
   ``sweep`` execution with per-stage cache-hit accounting.
@@ -24,13 +24,14 @@ Cache keys and invalidation
 Four fingerprint families key the cache, each hashing exactly the inputs
 that determine its artifact — so invalidation is automatic: change an
 input and the key changes, leaving the stale entry unreferenced (and
-eventually LRU-evicted from disk).
+eventually LRU-evicted from disk).  Only the workload key reaches the
+disk; the other three key the in-process memo.
 
 * **Workload key** (:meth:`Workload.fingerprint
   <repro.session.workload.Workload.fingerprint>`): platform, resolved
   network *structure*, batch size, variant/bitwidth transforms, the full
   platform configuration and the compiler flags.  Anything that could
-  change a result changes this key.
+  change a result changes this key; it keys the composed result.
 * **Program key** (:func:`~repro.session.engine.program_cache_key`):
   *structure-only* — network structure, batch size, scratchpad capacities
   and compiler flags, the only inputs the compiler reads.  Bandwidth,
@@ -51,10 +52,11 @@ eventually LRU-evicted from disk).
   search, so duplicate GEMM shapes — within a network, across networks,
   and across sweep points that share buffer geometry — plan once.
 
-Execution is warm-artifact aware: the session compiles through the program
-cache, resolves warm blocks, simulates only the missing blocks of the whole
-batch in one vectorized pass and composes — a partially-warm run
-recompiles and re-simulates nothing the cache already holds.  The first
+Execution is warm-artifact aware: the session reads stored results first,
+then compiles through the program memo, resolves memoized blocks,
+simulates only the missing blocks of the whole batch in one vectorized
+pass and composes — within one process nothing is compiled or simulated
+twice.  The first
 failing workload stops the batch with a
 :class:`~repro.session.engine.WorkloadExecutionError` naming it.
 
@@ -72,9 +74,7 @@ from repro.session.cache import (
     StageStats,
 )
 from repro.session.engine import (
-    CacheAudit,
     WorkloadExecutionError,
-    audit_workload_cache,
     describe_workload_error,
     build_model,
     compile_program,
@@ -105,7 +105,6 @@ from repro.session.workload import (
 )
 
 __all__ = [
-    "CacheAudit",
     "CacheStats",
     "EvaluationSession",
     "PLATFORMS",
@@ -117,7 +116,6 @@ __all__ = [
     "SweepResult",
     "Workload",
     "WorkloadExecutionError",
-    "audit_workload_cache",
     "build_model",
     "compile_program",
     "compile_workload",

@@ -1,34 +1,24 @@
-"""Artifact cache keyed by content fingerprints (memory + disk).
+"""Result cache keyed by content fingerprints (memory + disk).
 
-The staged compile → simulate-blocks → compose pipeline produces cacheable
-artifacts at every seam, and this module stores all of them behind one
-fingerprint-keyed interface:
+The disk holds one kind of record: a workload's composed
+:class:`~repro.sim.results.NetworkResult` (``network_result``), keyed by the
+workload fingerprint (:meth:`repro.session.workload.Workload.fingerprint`)
+or, for NAS candidates, by the estimator's composition key.  A result is a
+pure function of its workload, and reading one back is cheaper than
+recompiling and recomposing it, so a warm run answers every workload with
+one record read.
 
-* ``program`` — a compiled :class:`~repro.isa.program.Program`, keyed by a
-  *structure-only* fingerprint (network structure, batch, scratchpad sizes,
-  compiler flags), so sweeps that vary only simulation parameters (e.g.
-  off-chip bandwidth) reuse one compilation;
-* ``layer`` — one simulated block's
-  :class:`~repro.sim.results.LayerResult`, stored *content-addressed*:
-  keyed by the name-free layer fingerprint (layer shape + bitwidths +
-  tiling + instruction image) plus the simulation-affecting configuration,
-  with the record's name normalized away.  Identical layers therefore
-  share one record across networks in model-family sweeps (the record is
-  renamed to the requesting block on use);
-* ``network_result`` — a full composed/simulated
-  :class:`~repro.sim.results.NetworkResult` (the baselines' unit of work);
-* ``tiling`` — one :class:`~repro.isa.tiling.TilingPlan`, keyed by the GEMM
-  shape + operand bitwidths + the loop orders searched + the scratchpad
-  capacities the search targeted (:func:`repro.session.engine.
-  tiling_cache_key`).  The compiler's dominant cost is the tiling search,
-  and duplicate GEMM shapes are everywhere — within a network (ResNet's
-  repeated blocks), across networks, and across sweep points that do not
-  vary the buffers — so memoizing plans here is what makes cold compiles
-  cheap and warm ones nearly free.
+The intermediate artifacts of the compile → simulate-blocks → compose
+pipeline — compiled :class:`~repro.isa.program.Program`\\ s, tiling plans
+and per-block :class:`~repro.sim.results.LayerResult`\\ s — live in
+:attr:`ResultCache.memo`, an in-process dictionary.  They dedupe compiles,
+tiling searches and block simulations within one process (and between a
+session and a NAS estimator sharing the cache), but they are never
+written: recomputing them costs less than decoding them.
 
-Every payload serializes losslessly to JSON — ints, floats and strings
-only, and Python's JSON round-trips floats exactly — so an entry read back
-from disk is bit-identical to the freshly computed artifact.
+Every result serializes losslessly to JSON — ints, floats and strings
+only, and Python's JSON round-trips floats exactly — so a result read back
+from disk is bit-identical to the freshly computed one.
 
 On disk, entries live in append-only pack segments managed by
 :class:`repro.session.store.SegmentedStore` (length-prefixed compact
@@ -44,7 +34,9 @@ size, recency).  The manifest makes a cache directory safe to share across
 machines and CI runs: a schema bump or a hand-edited directory degrades to
 a rebuild from the store index, never a crash, and an optional
 ``max_bytes`` budget evicts least-recently-used entries so shared
-directories stay bounded.
+directories stay bounded.  Records of any other kind (the program, tiling
+and layer records older releases wrote) decode as misses and age out
+under the budget.
 
 The manifest is strictly advisory: entry lookups always check the backing
 store, so a stale, missing or read-only manifest never affects
@@ -66,9 +58,7 @@ from typing import Any, Iterable, Iterator
 
 from repro.isa.program import Program
 from repro.session.store import SegmentedStore, encode_body
-from repro.isa.tiling import TilingPlan
 from repro.sim.results import (
-    LayerResult,
     NetworkResult,
     layer_result_from_dict,
     layer_result_to_dict,
@@ -85,11 +75,13 @@ __all__ = [
 ]
 
 #: Version of the on-disk manifest schema; a mismatch triggers a rebuild
-#: from the store index.  v4 stores simulated blocks under the layer key
-#: only (older directories stay warm: their ``layer``, ``program`` and
-#: ``tiling`` records keep their keys, and the unused block-keyed records
-#: age out under the size budget).
-MANIFEST_SCHEMA_VERSION = 4
+#: from the store index.  v5 persists composed ``network_result`` records
+#: only; the ``program``, ``tiling`` and ``layer`` records of older
+#: directories decode as misses and age out under the size budget.
+MANIFEST_SCHEMA_VERSION = 5
+
+#: The one record kind the disk holds.
+_KIND = "network_result"
 
 _MANIFEST_NAME = "manifest.json"
 
@@ -111,9 +103,9 @@ class ProgramStats:
     def from_program(cls, program: Program) -> "ProgramStats":
         """Distill the statistics of a compiled program.
 
-        Deriving the statistics from a (possibly cache-restored) program is
-        what lets the ISA experiment share the program-level cache with the
-        simulation pipeline instead of keeping a parallel store.
+        Deriving the statistics from a memoized program is what lets the
+        ISA experiment share the program memo with the simulation pipeline
+        instead of keeping a parallel store.
         """
         return cls(
             network_name=program.network_name,
@@ -125,11 +117,10 @@ class ProgramStats:
 
 @dataclass
 class StageStats:
-    """Hit/miss counters for one pipeline stage (programs or blocks)."""
+    """Hit/miss counters for one in-process memo (programs, tilings or blocks)."""
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -139,19 +130,8 @@ class StageStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def record_hit(self, source: str) -> None:
-        self.hits += 1
-        if source == "disk":
-            self.disk_hits += 1
-
-    def record_miss(self) -> None:
-        self.misses += 1
-
     def summary(self, label: str, work: str) -> str:
-        return (
-            f"{label}: {self.hits} hits ({self.disk_hits} from disk), "
-            f"{self.misses} {work} (hit rate {self.hit_rate:.0%})"
-        )
+        return f"{label}: {self.hits} hits, {self.misses} {work} (hit rate {self.hit_rate:.0%})"
 
 
 @dataclass
@@ -159,21 +139,21 @@ class CacheStats:
     """Counters the session reports at the end of a run.
 
     Workload-level counters: ``hits`` counts lookups satisfied from memory,
-    disk, or by composing cached per-block artifacts; ``misses`` lookups
+    disk, or by composing memoized per-block artifacts; ``misses`` lookups
     that required fresh work; ``deduped`` counts in-batch duplicates of a
     workload whose execution was still pending (no cached value existed, so
     they are deduplication wins rather than cache hits); ``disk_hits`` is
     the subset of hits that involved the on-disk store;
-    ``unique_executions`` counts distinct fingerprints that did fresh work
+    ``unique_executions`` counts distinct fingerprints that were simulated
     this session (the acceptance criterion is that no fingerprint is ever
     executed twice).
 
-    Stage-level counters: ``programs`` tracks compile-stage cache traffic
-    (misses are compilations), ``tilings`` tracks the tiling-plan memo the
-    compiler consults before every search (misses are actual searches —
-    the compiler's dominant cost — and hits are duplicate GEMM shapes
-    served from the memo) and ``blocks`` tracks the layer-key lookups of
-    the simulate-blocks stage (misses are per-block simulations; hits
+    Stage-level counters track the in-process memos: ``programs`` the
+    compile stage (misses are compilations), ``tilings`` the tiling-plan
+    memo the compiler consults before every search (misses are actual
+    searches — the compiler's dominant cost — and hits are duplicate GEMM
+    shapes) and ``blocks`` the layer-key lookups of the simulate-blocks
+    stage (misses are per-block simulations; hits
     include identical layers shared across networks).
     ``compile_seconds`` accumulates the wall-clock time spent
     inside ``FusionCompiler.compile`` (cache misses only), surfaced by the
@@ -260,35 +240,13 @@ def network_result_from_dict(payload: dict[str, Any]) -> NetworkResult:
     )
 
 
-_SERIALIZERS = {
-    "network_result": (network_result_to_dict, network_result_from_dict),
-    # Simulated blocks are stored content-addressed under the layer key
-    # (name-free key, normalized name); see repro.session.engine.
-    "layer": (layer_result_to_dict, layer_result_from_dict),
-    "program": (Program.to_dict, Program.from_dict),
-    "tiling": (TilingPlan.to_dict, TilingPlan.from_dict),
-}
-
-
-def _kind_of(value: Any) -> str:
-    if isinstance(value, NetworkResult):
-        return "network_result"
-    if isinstance(value, LayerResult):
-        return "layer"
-    if isinstance(value, Program):
-        return "program"
-    if isinstance(value, TilingPlan):
-        return "tiling"
-    raise TypeError(f"cannot cache values of type {type(value).__name__}")
-
-
 class ResultCache:
-    """Fingerprint-keyed store of evaluation artifacts.
+    """Fingerprint-keyed store of composed results, plus the artifact memo.
 
     Parameters
     ----------
     cache_dir:
-        When given, entries are also persisted under this directory (a
+        When given, results are also persisted under this directory (a
         :class:`~repro.session.store.SegmentedStore`) and later sessions
         (or processes) can reuse them; when ``None`` the cache is
         memory-only and lives for one session.
@@ -310,11 +268,16 @@ class ResultCache:
         #: batch drains) — the ``cache-IO`` row of ``python -m
         #: repro.harness --profile``.
         self.io_seconds = 0.0
-        self._memory: dict[str, Any] = {}
+        self._memory: dict[str, NetworkResult] = {}
+        #: In-process memo of the pipeline's intermediate artifacts —
+        #: compiled programs, tiling plans and name-normalized layer records
+        #: under their program, tiling and layer keys
+        #: (:mod:`repro.session.engine`).  Never persisted.
+        self.memo: dict[str, Any] = {}
         #: Bulk-read staging (:meth:`prefetch`): values read from disk but
         #: not yet handed out, so the first :meth:`get_with_source` on a
         #: prefetched key still reports ``"disk"``.
-        self._prefetched: dict[str, Any] = {}
+        self._prefetched: dict[str, NetworkResult] = {}
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_bytes = max_bytes
         self._manifest: dict[str, dict[str, Any]] = {}
@@ -328,7 +291,7 @@ class ResultCache:
         #: Group-commit state (:meth:`batch`): nesting depth plus the
         #: encoded record bodies queued for the next single segment append.
         self._batch_depth = 0
-        self._batch_records: dict[str, tuple[str, bytes]] = {}
+        self._batch_records: dict[str, bytes] = {}
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._store = SegmentedStore(self.cache_dir)
@@ -433,16 +396,13 @@ class ResultCache:
 
         Touches are batched in memory and flushed with the next write (or an
         explicit :meth:`flush`): a warm, read-mostly run should not rewrite
-        the manifest once per lookup, and recency is advisory anyway.  Each
-        touch also increments the entry's ``refs`` counter — the per-entry
-        reuse statistic ``--cache-info`` reports.
+        the manifest once per lookup, and recency is advisory anyway.
         """
         entry = self._manifest.get(key)
         if entry is None:
             return
         self._seq += 1
         entry["seq"] = self._seq
-        entry["refs"] = int(entry.get("refs", 0)) + 1
         self._manifest_dirty = True
 
     def _evict_over_budget(self, protected: str) -> None:
@@ -484,15 +444,16 @@ class ResultCache:
     # Lookup / store
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _decode_entry(entry: dict[str, Any]) -> Any | None:
-        """Deserialize one entry record's payload; None when unreadable."""
+    def _decode_entry(entry: dict[str, Any]) -> NetworkResult | None:
+        """Deserialize one result record; None when unreadable or another kind."""
+        if entry.get("kind") != _KIND:
+            return None
         try:
-            _, deserialize = _SERIALIZERS[entry["kind"]]
-            return deserialize(entry["payload"])
+            return network_result_from_dict(entry["payload"])
         except (ValueError, KeyError, TypeError):
             return None
 
-    def _read_disk_entry(self, key: str) -> Any | None:
+    def _read_disk_entry(self, key: str) -> NetworkResult | None:
         """One store record, deserialized (IO time is accounted here)."""
         if self._store is None:
             return None
@@ -503,7 +464,7 @@ class ResultCache:
         finally:
             self.io_seconds += time.perf_counter() - started
 
-    def get(self, key: str) -> Any | None:
+    def get(self, key: str) -> NetworkResult | None:
         """Fetch an entry, promoting disk entries into memory. None on miss."""
         if key in self._memory:
             # Memory hits must refresh disk recency too: the hottest entries
@@ -546,7 +507,7 @@ class ResultCache:
             if value is not None:
                 self._prefetched[key] = value
 
-    def get_many(self, keys: Iterable[str]) -> dict[str, Any]:
+    def get_many(self, keys: Iterable[str]) -> dict[str, NetworkResult]:
         """Resolve a batch of keys in one index pass; absent keys omitted.
 
         Equivalent to (and accounted exactly like) a :meth:`get` per key,
@@ -555,14 +516,14 @@ class ResultCache:
         """
         keys = list(keys)
         self.prefetch(keys)
-        out: dict[str, Any] = {}
+        out: dict[str, NetworkResult] = {}
         for key in keys:
             value = self.get(key)
             if value is not None:
                 out[key] = value
         return out
 
-    def get_with_source(self, key: str) -> tuple[Any | None, str]:
+    def get_with_source(self, key: str) -> tuple[NetworkResult | None, str]:
         """Like :meth:`get` but also reports ``"memory"``/``"disk"``/``"miss"``."""
         if key in self._memory:
             self._touch(key)
@@ -573,58 +534,50 @@ class ResultCache:
     def put(
         self,
         key: str,
-        value: Any,
+        value: NetworkResult,
         description: dict[str, Any] | None = None,
-        persist: bool = True,
     ) -> None:
-        """Store an entry in memory and, when configured, on disk.
+        """Store a result in memory and, when configured, on disk.
 
-        ``persist=False`` keeps the entry memory-only even when a cache
-        directory is configured — the session uses this for composed
-        network results whose per-block artifacts already live on disk
-        (persisting the composition too would just duplicate them).
-
-        The record is appended to this process's segment immediately — or,
-        inside a :meth:`batch` scope, queued and group-committed as one
-        segment write when the scope closes.  Either way manifest updates
-        are batched and land with the next eviction pass or :meth:`flush`
-        (the session flushes after every executed batch and on close), so
-        storing N artifacts costs O(1) manifest rewrites instead of N.
+        Only :class:`~repro.sim.results.NetworkResult` values are accepted;
+        intermediate artifacts go to :attr:`memo` instead.  The record is
+        appended to this process's segment immediately — or, inside a
+        :meth:`batch` scope, queued and group-committed as one segment
+        write when the scope closes.  Either way manifest updates are
+        batched and land with the next eviction pass or :meth:`flush` (the
+        session flushes after every executed batch and on close), so
+        storing N results costs O(1) manifest rewrites instead of N.
         """
-        kind = _kind_of(value)
+        if not isinstance(value, NetworkResult):
+            raise TypeError(f"cannot cache values of type {type(value).__name__}")
         self._memory[key] = value
         self._prefetched.pop(key, None)
-        if self._store is None or not persist:
+        if self._store is None:
             return
-        serialize, _ = _SERIALIZERS[kind]
         body = encode_body(
             key,
-            {"kind": kind, "workload": description or {}, "payload": serialize(value)},
+            {
+                "kind": _KIND,
+                "workload": description or {},
+                "payload": network_result_to_dict(value),
+            },
         )
         if self._batch_depth > 0:
             # Pure CPU: the queued record's I/O happens (and is timed) at
             # the batch drain.
-            self._batch_records[key] = (kind, body)
+            self._batch_records[key] = body
         else:
             started = time.perf_counter()
-            sizes = self._store.append_encoded([(key, kind, body)])
+            sizes = self._store.append_encoded([(key, _KIND, body)])
             self.io_seconds += time.perf_counter() - started
             if sizes is None:
                 # A read-only shared cache directory still serves reads;
                 # the fresh value simply stays memory-only this session.
                 return
         self._seq += 1
-        # Overwrites keep the accumulated reference count: the entry's
-        # payload is new but its reuse history is not.
         previous = self._manifest.get(key)
-        refs = int(previous.get("refs", 0)) if previous else 0
         self._live_bytes -= int(previous.get("bytes", 0)) if previous else 0
-        self._manifest[key] = {
-            "kind": kind,
-            "bytes": len(body),
-            "seq": self._seq,
-            "refs": refs,
-        }
+        self._manifest[key] = {"kind": _KIND, "bytes": len(body), "seq": self._seq}
         self._live_bytes += len(body)
         self._manifest_dirty = True
         if self.max_bytes is not None:
@@ -653,9 +606,7 @@ class ResultCache:
     def _drain_batch(self) -> None:
         if not self._batch_records or self._store is None:
             return
-        items = [
-            (key, kind, body) for key, (kind, body) in self._batch_records.items()
-        ]
+        items = [(key, _KIND, body) for key, body in self._batch_records.items()]
         self._batch_records = {}
         started = time.perf_counter()
         self._store.append_encoded(items)
@@ -664,9 +615,10 @@ class ResultCache:
         # memory-only; the advisory manifest self-heals on the next rebuild.
 
     def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries, if any, survive)."""
+        """Drop the in-memory results and the memo (disk entries, if any, survive)."""
         self._memory.clear()
         self._prefetched.clear()
+        self.memo.clear()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -682,38 +634,10 @@ class ResultCache:
         summary: dict[str, dict[str, int]] = {}
         for entry in self._manifest.values():
             kind = str(entry.get("kind", "unknown"))
-            bucket = summary.setdefault(kind, {"entries": 0, "bytes": 0, "refs": 0})
+            bucket = summary.setdefault(kind, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
             bucket["bytes"] += int(entry.get("bytes", 0))
-            bucket["refs"] += int(entry.get("refs", 0))
         return summary
-
-    def top_referenced(self, kind: str, limit: int = 5) -> list[dict[str, Any]]:
-        """The ``limit`` most-referenced on-disk entries of one kind.
-
-        Each record carries the entry's fingerprint ``key``, its ``refs``
-        count (touches accumulated in the manifest — recency refreshes, so
-        every memory or disk hit counts one) and the stored ``workload``
-        description (read from the store record; empty when unreadable).
-        Zero-reference entries are omitted: an entry that was only ever
-        written tells nothing about reuse.  ``--cache-info`` prints this for
-        the content-addressed ``layer`` kind, which is what a NAS search
-        gets for free.
-        """
-        ranked = sorted(
-            (
-                (int(entry.get("refs", 0)), key)
-                for key, entry in self._manifest.items()
-                if str(entry.get("kind", "unknown")) == kind and int(entry.get("refs", 0)) > 0
-            ),
-            key=lambda item: (-item[0], item[1]),
-        )
-        records: list[dict[str, Any]] = []
-        for refs, key in ranked[:limit]:
-            record = self._store.get_record(key) if self._store is not None else None
-            description = (record or {}).get("workload", {}) or {}
-            records.append({"key": key, "refs": refs, "workload": description})
-        return records
 
     def disk_keys(self) -> set[str]:
         """Keys currently resolvable from the on-disk store.

@@ -2,8 +2,9 @@
 
 This module is the seam between :class:`~repro.session.session.
 EvaluationSession` and the platform models.  Bit Fusion workloads run
-through an explicit three-stage pipeline with a cacheable artifact at every
-seam:
+through an explicit three-stage pipeline with a memoized artifact at every
+seam (:attr:`ResultCache.memo <repro.session.cache.ResultCache.memo>`,
+in-process only):
 
 1. **compile** — lower the network to a Fusion-ISA
    :class:`~repro.isa.program.Program`.  The artifact is keyed by a
@@ -13,7 +14,7 @@ seam:
    (or any other simulation-only parameter) therefore reuses one compiled
    program across all its points.
 2. **simulate-blocks** — run each instruction block independently through
-   :class:`~repro.sim.executor.BitFusionSimulator` into a serializable
+   :class:`~repro.sim.executor.BitFusionSimulator` into a
    :class:`~repro.sim.results.LayerResult`, keyed by the *name-free* layer
    fingerprint plus the simulation-affecting configuration
    (:func:`layer_cache_key`).  Blocks whose cycle/energy inputs are
@@ -24,21 +25,21 @@ seam:
 3. **compose** — assemble the per-block results into a
    :class:`~repro.sim.results.NetworkResult`
    (:func:`~repro.sim.results.compose_network_result`).  Composition is
-   pure, so a result composed from cached artifacts is byte-identical to a
-   fresh monolithic simulation.
+   pure, so a result composed from memoized artifacts is byte-identical to
+   a fresh monolithic simulation.  The composed result is what the session
+   stores — and, with a cache directory, persists.
 
 Baseline platforms (Eyeriss, Stripes, GPUs, the temporal design) have no
-compile stage; they run as a single simulate step and cache whole results.
+compile stage; they run as a single simulate step.
 
-Execution is **warm-artifact aware**.  The session plans each uncached
-workload against the cache (:func:`plan_workload`): it compiles through
-the program cache (structure-only keys, exactly-once per network) and
-resolves every block whose result is already cached.  The genuinely
-missing blocks of a whole batch of plans then simulate together
-(:func:`simulate_planned_blocks`), and each plan composes from cached plus
-fresh records, storing the fresh ones (:func:`compose_plan`).  The first
-failing workload stops the batch with a :class:`WorkloadExecutionError`
-naming it.
+The session plans each workload whose result is not stored
+(:func:`plan_workload`): it compiles through the program memo
+(exactly once per network and batch) and resolves every block the memo
+already holds.  The genuinely missing blocks of a whole batch of plans
+then simulate together (:func:`simulate_planned_blocks`), and each plan
+composes from memoized plus fresh records, memoizing the fresh ones
+(:func:`compose_plan`).  The first failing workload stops the batch with a
+:class:`WorkloadExecutionError` naming it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from repro.baselines.base import AcceleratorModel
 from repro.baselines.eyeriss import EyerissModel
@@ -69,11 +70,9 @@ from repro.sim.executor import BitFusionSimulator
 from repro.sim.results import LayerResult, NetworkResult, compose_network_result
 
 __all__ = [
-    "CacheAudit",
     "PlanLike",
     "WorkPlan",
     "WorkloadExecutionError",
-    "audit_workload_cache",
     "build_model",
     "compile_program",
     "compile_workload",
@@ -170,13 +169,14 @@ def tiling_cache_key(
 def make_plan_resolver(
     config: BitFusionConfig, cache: ResultCache, stats: CacheStats
 ) -> PlanResolver:
-    """A compiler plan resolver backed by the session's artifact cache.
+    """A compiler plan resolver backed by the cache's in-process memo.
 
     Installed into :class:`~repro.isa.compiler.FusionCompiler` by
-    :func:`compile_program`: every tiling search first consults the cache
-    under :func:`tiling_cache_key` and only runs (then stores its plan) on
-    a genuine miss.  Hit/miss traffic lands in ``stats.tilings``.
+    :func:`compile_program`: every tiling search first consults the memo
+    under :func:`tiling_cache_key` and only runs (then memoizes its plan)
+    on a genuine miss.  Hit/miss traffic lands in ``stats.tilings``.
     """
+    memo = cache.memo
 
     def resolve(
         gemm: GemmWorkload,
@@ -184,13 +184,12 @@ def make_plan_resolver(
         compute: Callable[[], TilingPlan],
     ) -> TilingPlan:
         key = tiling_cache_key(gemm, orders, config)
-        value, source = cache.get_with_source(key)
-        if value is not None:
-            stats.tilings.record_hit(source)
-            return value
-        stats.tilings.record_miss()
-        plan = compute()
-        cache.put(key, plan, {"artifact": "tiling", "gemm": gemm.to_dict()})
+        plan = memo.get(key)
+        if plan is not None:
+            stats.tilings.hits += 1
+            return plan
+        stats.tilings.misses += 1
+        plan = memo[key] = compute()
         return plan
 
     return resolve
@@ -204,10 +203,9 @@ def compile_program(
     """Compile a Bit Fusion workload to its Fusion-ISA program (stage 1).
 
     With a ``cache`` (and ``stats``), the compiler's tiling searches are
-    memoized through the cache's ``tiling`` level — duplicate GEMM shapes
-    skip the search entirely, and plans persist to disk alongside the other
-    artifacts.  Memoized and unmemoized compilations emit byte-identical
-    programs (plans serialize losslessly).
+    memoized in the cache's in-process memo — duplicate GEMM shapes skip
+    the search entirely.  Memoized and unmemoized compilations emit
+    byte-identical programs.
     """
     _require_bitfusion(workload)
     resolver: PlanResolver | None = None
@@ -239,7 +237,7 @@ def program_content_key(
     The payload is exactly :func:`program_cache_key`'s, but built from a
     network fingerprint instead of a zoo-registered :class:`Workload` — this
     is what lets the NAS estimator (:mod:`repro.nas`) price arbitrary
-    candidate networks while sharing compiled-program entries with ordinary
+    candidate networks while sharing memoized programs with ordinary
     session runs: a zoo network keyed here and keyed through a workload
     lands on the same entry by construction.
     """
@@ -282,26 +280,23 @@ def program_cache_key(workload: Workload) -> str:
     )
 
 
-def obtain_program(
-    workload: Workload, cache: ResultCache, stats: CacheStats
-) -> tuple[Program, str]:
-    """The workload's compiled program, from cache when possible.
+def obtain_program(workload: Workload, cache: ResultCache, stats: CacheStats) -> Program:
+    """The workload's compiled program, from the memo when possible.
 
-    Returns the program and the source it came from (``"memory"``,
-    ``"disk"`` or ``"miss"`` for a fresh compilation, which is stored back
-    into the cache).
+    A miss compiles (timed into ``stats.compile_seconds``) and memoizes the
+    program under :func:`program_cache_key`.
     """
     key = program_cache_key(workload)
-    value, source = cache.get_with_source(key)
-    if value is not None:
-        stats.programs.record_hit(source)
-        return value, source
-    stats.programs.record_miss()
+    program = cache.memo.get(key)
+    if program is not None:
+        stats.programs.hits += 1
+        return program
+    stats.programs.misses += 1
     started = time.perf_counter()
     program = compile_program(workload, cache, stats)
     stats.compile_seconds += time.perf_counter() - started
-    cache.put(key, program, {**workload.describe(), "artifact": "program"})
-    return program, "miss"
+    cache.memo[key] = program
+    return program
 
 
 # ---------------------------------------------------------------------- #
@@ -389,41 +384,24 @@ def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
     return _layer_content_key(compiled.layer_fingerprint(), config)
 
 
-def lookup_block(
-    cache: ResultCache, key: str, name: str
-) -> tuple[LayerResult | None, str]:
-    """Resolve one block's simulated result through its layer ``key``.
+def lookup_block(cache: ResultCache, key: str, name: str) -> LayerResult | None:
+    """The memoized result under layer ``key``, renamed to block ``name``.
 
-    Returns ``(value, source)`` with ``source`` one of
-    ``"memory"``/``"disk"``/``"miss"``; a hit is renamed to the requesting
-    block ``name``.  No statistics are recorded here; callers account for
+    None on a miss.  No statistics are recorded here; callers account for
     hits and misses in their own stage counters.
     """
-    value, source = cache.get_with_source(key)
-    if value is None:
-        return None, "miss"
-    return value.renamed(name), source
+    value = cache.memo.get(key)
+    return None if value is None else value.renamed(name)
 
 
-def store_layer_record(
-    cache: ResultCache,
-    key: str,
-    name: str,
-    layer: LayerResult,
-    description: dict[str, Any] | None = None,
-) -> None:
-    """Store one freshly simulated block (named ``name``) under its layer ``key``.
+def store_layer_record(cache: ResultCache, key: str, layer: LayerResult) -> None:
+    """Memoize one freshly simulated block under its layer ``key``.
 
-    The record's name is normalized away, so the stored payload is
-    independent of which network asked first.  Takes the key rather than a
-    :class:`Workload` so callers pricing arbitrary networks (the NAS
-    estimator) insert records the same way session runs do.
+    Takes the key rather than a :class:`Workload` so callers pricing
+    arbitrary networks (the NAS estimator) insert records the same way
+    session runs do; every lookup renames the record to its requester.
     """
-    cache.put(
-        key,
-        layer.renamed(""),
-        {**(description or {}), "artifact": "layer", "block": name},
-    )
+    cache.memo[key] = layer
 
 
 # ---------------------------------------------------------------------- #
@@ -442,114 +420,27 @@ def _compose(workload: Workload, program: Program, layers: list[LayerResult]) ->
 
 def try_compose_from_cache(
     workload: Workload, cache: ResultCache, stats: CacheStats
-) -> tuple[NetworkResult | None, bool]:
-    """Compose a workload's result purely from cached artifacts, if possible.
+) -> NetworkResult | None:
+    """Compose a workload's result purely from memoized artifacts, if possible.
 
-    Returns ``(result, any_artifact_came_from_disk)``; ``(None, False)``
-    when the program or any block result is missing (in which case no stage
-    counters are touched — the execution path will look the artifacts up
-    again and account for them).
+    None when the workload is not Bit Fusion or its program or any block
+    result is missing (in which case no stage counters are touched — the
+    execution path will look the artifacts up again and account for them).
     """
     if workload.platform != "bitfusion":
-        return None, False
-    program, program_source = cache.get_with_source(program_cache_key(workload))
+        return None
+    program = cache.memo.get(program_cache_key(workload))
     if program is None:
-        return None, False
-    keys = [layer_cache_key(compiled, workload.config) for compiled in program]
-    cache.prefetch(keys)
-    found: list[tuple[LayerResult, str]] = []
-    for compiled, key in zip(program, keys):
-        value, source = lookup_block(cache, key, compiled.name)
-        if value is None:
-            return None, False
-        found.append((value, source))
-    stats.programs.record_hit(program_source)
-    from_disk = program_source == "disk"
-    for _, source in found:
-        stats.blocks.record_hit(source)
-        from_disk = from_disk or source == "disk"
-    return _compose(workload, program, [layer for layer, _ in found]), from_disk
-
-
-class CacheAudit(NamedTuple):
-    """One workload's read-only cache diff (:func:`audit_workload_cache`)."""
-
-    state: str
-    missing_blocks: int
-    total_blocks: int
-    #: Of the tiling searches compiling this workload would request, how
-    #: many the tiling memo already holds.  Only non-zero for ``"cold"``
-    #: Bit Fusion workloads — a cached program never searches again.
-    tilings_cached: int
-    tilings_total: int
-
-
-def _audit_tilings(workload: Workload, cache: ResultCache) -> tuple[int, int]:
-    """How many of a cold workload's tiling searches the memo already holds.
-
-    The searches a compilation *would* run are derivable without searching
-    (:meth:`~repro.isa.compiler.FusionCompiler.tiling_requests` — fusion
-    grouping plus GEMM-shape lowering, no instruction emission), so a cold
-    workload whose GEMM shapes another sweep point already planned shows up
-    in a ``--dry-run`` as mostly-memoized compile work rather than as fully
-    cold.
-    """
-    compiler = FusionCompiler(
-        workload.config,
-        enable_loop_ordering=workload.enable_loop_ordering,
-        enable_layer_fusion=workload.enable_layer_fusion,
-    )
-    requests = compiler.tiling_requests(
-        load_network(workload), batch_size=workload.batch_size
-    )
-    cached = sum(
-        1
-        for gemm, orders in requests
-        if tiling_cache_key(gemm, orders, workload.config) in cache
-    )
-    return cached, len(requests)
-
-
-def audit_workload_cache(workload: Workload, cache: ResultCache) -> CacheAudit:
-    """How much of one workload's work the cache already holds (read-only).
-
-    Returns a :class:`CacheAudit` whose ``state`` is
-
-    * ``"cached"`` — the workload would execute without any fresh work: a
-      whole result is stored (baselines), or every artifact needed to
-      compose one is (Bit Fusion: program plus all layer results);
-    * ``"partial"`` — the compiled program is cached but
-      ``missing_blocks`` of its ``total_blocks`` blocks would simulate;
-    * ``"cold"`` — no program artifact is cached (``total_blocks`` is 0
-      because without the program the block count is unknown without
-      compiling — which an audit must never do).  A cold Bit Fusion
-      workload still reports ``tilings_cached`` of ``tilings_total``: the
-      tiling searches its compilation would request (derivable from the
-      network structure alone, no search run) that the persistent tiling
-      memo would serve — so a grid sharing GEMM shapes with earlier runs
-      is never misreported as entirely unstarted.
-
-    No statistics are recorded and nothing executes.  Only the program
-    payload is read (its blocks are needed to derive the layer keys);
-    layer and tiling records are probed for *existence*
-    without deserializing or memory-promoting them, so auditing a planned
-    grid against a large cache directory stays cheap — ``python -m
-    repro.harness sweep --dry-run`` uses this to diff a grid against a
-    ``--cache-dir`` before committing to the run.
-    """
-    if workload.fingerprint() in cache:
-        return CacheAudit("cached", 0, 0, 0, 0)
-    if workload.platform != "bitfusion":
-        return CacheAudit("cold", 0, 0, 0, 0)
-    program = cache.get(program_cache_key(workload))
-    if program is None:
-        cached, total = _audit_tilings(workload, cache)
-        return CacheAudit("cold", 0, 0, cached, total)
-    missing = sum(
-        1 for compiled in program if layer_cache_key(compiled, workload.config) not in cache
-    )
-    state = "cached" if missing == 0 else "partial"
-    return CacheAudit(state, missing, len(program), 0, 0)
+        return None
+    layers: list[LayerResult] = []
+    for compiled in program:
+        layer = lookup_block(cache, layer_cache_key(compiled, workload.config), compiled.name)
+        if layer is None:
+            return None
+        layers.append(layer)
+    stats.programs.hits += 1
+    stats.blocks.hits += len(layers)
+    return _compose(workload, program, layers)
 
 
 # ---------------------------------------------------------------------- #
@@ -596,8 +487,8 @@ class WorkPlan:
     ``cached_layers`` maps block index → result resolved at plan time;
     ``simulate_indices`` are the blocks that must be simulated;
     ``deferred_indices`` are blocks whose key an earlier workload of the
-    same batch already claimed — their results are read from the cache at
-    compose time, after the claiming workload has been stored.
+    same batch already claimed — their results are read from the memo at
+    compose time, after the claiming workload has been composed.
     """
 
     workload: Workload
@@ -622,9 +513,9 @@ class WorkPlan:
 def plan_workload(
     workload: Workload, cache: ResultCache, stats: CacheStats, claimed: set[str]
 ) -> WorkPlan:
-    """Plan one pending workload: compile, resolve warm blocks.
+    """Plan one pending workload: compile, resolve memoized blocks.
 
-    Compilation goes through the program cache (structure-only key), so a
+    Compilation goes through the program memo (structure-only key), so a
     batch sharing a network compiles it exactly once.  Every block is then
     resolved through its layer key; only genuinely missing blocks are
     scheduled for simulation.  ``claimed`` tracks layer keys already
@@ -641,23 +532,22 @@ def plan_workload(
             simulate_indices=(),
             deferred_indices=(),
         )
-    program, _ = obtain_program(workload, cache, stats)
+    program = obtain_program(workload, cache, stats)
     keys = tuple(layer_cache_key(compiled, workload.config) for compiled in program)
-    cache.prefetch(keys)
     cached: dict[int, LayerResult] = {}
     simulate: list[int] = []
     deferred: list[int] = []
     for index, (compiled, key) in enumerate(zip(program, keys)):
-        value, source = lookup_block(cache, key, compiled.name)
+        value = lookup_block(cache, key, compiled.name)
         if value is not None:
-            stats.blocks.record_hit(source)
+            stats.blocks.hits += 1
             cached[index] = value
             continue
         if key in claimed:
             deferred.append(index)
             continue
         claimed.add(key)
-        stats.blocks.record_miss()
+        stats.blocks.misses += 1
         simulate.append(index)
     return WorkPlan(
         workload=workload,
@@ -675,36 +565,31 @@ def compose_plan(
     cache: ResultCache,
     stats: CacheStats,
 ) -> NetworkResult:
-    """Assemble a planned workload's result from cached + fresh blocks.
+    """Assemble a planned workload's result from memoized + fresh blocks.
 
     ``fresh_layers`` maps block index → result simulated for this plan
-    (:func:`simulate_planned_blocks`).  Fresh results are stored under
-    their layer keys as they are composed — inside one
-    :meth:`ResultCache.batch` scope, so a plan's store-backs land as a
-    single group-committed segment append instead of one write per
-    artifact.  Deferred blocks (claimed by an earlier workload of the
-    batch) are read from the cache: the claiming workload composed, and so
-    stored them, first.
+    (:func:`simulate_planned_blocks`).  Fresh results are memoized under
+    their layer keys as they are composed.  Deferred blocks (claimed by an
+    earlier workload of the batch) are read from the memo: the claiming
+    workload composed, and so memoized them, first.
     """
     workload = plan.workload
     assert plan.program is not None
-    description = workload.describe()
     layers: list[LayerResult] = []
-    with cache.batch():
-        for index, (compiled, key) in enumerate(zip(plan.program, plan.layer_keys)):
-            if index in plan.cached_layers:
-                layers.append(plan.cached_layers[index])
-                continue
-            if index in fresh_layers:
-                layer = fresh_layers[index]
-                store_layer_record(cache, key, compiled.name, layer, description)
-                layers.append(layer)
-                continue
-            value, source = lookup_block(cache, key, compiled.name)
-            if value is None:
-                raise RuntimeError(f"deferred block {compiled.name!r} has no stored record")
-            stats.blocks.record_hit(source)
-            layers.append(value)
+    for index, (compiled, key) in enumerate(zip(plan.program, plan.layer_keys)):
+        if index in plan.cached_layers:
+            layers.append(plan.cached_layers[index])
+            continue
+        if index in fresh_layers:
+            layer = fresh_layers[index]
+            store_layer_record(cache, key, layer)
+            layers.append(layer)
+            continue
+        value = lookup_block(cache, key, compiled.name)
+        if value is None:
+            raise RuntimeError(f"deferred block {compiled.name!r} has no stored record")
+        stats.blocks.hits += 1
+        layers.append(value)
     return _compose(workload, plan.program, layers)
 
 

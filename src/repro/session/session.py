@@ -36,7 +36,6 @@ from repro.session.engine import (
     execute_workload,
     obtain_program,
     plan_workload,
-    program_cache_key,
     simulate_planned_blocks,
     try_compose_from_cache,
 )
@@ -132,7 +131,7 @@ class EvaluationSession:
     Parameters
     ----------
     cache_dir:
-        Optional directory for the persistent artifact store (the segmented
+        Optional directory for the persistent result store (the segmented
         pack-file layout of :mod:`repro.session.store`); ``None`` keeps the
         cache in memory only.
     cache:
@@ -185,10 +184,10 @@ class EvaluationSession:
         """Run a batch of workloads, in input order.
 
         The batch is deduplicated by fingerprint and resolved against the
-        cache in three steps: whole results from memory, Bit Fusion results
-        composed from cached program and layer artifacts, and only then
-        fresh execution.  In-batch duplicates of a still-pending workload
-        count as deduplication wins (``stats.deduped``), not cache hits —
+        cache in three steps: whole results from memory or disk, Bit Fusion
+        results composed from memoized program and layer artifacts, and
+        only then fresh execution.  In-batch duplicates of a still-pending
+        workload count as deduplication wins (``stats.deduped``), not cache hits —
         no cached value existed when they were looked up.  Genuinely new
         workloads are scheduled longest-job-first (estimated by network MAC
         count x batch size, ties broken by workload fingerprint so the
@@ -222,13 +221,9 @@ class EvaluationSession:
                 continue
             value, source = self.cache.get_with_source(key)
             if value is None:
-                value, from_disk = try_compose_from_cache(workload, self.cache, self.stats)
+                value = try_compose_from_cache(workload, self.cache, self.stats)
                 if value is not None:
-                    # Memoize the composition (memory-only: its per-block
-                    # artifacts already live on disk) so repeat lookups skip
-                    # the artifact walk.
-                    self.cache.put(key, value, workload.describe(), persist=False)
-                    source = "disk" if from_disk else "memory"
+                    self.cache.put(key, value, workload.describe())
             if value is None:
                 self.stats.misses += 1
                 pending[key] = workload
@@ -265,27 +260,28 @@ class EvaluationSession:
     ) -> None:
         """Execute the pending schedule, committing each workload in order.
 
-        Every Bit Fusion workload of the batch is planned against the cache
-        first (compile through the program cache, per-block resolution
+        Every Bit Fusion workload of the batch is planned against the memo
+        first (compile through the program memo, per-block resolution
         through the layer key, in-batch duplicate blocks deferred to their
         claimant).  The genuinely missing blocks of *all* plans then
         simulate through as few vectorized calls as possible
         (:func:`~repro.session.engine.simulate_planned_blocks` — a sweep
         varying only simulation parameters collapses into one 2-D grid
         pass) before each workload composes and commits in schedule order,
-        so deferred blocks resolve from their claimant's stored records.
+        so deferred blocks resolve from their claimant's memoized records.
         Baseline workloads (no compile stage) execute whole.
 
-        Each workload's compile-stage artifacts and each workload's
-        composed store-backs land as one group commit, so no segment append
-        ever buffers more than one workload's records.  If the all-plans
-        batched call raises, every plan simulates on its own instead, which
-        attributes the fault to the workload that owns it.
+        Each result is appended to the store as its workload commits, so a
+        failing workload leaves every result committed before it stored
+        (one small record each: buffering the batch's records would only
+        raise peak memory).  If the all-plans batched call raises, every
+        plan simulates on its own instead, which attributes the fault to
+        the workload that owns it.
         """
         claimed: set[str] = set()
         plans: list[WorkPlan] = []
         for _, workload in items:
-            with _attributed(workload), self.cache.batch():
+            with _attributed(workload):
                 plans.append(plan_workload(workload, self.cache, self.stats, claimed))
         batched: Sequence[dict[int, LayerResult] | None]
         try:
@@ -299,7 +295,8 @@ class EvaluationSession:
         for (key, workload), plan, layers in zip(items, plans, batched):
             with _attributed(workload):
                 result = self._finish_plan(workload, plan, layers)
-            self._store_result(key, workload, result)
+            self.stats.record_execution(key)
+            self.cache.put(key, result, workload.describe())
             resolved[key] = result
             if on_result is not None:
                 on_result(workload, result)
@@ -329,35 +326,16 @@ class EvaluationSession:
         stats.compose_seconds += time.perf_counter() - started
         return result
 
-    def _store_result(self, key: str, workload: Workload, result: NetworkResult) -> None:
-        """Record an execution and store its workload-level result.
-
-        Bit Fusion results are compositions of on-disk artifacts, so the
-        composed record itself stays memory-only; baseline platforms cache
-        their whole result (it is their only artifact).
-        """
-        self.stats.record_execution(key)
-        persist = workload.platform != "bitfusion"
-        self.cache.put(key, result, workload.describe(), persist=persist)
-
     def compile_stats(self, workload: Workload) -> ProgramStats:
-        """Compile a Bit Fusion workload (cached) and return program stats.
+        """Compile a Bit Fusion workload (memoized) and return program stats.
 
-        The statistics are derived from the program-level artifact cache —
-        the same compiled programs the simulation pipeline uses — so a
-        report that already simulated a benchmark never recompiles it just
-        to count instructions.
+        The statistics are derived from the program memo — the same
+        compiled programs the simulation pipeline uses — so a report that
+        already simulated a benchmark in this process never recompiles it
+        just to count instructions.  Only the ``programs`` stage counters
+        move: no workload result is looked up or stored.
         """
-        program, source = obtain_program(workload, self.cache, self.stats)
-        if source == "miss":
-            self.stats.misses += 1
-            self.stats.record_execution(program_cache_key(workload))
-            self.cache.flush()
-        else:
-            self.stats.hits += 1
-            if source == "disk":
-                self.stats.disk_hits += 1
-        return ProgramStats.from_program(program)
+        return ProgramStats.from_program(obtain_program(workload, self.cache, self.stats))
 
     # ------------------------------------------------------------------ #
     # Declarative sweeps

@@ -12,13 +12,14 @@ and energy ratios uniformly:
 
 Both records are frozen and serialize losslessly to JSON (ints, floats and
 strings only), which is what lets the evaluation session cache them:
-``LayerResult`` is the per-block artifact of the simulate stage, keyed by
-the name-free layer fingerprint plus the simulation-affecting
-configuration (see :func:`repro.session.engine.layer_cache_key`), and a
-cached record read back from disk is bit-identical to the freshly
-simulated one.  A cached layer result is invalidated only by its key
-changing — there is no epoch or timestamp scheme; if the layer content or
-any simulation-affecting parameter changes, the old entry is simply never
+``LayerResult`` is the per-block artifact of the simulate stage, memoized
+in process under the name-free layer fingerprint plus the
+simulation-affecting configuration (see
+:func:`repro.session.engine.layer_cache_key`), and a ``NetworkResult`` is
+what a cache directory stores, read back bit-identical to the freshly
+composed one.  A cached result is invalidated only by its key changing —
+there is no epoch or timestamp scheme; if the layer content or any
+simulation-affecting parameter changes, the old entry is simply never
 looked up again.
 """
 

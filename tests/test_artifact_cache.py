@@ -1,11 +1,15 @@
-"""Tests for the artifact cache: manifest, eviction, warm sweeps.
+"""Tests for the result cache and its memo: manifest, eviction, warm sweeps.
 
-Covers the acceptance criteria of the staged-pipeline refactor:
+Covers the acceptance criteria of the one-record-per-workload design:
 
 * a batch-size sweep (Figure 16) over a warm cache performs zero
-  recompilations and zero block simulations,
-* a repeated report against a persistent cache directory reports a 100%
-  program-cache hit rate in its footer (the CI smoke job greps for this),
+  compilations and zero block simulations, reading one stored result per
+  workload,
+* a repeated report against a persistent cache directory reads every
+  workload from disk with no fresh execution (the CI smoke job greps for
+  this),
+* programs, tiling plans and layer records are in-process memos that
+  dedupe work within a run and never reach the disk,
 * the on-disk store carries a versioned ``manifest.json`` and enforces an
   LRU size budget, and
 * ``run_many`` schedules uncached workloads longest-job-first.
@@ -24,17 +28,16 @@ from faults import tear_last_record
 from repro.harness.experiments import fig16_batch
 from repro.harness.runner import build_report, format_cache_info
 from repro.isa.block import InstructionBlock
-from repro.isa.instructions import LoopOrder
 from repro.isa.program import CompiledBlock
-from repro.isa.tiling import GemmWorkload, TilingPlan
 from repro.session import (
     EvaluationSession,
     ResultCache,
+    SegmentedStore,
     Workload,
-    audit_workload_cache,
     compile_program,
     estimated_cost,
     layer_cache_key,
+    program_cache_key,
     tiling_cache_key,
 )
 from repro.session.cache import (
@@ -42,20 +45,21 @@ from repro.session.cache import (
     CacheStats,
 )
 from repro.session.workload import load_network
+from repro.sim.results import LayerResult, NetworkResult
 
 
-def _plan(tag: str) -> TilingPlan:
-    """A small cacheable artifact; one-character tags give equal-size entries."""
-    return TilingPlan(
-        workload=GemmWorkload(m=16, n=16, r=16, input_bits=8, weight_bits=8, output_bits=8),
-        loop_order=LoopOrder.OUTPUT_STATIONARY,
-        tile_m=16,
-        tile_n=16,
-        tile_r=16,
-        dram_weight_bits=1000 + int(tag, 36),
-        dram_input_bits=0,
-        dram_output_write_bits=0,
-        dram_output_read_bits=0,
+def _result(tag: str) -> NetworkResult:
+    """A small cacheable result; one-character tags give equal-size entries."""
+    layer = LayerResult(
+        name="l0",
+        macs=1000 + int(tag, 36),
+        input_bits=8,
+        weight_bits=8,
+        compute_cycles=10,
+        memory_cycles=20,
+    )
+    return NetworkResult(
+        network_name="net", platform="test", batch_size=1, frequency_mhz=500.0, layers=(layer,)
     )
 
 
@@ -81,30 +85,30 @@ def _live_keys(cache_dir) -> set[str]:
 class TestManifest:
     def test_manifest_written_with_schema_version_and_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("alpha", _plan("a"))
-        cache.put("beta", _plan("b"))
+        cache.put("alpha", _result("a"))
+        cache.put("beta", _result("b"))
         cache.flush()  # manifest updates are batched; flush makes them visible
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION
         assert set(manifest["entries"]) == {"alpha", "beta"}
         for entry in manifest["entries"].values():
-            assert entry["kind"] == "tiling"
+            assert entry["kind"] == "network_result"
             assert entry["bytes"] > 0
             assert entry["seq"] > 0
 
     def test_missing_manifest_is_rebuilt_from_entry_files(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _plan("a"))
+        first.put("alpha", _result("a"))
         first.flush()
         (tmp_path / "manifest.json").unlink()
         second = ResultCache(tmp_path)
-        assert second.get("alpha") == _plan("a")
+        assert second.get("alpha") == _result("a")
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         assert set(manifest["entries"]) == {"alpha"}
 
     def test_stale_schema_version_triggers_rebuild(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _plan("a"))
+        first.put("alpha", _result("a"))
         first.flush()
         manifest_path = tmp_path / "manifest.json"
         payload = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -112,21 +116,21 @@ class TestManifest:
         payload["entries"] = {"ghost": {"kind": "x", "bytes": 1, "seq": 1}}
         manifest_path.write_text(json.dumps(payload), encoding="utf-8")
         second = ResultCache(tmp_path)
-        assert second.get("alpha") == _plan("a")
+        assert second.get("alpha") == _result("a")
         rebuilt = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert rebuilt["schema_version"] == MANIFEST_SCHEMA_VERSION
         assert set(rebuilt["entries"]) == {"alpha"}
 
     def test_malformed_manifest_entry_values_trigger_rebuild(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _plan("a"))
+        first.put("alpha", _result("a"))
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(
             json.dumps({"schema_version": MANIFEST_SCHEMA_VERSION, "entries": {"abc": 5}}),
             encoding="utf-8",
         )
         second = ResultCache(tmp_path)  # must rebuild, not crash
-        assert second.get("alpha") == _plan("a")
+        assert second.get("alpha") == _result("a")
         rebuilt = json.loads(manifest_path.read_text(encoding="utf-8"))
         assert set(rebuilt["entries"]) == {"alpha"}
 
@@ -136,7 +140,7 @@ class TestManifest:
 
     def test_read_only_cache_dir_still_serves_entries(self, tmp_path):
         writer = ResultCache(tmp_path)
-        writer.put("alpha", _plan("a"))
+        writer.put("alpha", _result("a"))
         writer.flush()
         # Force the next open to attempt a manifest rebuild, then make the
         # directory read-only: reads must degrade gracefully, not crash.
@@ -144,18 +148,18 @@ class TestManifest:
         os.chmod(tmp_path, 0o555)
         try:
             reader = ResultCache(tmp_path)
-            assert reader.get("alpha") == _plan("a")
+            assert reader.get("alpha") == _result("a")
             reader.flush()  # no pending write must escape as an error either
             # A miss that computes fresh data keeps it memory-only instead
             # of crashing on the unwritable entry file.
-            reader.put("beta", _plan("b"))
-            assert reader.get("beta") == _plan("b")
+            reader.put("beta", _result("b"))
+            assert reader.get("beta") == _result("b")
         finally:
             os.chmod(tmp_path, 0o755)
 
     def test_non_numeric_manifest_fields_trigger_rebuild(self, tmp_path):
         first = ResultCache(tmp_path)
-        first.put("alpha", _plan("a"))
+        first.put("alpha", _result("a"))
         first.flush()
         manifest_path = tmp_path / "manifest.json"
         manifest_path.write_text(
@@ -168,15 +172,15 @@ class TestManifest:
             encoding="utf-8",
         )
         second = ResultCache(tmp_path)  # must rebuild, not crash
-        assert second.get("alpha") == _plan("a")
+        assert second.get("alpha") == _result("a")
 
 
 class TestLruEviction:
     def test_size_budget_evicts_oldest_entries(self, tmp_path):
         # Probe one entry's stored size in a scratch directory (all the
-        # _plan payloads here are the same size by construction).
+        # _result payloads here are the same size by construction).
         probe = ResultCache(tmp_path / "probe")
-        probe.put("probe", _plan("p"))
+        probe.put("probe", _result("p"))
         probe.flush()
         manifest = json.loads(
             (tmp_path / "probe" / "manifest.json").read_text(encoding="utf-8")
@@ -187,7 +191,7 @@ class TestLruEviction:
         cache_dir = tmp_path / "real"
         cache = ResultCache(cache_dir, max_bytes=int(entry_bytes * 2.5))
         for index in range(4):
-            cache.put(f"key{index}", _plan(str(index)))
+            cache.put(f"key{index}", _result(str(index)))
         cache.flush()
         keys = _live_keys(cache_dir)
         assert "key3" in keys  # the newest entry always survives
@@ -200,14 +204,14 @@ class TestLruEviction:
     def test_recently_read_entries_survive_eviction(self, tmp_path):
         writer = ResultCache(tmp_path)
         for index in range(3):
-            writer.put(f"key{index}", _plan(str(index)))
+            writer.put(f"key{index}", _result(str(index)))
         writer.flush()
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         total = sum(entry["bytes"] for entry in manifest["entries"].values())
 
         reader = ResultCache(tmp_path, max_bytes=total)
         assert reader.get("key0") is not None  # touch: key0 becomes most recent
-        reader.put("key3", _plan("3"))  # over budget: evict LRU, now key1
+        reader.put("key3", _result("3"))  # over budget: evict LRU, now key1
         keys = _live_keys(tmp_path)
         assert "key0" in keys
         assert "key3" in keys
@@ -218,8 +222,8 @@ class TestLruEviction:
         # must refresh their on-disk recency or --cache-max-mb evicts the
         # hottest entries first.
         writer = ResultCache(tmp_path)
-        writer.put("key0", _plan("0"))
-        writer.put("key1", _plan("1"))
+        writer.put("key0", _result("0"))
+        writer.put("key1", _result("1"))
         writer.flush()
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         total = sum(entry["bytes"] for entry in manifest["entries"].values())
@@ -228,7 +232,7 @@ class TestLruEviction:
         assert reader.get("key0") is not None  # disk -> memory promotion
         assert reader.get("key1") is not None  # key1 now most recent...
         assert reader.get("key0") is not None  # ...until this memory hit
-        reader.put("key2", _plan("2"))  # over budget: evict the LRU entry
+        reader.put("key2", _result("2"))  # over budget: evict the LRU entry
         keys = _live_keys(tmp_path)
         assert "key0" in keys  # touched by the memory hit, survives
         assert "key2" in keys
@@ -255,13 +259,14 @@ class TestWarmSweeps:
 
         with EvaluationSession(cache_dir=tmp_path) as warm:
             rows = fig16_batch.run(batch_sizes=sizes, benchmarks=benchmarks, session=warm)
-        # Zero recompilations, zero block simulations: every artifact whose
-        # cycle/energy inputs are unchanged came from the cache.
-        assert warm.stats.programs.misses == 0
-        assert warm.stats.blocks.misses == 0
+        # Zero compilations, zero block simulations: each workload is one
+        # stored result read from disk.
+        assert warm.stats.programs.lookups == 0
+        assert warm.stats.blocks.lookups == 0
         assert warm.stats.misses == 0
         assert warm.stats.unique_executions == 0
-        assert warm.stats.programs.hits == len(sizes)
+        assert warm.stats.hits == warm.stats.disk_hits == len(sizes)
+        assert warm.cache.io_seconds > 0
         assert rows and rows[0].speedup_by_batch[1] == 1.0
 
     def test_bandwidth_sweep_compiles_one_program_even_cold(self):
@@ -272,22 +277,28 @@ class TestWarmSweeps:
         # Bandwidth changes every block's memory cycles, so blocks re-run.
         assert session.stats.blocks.hits == 0
 
-    def test_second_report_over_cache_dir_reports_full_program_hits(self, tmp_path):
+    def test_second_report_over_cache_dir_reads_every_workload_from_disk(self, tmp_path):
         keys = ["fig16", "isa"]
         benchmarks = ("LeNet-5",)
-        build_report(keys=keys, benchmarks=benchmarks, cache_dir=str(tmp_path))
+        cold = build_report(keys=keys, benchmarks=benchmarks, cache_dir=str(tmp_path))
         report = build_report(keys=keys, benchmarks=benchmarks, cache_dir=str(tmp_path))
         match = re.search(
-            r"program cache: (\d+) hits \((\d+) from disk\), (\d+) compiles "
-            r"\(hit rate (\d+)%\)",
+            r"(\d+) workload lookups: (\d+) cache hits \((\d+) from disk\), 0 misses, "
+            r"0 in-batch duplicates deduped, 0 unique executions \(hit rate 100%\)",
             report,
         )
         assert match is not None, report
-        hits, disk_hits, compiles, rate = map(int, match.groups())
-        assert hits > 0
-        assert compiles == 0
-        assert rate == 100
-        assert "block cache:" in report and "0 block simulations" in report
+        lookups, hits, disk_hits = map(int, match.groups())
+        assert lookups == hits == disk_hits > 0
+        assert "0 block simulations" in report
+        # The ISA statistics recompile their one program in process.
+        assert "program cache: 0 hits, 1 compiles" in report
+
+        def body(text: str) -> str:
+            text = text.split("## Evaluation session statistics")[0]
+            return re.sub(r"_\(generated in .*\)_", "", text)
+
+        assert body(report) == body(cold)
 
 
 class TestContentAddressedLayerLevel:
@@ -308,65 +319,58 @@ class TestContentAddressedLayerLevel:
             compiled, workload.config
         )
 
-    def test_layer_records_serve_renamed_twins(self, tmp_path):
+    def test_layer_records_serve_renamed_twins(self):
         # The cross-network dedupe case: a sibling network whose blocks
         # carry other names but identical content is served the records
-        # another network stored — zero simulation, each record renamed to
-        # the requesting block.
+        # another network memoized — zero simulation, each record renamed
+        # to the requesting block.
         from repro.session.engine import lookup_block
 
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache_dir=tmp_path) as first:
+        with EvaluationSession() as first:
             fresh = first.run(workload)
-        reader = ResultCache(tmp_path)
         for compiled, layer in zip(compile_program(workload), fresh.layers):
             twin = _renamed(compiled, "sibling")
             key = layer_cache_key(twin, workload.config)
-            value, source = lookup_block(reader, key, twin.name)
-            assert source in ("disk", "memory")  # in-network twins share a record
-            assert value == replace(layer, name=twin.name)
+            assert lookup_block(first.cache, key, twin.name) == replace(layer, name=twin.name)
 
-    def test_audit_counts_blocks_whose_layer_record_is_missing(self, tmp_path):
+    def test_workload_is_cached_exactly_when_its_result_record_is_readable(self, tmp_path):
+        # What ``sweep --dry-run`` counts: a workload is cached when its
+        # composed result can be read back, and cold otherwise.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        program = compile_program(workload)
-        assert audit_workload_cache(workload, ResultCache(tmp_path)).state == "cold"
+        key = workload.fingerprint()
+        assert key not in ResultCache(tmp_path)
         with EvaluationSession(cache_dir=tmp_path) as session:
             session.run(workload)
-        audit = audit_workload_cache(workload, ResultCache(tmp_path))
-        assert (audit.state, audit.missing_blocks) == ("cached", 0)
-        torn = tear_last_record(tmp_path)["key"]
-        audit = audit_workload_cache(workload, ResultCache(tmp_path))
-        sharing = sum(1 for block in program if layer_cache_key(block, workload.config) == torn)
-        assert (audit.state, audit.missing_blocks) == ("partial", sharing)
-        assert audit.total_blocks == len(program)
+        assert key in ResultCache(tmp_path)
+        assert tear_last_record(tmp_path)["key"] == key
+        assert key not in ResultCache(tmp_path)
 
-    def test_entry_summary_reports_the_layer_kind(self, tmp_path):
+    def test_entry_summary_reports_only_network_results(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        program = compile_program(workload)
-        layer_keys = {layer_cache_key(compiled, workload.config) for compiled in program}
         with EvaluationSession(cache_dir=tmp_path) as session:
             session.run(workload)
         summary = ResultCache(tmp_path).entry_summary()
-        # One record per distinct layer and nothing else per block.
-        assert set(summary) == {"layer", "program", "tiling"}
-        assert summary["layer"]["entries"] == len(layer_keys)
-        assert summary["program"]["entries"] == 1
-        assert summary["layer"]["bytes"] > 0
+        # One record per workload and nothing per program, plan or block.
+        assert set(summary) == {"network_result"}
+        assert summary["network_result"]["entries"] == 1
+        assert summary["network_result"]["bytes"] > 0
 
-    def test_layer_entries_are_stored_name_free(self, tmp_path):
-        # The stored layer payload must not depend on which network (or
-        # layer name) wrote it first, or the dedupe would leak names.
-        # Checked against the raw stored record.
-        from repro.session import SegmentedStore
-
+    def test_layer_records_never_reach_the_disk(self, tmp_path):
+        # Layer records are memoized in process only; the stored result is
+        # the composition, carrying the requesting network's block names.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(workload)
-        key = layer_cache_key(compile_program(workload)[0], workload.config)
-        record = SegmentedStore(tmp_path).get_record(key)
-        assert record is not None
-        assert record["kind"] == "layer"
-        assert record["payload"]["name"] == ""
+            fresh = session.run(workload)
+        program = compile_program(workload)
+        store = SegmentedStore(tmp_path)
+        for block in program:
+            assert store.get_record(layer_cache_key(block, workload.config)) is None
+        record = store.get_record(workload.fingerprint())
+        assert record is not None and record["kind"] == "network_result"
+        assert [layer["name"] for layer in record["payload"]["layers"]] == [
+            layer.name for layer in fresh.layers
+        ]
 
     def test_lookup_block_misses_until_the_layer_record_is_stored(self, tmp_path):
         from repro.session.engine import lookup_block, store_layer_record
@@ -377,36 +381,30 @@ class TestContentAddressedLayerLevel:
         compiled = compile_program(workload)[0]
         key = layer_cache_key(compiled, config)
         writer = ResultCache(tmp_path)
-        assert lookup_block(writer, key, compiled.name) == (None, "miss")
+        assert lookup_block(writer, key, compiled.name) is None
         layer = BitFusionSimulator(config).run_block(compiled)
-        store_layer_record(writer, key, compiled.name, layer)
-        assert lookup_block(writer, key, compiled.name) == (layer, "memory")
-        writer.close()
-        # A fresh reader is served from disk, renamed to whichever block asks.
+        store_layer_record(writer, key, layer)
+        assert lookup_block(writer, key, compiled.name) == layer
+        # Served renamed to whichever block asks.
         twin = _renamed(compiled, "twin")
-        value, source = lookup_block(ResultCache(tmp_path), key, twin.name)
-        assert source == "disk"
-        assert value == replace(layer, name=twin.name)
+        assert lookup_block(writer, key, twin.name) == replace(layer, name=twin.name)
+        writer.close()
+        # The memo never reaches the disk: a fresh reader misses.
+        assert lookup_block(ResultCache(tmp_path), key, compiled.name) is None
+        assert ResultCache(tmp_path).disk_keys() == set()
 
-    def test_prefetch_stages_every_layer_record_of_a_program(self, tmp_path):
-        from repro.session.engine import lookup_block
-
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        program = compile_program(workload)
-        keys = [layer_cache_key(block, workload.config) for block in program]
+    def test_prefetch_stages_every_result_of_a_batch(self, tmp_path):
+        workloads = [Workload.bitfusion(name, batch_size=4) for name in ("LeNet-5", "LSTM")]
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(workload)
+            session.run_many(workloads)
+        keys = [workload.fingerprint() for workload in workloads]
         reader = ResultCache(tmp_path)
-        reader.prefetch(keys)
+        reader.prefetch(keys + ["ghost"])
         staged_io = reader.io_seconds
-        sources = [
-            lookup_block(reader, key, block.name)[1] for block, key in zip(program, keys)
-        ]
+        sources = [reader.get_with_source(key)[1] for key in keys + keys]
         # Every lookup was served from the staged records: no further reads.
         assert reader.io_seconds == staged_io
-        distinct = set(keys)
-        assert sources.count("disk") == len(distinct)
-        assert sources.count("memory") == len(program) - len(distinct)
+        assert sources == ["disk", "disk", "memory", "memory"]
 
     def test_block_stage_counts_every_block_lookup(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
@@ -414,68 +412,56 @@ class TestContentAddressedLayerLevel:
         distinct = {layer_cache_key(block, workload.config) for block in program}
         with EvaluationSession(cache_dir=tmp_path) as cold:
             cold.run(workload)
-        assert cold.stats.blocks.misses == len(distinct)
-        assert cold.stats.blocks.lookups == len(program)
+            assert cold.stats.blocks.misses == len(distinct)
+            assert cold.stats.blocks.lookups == len(program)
+            # A frequency variant shares every layer key: it composes from
+            # the memo, one block hit per block.
+            cold.run(replace(workload, config=workload.config.with_frequency(250.0)))
+            assert (cold.stats.blocks.hits, cold.stats.blocks.misses) == (
+                2 * len(program) - len(distinct),
+                len(distinct),
+            )
         with EvaluationSession(cache_dir=tmp_path) as warm:
             warm.run(workload)
-        assert (warm.stats.blocks.hits, warm.stats.blocks.misses) == (len(program), 0)
+        assert warm.stats.blocks.lookups == 0
         assert not hasattr(warm.stats, "layers")
         assert "layer dedup" not in warm.stats.summary()
 
 
-class TestLayerRecencyAndReuseStats:
-    def test_repeat_block_hits_keep_the_layer_record_hot(self, tmp_path):
-        # Every block lookup, memory hits included, touches the layer
-        # record that serves it: the hottest shared layers must not look
+class TestResultRecencyAndCacheInfo:
+    def test_repeat_workload_hits_keep_the_result_record_hot(self, tmp_path):
+        # Every workload lookup, memory hits included, touches the result
+        # record that serves it: the hottest workloads must not look
         # LRU-coldest under --cache-max-mb and be evicted first.
-        from repro.session.engine import lookup_block
-        from repro.sim import BitFusionSimulator
+        hot, cold = (Workload.bitfusion(name, batch_size=4) for name in ("LeNet-5", "LSTM"))
+        with EvaluationSession(cache_dir=tmp_path) as writer:
+            writer.run_many([hot, cold])
+        total = sum(bucket["bytes"] for bucket in ResultCache(tmp_path).entry_summary().values())
 
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        config = workload.config
-        compiled_a, compiled_b = compile_program(workload)[:2]
-        simulator = BitFusionSimulator(config)
-        key_a = layer_cache_key(compiled_a, config)
-        key_b = layer_cache_key(compiled_b, config)
-        writer = ResultCache(tmp_path)
-        writer.put(key_a, replace(simulator.run_block(compiled_a), name=""))
-        writer.put(key_b, replace(simulator.run_block(compiled_b), name=""))
-        writer.flush()
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        total = sum(entry["bytes"] for entry in manifest["entries"].values())
-
-        reader = ResultCache(tmp_path, max_bytes=total)
-        _, source = lookup_block(reader, key_a, compiled_a.name)
-        assert source == "disk"
-        assert reader.get(key_b) is not None  # key_b now most recent on disk
-        _, source = lookup_block(reader, key_a, "twin")
-        assert source == "memory"  # a renamed twin's hit touches key_a too
-        reader.put("filler", _plan("f"))  # over budget: evict the LRU entry
+        with EvaluationSession(cache_dir=tmp_path, max_cache_bytes=total) as reader:
+            reader.run(hot)  # disk
+            reader.run(cold)  # disk: now the most recent on disk
+            reader.run(hot)  # memory hit: touches the hot record again
+            assert (reader.stats.disk_hits, reader.stats.hits) == (2, 3)
+            reader.cache.put("filler", _result("f"))  # over budget: evict the LRU entry
         keys = _live_keys(tmp_path)
-        assert key_a in keys  # the memory hit kept it hot
-        assert key_b not in keys  # genuinely least recently used
+        assert hot.fingerprint() in keys  # the memory hit kept it hot
+        assert cold.fingerprint() not in keys  # genuinely least recently used
 
-    def test_cache_info_reports_layer_reuse_statistics(self, tmp_path):
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+    def test_cache_info_lists_only_network_results(self, tmp_path):
+        workloads = [Workload.bitfusion("LeNet-5", batch_size=4), Workload.eyeriss("LeNet-5")]
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(workload)
-        key = layer_cache_key(compile_program(workload)[0], workload.config)
-        reader = ResultCache(tmp_path)
-        for _ in range(3):  # one disk hit, two memory hits — all count
-            assert reader.get(key) is not None
-        reader.flush()
-
-        summary = ResultCache(tmp_path).entry_summary()
-        assert summary["layer"]["refs"] >= 3
-        top = ResultCache(tmp_path).top_referenced("layer", limit=2)
-        assert top and top[0]["key"] == key
-        assert top[0]["refs"] >= 3
+            session.run_many(workloads)
+        with EvaluationSession(cache_dir=tmp_path) as warm:
+            warm.run_many(workloads)
         info = format_cache_info(str(tmp_path))
-        assert "reuse hits" in info
-        assert "layer dedupe ratio" in info
-        assert "most-referenced layers" in info
-        assert key[:16] in info
-        assert "first stored by" in info
+        lines = info.splitlines()
+        assert lines[2].startswith("network_result: 2 entries, ")
+        assert lines[3].startswith("total: 2 entries, ")
+        assert len(lines) == 4
+        assert "reuse" not in info and "dedupe" not in info and "referenced" not in info
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert all(set(entry) == {"kind", "bytes", "seq"} for entry in manifest["entries"].values())
 
 
 class TestLongestJobFirst:
@@ -547,40 +533,38 @@ class TestTilingMemo:
     def test_memoized_compile_is_byte_identical(self):
         workload = Workload.bitfusion("ResNet-18", batch_size=16)
         session = EvaluationSession()
-        cache, stats = session.cache, session.stats
-        from repro.session.engine import program_cache_key
-
+        cache = session.cache
         session.compile_stats(workload)
-        memoized = cache.get(program_cache_key(workload))
+        memoized = cache.memo[program_cache_key(workload)]
         assert memoized.fingerprint() == compile_program(workload).fingerprint()
 
     def test_tiling_plans_shared_across_networks_and_sweep_points(self, tmp_path):
         # Bandwidth/technology-only variations share the program key and
-        # never even reach the tiling memo; a buffer variation recompiles
-        # but an identical-buffer workload of a *different batch* re-uses
-        # nothing (the batch folds into the GEMM R dimension) while a
-        # same-shape recompile across sessions hits the memo from disk.
+        # never even reach the tiling memo, and a rerun over a cache
+        # directory reads the stored result without compiling at all.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as cold:
             cold.run(workload)
             cold_searches = cold.stats.tilings.misses
             assert cold_searches > 0
             assert cold.stats.tilings.hits == 0
-
-        with EvaluationSession(cache_dir=tmp_path) as warm:
-            # Same structure, fresh process: the program cache serves the
-            # compile outright, so the memo is not consulted at all...
-            warm.run(workload)
-            assert warm.stats.tilings.lookups == 0
-            # ...but a config variation that changes the *sim* key and not
-            # the buffers (bandwidth) recompiles nothing either.
+            # A config variation that changes the *sim* key and not the
+            # buffers (bandwidth) reuses the memoized program: no search.
             varied = Workload.bitfusion(
                 "LeNet-5",
                 batch_size=4,
                 config=workload.config.with_bandwidth(256),
             )
-            warm.run(varied)
-            assert warm.stats.programs.misses == 0
+            cold.run(varied)
+            assert (cold.stats.programs.misses, cold.stats.programs.hits) == (1, 1)
+            assert cold.stats.tilings.lookups == cold_searches
+
+        with EvaluationSession(cache_dir=tmp_path) as warm:
+            # Same workloads, fresh process: the stored results serve them
+            # outright, so neither memo is consulted at all.
+            warm.run_many([workload, varied])
+            assert warm.stats.disk_hits == 2
+            assert warm.stats.programs.lookups == 0
             assert warm.stats.tilings.lookups == 0
 
         with EvaluationSession(cache_dir=tmp_path) as flags:
@@ -594,55 +578,51 @@ class TestTilingMemo:
             assert flags.stats.tilings.hits == 0
             assert flags.stats.tilings.misses > 0
 
-    def test_warm_disk_memo_serves_recompiles_across_program_keys(self, tmp_path):
+    def test_memo_serves_recompiles_across_program_keys(self):
         # Toggling layer fusion changes the *program* key (so the second
         # workload genuinely recompiles) but not a GEMM search's inputs —
         # every compute-layer search of the recompile must be served from
-        # the on-disk memo, and only the standalone pooling/activation
-        # blocks the unfused program adds may search fresh.
+        # the memo, and only the standalone pooling/activation blocks the
+        # unfused program adds may search fresh.
         fused = Workload.bitfusion("LeNet-5", batch_size=4)
         unfused = Workload.bitfusion("LeNet-5", batch_size=4, enable_layer_fusion=False)
         fused_keys = self._search_key_sequence(fused)
         unfused_keys = self._search_key_sequence(unfused)
         assert set(unfused_keys) - set(fused_keys)  # unfused adds aux blocks
 
-        # Replay the expected memo traffic exactly: keys already on disk
-        # (from the fused compile) hit from disk once then from memory;
-        # genuinely new keys miss once then hit from memory.
-        expected_misses = expected_hits = expected_disk_hits = 0
-        on_disk, in_memory = set(fused_keys), set()
+        # Replay the expected memo traffic exactly: keys the fused compile
+        # memoized hit; genuinely new keys miss once, then hit.
+        expected_misses = expected_hits = 0
+        memoized = set(fused_keys)
         for key in unfused_keys:
-            if key in in_memory:
+            if key in memoized:
                 expected_hits += 1
-            elif key in on_disk:
-                expected_hits += 1
-                expected_disk_hits += 1
-                in_memory.add(key)
             else:
                 expected_misses += 1
-                on_disk.add(key)
-                in_memory.add(key)
+                memoized.add(key)
 
-        with EvaluationSession(cache_dir=tmp_path) as first:
-            first.run(fused)
-        with EvaluationSession(cache_dir=tmp_path) as second:
-            second.run(unfused)
-            assert second.stats.programs.misses == 1
-            assert second.stats.tilings.misses == expected_misses
-            assert second.stats.tilings.hits == expected_hits
-            assert second.stats.tilings.disk_hits == expected_disk_hits
+        with EvaluationSession() as session:
+            session.run(fused)
+            before = (session.stats.tilings.hits, session.stats.tilings.misses)
+            session.run(unfused)
+            assert session.stats.programs.misses == 2
+            assert session.stats.tilings.misses - before[1] == expected_misses
+            assert session.stats.tilings.hits - before[0] == expected_hits
 
-    def test_tiling_entries_persist_with_their_own_kind(self, tmp_path):
+    def test_tiling_plans_are_memoized_not_persisted(self, tmp_path):
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(Workload.bitfusion("LeNet-5", batch_size=4))
-        summary = ResultCache(tmp_path).entry_summary()
-        assert "tiling" in summary
-        assert summary["tiling"]["entries"] > 0
-        assert summary["tiling"]["bytes"] > 0
+            session.run(workload)
+        search_keys = set(self._search_key_sequence(workload))
+        assert search_keys <= set(session.cache.memo)
+        assert set(ResultCache(tmp_path).entry_summary()) == {"network_result"}
+        store = SegmentedStore(tmp_path)
+        assert all(store.get_record(key) is None for key in search_keys)
 
-    def test_plan_resolver_round_trip_is_lossless(self, tmp_path):
-        # A plan served from disk must equal the freshly computed one —
-        # that is what makes memoized compilation byte-identical.
+    def test_plan_resolver_memoizes_within_one_cache_only(self, tmp_path):
+        # A plan served from the memo is the freshly computed one — that is
+        # what makes memoized compilation byte-identical — and a cache over
+        # the same directory in a new process starts with an empty memo.
         from repro.core.config import BitFusionConfig
         from repro.isa.instructions import LoopOrder
         from repro.isa.tiling import GemmWorkload, search_tiling
@@ -655,12 +635,13 @@ class TestTilingMemo:
 
         cache, stats = ResultCache(tmp_path), CacheStats()
         resolver = make_plan_resolver(config, cache, stats)
-        assert resolver(gemm, orders, lambda: fresh) == fresh
+        assert resolver(gemm, orders, lambda: fresh) is fresh
         assert stats.tilings.misses == 1
+        again = make_plan_resolver(config, cache, stats)
+        assert again(gemm, orders, lambda: pytest.fail("memo should have served")) is fresh
+        assert stats.tilings.hits == 1
 
         reread_stats = CacheStats()
         reread = make_plan_resolver(config, ResultCache(tmp_path), reread_stats)
-        served = reread(gemm, orders, lambda: pytest.fail("memo should have served"))
-        assert served == fresh
-        assert reread_stats.tilings.hits == 1
-        assert reread_stats.tilings.disk_hits == 1
+        assert reread(gemm, orders, lambda: fresh) == fresh
+        assert (reread_stats.tilings.hits, reread_stats.tilings.misses) == (0, 1)

@@ -11,7 +11,7 @@ from repro.dnn.layers import ActivationLayer, ConvLayer, FCLayer, LSTMLayer, Poo
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler, compile_layer, compile_network
 from repro.isa.instructions import Compute, ComputeFn, LdMem, Loop, ScratchpadType, StMem
-from repro.isa.optimizations import fuse_layers
+from repro.isa.optimizations import _is_fusable_follower, fuse_layers
 from repro.nas.mutations import mutate_bits
 
 
@@ -329,3 +329,22 @@ class TestZooStructure:
         # In source order, each layer object exactly once.
         assert len(covered) == len(network.layers)
         assert all(a is b for a, b in zip(covered, network.layers))
+
+    @pytest.mark.parametrize("name", sorted(ZOO_STRUCTURE))
+    def test_blocks_are_gemm_headed_with_fusable_followers(self, default_config, name):
+        # Fusion never spans a layer type it cannot fuse: every zoo block
+        # is headed by a GEMM layer and absorbs only pooling/activation.
+        program = FusionCompiler(default_config).compile(models.load(name))
+        for compiled in program:
+            assert compiled.layer.has_gemm(), compiled.name
+            assert all(_is_fusable_follower(layer) for layer in compiled.fused_layers), (
+                compiled.name
+            )
+
+    @pytest.mark.parametrize("name", sorted(ZOO_STRUCTURE))
+    def test_disabled_fusion_yields_no_followers(self, default_config, name):
+        network = models.load(name)
+        program = FusionCompiler(default_config, enable_layer_fusion=False).compile(network)
+        assert all(not compiled.fused_layers for compiled in program)
+        assert len(program) == len(network.layers)
+        assert all(compiled.layer is layer for compiled, layer in zip(program, network.layers))

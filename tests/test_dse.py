@@ -7,7 +7,8 @@ Covered properties:
 * Pareto extraction is exact on synthetic objective vectors (dominated
   points dropped, ties and duplicates kept, input order preserved),
 * a sweep along non-compile axes (technology node) reuses one compiled
-  program for the whole grid,
+  program for the whole grid, and a warm sweep reads one stored result per
+  unique workload with no compile or simulation,
 * equal-cost workloads schedule in a stable fingerprint order regardless
   of input order, and
 * the ``sweep`` subcommand and ``--cache-info`` work end to end, with the
@@ -31,6 +32,7 @@ from repro.dse import (
 )
 from repro.harness.runner import format_cache_info, main
 from repro.session import EvaluationSession, Workload
+from repro.session import cache as cache_module
 
 
 def small_spec(**overrides):
@@ -274,6 +276,35 @@ class TestSweepExecution:
         assert session.stats.programs.misses == 1
         assert session.stats.programs.hits == 3
 
+    def test_warm_sweep_reads_one_result_per_unique_workload(self, tmp_path, monkeypatch):
+        spec = small_spec(
+            networks=["LeNet-5", "LSTM"],
+            axes={"bandwidth": [64, 128], "technology": ["45nm", "16nm"]},
+        )
+        with EvaluationSession(cache_dir=tmp_path) as cold_session:
+            cold = run_sweep(spec, cold_session)
+        unique = {point.workload.fingerprint() for point in spec.expand()}
+        assert cold_session.stats.unique_executions == len(unique) == 8
+
+        decoded: list[str] = []
+        decode = cache_module.network_result_from_dict
+
+        def counting_decode(payload):
+            result = decode(payload)
+            decoded.append(result.network_name)
+            return result
+
+        monkeypatch.setattr(cache_module, "network_result_from_dict", counting_decode)
+        with EvaluationSession(cache_dir=tmp_path) as warm_session:
+            warm = run_sweep(spec, warm_session)
+        stats = warm_session.stats
+        assert stats.unique_executions == 0 and stats.misses == 0
+        assert stats.programs.lookups == 0 and stats.tilings.lookups == 0
+        assert stats.blocks.lookups == 0
+        # Exactly one network_result record read per unique workload.
+        assert stats.disk_hits == len(decoded) == len(unique)
+        assert format_sweep_report(warm) == format_sweep_report(cold)
+
     def test_buffer_axis_compiles_per_value(self):
         spec = small_spec(axes={"buffers": [[32, 64, 16], [16, 32, 8]]})
         with EvaluationSession() as session:
@@ -335,8 +366,14 @@ class TestCli:
         assert "design points" in cold
         assert main(["sweep", str(spec_path), "--cache-dir", str(cache_dir)]) == 0
         warm = capsys.readouterr().out
-        assert "0 compiles (hit rate 100%)" in warm
-        assert "0 block simulations (hit rate 100%)" in warm
+        assert (
+            "2 workload lookups: 2 cache hits (2 from disk), 0 misses, "
+            "0 in-batch duplicates deduped, 0 unique executions (hit rate 100%)"
+        ) in warm
+        assert "program cache: 0 hits, 0 compiles" in warm
+        assert "block cache: 0 hits, 0 block simulations" in warm
+        section = "## Evaluation session statistics"
+        assert warm.split(section)[0] == cold.split(section)[0]
 
     def test_cache_info_matches_manifest(self, tmp_path, spec_path, capsys):
         cache_dir = tmp_path / "cache"
@@ -382,10 +419,12 @@ class TestCli:
         capsys.readouterr()
         assert main(["sweep", str(spec_path), "--dry-run", "--cache-dir", str(cache_dir)]) == 0
         warm = capsys.readouterr().out
-        assert "fully cached: 2 workloads" in warm
+        assert "cached: 2 workloads (result stored, no fresh work)" in warm
         assert "cold: 0 workloads" in warm
         assert "planned grid already cached: 2/2 points (100%)" in warm
-        assert "tiling:" in warm  # the cache summary names the new kind
+        # The cache summary lists the one persisted kind.
+        assert "network_result: 2 entries" in warm
+        assert "partial" not in warm and "tiling" not in warm
 
     def test_dry_run_without_cache_dir_counts_everything_cold(self, spec_path, capsys):
         assert main(["sweep", str(spec_path), "--dry-run"]) == 0

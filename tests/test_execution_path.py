@@ -139,41 +139,24 @@ class TestBatchedSimulation:
         build_sweep_report(str(spec), cache_dir=str(tmp_path / "cache"))
         assert sim_calls == [4]
 
-    def test_each_segment_append_carries_one_workload(self, monkeypatch, tmp_path):
-        # Attribute every stored key to the workload being planned or
-        # composed when it was put, then check each append's keys.
-        current: list[str] = []
-        owner: dict[str, str] = {}
-        appended: list[set[str]] = []
-
-        def tracking(function):
-            def wrapper(first, *args, **kwargs):
-                workload = getattr(first, "workload", first)
-                current[:] = [workload.label()]
-                return function(first, *args, **kwargs)
-
-            return wrapper
-
-        real_put = ResultCache.put
+    def test_each_segment_append_carries_one_workload_result(self, monkeypatch, tmp_path):
+        # Each workload's commit appends exactly its composed result, and
+        # nothing else reaches the store.
+        appended: list[list[tuple[str, str]]] = []
         real_append = SegmentedStore.append_encoded
 
-        def put(cache, key, *args, **kwargs):
-            owner[key] = current[0]
-            return real_put(cache, key, *args, **kwargs)
-
         def append_encoded(store, items):
-            appended.append({owner[key] for key, _, _ in items})
+            appended.append([(key, kind) for key, kind, _ in items])
             return real_append(store, items)
 
-        for name in ("plan_workload", "compose_plan"):
-            monkeypatch.setattr(session_module, name, tracking(getattr(session_module, name)))
-        monkeypatch.setattr(ResultCache, "put", put)
         monkeypatch.setattr(SegmentedStore, "append_encoded", append_encoded)
         workloads = _distinct()
         with EvaluationSession(cache_dir=tmp_path) as session:
             session.run_many(workloads)
-        assert len(appended) == 2 * len(workloads)
-        assert all(len(owners) == 1 for owners in appended)
+        assert sorted(appended) == sorted(
+            [(workload.fingerprint(), "network_result")] for workload in workloads
+        )
+        assert list(session.stats.executions) == [items[0][0] for items in appended]
 
     def test_warm_batch_never_reaches_the_simulator(self, sim_calls, tmp_path):
         workloads = _distinct()

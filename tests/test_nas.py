@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,21 +104,74 @@ class TestEstimatorExactness:
         assert built == changed
         assert estimator.stats.programs_compiled == 2
 
-    def test_session_warmed_cache_prices_without_simulation(self, tmp_path):
-        # A report/sweep run and the estimator share the artifact store:
-        # pricing the same workload afterwards is pure composition.
+    def test_session_warmed_cache_prices_without_simulation(self):
+        # A report/sweep run and the estimator share the cache's memo in
+        # one process: pricing the same workload afterwards is pure
+        # composition.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        with EvaluationSession(cache_dir=tmp_path) as session:
+        with EvaluationSession() as session:
             session_result = session.run(workload)
-        estimator = Estimator(
-            workload.config,
-            ResultCache(tmp_path),
-            batch_size=workload.batch_size,
-        )
+        estimator = Estimator(workload.config, session.cache, batch_size=workload.batch_size)
         estimate = estimator.estimate(load_network(workload))
         assert estimator.stats.layers_simulated == 0
         assert estimator.stats.programs_compiled == 0
+        assert estimator.stats.programs_reused == 1
         assert estimate == session_result
+
+    def test_warm_cache_dir_prices_every_candidate_from_disk(self, tmp_path):
+        spec = SearchSpec(base_network="LeNet-5", population=4, generations=3, seed=5)
+        cold_estimator = Estimator(_config(), ResultCache(tmp_path))
+        cold = run_search(spec, estimator=cold_estimator)
+        assert cold_estimator.stats.layers_simulated > 0
+        assert cold_estimator.stats.results_read == 0
+        # The cache directory holds one composed result per priced
+        # candidate and nothing else.
+        summary = ResultCache(tmp_path).entry_summary()
+        assert summary == {
+            "network_result": {
+                "entries": len(cold.candidates),
+                "bytes": summary["network_result"]["bytes"],
+            }
+        }
+        warm_estimator = Estimator(_config(), ResultCache(tmp_path))
+        warm = run_search(spec, estimator=warm_estimator)
+        stats = warm_estimator.stats
+        unique = stats.networks - stats.networks_deduped
+        assert stats.results_read == stats.results_from_disk == unique
+        assert unique == len(warm.candidates)
+        assert stats.layer_lookups == 0 and stats.layers_simulated == 0
+        assert stats.programs_compiled == stats.programs_reused == 0
+        assert [c.objectives for c in warm.candidates] == [c.objectives for c in cold.candidates]
+        assert [c.fingerprint for c in warm.frontier] == [c.fingerprint for c in cold.frontier]
+
+    def test_stored_results_are_keyed_by_everything_composition_reads(self, tmp_path):
+        # Frequency and the config name change only composition metadata
+        # (they share every program and layer key), yet each must key its
+        # own stored result: a cross-served record would carry the wrong
+        # latency or platform name.
+        network = models.load("LeNet-5")
+        base = _config()
+        Estimator(base, ResultCache(tmp_path)).estimate(network)
+        for config in (base.with_frequency(250.0), replace(base, name="renamed")):
+            estimator = Estimator(config, ResultCache(tmp_path))
+            assert estimator.estimate(network) == BitFusionAccelerator(config).evaluate(network)
+            assert estimator.stats.results_read == 0
+        rerun = Estimator(base.with_frequency(250.0), ResultCache(tmp_path))
+        rerun.estimate(network)
+        assert rerun.stats.results_from_disk == 1
+
+    def test_memory_only_estimator_stores_no_results(self):
+        estimator = Estimator(_config())
+        network = models.load("LeNet-5")
+        first = estimator.estimate(network)
+        composed = estimator.stats.layers_composed
+        # Re-pricing composes every block from the layer memo; no result
+        # is stored or looked up.
+        assert estimator.estimate(network) == first
+        blocks = len(FusionCompiler(_config()).compile(network))
+        assert estimator.stats.layers_composed - composed == blocks
+        assert len(estimator.cache) == 0
+        assert estimator.stats.results_read == 0
 
     def test_renamed_clone_prices_through_layer_dedupe(self):
         # The content-addressed layer level is name-free: a candidate that
@@ -453,8 +508,11 @@ class TestNasCli:
         assert main(["nas", spec, "--cache-dir", str(cache_dir)]) == 0
         warm = capsys.readouterr().out
         assert "0 simulated fresh" in warm
-        assert ", 0 compiled" in warm
-        assert "layer hit rate 100%" in warm
+        assert "programs: 0 reused, 0 compiled" in warm
+        priced = re.search(r"estimator: (\d+) candidates priced \(0 in-batch", warm)
+        assert priced is not None, warm
+        count = priced.group(1)
+        assert f"results: {count} stored results read ({count} from disk)" in warm
 
     def test_nas_subcommand_rejects_bad_spec(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

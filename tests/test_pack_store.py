@@ -17,36 +17,41 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.harness.runner import format_cache_info
-from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import GemmWorkload, TilingPlan
+from repro.isa.compiler import FusionCompiler
 from repro.session import (
     EvaluationSession,
     ResultCache,
     SegmentedStore,
     Workload,
     compile_program,
+    execute_workload,
     layer_cache_key,
+    load_network,
+    program_cache_key,
+    tiling_cache_key,
 )
 from repro.session.cache import MANIFEST_SCHEMA_VERSION, network_result_to_dict
 from repro.session.store import encode_body, encode_record, iter_records
-from repro.sim.results import layer_result_to_dict
+from repro.sim.results import LayerResult, NetworkResult, layer_result_to_dict
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _plan(tag: str) -> TilingPlan:
-    """A small cacheable artifact; one-character tags give equal-size entries."""
-    return TilingPlan(
-        workload=GemmWorkload(m=16, n=16, r=16, input_bits=8, weight_bits=8, output_bits=8),
-        loop_order=LoopOrder.OUTPUT_STATIONARY,
-        tile_m=16,
-        tile_n=16,
-        tile_r=16,
-        dram_weight_bits=1000 + int(tag, 36),
-        dram_input_bits=0,
-        dram_output_write_bits=0,
-        dram_output_read_bits=0,
+def _result(tag: str) -> NetworkResult:
+    """A small cacheable result; one-character tags give equal-size entries."""
+    layer = LayerResult(
+        name="l0",
+        macs=1000 + int(tag, 36),
+        input_bits=8,
+        weight_bits=8,
+        compute_cycles=10,
+        memory_cycles=20,
+    )
+    return NetworkResult(
+        network_name="net", platform="test", batch_size=1, frequency_mhz=500.0, layers=(layer,)
     )
 
 
@@ -159,7 +164,7 @@ class TestSegmentedStore:
 class TestPackCache:
     def test_entries_live_in_pack_segments(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("alpha", _plan("a"))
+        cache.put("alpha", _result("a"))
         cache.flush()
         entry_files = {p.name for p in tmp_path.glob("*.json")}
         assert entry_files == {"manifest.json"}  # no per-entry files
@@ -167,7 +172,7 @@ class TestPackCache:
 
     def test_cache_info_reports_the_format_line(self, tmp_path):
         pack = ResultCache(tmp_path)
-        pack.put("alpha", _plan("a"))
+        pack.put("alpha", _result("a"))
         pack.flush()
         info = format_cache_info(str(tmp_path))
         assert "format: segmented pack (1 segment)" in info
@@ -175,46 +180,57 @@ class TestPackCache:
     def test_format_line_counts_one_segment_per_writer(self, tmp_path):
         for tag in ("a", "b"):
             writer = ResultCache(tmp_path)
-            writer.put(f"key-{tag}", _plan(tag))
+            writer.put(f"key-{tag}", _result(tag))
             writer.close()
         assert ResultCache(tmp_path).describe_layout() == "segmented pack (2 segments)"
 
     def test_memory_only_cache_has_no_disk_format(self):
         cache = ResultCache()
-        cache.put("alpha", _plan("a"))
+        cache.put("alpha", _result("a"))
         assert cache.describe_layout() == "memory-only (no cache directory)"
-        assert cache.get("alpha") == _plan("a")
+        assert cache.get("alpha") == _result("a")
         assert cache.disk_keys() == set()
         assert cache.entry_summary() == {}
 
     def test_contains_sees_memory_staged_and_disk_entries(self, tmp_path):
         writer = ResultCache(tmp_path)
-        writer.put("staged", _plan("s"))
-        writer.put("on-disk", _plan("d"))
+        writer.put("staged", _result("s"))
+        writer.put("on-disk", _result("d"))
         writer.close()
         reader = ResultCache(tmp_path)
-        reader.put("in-memory", _plan("m"), persist=False)
+        reader.put("in-memory", _result("m"))
         reader.prefetch(["staged"])
         for key in ("in-memory", "staged", "on-disk"):
             assert key in reader
         assert "ghost" not in reader
+        # The artifact memo is not a result tier: its keys stay invisible.
+        reader.memo["memo-only"] = _result("x").layers[0]
+        assert "memo-only" not in reader
+        assert reader.get("memo-only") is None
+
+    def test_only_network_results_are_accepted(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        with pytest.raises(TypeError, match="LayerResult"):
+            cache.put("layer", _result("a").layers[0])
+        cache.close()
+        assert ResultCache(tmp_path).disk_keys() == set()
 
     def test_put_without_flush_is_visible_to_a_fresh_reader(self, tmp_path):
         # A put is on disk before any flush (the segment append is
         # immediate; only the advisory sidecar/manifest bookkeeping
         # batches).
         writer = ResultCache(tmp_path)
-        writer.put("alpha", _plan("a"))
+        writer.put("alpha", _result("a"))
         reader = ResultCache(tmp_path)
-        assert reader.get("alpha") == _plan("a")
+        assert reader.get("alpha") == _result("a")
 
     def test_batched_puts_land_as_one_group_commit(self, tmp_path):
         cache = ResultCache(tmp_path)
         with cache.batch():
             for index in range(8):
-                cache.put(f"key{index}", _plan(str(index)))
+                cache.put(f"key{index}", _result(str(index)))
             # Queued but already visible through the owning cache...
-            assert cache.get("key0") == _plan("0")
+            assert cache.get("key0") == _result("0")
         cache.flush()
         # ...and on disk in a single segment once the scope closes.
         store = SegmentedStore(tmp_path)
@@ -223,35 +239,35 @@ class TestPackCache:
 
     def test_get_many_and_prefetch_report_disk_sources_exactly_once(self, tmp_path):
         writer = ResultCache(tmp_path)
-        writer.put("k1", _plan("1"))
-        writer.put("k2", _plan("2"))
+        writer.put("k1", _result("1"))
+        writer.put("k2", _result("2"))
         writer.flush()
         reader = ResultCache(tmp_path)
         reader.prefetch(["k1", "k2", "ghost"])
         # First access of a prefetched key still counts as a disk hit —
         # the same statistics as one get() per key.
         value, source = reader.get_with_source("k1")
-        assert value == _plan("1") and source == "disk"
+        assert value == _result("1") and source == "disk"
         value, source = reader.get_with_source("k1")
         assert source == "memory"
         assert reader.get_with_source("ghost") == (None, "miss")
-        assert reader.get_many(["k2", "ghost"]) == {"k2": _plan("2")}
+        assert reader.get_many(["k2", "ghost"]) == {"k2": _result("2")}
 
     def test_pack_eviction_is_durable_for_fresh_readers(self, tmp_path):
         writer = ResultCache(tmp_path)
         for index in range(3):
-            writer.put(f"key{index}", _plan(str(index)))
+            writer.put(f"key{index}", _result(str(index)))
         writer.flush()
         writer.close()
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
         total = sum(entry["bytes"] for entry in manifest["entries"].values())
         evictor = ResultCache(tmp_path, max_bytes=total)
-        evictor.put("key3", _plan("3"))  # over budget: key0 evicted
+        evictor.put("key3", _result("3"))  # over budget: key0 evicted
         # Without any flush from the evictor, a brand-new reader must not
         # resurrect the evicted record from the old segment.
         reader = ResultCache(tmp_path)
         assert reader.get("key0") is None
-        assert reader.get("key3") == _plan("3")
+        assert reader.get("key3") == _result("3")
 
     def test_corrupt_record_kind_is_a_miss_not_a_crash(self, tmp_path):
         store = SegmentedStore(tmp_path)
@@ -293,22 +309,23 @@ class TestManifestRebuildScaling:
 
     def test_pack_rebuild_uses_the_store_index(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("alpha", _plan("a"))
+        cache.put("alpha", _result("a"))
         cache.flush()
         cache.close()
         (tmp_path / "manifest.json").write_text("garbage", encoding="utf-8")
         rebuilt = ResultCache(tmp_path)
-        assert rebuilt.entry_summary()["tiling"]["entries"] == 1
-        assert rebuilt.get("alpha") == _plan("a")
+        assert rebuilt.entry_summary()["network_result"]["entries"] == 1
+        assert rebuilt.get("alpha") == _result("a")
 
     def test_rebuild_recovers_every_kind_a_session_writes(self, tmp_path):
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        workloads = [Workload.bitfusion("LeNet-5", batch_size=4), Workload.eyeriss("LeNet-5")]
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(workload)
+            session.run_many(workloads)
         written = ResultCache(tmp_path).entry_summary()
         (tmp_path / "manifest.json").unlink()
         rebuilt = ResultCache(tmp_path).entry_summary()
-        assert set(rebuilt) == {"layer", "program", "tiling"}
+        # One composed result per workload, Bit Fusion and baseline alike.
+        assert rebuilt == {"network_result": {"entries": 2, "bytes": written["network_result"]["bytes"]}}
         for kind, bucket in written.items():
             assert rebuilt[kind]["entries"] == bucket["entries"]
             assert rebuilt[kind]["bytes"] == bucket["bytes"]
@@ -322,7 +339,7 @@ class TestEvictionOrderRegression:
         # be unchanged.
         writer = ResultCache(tmp_path)
         for index in range(4):
-            writer.put(f"key{index}", _plan(str(index)))
+            writer.put(f"key{index}", _result(str(index)))
         writer.flush()
         writer.close()
         manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
@@ -335,7 +352,7 @@ class TestEvictionOrderRegression:
         # Same key/tag widths as the seeds, so every entry is the same size
         # and each over-budget put evicts exactly one victim.
         for extra in range(4, 7):
-            cache.put(f"key{extra}", _plan(str(extra)))
+            cache.put(f"key{extra}", _result(str(extra)))
             survivors.add(f"key{extra}")
             remaining = cache.disk_keys()
             evicted.extend(sorted(survivors - remaining))
@@ -349,7 +366,7 @@ class TestEvictionOrderRegression:
     def test_overwrites_do_not_inflate_the_running_total(self, tmp_path):
         cache = ResultCache(tmp_path)
         for _ in range(5):
-            cache.put("same", _plan("s"))
+            cache.put("same", _result("s"))
         manifest_total = sum(
             int(entry.get("bytes", 0)) for entry in cache._manifest.values()
         )
@@ -362,7 +379,7 @@ class TestOldDirectories:
         # manifest, a block-keyed ``layer_result`` record and a stray
         # per-entry ``<key>.json`` file.  It opens, ignores both leftovers
         # (neither read nor deleted) and still serves a warm run entirely
-        # from its layer records.
+        # from its stored result.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         program = compile_program(workload)
         with EvaluationSession(cache_dir=tmp_path) as cold:
@@ -389,28 +406,77 @@ class TestOldDirectories:
             restored = warm.run(workload)
         assert network_result_to_dict(restored) == network_result_to_dict(fresh)
         assert warm.stats.unique_executions == 0
-        assert warm.stats.blocks.misses == 0
-        assert warm.stats.blocks.hit_rate == 1.0
+        assert warm.stats.disk_hits == 1
+        assert warm.stats.blocks.lookups == 0 and warm.stats.programs.lookups == 0
         assert stray.exists()
         summary = ResultCache(tmp_path).entry_summary()
         assert summary["layer_result"]["entries"] == 1  # ages out under the budget
         assert "unknown" not in summary
 
+    def test_schema_4_directory_serves_no_stale_entry(self, tmp_path):
+        # A directory the previous release wrote: a schema-4 manifest plus
+        # program, tiling and layer records under the very keys this
+        # release memoizes in process.  The layer payloads are stale on
+        # purpose (one cycle off): if any record were served, the result
+        # would differ from a fresh run.
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        fresh = execute_workload(workload)
+        program = compile_program(workload)
+        stale = dict(layer_result_to_dict(fresh.layers[0]), name="")
+        stale["compute_cycles"] += 1
+        records = [
+            (layer_cache_key(block, workload.config), {"kind": "layer", "payload": stale})
+            for block in program
+        ]
+        records.append(
+            (program_cache_key(workload), {"kind": "program", "payload": program.to_dict()})
+        )
+        requests = FusionCompiler(workload.config).tiling_requests(
+            load_network(workload), batch_size=workload.batch_size
+        )
+        tiling_keys = {tiling_cache_key(gemm, orders, workload.config) for gemm, orders in requests}
+        records.extend((key, {"kind": "tiling", "payload": {}}) for key in tiling_keys)
+        store = SegmentedStore(tmp_path)
+        _append(store, records)
+        store.close()
+        (tmp_path / "manifest.json").write_text(
+            json.dumps({"schema_version": 4, "entries": {}}), encoding="utf-8"
+        )
+
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            result = session.run(workload)
+        assert network_result_to_dict(result) == network_result_to_dict(fresh)
+        stats = session.stats
+        assert (stats.unique_executions, stats.disk_hits) == (1, 0)
+        assert stats.programs.misses == 1
+        assert stats.tilings.misses == len(tiling_keys)
+        assert stats.blocks.misses == len({key for key, _ in records[: len(program)]})
+        # The re-run reads the one record this release wrote.
+        with EvaluationSession(cache_dir=tmp_path) as rerun:
+            again = rerun.run(workload)
+        assert network_result_to_dict(again) == network_result_to_dict(fresh)
+        assert (rerun.stats.disk_hits, rerun.stats.unique_executions) == (1, 0)
+        # The old records are never read; they age out under a budget.
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 5
+        assert ResultCache(tmp_path).entry_summary()["network_result"]["entries"] == 1
+
     def test_stray_json_entry_is_invisible_to_the_cache(self, tmp_path):
         stray = tmp_path / "alpha.json"
         stray.write_text(
-            json.dumps({"kind": "tiling", "payload": _plan("a").to_dict()}), encoding="utf-8"
+            json.dumps({"kind": "network_result", "payload": network_result_to_dict(_result("a"))}),
+            encoding="utf-8",
         )
         cache = ResultCache(tmp_path)
         assert "alpha" not in cache
         assert cache.get("alpha") is None
         assert cache.disk_keys() == set()
-        cache.put("beta", _plan("b"))
+        cache.put("beta", _result("b"))
         cache.close()
         reader = ResultCache(tmp_path)
         assert reader.disk_keys() == {"beta"}
-        assert reader.entry_summary()["tiling"]["entries"] == 1
-        assert set(reader.entry_summary()) == {"tiling"}
+        assert reader.entry_summary()["network_result"]["entries"] == 1
+        assert set(reader.entry_summary()) == {"network_result"}
         assert stray.exists()
 
     def test_old_block_keyed_records_age_out_first_under_a_budget(self, tmp_path):
@@ -445,26 +511,20 @@ class TestOldDirectories:
 _WRITER_SCRIPT = """
 import sys
 from repro.session import ResultCache
-from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import GemmWorkload, TilingPlan
+from repro.sim.results import LayerResult, NetworkResult
 
 directory, prefix, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
-gemm = GemmWorkload(m=16, n=16, r=16, input_bits=8, weight_bits=8, output_bits=8)
 cache = ResultCache(directory)
 with cache.batch():
     for index in range(count):
+        layer = LayerResult(
+            name="l0", macs=index, input_bits=8, weight_bits=8, compute_cycles=1, memory_cycles=1
+        )
         cache.put(
             f"{prefix}-{index}",
-            TilingPlan(
-                workload=gemm,
-                loop_order=LoopOrder.OUTPUT_STATIONARY,
-                tile_m=16,
-                tile_n=16,
-                tile_r=16,
-                dram_weight_bits=index,
-                dram_input_bits=0,
-                dram_output_write_bits=0,
-                dram_output_read_bits=0,
+            NetworkResult(
+                network_name=prefix, platform="test", batch_size=1, frequency_mhz=500.0,
+                layers=(layer,),
             ),
         )
 cache.flush()
@@ -501,7 +561,9 @@ class TestConcurrentWriters:
         values = reader.get_many(sorted(expected))
         assert set(values) == expected
         for key, value in values.items():
-            assert value.dram_weight_bits == int(key.rsplit("-", 1)[1])
+            prefix, index = key.rsplit("-", 1)
+            assert value.network_name == prefix
+            assert value.layers[0].macs == int(index)
         store = SegmentedStore(tmp_path)
         assert len(store) == 2 * count
         assert store.segment_count == 2  # one segment per writer process

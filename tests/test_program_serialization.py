@@ -1,14 +1,14 @@
-"""Tests for Program serialization and the staged pipeline's core invariant.
+"""Tests for program payloads and the staged pipeline's core invariant.
 
-The three guarantees the serializable-program refactor rests on:
+The three guarantees the memoized-program pipeline rests on:
 
-* a compiled ``Program`` round-trips through its JSON payload with every
-  instruction, layer, tiling plan and fusion annotation intact,
+* a compiled ``Program``'s JSON payload carries every instruction, layer,
+  tiling plan and fusion annotation, so its fingerprints see all of them,
 * program and block fingerprints are stable across processes (they key the
-  shared on-disk artifact cache), and
+  in-process memos and, through the network, every stored result), and
 * a ``NetworkResult`` produced by the staged compile → simulate-blocks →
-  compose pipeline — including one whose program came back from disk — is
-  byte-identical to the monolithic ``evaluate()`` path.
+  compose pipeline — including one read back from disk — is byte-identical
+  to the monolithic ``evaluate()`` path.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ from repro.dnn.layers import (
     layer_from_dict,
     layer_to_dict,
 )
+from repro.fingerprint import fingerprint_payload
 from repro.isa.block import InstructionBlock
 from repro.isa.compiler import FusionCompiler
-from repro.isa.encoding import encode_block_hex
-from repro.isa.program import CompiledBlock, Program
+from repro.isa.encoding import decode_block_hex, encode_block_hex
+from repro.isa.program import Program
 from repro.session import (
     EvaluationSession,
     Workload,
@@ -158,32 +159,37 @@ class TestSerializersMatchAsdict:
             assert block.to_dict()["image"] == fresh
             assert compiled.to_dict()["block"]["image"] == fresh
             assert compiled.layer_content_dict()["image"] == fresh
-            rebuilt = InstructionBlock.from_dict(block.to_dict())
+            rebuilt = InstructionBlock(block.name, decode_block_hex(block.to_dict()["image"]))
             assert rebuilt.instructions == block.instructions
             assert rebuilt.to_dict() == block.to_dict()
 
 
 class TestProgramSerialization:
     @pytest.mark.parametrize("benchmark_name", ["LeNet-5", "LSTM", "SVHN"])
-    def test_round_trip_equality(self, benchmark_name):
+    def test_payload_carries_every_field(self, benchmark_name):
         program = _compile(benchmark_name)
         payload = json.loads(json.dumps(program.to_dict(), sort_keys=True))
-        restored = Program.from_dict(payload)
-        assert restored.network_name == program.network_name
-        assert len(restored) == len(program)
-        for original, rebuilt in zip(program, restored):
-            assert rebuilt.block.instructions == original.block.instructions
-            assert rebuilt.layer == original.layer
-            assert rebuilt.tiling == original.tiling
-            assert rebuilt.loop_order == original.loop_order
-            assert rebuilt.fused_layers == original.fused_layers
-        assert restored.to_dict() == program.to_dict()
+        assert payload == program.to_dict()
+        assert payload["network_name"] == program.network_name
+        assert len(payload["blocks"]) == len(program)
+        for original, item in zip(program, payload["blocks"]):
+            assert tuple(decode_block_hex(item["block"]["image"])) == original.block.instructions
+            assert item["block"]["name"] == original.name
+            assert layer_from_dict(item["layer"]) == original.layer
+            assert item["tiling"] == original.tiling.to_dict()
+            assert item["loop_order"] == original.loop_order.value
+            assert tuple(layer_from_dict(layer) for layer in item["fused_layers"]) == (
+                original.fused_layers
+            )
 
-    def test_fingerprint_survives_round_trip(self):
+    def test_fingerprint_is_the_digest_of_the_payload(self):
         program = _compile("LeNet-5")
-        restored = Program.from_dict(json.loads(json.dumps(program.to_dict())))
-        assert restored.fingerprint() == program.fingerprint()
-        for original, rebuilt in zip(program, restored):
+        recompiled = _compile("LeNet-5")
+        assert recompiled is not program
+        assert program.fingerprint() == fingerprint_payload(json.loads(json.dumps(program.to_dict())))
+        assert recompiled.fingerprint() == program.fingerprint()
+        for original, rebuilt in zip(program, recompiled):
+            assert rebuilt.fingerprint() == fingerprint_payload(original.to_dict())
             assert rebuilt.fingerprint() == original.fingerprint()
 
     def test_fingerprint_sees_content_changes(self):
@@ -191,13 +197,12 @@ class TestProgramSerialization:
         other_batch = _compile("LeNet-5", batch_size=8)
         assert base.fingerprint() != other_batch.fingerprint()
 
-    def test_corrupted_payload_fails_validation(self):
+    def test_corrupted_image_fails_validation(self):
         program = _compile("LeNet-5")
-        payload = program.to_dict()
+        image = program.to_dict()["blocks"][0]["block"]["image"]
         # Truncate the first block's image so setup/block-end framing breaks.
-        payload["blocks"][0]["block"]["image"] = payload["blocks"][0]["block"]["image"][:8]
         with pytest.raises(ValueError):
-            Program.from_dict(payload)
+            InstructionBlock(program[0].name, decode_block_hex(image[:8]))
 
     def test_fingerprint_stable_across_processes(self):
         program = _compile("LeNet-5")
@@ -242,31 +247,36 @@ class TestStagedPipelineEquivalence:
         monolithic = execute_workload(workload)
         assert network_result_to_dict(staged) == network_result_to_dict(monolithic)
 
-    def test_serialized_program_blocks_are_byte_identical_to_monolithic(self):
-        # Simulating blocks of a program rebuilt from its serialized payload
-        # must reproduce the monolithic per-layer results bit for bit.
+    def test_memoized_program_blocks_are_byte_identical_to_monolithic(self):
+        # Simulating the blocks of the program a session memoized must
+        # reproduce the monolithic per-layer results bit for bit.
         workload = Workload.bitfusion("LSTM", batch_size=4)
-        payload = json.loads(json.dumps(compile_program(workload).to_dict()))
-        program = Program.from_dict(payload)
+        session = EvaluationSession()
+        session.run(workload)
+        program = session.cache.memo[program_cache_key(workload)]
+        assert isinstance(program, Program)
         layers = simulator_for(workload.config).run_selected_blocks(
             program, range(len(program))
         )
         assert tuple(layers) == execute_workload(workload).layers
 
-    def test_disk_restored_program_simulates_byte_identical(self, tmp_path):
+    def test_disk_restored_result_is_byte_identical(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         monolithic = execute_workload(workload)
         with EvaluationSession(cache_dir=tmp_path) as first:
             first.run(workload)
-        # Drop every simulated-block record: a fresh session restores the
-        # compiled program from disk but must re-simulate every block —
-        # same result, bit for bit.
-        assert drop_records(tmp_path, "layer")
-        with EvaluationSession(cache_dir=tmp_path) as second:
-            restored = second.run(workload)
-        assert second.stats.programs.hits == 1
-        assert second.stats.blocks.misses > 0
+        with EvaluationSession(cache_dir=tmp_path) as warm:
+            restored = warm.run(workload)
+        assert warm.stats.disk_hits == 1 and warm.stats.programs.lookups == 0
         assert network_result_to_dict(restored) == network_result_to_dict(monolithic)
+        # Drop the stored result: a fresh session recompiles and
+        # re-simulates every block — same result, bit for bit.
+        assert drop_records(tmp_path, "network_result")
+        with EvaluationSession(cache_dir=tmp_path) as second:
+            recomputed = second.run(workload)
+        assert second.stats.programs.misses == 1
+        assert second.stats.blocks.misses > 0
+        assert network_result_to_dict(recomputed) == network_result_to_dict(monolithic)
 
     def test_program_cache_key_ignores_simulation_only_parameters(self):
         base = Workload.bitfusion("LeNet-5", batch_size=4)
@@ -285,10 +295,12 @@ class TestStagedPipelineEquivalence:
         assert program_cache_key(base) != program_cache_key(other_batch)
         assert program_cache_key(base) != program_cache_key(no_fusion)
 
-    def test_compiled_block_from_dict_accepts_own_output(self):
+    def test_compiled_block_payload_is_json_stable(self):
         program = _compile("LeNet-5")
         for compiled in program:
-            assert CompiledBlock.from_dict(compiled.to_dict()).to_dict() == compiled.to_dict()
+            payload = compiled.to_dict()
+            assert json.loads(json.dumps(payload)) == payload
+            assert compiled.fingerprint() == fingerprint_payload(payload)
 
     def test_compile_program_rejects_non_bitfusion(self):
         with pytest.raises(ValueError, match="bitfusion"):

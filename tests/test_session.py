@@ -50,10 +50,11 @@ from repro.session.store import encode_body
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _FAST = ("LeNet-5", "LSTM")
 
-#: Cache keys existing ``--cache-dir`` directories were written under:
-#: LeNet-5 at batch 16 on the Eyeriss-matched configuration at each node,
-#: its first and last block and the first and last tiling search.  A
-#: changed byte here turns every shared cache directory cold.
+#: Cache keys of LeNet-5 at batch 16 on the Eyeriss-matched configuration
+#: at each node, its first and last block and the first and last tiling
+#: search.  The workload key names every stored ``--cache-dir`` result, so
+#: a changed byte there turns every shared cache directory cold; the
+#: others key the in-process memos.
 _GOLDEN_KEYS = {
     "45nm": {
         "workload": "216bf583ebe258097d556e1239d375bb096d25db4c480abe516fa4441a14a605",
@@ -264,25 +265,25 @@ class TestResultCache:
         with pytest.raises(TypeError):
             cache.put("key", object())
 
-    def test_corrupted_block_artifact_is_a_miss_and_gets_rewritten(self, tmp_path):
+    def test_torn_result_record_is_a_miss_and_gets_rewritten(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as first:
             fresh = first.run(workload)
         program = compile_program(workload)
-        # The last record written is a block's layer record; tearing it
-        # leaves nothing that could serve that block back.
+        # The only record written is the workload's composed result;
+        # tearing it leaves nothing that could serve the workload back.
         torn = tear_last_record(tmp_path)
-        assert torn["kind"] == "layer"
-        assert torn["key"] in {layer_cache_key(block, workload.config) for block in program}
+        assert torn["kind"] == "network_result"
+        assert torn["key"] == workload.fingerprint()
         with EvaluationSession(cache_dir=tmp_path) as second:
             recovered = second.run(workload)
         assert second.stats.misses == 1
         assert second.stats.unique_executions == 1
-        # Only the torn block was re-simulated; the compiled program and
-        # every other block result came straight from disk.
-        assert second.stats.programs.misses == 0
-        assert second.stats.blocks.misses == 1
-        assert second.stats.blocks.hits == len(program) - 1
+        # The workload was recompiled and every block re-simulated in
+        # process: nothing but the result is ever read from disk.
+        assert second.stats.programs.misses == 1
+        assert second.stats.blocks.misses == len(program)
+        assert second.stats.blocks.hits == 0
         assert network_result_to_dict(recovered) == network_result_to_dict(fresh)
         # The fresh simulation repaired the on-disk entry.
         with EvaluationSession(cache_dir=tmp_path) as third:
@@ -300,14 +301,21 @@ class TestResultCache:
         assert second.stats.unique_executions == 0
         assert network_result_to_dict(restored) == network_result_to_dict(fresh)
 
-    def test_compile_stats_disk_round_trip(self, tmp_path):
+    def test_compile_stats_is_memoized_and_stores_nothing(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5")
         with EvaluationSession(cache_dir=tmp_path) as first:
             fresh = first.compile_stats(workload)
+            again = first.compile_stats(workload)
+        assert fresh == again == ProgramStats.from_program(compile_program(workload))
+        assert (first.stats.programs.misses, first.stats.programs.hits) == (1, 1)
+        # Program statistics are no workload result: nothing is looked up,
+        # executed or written.
+        assert first.stats.lookups == 0 and first.stats.unique_executions == 0
+        assert ResultCache(tmp_path).disk_keys() == set()
         with EvaluationSession(cache_dir=tmp_path) as second:
             restored = second.compile_stats(workload)
         assert restored == fresh
-        assert second.stats.disk_hits == 1
+        assert second.stats.programs.misses == 1
 
     def test_program_stats_is_not_a_cache_kind(self, tmp_path):
         # compile_stats derives its ProgramStats from the cached program;
@@ -324,14 +332,20 @@ class TestResultCache:
         store.close()
         assert ResultCache(tmp_path).get("old") is None
 
-    def test_unpersisted_put_stays_in_memory(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = execute_workload(Workload.bitfusion("LeNet-5", batch_size=2))
-        cache.put("composed", result, persist=False)
-        assert cache.get("composed") is result
-        cache.flush()
-        assert "composed" not in cache.disk_keys()
-        assert ResultCache(tmp_path).get("composed") is None
+    def test_memo_entries_stay_in_memory(self, tmp_path):
+        workload = Workload.bitfusion("LeNet-5", batch_size=2)
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            result = session.run(workload)
+        program = session.cache.memo[program_cache_key(workload)]
+        layer_keys = {layer_cache_key(block, workload.config) for block in program}
+        assert layer_keys <= set(session.cache.memo)
+        # The composed result is the one record on disk; the program, its
+        # tiling plans and its layer records never leave the process.
+        assert session.cache.disk_keys() == {workload.fingerprint()}
+        reader = ResultCache(tmp_path)
+        assert reader.memo == {}
+        assert reader.get(workload.fingerprint()) == result
+        assert all(reader.get(key) is None for key in layer_keys)
 
 
 class TestEvaluationSession:
@@ -454,14 +468,14 @@ class TestPartiallyWarmRuns:
             results = warm.run_many(superset)
 
         assert _dicts(results) == _dicts(execute_workload(w) for w in superset)
-        # The seeded workload composed straight from disk artifacts...
-        assert warm.stats.hits == 1
+        # The seeded workload was read straight from its stored result...
+        assert warm.stats.hits == 1 and warm.stats.disk_hits == 1
         assert warm.stats.misses == 2
         # ...compilations happened exactly once per genuinely new network
-        # (LSTM b4 and LeNet-5 b2; the seeded program was reused)...
+        # (LSTM b4 and LeNet-5 b2; the seeded program was never needed)...
         assert warm.stats.programs.misses == 2
-        assert warm.stats.programs.hits == 1
-        # ...and exactly the blocks absent from the cache were simulated.
+        assert warm.stats.programs.hits == 0
+        # ...and exactly the new workloads' blocks were simulated.
         assert warm.stats.blocks.misses == len(compile_program(superset[1])) + len(
             compile_program(superset[2])
         )
@@ -500,7 +514,7 @@ class TestPartiallyWarmRuns:
         assert session.stats.blocks.hits == blocks
         # One footer line counts every block lookup.
         footer = session.stats.summary()
-        assert f"block cache: {blocks} hits (0 from disk), {blocks} block simulations" in footer
+        assert f"block cache: {blocks} hits, {blocks} block simulations" in footer
         assert "layer dedup" not in footer
 
     def test_in_batch_identical_layer_content_defers_not_resimulates(self):
@@ -527,7 +541,7 @@ class TestPartiallyWarmRuns:
         )
         filler = Workload.bitfusion("LSTM", batch_size=4)
         with EvaluationSession() as session:
-            session.cache.put(program_cache_key(workload), Program("LeNet-5", [original, renamed]))
+            session.cache.memo[program_cache_key(workload)] = Program("LeNet-5", [original, renamed])
             twins, _ = session.run_many([workload, filler])
         assert session.stats.blocks.misses == 1 + len(compile_program(filler))
         assert session.stats.blocks.hits == 1
