@@ -11,8 +11,8 @@ Two further entry points share the same session machinery: ``python -m
 repro.harness sweep SPEC`` runs a declarative multi-axis design-space sweep
 (:mod:`repro.dse`) from a JSON/YAML spec file and reports its Pareto
 frontier, and ``--cache-info`` summarizes a ``--cache-dir``'s contents
-(entry counts and bytes per record kind, from ``manifest.json``) without
-running anything.  ``docs/cli.md`` is the full command-line reference.
+(entry counts and bytes per record kind, from the store's segment index)
+without running anything.  ``docs/cli.md`` is the full command-line reference.
 
 Every report is backed by one :class:`repro.session.EvaluationSession` — the
 shared, cached workload engine under ``src/repro/session/``.  Experiments
@@ -23,8 +23,7 @@ each unique workload exactly once no matter how many figures need it, and
 finishes with per-stage cache statistics (workload, program, block and
 layer-dedup hit counts).  ``--cache-dir PATH`` persists each workload's
 composed result so later invocations read it back instead of compiling
-and simulating, and ``--cache-max-mb`` bounds that directory with LRU
-eviction.
+and simulating.
 """
 
 from __future__ import annotations
@@ -222,20 +221,18 @@ def build_report(
     benchmarks: tuple[str, ...] | None = None,
     session: EvaluationSession | None = None,
     cache_dir: str | None = None,
-    max_cache_bytes: int | None = None,
     profile: bool = False,
 ) -> str:
     """Run the selected experiments and assemble a markdown report.
 
     One :class:`EvaluationSession` backs the whole report (built from
-    ``cache_dir``/``max_cache_bytes`` unless an explicit ``session`` is
-    given); the report ends with the session's per-stage cache statistics.
+    ``cache_dir`` unless an explicit ``session`` is given); the report ends with the session's per-stage cache statistics.
     ``profile=True`` (the ``--profile`` flag) appends a per-stage
     wall-time table (:func:`_profile_table`).
     """
     owns_session = session is None
     if session is None:
-        session = EvaluationSession(cache_dir=cache_dir, max_cache_bytes=max_cache_bytes)
+        session = EvaluationSession(cache_dir=cache_dir)
     sections = [
         "# Bit Fusion reproduction — experiment report",
         "",
@@ -287,10 +284,6 @@ def _session_footer(session: EvaluationSession) -> list[str]:
     lines.append(f"sim time: {session.stats.sim_seconds:.3f} s")
     if session.cache.cache_dir is not None:
         lines.append(f"persistent cache: {session.cache.cache_dir}")
-        if session.cache.max_bytes is not None:
-            lines.append(
-                f"cache size budget: {session.cache.max_bytes / (1024 * 1024):.1f} MB (LRU)"
-            )
     return lines
 
 
@@ -305,7 +298,7 @@ def _profile_table(session: EvaluationSession) -> str:
     the *pipeline* spend its time", which is what future hot-path hunts
     need.  cache-IO (on-disk result reads and writes) is reported
     separately below the total: it happens outside the stage rows, in the
-    session's result lookups and its group commits.
+    session's result lookups and its record appends.
     """
     stats = session.stats
     rows = [
@@ -331,7 +324,6 @@ def _profile_table(session: EvaluationSession) -> str:
 def build_sweep_report(
     spec_path: str,
     cache_dir: str | None = None,
-    max_cache_bytes: int | None = None,
     session: EvaluationSession | None = None,
 ) -> str:
     """Run one spec-file sweep and render its report (grid + Pareto + stats).
@@ -346,7 +338,7 @@ def build_sweep_report(
     spec = SweepSpec.from_file(spec_path)
     owns_session = session is None
     if session is None:
-        session = EvaluationSession(cache_dir=cache_dir, max_cache_bytes=max_cache_bytes)
+        session = EvaluationSession(cache_dir=cache_dir)
     try:
         result = run_sweep(spec, session)
     finally:
@@ -437,13 +429,6 @@ def sweep_main(argv: list[str] | None = None) -> int:
         "reuse it across invocations",
     )
     parser.add_argument(
-        "--cache-max-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="size budget for the on-disk cache (requires --cache-dir)",
-    )
-    parser.add_argument(
         "--dry-run",
         action="store_true",
         help="expand the grid and report how much of it the --cache-dir "
@@ -451,22 +436,11 @@ def sweep_main(argv: list[str] | None = None) -> int:
         "or simulation",
     )
     args = parser.parse_args(argv)
-    max_cache_bytes = None
-    if args.cache_max_mb is not None:
-        if args.cache_dir is None:
-            parser.error("--cache-max-mb requires --cache-dir")
-        if args.cache_max_mb <= 0:
-            parser.error(f"--cache-max-mb must be positive, got {args.cache_max_mb}")
-        max_cache_bytes = int(args.cache_max_mb * 1024 * 1024)
     try:
         if args.dry_run:
             report = build_sweep_dry_run_report(args.spec, cache_dir=args.cache_dir)
         else:
-            report = build_sweep_report(
-                args.spec,
-                cache_dir=args.cache_dir,
-                max_cache_bytes=max_cache_bytes,
-            )
+            report = build_sweep_report(args.spec, cache_dir=args.cache_dir)
     except (OSError, RuntimeError, ValueError) as error:
         parser.error(str(error))
     if args.output:
@@ -481,11 +455,7 @@ def sweep_main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------- #
 # NAS candidate search (``python -m repro.harness nas SPEC``)
 # ---------------------------------------------------------------------- #
-def build_nas_report(
-    spec_path: str,
-    cache_dir: str | None = None,
-    max_cache_bytes: int | None = None,
-) -> str:
+def build_nas_report(spec_path: str, cache_dir: str | None = None) -> str:
     """Run one spec-file NAS search and render its report.
 
     The search prices candidates through the cache-composition estimator
@@ -498,7 +468,7 @@ def build_nas_report(
     from repro.nas import Estimator, SearchSpec, format_search_report, run_search
 
     spec = SearchSpec.from_file(spec_path)
-    cache = ResultCache(cache_dir, max_bytes=max_cache_bytes)
+    cache = ResultCache(cache_dir)
     estimator = Estimator(cache=cache, batch_size=spec.batch_size)
     result = run_search(spec, estimator=estimator)
     stats = estimator.stats
@@ -510,10 +480,6 @@ def build_nas_report(
     ]
     if cache.cache_dir is not None:
         footer.append(f"persistent cache: {cache.cache_dir}")
-        if cache.max_bytes is not None:
-            footer.append(
-                f"cache size budget: {cache.max_bytes / (1024 * 1024):.1f} MB (LRU)"
-            )
     sections = [
         "# Bit Fusion NAS candidate search",
         "",
@@ -554,25 +520,9 @@ def nas_main(argv: list[str] | None = None) -> int:
         help="persist each priced candidate's composed result under PATH; "
         "searches sharing the directory start warm",
     )
-    parser.add_argument(
-        "--cache-max-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="size budget for the on-disk cache (requires --cache-dir)",
-    )
     args = parser.parse_args(argv)
-    max_cache_bytes = None
-    if args.cache_max_mb is not None:
-        if args.cache_dir is None:
-            parser.error("--cache-max-mb requires --cache-dir")
-        if args.cache_max_mb <= 0:
-            parser.error(f"--cache-max-mb must be positive, got {args.cache_max_mb}")
-        max_cache_bytes = int(args.cache_max_mb * 1024 * 1024)
     try:
-        report = build_nas_report(
-            args.spec, cache_dir=args.cache_dir, max_cache_bytes=max_cache_bytes
-        )
+        report = build_nas_report(args.spec, cache_dir=args.cache_dir)
     except (KeyError, OSError, RuntimeError, ValueError) as error:
         parser.error(str(error))
     if args.output:
@@ -590,9 +540,8 @@ def nas_main(argv: list[str] | None = None) -> int:
 def format_cache_info(cache_dir: str) -> str:
     """Summarize a cache directory: entries and bytes per record kind.
 
-    The numbers come straight from the directory's ``manifest.json`` index
-    (rebuilt from the store if missing or stale), so the output always
-    matches what the manifest records.  A path that is not an existing
+    The numbers are added up from the store's segment index (kind and
+    record-body length per key), so no record is read.  A path that is not an existing
     directory is an error: introspection must never create the directory a
     mistyped ``--cache-dir`` points at.
     """
@@ -656,14 +605,6 @@ def main(argv: list[str] | None = None) -> int:
         "it across report invocations",
     )
     parser.add_argument(
-        "--cache-max-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="size budget for the on-disk cache; least-recently-used entries "
-        "are evicted past it (requires --cache-dir)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="append a per-stage (compile / simulate / compose / cache-IO) "
@@ -678,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
         "--cache-info",
         action="store_true",
         help="summarize the --cache-dir contents (entries and bytes per "
-        "record kind, from manifest.json) and exit without running anything",
+        "record kind, from the store index) and exit without running anything",
     )
     args = parser.parse_args(argv)
 
@@ -696,13 +637,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(error))
         return 0
 
-    max_cache_bytes = None
-    if args.cache_max_mb is not None:
-        if args.cache_dir is None:
-            parser.error("--cache-max-mb requires --cache-dir")
-        if args.cache_max_mb <= 0:
-            parser.error(f"--cache-max-mb must be positive, got {args.cache_max_mb}")
-        max_cache_bytes = int(args.cache_max_mb * 1024 * 1024)
     unknown = [key for key in args.experiments or () if key not in _EXPERIMENTS_BY_KEY]
     if unknown:
         parser.error(
@@ -720,7 +654,6 @@ def main(argv: list[str] | None = None) -> int:
         keys=args.experiments,
         benchmarks=benchmarks,
         cache_dir=args.cache_dir,
-        max_cache_bytes=max_cache_bytes,
         profile=args.profile,
     )
     if args.output:

@@ -274,15 +274,10 @@ class Estimator:
             sim_seconds = time.perf_counter() - sim_started
             self.stats.sim_seconds += sim_seconds
             self.cache_stats.sim_seconds += sim_seconds
-            with self.cache.batch():
-                for plan, fresh_layers in zip(plans, simulated):
-                    result = results[plan.fingerprint] = self._compose(plan, fresh_layers)
-                    if self._store_results:
-                        self.cache.put(
-                            plan.result_key,
-                            result,
-                            {"network": plan.network.name, "estimator": "nas"},
-                        )
+            for plan, fresh_layers in zip(plans, simulated):
+                result = results[plan.fingerprint] = self._compose(plan, fresh_layers)
+                if self._store_results:
+                    self.cache.put(plan.result_key, result)
         finally:
             # Release this batch's claims whether or not it survived: a
             # raising simulation must not leave dangling claims that later

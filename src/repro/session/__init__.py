@@ -11,10 +11,10 @@ comparison routes through:
   programs keyed structure-only; per-block results keyed by the name-free
   layer fingerprint + simulation-affecting config).
 * :class:`~repro.session.cache.ResultCache` — fingerprint-keyed store of
-  composed results, in-memory with an optional manifest-indexed,
-  LRU-bounded on-disk layer (a segmented pack-file store —
-  :class:`~repro.session.store.SegmentedStore`, group-committed appends,
-  eviction by segment compaction), plus the in-process artifact memo.
+  composed results, in-memory with an optional on-disk layer (a segmented
+  pack-file store — :class:`~repro.session.store.SegmentedStore`,
+  append-only segments whose index sidecars are the only index), plus the
+  in-process artifact memo.
 * :class:`~repro.session.session.EvaluationSession` — ``run`` /
   ``run_many`` (one batched simulation pass per batch) / declarative
   ``sweep`` execution with per-stage cache-hit accounting.
@@ -23,9 +23,9 @@ Cache keys and invalidation
 ---------------------------
 Four fingerprint families key the cache, each hashing exactly the inputs
 that determine its artifact — so invalidation is automatic: change an
-input and the key changes, leaving the stale entry unreferenced (and
-eventually LRU-evicted from disk).  Only the workload key reaches the
-disk; the other three key the in-process memo.
+input and the key changes, leaving the stale entry unreferenced on disk.
+Only the workload key reaches the disk; the other three key the
+in-process memo.
 
 * **Workload key** (:meth:`Workload.fingerprint
   <repro.session.workload.Workload.fingerprint>`): platform, resolved
@@ -61,7 +61,7 @@ failing workload stops the batch with a
 :class:`~repro.session.engine.WorkloadExecutionError` naming it.
 
 See ``python -m repro.harness --help`` for the report runner built on top
-(``--cache-dir`` and ``--cache-max-mb`` map directly onto a session),
+(``--cache-dir`` maps directly onto a session),
 ``python -m repro.harness sweep`` / :mod:`repro.dse` for
 declarative design-space sweeps over the same cache, and
 ``docs/architecture.md`` for the full pipeline walkthrough.

@@ -137,29 +137,22 @@ class EvaluationSession:
     cache:
         Pre-built :class:`ResultCache` to share between sessions (mutually
         exclusive with ``cache_dir``).
-    max_cache_bytes:
-        Optional size budget for the on-disk store (least-recently-used
-        entries are evicted past it); only meaningful with ``cache_dir``.
     """
 
     def __init__(
         self,
         cache_dir: str | Path | None = None,
         cache: ResultCache | None = None,
-        max_cache_bytes: int | None = None,
     ) -> None:
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache or cache_dir, not both")
-        if cache is not None and max_cache_bytes is not None:
-            raise ValueError("max_cache_bytes only applies when the session owns its cache")
-        self.cache = cache if cache is not None else ResultCache(cache_dir, max_cache_bytes)
+        self.cache = cache if cache is not None else ResultCache(cache_dir)
         self.stats = CacheStats()
 
     def close(self) -> None:
-        """Flush cache bookkeeping.
+        """Flush the cache's index sidecar and release its file handles.
 
-        Idempotent; cached entries themselves are untouched (only batched
-        manifest recency updates are written out).
+        Idempotent; cached entries themselves are untouched.
         """
         self.cache.close()
 
@@ -223,7 +216,7 @@ class EvaluationSession:
             if value is None:
                 value = try_compose_from_cache(workload, self.cache, self.stats)
                 if value is not None:
-                    self.cache.put(key, value, workload.describe())
+                    self.cache.put(key, value)
             if value is None:
                 self.stats.misses += 1
                 pending[key] = workload
@@ -247,8 +240,8 @@ class EvaluationSession:
             try:
                 self._execute(items, resolved, on_result)
             finally:
-                # One manifest (and one segment-index) write per executed
-                # batch, not one per artifact — also when a workload fails.
+                # One segment-index write per executed batch, not one per
+                # result — also when a workload fails.
                 self.cache.flush()
         return [resolved[key] for key in keys]
 
@@ -296,7 +289,7 @@ class EvaluationSession:
             with _attributed(workload):
                 result = self._finish_plan(workload, plan, layers)
             self.stats.record_execution(key)
-            self.cache.put(key, result, workload.describe())
+            self.cache.put(key, result)
             resolved[key] = result
             if on_result is not None:
                 on_result(workload, result)

@@ -1,4 +1,4 @@
-"""Segmented pack-file artifact store: append-only segments + index sidecars.
+"""Segmented pack-file result store: append-only segments + index sidecars.
 
 :class:`~repro.session.cache.ResultCache` persists its entries in a
 handful of **append-only pack segments** instead of one file per entry,
@@ -6,23 +6,24 @@ so a write is one buffered append and a lookup is a dictionary hit:
 
 * **Record**: a 4-byte big-endian length prefix followed by one compact
   (``sort_keys``, no whitespace) UTF-8 JSON object ``{"key", "kind",
-  "payload", "workload"}``, so a record is self-delimiting and a truncated
-  tail (a writer killed mid-append) is detected and dropped at the next
-  scan instead of poisoning the file.
+  "payload"}``, so a record is self-delimiting and a truncated tail (a
+  writer killed mid-append) is detected and dropped at the next scan
+  instead of poisoning the file.
 * **Segment**: ``pack-<pid>-<nonce>.seg``, append-only, owned by exactly
   one writer process for its lifetime.  Writers never share a segment, so
   the data path needs no locks, and readers merge all segments at open
   time.
 * **Index sidecar**: ``<segment>.idx``, a JSON map of key → (offset,
-  length, kind) plus the segment size it describes.  Advisory: a missing
-  or stale sidecar (size mismatch after a crash) degrades to one
-  sequential scan of the segment, never an error.  Writers rewrite their
-  own sidecar once per :meth:`SegmentedStore.flush` — one index flush per
-  group commit, not one per record.
-* **Eviction** is **compaction**: dropping a key only marks its record
-  dead; once a closed segment is mostly dead (and its owner is gone — the
-  on-disk size still matches what we scanned), its live records are
-  rewritten into the current writer segment and the file is deleted.
+  length, kind) plus the segment size it describes.  A missing or stale
+  sidecar (size mismatch after a crash) degrades to one sequential scan of
+  the segment, never an error.  Writers rewrite their own sidecar once per
+  :meth:`SegmentedStore.flush`, not once per record.
+
+The merged sidecars are the directory's only index: entry kinds and sizes
+(``--cache-info``) are read off it, and nothing else is written beside the
+segments.  Records are never deleted or rewritten.  A key is a content
+fingerprint, so every record stored under it holds the same result; the
+index keeps the last one it scanned or appended.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ MAX_RECORD_BYTES = 256 * 1024 * 1024
 
 #: Reused encoder for record bodies: ``json.dumps`` with non-default
 #: keyword arguments constructs a fresh ``JSONEncoder`` per call, which is
-#: measurable per-record overhead on thousand-entry group commits.
+#: measurable per-record overhead on a sweep's hundreds of puts.
 _BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -116,15 +117,6 @@ class _Location:
     kind: str
 
 
-@dataclass
-class _Segment:
-    """Scanned size and live/dead byte accounting of one segment."""
-
-    size: int
-    live: int = 0
-    dead: int = 0
-
-
 class SegmentedStore:
     """Pack-segment store of cache entries under one directory.
 
@@ -138,7 +130,8 @@ class SegmentedStore:
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self._index: dict[str, _Location] = {}
-        self._segments: dict[str, _Segment] = {}
+        #: Bytes of each segment this store has scanned or appended.
+        self._sizes: dict[str, int] = {}
         self._handles: dict[str, BinaryIO] = {}
         self._own_name = f"pack-{os.getpid()}-{uuid.uuid4().hex[:8]}{SEGMENT_SUFFIX}"
         self._own_handle: BinaryIO | None = None
@@ -153,9 +146,8 @@ class SegmentedStore:
             try:
                 size = path.stat().st_size
             except OSError:
-                continue  # compacted away by a concurrent evictor mid-scan
-            state = _Segment(size=size)
-            self._segments[path.name] = state
+                continue  # deleted between the glob and the stat
+            self._sizes[path.name] = size
             entries = self._read_sidecar(path, size)
             if entries is None:
                 entries = self._scan_segment(path, size)
@@ -163,21 +155,7 @@ class SegmentedStore:
                 # read-only shared directory still serves reads without it.
                 self._write_sidecar(path.name, entries, size)
             for key, (offset, length, kind) in entries.items():
-                self._admit(key, _Location(path.name, offset, length, kind))
-
-    def _admit(self, key: str, location: _Location) -> None:
-        """Install one live record, retiring any older record of the key."""
-        previous = self._index.get(key)
-        if previous is not None:
-            self._retire(previous)
-        self._index[key] = location
-        self._segments[location.segment].live += location.length
-
-    def _retire(self, location: _Location) -> None:
-        segment = self._segments.get(location.segment)
-        if segment is not None:
-            segment.live -= location.length
-            segment.dead += location.length
+                self._index[key] = _Location(path.name, offset, length, kind)
 
     def _read_sidecar(
         self, path: Path, size: int
@@ -239,26 +217,14 @@ class SegmentedStore:
     def keys(self) -> Iterable[str]:
         return self._index.keys()
 
-    def kind(self, key: str) -> str | None:
-        location = self._index.get(key)
-        return location.kind if location is not None else None
-
     @property
     def segment_count(self) -> int:
-        return len(self._segments)
+        return len(self._sizes)
 
-    def index_entries(self) -> Iterator[tuple[str, str, int]]:
-        """``(key, kind, record_bytes)`` in deterministic (segment, offset) order.
-
-        This is what a manifest rebuild consumes instead of re-reading
-        payloads: the store index already carries every entry's kind and
-        size, so rebuilding never scales with payload bytes.
-        """
-        ordered = sorted(
-            self._index.items(), key=lambda item: (item[1].segment, item[1].offset)
-        )
-        for key, location in ordered:
-            yield key, location.kind, location.length
+    def index_entries(self) -> Iterator[tuple[str, int]]:
+        """``(kind, record_bytes)`` of every live key, read off the index."""
+        for location in self._index.values():
+            yield location.kind, location.length
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -286,32 +252,16 @@ class SegmentedStore:
         return record if isinstance(record, dict) else None
 
     def get_record(self, key: str) -> dict[str, Any] | None:
-        """One entry record (``{"key", "kind", "payload", "workload"}``), or None."""
+        """One entry record (``{"key", "kind", "payload"}``), or None."""
         location = self._index.get(key)
         if location is None:
             return None
         record = self._read_location(location)
         if record is None:
-            # Unreadable (e.g. the segment was compacted away underneath a
+            # Unreadable (e.g. the segment was deleted underneath a
             # long-lived reader): a miss, never a crash.
             self._index.pop(key, None)
-            self._retire(location)
         return record
-
-    def get_records(self, keys: Iterable[str]) -> dict[str, dict[str, Any]]:
-        """Bulk read: one index pass, reads grouped per segment in offset order."""
-        wanted: dict[str, list[tuple[int, str]]] = {}
-        for key in keys:
-            location = self._index.get(key)
-            if location is not None:
-                wanted.setdefault(location.segment, []).append((location.offset, key))
-        out: dict[str, dict[str, Any]] = {}
-        for segment in sorted(wanted):
-            for _, key in sorted(wanted[segment]):
-                record = self.get_record(key)
-                if record is not None:
-                    out[key] = record
-        return out
 
     # ------------------------------------------------------------------ #
     # Writes (this process's own segment only)
@@ -322,13 +272,13 @@ class SegmentedStore:
                 self._own_handle = open(self.directory / self._own_name, "ab")
             except OSError:
                 return None  # read-only shared directory: serve reads only
-            self._segments.setdefault(self._own_name, _Segment(size=0))
+            self._sizes.setdefault(self._own_name, 0)
         return self._own_handle
 
     def append_encoded(
         self, items: list[tuple[str, str, bytes]]
     ) -> dict[str, int] | None:
-        """Group-commit pre-encoded record bodies: one segment write.
+        """Append pre-encoded record bodies to this process's segment.
 
         ``items`` is ``(key, kind, body)`` with ``body`` the compact JSON
         record bytes (:func:`encode_record` without the length prefix).
@@ -340,10 +290,9 @@ class SegmentedStore:
         handle = self._writer()
         if handle is None:
             return None
-        segment = self._segments[self._own_name]
         blob = bytearray()
         placed: list[tuple[str, _Location]] = []
-        offset = segment.size
+        offset = self._sizes[self._own_name]
         for key, kind, body in items:
             blob += _LENGTH.pack(len(body))
             offset += _LENGTH.size
@@ -355,86 +304,21 @@ class SegmentedStore:
             handle.flush()
         except OSError:
             return None
-        segment.size = offset
-        for key, location in placed:
-            self._admit(key, location)
+        self._sizes[self._own_name] = offset
+        self._index.update(placed)
         self._own_dirty = True
         return {key: location.length for key, location in placed}
 
-    def discard(self, key: str) -> None:
-        """Drop a key from the live index (its record bytes become dead)."""
-        location = self._index.pop(key, None)
-        if location is not None:
-            self._retire(location)
-
-    def compact(self, aggressive: bool = False) -> int:
-        """Rewrite dead-heavy idle segments; returns bytes reclaimed.
-
-        A segment qualifies when it carries dead bytes — at least as many
-        as live ones by default, *any* when ``aggressive`` (the eviction
-        path uses this: an evicted record must not be resurrected by the
-        next reader's scan, so the segment holding it is rewritten now) —
-        and it is safely idle: not this process's open writer segment, and
-        its on-disk size still equals what this process scanned (a size
-        that grew means another live writer owns it — its fresh records
-        are not in our index and must not be thrown away).  Live records
-        are appended to the writer segment before the old file (and its
-        sidecar) is unlinked, so compaction is just another group commit
-        plus a delete; at most one rewrite per foreign segment per writer
-        lifetime, since the copied records then live in the own segment
-        where discards are plain dead-byte marks.
-        """
-        reclaimed = 0
-        for name in list(self._segments):
-            segment = self._segments[name]
-            if name == self._own_name or segment.dead == 0:
-                continue
-            if not aggressive and segment.dead < segment.live:
-                continue
-            try:
-                if (self.directory / name).stat().st_size != segment.size:
-                    continue  # another writer still appends here
-            except OSError:
-                continue
-            live = [
-                (key, location)
-                for key, location in self._index.items()
-                if location.segment == name
-            ]
-            moved: list[tuple[str, str, bytes]] = []
-            for key, location in live:
-                record = self._read_location(location)
-                if record is None:
-                    continue
-                body = _BODY_ENCODER.encode(record).encode("utf-8")
-                moved.append((key, location.kind, body))
-            if moved and self.append_encoded(moved) is None:
-                continue  # unwritable: keep the old segment serving reads
-            handle = self._handles.pop(name, None)
-            if handle is not None:
-                handle.close()
-            try:
-                (self.directory / name).unlink(missing_ok=True)
-                (self.directory / (name + INDEX_SUFFIX)).unlink(missing_ok=True)
-            except OSError:
-                pass
-            reclaimed += segment.size
-            del self._segments[name]
-        return reclaimed
-
     def flush(self) -> None:
-        """Flush the writer segment's index sidecar (one write per batch)."""
+        """Rewrite the writer segment's index sidecar if records were appended."""
         if not self._own_dirty:
-            return
-        segment = self._segments.get(self._own_name)
-        if segment is None:
             return
         entries = {
             key: (location.offset, location.length, location.kind)
             for key, location in self._index.items()
             if location.segment == self._own_name
         }
-        self._write_sidecar(self._own_name, entries, segment.size)
+        self._write_sidecar(self._own_name, entries, self._sizes[self._own_name])
         self._own_dirty = False
 
     def close(self) -> None:

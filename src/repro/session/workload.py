@@ -283,21 +283,6 @@ class Workload:
             parts.append(f"precision={self.gpu_precision}")
         return " ".join(parts)
 
-    def describe(self) -> dict[str, Any]:
-        """Human-readable JSON description stored next to on-disk entries."""
-        return {
-            "platform": self.platform,
-            "network": self.network,
-            "batch_size": self.batch_size,
-            "variant": self.variant,
-            "fixed_bits": self.fixed_bits,
-            "config": None if self.config is None else type(self.config).__name__,
-            "config_name": getattr(self.config, "name", None),
-            "gpu_precision": self.gpu_precision,
-            "enable_loop_ordering": self.enable_loop_ordering,
-            "enable_layer_fusion": self.enable_layer_fusion,
-        }
-
 
 def load_network(workload: Workload) -> Network:
     """Materialize the network a workload runs (variant plus transforms)."""

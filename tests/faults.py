@@ -11,10 +11,10 @@ ordinary module state or edit a closed cache directory.
   ``engine.simulator_for`` memoizes per simulator class, so the patched
   class gets fresh instances and the real ones are untouched.  The scalar
   ``run_block`` loop makes each block individually interceptable.
-* :func:`drop_records` and :func:`tear_last_record` — on-disk faults in a
-  closed cache directory: every record of one kind deleted from the pack
-  store (evicted, or never written), or the newest record torn mid-write
-  (a writer killed mid-append).
+* :func:`delete_segments` and :func:`tear_last_record` — on-disk faults
+  in a closed cache directory: every pack segment and index sidecar
+  deleted (the records were never written), or the newest record torn
+  mid-write (a writer killed mid-append).
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 from unittest import mock
 
-from repro.session import SegmentedStore, engine
+from repro.session import engine
 from repro.session.store import iter_records
 from repro.sim.executor import BitFusionSimulator
 
 __all__ = [
     "InjectedSimulatorFault",
-    "drop_records",
+    "delete_segments",
     "faulty_simulators",
     "tear_last_record",
 ]
@@ -69,28 +69,22 @@ def faulty_simulators(
         yield counter
 
 
-def drop_records(cache_dir: str | Path, kind: str) -> list[str]:
-    """Delete every pack record of ``kind`` from a closed cache directory.
+def delete_segments(cache_dir: str | Path) -> list[str]:
+    """Unlink every pack segment and index sidecar of a closed cache directory.
 
-    The keys are discarded, the segments holding them are compacted away
-    and the manifest is removed, so the next open rebuilds it from the
-    store alone.  Returns the dropped keys.
+    Returns the names of the deleted files.
     """
-    store = SegmentedStore(cache_dir)
-    dropped = [key for key in list(store.keys()) if store.kind(key) == kind]
-    for key in dropped:
-        store.discard(key)
-    store.compact(aggressive=True)
-    store.close()
-    (Path(cache_dir) / "manifest.json").unlink(missing_ok=True)
-    return dropped
+    paths = sorted(Path(cache_dir).glob("pack-*.seg*"))
+    for path in paths:
+        path.unlink()
+    return [path.name for path in paths]
 
 
 def tear_last_record(cache_dir: str | Path) -> dict[str, Any]:
     """Truncate a one-segment cache directory halfway into its last record.
 
     The state a writer killed mid-append leaves behind.  Returns the torn
-    record (``key``, ``kind``, ``payload``, ``workload``).
+    record (``key``, ``kind``, ``payload``).
     """
     (segment,) = Path(cache_dir).glob("pack-*.seg")
     data = segment.read_bytes()

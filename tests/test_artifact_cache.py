@@ -1,4 +1,4 @@
-"""Tests for the result cache and its memo: manifest, eviction, warm sweeps.
+"""Tests for the result cache and its memo: the store index, warm sweeps.
 
 Covers the acceptance criteria of the one-record-per-workload design:
 
@@ -10,14 +10,13 @@ Covers the acceptance criteria of the one-record-per-workload design:
   this),
 * programs, tiling plans and layer records are in-process memos that
   dedupe work within a run and never reach the disk,
-* the on-disk store carries a versioned ``manifest.json`` and enforces an
-  LRU size budget, and
+* the on-disk directory holds only pack segments and their index
+  sidecars, and still serves reads when it is read-only, and
 * ``run_many`` schedules uncached workloads longest-job-first.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import replace
@@ -40,10 +39,7 @@ from repro.session import (
     program_cache_key,
     tiling_cache_key,
 )
-from repro.session.cache import (
-    MANIFEST_SCHEMA_VERSION,
-    CacheStats,
-)
+from repro.session.cache import CacheStats
 from repro.session.workload import load_network
 from repro.sim.results import LayerResult, NetworkResult
 
@@ -77,176 +73,40 @@ def _renamed(compiled: CompiledBlock, prefix: str) -> CompiledBlock:
     )
 
 
-def _live_keys(cache_dir) -> set[str]:
-    """Keys a fresh reader can resolve from disk (the store index)."""
-    return ResultCache(cache_dir).disk_keys()
-
-
-class TestManifest:
-    def test_manifest_written_with_schema_version_and_entries(self, tmp_path):
+class TestCacheDirectory:
+    def test_directory_holds_only_segments_and_sidecars(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("alpha", _result("a"))
         cache.put("beta", _result("b"))
-        cache.flush()  # manifest updates are batched; flush makes them visible
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION
-        assert set(manifest["entries"]) == {"alpha", "beta"}
-        for entry in manifest["entries"].values():
-            assert entry["kind"] == "network_result"
-            assert entry["bytes"] > 0
-            assert entry["seq"] > 0
-
-    def test_missing_manifest_is_rebuilt_from_entry_files(self, tmp_path):
-        first = ResultCache(tmp_path)
-        first.put("alpha", _result("a"))
-        first.flush()
-        (tmp_path / "manifest.json").unlink()
-        second = ResultCache(tmp_path)
-        assert second.get("alpha") == _result("a")
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        assert set(manifest["entries"]) == {"alpha"}
-
-    def test_stale_schema_version_triggers_rebuild(self, tmp_path):
-        first = ResultCache(tmp_path)
-        first.put("alpha", _result("a"))
-        first.flush()
-        manifest_path = tmp_path / "manifest.json"
-        payload = json.loads(manifest_path.read_text(encoding="utf-8"))
-        payload["schema_version"] = MANIFEST_SCHEMA_VERSION + 1
-        payload["entries"] = {"ghost": {"kind": "x", "bytes": 1, "seq": 1}}
-        manifest_path.write_text(json.dumps(payload), encoding="utf-8")
-        second = ResultCache(tmp_path)
-        assert second.get("alpha") == _result("a")
-        rebuilt = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert rebuilt["schema_version"] == MANIFEST_SCHEMA_VERSION
-        assert set(rebuilt["entries"]) == {"alpha"}
-
-    def test_malformed_manifest_entry_values_trigger_rebuild(self, tmp_path):
-        first = ResultCache(tmp_path)
-        first.put("alpha", _result("a"))
-        manifest_path = tmp_path / "manifest.json"
-        manifest_path.write_text(
-            json.dumps({"schema_version": MANIFEST_SCHEMA_VERSION, "entries": {"abc": 5}}),
-            encoding="utf-8",
-        )
-        second = ResultCache(tmp_path)  # must rebuild, not crash
-        assert second.get("alpha") == _result("a")
-        rebuilt = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert set(rebuilt["entries"]) == {"alpha"}
-
-    def test_invalid_max_bytes_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_bytes=0)
+        cache.close()
+        names = sorted(path.name for path in tmp_path.iterdir())
+        assert len(names) == 2, names
+        assert names[0].startswith("pack-") and names[0].endswith(".seg")
+        assert names[1] == names[0] + ".idx"
+        summary = ResultCache(tmp_path).entry_summary()
+        assert summary["network_result"]["entries"] == 2
+        assert summary["network_result"]["bytes"] > 0
 
     def test_read_only_cache_dir_still_serves_entries(self, tmp_path):
         writer = ResultCache(tmp_path)
         writer.put("alpha", _result("a"))
         writer.flush()
-        # Force the next open to attempt a manifest rebuild, then make the
-        # directory read-only: reads must degrade gracefully, not crash.
-        (tmp_path / "manifest.json").unlink()
+        # Force the next open to rescan and attempt a sidecar repair, then
+        # make the directory read-only: reads must degrade gracefully, not
+        # crash.
+        for sidecar in tmp_path.glob("*.idx"):
+            sidecar.unlink()
         os.chmod(tmp_path, 0o555)
         try:
             reader = ResultCache(tmp_path)
             assert reader.get("alpha") == _result("a")
             reader.flush()  # no pending write must escape as an error either
             # A miss that computes fresh data keeps it memory-only instead
-            # of crashing on the unwritable entry file.
+            # of crashing on the unwritable segment.
             reader.put("beta", _result("b"))
             assert reader.get("beta") == _result("b")
         finally:
             os.chmod(tmp_path, 0o755)
-
-    def test_non_numeric_manifest_fields_trigger_rebuild(self, tmp_path):
-        first = ResultCache(tmp_path)
-        first.put("alpha", _result("a"))
-        first.flush()
-        manifest_path = tmp_path / "manifest.json"
-        manifest_path.write_text(
-            json.dumps(
-                {
-                    "schema_version": MANIFEST_SCHEMA_VERSION,
-                    "entries": {"alpha": {"kind": "x", "bytes": 1, "seq": "oops"}},
-                }
-            ),
-            encoding="utf-8",
-        )
-        second = ResultCache(tmp_path)  # must rebuild, not crash
-        assert second.get("alpha") == _result("a")
-
-
-class TestLruEviction:
-    def test_size_budget_evicts_oldest_entries(self, tmp_path):
-        # Probe one entry's stored size in a scratch directory (all the
-        # _result payloads here are the same size by construction).
-        probe = ResultCache(tmp_path / "probe")
-        probe.put("probe", _result("p"))
-        probe.flush()
-        manifest = json.loads(
-            (tmp_path / "probe" / "manifest.json").read_text(encoding="utf-8")
-        )
-        entry_bytes = manifest["entries"]["probe"]["bytes"]
-
-        # Budget for roughly two entries; writing four must keep it bounded.
-        cache_dir = tmp_path / "real"
-        cache = ResultCache(cache_dir, max_bytes=int(entry_bytes * 2.5))
-        for index in range(4):
-            cache.put(f"key{index}", _result(str(index)))
-        cache.flush()
-        keys = _live_keys(cache_dir)
-        assert "key3" in keys  # the newest entry always survives
-        assert "key0" not in keys  # the oldest went first
-        manifest = json.loads((cache_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert set(manifest["entries"]) == keys
-        total = sum(entry["bytes"] for entry in manifest["entries"].values())
-        assert total <= int(entry_bytes * 2.5)
-
-    def test_recently_read_entries_survive_eviction(self, tmp_path):
-        writer = ResultCache(tmp_path)
-        for index in range(3):
-            writer.put(f"key{index}", _result(str(index)))
-        writer.flush()
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        total = sum(entry["bytes"] for entry in manifest["entries"].values())
-
-        reader = ResultCache(tmp_path, max_bytes=total)
-        assert reader.get("key0") is not None  # touch: key0 becomes most recent
-        reader.put("key3", _result("3"))  # over budget: evict LRU, now key1
-        keys = _live_keys(tmp_path)
-        assert "key0" in keys
-        assert "key3" in keys
-        assert "key1" not in keys
-
-    def test_memory_hits_touch_recency_so_hot_entries_survive(self, tmp_path):
-        # Entries promoted into memory are the hottest ones; a memory hit
-        # must refresh their on-disk recency or --cache-max-mb evicts the
-        # hottest entries first.
-        writer = ResultCache(tmp_path)
-        writer.put("key0", _result("0"))
-        writer.put("key1", _result("1"))
-        writer.flush()
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        total = sum(entry["bytes"] for entry in manifest["entries"].values())
-
-        reader = ResultCache(tmp_path, max_bytes=total)
-        assert reader.get("key0") is not None  # disk -> memory promotion
-        assert reader.get("key1") is not None  # key1 now most recent...
-        assert reader.get("key0") is not None  # ...until this memory hit
-        reader.put("key2", _result("2"))  # over budget: evict the LRU entry
-        keys = _live_keys(tmp_path)
-        assert "key0" in keys  # touched by the memory hit, survives
-        assert "key2" in keys
-        assert "key1" not in keys  # genuinely least recently used
-
-    def test_eviction_drops_disk_entry_not_correctness(self, tmp_path):
-        workload = Workload.bitfusion("LeNet-5", batch_size=2)
-        with EvaluationSession(cache_dir=tmp_path, max_cache_bytes=1024) as tight:
-            first = tight.run(workload)
-            # Everything may have been evicted; a rerun must still be correct.
-            tight.cache.clear_memory()
-            second = tight.run(workload)
-        assert first.total_cycles == second.total_cycles
-        assert first.energy.total == second.energy.total
 
 
 class TestWarmSweeps:
@@ -393,19 +253,6 @@ class TestContentAddressedLayerLevel:
         assert lookup_block(ResultCache(tmp_path), key, compiled.name) is None
         assert ResultCache(tmp_path).disk_keys() == set()
 
-    def test_prefetch_stages_every_result_of_a_batch(self, tmp_path):
-        workloads = [Workload.bitfusion(name, batch_size=4) for name in ("LeNet-5", "LSTM")]
-        with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run_many(workloads)
-        keys = [workload.fingerprint() for workload in workloads]
-        reader = ResultCache(tmp_path)
-        reader.prefetch(keys + ["ghost"])
-        staged_io = reader.io_seconds
-        sources = [reader.get_with_source(key)[1] for key in keys + keys]
-        # Every lookup was served from the staged records: no further reads.
-        assert reader.io_seconds == staged_io
-        assert sources == ["disk", "disk", "memory", "memory"]
-
     def test_block_stage_counts_every_block_lookup(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         program = compile_program(workload)
@@ -428,26 +275,7 @@ class TestContentAddressedLayerLevel:
         assert "layer dedup" not in warm.stats.summary()
 
 
-class TestResultRecencyAndCacheInfo:
-    def test_repeat_workload_hits_keep_the_result_record_hot(self, tmp_path):
-        # Every workload lookup, memory hits included, touches the result
-        # record that serves it: the hottest workloads must not look
-        # LRU-coldest under --cache-max-mb and be evicted first.
-        hot, cold = (Workload.bitfusion(name, batch_size=4) for name in ("LeNet-5", "LSTM"))
-        with EvaluationSession(cache_dir=tmp_path) as writer:
-            writer.run_many([hot, cold])
-        total = sum(bucket["bytes"] for bucket in ResultCache(tmp_path).entry_summary().values())
-
-        with EvaluationSession(cache_dir=tmp_path, max_cache_bytes=total) as reader:
-            reader.run(hot)  # disk
-            reader.run(cold)  # disk: now the most recent on disk
-            reader.run(hot)  # memory hit: touches the hot record again
-            assert (reader.stats.disk_hits, reader.stats.hits) == (2, 3)
-            reader.cache.put("filler", _result("f"))  # over budget: evict the LRU entry
-        keys = _live_keys(tmp_path)
-        assert hot.fingerprint() in keys  # the memory hit kept it hot
-        assert cold.fingerprint() not in keys  # genuinely least recently used
-
+class TestCacheInfo:
     def test_cache_info_lists_only_network_results(self, tmp_path):
         workloads = [Workload.bitfusion("LeNet-5", batch_size=4), Workload.eyeriss("LeNet-5")]
         with EvaluationSession(cache_dir=tmp_path) as session:
@@ -460,8 +288,7 @@ class TestResultRecencyAndCacheInfo:
         assert lines[3].startswith("total: 2 entries, ")
         assert len(lines) == 4
         assert "reuse" not in info and "dedupe" not in info and "referenced" not in info
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        assert all(set(entry) == {"kind", "bytes", "seq"} for entry in manifest["entries"].values())
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestLongestJobFirst:

@@ -12,7 +12,7 @@ Covered properties:
 * equal-cost workloads schedule in a stable fingerprint order regardless
   of input order, and
 * the ``sweep`` subcommand and ``--cache-info`` work end to end, with the
-  cache summary matching ``manifest.json``.
+  cache summary matching the store's segment index.
 """
 
 from __future__ import annotations
@@ -375,19 +375,24 @@ class TestCli:
         section = "## Evaluation session statistics"
         assert warm.split(section)[0] == cold.split(section)[0]
 
-    def test_cache_info_matches_manifest(self, tmp_path, spec_path, capsys):
+    def test_cache_info_matches_the_store_index(self, tmp_path, spec_path, capsys):
         cache_dir = tmp_path / "cache"
         assert main(["sweep", str(spec_path), "--cache-dir", str(cache_dir)]) == 0
         capsys.readouterr()
         assert main(["--cache-info", "--cache-dir", str(cache_dir)]) == 0
         info = capsys.readouterr().out
-        manifest = json.loads((cache_dir / "manifest.json").read_text(encoding="utf-8"))
-        kinds: dict[str, int] = {}
-        for entry in manifest["entries"].values():
-            kinds[entry["kind"]] = kinds.get(entry["kind"], 0) + 1
-        for kind, count in kinds.items():
-            assert f"{kind}: {count} entries" in info
-        assert f"total: {len(manifest['entries'])} entries" in info
+        # The segment sidecars are the only index: (offset, length, kind)
+        # per key.
+        kinds: dict[str, list[int]] = {}
+        for sidecar in cache_dir.glob("pack-*.seg.idx"):
+            entries = json.loads(sidecar.read_text(encoding="utf-8"))["entries"]
+            for _, length, kind in entries.values():
+                kinds.setdefault(kind, []).append(length)
+        assert set(kinds) == {"network_result"}
+        for kind, lengths in kinds.items():
+            assert f"{kind}: {len(lengths)} entries, {sum(lengths) / 1024:.1f} KiB" in info
+        total = sum(len(lengths) for lengths in kinds.values())
+        assert f"total: {total} entries" in info
         # format_cache_info is the same path main() prints.
         assert format_cache_info(str(cache_dir)) == info.strip()
 
@@ -407,9 +412,8 @@ class TestCli:
         assert "dry run" in cold
         assert "cold: 2 workloads" in cold
         assert "planned grid already cached: 0/2 points (0%)" in cold
-        # Nothing executed: no artifact entries appear (opening the cache
-        # directory may rebuild its — empty — manifest index, nothing more).
-        assert {p.name for p in cache_dir.glob("*.json")} <= {"manifest.json"}
+        # Nothing executed: opening the cache directory writes nothing.
+        assert list(cache_dir.iterdir()) == []
 
     def test_dry_run_after_real_sweep_sees_everything_cached(
         self, tmp_path, spec_path, capsys

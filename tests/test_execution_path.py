@@ -25,7 +25,7 @@ import pytest
 
 from faults import InjectedSimulatorFault, faulty_simulators
 from repro.core.config import BitFusionConfig
-from repro.harness.runner import build_sweep_report, run_experiments, sweep_main
+from repro.harness.runner import build_sweep_report, main, run_experiments, sweep_main
 from repro.session import (
     EvaluationSession,
     ResultCache,
@@ -411,10 +411,6 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError):
             EvaluationSession(cache_dir=tmp_path, cache=ResultCache())
 
-    def test_max_cache_bytes_requires_an_owned_cache(self):
-        with pytest.raises(ValueError):
-            EvaluationSession(cache=ResultCache(), max_cache_bytes=1024)
-
     def test_close_is_idempotent(self, tmp_path):
         session = EvaluationSession(cache_dir=tmp_path / "cache")
         session.run(Workload.bitfusion("LeNet-5", batch_size=4))
@@ -426,10 +422,32 @@ class TestSessionLifecycle:
         cache_dir = tmp_path / "cache"
         build_sweep_report(spec, cache_dir=str(cache_dir))
         names = sorted(path.name for path in cache_dir.iterdir())
-        assert "manifest.json" in names
-        assert all(
-            name == "manifest.json" or name.startswith("pack-") for name in names
-        ), names
+        assert len(names) == 2, names
+        assert names[0].startswith("pack-") and names[0].endswith(".seg")
+        assert names[1] == names[0] + ".idx"
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_warm_rerun_leaves_every_cache_file_byte_identical(self, tmp_path, command, capsys):
+        # A warm re-run only reads: no recency bookkeeping, no index
+        # rewrite, no new segment.
+        cache_dir = tmp_path / "cache"
+        if command == "sweep":
+            argv = ["sweep", str(_spec_file(tmp_path, ["LeNet-5", "LSTM"]))]
+        else:
+            argv = ["--experiments", "fig16", "--benchmarks", "LeNet-5"]
+        argv += ["--cache-dir", str(cache_dir)]
+
+        def snapshot() -> dict[str, bytes]:
+            return {path.name: path.read_bytes() for path in cache_dir.iterdir()}
+
+        assert main(argv) == 0
+        cold = snapshot()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert snapshot() == cold
+        (segment,) = (name for name in cold if name.endswith(".seg"))
+        assert segment.startswith("pack-")
+        assert sorted(cold) == [segment, segment + ".idx"]
 
     def test_compile_stats_after_run_reuses_the_program(self):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)

@@ -84,6 +84,19 @@ class TestCommandLine:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "subcommand",
+        [[], ["sweep", "spec.json"], ["nas", "spec.json"]],
+        ids=["report", "sweep", "nas"],
+    )
+    def test_cache_dir_has_no_size_budget_flag(self, subcommand, capsys):
+        # A cache directory is never evicted from: --cache-max-mb is an
+        # unknown argument to every subcommand.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*subcommand, "--cache-dir", "cache", "--cache-max-mb", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cache-max-mb 1" in capsys.readouterr().err
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"
         assert (

@@ -1,11 +1,11 @@
 """Tests for the segmented pack-file artifact store and its cache wiring.
 
 Covers the store format itself (record codec, torn-tail tolerance, index
-sidecars, compaction), the :class:`~repro.session.cache.ResultCache`
-integration (group commits, ``get_many``/``prefetch`` source accounting,
-eviction durability, manifest rebuilds), directories written by older
-releases, and the concurrent-writer model (per-process segments, readers
-merge at open) — including a real multi-process stress test.
+sidecars), the :class:`~repro.session.cache.ResultCache` integration (one
+segment per writer, immediate appends, the ``--cache-info`` format line),
+directories written by older releases, and the concurrent-writer model
+(per-process segments, readers merge at open) — including a real
+multi-process stress test.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from faults import delete_segments
 
 from repro.harness.runner import format_cache_info
 from repro.isa.compiler import FusionCompiler
@@ -33,7 +34,7 @@ from repro.session import (
     program_cache_key,
     tiling_cache_key,
 )
-from repro.session.cache import MANIFEST_SCHEMA_VERSION, network_result_to_dict
+from repro.session.cache import network_result_to_dict
 from repro.session.store import encode_body, encode_record, iter_records
 from repro.sim.results import LayerResult, NetworkResult, layer_result_to_dict
 
@@ -56,11 +57,11 @@ def _result(tag: str) -> NetworkResult:
 
 
 def _entry(tag: str) -> dict:
-    return {"kind": "tiling", "workload": {"network": tag}, "payload": {"tag": tag}}
+    return {"kind": "tiling", "payload": {"tag": tag}}
 
 
 def _append(store: SegmentedStore, items: list[tuple[str, dict]]) -> dict[str, int] | None:
-    """Group-commit raw entry dicts into a store."""
+    """Append raw entry dicts to a store in one segment write."""
     return store.append_encoded(
         [(key, entry["kind"], encode_body(key, entry)) for key, entry in items]
     )
@@ -86,6 +87,27 @@ class TestRecordCodec:
         blob = encode_record("whole", _entry("w")) + struct.pack(">I", 2**31) + b"xx"
         assert [r["key"] for _, _, r in iter_records(blob)] == ["whole"]
 
+    def test_half_a_length_prefix_yields_nothing_more(self):
+        blob = encode_record("whole", _entry("w")) + b"\x00\x00"
+        assert [r["key"] for _, _, r in iter_records(blob)] == ["whole"]
+        assert list(iter_records(b"\x00")) == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"[1, 2]", b'{"kind": "tiling"}', b"\xff\xfe{}", b"{not json"],
+        ids=["not-an-object", "no-key", "not-utf8", "not-json"],
+    )
+    def test_unreadable_body_stops_the_scan(self, body):
+        blob = (
+            encode_record("whole", _entry("w"))
+            + struct.pack(">I", len(body))
+            + body
+            + encode_record("after", _entry("a"))
+        )
+        # Nothing past an unreadable record is trusted: its length prefix
+        # may be garbage too.
+        assert [r["key"] for _, _, r in iter_records(blob)] == ["whole"]
+
 
 class TestSegmentedStore:
     def test_append_and_reload_through_sidecar(self, tmp_path):
@@ -96,7 +118,7 @@ class TestSegmentedStore:
         reader = SegmentedStore(tmp_path)
         assert set(reader.keys()) == {"k1", "k2"}
         assert reader.get_record("k1")["payload"] == {"tag": "a"}
-        assert reader.kind("k2") == "tiling"
+        assert [kind for kind, _ in reader.index_entries()] == ["tiling", "tiling"]
 
     def test_stale_sidecar_triggers_rescan(self, tmp_path):
         writer = SegmentedStore(tmp_path)
@@ -133,32 +155,106 @@ class TestSegmentedStore:
         assert set(reader.keys()) == {"ka", "kb"}
         assert reader.segment_count == 2
 
-    def test_compaction_rewrites_live_records_and_deletes_the_segment(self, tmp_path):
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            "garbage",
+            '{"schema": 999, "segment_bytes": 0, "entries": {}}',
+            '{"schema": 1, "segment_bytes": SIZE, "entries": {"k1": 7}}',
+            '{"schema": 1, "segment_bytes": SIZE}',
+        ],
+        ids=["not-json", "unknown-schema", "malformed-entry", "no-entries"],
+    )
+    def test_unusable_sidecar_triggers_rescan_and_repair(self, tmp_path, sidecar):
         writer = SegmentedStore(tmp_path)
-        _append(writer, [(f"k{i}", _entry(str(i))) for i in range(4)])
-        writer.flush()
+        _append(writer, [("k1", _entry("a")), ("k2", _entry("b"))])
         writer.close()
-        evictor = SegmentedStore(tmp_path)
-        for key in ("k0", "k1", "k2"):
-            evictor.discard(key)
-        assert evictor.compact() > 0  # dead >= live: the default threshold
-        evictor.flush()
-        assert evictor.get_record("k3")["payload"] == {"tag": "3"}
+        (segment,) = tmp_path.glob("pack-*.seg")
+        index = segment.with_name(segment.name + ".idx")
+        index.write_text(sidecar.replace("SIZE", str(segment.stat().st_size)), encoding="utf-8")
         reader = SegmentedStore(tmp_path)
-        assert set(reader.keys()) == {"k3"}
+        assert set(reader.keys()) == {"k1", "k2"}
+        assert reader.get_record("k2")["payload"] == {"tag": "b"}
+        repaired = json.loads(index.read_text(encoding="utf-8"))
+        assert repaired["segment_bytes"] == segment.stat().st_size
+        assert set(repaired["entries"]) == {"k1", "k2"}
 
-    def test_compaction_skips_segments_grown_by_live_writers(self, tmp_path):
+    def test_fresh_sidecar_is_trusted_without_a_scan(self, tmp_path, monkeypatch):
         writer = SegmentedStore(tmp_path)
-        _append(writer, [("k0", _entry("0")), ("k1", _entry("1"))])
-        writer.flush()
-        evictor = SegmentedStore(tmp_path)
-        evictor.discard("k0")
-        # The original writer appends after the evictor scanned: its
-        # segment grew, so even an aggressive compaction must leave it be.
-        _append(writer, [("k2", _entry("2"))])
-        assert evictor.compact(aggressive=True) == 0
+        _append(writer, [("k1", _entry("a"))])
+        writer.close()
+
+        def no_scan(self, path, size):
+            raise AssertionError(f"rescanned {path.name} despite a fresh sidecar")
+
+        monkeypatch.setattr(SegmentedStore, "_scan_segment", no_scan)
+        assert SegmentedStore(tmp_path).get_record("k1")["payload"] == {"tag": "a"}
+
+    def test_torn_segment_tail_is_dropped_at_open(self, tmp_path):
+        writer = SegmentedStore(tmp_path)
+        _append(writer, [("whole", _entry("w")), ("torn", _entry("t"))])
+        writer.close()
+        (segment,) = tmp_path.glob("pack-*.seg")
+        segment.write_bytes(segment.read_bytes()[:-5])  # writer killed mid-append
         reader = SegmentedStore(tmp_path)
-        assert set(reader.keys()) == {"k0", "k1", "k2"}
+        assert set(reader.keys()) == {"whole"}
+        assert reader.get_record("whole")["payload"] == {"tag": "w"}
+        assert reader.get_record("torn") is None
+        # A later writer appends to its own segment, so the torn tail never
+        # corrupts a new record.
+        _append(reader, [("torn", _entry("t"))])
+        reader.close()
+        assert SegmentedStore(tmp_path).get_record("torn")["payload"] == {"tag": "t"}
+
+    def test_record_without_a_kind_is_indexed_as_unknown(self, tmp_path):
+        (tmp_path / "pack-0-old.seg").write_bytes(encode_record("k1", {"payload": {}}))
+        store = SegmentedStore(tmp_path)
+        assert list(store.index_entries()) == [("unknown", len(encode_body("k1", {"payload": {}})))]
+
+    def test_index_entries_report_record_body_lengths(self, tmp_path):
+        items = [("k1", _entry("a")), ("key-two", {"kind": "other", "payload": [1, 2, 3]})]
+        writer = SegmentedStore(tmp_path)
+        _append(writer, items)
+        writer.close()
+        expected = sorted((entry["kind"], len(encode_body(key, entry))) for key, entry in items)
+        assert sorted(SegmentedStore(tmp_path).index_entries()) == expected
+
+    def test_empty_append_creates_no_segment(self, tmp_path):
+        store = SegmentedStore(tmp_path)
+        assert store.append_encoded([]) == {}
+        store.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_store_that_only_reads_writes_nothing(self, tmp_path):
+        writer = SegmentedStore(tmp_path)
+        _append(writer, [("k1", _entry("a"))])
+        writer.close()
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        reader = SegmentedStore(tmp_path)
+        assert reader.get_record("k1") is not None
+        reader.flush()
+        reader.close()
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_close_writes_the_sidecar_the_next_open_trusts(self, tmp_path):
+        writer = SegmentedStore(tmp_path)
+        _append(writer, [("k1", _entry("a"))])
+        assert not list(tmp_path.glob("*.idx"))  # the sidecar waits for flush/close
+        writer.close()
+        (segment,) = tmp_path.glob("pack-*.seg")
+        sidecar = json.loads(segment.with_name(segment.name + ".idx").read_text(encoding="utf-8"))
+        assert sidecar["segment_bytes"] == segment.stat().st_size
+        assert set(sidecar["entries"]) == {"k1"}
+
+    def test_unwritable_segment_append_returns_none(self, tmp_path):
+        store = SegmentedStore(tmp_path)
+        # A directory squatting on the writer's segment name makes the open
+        # fail whatever the process's privileges.
+        (tmp_path / store._own_name).mkdir()
+        assert _append(store, [("k1", _entry("a"))]) is None
+        assert "k1" not in store
+        store.close()
+        assert not list(tmp_path.glob("*.idx"))
 
 
 class TestPackCache:
@@ -166,8 +262,7 @@ class TestPackCache:
         cache = ResultCache(tmp_path)
         cache.put("alpha", _result("a"))
         cache.flush()
-        entry_files = {p.name for p in tmp_path.glob("*.json")}
-        assert entry_files == {"manifest.json"}  # no per-entry files
+        assert not list(tmp_path.glob("*.json"))  # no per-entry files
         assert list(tmp_path.glob("pack-*.seg"))
 
     def test_cache_info_reports_the_format_line(self, tmp_path):
@@ -192,15 +287,13 @@ class TestPackCache:
         assert cache.disk_keys() == set()
         assert cache.entry_summary() == {}
 
-    def test_contains_sees_memory_staged_and_disk_entries(self, tmp_path):
+    def test_contains_sees_memory_and_disk_entries(self, tmp_path):
         writer = ResultCache(tmp_path)
-        writer.put("staged", _result("s"))
         writer.put("on-disk", _result("d"))
         writer.close()
         reader = ResultCache(tmp_path)
         reader.put("in-memory", _result("m"))
-        reader.prefetch(["staged"])
-        for key in ("in-memory", "staged", "on-disk"):
+        for key in ("in-memory", "on-disk"):
             assert key in reader
         assert "ghost" not in reader
         # The artifact memo is not a result tier: its keys stay invisible.
@@ -217,57 +310,95 @@ class TestPackCache:
 
     def test_put_without_flush_is_visible_to_a_fresh_reader(self, tmp_path):
         # A put is on disk before any flush (the segment append is
-        # immediate; only the advisory sidecar/manifest bookkeeping
-        # batches).
+        # immediate; only the index sidecar waits for the flush).
         writer = ResultCache(tmp_path)
         writer.put("alpha", _result("a"))
         reader = ResultCache(tmp_path)
         assert reader.get("alpha") == _result("a")
 
-    def test_batched_puts_land_as_one_group_commit(self, tmp_path):
+    def test_puts_of_one_writer_land_in_one_segment(self, tmp_path):
         cache = ResultCache(tmp_path)
-        with cache.batch():
-            for index in range(8):
-                cache.put(f"key{index}", _result(str(index)))
-            # Queued but already visible through the owning cache...
-            assert cache.get("key0") == _result("0")
+        for index in range(8):
+            cache.put(f"key{index}", _result(str(index)))
         cache.flush()
-        # ...and on disk in a single segment once the scope closes.
         store = SegmentedStore(tmp_path)
         assert store.segment_count == 1
         assert len(store) == 8
 
-    def test_get_many_and_prefetch_report_disk_sources_exactly_once(self, tmp_path):
+    def test_a_key_written_twice_resolves_to_one_record(self, tmp_path):
         writer = ResultCache(tmp_path)
-        writer.put("k1", _result("1"))
-        writer.put("k2", _result("2"))
-        writer.flush()
-        reader = ResultCache(tmp_path)
-        reader.prefetch(["k1", "k2", "ghost"])
-        # First access of a prefetched key still counts as a disk hit —
-        # the same statistics as one get() per key.
-        value, source = reader.get_with_source("k1")
-        assert value == _result("1") and source == "disk"
-        value, source = reader.get_with_source("k1")
-        assert source == "memory"
-        assert reader.get_with_source("ghost") == (None, "miss")
-        assert reader.get_many(["k2", "ghost"]) == {"k2": _result("2")}
-
-    def test_pack_eviction_is_durable_for_fresh_readers(self, tmp_path):
-        writer = ResultCache(tmp_path)
-        for index in range(3):
-            writer.put(f"key{index}", _result(str(index)))
-        writer.flush()
+        writer.put("alpha", _result("1"))
+        writer.put("alpha", _result("2"))
         writer.close()
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        total = sum(entry["bytes"] for entry in manifest["entries"].values())
-        evictor = ResultCache(tmp_path, max_bytes=total)
-        evictor.put("key3", _result("3"))  # over budget: key0 evicted
-        # Without any flush from the evictor, a brand-new reader must not
-        # resurrect the evicted record from the old segment.
         reader = ResultCache(tmp_path)
-        assert reader.get("key0") is None
-        assert reader.get("key3") == _result("3")
+        assert reader.get("alpha") == _result("2")
+        assert reader.entry_summary()["network_result"]["entries"] == 1
+
+    def test_segment_deleted_under_an_open_reader_is_a_miss(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.put("alpha", _result("a"))
+        writer.close()
+        reader = ResultCache(tmp_path)
+        assert "alpha" in reader
+        assert delete_segments(tmp_path)
+        assert reader.get("alpha") is None
+        assert "alpha" not in reader
+
+    def test_get_with_source_reports_disk_then_memory(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.put("alpha", _result("a"))
+        writer.close()
+        reader = ResultCache(tmp_path)
+        assert reader.get_with_source("alpha") == (_result("a"), "disk")
+        assert reader.get_with_source("alpha") == (_result("a"), "memory")
+        assert reader.get_with_source("ghost") == (None, "miss")
+
+    def test_garbage_record_body_is_a_miss_and_leaves_the_index(self, tmp_path):
+        writer = ResultCache(tmp_path)
+        writer.put("alpha", _result("a"))
+        writer.put("beta", _result("b"))
+        writer.close()
+        (segment,) = tmp_path.glob("pack-*.seg")
+        data = segment.read_bytes()
+        offset, length, _ = next(iter_records(data))
+        # Same size, so the sidecar stays fresh and still points at it.
+        segment.write_bytes(data[:offset] + b"\xff" * length + data[offset + length :])
+        reader = ResultCache(tmp_path)
+        assert reader.get("alpha") is None
+        assert "alpha" not in reader
+        assert reader.get("beta") == _result("b")
+
+    def test_result_record_with_an_unreadable_payload_is_a_miss(self, tmp_path):
+        store = SegmentedStore(tmp_path)
+        _append(
+            store,
+            [
+                ("empty", {"kind": "network_result", "payload": {}}),
+                ("listed", {"kind": "network_result", "payload": [1, 2]}),
+            ],
+        )
+        store.close()
+        cache = ResultCache(tmp_path)
+        assert cache.get("empty") is None
+        assert cache.get("listed") is None
+
+    def test_unwritable_segment_keeps_the_put_memory_only(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        (tmp_path / cache._store._own_name).mkdir()
+        cache.put("alpha", _result("a"))
+        assert cache.get("alpha") == _result("a")
+        cache.close()
+        assert ResultCache(tmp_path).disk_keys() == set()
+
+    def test_entry_summary_adds_up_record_body_bytes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for tag in ("a", "b", "c"):
+            cache.put(f"key-{tag}", _result(tag))
+        cache.close()
+        (segment,) = tmp_path.glob("pack-*.seg")
+        lengths = [length for _, length, _ in iter_records(segment.read_bytes())]
+        summary = ResultCache(tmp_path).entry_summary()
+        assert summary == {"network_result": {"entries": 3, "bytes": sum(lengths)}}
 
     def test_corrupt_record_kind_is_a_miss_not_a_crash(self, tmp_path):
         store = SegmentedStore(tmp_path)
@@ -277,109 +408,13 @@ class TestPackCache:
         assert cache.get("weird") is None
 
 
-class TestManifestRebuildScaling:
-    def test_rebuild_time_does_not_scale_with_payload_bytes(self, tmp_path):
-        import time
-
-        small_dir, big_dir = tmp_path / "small", tmp_path / "big"
-        for directory, payload_digits in ((small_dir, 10), (big_dir, 8 << 20)):
-            directory.mkdir()
-            store = SegmentedStore(directory)
-            _append(
-                store,
-                [
-                    (f"entry{index}", {"kind": "tiling", "payload": "7" * payload_digits})
-                    for index in range(8)
-                ],
-            )
-            store.close()
-
-        def rebuild_seconds(directory: Path) -> float:
-            started = time.perf_counter()
-            ResultCache(directory)
-            return time.perf_counter() - started
-
-        small = rebuild_seconds(small_dir)
-        big = rebuild_seconds(big_dir)
-        # ~64 MiB of payloads vs ~100 bytes: a payload-reading rebuild is
-        # tens of times slower; one from the store index is within noise.
-        # The 25x margin keeps the test robust on slow CI filesystems while
-        # still failing hard if whole payloads are ever read again.
-        assert big < small * 25 + 0.05
-
-    def test_pack_rebuild_uses_the_store_index(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("alpha", _result("a"))
-        cache.flush()
-        cache.close()
-        (tmp_path / "manifest.json").write_text("garbage", encoding="utf-8")
-        rebuilt = ResultCache(tmp_path)
-        assert rebuilt.entry_summary()["network_result"]["entries"] == 1
-        assert rebuilt.get("alpha") == _result("a")
-
-    def test_rebuild_recovers_every_kind_a_session_writes(self, tmp_path):
-        workloads = [Workload.bitfusion("LeNet-5", batch_size=4), Workload.eyeriss("LeNet-5")]
-        with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run_many(workloads)
-        written = ResultCache(tmp_path).entry_summary()
-        (tmp_path / "manifest.json").unlink()
-        rebuilt = ResultCache(tmp_path).entry_summary()
-        # One composed result per workload, Bit Fusion and baseline alike.
-        assert rebuilt == {"network_result": {"entries": 2, "bytes": written["network_result"]["bytes"]}}
-        for kind, bucket in written.items():
-            assert rebuilt[kind]["entries"] == bucket["entries"]
-            assert rebuilt[kind]["bytes"] == bucket["bytes"]
-
-
-class TestEvictionOrderRegression:
-    def test_running_total_preserves_lru_eviction_order(self, tmp_path):
-        # The budget check keeps a running byte total instead of re-summing
-        # the manifest per put; the observable eviction order (strictly
-        # least-recently-used first, the just-written entry protected) must
-        # be unchanged.
-        writer = ResultCache(tmp_path)
-        for index in range(4):
-            writer.put(f"key{index}", _result(str(index)))
-        writer.flush()
-        writer.close()
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        entry_bytes = manifest["entries"]["key0"]["bytes"]
-
-        cache = ResultCache(tmp_path, max_bytes=4 * entry_bytes)
-        assert cache.get("key1") is not None  # touch: key1 hottest
-        evicted: list[str] = []
-        survivors = {f"key{i}" for i in range(4)}
-        # Same key/tag widths as the seeds, so every entry is the same size
-        # and each over-budget put evicts exactly one victim.
-        for extra in range(4, 7):
-            cache.put(f"key{extra}", _result(str(extra)))
-            survivors.add(f"key{extra}")
-            remaining = cache.disk_keys()
-            evicted.extend(sorted(survivors - remaining))
-            survivors = remaining
-        # Exactly one eviction per over-budget put, in LRU order: untouched
-        # key0/key2/key3 go first (write order), the touched key1 and every
-        # newer entry survive.
-        assert evicted == ["key0", "key2", "key3"]
-        assert "key1" in survivors
-
-    def test_overwrites_do_not_inflate_the_running_total(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for _ in range(5):
-            cache.put("same", _result("s"))
-        manifest_total = sum(
-            int(entry.get("bytes", 0)) for entry in cache._manifest.values()
-        )
-        assert cache._live_bytes == manifest_total
-
-
 class TestOldDirectories:
     def test_stray_json_and_block_keyed_records_are_ignored(self, tmp_path):
         # A directory written by an older release: an older-schema
-        # manifest, a block-keyed ``layer_result`` record and a stray
-        # per-entry ``<key>.json`` file.  It opens, ignores both leftovers
-        # (neither read nor deleted) and still serves a warm run entirely
-        # from its stored result.
+        # ``manifest.json``, a block-keyed ``layer_result`` record and a
+        # stray per-entry ``<key>.json`` file.  It opens, ignores every
+        # leftover (none is read or deleted) and still serves a warm run
+        # entirely from its stored result.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         program = compile_program(workload)
         with EvaluationSession(cache_dir=tmp_path) as cold:
@@ -397,10 +432,9 @@ class TestOldDirectories:
         stray_payload = dict(old_record["payload"], name="stray", compute_cycles=1)
         stray = tmp_path / f"{layer_cache_key(program[0], workload.config)}.json"
         stray.write_text(json.dumps({"kind": "layer", "payload": stray_payload}), encoding="utf-8")
-        (tmp_path / "manifest.json").write_text(
-            json.dumps({"schema_version": MANIFEST_SCHEMA_VERSION - 1, "entries": {}}),
-            encoding="utf-8",
-        )
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema_version": 4, "entries": {}}), encoding="utf-8")
+        leftover = manifest.read_bytes()
 
         with EvaluationSession(cache_dir=tmp_path) as warm:
             restored = warm.run(workload)
@@ -409,8 +443,9 @@ class TestOldDirectories:
         assert warm.stats.disk_hits == 1
         assert warm.stats.blocks.lookups == 0 and warm.stats.programs.lookups == 0
         assert stray.exists()
+        assert manifest.read_bytes() == leftover
         summary = ResultCache(tmp_path).entry_summary()
-        assert summary["layer_result"]["entries"] == 1  # ages out under the budget
+        assert summary["layer_result"]["entries"] == 1  # listed, never read
         assert "unknown" not in summary
 
     def test_schema_4_directory_serves_no_stale_entry(self, tmp_path):
@@ -439,9 +474,9 @@ class TestOldDirectories:
         store = SegmentedStore(tmp_path)
         _append(store, records)
         store.close()
-        (tmp_path / "manifest.json").write_text(
-            json.dumps({"schema_version": 4, "entries": {}}), encoding="utf-8"
-        )
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"schema_version": 4, "entries": {}}), encoding="utf-8")
+        leftover = manifest.read_bytes()
 
         with EvaluationSession(cache_dir=tmp_path) as session:
             result = session.run(workload)
@@ -456,9 +491,8 @@ class TestOldDirectories:
             again = rerun.run(workload)
         assert network_result_to_dict(again) == network_result_to_dict(fresh)
         assert (rerun.stats.disk_hits, rerun.stats.unique_executions) == (1, 0)
-        # The old records are never read; they age out under a budget.
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 5
+        # The old records and the old manifest are never read or rewritten.
+        assert manifest.read_bytes() == leftover
         assert ResultCache(tmp_path).entry_summary()["network_result"]["entries"] == 1
 
     def test_stray_json_entry_is_invisible_to_the_cache(self, tmp_path):
@@ -479,33 +513,26 @@ class TestOldDirectories:
         assert set(reader.entry_summary()) == {"network_result"}
         assert stray.exists()
 
-    def test_old_block_keyed_records_age_out_first_under_a_budget(self, tmp_path):
-        # Measure the footprint of one cold run, then replay it into a
-        # directory that already holds an older release's block-keyed
-        # record, with exactly that footprint as the budget: the old
-        # record is never looked up, so it is the one evicted.
+    def test_record_with_a_workload_description_decodes_identically(self, tmp_path):
+        # Older releases stored a write-only ``"workload"`` description
+        # next to each result's payload.  Such a record decodes to exactly
+        # the result a record without the field does.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        reference_dir, old_dir = tmp_path / "reference", tmp_path / "old"
-        with EvaluationSession(cache_dir=reference_dir) as reference:
-            fresh = reference.run(workload)
-        reference_cache = ResultCache(reference_dir)
-        budget = sum(bucket["bytes"] for bucket in reference_cache.entry_summary().values())
-        store = SegmentedStore(old_dir)
+        fresh = execute_workload(workload)
+        key = workload.fingerprint()
         old_record = {
-            "kind": "layer_result",
-            "workload": {},
-            "payload": layer_result_to_dict(fresh.layers[0]),
+            "kind": "network_result",
+            "payload": network_result_to_dict(fresh),
+            "workload": {"platform": "bitfusion", "network": "LeNet-5", "batch_size": 4},
         }
-        _append(store, [("old-block-key", old_record)])
+        store = SegmentedStore(tmp_path)
+        _append(store, [(key, old_record)])
         store.close()
-
-        with EvaluationSession(cache_dir=old_dir, max_cache_bytes=budget) as cold:
-            cold.run(workload)
-        assert ResultCache(old_dir).disk_keys() == reference_cache.disk_keys()
-        with EvaluationSession(cache_dir=old_dir) as warm:
-            warm.run(workload)
-        assert warm.stats.blocks.misses == 0
-        assert warm.stats.programs.misses == 0
+        with EvaluationSession(cache_dir=tmp_path) as warm:
+            restored = warm.run(workload)
+        assert (warm.stats.disk_hits, warm.stats.unique_executions) == (1, 0)
+        assert restored == fresh
+        assert network_result_to_dict(restored) == network_result_to_dict(fresh)
 
 
 _WRITER_SCRIPT = """
@@ -515,18 +542,17 @@ from repro.sim.results import LayerResult, NetworkResult
 
 directory, prefix, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
 cache = ResultCache(directory)
-with cache.batch():
-    for index in range(count):
-        layer = LayerResult(
-            name="l0", macs=index, input_bits=8, weight_bits=8, compute_cycles=1, memory_cycles=1
-        )
-        cache.put(
-            f"{prefix}-{index}",
-            NetworkResult(
-                network_name=prefix, platform="test", batch_size=1, frequency_mhz=500.0,
-                layers=(layer,),
-            ),
-        )
+for index in range(count):
+    layer = LayerResult(
+        name="l0", macs=index, input_bits=8, weight_bits=8, compute_cycles=1, memory_cycles=1
+    )
+    cache.put(
+        f"{prefix}-{index}",
+        NetworkResult(
+            network_name=prefix, platform="test", batch_size=1, frequency_mhz=500.0,
+            layers=(layer,),
+        ),
+    )
 cache.flush()
 print("done")
 """
@@ -534,7 +560,7 @@ print("done")
 
 class TestConcurrentWriters:
     def test_two_processes_append_concurrently_without_torn_records(self, tmp_path):
-        # Two writer processes group-commit into a shared store
+        # Two writer processes append to a shared store
         # simultaneously; a fresh reader sees the exact union, every record
         # intact.
         count = 200
@@ -558,9 +584,9 @@ class TestConcurrentWriters:
         assert reader.disk_keys() == expected
         # Every single record must decode intact — a torn interleaved write
         # would surface here as a None or a mismatched payload.
-        values = reader.get_many(sorted(expected))
-        assert set(values) == expected
+        values = {key: reader.get(key) for key in sorted(expected)}
         for key, value in values.items():
+            assert value is not None, key
             prefix, index = key.rsplit("-", 1)
             assert value.network_name == prefix
             assert value.layers[0].macs == int(index)

@@ -21,7 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from faults import drop_records
+from faults import delete_segments
 from hypothesis import given, strategies as st
 
 from repro.core.config import BitFusionConfig
@@ -271,7 +271,7 @@ class TestStagedPipelineEquivalence:
         assert network_result_to_dict(restored) == network_result_to_dict(monolithic)
         # Drop the stored result: a fresh session recompiles and
         # re-simulates every block — same result, bit for bit.
-        assert drop_records(tmp_path, "network_result")
+        assert delete_segments(tmp_path)
         with EvaluationSession(cache_dir=tmp_path) as second:
             recomputed = second.run(workload)
         assert second.stats.programs.misses == 1

@@ -291,15 +291,34 @@ class TestResultCache:
             assert third.stats.disk_hits == 1
             assert third.stats.unique_executions == 0
 
-    def test_corrupted_manifest_is_rebuilt_not_fatal(self, tmp_path):
-        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+    @pytest.mark.parametrize(
+        "leftover",
+        [
+            "garbage",
+            '{"schema_version": 5, "entries": {"ghost": {"kind": "network_result", '
+            '"bytes": 1, "seq": 1}}}',
+        ],
+        ids=["garbage", "older-release"],
+    )
+    def test_leftover_manifest_is_neither_read_nor_deleted(self, tmp_path, leftover):
+        # Older releases kept a ``manifest.json`` index beside the pack
+        # segments.  Whatever it holds, it is never read, rewritten or
+        # deleted, and every record is still served from the store.
+        workloads = [Workload.bitfusion("LeNet-5", batch_size=4), Workload.eyeriss("LeNet-5")]
         with EvaluationSession(cache_dir=tmp_path) as first:
-            fresh = first.run(workload)
-        (tmp_path / "manifest.json").write_text("garbage", encoding="utf-8")
+            fresh = first.run_many(workloads)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(leftover, encoding="utf-8")
         with EvaluationSession(cache_dir=tmp_path) as second:
-            restored = second.run(workload)
+            restored = second.run_many(workloads)
+            assert "ghost" not in second.cache
         assert second.stats.unique_executions == 0
-        assert network_result_to_dict(restored) == network_result_to_dict(fresh)
+        assert second.stats.disk_hits == len(workloads)
+        assert [network_result_to_dict(r) for r in restored] == [
+            network_result_to_dict(r) for r in fresh
+        ]
+        assert manifest.read_text(encoding="utf-8") == leftover
+        assert set(ResultCache(tmp_path).entry_summary()) == {"network_result"}
 
     def test_compile_stats_is_memoized_and_stores_nothing(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5")
