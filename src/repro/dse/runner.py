@@ -7,7 +7,8 @@ grid, the grid executes through an
 the staged artifact cache — a technology/bandwidth/array sweep compiles
 each network exactly once), and every point is distilled into an
 :class:`EvaluatedPoint` carrying the minimized objective metrics.  The
-:class:`DesignSpaceResult` holds the full grid plus its Pareto frontier.
+:class:`DesignSpaceResult` holds the full grid plus its Pareto frontier,
+extracted from the whole grid once the batch has run.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.dse.pareto import OBJECTIVES, ParetoArchive, pareto_front
+from repro.dse.pareto import OBJECTIVES, pareto_front
 from repro.dse.spec import DesignPoint, SweepSpec, format_axis_value
 from repro.energy.components import accelerator_area_mm2
 from repro.session.session import EvaluationSession, resolve_session
-from repro.session.workload import Workload
 from repro.sim.results import NetworkResult
 
 __all__ = ["EvaluatedPoint", "DesignSpaceResult", "run_sweep"]
@@ -83,24 +83,11 @@ class EvaluatedPoint:
 
 
 class DesignSpaceResult:
-    """The evaluated grid of one sweep plus its Pareto frontier.
+    """The evaluated grid of one sweep plus its Pareto frontier."""
 
-    ``streamed`` optionally carries the per-(network, batch) incremental
-    :class:`~repro.dse.pareto.ParetoArchive` frontiers accumulated while the
-    sweep ran — by transitivity of dominance they hold exactly the same
-    frontier membership :meth:`pareto` computes one-shot from the full grid
-    (property-tested), but are built point by point as results arrive.
-    """
-
-    def __init__(
-        self,
-        spec: SweepSpec,
-        points: list[EvaluatedPoint],
-        streamed: dict[tuple[str, int], ParetoArchive] | None = None,
-    ) -> None:
+    def __init__(self, spec: SweepSpec, points: list[EvaluatedPoint]) -> None:
         self.spec = spec
         self.points = tuple(points)
-        self.streamed = streamed
         self._frontier: list[EvaluatedPoint] | None = None
         for name in spec.objectives:
             if name not in OBJECTIVES:
@@ -149,21 +136,6 @@ class DesignSpaceResult:
         """Rows of the Pareto frontier only."""
         return [point.as_row() for point in self.pareto()]
 
-    def streamed_pareto(self) -> list[EvaluatedPoint]:
-        """Frontier members accumulated incrementally while the sweep ran.
-
-        Falls back to :meth:`pareto` when the sweep did not stream (points
-        supplied directly).  Membership equals :meth:`pareto` exactly —
-        ordering follows result-arrival (schedule) order rather than grid
-        order, which is why report tables render from :meth:`pareto`.
-        """
-        if self.streamed is None:
-            return self.pareto()
-        members: list[EvaluatedPoint] = []
-        for archive in self.streamed.values():
-            members.extend(archive.items)
-        return members
-
 
 def run_sweep(
     spec: SweepSpec, session: EvaluationSession | None = None
@@ -183,34 +155,13 @@ def run_sweep(
     technology — same compiled blocks) collapse into one 2-D
     configs × blocks grid evaluation.
 
-    The Pareto reduction streams: as each unique workload's result lands
-    (cache hit or fresh commit), every grid point it backs feeds its
-    per-(network, batch) :class:`~repro.dse.pareto.ParetoArchive`; the
-    archives ride on the result under ``streamed``.  A failing point raises
+    The Pareto frontier is extracted from the whole grid once the batch
+    has run (:meth:`DesignSpaceResult.pareto`).  A failing point raises
     the session's :class:`~repro.session.engine.WorkloadExecutionError`.
     """
     points = spec.expand()
-    extractors = [OBJECTIVES[name].extract for name in spec.objectives]
-    # A unique workload may back several grid points (duplicate settings);
-    # each arrival feeds every point it backs into its group's archive.
-    by_fingerprint: dict[str, list[DesignPoint]] = {}
-    for point in points:
-        by_fingerprint.setdefault(point.workload.fingerprint(), []).append(point)
-    archives: dict[tuple[str, int], ParetoArchive] = {}
-
-    def on_result(workload: Workload, result: NetworkResult) -> None:
-        for point in by_fingerprint.get(workload.fingerprint(), ()):
-            evaluated = EvaluatedPoint(point=point, result=result)
-            group = archives.setdefault(
-                (point.network, point.batch_size), ParetoArchive()
-            )
-            group.add(evaluated, [extract(evaluated) for extract in extractors])
-
-    results = resolve_session(session).run_many(
-        [point.workload for point in points], on_result=on_result
-    )
+    results = resolve_session(session).run_many([point.workload for point in points])
     return DesignSpaceResult(
         spec,
         [EvaluatedPoint(point=point, result=result) for point, result in zip(points, results)],
-        streamed=archives,
     )

@@ -9,7 +9,9 @@ comparison routes through:
 * :mod:`~repro.session.engine` — the staged compile → simulate-blocks →
   compose pipeline, with a memoized artifact at every seam (compiled
   programs keyed structure-only; per-block results keyed by the name-free
-  layer fingerprint + simulation-affecting config).
+  layer fingerprint + simulation-affecting config).  It is the only
+  planner and composer: session batches and the NAS estimator
+  (:mod:`repro.nas`) both price networks through it.
 * :class:`~repro.session.cache.ResultCache` — fingerprint-keyed store of
   composed results, in-memory with an optional on-disk layer (a segmented
   pack-file store — :class:`~repro.session.store.SegmentedStore`,
@@ -52,12 +54,12 @@ in-process memo.
   search, so duplicate GEMM shapes — within a network, across networks,
   and across sweep points that share buffer geometry — plan once.
 
-Execution is warm-artifact aware: the session reads stored results first,
-then compiles through the program memo, resolves memoized blocks,
-simulates only the missing blocks of the whole batch in one vectorized
-pass and composes — within one process nothing is compiled or simulated
-twice.  The first
-failing workload stops the batch with a
+Execution is warm-artifact aware, in two steps: the session reads stored
+results first; every other workload executes — it compiles through the
+program memo, resolves memoized blocks, simulates only the missing blocks
+of the whole batch in one vectorized pass and composes — so within one
+process nothing is compiled or simulated twice.  The first failing
+workload stops the batch with a
 :class:`~repro.session.engine.WorkloadExecutionError` naming it.
 
 See ``python -m repro.harness --help`` for the report runner built on top
@@ -78,7 +80,6 @@ from repro.session.engine import (
     describe_workload_error,
     build_model,
     compile_program,
-    compile_workload,
     execute_workload,
     layer_cache_key,
     make_plan_resolver,
@@ -118,7 +119,6 @@ __all__ = [
     "WorkloadExecutionError",
     "build_model",
     "compile_program",
-    "compile_workload",
     "describe_workload_error",
     "estimated_cost",
     "execute_workload",

@@ -111,15 +111,17 @@ class StageStats:
 
 @dataclass
 class CacheStats:
-    """Counters the session reports at the end of a run.
+    """Counters a session (or a NAS estimator) reports at the end of a run.
 
-    Workload-level counters: ``hits`` counts lookups satisfied from memory,
-    disk, or by composing memoized per-block artifacts; ``misses`` lookups
-    that required fresh work; ``deduped`` counts in-batch duplicates of a
+    Workload-level counters: ``hits`` counts lookups satisfied by a stored
+    result, from memory or disk; ``misses`` lookups that required fresh
+    work — planning against the memos, then simulating only what they lack
+    (a frequency variant of a workload already run misses, executes once
+    and hits every block); ``deduped`` counts in-batch duplicates of a
     workload whose execution was still pending (no cached value existed, so
     they are deduplication wins rather than cache hits); ``disk_hits`` is
     the subset of hits that involved the on-disk store;
-    ``unique_executions`` counts distinct fingerprints that were simulated
+    ``unique_executions`` counts distinct fingerprints that were executed
     this session (the acceptance criterion is that no fingerprint is ever
     executed twice).
 
@@ -128,8 +130,13 @@ class CacheStats:
     memo the compiler consults before every search (misses are actual
     searches — the compiler's dominant cost — and hits are duplicate GEMM
     shapes) and ``blocks`` the layer-key lookups of the simulate-blocks
-    stage (misses are per-block simulations; hits
-    include identical layers shared across networks).
+    stage, filled by the one planner
+    (:func:`~repro.session.engine.plan_program` and
+    :func:`~repro.session.engine.compose_plan`) for session workloads and
+    NAS candidates alike: misses are per-block
+    simulations; hits are blocks served from the memo at plan time plus
+    blocks deferred to an identical in-flight block, read back at compose
+    time (identical layers shared across networks included).
     ``compile_seconds`` accumulates the wall-clock time spent
     inside ``FusionCompiler.compile`` (cache misses only), surfaced by the
     report footer's ``compile time`` line so compile-cost regressions are
@@ -317,11 +324,6 @@ class ResultCache:
         # that fails leaves the fresh value memory-only this session.
         self._store.append_encoded([(key, _KIND, body)])
         self.io_seconds += time.perf_counter() - started
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory results and the memo (disk entries, if any, survive)."""
-        self._memory.clear()
-        self.memo.clear()
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -32,14 +32,17 @@ in-process only):
 Baseline platforms (Eyeriss, Stripes, GPUs, the temporal design) have no
 compile stage; they run as a single simulate step.
 
-The session plans each workload whose result is not stored
-(:func:`plan_workload`): it compiles through the program memo
-(exactly once per network and batch) and resolves every block the memo
-already holds.  The genuinely missing blocks of a whole batch of plans
-then simulate together (:func:`simulate_planned_blocks`), and each plan
-composes from memoized plus fresh records, memoizing the fresh ones
-(:func:`compose_plan`).  The first failing workload stops the batch with a
-:class:`WorkloadExecutionError` naming it.
+This module is the only planner and composer of priced networks.  The
+session plans each workload whose result is not stored
+(:func:`plan_workload`: compile through the program memo, exactly once per
+network and batch, then :func:`plan_program`); the NAS estimator
+(:mod:`repro.nas.estimator`) plans each candidate through the same
+:func:`obtain_program` and :func:`plan_program`.  Planning resolves every
+block the memo already holds.  The genuinely missing blocks of a whole
+batch of plans then simulate together (:func:`simulate_planned_blocks`),
+and each plan composes from memoized plus fresh records, memoizing the
+fresh ones (:func:`compose_plan`).  In a session, the first failing
+workload stops the batch with a :class:`WorkloadExecutionError` naming it.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
-from functools import lru_cache
-from typing import Callable, Protocol, Sequence
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, partial
+from typing import Any, Callable, Sequence
 
 from repro.baselines.base import AcceleratorModel
 from repro.baselines.eyeriss import EyerissModel
@@ -63,33 +66,30 @@ from repro.isa.compiler import FusionCompiler, PlanResolver
 from repro.isa.instructions import LoopOrder
 from repro.isa.program import CompiledBlock, Program
 from repro.isa.tiling import GemmWorkload, TilingPlan
-from repro.session.cache import CacheStats, ProgramStats, ResultCache
+from repro.session.cache import CacheStats, ResultCache
 from repro.session.workload import Workload, load_network, network_digest
 from repro.sim.batched import simulate_blocks_grid
 from repro.sim.executor import BitFusionSimulator
 from repro.sim.results import LayerResult, NetworkResult, compose_network_result
 
 __all__ = [
-    "PlanLike",
     "WorkPlan",
     "WorkloadExecutionError",
     "build_model",
     "compile_program",
-    "compile_workload",
     "compose_plan",
     "describe_workload_error",
     "execute_workload",
     "layer_cache_key",
     "make_plan_resolver",
     "obtain_program",
+    "plan_program",
     "plan_workload",
     "program_cache_key",
     "program_content_key",
     "simulate_planned_blocks",
     "simulator_for",
-    "store_layer_record",
     "tiling_cache_key",
-    "try_compose_from_cache",
 ]
 
 
@@ -220,11 +220,6 @@ def compile_program(
     return compiler.compile(load_network(workload), batch_size=workload.batch_size)
 
 
-def compile_workload(workload: Workload) -> ProgramStats:
-    """Compile a Bit Fusion workload and distill its program statistics."""
-    return ProgramStats.from_program(compile_program(workload))
-
-
 def program_content_key(
     network_fingerprint: str,
     batch_size: int,
@@ -280,20 +275,22 @@ def program_cache_key(workload: Workload) -> str:
     )
 
 
-def obtain_program(workload: Workload, cache: ResultCache, stats: CacheStats) -> Program:
-    """The workload's compiled program, from the memo when possible.
+def obtain_program(
+    key: str, compile: Callable[[], Program], cache: ResultCache, stats: CacheStats
+) -> Program:
+    """The program memoized under ``key``, compiled by ``compile`` on a miss.
 
     A miss compiles (timed into ``stats.compile_seconds``) and memoizes the
-    program under :func:`program_cache_key`.
+    program under ``key`` — :func:`program_cache_key` for a workload,
+    :func:`program_content_key` for a NAS candidate.
     """
-    key = program_cache_key(workload)
     program = cache.memo.get(key)
     if program is not None:
         stats.programs.hits += 1
         return program
     stats.programs.misses += 1
     started = time.perf_counter()
-    program = compile_program(workload, cache, stats)
+    program = compile()
     stats.compile_seconds += time.perf_counter() - started
     cache.memo[key] = program
     return program
@@ -378,8 +375,8 @@ def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
     "layer": <layer fingerprint>, "sim": <sim config>})``, so keys written by
     earlier releases stay valid.  Memoized: the layer fingerprint on the
     block instance, the config JSON per config and the key on
-    (fingerprint, config).  Planners derive each block's key once and pass
-    it on (:attr:`WorkPlan.layer_keys`).
+    (fingerprint, config).  :func:`plan_program` derives each block's key
+    once and passes it on (:attr:`WorkPlan.layer_keys`).
     """
     return _layer_content_key(compiled.layer_fingerprint(), config)
 
@@ -388,63 +385,15 @@ def lookup_block(cache: ResultCache, key: str, name: str) -> LayerResult | None:
     """The memoized result under layer ``key``, renamed to block ``name``.
 
     None on a miss.  No statistics are recorded here; callers account for
-    hits and misses in their own stage counters.
+    hits and misses in their own stage counters.  Records are memoized
+    with ``cache.memo[key] = layer`` (:func:`compose_plan`).
     """
     value = cache.memo.get(key)
     return None if value is None else value.renamed(name)
 
 
-def store_layer_record(cache: ResultCache, key: str, layer: LayerResult) -> None:
-    """Memoize one freshly simulated block under its layer ``key``.
-
-    Takes the key rather than a :class:`Workload` so callers pricing
-    arbitrary networks (the NAS estimator) insert records the same way
-    session runs do; every lookup renames the record to its requester.
-    """
-    cache.memo[key] = layer
-
-
 # ---------------------------------------------------------------------- #
-# Stage 3: compose, and the staged drivers
-# ---------------------------------------------------------------------- #
-def _compose(workload: Workload, program: Program, layers: list[LayerResult]) -> NetworkResult:
-    config: BitFusionConfig = workload.config
-    return compose_network_result(
-        network_name=program.network_name,
-        platform=config.name,
-        batch_size=workload.batch_size,
-        frequency_mhz=config.frequency_mhz,
-        layers=layers,
-    )
-
-
-def try_compose_from_cache(
-    workload: Workload, cache: ResultCache, stats: CacheStats
-) -> NetworkResult | None:
-    """Compose a workload's result purely from memoized artifacts, if possible.
-
-    None when the workload is not Bit Fusion or its program or any block
-    result is missing (in which case no stage counters are touched — the
-    execution path will look the artifacts up again and account for them).
-    """
-    if workload.platform != "bitfusion":
-        return None
-    program = cache.memo.get(program_cache_key(workload))
-    if program is None:
-        return None
-    layers: list[LayerResult] = []
-    for compiled in program:
-        layer = lookup_block(cache, layer_cache_key(compiled, workload.config), compiled.name)
-        if layer is None:
-            return None
-        layers.append(layer)
-    stats.programs.hits += 1
-    stats.blocks.hits += len(layers)
-    return _compose(workload, program, layers)
-
-
-# ---------------------------------------------------------------------- #
-# Planning, failure reporting and batched simulation
+# Failure reporting, planning, batched simulation and composition
 # ---------------------------------------------------------------------- #
 class WorkloadExecutionError(RuntimeError):
     """A workload of a batch failed to plan, simulate or compose.
@@ -461,79 +410,70 @@ def describe_workload_error(workload: Workload, error: BaseException) -> str:
     return f"workload {workload.label()}: {type(error).__name__}: {error}"
 
 
-class PlanLike(Protocol):
-    """What :func:`simulate_planned_blocks` needs from a plan.
-
-    Satisfied by :class:`WorkPlan` and by the NAS estimator's candidate
-    plans (:mod:`repro.nas.estimator`), which carry no :class:`Workload`.
-    """
-
-    @property
-    def program(self) -> Program | None: ...
-
-    @property
-    def simulate_indices(self) -> tuple[int, ...]: ...
-
-    @property
-    def config(self) -> BitFusionConfig: ...
-
-
 @dataclass(frozen=True)
 class WorkPlan:
-    """The cache-resolution plan for one pending workload.
+    """The cache-resolution plan of one program (a workload or a NAS candidate).
 
+    ``program`` is the compiled program, priced under ``config`` at
+    ``batch_size``; baseline workloads (no compile stage) plan with
+    ``program=None`` and nothing else to resolve.
     ``layer_keys`` holds every block's :func:`layer_cache_key`, derived
     once at plan time and reused by every later lookup and store;
     ``cached_layers`` maps block index → result resolved at plan time;
     ``simulate_indices`` are the blocks that must be simulated;
-    ``deferred_indices`` are blocks whose key an earlier workload of the
-    same batch already claimed — their results are read from the memo at
-    compose time, after the claiming workload has been composed.
+    ``deferred_indices`` are blocks whose key an earlier plan of the same
+    batch already claimed — their results are read from the memo at
+    compose time, after the claiming plan has been composed.
     """
 
-    workload: Workload
     program: Program | None
-    layer_keys: tuple[str, ...]
-    cached_layers: dict[int, LayerResult]
-    simulate_indices: tuple[int, ...]
-    deferred_indices: tuple[int, ...]
-
-    @property
-    def config(self) -> BitFusionConfig:
-        """The simulation configuration — the duck-typed plan interface.
-
-        :func:`simulate_planned_blocks` reads only ``program``,
-        ``simulate_indices`` and ``config`` from a plan, so the NAS
-        estimator's workload-free candidate plans batch through the same
-        executor.
-        """
-        return self.workload.config
+    #: The platform configuration: a ``BitFusionConfig`` whenever
+    #: ``program`` is set.
+    config: Any
+    batch_size: int
+    layer_keys: tuple[str, ...] = ()
+    cached_layers: dict[int, LayerResult] = field(default_factory=dict)
+    simulate_indices: tuple[int, ...] = ()
+    deferred_indices: tuple[int, ...] = ()
 
 
 def plan_workload(
     workload: Workload, cache: ResultCache, stats: CacheStats, claimed: set[str]
 ) -> WorkPlan:
-    """Plan one pending workload: compile, resolve memoized blocks.
+    """Plan one pending workload: compile through the memo, then :func:`plan_program`.
 
     Compilation goes through the program memo (structure-only key), so a
-    batch sharing a network compiles it exactly once.  Every block is then
-    resolved through its layer key; only genuinely missing blocks are
-    scheduled for simulation.  ``claimed`` tracks layer keys already
-    scheduled by earlier blocks of the same batch — duplicates (identical
-    layer content under any name) are deferred to compose time instead of
-    being simulated twice.
+    batch sharing a network compiles it exactly once.
     """
     if workload.platform != "bitfusion":
-        return WorkPlan(
-            workload=workload,
-            program=None,
-            layer_keys=(),
-            cached_layers={},
-            simulate_indices=(),
-            deferred_indices=(),
-        )
-    program = obtain_program(workload, cache, stats)
-    keys = tuple(layer_cache_key(compiled, workload.config) for compiled in program)
+        return WorkPlan(program=None, config=workload.config, batch_size=workload.batch_size)
+    program = obtain_program(
+        program_cache_key(workload),
+        partial(compile_program, workload, cache, stats),
+        cache,
+        stats,
+    )
+    return plan_program(program, workload.config, workload.batch_size, cache, stats, claimed)
+
+
+def plan_program(
+    program: Program,
+    config: BitFusionConfig,
+    batch_size: int,
+    cache: ResultCache,
+    stats: CacheStats,
+    claimed: set[str],
+) -> WorkPlan:
+    """Resolve every block of ``program`` against the memo.
+
+    Each block is looked up through its layer key; only genuinely missing
+    blocks are scheduled for simulation.  ``claimed`` tracks layer keys
+    already scheduled by earlier blocks of the same batch — duplicates
+    (identical layer content under any name) are deferred to compose time
+    instead of being simulated twice.  Plan-time hits count in
+    ``stats.blocks.hits``, scheduled simulations in ``stats.blocks.misses``.
+    """
+    keys = tuple(layer_cache_key(compiled, config) for compiled in program)
     cached: dict[int, LayerResult] = {}
     simulate: list[int] = []
     deferred: list[int] = []
@@ -550,8 +490,9 @@ def plan_workload(
         stats.blocks.misses += 1
         simulate.append(index)
     return WorkPlan(
-        workload=workload,
         program=program,
+        config=config,
+        batch_size=batch_size,
         layer_keys=keys,
         cached_layers=cached,
         simulate_indices=tuple(simulate),
@@ -565,24 +506,24 @@ def compose_plan(
     cache: ResultCache,
     stats: CacheStats,
 ) -> NetworkResult:
-    """Assemble a planned workload's result from memoized + fresh blocks.
+    """Assemble a planned program's result from memoized + fresh blocks.
 
     ``fresh_layers`` maps block index → result simulated for this plan
     (:func:`simulate_planned_blocks`).  Fresh results are memoized under
     their layer keys as they are composed.  Deferred blocks (claimed by an
-    earlier workload of the batch) are read from the memo: the claiming
-    workload composed, and so memoized them, first.
+    earlier plan of the batch) are read from the memo, counting one block
+    hit each: the claiming plan composed, and so memoized them, first.
+    The result is composed under ``plan.config`` at ``plan.batch_size``.
     """
-    workload = plan.workload
-    assert plan.program is not None
+    program = plan.program
+    assert program is not None
     layers: list[LayerResult] = []
-    for index, (compiled, key) in enumerate(zip(plan.program, plan.layer_keys)):
+    for index, (compiled, key) in enumerate(zip(program, plan.layer_keys)):
         if index in plan.cached_layers:
             layers.append(plan.cached_layers[index])
             continue
         if index in fresh_layers:
-            layer = fresh_layers[index]
-            store_layer_record(cache, key, layer)
+            layer = cache.memo[key] = fresh_layers[index]
             layers.append(layer)
             continue
         value = lookup_block(cache, key, compiled.name)
@@ -590,12 +531,16 @@ def compose_plan(
             raise RuntimeError(f"deferred block {compiled.name!r} has no stored record")
         stats.blocks.hits += 1
         layers.append(value)
-    return _compose(workload, plan.program, layers)
+    return compose_network_result(
+        network_name=program.network_name,
+        platform=plan.config.name,
+        batch_size=plan.batch_size,
+        frequency_mhz=plan.config.frequency_mhz,
+        layers=layers,
+    )
 
 
-def simulate_planned_blocks(
-    plans: Sequence["PlanLike"],
-) -> list[dict[int, LayerResult]]:
+def simulate_planned_blocks(plans: Sequence[WorkPlan]) -> list[dict[int, LayerResult]]:
     """Simulate every planned-but-missing block across ``plans``, batched.
 
     The missing blocks of *all* in-flight plans are gathered into as few

@@ -22,22 +22,24 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.config import BitFusionConfig
 from repro.session.cache import CacheStats, ProgramStats, ResultCache
 from repro.session.engine import (
     WorkloadExecutionError,
     WorkPlan,
+    compile_program,
     compose_plan,
     describe_workload_error,
     execute_workload,
     obtain_program,
     plan_workload,
+    program_cache_key,
     simulate_planned_blocks,
-    try_compose_from_cache,
 )
 from repro.session.workload import Workload, estimated_cost
 from repro.sim.results import LayerResult, NetworkResult
@@ -51,12 +53,6 @@ __all__ = [
     "resolve_session",
     "use_session",
 ]
-
-#: Callback fired once per unique workload the moment its result is known
-#: (cache hit at lookup, or commit after fresh execution) — the streaming
-#: seam incremental Pareto reduction hangs off.
-ResultCallback = Callable[[Workload, NetworkResult], None]
-
 
 @contextmanager
 def _attributed(workload: Workload) -> Iterator[None]:
@@ -169,19 +165,16 @@ class EvaluationSession:
         """Run one workload, serving it from the cache when possible."""
         return self.run_many([workload])[0]
 
-    def run_many(
-        self,
-        workloads: Iterable[Workload],
-        on_result: ResultCallback | None = None,
-    ) -> list[NetworkResult]:
+    def run_many(self, workloads: Iterable[Workload]) -> list[NetworkResult]:
         """Run a batch of workloads, in input order.
 
         The batch is deduplicated by fingerprint and resolved against the
-        cache in three steps: whole results from memory or disk, Bit Fusion
-        results composed from memoized program and layer artifacts, and
-        only then fresh execution.  In-batch duplicates of a still-pending
-        workload count as deduplication wins (``stats.deduped``), not cache hits —
-        no cached value existed when they were looked up.  Genuinely new
+        cache in two steps: whole results from memory or disk, then fresh
+        execution, which plans each Bit Fusion workload against the
+        memoized programs and layer records.  In-batch duplicates of a
+        still-pending workload count as deduplication wins
+        (``stats.deduped``), not cache hits — no cached value existed when
+        they were looked up.  Genuinely new
         workloads are scheduled longest-job-first (estimated by network MAC
         count x batch size, ties broken by workload fingerprint so the
         schedule never depends on input order) and results are returned in
@@ -193,11 +186,6 @@ class EvaluationSession:
         :class:`~repro.session.engine.WorkloadExecutionError` naming it.
         Workloads committed before it stay cached; it leaves no result.
         Simulation is deterministic, so a retry would only fail again.
-
-        ``on_result`` (when given) fires once per unique workload the moment
-        its result is known — at cache-lookup time for warm workloads, at
-        commit time for fresh ones — so callers can stream incremental
-        reductions (the sweep runner's Pareto archive) while the batch runs.
         """
         ordered = list(workloads)
         keys = [workload.fingerprint() for workload in ordered]
@@ -214,10 +202,6 @@ class EvaluationSession:
                 continue
             value, source = self.cache.get_with_source(key)
             if value is None:
-                value = try_compose_from_cache(workload, self.cache, self.stats)
-                if value is not None:
-                    self.cache.put(key, value)
-            if value is None:
                 self.stats.misses += 1
                 pending[key] = workload
                 continue
@@ -225,8 +209,6 @@ class EvaluationSession:
             if source == "disk":
                 self.stats.disk_hits += 1
             resolved[key] = value
-            if on_result is not None:
-                on_result(workload, value)
         if pending:
             # Longest job first.  Equal-cost workloads tie-break on their
             # (stable, content-based) fingerprint rather than input order,
@@ -238,7 +220,7 @@ class EvaluationSession:
                 key=lambda item: (-estimated_cost(item[1]), item[0]),
             )
             try:
-                self._execute(items, resolved, on_result)
+                self._execute(items, resolved)
             finally:
                 # One segment-index write per executed batch, not one per
                 # result — also when a workload fails.
@@ -249,7 +231,6 @@ class EvaluationSession:
         self,
         items: list[tuple[str, Workload]],
         resolved: dict[str, NetworkResult],
-        on_result: ResultCallback | None,
     ) -> None:
         """Execute the pending schedule, committing each workload in order.
 
@@ -291,8 +272,6 @@ class EvaluationSession:
             self.stats.record_execution(key)
             self.cache.put(key, result)
             resolved[key] = result
-            if on_result is not None:
-                on_result(workload, result)
 
     def _finish_plan(
         self,
@@ -328,7 +307,13 @@ class EvaluationSession:
         just to count instructions.  Only the ``programs`` stage counters
         move: no workload result is looked up or stored.
         """
-        return ProgramStats.from_program(obtain_program(workload, self.cache, self.stats))
+        program = obtain_program(
+            program_cache_key(workload),
+            partial(compile_program, workload, self.cache, self.stats),
+            self.cache,
+            self.stats,
+        )
+        return ProgramStats.from_program(program)
 
     # ------------------------------------------------------------------ #
     # Declarative sweeps

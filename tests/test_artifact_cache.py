@@ -233,7 +233,7 @@ class TestContentAddressedLayerLevel:
         ]
 
     def test_lookup_block_misses_until_the_layer_record_is_stored(self, tmp_path):
-        from repro.session.engine import lookup_block, store_layer_record
+        from repro.session.engine import lookup_block
         from repro.sim import BitFusionSimulator
 
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
@@ -243,7 +243,7 @@ class TestContentAddressedLayerLevel:
         writer = ResultCache(tmp_path)
         assert lookup_block(writer, key, compiled.name) is None
         layer = BitFusionSimulator(config).run_block(compiled)
-        store_layer_record(writer, key, layer)
+        writer.memo[key] = layer
         assert lookup_block(writer, key, compiled.name) == layer
         # Served renamed to whichever block asks.
         twin = _renamed(compiled, "twin")
@@ -261,13 +261,17 @@ class TestContentAddressedLayerLevel:
             cold.run(workload)
             assert cold.stats.blocks.misses == len(distinct)
             assert cold.stats.blocks.lookups == len(program)
-            # A frequency variant shares every layer key: it composes from
-            # the memo, one block hit per block.
+            # A frequency variant shares every layer key: its stored result
+            # misses, so it executes once, reusing the program and planning
+            # every block as a memo hit — no block simulates.
             cold.run(replace(workload, config=workload.config.with_frequency(250.0)))
             assert (cold.stats.blocks.hits, cold.stats.blocks.misses) == (
                 2 * len(program) - len(distinct),
                 len(distinct),
             )
+            assert (cold.stats.hits, cold.stats.misses) == (0, 2)
+            assert cold.stats.unique_executions == 2
+            assert (cold.stats.programs.hits, cold.stats.programs.misses) == (1, 1)
         with EvaluationSession(cache_dir=tmp_path) as warm:
             warm.run(workload)
         assert warm.stats.blocks.lookups == 0

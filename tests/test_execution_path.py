@@ -12,9 +12,7 @@ and commits in schedule order.  The guarantees under test:
 * a faulting batched call degrades to per-plan simulation, and a workload
   that still fails stops the batch with one error naming it, and the
   workloads committed before it stay cached;
-* the schedule is longest-job-first;
-* ``on_result`` fires exactly once per unique workload, after its result
-  is stored.
+* the schedule is longest-job-first.
 """
 
 from __future__ import annotations
@@ -37,10 +35,19 @@ from repro.session import (
     estimated_cost,
     execute_workload,
     get_default_session,
+    load_network,
     use_session,
 )
 from repro.session import session as session_module
-from repro.session.cache import network_result_to_dict
+from repro.session.cache import CacheStats, network_result_to_dict
+from repro.session.engine import (
+    compose_plan,
+    obtain_program,
+    plan_program,
+    plan_workload,
+    program_cache_key,
+    simulate_planned_blocks,
+)
 
 _FAST = ("LeNet-5", "LSTM")
 
@@ -251,15 +258,15 @@ class TestFailFast:
         # Schedule: LSTM b4, LeNet-5 b4, LeNet-5 b2 (longest job first).
         workloads = _distinct()
         bad = workloads[2]
-        seen: list[str] = []
         with EvaluationSession() as session:
             _fail_compose_for(monkeypatch, bad)
             with pytest.raises(WorkloadExecutionError, match="batch=2"):
-                session.run_many(
-                    workloads,
-                    on_result=lambda workload, result: seen.append(workload.label()),
-                )
-            assert seen == [workloads[1].label(), workloads[0].label()]
+                session.run_many(workloads)
+            # Commit order is execution order: LSTM b4, then LeNet-5 b4.
+            assert list(session.stats.executions) == [
+                workloads[1].fingerprint(),
+                workloads[0].fingerprint(),
+            ]
             for workload in workloads[:2]:
                 assert session.cache.get(workload.fingerprint()) is not None
             assert session.cache.get(bad.fingerprint()) is None
@@ -337,9 +344,10 @@ class TestFailFast:
 def _fail_compose_for(monkeypatch, bad: Workload) -> None:
     """Make composing ``bad``'s plan raise; every other plan composes."""
     real = session_module.compose_plan
+    target = (load_network(bad).name, bad.batch_size, bad.config)
 
     def compose(plan, *args, **kwargs):
-        if plan.workload == bad:
+        if (plan.program.network_name, plan.batch_size, plan.config) == target:
             raise RuntimeError("injected composition failure")
         return real(plan, *args, **kwargs)
 
@@ -354,11 +362,11 @@ def _spec_file(tmp_path, networks):
 
 
 def _commit_order(workloads: list[Workload]) -> list[str]:
-    order: list[str] = []
+    """Fingerprints in commit order; every one of them is left cached."""
     with EvaluationSession() as session:
-        session.run_many(
-            workloads, on_result=lambda workload, result: order.append(workload.fingerprint())
-        )
+        session.run_many(workloads)
+        order = list(session.stats.executions)
+        assert all(session.cache.get(key) is not None for key in order)
     return order
 
 
@@ -371,39 +379,69 @@ class TestSchedule:
         assert _commit_order(workloads) == [w.fingerprint() for w in expected]
 
 
-class TestResultStream:
-    def test_on_result_fires_once_per_unique_workload(self):
-        workloads = _distinct()
-        seen: list[str] = []
-        with EvaluationSession() as session:
-            session.run_many(
-                workloads + workloads[:1],
-                on_result=lambda workload, result: seen.append(workload.fingerprint()),
-            )
-        assert sorted(seen) == sorted(w.fingerprint() for w in workloads)
+class TestSharedPlanner:
+    """The engine's planner, called directly as the NAS estimator calls it."""
 
-    def test_on_result_fires_for_cache_hits(self):
-        workloads = _distinct()
-        seen: list[str] = []
-        with EvaluationSession() as session:
-            session.run_many(workloads)
-            session.run_many(
-                workloads,
-                on_result=lambda workload, result: seen.append(workload.fingerprint()),
-            )
-        assert seen == [w.fingerprint() for w in workloads]
+    def test_obtain_program_compiles_once_per_key(self):
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        cache, stats = ResultCache(), CacheStats()
+        compiles: list[int] = []
 
-    def test_on_result_sees_the_stored_result(self):
-        workloads = _distinct()
-        with EvaluationSession() as session:
-            stored: list[bool] = []
+        def compile():
+            compiles.append(1)
+            return compile_program(workload, cache, stats)
 
-            def check(workload, result):
-                stored.append(session.cache.get(workload.fingerprint()) is result)
+        key = program_cache_key(workload)
+        first = obtain_program(key, compile, cache, stats)
+        second = obtain_program(key, compile, cache, stats)
+        assert second is first
+        assert compiles == [1]
+        assert (stats.programs.hits, stats.programs.misses) == (1, 1)
 
-            results = session.run_many(workloads, on_result=check)
-        assert stored == [True] * len(workloads)
-        assert len(results) == len(workloads)
+    def test_plan_program_defers_blocks_claimed_by_an_earlier_plan(self):
+        workload = Workload.bitfusion("LeNet-5", batch_size=4)
+        cache, stats = ResultCache(), CacheStats()
+        claimed: set[str] = set()
+        first = plan_workload(workload, cache, stats, claimed)
+        second = plan_program(
+            first.program, workload.config, workload.batch_size, cache, stats, claimed
+        )
+        assert first.simulate_indices
+        assert second.simulate_indices == ()
+        assert set(second.deferred_indices) == set(range(len(second.layer_keys)))
+        assert stats.blocks.misses == len(set(first.layer_keys))
+        fresh = simulate_planned_blocks([first, second])
+        assert fresh[1] == {}
+        results = [
+            compose_plan(plan, layers, cache, stats)
+            for plan, layers in zip((first, second), fresh)
+        ]
+        expected = network_result_to_dict(execute_workload(workload))
+        assert _dicts(results) == [expected, expected]
+
+    def test_compose_plan_memoizes_fresh_layers_for_later_plans(self):
+        workload = Workload.bitfusion("LSTM", batch_size=4)
+        cache, stats = ResultCache(), CacheStats()
+        plan = plan_workload(workload, cache, stats, set())
+        (fresh,) = simulate_planned_blocks([plan])
+        composed = compose_plan(plan, fresh, cache, stats)
+        assert all(key in cache.memo for key in plan.layer_keys)
+        replan = plan_workload(workload, cache, stats, set())
+        assert replan.simulate_indices == () and replan.deferred_indices == ()
+        assert sorted(replan.cached_layers) == list(range(len(replan.layer_keys)))
+        (none_fresh,) = simulate_planned_blocks([replan])
+        assert none_fresh == {}
+        assert compose_plan(replan, none_fresh, cache, stats) == composed
+
+    def test_baseline_workload_plans_without_a_program(self):
+        workload = Workload.eyeriss("LeNet-5", batch_size=4)
+        cache, stats = ResultCache(), CacheStats()
+        plan = plan_workload(workload, cache, stats, set())
+        assert plan.program is None
+        assert (plan.config, plan.batch_size) == (workload.config, workload.batch_size)
+        assert plan.layer_keys == () and plan.simulate_indices == ()
+        assert simulate_planned_blocks([plan]) == [{}]
+        assert stats.programs.lookups == 0 and stats.blocks.lookups == 0
 
 
 class TestSessionLifecycle:
