@@ -79,7 +79,7 @@ from repro.isa.tiling import search_tiling, search_tiling_scalar  # noqa: E402
 from repro.session import EvaluationSession, Workload, execute_workload  # noqa: E402
 from repro.session.cache import CacheStats, ResultCache  # noqa: E402
 from repro.session.engine import make_plan_resolver  # noqa: E402
-from repro.sim.batched import simulate_blocks_batched, simulate_blocks_grid  # noqa: E402
+from repro.sim.batched import simulate_blocks_grid  # noqa: E402
 from repro.sim.executor import BitFusionSimulator  # noqa: E402
 
 #: Networks the run_many scenario evaluates — small enough to keep the
@@ -223,13 +223,12 @@ def bench_sim(repeats: int) -> dict:
     for name in models.BENCHMARKS:
         blocks.extend(FusionCompiler(config).compile(models.load(name), batch_size=16))
 
-    batched_sim = BitFusionSimulator(config)
-    scalar_sim = BitFusionSimulator(config, batched=False)
+    simulator = BitFusionSimulator(config)
     rounds = max(repeats * 3, 9)
     scalar_s, batched_s, batched_speedup = _interleaved(
         rounds,
-        lambda: [scalar_sim.run_block(b) for b in blocks],
-        lambda: simulate_blocks_batched(batched_sim, blocks),
+        lambda: [simulator.run_block(b) for b in blocks],
+        lambda: simulate_blocks_grid([simulator], blocks),
     )
 
     # The bandwidth-sweep fast path: one block batch under several sim
@@ -241,10 +240,9 @@ def bench_sim(repeats: int) -> dict:
         config.with_bandwidth(768),
     ]
     grid_sims = [BitFusionSimulator(c) for c in grid_configs]
-    grid_oracles = [BitFusionSimulator(c, batched=False) for c in grid_configs]
     grid_scalar_s, grid_batched_s, grid_speedup = _interleaved(
         rounds,
-        lambda: [[sim.run_block(b) for b in blocks] for sim in grid_oracles],
+        lambda: [[sim.run_block(b) for b in blocks] for sim in grid_sims],
         lambda: simulate_blocks_grid(grid_sims, blocks),
     )
     return {

@@ -26,7 +26,7 @@ Public entry points
 ``repro.session``
     Unified evaluation session: fingerprinted workloads, a result cache
     (in-memory + optional on-disk store) and a batched
-    ``run``/``run_many``/``sweep`` engine shared by every experiment.
+    ``run``/``run_many`` engine shared by every experiment.
 ``repro.harness``
     One experiment runner per table/figure in the paper's evaluation,
     all routed through a shared evaluation session.

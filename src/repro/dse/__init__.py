@@ -38,7 +38,6 @@ from repro.dse.spec import (
     WORKLOAD_AXES,
     DesignPoint,
     SweepSpec,
-    expand_specs,
     format_axis_value,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "EvaluatedPoint",
     "SweepSpec",
     "dominates",
-    "expand_specs",
     "format_axis_value",
     "format_pareto_table",
     "format_sweep_report",

@@ -52,16 +52,6 @@ class EvaluatedPoint:
         """Delivered throughput, GOPS (reported, not an objective)."""
         return self.result.effective_throughput_gops
 
-    def objective_value(self, name: str) -> float:
-        """The value of one registered objective at this point."""
-        try:
-            objective = OBJECTIVES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown objective {name!r}; expected one of {sorted(OBJECTIVES)}"
-            ) from None
-        return objective.extract(self)
-
     def as_row(self, on_frontier: bool | None = None) -> dict[str, Any]:
         """Table row: one column per axis, then the metric columns."""
         row: dict[str, Any] = {

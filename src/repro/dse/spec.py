@@ -49,7 +49,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.config import BitFusionConfig
 from repro.session.workload import Workload
@@ -60,7 +60,8 @@ __all__ = [
     "BASE_CONFIGS",
     "DesignPoint",
     "SweepSpec",
-    "expand_specs",
+    "checked_field",
+    "checked_list",
     "format_axis_value",
 ]
 
@@ -122,6 +123,25 @@ def format_axis_value(axis: str, value: Any) -> str:
     return str(value)
 
 
+def _is_a(value: Any, kind: type) -> bool:
+    # JSON booleans are Python ints; an integer field rejects them.
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def checked_field(key: str, value: Any, kind: type) -> Any:
+    """``value`` if it is a ``kind``; else a one-line ``ValueError`` naming ``key``."""
+    if not _is_a(value, kind):
+        raise ValueError(f"spec key {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def checked_list(key: str, value: Any, kind: type) -> tuple[Any, ...]:
+    """``value`` as a tuple if it is a list of ``kind``; else a ``ValueError`` naming ``key``."""
+    if not isinstance(value, (list, tuple)) or not all(_is_a(item, kind) for item in value):
+        raise ValueError(f"spec key {key!r} must be a list of {kind.__name__}, got {value!r}")
+    return tuple(value)
+
+
 def _hashable(value: Any) -> Any:
     """JSON axis values arrive as lists; settings tuples must be hashable."""
     if isinstance(value, list):
@@ -142,13 +162,6 @@ class DesignPoint:
     batch_size: int
     settings: tuple[tuple[str, Any], ...]
     workload: Workload
-
-    def setting(self, axis: str) -> Any:
-        """The value this point takes on one axis; KeyError if absent."""
-        for name, value in self.settings:
-            if name == axis:
-                return value
-        raise KeyError(f"design point has no axis {axis!r}")
 
     def label(self) -> str:
         """Compact human-readable identity of the point."""
@@ -249,10 +262,6 @@ class SweepSpec:
             )
         if "networks" not in payload:
             raise ValueError("a sweep spec needs a 'networks' list")
-        if isinstance(payload["networks"], (str, bytes)) or not isinstance(
-            payload["networks"], (list, tuple)
-        ):
-            raise ValueError(f"'networks' must be a list of names, got {payload['networks']!r}")
         axes_payload = payload.get("axes", {})
         if not isinstance(axes_payload, Mapping):
             raise ValueError("'axes' must be a mapping of axis name to value list")
@@ -263,18 +272,13 @@ class SweepSpec:
             (axis, tuple(_hashable(value) for value in values))
             for axis, values in axes_payload.items()
         )
-        kwargs: dict[str, Any] = {
-            "networks": tuple(payload["networks"]),
-            "axes": axes,
-        }
-        if "batch_sizes" in payload:
-            kwargs["batch_sizes"] = tuple(payload["batch_sizes"])
-        if "base_config" in payload:
-            kwargs["base_config"] = payload["base_config"]
-        if "objectives" in payload:
-            kwargs["objectives"] = tuple(payload["objectives"])
-        if "name" in payload:
-            kwargs["name"] = payload["name"]
+        kwargs: dict[str, Any] = {"axes": axes}
+        for key, kind in (("networks", str), ("batch_sizes", int), ("objectives", str)):
+            if key in payload:
+                kwargs[key] = checked_list(key, payload[key], kind)
+        for key in ("base_config", "name"):
+            if key in payload:
+                kwargs[key] = checked_field(key, payload[key], str)
         return cls(**kwargs)
 
     @classmethod
@@ -366,10 +370,3 @@ class SweepSpec:
         parts.extend(f"{axis}[{len(values)}]" for axis, values in self.axes)
         return f"{self.name}: {' x '.join(parts)} = {self.grid_size()} design points"
 
-
-def expand_specs(specs: Iterable[SweepSpec]) -> list[DesignPoint]:
-    """Expand several specs into one flat point list (convenience helper)."""
-    points: list[DesignPoint] = []
-    for spec in specs:
-        points.extend(spec.expand())
-    return points

@@ -6,6 +6,10 @@ benchmarks gain more than 20x while the convolutional benchmarks, which
 already reuse weights across spatial positions, gain less than 1.6x; gains
 flatten beyond batch 64 once the bandwidth suffices to keep the Fusion Units
 busy.
+
+The scan is one :meth:`~repro.session.session.EvaluationSession.run_many`
+batch of default ``Workload.bitfusion`` points, one per (benchmark, batch
+size); the batch-16 point is the other experiments' default workload.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.dnn import models
 from repro.harness import paper_data
-from repro.session import EvaluationSession, resolve_session
+from repro.session import EvaluationSession, Workload, resolve_session
 
 __all__ = ["BatchRow", "DEFAULT_BATCH_SIZES", "run", "format_table"]
 
@@ -44,19 +48,22 @@ def run(
 ) -> list[BatchRow]:
     """Sweep the batch size and normalize per-inference latency to batch 1.
 
-    One declarative :meth:`EvaluationSession.sweep` call over the batch
-    axis; the batch-16 points dedupe against the other experiments' default
-    workloads through the shared session cache.
+    One :meth:`EvaluationSession.run_many` batch over every (benchmark,
+    batch size) point; the batch-16 points are the other experiments'
+    default workloads, so the shared session cache serves them.
     """
     if 1 not in batch_sizes:
         raise ValueError("the sweep must include batch size 1 (the normalization baseline)")
     names = benchmarks if benchmarks is not None else tuple(models.benchmark_names())
-    sweep = resolve_session(session).sweep(names, batch_sizes=batch_sizes)
+    workloads = [
+        Workload.bitfusion(name, batch_size=batch) for name in names for batch in batch_sizes
+    ]
+    results = iter(resolve_session(session).run_many(workloads))
 
     rows: list[BatchRow] = []
     for name in names:
         latency_by_batch = {
-            batch: sweep.latency(network=name, batch_size=batch) for batch in batch_sizes
+            batch: next(results).latency_per_inference_s for batch in batch_sizes
         }
         reference = latency_by_batch[1]
         rows.append(

@@ -55,7 +55,7 @@ from repro.isa.instructions import (
     StMem,
     WrBuf,
 )
-from repro.isa.optimizations import choose_loop_order, choose_loop_order_scalar, fuse_layers
+from repro.isa.optimizations import choose_loop_order, fuse_layers
 from repro.isa.program import CompiledBlock, Program
 from repro.isa.tiling import GemmWorkload, TilingPlan
 
@@ -127,12 +127,10 @@ class FusionCompiler:
         The evaluation session installs one backed by its artifact cache, so
         duplicate GEMM shapes — within a network, across networks, and
         across sweep points that share buffer geometry — skip the search
-        entirely.  ``None`` (the default) searches unconditionally.
-    vectorized_search:
-        When ``False``, tiling searches run the pure-Python reference
-        implementation instead of the vectorized grid scorer.  The two are
-        bit-identical by contract (tested); the flag exists so the perf
-        suite and the oracle tests can compile whole networks both ways.
+        entirely.  ``None`` (the default) searches unconditionally.  A
+        resolver that ignores ``compute`` and calls
+        :func:`~repro.isa.tiling.search_tiling_scalar` compiles a network
+        through the pure-Python reference search instead.
     """
 
     def __init__(
@@ -141,13 +139,11 @@ class FusionCompiler:
         enable_loop_ordering: bool = True,
         enable_layer_fusion: bool = True,
         plan_resolver: PlanResolver | None = None,
-        vectorized_search: bool = True,
     ) -> None:
         self.config = config
         self.enable_loop_ordering = enable_loop_ordering
         self.enable_layer_fusion = enable_layer_fusion
         self.plan_resolver = plan_resolver
-        self.vectorized_search = vectorized_search
         # Blocks already built, keyed by (head layer, fused followers,
         # batch size): see :meth:`compile`.
         self._blocks: dict[tuple[Layer, tuple[Layer, ...], int | None], CompiledBlock] = {}
@@ -163,10 +159,8 @@ class FusionCompiler:
         resolver's memo key, so ablation runs never share plans with
         optimized ones.
         """
-        search = choose_loop_order if self.vectorized_search else choose_loop_order_scalar
-
         def compute() -> TilingPlan:
-            return search(workload, self.config, orders)
+            return choose_loop_order(workload, self.config, orders)
 
         if self.plan_resolver is not None:
             return self.plan_resolver(workload, orders, compute)

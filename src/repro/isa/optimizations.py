@@ -24,16 +24,10 @@ from dataclasses import dataclass
 from repro.core.config import BitFusionConfig
 from repro.dnn.layers import ActivationLayer, Layer, PoolLayer
 from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import (
-    GemmWorkload,
-    TilingPlan,
-    search_tiling,
-    search_tiling_scalar,
-)
+from repro.isa.tiling import GemmWorkload, TilingPlan, search_tiling
 
 __all__ = [
     "choose_loop_order",
-    "choose_loop_order_scalar",
     "FusionDecision",
     "fuse_layers",
 ]
@@ -52,23 +46,10 @@ def choose_loop_order(
     candidate grid — every (tile_m, tile_n) pair for every order — is scored
     in one vectorized pass (:func:`~repro.isa.tiling.search_tiling`); ties
     between orders break towards the earliest order in ``orders``, exactly
-    as the scalar reference :func:`choose_loop_order_scalar` does.
+    as the scalar reference :func:`~repro.isa.tiling.search_tiling_scalar`
+    does.
     """
     return search_tiling(workload, config, orders)
-
-
-def choose_loop_order_scalar(
-    workload: GemmWorkload,
-    config: BitFusionConfig,
-    orders: tuple[LoopOrder, ...] = tuple(LoopOrder),
-) -> TilingPlan:
-    """Reference implementation of :func:`choose_loop_order` (pure Python).
-
-    Kept as the oracle the vectorized search is tested against — the two
-    must return identical plans on every input — and used by the compiler's
-    ``vectorized_search=False`` mode (the perf suite's baseline measurement).
-    """
-    return search_tiling_scalar(workload, config, orders)
 
 
 @dataclass(frozen=True)

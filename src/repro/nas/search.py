@@ -43,6 +43,7 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.dnn.network import Network
 from repro.dse.pareto import ParetoArchive
+from repro.dse.spec import checked_field, checked_list
 from repro.energy.components import accelerator_area_mm2
 from repro.nas.estimator import Estimator
 from repro.nas.mutations import MUTATION_AXES, mutate
@@ -134,18 +135,21 @@ class SearchSpec:
             )
         if "base_network" not in payload:
             raise ValueError("a nas spec needs a 'base_network'")
-        kwargs: dict[str, Any] = {"base_network": payload["base_network"]}
-        for key in ("name", "population", "generations", "seed", "batch_size"):
+        kwargs: dict[str, Any] = {}
+        for key, kind in (
+            ("base_network", str),
+            ("name", str),
+            ("population", int),
+            ("generations", int),
+            ("seed", int),
+        ):
             if key in payload:
-                kwargs[key] = payload[key]
+                kwargs[key] = checked_field(key, payload[key], kind)
+        if payload.get("batch_size") is not None:
+            kwargs["batch_size"] = checked_field("batch_size", payload["batch_size"], int)
         for key in ("axes", "objectives"):
             if key in payload:
-                value = payload[key]
-                if isinstance(value, (str, bytes)) or not isinstance(
-                    value, (list, tuple)
-                ):
-                    raise ValueError(f"nas spec {key!r} must be a list")
-                kwargs[key] = tuple(value)
+                kwargs[key] = checked_list(key, payload[key], str)
         return cls(**kwargs)
 
     @classmethod

@@ -18,8 +18,8 @@ comparison routes through:
   append-only segments whose index sidecars are the only index), plus the
   in-process artifact memo.
 * :class:`~repro.session.session.EvaluationSession` — ``run`` /
-  ``run_many`` (one batched simulation pass per batch) / declarative
-  ``sweep`` execution with per-stage cache-hit accounting.
+  ``run_many`` (one batched simulation pass per batch, committed in input
+  order) with per-stage cache-hit accounting.
 
 Cache keys and invalidation
 ---------------------------
@@ -89,8 +89,6 @@ from repro.session.engine import (
 from repro.session.store import SegmentedStore
 from repro.session.session import (
     EvaluationSession,
-    SweepPoint,
-    SweepResult,
     get_default_session,
     resolve_session,
     set_default_session,
@@ -99,7 +97,6 @@ from repro.session.session import (
 from repro.session.workload import (
     PLATFORMS,
     Workload,
-    estimated_cost,
     fixed_bitwidth_network,
     load_network,
     network_digest,
@@ -113,14 +110,11 @@ __all__ = [
     "ResultCache",
     "SegmentedStore",
     "StageStats",
-    "SweepPoint",
-    "SweepResult",
     "Workload",
     "WorkloadExecutionError",
     "build_model",
     "compile_program",
     "describe_workload_error",
-    "estimated_cost",
     "execute_workload",
     "fixed_bitwidth_network",
     "get_default_session",

@@ -300,12 +300,6 @@ def obtain_program(
 # Stage 2: simulate-blocks
 # ---------------------------------------------------------------------- #
 @lru_cache(maxsize=None)
-def _build_simulator(
-    simulator_cls: type[BitFusionSimulator], config: BitFusionConfig
-) -> BitFusionSimulator:
-    return simulator_cls(config)
-
-
 def simulator_for(config: BitFusionConfig) -> BitFusionSimulator:
     """The (memoized) simulator instance for one configuration.
 
@@ -314,11 +308,9 @@ def simulator_for(config: BitFusionConfig) -> BitFusionSimulator:
     every time; memoizing per configuration means the session stops
     rebuilding identical model state once per workload.
     ``BitFusionConfig`` is frozen/hashable and the simulator is stateless,
-    so sharing instances is safe.  The module-global class is resolved at
-    call time (and is part of the memo key), so tests that monkeypatch
-    ``engine.BitFusionSimulator`` get their own entries.
+    so sharing instances is safe.
     """
-    return _build_simulator(BitFusionSimulator, config)
+    return BitFusionSimulator(config)
 
 
 @lru_cache(maxsize=None)

@@ -6,10 +6,9 @@ routes its simulations through :meth:`EvaluationSession.run` /
 each unique (platform config, network, batch, compiler flags) point exactly
 once regardless of how many figures need it, and the missing blocks of a
 whole batch of workloads simulate together through the vectorized executor.
-
-:meth:`EvaluationSession.sweep` is the declarative face of the engine:
-bandwidth, batch-size and benchmark scans (Figures 15/16 and any new
-scenario scan) are one call each instead of a hand-written experiment loop.
+A scan over one axis (Figures 15 and 16) is a list of workloads passed to
+:meth:`~EvaluationSession.run_many`; multi-axis design-space sweeps are
+:mod:`repro.dse` spec files.
 
 A module-level *default session* lets experiment modules be called directly
 (as the pytest-benchmark harness does) while still sharing a cache; the
@@ -21,13 +20,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
-from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.core.config import BitFusionConfig
 from repro.session.cache import CacheStats, ProgramStats, ResultCache
 from repro.session.engine import (
     WorkloadExecutionError,
@@ -41,13 +37,11 @@ from repro.session.engine import (
     program_cache_key,
     simulate_planned_blocks,
 )
-from repro.session.workload import Workload, estimated_cost
+from repro.session.workload import Workload
 from repro.sim.results import LayerResult, NetworkResult
 
 __all__ = [
     "EvaluationSession",
-    "SweepPoint",
-    "SweepResult",
     "get_default_session",
     "set_default_session",
     "resolve_session",
@@ -63,64 +57,6 @@ def _attributed(workload: Workload) -> Iterator[None]:
         raise WorkloadExecutionError(describe_workload_error(workload, error)) from error
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One (network, batch, bandwidth) point of a sweep and its result."""
-
-    network: str
-    batch_size: int
-    bandwidth: int | None
-    workload: Workload
-    result: NetworkResult
-
-
-class SweepResult:
-    """Results of a declarative sweep, addressable by axis values."""
-
-    def __init__(self, points: Iterable[SweepPoint]) -> None:
-        self.points = tuple(points)
-
-    def __iter__(self) -> Iterator[SweepPoint]:
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def select(
-        self,
-        network: str | None = None,
-        batch_size: int | None = None,
-        bandwidth: int | None = None,
-    ) -> list[SweepPoint]:
-        """All points matching the given axis values (None matches any)."""
-        return [
-            point
-            for point in self.points
-            if (network is None or point.network == network)
-            and (batch_size is None or point.batch_size == batch_size)
-            and (bandwidth is None or point.bandwidth == bandwidth)
-        ]
-
-    def result(
-        self,
-        network: str | None = None,
-        batch_size: int | None = None,
-        bandwidth: int | None = None,
-    ) -> NetworkResult:
-        """The unique result at the given axis values; KeyError otherwise."""
-        matches = self.select(network=network, batch_size=batch_size, bandwidth=bandwidth)
-        if len(matches) != 1:
-            raise KeyError(
-                f"expected exactly one sweep point for network={network!r} "
-                f"batch_size={batch_size!r} bandwidth={bandwidth!r}, found {len(matches)}"
-            )
-        return matches[0].result
-
-    def latency(self, **axes: object) -> float:
-        """Per-inference latency (seconds) of the unique matching point."""
-        return self.result(**axes).latency_per_inference_s  # type: ignore[arg-type]
-
-
 class EvaluationSession:
     """Cached executor of evaluation workloads.
 
@@ -130,19 +66,10 @@ class EvaluationSession:
         Optional directory for the persistent result store (the segmented
         pack-file layout of :mod:`repro.session.store`); ``None`` keeps the
         cache in memory only.
-    cache:
-        Pre-built :class:`ResultCache` to share between sessions (mutually
-        exclusive with ``cache_dir``).
     """
 
-    def __init__(
-        self,
-        cache_dir: str | Path | None = None,
-        cache: ResultCache | None = None,
-    ) -> None:
-        if cache is not None and cache_dir is not None:
-            raise ValueError("pass either cache or cache_dir, not both")
-        self.cache = cache if cache is not None else ResultCache(cache_dir)
+    def __init__(self, cache_dir: str | Path | None = None) -> None:
+        self.cache = ResultCache(cache_dir)
         self.stats = CacheStats()
 
     def close(self) -> None:
@@ -175,11 +102,9 @@ class EvaluationSession:
         still-pending workload count as deduplication wins
         (``stats.deduped``), not cache hits — no cached value existed when
         they were looked up.  Genuinely new
-        workloads are scheduled longest-job-first (estimated by network MAC
-        count x batch size, ties broken by workload fingerprint so the
-        schedule never depends on input order) and results are returned in
-        input order.  Each unique workload is simulated at most once per
-        session lifetime.
+        workloads plan, compose and commit in first-occurrence input order,
+        and results are returned in input order.  Each unique workload is
+        simulated at most once per session lifetime.
 
         Execution is fail-fast: the first workload whose planning,
         simulation or composition raises stops the batch with a
@@ -210,17 +135,8 @@ class EvaluationSession:
                 self.stats.disk_hits += 1
             resolved[key] = value
         if pending:
-            # Longest job first.  Equal-cost workloads tie-break on their
-            # (stable, content-based) fingerprint rather than input order,
-            # so the schedule — and with it which in-batch workload claims
-            # a shared block — is identical no matter how the calling
-            # experiments ordered their workloads.
-            items = sorted(
-                pending.items(),
-                key=lambda item: (-estimated_cost(item[1]), item[0]),
-            )
             try:
-                self._execute(items, resolved)
+                self._execute(pending, resolved)
             finally:
                 # One segment-index write per executed batch, not one per
                 # result — also when a workload fails.
@@ -229,10 +145,10 @@ class EvaluationSession:
 
     def _execute(
         self,
-        items: list[tuple[str, Workload]],
+        pending: dict[str, Workload],
         resolved: dict[str, NetworkResult],
     ) -> None:
-        """Execute the pending schedule, committing each workload in order.
+        """Execute the pending workloads, committing each in input order.
 
         Every Bit Fusion workload of the batch is planned against the memo
         first (compile through the program memo, per-block resolution
@@ -241,7 +157,7 @@ class EvaluationSession:
         simulate through as few vectorized calls as possible
         (:func:`~repro.session.engine.simulate_planned_blocks` — a sweep
         varying only simulation parameters collapses into one 2-D grid
-        pass) before each workload composes and commits in schedule order,
+        pass) before each workload composes and commits in input order,
         so deferred blocks resolve from their claimant's memoized records.
         Baseline workloads (no compile stage) execute whole.
 
@@ -254,7 +170,7 @@ class EvaluationSession:
         """
         claimed: set[str] = set()
         plans: list[WorkPlan] = []
-        for _, workload in items:
+        for workload in pending.values():
             with _attributed(workload):
                 plans.append(plan_workload(workload, self.cache, self.stats, claimed))
         batched: Sequence[dict[int, LayerResult] | None]
@@ -266,7 +182,7 @@ class EvaluationSession:
             # One faulting block aborted the whole batched call; each plan
             # simulates on its own in ``_finish_plan`` instead.
             batched = [None] * len(plans)
-        for (key, workload), plan, layers in zip(items, plans, batched):
+        for (key, workload), plan, layers in zip(pending.items(), plans, batched):
             with _attributed(workload):
                 result = self._finish_plan(workload, plan, layers)
             self.stats.record_execution(key)
@@ -314,91 +230,6 @@ class EvaluationSession:
             self.stats,
         )
         return ProgramStats.from_program(program)
-
-    # ------------------------------------------------------------------ #
-    # Declarative sweeps
-    # ------------------------------------------------------------------ #
-    def sweep(
-        self,
-        networks: Iterable[str],
-        batch_sizes: Iterable[int] = (16,),
-        bandwidths: Iterable[int | None] = (None,),
-        platform: str = "bitfusion",
-        base_config: BitFusionConfig | None = None,
-        fixed_bits: int | None = None,
-        enable_loop_ordering: bool = True,
-        enable_layer_fusion: bool = True,
-    ) -> SweepResult:
-        """Run the cartesian product of networks x batch sizes x bandwidths.
-
-        The bandwidth axis applies to Bit Fusion only (it maps to
-        ``BitFusionConfig.with_bandwidth``); baseline platforms accept the
-        default ``(None,)`` axis and use their paper configuration at each
-        batch size.  GPU workloads need a device spec and precision, so they
-        go through :meth:`run_many` with explicit workloads instead.
-        """
-        network_list = list(networks)
-        batch_list = list(batch_sizes)
-        bandwidth_list = list(bandwidths)
-        if platform != "bitfusion":
-            if bandwidth_list != [None]:
-                raise ValueError(
-                    f"the bandwidth axis only applies to bitfusion, not {platform!r}"
-                )
-            if (
-                base_config is not None
-                or fixed_bits is not None
-                or not enable_loop_ordering
-                or not enable_layer_fusion
-            ):
-                raise ValueError(
-                    "base_config, fixed_bits and the compiler flags only apply to "
-                    f"bitfusion sweeps, not {platform!r}"
-                )
-
-        workloads: list[Workload] = []
-        axes: list[tuple[str, int, int | None]] = []
-        for network, batch, bandwidth in product(network_list, batch_list, bandwidth_list):
-            if platform == "bitfusion":
-                config = (
-                    base_config.with_batch_size(batch)
-                    if base_config is not None
-                    else BitFusionConfig.eyeriss_matched(batch_size=batch)
-                )
-                if bandwidth is not None:
-                    config = config.with_bandwidth(bandwidth)
-                workload = Workload.bitfusion(
-                    network,
-                    batch_size=batch,
-                    config=config,
-                    fixed_bits=fixed_bits,
-                    enable_loop_ordering=enable_loop_ordering,
-                    enable_layer_fusion=enable_layer_fusion,
-                )
-            elif platform == "eyeriss":
-                workload = Workload.eyeriss(network, batch_size=batch)
-            elif platform == "stripes":
-                workload = Workload.stripes(network, batch_size=batch)
-            elif platform == "temporal":
-                workload = Workload.temporal(network, batch_size=batch)
-            else:
-                raise ValueError(
-                    f"sweep supports bitfusion/eyeriss/stripes/temporal, not {platform!r}"
-                )
-            workloads.append(workload)
-            axes.append((network, batch, bandwidth))
-
-        results = self.run_many(workloads)
-        return SweepResult(
-            SweepPoint(
-                network=network,
-                batch_size=batch,
-                bandwidth=bandwidth,
-                workload=workload,
-                result=result,
-            )
-            for (network, batch, bandwidth), workload, result in zip(axes, workloads, results)
-        )
 
 
 # ---------------------------------------------------------------------- #

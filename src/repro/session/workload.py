@@ -1,7 +1,7 @@
 """Workload: one (platform, network, batch, compiler-flags) evaluation point.
 
 A :class:`Workload` is the unit of work the evaluation session caches and
-schedules.  It names everything that determines a simulation's outcome —
+executes.  It names everything that determines a simulation's outcome —
 the platform and its configuration, the benchmark network (and any variant
 or bitwidth transform applied to it), the batch size and the Bit Fusion
 compiler flags — and condenses all of it into a stable content
@@ -29,7 +29,6 @@ __all__ = [
     "fixed_bitwidth_network",
     "load_network",
     "network_digest",
-    "estimated_cost",
 ]
 
 #: Platform identifiers the session knows how to build models for.
@@ -39,9 +38,6 @@ PLATFORMS = ("bitfusion", "eyeriss", "stripes", "gpu", "temporal")
 #: fixed_bits).  The model zoo is static at runtime, so rebuilding and
 #: re-hashing the same network for every cache lookup would be pure waste.
 _NETWORK_DIGESTS: dict[tuple[str, str, int | None], str] = {}
-
-#: Memoized per-sample MAC counts, same key, for job-size estimation.
-_NETWORK_MACS: dict[tuple[str, str, int | None], int] = {}
 
 
 def fixed_bitwidth_network(network: Network, bits: int = 8) -> Network:
@@ -306,16 +302,3 @@ def network_digest(workload: Workload) -> str:
         _NETWORK_DIGESTS[digest_key] = load_network(workload).fingerprint()
     return _NETWORK_DIGESTS[digest_key]
 
-
-def estimated_cost(workload: Workload) -> int:
-    """Rough simulation-cost estimate: network MAC count x batch size.
-
-    The estimate only needs to *rank* workloads: :meth:`EvaluationSession.
-    run_many <repro.session.session.EvaluationSession.run_many>` schedules
-    uncached workloads longest-job-first, which fixes which in-batch
-    workload claims (simulates) a block that several of them share.
-    """
-    macs_key = (workload.network, workload.variant, workload.fixed_bits)
-    if macs_key not in _NETWORK_MACS:
-        _NETWORK_MACS[macs_key] = load_network(workload).total_macs()
-    return _NETWORK_MACS[macs_key] * workload.batch_size

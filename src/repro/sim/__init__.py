@@ -23,7 +23,7 @@ energies.  This package is the equivalent component of the reproduction:
 from repro.sim.results import LayerResult, MemoryTraffic, NetworkResult
 from repro.sim.memory import ScratchpadBuffer, DramChannel
 from repro.sim.cycle_model import GemmCycleModel, CycleEstimate
-from repro.sim.batched import simulate_blocks_batched, simulate_blocks_grid
+from repro.sim.batched import simulate_blocks_grid
 from repro.sim.executor import BitFusionSimulator, simulate_network
 from repro.sim.stats import geometric_mean, speedup, energy_reduction
 
@@ -37,7 +37,6 @@ __all__ = [
     "CycleEstimate",
     "BitFusionSimulator",
     "simulate_network",
-    "simulate_blocks_batched",
     "simulate_blocks_grid",
     "geometric_mean",
     "speedup",

@@ -1,14 +1,14 @@
 """Batched numpy evaluation of the cycle/energy hot path (pipeline stage 2).
 
-PR 5 vectorized the compiler's tiling search; after it, cold ``run_many``
-batches and large design-space sweeps are dominated by per-block cycle and
-energy simulation in pure Python (:mod:`repro.sim.cycle_model` +
-:mod:`repro.sim.executor`).  This module applies the same playbook to the
+With the compiler's tiling search vectorized (:mod:`repro.isa.tiling`),
+cold ``run_many`` batches and large design-space sweeps would be dominated
+by per-block cycle and energy simulation in pure Python
+(:mod:`repro.sim.cycle_model` + :mod:`repro.sim.executor`).  This module applies the same playbook to the
 simulator: score whole batches of compiled blocks — and whole grids of
 ``(sim-config, block)`` pairs — in a handful of numpy passes, while the
 scalar :meth:`~repro.sim.executor.BitFusionSimulator.run_block` survives as
-the property-tested reference oracle (``BitFusionSimulator(config,
-batched=False)``).
+the property-tested reference oracle (tests compare against
+``[simulator.run_block(b) for b in blocks]``).
 
 The contract is **bit-identity**: every :class:`~repro.sim.results.LayerResult`
 materialized here must equal the scalar one field for field, float bits
@@ -50,7 +50,7 @@ from repro.sim.results import LayerResult, MemoryTraffic
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from repro.sim.executor import BitFusionSimulator
 
-__all__ = ["simulate_blocks_batched", "simulate_blocks_grid"]
+__all__ = ["simulate_blocks_grid"]
 
 #: Partial sums accumulate at 32 bits in the output buffer (Figure 4).
 _PARTIAL_SUM_BITS = 32
@@ -159,17 +159,6 @@ def _materialize(
     return result
 
 
-def simulate_blocks_batched(
-    simulator: "BitFusionSimulator", blocks: Sequence[CompiledBlock]
-) -> list[LayerResult]:
-    """Simulate ``blocks`` under one configuration in one numpy pass.
-
-    Returns results in block order, bit-identical to
-    ``[simulator.run_block(b) for b in blocks]``.
-    """
-    return simulate_blocks_grid([simulator], blocks)[0]
-
-
 def simulate_blocks_grid(
     simulators: Sequence["BitFusionSimulator"], blocks: Sequence[CompiledBlock]
 ) -> list[list[LayerResult]]:
@@ -182,9 +171,8 @@ def simulate_blocks_grid(
     array geometry): the per-block structure-of-arrays extraction is done
     once and broadcast across every configuration row.
 
-    Rows whose simulator was built with ``batched=False`` run through the
-    scalar oracle instead; blocks whose magnitudes fail the exactness
-    guard fall back to ``run_block`` per ``(row, block)`` pair.
+    Blocks whose magnitudes fail the exactness guard fall back to
+    ``run_block`` per ``(row, block)`` pair.
     """
     blocks = list(blocks)
     results: list[list[LayerResult | None]] = [
@@ -192,23 +180,11 @@ def simulate_blocks_grid(
     ]
     if not blocks:
         return [list() for _ in simulators]
-
-    scalar_rows = [i for i, sim in enumerate(simulators) if not sim.batched]
-    for row in scalar_rows:
-        results[row] = [simulators[row].run_block(block) for block in blocks]
-    batched_rows = [i for i, sim in enumerate(simulators) if sim.batched]
-    if not batched_rows:
-        return results  # type: ignore[return-value]
-
-    fallback = _simulate_batched_rows(
-        [simulators[row] for row in batched_rows],
-        blocks,
-        [results[row] for row in batched_rows],
-    )
+    fallback = _simulate_batched_rows(simulators, blocks, results)
     for index in fallback:
         block = blocks[index]
-        for row in batched_rows:
-            results[row][index] = simulators[row].run_block(block)
+        for simulator, row in zip(simulators, results):
+            row[index] = simulator.run_block(block)
     return results  # type: ignore[return-value]
 
 

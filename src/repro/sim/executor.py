@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Sequence
 
 from repro.core.config import BitFusionConfig
 from repro.core.fusion_unit import FusionConfig
@@ -38,7 +37,7 @@ from repro.energy.components import ComputeEnergyModel
 from repro.energy.dram import DramEnergyModel
 from repro.isa.compiler import FusionCompiler
 from repro.isa.program import CompiledBlock, Program
-from repro.sim.batched import simulate_blocks_batched
+from repro.sim.batched import simulate_blocks_grid
 from repro.sim.cycle_model import GemmCycleModel
 from repro.sim.results import (
     LayerResult,
@@ -67,34 +66,21 @@ class _EnergyModels:
 class BitFusionSimulator:
     """Cycle and energy simulator for one Bit Fusion configuration.
 
+    :meth:`run_block` is the scalar reference for one block;
+    :meth:`run_blocks` simulates a whole program through the vectorized
+    :mod:`repro.sim.batched` executor, bit-identical to calling
+    :meth:`run_block` on every block.
+
     Parameters
     ----------
     config:
         The accelerator configuration to simulate.
-    dram_energy:
-        Optional override of the DRAM energy model (defaults to the 45 nm
-        reference scaled by the configuration's technology node).
-    batched:
-        When true (the default), multi-block entry points
-        (:meth:`run_blocks`, :meth:`run_selected_blocks`) evaluate whole
-        batches through the vectorized :mod:`repro.sim.batched` path.
-        ``batched=False`` keeps every block on the scalar
-        :meth:`run_block` loop — the reference oracle the batched path is
-        property-tested against.  Results are bit-identical either way.
     """
 
-    def __init__(
-        self,
-        config: BitFusionConfig,
-        dram_energy: DramEnergyModel | None = None,
-        batched: bool = True,
-    ) -> None:
+    def __init__(self, config: BitFusionConfig) -> None:
         self.config = config
-        self.batched = batched
         self.cycle_model = GemmCycleModel(config)
         scale = config.technology.energy_scale
-        if dram_energy is None:
-            dram_energy = DramEnergyModel(pj_per_bit=DramEnergyModel().pj_per_bit * scale)
         # The weight buffer is physically distributed: one small bank per
         # Fusion Unit (Figure 3), which is what makes its per-access energy
         # register-file-like.  The input/output buffers are banked per
@@ -107,7 +93,8 @@ class BitFusionSimulator:
             ibuf=SramEnergyModel(capacity_kb=ibuf_bank_kb, access_bits=config.buffer_access_bits),
             wbuf=SramEnergyModel(capacity_kb=wbuf_bank_kb, access_bits=config.buffer_access_bits),
             obuf=SramEnergyModel(capacity_kb=obuf_bank_kb, access_bits=config.buffer_access_bits),
-            dram=dram_energy,
+            # The 45 nm DRAM reference, scaled by the technology node.
+            dram=DramEnergyModel(pj_per_bit=DramEnergyModel().pj_per_bit * scale),
         )
 
     # ------------------------------------------------------------------ #
@@ -211,21 +198,6 @@ class BitFusionSimulator:
     # ------------------------------------------------------------------ #
     # Program / network execution
     # ------------------------------------------------------------------ #
-    def simulate_compiled_blocks(
-        self, blocks: Sequence[CompiledBlock]
-    ) -> list[LayerResult]:
-        """Simulate a list of blocks, batched when possible.
-
-        The single multi-block choke point: batches of two or more blocks
-        go through the vectorized executor (unless this simulator was
-        built with ``batched=False``), everything else runs the scalar
-        :meth:`run_block` loop.  Either way the results are bit-identical.
-        """
-        blocks = list(blocks)
-        if not self.batched or len(blocks) < 2:
-            return [self.run_block(block) for block in blocks]
-        return simulate_blocks_batched(self, blocks)
-
     def run_blocks(self, program: Program) -> list[LayerResult]:
         """Simulate every block of a program independently (pipeline stage 2).
 
@@ -234,20 +206,7 @@ class BitFusionSimulator:
         blocks — which is what lets the evaluation session cache and reuse
         per-block results individually.
         """
-        return self.simulate_compiled_blocks(list(program))
-
-    def run_selected_blocks(
-        self, program: Program, indices: Sequence[int]
-    ) -> list[LayerResult]:
-        """Simulate only the blocks at ``indices``, in the given order.
-
-        Callers that already hold cached
-        :class:`~repro.sim.results.LayerResult`\\ s for some blocks pass
-        just the indices that genuinely need simulating.
-        """
-        return self.simulate_compiled_blocks(
-            [program[index] for index in indices]
-        )
+        return simulate_blocks_grid([self], program.blocks)[0]
 
     def run_program(self, program: Program, batch_size: int | None = None) -> NetworkResult:
         """Simulate a compiled program and compose the per-block results."""

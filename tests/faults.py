@@ -5,12 +5,10 @@ record kinds, never wall-clock or randomness — so every test replays
 exactly.  Nothing in the package carries a test hook; the injectors patch
 ordinary module state or edit a closed cache directory.
 
-* :func:`faulty_simulators` — swaps ``engine.BitFusionSimulator`` for a
-  ``batched=False`` subclass whose ``run_block`` raises
-  :class:`InjectedSimulatorFault` for chosen block names.
-  ``engine.simulator_for`` memoizes per simulator class, so the patched
-  class gets fresh instances and the real ones are untouched.  The scalar
-  ``run_block`` loop makes each block individually interceptable.
+* :func:`faulty_simulators` — wraps ``engine.simulate_blocks_grid`` so a
+  call carrying a chosen block name raises
+  :class:`InjectedSimulatorFault`.  Every block simulation the engine
+  runs, for sessions and the NAS estimator alike, goes through that call.
 * :func:`delete_segments` and :func:`tear_last_record` — on-disk faults
   in a closed cache directory: every pack segment and index sidecar
   deleted (the records were never written), or the newest record torn
@@ -26,7 +24,6 @@ from unittest import mock
 
 from repro.session import engine
 from repro.session.store import iter_records
-from repro.sim.executor import BitFusionSimulator
 
 __all__ = [
     "InjectedSimulatorFault",
@@ -44,28 +41,26 @@ class InjectedSimulatorFault(RuntimeError):
 def faulty_simulators(
     block_names: Iterable[str], budget: int | None = None
 ) -> Iterator[dict[str, int]]:
-    """Make every simulator the engine resolves raise for the given block names.
+    """Make every engine simulation call carrying a named block raise.
 
     Yields the per-block fault counter.  ``budget`` caps the total injected
-    faults under the context (``None`` = every matching block always
+    faults under the context (``None`` = every matching call always
     raises); ``budget=1`` models a single transient fault.
     """
     names = set(block_names)
     counter: dict[str, int] = {}
+    simulate = engine.simulate_blocks_grid
 
-    class FaultySimulator(BitFusionSimulator):
-        def __init__(self, config: Any) -> None:
-            super().__init__(config, batched=False)
-
-        def run_block(self, block: Any) -> Any:
+    def faulty(simulators: Any, blocks: Any) -> Any:
+        for block in blocks:
             if block.name in names and (budget is None or sum(counter.values()) < budget):
                 counter[block.name] = counter.get(block.name, 0) + 1
                 raise InjectedSimulatorFault(
                     f"injected fault simulating block {block.name!r}"
                 )
-            return super().run_block(block)
+        return simulate(simulators, blocks)
 
-    with mock.patch.object(engine, "BitFusionSimulator", FaultySimulator):
+    with mock.patch.object(engine, "simulate_blocks_grid", faulty):
         yield counter
 
 

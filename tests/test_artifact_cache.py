@@ -12,7 +12,8 @@ Covers the acceptance criteria of the one-record-per-workload design:
   dedupe work within a run and never reach the disk,
 * the on-disk directory holds only pack segments and their index
   sidecars, and still serves reads when it is read-only, and
-* ``run_many`` schedules uncached workloads longest-job-first.
+* ``run_many`` returns results in input order, and Figures 15 and 16
+  share their reference points with Figure 13's default workloads.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from faults import tear_last_record
 
-from repro.harness.experiments import fig16_batch
+from repro.harness.experiments import fig13_eyeriss, fig15_bandwidth, fig16_batch
 from repro.harness.runner import build_report, format_cache_info
 from repro.isa.block import InstructionBlock
 from repro.isa.program import CompiledBlock
@@ -34,7 +36,6 @@ from repro.session import (
     SegmentedStore,
     Workload,
     compile_program,
-    estimated_cost,
     layer_cache_key,
     program_cache_key,
     tiling_cache_key,
@@ -131,11 +132,27 @@ class TestWarmSweeps:
 
     def test_bandwidth_sweep_compiles_one_program_even_cold(self):
         session = EvaluationSession()
-        session.sweep(["LeNet-5"], bandwidths=(64, 128, 256, 512))
+        fig15_bandwidth.run(
+            bandwidths=(64, 128, 256, 512), benchmarks=("LeNet-5",), session=session
+        )
         assert session.stats.programs.misses == 1
         assert session.stats.programs.hits == 3
         # Bandwidth changes every block's memory cycles, so blocks re-run.
         assert session.stats.blocks.hits == 0
+
+    def test_fig15_and_fig16_reference_points_are_the_default_workloads(self):
+        # Figure 15's 128 bits/cycle point and Figure 16's batch-16 point
+        # must fingerprint exactly like Figure 13's Bit Fusion workload.
+        benchmarks = ("LeNet-5",)
+        session = EvaluationSession()
+        fig13_eyeriss.run(benchmarks=benchmarks, session=session)
+        for run_figure in (
+            partial(fig15_bandwidth.run, bandwidths=(64, 128)),
+            partial(fig16_batch.run, batch_sizes=(1, 16)),
+        ):
+            hits, misses = session.stats.hits, session.stats.misses
+            run_figure(benchmarks=benchmarks, session=session)
+            assert (session.stats.hits - hits, session.stats.misses - misses) == (1, 1)
 
     def test_second_report_over_cache_dir_reads_every_workload_from_disk(self, tmp_path):
         keys = ["fig16", "isa"]
@@ -295,17 +312,8 @@ class TestCacheInfo:
         assert not (tmp_path / "manifest.json").exists()
 
 
-class TestLongestJobFirst:
-    def test_estimated_cost_scales_with_network_and_batch(self):
-        small = Workload.bitfusion("LeNet-5", batch_size=1)
-        bigger_batch = Workload.bitfusion("LeNet-5", batch_size=64)
-        big_network = Workload.bitfusion("AlexNet", batch_size=1)
-        assert estimated_cost(bigger_batch) == 64 * estimated_cost(small)
-        assert estimated_cost(big_network) > estimated_cost(small)
-        macs = load_network(small).total_macs()
-        assert estimated_cost(small) == macs
-
-    def test_run_many_result_order_is_input_order_despite_scheduling(self):
+class TestInputOrder:
+    def test_run_many_result_order_is_input_order(self):
         workloads = [
             Workload.bitfusion("LeNet-5", batch_size=1),
             Workload.bitfusion("AlexNet", batch_size=4),
@@ -314,8 +322,6 @@ class TestLongestJobFirst:
         results = EvaluationSession().run_many(workloads)
         for workload, result in zip(workloads, results):
             assert result.batch_size == workload.batch_size
-        # Input order is preserved even though AlexNet (the longest job by
-        # MAC count x batch) was scheduled first internally.
         assert [r.network_name for r in results] == [
             load_network(w).name for w in workloads
         ]

@@ -1,21 +1,18 @@
 """The batched simulation executor against its scalar ``run_block`` oracle.
 
-The contract under test: :func:`~repro.sim.batched.simulate_blocks_batched`
-(and the 2-D :func:`~repro.sim.batched.simulate_blocks_grid`) produce
+The contract under test: :func:`~repro.sim.batched.simulate_blocks_grid`
+(one configuration row, or a 2-D grid of them) produces
 :class:`~repro.sim.results.LayerResult`\\ s *bit-identical* to looping
 ``BitFusionSimulator.run_block`` — every integer and every float64, field
 for field.  Covered:
 
 * every in-zoo network under several buffer/array geometries and both
   compiler flag settings (mirroring ``tests/test_vectorized_tiling.py``),
-* 2-D config x block grids (the bandwidth-sweep fast path) and grids mixing
-  batched rows with ``batched=False`` oracle rows,
+* 2-D config x block grids (the bandwidth-sweep fast path),
 * randomized FC (GEMM) and pooling blocks, edge tiles and mixed bitwidths
   (hypothesis),
 * the overflow guard: blocks with MAC counts past the float64-exactness
-  limit fall back to the scalar path and still agree,
-* the multi-block entry points' routing (order, empty selections, the
-  ``batched=False`` construction flag).
+  limit fall back to the scalar path and still agree.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from repro.dnn.layers import FCLayer, PoolLayer
 from repro.isa.compiler import FusionCompiler, compile_layer
 from repro.isa.program import CompiledBlock
 from repro.isa.tiling import GemmWorkload
-from repro.sim.batched import _INT_LIMIT, simulate_blocks_batched, simulate_blocks_grid
+from repro.sim.batched import _INT_LIMIT, simulate_blocks_grid
 from repro.sim.executor import BitFusionSimulator
 
 _BASE = BitFusionConfig.eyeriss_matched(batch_size=16)
@@ -63,7 +60,7 @@ class TestZooOracle:
     def test_zoo_blocks_bit_identical(self, network, config):
         program = FusionCompiler(config).compile(models.load(network), batch_size=16)
         batched = BitFusionSimulator(config).run_blocks(program)
-        scalar = BitFusionSimulator(config, batched=False).run_blocks(program)
+        scalar = [BitFusionSimulator(config).run_block(b) for b in program]
         _assert_bit_identical(batched, scalar)
 
     def test_compiler_flags_bit_identical(self):
@@ -76,7 +73,7 @@ class TestZooOracle:
                     enable_layer_fusion=layer_fusion,
                 ).compile(net, batch_size=16)
                 batched = BitFusionSimulator(_BASE).run_blocks(program)
-                scalar = BitFusionSimulator(_BASE, batched=False).run_blocks(program)
+                scalar = [BitFusionSimulator(_BASE).run_block(b) for b in program]
                 _assert_bit_identical(batched, scalar)
 
     def test_zoo_blocks_stay_under_the_exactness_guard(self):
@@ -113,36 +110,9 @@ class TestGridOracle:
         for simulator, row in zip(simulators, rows):
             _assert_bit_identical(row, [simulator.run_block(b) for b in program])
 
-    def test_grid_mixing_batched_and_oracle_rows(self):
-        program = FusionCompiler(_BASE).compile(models.load("LeNet-5"), batch_size=16)
-        batched_sim = BitFusionSimulator(_BASE)
-        oracle_sim = BitFusionSimulator(_BASE.with_bandwidth(128), batched=False)
-        rows = simulate_blocks_grid([batched_sim, oracle_sim], program.blocks)
-        _assert_bit_identical(rows[0], [batched_sim.run_block(b) for b in program])
-        _assert_bit_identical(rows[1], [oracle_sim.run_block(b) for b in program])
-
     def test_empty_block_batch(self):
         simulators = [BitFusionSimulator(_BASE), BitFusionSimulator(_BASE)]
         assert simulate_blocks_grid(simulators, []) == [[], []]
-        assert simulate_blocks_batched(simulators[0], []) == []
-
-
-class TestRouting:
-    def test_selected_blocks_preserve_order(self):
-        program = FusionCompiler(_BASE).compile(models.load("LeNet-5"), batch_size=16)
-        simulator = BitFusionSimulator(_BASE)
-        full = simulator.run_blocks(program)
-        assert simulator.run_selected_blocks(program, [2, 0]) == [full[2], full[0]]
-        assert simulator.run_selected_blocks(program, []) == []
-
-    def test_oracle_flag_disables_batching_but_not_results(self):
-        program = FusionCompiler(_BASE).compile(models.load("SVHN"), batch_size=16)
-        oracle = BitFusionSimulator(_BASE, batched=False)
-        assert not oracle.batched
-        _assert_bit_identical(
-            oracle.run_blocks(program),
-            BitFusionSimulator(_BASE).run_blocks(program),
-        )
 
 
 class TestRandomizedOracle:
@@ -176,7 +146,7 @@ class TestRandomizedOracle:
             return  # no feasible tiling under a tiny scratchpad: nothing to simulate
         simulator = BitFusionSimulator(config)
         _assert_bit_identical(
-            simulate_blocks_batched(simulator, [block]), [simulator.run_block(block)]
+            simulate_blocks_grid([simulator], [block])[0], [simulator.run_block(block)]
         )
 
     @settings(max_examples=60, deadline=None)
@@ -200,7 +170,7 @@ class TestRandomizedOracle:
         block = compile_layer(layer, _BASE, batch_size=batch)
         simulator = BitFusionSimulator(_BASE)
         _assert_bit_identical(
-            simulate_blocks_batched(simulator, [block]), [simulator.run_block(block)]
+            simulate_blocks_grid([simulator], [block])[0], [simulator.run_block(block)]
         )
 
     @settings(max_examples=40, deadline=None)
@@ -230,7 +200,7 @@ class TestRandomizedOracle:
         simulator = BitFusionSimulator(_BASE)
         blocks = [fc, pool, fc]
         _assert_bit_identical(
-            simulate_blocks_batched(simulator, blocks),
+            simulate_blocks_grid([simulator], blocks)[0],
             [simulator.run_block(block) for block in blocks],
         )
 
@@ -266,7 +236,7 @@ class TestOverflowGuard:
         # The guarded block must agree with the oracle (by delegating to it)
         # and must not poison its batchable neighbours.
         _assert_bit_identical(
-            simulate_blocks_batched(simulator, [normal, block, normal]),
+            simulate_blocks_grid([simulator], [normal, block, normal])[0],
             [simulator.run_block(b) for b in (normal, block, normal)],
         )
 

@@ -30,8 +30,9 @@ from repro.dse import (
     pareto_indices,
     run_sweep,
 )
+from repro.dse.spec import checked_field, checked_list
 from repro.harness.runner import format_cache_info, main
-from repro.session import EvaluationSession, Workload
+from repro.session import EvaluationSession
 from repro.session import cache as cache_module
 
 
@@ -102,6 +103,36 @@ class TestSpecExpansion:
             small_spec(base_config="tpu")
         with pytest.raises(ValueError, match="unknown sweep spec key"):
             SweepSpec.from_dict({"networks": ["LeNet-5"], "axis": {}})
+
+    def test_checked_field_rejects_booleans_where_an_integer_is_due(self):
+        assert checked_field("seed", 3, int) == 3
+        assert checked_field("name", "grid", str) == "grid"
+        with pytest.raises(ValueError, match="spec key 'seed' must be int, got True"):
+            checked_field("seed", True, int)
+        with pytest.raises(ValueError, match="spec key 'name' must be str, got 5"):
+            checked_field("name", 5, str)
+
+    def test_checked_list_returns_a_tuple_and_rejects_bare_strings(self):
+        assert checked_list("networks", ["LeNet-5", "LSTM"], str) == ("LeNet-5", "LSTM")
+        assert checked_list("batch_sizes", (1, 16), int) == (1, 16)
+        with pytest.raises(ValueError, match="spec key 'networks' must be a list of str"):
+            checked_list("networks", "LeNet-5", str)
+        with pytest.raises(ValueError, match="spec key 'batch_sizes' must be a list of int"):
+            checked_list("batch_sizes", [16, False], int)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("networks", "LeNet-5"),
+            ("batch_sizes", [16.0]),
+            ("objectives", [1]),
+            ("base_config", ["eyeriss"]),
+            ("name", None),
+        ],
+    )
+    def test_mistyped_sweep_field_is_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"spec key {key!r}"):
+            small_spec(**{key: value})
 
     def test_from_file_json(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -321,25 +352,6 @@ class TestSweepExecution:
         assert frontier  # at least one non-dominated point
         starred = [row for row in result.rows() if row["pareto"] == "*"]
         assert len(starred) == len(frontier)
-
-    def test_equal_cost_scheduling_is_input_order_independent(self):
-        # Same network and batch at two bandwidths: identical cost estimates,
-        # so only the fingerprint tiebreak fixes the execution schedule.
-        workloads = [
-            Workload.bitfusion("LeNet-5", batch_size=4),
-            Workload.bitfusion(
-                "LeNet-5",
-                batch_size=4,
-                config=Workload.bitfusion("LeNet-5", batch_size=4).config.with_bandwidth(256),
-            ),
-        ]
-        orders = []
-        for batch in (workloads, list(reversed(workloads))):
-            with EvaluationSession() as session:
-                session.run_many(batch)
-            # executions records keys in scheduled order.
-            orders.append(list(session.stats.executions))
-        assert orders[0] == orders[1]
 
 
 class TestCli:

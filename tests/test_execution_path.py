@@ -2,7 +2,7 @@
 
 :meth:`EvaluationSession.run_many` plans every pending workload, simulates
 the missing blocks of the whole batch in one vectorized pass, then composes
-and commits in schedule order.  The guarantees under test:
+and commits in input order.  The guarantees under test:
 
 * batched execution is byte-identical to running each workload on its own,
   with or without a disk cache;
@@ -12,7 +12,7 @@ and commits in schedule order.  The guarantees under test:
 * a faulting batched call degrades to per-plan simulation, and a workload
   that still fails stops the batch with one error naming it, and the
   workloads committed before it stay cached;
-* the schedule is longest-job-first.
+* workloads commit in first-occurrence input order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.session import (
     WorkloadExecutionError,
     compile_program,
     describe_workload_error,
-    estimated_cost,
     execute_workload,
     get_default_session,
     load_network,
@@ -255,17 +254,17 @@ class TestFailFast:
 
 
     def test_workloads_committed_before_the_failure_stay_cached(self, monkeypatch):
-        # Schedule: LSTM b4, LeNet-5 b4, LeNet-5 b2 (longest job first).
+        # Input order: LeNet-5 b4, LSTM b4, then the failing LeNet-5 b2.
         workloads = _distinct()
         bad = workloads[2]
         with EvaluationSession() as session:
             _fail_compose_for(monkeypatch, bad)
             with pytest.raises(WorkloadExecutionError, match="batch=2"):
                 session.run_many(workloads)
-            # Commit order is execution order: LSTM b4, then LeNet-5 b4.
+            # Commit order is input order: LeNet-5 b4, then LSTM b4.
             assert list(session.stats.executions) == [
-                workloads[1].fingerprint(),
                 workloads[0].fingerprint(),
+                workloads[1].fingerprint(),
             ]
             for workload in workloads[:2]:
                 assert session.cache.get(workload.fingerprint()) is not None
@@ -290,7 +289,7 @@ class TestFailFast:
 
     def test_planning_failure_names_the_workload(self, monkeypatch):
         workloads = _distinct()
-        bad = workloads[1]  # LSTM: scheduled first
+        bad = workloads[1]  # LSTM: planned after LeNet-5 b4, before any commit
         real = session_module.plan_workload
 
         def plan(workload, *args, **kwargs):
@@ -371,12 +370,9 @@ def _commit_order(workloads: list[Workload]) -> list[str]:
 
 
 class TestSchedule:
-    def test_schedule_is_longest_job_first(self):
-        workloads = _distinct()
-        expected = sorted(
-            workloads, key=lambda w: (-estimated_cost(w), w.fingerprint())
-        )
-        assert _commit_order(workloads) == [w.fingerprint() for w in expected]
+    def test_workloads_commit_in_input_order(self):
+        for workloads in (_distinct(), _distinct()[::-1]):
+            assert _commit_order(workloads) == [w.fingerprint() for w in workloads]
 
 
 class TestSharedPlanner:
@@ -445,10 +441,6 @@ class TestSharedPlanner:
 
 
 class TestSessionLifecycle:
-    def test_cache_and_cache_dir_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(ValueError):
-            EvaluationSession(cache_dir=tmp_path, cache=ResultCache())
-
     def test_close_is_idempotent(self, tmp_path):
         session = EvaluationSession(cache_dir=tmp_path / "cache")
         session.run(Workload.bitfusion("LeNet-5", batch_size=4))

@@ -68,18 +68,6 @@ class TestRunBlock:
         assert result.energy.register_file == 0.0
 
 
-class TestRunSelectedBlocks:
-    def test_selected_blocks_match_full_run(self, simulator, default_config):
-        compiler = FusionCompiler(default_config)
-        program = compiler.compile(models.load("LeNet-5"), batch_size=4)
-        assert len(program) >= 3
-        full = simulator.run_blocks(program)
-        selected = simulator.run_selected_blocks(program, [2, 0])
-        # Results come back in the requested order and match the full run.
-        assert selected == [full[2], full[0]]
-        assert simulator.run_selected_blocks(program, []) == []
-
-
 class TestRunNetwork:
     def test_network_result_aggregates_blocks(self, simulator):
         result = simulator.run_network(models.load("LeNet-5"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.harness.runner import EXPERIMENTS, build_report, main, run_experiments
@@ -96,6 +98,33 @@ class TestCommandLine:
             main([*subcommand, "--cache-dir", "cache", "--cache-max-mb", "1"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --cache-max-mb 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("subcommand", "spec", "key"),
+        [
+            ("sweep", {"networks": ["LeNet-5"], "batch_sizes": 4}, "batch_sizes"),
+            ("sweep", {"networks": ["LeNet-5"], "batch_sizes": ["4"]}, "batch_sizes"),
+            ("sweep", {"networks": [3]}, "networks"),
+            ("sweep", {"networks": ["LeNet-5"], "objectives": "latency"}, "objectives"),
+            ("nas", {"base_network": "LeNet-5", "population": "4"}, "population"),
+            ("nas", {"base_network": "LeNet-5", "generations": 1.5}, "generations"),
+            ("nas", {"base_network": "LeNet-5", "batch_size": [1]}, "batch_size"),
+            ("nas", {"base_network": 3}, "base_network"),
+        ],
+    )
+    def test_malformed_spec_is_a_one_line_error_naming_the_key(
+        self, subcommand, spec, key, tmp_path, capsys
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main([subcommand, str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"spec key '{key}'" in errors[0]
+        assert "Traceback" not in err
 
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"

@@ -458,6 +458,19 @@ class TestSearch:
         with pytest.raises(KeyError):
             self._spec(base_network="not-a-network")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("population", True),
+            ("seed", "3"),
+            ("batch_size", 4.0),
+            ("axes", "width"),
+        ],
+    )
+    def test_mistyped_field_is_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"spec key {key!r}"):
+            self._spec(**{key: value})
+
     def test_spec_accepts_zoo_aliases_and_files(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"base_network": "lenet5"}), encoding="utf-8")

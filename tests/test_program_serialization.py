@@ -255,9 +255,7 @@ class TestStagedPipelineEquivalence:
         session.run(workload)
         program = session.cache.memo[program_cache_key(workload)]
         assert isinstance(program, Program)
-        layers = simulator_for(workload.config).run_selected_blocks(
-            program, range(len(program))
-        )
+        layers = simulator_for(workload.config).run_blocks(program)
         assert tuple(layers) == execute_workload(workload).layers
 
     def test_disk_restored_result_is_byte_identical(self, tmp_path):

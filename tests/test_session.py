@@ -424,26 +424,6 @@ class TestEvaluationSession:
         assert session.stats.hits == 0
         assert session.stats.unique_executions == 2
 
-    def test_sweep_addressable_by_axes(self):
-        session = EvaluationSession()
-        sweep = session.sweep(["LeNet-5"], batch_sizes=(1, 4), bandwidths=(64, 128))
-        assert len(sweep) == 4
-        latency = sweep.latency(network="LeNet-5", batch_size=4, bandwidth=128)
-        assert latency > 0
-        with pytest.raises(KeyError):
-            sweep.result(network="LeNet-5")  # ambiguous: four matching points
-
-    def test_sweep_bandwidth_axis_rejected_for_baselines(self):
-        with pytest.raises(ValueError):
-            EvaluationSession().sweep(["LeNet-5"], platform="eyeriss", bandwidths=(64,))
-
-    def test_sweep_bitfusion_only_parameters_rejected_for_baselines(self):
-        session = EvaluationSession()
-        with pytest.raises(ValueError):
-            session.sweep(["LeNet-5"], platform="stripes", fixed_bits=8)
-        with pytest.raises(ValueError):
-            session.sweep(["LeNet-5"], platform="eyeriss", enable_layer_fusion=False)
-
     def test_baseline_variant_runs_regular_model(self):
         network = load_network(Workload.eyeriss("AlexNet"))
         assert network.fingerprint() == models.load_baseline_variant("AlexNet").fingerprint()

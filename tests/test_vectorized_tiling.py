@@ -57,13 +57,22 @@ def _zoo_gemms(config: BitFusionConfig) -> list[GemmWorkload]:
     return gemms
 
 
+def _scalar_compiler(config: BitFusionConfig, **flags) -> FusionCompiler:
+    """A compiler whose every tiling search runs the pure-Python reference."""
+    return FusionCompiler(
+        config,
+        plan_resolver=lambda gemm, orders, compute: search_tiling_scalar(gemm, config, orders),
+        **flags,
+    )
+
+
 class TestZooOracle:
     @pytest.mark.parametrize("config", _GEOMETRIES, ids=lambda c: f"{c.ibuf_kb:g}/{c.wbuf_kb:g}/{c.obuf_kb:g}KB")
     @pytest.mark.parametrize("network", models.BENCHMARKS)
     def test_compiled_programs_byte_identical(self, network, config):
         net = models.load(network)
         vectorized = FusionCompiler(config).compile(net, batch_size=16)
-        scalar = FusionCompiler(config, vectorized_search=False).compile(net, batch_size=16)
+        scalar = _scalar_compiler(config).compile(net, batch_size=16)
         assert vectorized.fingerprint() == scalar.fingerprint()
         assert vectorized.to_dict() == scalar.to_dict()
 
@@ -76,11 +85,10 @@ class TestZooOracle:
                     enable_loop_ordering=loop_ordering,
                     enable_layer_fusion=layer_fusion,
                 ).compile(net, batch_size=16)
-                scalar = FusionCompiler(
+                scalar = _scalar_compiler(
                     _BASE,
                     enable_loop_ordering=loop_ordering,
                     enable_layer_fusion=layer_fusion,
-                    vectorized_search=False,
                 ).compile(net, batch_size=16)
                 assert vectorized.fingerprint() == scalar.fingerprint()
 
