@@ -7,15 +7,16 @@ trajectory point as JSON (``BENCH_9.json`` by default):
 * **cold compile** — every zoo network through a fresh ``FusionCompiler``
   (vectorized tiling search, no memoization), total and per network;
 * **tiling search** — the same searches the zoo triggers, timed through
-  the scalar reference and the vectorized scorer, as a machine-independent
-  speedup ratio;
+  the scalar reference (``tests/reference/tiling.py``) and the vectorized
+  scorer, as a machine-independent speedup ratio;
 * **memoized compile** — the zoo compiled through the session's tiling
   memo (``make_plan_resolver``), the way reports and sweeps compile;
 * **compile speedup vs the scalar baseline** — reconstructed old cost
   (emission + scalar searches) over the new memoized cost; the repo's
   acceptance bar is >= 3x;
 * **batched simulation** — every zoo block simulated through the scalar
-  ``run_block`` oracle and through the vectorized batched executor, both
+  ``run_block`` oracle (``tests/reference/simulator.py``) and through the
+  vectorized batched executor, both
   as a single-config batch and as a configs x blocks grid (the
   bandwidth-sweep fast path); the speedups are machine-independent ratios
   and the repo's acceptance bar is >= 5x on the grid;
@@ -62,8 +63,11 @@ from dataclasses import replace
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+# ``src`` holds the package; ``tests`` holds the scalar reference models
+# (``tests/reference``) the speedup metrics are measured against.
+for _path in (REPO_ROOT / "tests", REPO_ROOT / "src"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy  # noqa: E402
 
@@ -75,12 +79,15 @@ from repro.nas import Estimator, SearchSpec, mutate, run_search  # noqa: E402
 from repro.dse.pareto import pareto_indices  # noqa: E402
 from repro.dse.spec import SweepSpec  # noqa: E402
 from repro.isa.compiler import FusionCompiler  # noqa: E402
-from repro.isa.tiling import search_tiling, search_tiling_scalar  # noqa: E402
+from repro.isa.tiling import search_tiling  # noqa: E402
 from repro.session import EvaluationSession, Workload, execute_workload  # noqa: E402
 from repro.session.cache import CacheStats, ResultCache  # noqa: E402
 from repro.session.engine import make_plan_resolver  # noqa: E402
 from repro.sim.batched import simulate_blocks_grid  # noqa: E402
 from repro.sim.executor import BitFusionSimulator  # noqa: E402
+
+from reference.simulator import run_block  # noqa: E402
+from reference.tiling import search_tiling_scalar  # noqa: E402
 
 #: Networks the run_many scenario evaluates — small enough to keep the
 #: suite fast, two networks so the batch genuinely exercises scheduling.
@@ -227,7 +234,7 @@ def bench_sim(repeats: int) -> dict:
     rounds = max(repeats * 3, 9)
     scalar_s, batched_s, batched_speedup = _interleaved(
         rounds,
-        lambda: [simulator.run_block(b) for b in blocks],
+        lambda: [run_block(simulator, b) for b in blocks],
         lambda: simulate_blocks_grid([simulator], blocks),
     )
 
@@ -242,7 +249,7 @@ def bench_sim(repeats: int) -> dict:
     grid_sims = [BitFusionSimulator(c) for c in grid_configs]
     grid_scalar_s, grid_batched_s, grid_speedup = _interleaved(
         rounds,
-        lambda: [[sim.run_block(b) for b in blocks] for sim in grid_sims],
+        lambda: [[run_block(sim, b) for b in blocks] for sim in grid_sims],
         lambda: simulate_blocks_grid(grid_sims, blocks),
     )
     return {

@@ -11,7 +11,7 @@ assignment a quantization-aware training flow produces), then
   instruction,
 * simulates it at two hardware scale points and reports where the design is
   compute- versus bandwidth-bound,
-* verifies one of its convolutions bit-exactly against NumPy.
+* verifies a slice of one of its convolutions bit-exactly against NumPy.
 
 Run with::
 
@@ -19,6 +19,8 @@ Run with::
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -118,8 +120,14 @@ def main() -> None:
         )
     print()
 
-    # Bit-exact check of the ternary-weight convolution.
-    conv = network["block2"]
+    # Bit-exact check of the ternary-weight convolution.  The functional
+    # fabric routes every multiply through BitBrick decomposition in pure
+    # Python, so check a slice of block2 (8 of its output channels over a
+    # 4x4 crop of its input) rather than all 18.9 M of its MACs.
+    block2 = network["block2"]
+    conv = replace(
+        block2, name=f"{block2.name}[:8, :4, :4]", out_channels=8, in_height=4, in_width=4
+    )
     inputs, weights = random_layer_data(conv, rng=np.random.default_rng(11))
     comparison = run_conv_layer(conv, inputs, weights)
     print(

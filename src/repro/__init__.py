@@ -32,19 +32,13 @@ Public entry points
     all routed through a shared evaluation session.
 """
 
-from importlib.metadata import PackageNotFoundError, version as _distribution_version
-
 from repro.core.config import BitFusionConfig
 from repro.core.accelerator import BitFusionAccelerator
 from repro.dnn.network import Network
 from repro.sim.results import LayerResult, NetworkResult
 
-try:
-    # The single source of truth is the packaging metadata (pyproject.toml).
-    __version__ = _distribution_version("bitfusion-repro")
-except PackageNotFoundError:
-    # Source checkout driven via PYTHONPATH=src; keep in sync with pyproject.toml.
-    __version__ = "1.1.0"
+#: The single source of truth: ``pyproject.toml`` reads it statically.
+__version__ = "1.1.0"
 
 __all__ = [
     "BitFusionConfig",

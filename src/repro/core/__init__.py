@@ -11,45 +11,11 @@ composable compute fabric.
 * :mod:`repro.core.systolic` — the systolic array of Fusion Units with
   shared input buffers, per-unit weight buffers and per-column output
   buffers (Figures 3, 4).
+* :mod:`repro.core.buffers` — operand packing into scratchpad rows.
 * :mod:`repro.core.config` — accelerator configuration (array geometry,
   buffer sizes, bandwidth, frequency, technology node).
 * :mod:`repro.core.accelerator` — the top-level accelerator object tying
   compiler, simulator and energy model together.
+
+The package namespace re-exports nothing; import from the modules.
 """
-
-from repro.core.bitbrick import BitBrick, BitBrickResult
-from repro.core.buffers import DataInfusionRegister, LaneLayout
-from repro.core.decompose import (
-    decompose_multiply,
-    decompose_operand,
-    recompose_product,
-    DecomposedMultiply,
-    BrickOperation,
-)
-from repro.core.fusion_unit import FusionUnit, FusionConfig, fusion_config_for
-from repro.core.pooling import ActivationUnit, PoolingUnit
-from repro.core.systolic import SystolicArray, SystolicDimensions
-from repro.core.config import BitFusionConfig, TechnologyNode
-from repro.core.accelerator import BitFusionAccelerator
-
-__all__ = [
-    "BitBrick",
-    "BitBrickResult",
-    "DataInfusionRegister",
-    "LaneLayout",
-    "decompose_multiply",
-    "decompose_operand",
-    "recompose_product",
-    "DecomposedMultiply",
-    "BrickOperation",
-    "FusionUnit",
-    "FusionConfig",
-    "fusion_config_for",
-    "PoolingUnit",
-    "ActivationUnit",
-    "SystolicArray",
-    "SystolicDimensions",
-    "BitFusionConfig",
-    "TechnologyNode",
-    "BitFusionAccelerator",
-]

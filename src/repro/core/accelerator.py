@@ -6,9 +6,10 @@ description to performance and energy numbers:
 
 * the hardware configuration (:class:`~repro.core.config.BitFusionConfig`),
 * the Fusion-ISA compiler (:class:`~repro.isa.compiler.FusionCompiler`),
-* the cycle/energy simulator (:class:`~repro.sim.executor.BitFusionSimulator`),
-* the functional systolic-array model for bit-exact execution of small
-  layers (:class:`~repro.core.systolic.SystolicArray`).
+* the cycle/energy simulator (:class:`~repro.sim.executor.BitFusionSimulator`).
+
+Bit-exact execution of small layers goes through the functional model,
+:class:`~repro.core.systolic.SystolicArray`, directly.
 
 Typical usage::
 
@@ -23,7 +24,6 @@ Typical usage::
 from __future__ import annotations
 
 from repro.core.config import BitFusionConfig
-from repro.core.systolic import SystolicArray
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler
 from repro.isa.program import Program
@@ -89,20 +89,6 @@ class BitFusionAccelerator:
     def run_program(self, program: Program, batch_size: int | None = None) -> NetworkResult:
         """Simulate an already-compiled program."""
         return self.simulator.run_program(program, batch_size=batch_size)
-
-    # ------------------------------------------------------------------ #
-    # Functional execution
-    # ------------------------------------------------------------------ #
-    def functional_array(self, input_bits: int, weight_bits: int) -> SystolicArray:
-        """A configured functional systolic array for bit-exact execution.
-
-        Every multiply routed through the returned array is decomposed onto
-        2-bit BitBricks and recomposed through the shift-add tree, so its
-        results can be compared bit-for-bit against NumPy integer GEMMs.
-        """
-        array = SystolicArray(self.config)
-        array.configure(max(2, input_bits), max(2, weight_bits))
-        return array
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -14,49 +14,10 @@ provides the substrate those experiments need:
   aggregate statistics (MACs, weight footprint, bitwidth distribution).
 * :mod:`repro.dnn.models` — the eight benchmark networks of Table II with
   the bitwidth assignments of Figure 1.
+* :mod:`repro.dnn.functional` — integer NumPy kernels (convolution,
+  fully-connected, pooling, recurrent cells).
 * :mod:`repro.dnn.reference` — NumPy integer reference execution used to
   validate the fusion arithmetic end to end.
+
+The package namespace re-exports nothing; import from the modules.
 """
-
-from repro.dnn.tensor import TensorSpec, random_quantized_tensor
-from repro.dnn.quantization import (
-    QuantizationSpec,
-    quantize_linear,
-    dequantize_linear,
-    minimal_bitwidth,
-    clip_to_bitwidth,
-)
-from repro.dnn.layers import (
-    Layer,
-    ConvLayer,
-    FCLayer,
-    PoolLayer,
-    ActivationLayer,
-    LSTMLayer,
-    RNNLayer,
-    GemmShape,
-)
-from repro.dnn.network import Network
-from repro.dnn import functional
-from repro.dnn import models
-
-__all__ = [
-    "functional",
-    "models",
-    "TensorSpec",
-    "random_quantized_tensor",
-    "QuantizationSpec",
-    "quantize_linear",
-    "dequantize_linear",
-    "minimal_bitwidth",
-    "clip_to_bitwidth",
-    "Layer",
-    "ConvLayer",
-    "FCLayer",
-    "PoolLayer",
-    "ActivationLayer",
-    "LSTMLayer",
-    "RNNLayer",
-    "GemmShape",
-    "Network",
-]

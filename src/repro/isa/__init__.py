@@ -25,68 +25,7 @@ Sub-modules
 :mod:`repro.isa.tiling`        loop tiling against the scratchpad capacities.
 :mod:`repro.isa.optimizations` loop ordering and layer fusion (Section IV-B).
 :mod:`repro.isa.compiler`      the layer-to-block / network-to-program compiler.
+:mod:`repro.isa.interpreter`   walks a block's memory-level loop nest.
+
+The package namespace re-exports nothing; import from the modules.
 """
-
-from repro.isa.instructions import (
-    Opcode,
-    ScratchpadType,
-    LoopOrder,
-    Instruction,
-    Setup,
-    BlockEnd,
-    Loop,
-    GenAddr,
-    Compute,
-    LdMem,
-    StMem,
-    RdBuf,
-    WrBuf,
-)
-from repro.isa.encoding import encode_instruction, decode_instruction, encode_block
-from repro.isa.block import InstructionBlock, BlockStats
-from repro.isa.program import Program
-from repro.isa.tiling import TilingPlan, plan_tiling
-from repro.isa.optimizations import choose_loop_order, fuse_layers, FusionDecision
-from repro.isa.compiler import FusionCompiler, compile_layer, compile_network
-from repro.isa.interpreter import BlockTrace, MemoryEvent, interpret_block
-from repro.isa.multiblock import (
-    BitwidthRegion,
-    compile_layer_with_regions,
-    split_layer_by_regions,
-)
-
-__all__ = [
-    "Opcode",
-    "ScratchpadType",
-    "LoopOrder",
-    "Instruction",
-    "Setup",
-    "BlockEnd",
-    "Loop",
-    "GenAddr",
-    "Compute",
-    "LdMem",
-    "StMem",
-    "RdBuf",
-    "WrBuf",
-    "encode_instruction",
-    "decode_instruction",
-    "encode_block",
-    "InstructionBlock",
-    "BlockStats",
-    "Program",
-    "TilingPlan",
-    "plan_tiling",
-    "choose_loop_order",
-    "fuse_layers",
-    "FusionDecision",
-    "FusionCompiler",
-    "compile_layer",
-    "compile_network",
-    "BlockTrace",
-    "MemoryEvent",
-    "interpret_block",
-    "BitwidthRegion",
-    "compile_layer_with_regions",
-    "split_layer_by_regions",
-]

@@ -128,9 +128,9 @@ class FusionCompiler:
         duplicate GEMM shapes — within a network, across networks, and
         across sweep points that share buffer geometry — skip the search
         entirely.  ``None`` (the default) searches unconditionally.  A
-        resolver that ignores ``compute`` and calls
-        :func:`~repro.isa.tiling.search_tiling_scalar` compiles a network
-        through the pure-Python reference search instead.
+        resolver that ignores ``compute`` may plan with any search of the
+        same signature; the tests compile through the pure-Python
+        reference search that way.
     """
 
     def __init__(

@@ -45,9 +45,7 @@ def choose_loop_order(
     Weight-stationary to minimize off-chip and on-chip accesses".  The
     candidate grid — every (tile_m, tile_n) pair for every order — is scored
     in one vectorized pass (:func:`~repro.isa.tiling.search_tiling`); ties
-    between orders break towards the earliest order in ``orders``, exactly
-    as the scalar reference :func:`~repro.isa.tiling.search_tiling_scalar`
-    does.
+    between orders break towards the earliest order in ``orders``.
     """
     return search_tiling(workload, config, orders)
 

@@ -27,11 +27,11 @@ orders.  The search is deterministic, and since the candidate space is a
 dense (tile_m x tile_n x loop_order) grid it is scored *vectorized*: numpy
 broadcasts the buffer-feasibility masks, the traffic formulas and the
 ``(total_dram_bits, tile_count)`` tie-break key over the whole grid and a
-single argmin picks the winner (:func:`search_tiling`).  The original
-pure-Python double loop survives as :func:`search_tiling_scalar` /
-:func:`plan_tiling_scalar` — the reference oracle the vectorized path is
-property-tested against, and the fallback when a pathological GEMM would
-overflow 64-bit traffic arithmetic.
+single argmin picks the winner (:func:`search_tiling`).  The readable
+pure-Python double loop over the same grid lives with the tests
+(``tests/reference/tiling.py``), which hold this search to it plan for
+plan.  A GEMM whose traffic could overflow 64-bit arithmetic is rejected
+with a one-line :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ __all__ = [
     "GemmWorkload",
     "TilingPlan",
     "plan_tiling",
-    "plan_tiling_scalar",
     "search_tiling",
-    "search_tiling_scalar",
     "tile_candidates",
 ]
 
@@ -287,88 +285,10 @@ def _no_feasible_tiling(workload: GemmWorkload, config: BitFusionConfig) -> Valu
     )
 
 
-def plan_tiling_scalar(
-    workload: GemmWorkload,
-    config: BitFusionConfig,
-    loop_order: LoopOrder = LoopOrder.OUTPUT_STATIONARY,
-) -> TilingPlan:
-    """Reference search: the pure-Python double loop over tile candidates.
-
-    This is the oracle the vectorized :func:`search_tiling` is tested
-    against (the two must agree plan-for-plan on every input), and the
-    fallback for GEMMs so large that grid traffic arithmetic would overflow
-    ``int64``.  The search enumerates power-of-two tile sizes for the ``M``
-    and ``N`` loops, derives the largest ``R`` tile the input and output
-    scratchpads allow, discards combinations that overflow the weight
-    scratchpad, and keeps the candidate with the least total off-chip
-    traffic (ties broken towards fewer, larger tiles).
-    """
-    ibuf_bits = int(config.ibuf_kb * 1024 * 8)
-    wbuf_bits = int(config.wbuf_kb * 1024 * 8)
-    obuf_bits = int(config.obuf_kb * 1024 * 8)
-
-    best: TilingPlan | None = None
-    best_key: tuple[int, int] | None = None
-
-    for tile_m in tile_candidates(workload.m):
-        for tile_n in tile_candidates(workload.n):
-            if tile_m * tile_n * workload.weight_bits > wbuf_bits:
-                continue
-            # Largest R tile the input and output scratchpads both allow.
-            r_by_ibuf = ibuf_bits // max(1, tile_n * workload.input_bits)
-            r_by_obuf = obuf_bits // max(1, tile_m * PARTIAL_SUM_BITS)
-            # Loop trip counts are encoded in 16-bit immediates (Table I),
-            # so a single tile never spans more than 65535 input columns.
-            tile_r = min(workload.r, r_by_ibuf, r_by_obuf, (1 << 16) - 1)
-            if tile_r <= 0:
-                continue
-
-            m_tiles = ceil(workload.m / tile_m)
-            n_tiles = ceil(workload.n / tile_n)
-            r_tiles = ceil(workload.r / tile_r)
-            weights, inputs, out_writes, out_reads = _traffic(
-                workload, loop_order, m_tiles, n_tiles, r_tiles
-            )
-            plan = TilingPlan(
-                workload=workload,
-                loop_order=loop_order,
-                tile_m=tile_m,
-                tile_n=tile_n,
-                tile_r=tile_r,
-                dram_weight_bits=weights,
-                dram_input_bits=inputs,
-                dram_output_write_bits=out_writes,
-                dram_output_read_bits=out_reads,
-            )
-            key = (plan.total_dram_bits, plan.tile_count)
-            if best_key is None or key < best_key:
-                best, best_key = plan, key
-
-    if best is None:
-        raise _no_feasible_tiling(workload, config)
-    return best
-
-
-def search_tiling_scalar(
-    workload: GemmWorkload,
-    config: BitFusionConfig,
-    orders: tuple[LoopOrder, ...],
-) -> TilingPlan:
-    """Reference multi-order search: best scalar plan over ``orders``.
-
-    Ties between orders break towards the earliest order in ``orders``,
-    matching Python ``min`` over per-order winners.
-    """
-    if not orders:
-        raise ValueError("at least one loop order must be considered")
-    plans = [plan_tiling_scalar(workload, config, loop_order=order) for order in orders]
-    return min(plans, key=lambda plan: (plan.total_dram_bits, plan.tile_count))
-
-
 #: Grid traffic totals are scored in ``int64``; a workload whose worst-case
-#: candidate traffic could exceed this bound falls back to the scalar search
-#: (Python ints never overflow).  The margin of 2 bits absorbs the final
-#: four-term sum.
+#: candidate traffic could exceed this bound is rejected.  The margin of 2
+#: bits absorbs the final four-term sum.  The block simulator
+#: (:mod:`repro.sim.batched`) guards its counts with the same bound.
 _INT64_SAFE_BOUND = 1 << 62
 
 
@@ -400,17 +320,20 @@ def search_tiling(
     Scores every candidate cell at once with numpy: the buffer-feasibility
     mask, the derived ``R`` tile, the per-order traffic formulas and the
     ``(total_dram_bits, tile_count)`` tie-break key are all arrays, and the
-    winner is the first cell (in the scalar search's iteration order —
+    winner is the first cell (in the reference double loop's order —
     orders outermost, then tile_m and tile_n descending) achieving the
-    minimal key.  The returned plan is bit-identical to
-    :func:`search_tiling_scalar`: the winning cell's traffic is re-derived
-    with exact Python-integer arithmetic, so vectorization decides *which*
-    candidate wins but never touches the numbers stored in the plan.
+    minimal key.  The winning cell's traffic is re-derived with exact
+    Python-integer arithmetic, so vectorization decides *which* candidate
+    wins but never touches the numbers stored in the plan.
     """
     if not orders:
         raise ValueError("at least one loop order must be considered")
     if not _int64_safe(workload):
-        return search_tiling_scalar(workload, config, orders)
+        raise ValueError(
+            f"GEMM {workload.m}x{workload.n}x{workload.r} at "
+            f"{workload.input_bits}/{workload.weight_bits} bits is too large to "
+            f"tile: its traffic could overflow int64 (bound 2**62)"
+        )
 
     ibuf_bits = int(config.ibuf_kb * 1024 * 8)
     wbuf_bits = int(config.wbuf_kb * 1024 * 8)
@@ -458,8 +381,8 @@ def search_tiling(
         totals[index] = total
 
     # Lexicographic argmin over (total_dram_bits, tile_count), first
-    # occurrence in C order — exactly the scalar search's "first strictly
-    # smaller key wins" semantics with orders outermost.
+    # occurrence in C order — exactly the reference double loop's "first
+    # strictly smaller key wins" semantics with orders outermost.
     infinity = np.iinfo(np.int64).max
     masked_totals = np.where(feasible[None, :, :], totals, infinity)
     best_total = masked_totals.min()
@@ -472,7 +395,7 @@ def search_tiling(
     order_index, m_index, n_index = np.unravel_index(winner, totals.shape)
 
     # Re-derive the winner with exact integer arithmetic so the stored plan
-    # is bit-for-bit the scalar search's.
+    # holds Python ints, never numpy scalars.
     order = orders[order_index]
     chosen_m = int(tile_m[m_index, 0])
     chosen_n = int(tile_n[0, n_index])
@@ -503,7 +426,6 @@ def plan_tiling(
 ) -> TilingPlan:
     """Find the minimum-traffic tiling of ``workload`` for one loop order.
 
-    Vectorized grid search (see :func:`search_tiling`); bit-identical to
-    :func:`plan_tiling_scalar`, the pure-Python reference oracle.
+    Vectorized grid search over one order (see :func:`search_tiling`).
     """
     return search_tiling(workload, config, (loop_order,))

@@ -317,10 +317,11 @@ def simulator_for(config: BitFusionConfig) -> BitFusionSimulator:
 def _sim_config_json(config: BitFusionConfig) -> str:
     """Canonical JSON of the configuration parameters one block's simulation reads.
 
-    Everything :meth:`~repro.sim.executor.BitFusionSimulator.run_block`
-    reads: array geometry (cycle model and buffer-traffic counts),
-    scratchpad capacities and access width (SRAM energy), off-chip bandwidth
-    (transfer cycles) and technology node (energy scaling).  Deliberately
+    Everything the block simulator
+    (:func:`~repro.sim.batched.simulate_blocks_grid`) reads: array geometry
+    (cycle model and buffer-traffic counts), scratchpad capacities and
+    access width (SRAM energy), off-chip bandwidth (transfer cycles) and
+    technology node (energy scaling).  Deliberately
     excluded: frequency and the configuration name (composition metadata
     only) and the batch size (already folded into the block's tiling).
 

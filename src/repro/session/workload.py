@@ -100,6 +100,15 @@ class Workload:
             raise ValueError(
                 f"unknown platform {self.platform!r}; expected one of {PLATFORMS}"
             )
+        if not isinstance(self.network, str):
+            raise TypeError(
+                f"network must be a model-zoo name (str), got {type(self.network).__name__}"
+            )
+        if not isinstance(self.batch_size, int) or isinstance(self.batch_size, bool):
+            raise TypeError(
+                f"batch_size must be an int, got {type(self.batch_size).__name__} "
+                f"{self.batch_size!r}"
+            )
         try:
             # Canonicalize aliases ("alexnet", "cifar10", ...) so equivalent
             # workloads collapse onto one fingerprint.

@@ -1,39 +1,37 @@
-"""Batched numpy evaluation of the cycle/energy hot path (pipeline stage 2).
+"""The block simulator, vectorized over ``(sim-config, block)`` grids.
 
-With the compiler's tiling search vectorized (:mod:`repro.isa.tiling`),
-cold ``run_many`` batches and large design-space sweeps would be dominated
-by per-block cycle and energy simulation in pure Python
-(:mod:`repro.sim.cycle_model` + :mod:`repro.sim.executor`).  This module applies the same playbook to the
-simulator: score whole batches of compiled blocks — and whole grids of
-``(sim-config, block)`` pairs — in a handful of numpy passes, while the
-scalar :meth:`~repro.sim.executor.BitFusionSimulator.run_block` survives as
-the property-tested reference oracle (tests compare against
-``[simulator.run_block(b) for b in blocks]``).
+One numpy pass per configuration row prices every block of a batch:
+compute cycles of the tiled GEMM on the systolic array, DRAM traffic from
+the block's tiling plan and its conversion to transfer cycles, on-chip
+buffer traffic from the systolic data flow, and the energy of all of it
+(see :mod:`repro.sim.executor` for the model).  The per-block
+structure-of-arrays extraction is done once and broadcast across every
+configuration row, which is what makes bandwidth and geometry sweeps cheap.
 
-The contract is **bit-identity**: every :class:`~repro.sim.results.LayerResult`
-materialized here must equal the scalar one field for field, float bits
-included.  That holds because the batched path replays the *exact same*
-float operation sequence the scalar path performs:
+The model's readable scalar spec — one block at a time in plain Python —
+lives with the tests (``tests/reference/simulator.py``), and the tests
+hold this module to it field for field, float bits included:
 
 * all integer quantities (cycles, traffic bits) are computed in ``int64``
-  with the same formulas, so they are exact;
-* the scalar path's only float operations are true divisions of integers
-  (``math.ceil(a / b)``, ``ideal / total``, the energy pricing products).
-  IEEE-754 division and multiplication are deterministic, and an integer
-  below :data:`2**53 <_INT_LIMIT>` converts to ``float64`` exactly — so as
-  long as every integer operand stays under that limit, ``np.float64``
-  reproduces the Python ``float`` result bit for bit;
-* energy formulas keep the scalar code's association order
+  with the spec's formulas; where the spec takes ``math.ceil`` of a true
+  division, so does this module;
+* the scalar spec's float operations are true divisions of integers
+  (``math.ceil(a / b)``, ``ideal / total``) and the energy pricing
+  products.  IEEE-754 division and multiplication are deterministic, and
+  an integer below ``2**53`` converts to ``float64`` exactly, so for such
+  operands ``np.float64`` reproduces the Python ``float`` bit for bit.
+  Past ``2**53`` the operands round before dividing; the tests then hold
+  floats to a relative ``1e-12``;
+* energy formulas keep the spec's association order
   (``(bits * pj_per_bit) * 1e-12``, buffer terms summed left to right, the
   sum scaled last), and the per-configuration scalars (peak MAC rate, MAC
-  energy, per-bit SRAM/DRAM prices) are obtained *from the simulator's own
-  energy models*, never recomputed.
+  energy, per-bit SRAM/DRAM prices) come *from the simulator's own energy
+  models*, never recomputed.
 
-Blocks whose magnitudes could break the exactness argument (MAC counts or
-DRAM traffic near ``2**53``) fail the exactness guard in
-:func:`_simulate_batched_rows` and fall back to ``run_block`` per block —
-mirroring the tiling search's int64-overflow fallback.  No in-zoo workload
-comes near the guard.
+A block whose counts could overflow ``int64`` — bounded by the tiling
+search's :data:`~repro.isa.tiling._INT64_SAFE_BOUND` — is rejected with a
+one-line :class:`ValueError` that names it.  No in-zoo workload comes near
+the bound.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ import numpy as np
 from repro.core.fusion_unit import FusionConfig, fusion_config_for
 from repro.energy.breakdown import EnergyBreakdown
 from repro.isa.program import CompiledBlock
+from repro.isa.tiling import _INT64_SAFE_BOUND
 from repro.sim.results import LayerResult, MemoryTraffic
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
@@ -55,21 +54,16 @@ __all__ = ["simulate_blocks_grid"]
 #: Partial sums accumulate at 32 bits in the output buffer (Figure 4).
 _PARTIAL_SUM_BITS = 32
 
-#: Largest integer exactly representable in a float64 mantissa.  Every
-#: integer the scalar path pushes through a true division must stay below
-#: this for the numpy replay to be bit-identical.
-_INT_LIMIT = 1 << 53
-
 
 def _tiled_quotient_sum(
     extent: np.ndarray, tile: np.ndarray, divisor: np.ndarray
 ) -> np.ndarray:
-    """Vector form of :func:`repro.sim.cycle_model._tiled_quotient_sum`.
+    """Sum of ``ceil(tile_size / divisor)`` over the tiles covering ``extent``.
 
-    Mirrors the scalar helper operation for operation: an integer
-    ``divmod`` plus ``ceil`` of *true divisions* (the scalar code divides
-    Python ints, producing floats).  ``ceil(0 / d) == 0`` so the
-    empty-remainder case needs no mask.
+    Edge tiles are smaller than ``tile`` and are accounted exactly: an
+    integer ``divmod`` plus ``ceil`` of *true divisions* (as the scalar
+    spec divides Python ints).  ``ceil(0 / d) == 0`` so the empty-remainder
+    case needs no mask.
     """
     full = extent // tile
     remainder = extent - full * tile
@@ -105,9 +99,9 @@ def _materialize(
 ) -> LayerResult:
     """Construct a :class:`LayerResult` without re-running field validation.
 
-    The batched path produces the same values the (validating) scalar
-    constructors would accept; skipping ``__post_init__`` here keeps
-    materialization from dominating the vectorized win.  The frozen
+    The batched path produces values the validating constructors would
+    accept; skipping ``__post_init__`` here keeps materialization from
+    dominating the vectorized win.  The frozen
     dataclasses are not slotted, so populating the instance ``__dict__``
     in one assignment is both legal and the fastest construction path;
     field-based equality, hashing and ``asdict`` serialization are
@@ -164,41 +158,15 @@ def simulate_blocks_grid(
 ) -> list[list[LayerResult]]:
     """Simulate a ``(sim-config, block)`` grid in one vectorized pass.
 
-    ``simulators`` are rows, ``blocks`` are columns; row ``i`` of the
-    return value is bit-identical to ``[simulators[i].run_block(b) for b
-    in blocks]``.  This is the 2-D entry point the session engine uses for
-    sweeps that vary only simulation parameters (bandwidth, frequency,
-    array geometry): the per-block structure-of-arrays extraction is done
-    once and broadcast across every configuration row.
+    ``simulators`` are rows, ``blocks`` are columns; row ``i`` holds one
+    :class:`LayerResult` per block, in block order, priced at
+    ``simulators[i]``'s configuration.  This is the 2-D entry point the
+    session engine uses for sweeps that vary only simulation parameters
+    (bandwidth, frequency, array geometry).
 
-    Blocks whose magnitudes fail the exactness guard fall back to
-    ``run_block`` per ``(row, block)`` pair.
-    """
-    blocks = list(blocks)
-    results: list[list[LayerResult | None]] = [
-        [None] * len(blocks) for _ in simulators
-    ]
-    if not blocks:
-        return [list() for _ in simulators]
-    fallback = _simulate_batched_rows(simulators, blocks, results)
-    for index in fallback:
-        block = blocks[index]
-        for simulator, row in zip(simulators, results):
-            row[index] = simulator.run_block(block)
-    return results  # type: ignore[return-value]
-
-
-def _simulate_batched_rows(
-    simulators: Sequence["BitFusionSimulator"],
-    blocks: list[CompiledBlock],
-    rows_out: list[list[LayerResult | None]],
-) -> list[int]:
-    """Vectorized core: fill every ``rows_out[r][j]`` whose block is batchable.
-
-    Returns the indices of blocks that failed the exactness guard (the
-    caller runs those through the scalar oracle).  The guard bounds every
-    intermediate the batched path materializes by multiples of values it
-    checks against :data:`_INT_LIMIT`:
+    Raises :class:`ValueError` for a block whose counts could overflow
+    ``int64`` or whose GEMM has a non-positive tile.  The overflow bound
+    covers every intermediate this function materializes:
 
     * traffic bits are at most ``32 * macs`` per structure and the energy
       model sums output-buffer reads and writes (``<= 64 * macs``),
@@ -208,19 +176,21 @@ def _simulate_batched_rows(
       among the configuration rows),
     * the memory-cycle conversion divides the summed DRAM traffic.
     """
+    blocks = list(blocks)
+    if not blocks:
+        return [[] for _ in simulators]
     max_fill = max(sim.config.rows + sim.config.columns for sim in simulators)
-    limit = _INT_LIMIT
+    limit = _INT64_SAFE_BOUND
 
     # ---- structure-of-arrays extraction (shared across all config rows) --
-    # One tuple per batchable block, transposed into columns afterwards:
-    # a single ``append`` per block beats one list per field by a wide
-    # margin, and this loop is the sequential floor of the batched path.
+    # One tuple per block, transposed into columns afterwards: a single
+    # ``append`` per block beats one list per field by a wide margin, and
+    # this loop is the sequential floor of the batched path.
     fusion_index: dict[tuple[int, int], int] = {}
     fusions: list[FusionConfig] = []
-    fallback: list[int] = []
     lanes: list[tuple] = []
     append = lanes.append
-    for index, block in enumerate(blocks):
+    for block in blocks:
         tiling = block.tiling
         workload = tiling.workload
         m_v = workload.m
@@ -239,11 +209,16 @@ def _simulate_batched_rows(
             64 * macs_v >= limit
             or 4 * macs_v + m_v * r_v * max_fill >= limit
             or dram_read_v + dram_write_v >= limit
-            # The scalar cycle model rejects non-positive tiles; let it.
-            or (gemm and (tm <= 0 or tn <= 0 or tr <= 0))
         ):
-            fallback.append(index)
-            continue
+            raise ValueError(
+                f"block {block.name!r} is too large to simulate: its counts "
+                f"({macs_v} MACs, {dram_read_v + dram_write_v} DRAM bits) "
+                f"could overflow int64 (bound 2**62)"
+            )
+        if gemm and (tm <= 0 or tn <= 0 or tr <= 0):
+            raise ValueError(
+                f"block {block.name!r} has a non-positive GEMM tile {tm}x{tn}x{tr}"
+            )
         key = (workload.input_bits, workload.weight_bits)
         fusion = fusion_index.get(key)
         if fusion is None:
@@ -258,7 +233,6 @@ def _simulate_batched_rows(
             tr = tr if tr > 0 else 1
         append(
             (
-                index,
                 block.name,
                 key[0],
                 key[1],
@@ -278,10 +252,7 @@ def _simulate_batched_rows(
         )
 
     count = len(lanes)
-    if not count:
-        return fallback
     (
-        out_indices,
         names,
         ib_list,
         wb_list,
@@ -348,7 +319,8 @@ def _simulate_batched_rows(
     obuf_read_list = obuf_read_bits.tolist()
     obuf_write_list = obuf_write_bits.tolist()
 
-    for sim, out in zip(simulators, rows_out):
+    rows_out: list[list[LayerResult]] = []
+    for sim in simulators:
         config = sim.config
         models = sim._energy
         rows = config.rows
@@ -360,7 +332,7 @@ def _simulate_batched_rows(
         obuf_pj = models.obuf.energy_per_bit_pj
         dram_pj = models.dram.pj_per_bit
         # Per-fusion scalars computed through the simulator's own models so
-        # the float values are the scalar path's, bit for bit.
+        # the float values are the scalar spec's, bit for bit.
         logical_rows = rows * fused_pes
         peak = np.array(
             [
@@ -408,7 +380,6 @@ def _simulate_batched_rows(
         dram_j = dram_total_f * dram_pj * 1e-12
 
         lanes = zip(
-            out_indices,
             names,
             macs_out.tolist(),
             ib_list,
@@ -427,6 +398,5 @@ def _simulate_batched_rows(
             dram_j.tolist(),
             util_out.tolist(),
         )
-        for target, *values in lanes:
-            out[target] = _materialize(*values)
-    return fallback
+        rows_out.append([_materialize(*values) for values in lanes])
+    return rows_out

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
+from repro.core.systolic import SystolicArray
 from repro.dnn import models
 
 
@@ -59,16 +60,11 @@ class TestCompileAndRun:
 
 class TestFunctionalArray:
     def test_functional_array_is_bit_exact(self, rng):
-        accelerator = BitFusionAccelerator(BitFusionConfig(rows=2, columns=2))
-        array = accelerator.functional_array(4, 2)
+        array = SystolicArray(BitFusionConfig(rows=2, columns=2))
+        array.configure(4, 2)
         weights = rng.integers(-2, 2, size=(3, 10))
         inputs = rng.integers(-8, 8, size=10)
         np.testing.assert_array_equal(array.matvec(weights, inputs), weights @ inputs)
-
-    def test_one_bit_request_maps_to_two_bit_lanes(self):
-        array = BitFusionAccelerator().functional_array(1, 1)
-        assert array.fusion_config.input_bits == 2
-        assert array.fusion_config.weight_bits == 2
 
 
 class TestPeakThroughput:

@@ -251,7 +251,8 @@ class TestContentAddressedLayerLevel:
 
     def test_lookup_block_misses_until_the_layer_record_is_stored(self, tmp_path):
         from repro.session.engine import lookup_block
-        from repro.sim import BitFusionSimulator
+        from repro.sim.batched import simulate_blocks_grid
+        from repro.sim.executor import BitFusionSimulator
 
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         config = workload.config
@@ -259,7 +260,7 @@ class TestContentAddressedLayerLevel:
         key = layer_cache_key(compiled, config)
         writer = ResultCache(tmp_path)
         assert lookup_block(writer, key, compiled.name) is None
-        layer = BitFusionSimulator(config).run_block(compiled)
+        layer = simulate_blocks_grid([BitFusionSimulator(config)], [compiled])[0][0]
         writer.memo[key] = layer
         assert lookup_block(writer, key, compiled.name) == layer
         # Served renamed to whichever block asks.

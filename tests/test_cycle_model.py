@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.isa.tiling import GemmWorkload, plan_tiling
-from repro.sim.cycle_model import GemmCycleModel
+
+from reference.simulator import GemmCycleModel
 
 
 @pytest.fixture

@@ -9,7 +9,8 @@ from repro.dnn import models
 from repro.dnn.layers import ConvLayer, FCLayer, PoolLayer
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler
-from repro.sim.executor import BitFusionSimulator, simulate_network
+from repro.sim.batched import simulate_blocks_grid
+from repro.sim.executor import BitFusionSimulator
 
 
 @pytest.fixture
@@ -25,13 +26,17 @@ def _fc_network(input_bits=4, weight_bits=4, in_features=1024, out_features=1024
     )
 
 
+def _run_block(simulator: BitFusionSimulator, block):
+    return simulate_blocks_grid([simulator], [block])[0][0]
+
+
 class TestRunBlock:
     def test_block_result_fields(self, simulator, default_config):
         compiler = FusionCompiler(default_config)
         block = compiler.compile_compute_layer(
             FCLayer(name="fc", in_features=512, out_features=256, input_bits=4, weight_bits=2)
         )
-        result = simulator.run_block(block)
+        result = _run_block(simulator, block)
         assert result.name == "fc"
         assert result.macs == 512 * 256 * default_config.batch_size
         assert result.compute_cycles > 0
@@ -44,7 +49,7 @@ class TestRunBlock:
         block = compiler.compile_auxiliary_layer(
             PoolLayer(name="pool", channels=64, in_height=32, in_width=32, kernel=2, stride=2)
         )
-        result = simulator.run_block(block)
+        result = _run_block(simulator, block)
         assert result.macs == 0
         assert result.compute_cycles == 0
         assert result.memory_cycles > 0
@@ -52,11 +57,13 @@ class TestRunBlock:
 
     def test_buffer_traffic_scales_with_work(self, simulator, default_config):
         compiler = FusionCompiler(default_config)
-        small = simulator.run_block(
-            compiler.compile_compute_layer(FCLayer(name="s", in_features=128, out_features=128))
+        small = _run_block(
+            simulator,
+            compiler.compile_compute_layer(FCLayer(name="s", in_features=128, out_features=128)),
         )
-        large = simulator.run_block(
-            compiler.compile_compute_layer(FCLayer(name="l", in_features=1024, out_features=1024))
+        large = _run_block(
+            simulator,
+            compiler.compile_compute_layer(FCLayer(name="l", in_features=1024, out_features=1024)),
         )
         assert large.traffic.wbuf_read_bits > small.traffic.wbuf_read_bits
         assert large.traffic.dram_total_bits > small.traffic.dram_total_bits
@@ -64,7 +71,7 @@ class TestRunBlock:
     def test_no_register_file_energy(self, simulator, default_config):
         compiler = FusionCompiler(default_config)
         block = compiler.compile_compute_layer(FCLayer(name="fc", in_features=256, out_features=64))
-        result = simulator.run_block(block)
+        result = _run_block(simulator, block)
         assert result.energy.register_file == 0.0
 
 
@@ -82,8 +89,8 @@ class TestRunNetwork:
         large = BitFusionSimulator(default_config).run_network(network, batch_size=8)
         assert large.total_macs == 8 * small.total_macs
 
-    def test_simulate_network_convenience(self, default_config):
-        result = simulate_network(models.load("LSTM"), default_config)
+    def test_run_network_compiles_and_simulates(self, default_config):
+        result = BitFusionSimulator(default_config).run_network(models.load("LSTM"))
         assert result.total_macs > 0
 
     def test_lower_bitwidth_network_runs_faster(self, simulator):

@@ -126,6 +126,26 @@ class TestCommandLine:
         assert f"spec key '{key}'" in errors[0]
         assert "Traceback" not in err
 
+    def test_sweep_far_past_the_paper_batches_runs(self, tmp_path, capsys):
+        # 400,000 pushes AlexNet's counts past 2**53 but under the int64 guard.
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"networks": ["AlexNet"], "batch_sizes": [400000]}))
+        assert main(["sweep", str(path)]) == 0
+        assert "Pareto frontier" in capsys.readouterr().out
+
+    def test_sweep_past_the_int64_guard_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"networks": ["AlexNet"], "batch_sizes": [100000000]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "AlexNet batch=100000000" in errors[0]
+        assert "could overflow int64" in errors[0]
+        assert "Traceback" not in err
+
     def test_report_to_file(self, tmp_path, capsys):
         target = tmp_path / "report.md"
         assert (

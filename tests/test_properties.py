@@ -23,7 +23,8 @@ from repro.core.decompose import decompose_multiply, recompose_product
 from repro.core.fusion_unit import FusionUnit, fusion_config_for
 from repro.isa.instructions import LoopOrder
 from repro.isa.tiling import GemmWorkload, plan_tiling
-from repro.sim.cycle_model import GemmCycleModel
+
+from reference.simulator import GemmCycleModel
 
 _BITWIDTHS = (1, 2, 4, 8, 16)
 

@@ -147,6 +147,20 @@ class TestFingerprints:
         with pytest.raises(ValueError):
             Workload(platform="bitfusion", network="NoSuchNet")
 
+    def test_network_object_is_rejected_naming_the_argument(self):
+        with pytest.raises(TypeError, match=r"^network must be a model-zoo name \(str\), got Network$"):
+            Workload.bitfusion(models.load("LeNet-5"))
+
+    def test_config_passed_as_batch_size_is_rejected(self):
+        config = BitFusionConfig.eyeriss_matched()
+        with pytest.raises(TypeError, match=r"^batch_size must be an int, got BitFusionConfig"):
+            Workload.bitfusion("LeNet-5", config, 16)
+
+    @pytest.mark.parametrize("batch_size", [16.0, True], ids=["float", "bool"])
+    def test_non_integer_batch_size_is_rejected(self, batch_size):
+        with pytest.raises(TypeError, match="^batch_size must be an int"):
+            Workload.bitfusion("LeNet-5", batch_size=batch_size)
+
     def test_gpu_workload_requires_a_device_spec(self):
         with pytest.raises(ValueError, match="device spec"):
             Workload(platform="gpu", network="LeNet-5", gpu_precision="fp32")
