@@ -1,4 +1,4 @@
-"""Baseline accelerator models the paper compares Bit Fusion against.
+"""Baseline platform models the paper compares Bit Fusion against.
 
 Section V of the paper evaluates Bit Fusion against four classes of
 baselines; each has a model here that produces the same
@@ -6,35 +6,13 @@ baselines; each has a model here that produces the same
 simulator so the experiment harness can compute speedups and energy ratios
 uniformly:
 
-* :mod:`repro.baselines.eyeriss`  — the 168-PE row-stationary Eyeriss
-  accelerator operating on 16-bit operands (Figures 13, 14).
-* :mod:`repro.baselines.stripes`  — the bit-serial Stripes accelerator with
-  16-bit inputs and serial variable-bitwidth weights (Figure 18).
-* :mod:`repro.baselines.temporal` — the purely temporal variable-bitwidth
-  design of Figures 8/10, used for the area/power comparison and the
-  same-area throughput ablation.
+* :mod:`repro.baselines.platform` — the fixed-function platforms as
+  parameter sets priced by one per-layer path: the 168-PE row-stationary
+  Eyeriss at 16 bits (Figures 13, 14), the bit-serial Stripes with 16-bit
+  inputs and serial weights (Figure 18), and the same-area temporal design
+  (Section III-C).
+* :mod:`repro.baselines.temporal` — the Figure 10 area/power comparison of
+  the Fusion Unit against the temporal unit, and same-area throughput.
 * :mod:`repro.baselines.gpu`      — roofline models of the Tegra X2 and
   Titan Xp GPUs in FP32 and INT8 modes (Figure 17).
 """
-
-from repro.baselines.base import AcceleratorModel, dram_traffic_for_workload
-from repro.baselines.eyeriss import EyerissConfig, EyerissModel
-from repro.baselines.stripes import StripesConfig, StripesModel
-from repro.baselines.temporal import TemporalDesignComparison, TemporalDesignModel
-from repro.baselines.gpu import GpuSpec, GpuModel, GpuPrecision, TEGRA_X2, TITAN_XP
-
-__all__ = [
-    "AcceleratorModel",
-    "dram_traffic_for_workload",
-    "EyerissConfig",
-    "EyerissModel",
-    "StripesConfig",
-    "StripesModel",
-    "TemporalDesignComparison",
-    "TemporalDesignModel",
-    "GpuSpec",
-    "GpuModel",
-    "GpuPrecision",
-    "TEGRA_X2",
-    "TITAN_XP",
-]

@@ -24,7 +24,6 @@ from math import ceil
 from repro.dnn.layers import Layer
 from repro.dnn.network import Network
 from repro.energy.breakdown import EnergyBreakdown
-from repro.baselines.base import AcceleratorModel
 from repro.sim.results import (
     LayerResult,
     MemoryTraffic,
@@ -137,8 +136,14 @@ TITAN_XP = GpuSpec(
 )
 
 
-class GpuModel(AcceleratorModel):
-    """Roofline performance/energy model of one GPU at one precision."""
+class GpuModel:
+    """Roofline performance/energy model of one GPU at one precision.
+
+    It stays outside :class:`~repro.baselines.platform.PlatformSpec` because
+    its time is a roofline in seconds over de-rated peaks and its energy is
+    TDP × latency, which the per-lane cycle and per-access energy path
+    cannot express byte-identically.
+    """
 
     def __init__(self, spec: GpuSpec, precision: GpuPrecision = GpuPrecision.FP32) -> None:
         if not spec.supports(precision):
@@ -207,8 +212,7 @@ class GpuModel(AcceleratorModel):
     # ------------------------------------------------------------------ #
     # Network execution
     # ------------------------------------------------------------------ #
-    def evaluate(self, network: Network, batch_size: int | None = None) -> NetworkResult:
-        batch_size = 16 if batch_size is None else batch_size
+    def evaluate(self, network: Network, batch_size: int) -> NetworkResult:
         if batch_size <= 0:
             raise ValueError(f"batch size must be positive, got {batch_size}")
         layers = tuple(self._run_layer(layer, batch_size) for layer in network)

@@ -1,4 +1,4 @@
-"""The purely temporal variable-bitwidth design (Figures 8 and 10).
+"""The temporal variable-bitwidth design's Figure 10 comparison.
 
 Section III-C contrasts Bit Fusion's *spatial fusion* with a *temporal*
 design in which each 2-bit multiplier iterates over the operand slices
@@ -9,27 +9,24 @@ must be supported — Figure 10 reports the synthesized comparison at equal
 BitBrick count (3.5x more area, 3.2x more power than the hybrid Fusion
 Unit).
 
-Two things are modelled here:
-
 * :class:`TemporalDesignComparison` reproduces the Figure 10 table from the
   published synthesis constants.
 * :class:`TemporalDesignModel` answers the follow-on question the figure
   implies: in the *same silicon area*, how much throughput does a temporal
-  design deliver relative to Bit Fusion?  The temporal unit retires one
-  2-bit x 2-bit product per cycle per unit and needs
-  ``ceil(a/2) x ceil(w/2)`` cycles per multiply-accumulate, while packing
-  3.5x fewer units per mm².
+  design deliver relative to Bit Fusion?  The temporal unit packs 3.5x
+  fewer units per mm² and needs
+  :meth:`~repro.baselines.platform.PlatformSpec.cycles_per_mac` of
+  :data:`~repro.baselines.platform.TEMPORAL` per multiply-accumulate.
+
+The whole-network temporal platform is
+:data:`~repro.baselines.platform.TEMPORAL`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
-from repro.baselines.base import AcceleratorModel, layer_gemm_workload
-from repro.dnn.layers import Layer
-from repro.dnn.network import Network
-from repro.energy.breakdown import EnergyBreakdown
+from repro.baselines.platform import LANES_PER_TEMPORAL_UNIT, SAME_AREA_MM2, TEMPORAL
 from repro.energy.components import (
     FUSION_UNIT_AREA_UM2,
     FUSION_UNIT_POWER_NW,
@@ -39,25 +36,10 @@ from repro.energy.components import (
     fusion_unit_power_breakdown,
     temporal_unit_area_breakdown,
     temporal_unit_power_breakdown,
-)
-from repro.energy.dram import DramEnergyModel
-from repro.sim.results import (
-    LayerResult,
-    MemoryTraffic,
-    NetworkResult,
-    compose_network_result,
+    units_in_area,
 )
 
-__all__ = [
-    "LANES_PER_TEMPORAL_UNIT",
-    "TemporalDesignComparison",
-    "TemporalDesignModel",
-    "TemporalAcceleratorModel",
-]
-
-#: Concurrent 2-bit x 2-bit multiply lanes per temporal unit (the unit holds
-#: 16 BitBricks, matching the Fusion Unit it is compared against).
-LANES_PER_TEMPORAL_UNIT = 16
+__all__ = ["TemporalDesignComparison", "TemporalDesignModel"]
 
 
 @dataclass(frozen=True)
@@ -81,51 +63,41 @@ class TemporalDesignComparison:
 
     def area_rows(self) -> list[dict[str, float | str]]:
         """Per-component area rows of the Figure 10 table (µm²)."""
-        fusion = fusion_unit_area_breakdown()
-        temporal = temporal_unit_area_breakdown()
-        rows: list[dict[str, float | str]] = []
-        for component in ("bitbricks", "shift_add", "register"):
-            rows.append(
-                {
-                    "component": component,
-                    "temporal_um2": temporal[component],
-                    "fusion_um2": fusion[component],
-                    "reduction": temporal[component] / fusion[component],
-                }
-            )
-        rows.append(
-            {
-                "component": "total",
-                "temporal_um2": self.temporal_area_um2,
-                "fusion_um2": self.fusion_area_um2,
-                "reduction": self.area_reduction,
-            }
+        return _component_rows(
+            "um2",
+            temporal_unit_area_breakdown(),
+            fusion_unit_area_breakdown(),
+            (self.temporal_area_um2, self.fusion_area_um2),
         )
-        return rows
 
     def power_rows(self) -> list[dict[str, float | str]]:
         """Per-component power rows of the Figure 10 table (nW)."""
-        fusion = fusion_unit_power_breakdown()
-        temporal = temporal_unit_power_breakdown()
-        rows: list[dict[str, float | str]] = []
-        for component in ("bitbricks", "shift_add", "register"):
-            rows.append(
-                {
-                    "component": component,
-                    "temporal_nw": temporal[component],
-                    "fusion_nw": fusion[component],
-                    "reduction": temporal[component] / fusion[component],
-                }
-            )
-        rows.append(
-            {
-                "component": "total",
-                "temporal_nw": self.temporal_power_nw,
-                "fusion_nw": self.fusion_power_nw,
-                "reduction": self.power_reduction,
-            }
+        return _component_rows(
+            "nw",
+            temporal_unit_power_breakdown(),
+            fusion_unit_power_breakdown(),
+            (self.temporal_power_nw, self.fusion_power_nw),
         )
-        return rows
+
+
+def _component_rows(
+    unit: str,
+    temporal: dict[str, float],
+    fusion: dict[str, float],
+    totals: tuple[float, float],
+) -> list[dict[str, float | str]]:
+    """One Figure 10 row per component, then the total row."""
+    parts = ("bitbricks", "shift_add", "register")
+    values = [(part, temporal[part], fusion[part]) for part in parts] + [("total", *totals)]
+    return [
+        {
+            "component": component,
+            f"temporal_{unit}": temporal_value,
+            f"fusion_{unit}": fusion_value,
+            "reduction": temporal_value / fusion_value,
+        }
+        for component, temporal_value, fusion_value in values
+    ]
 
 
 class TemporalDesignModel:
@@ -138,7 +110,7 @@ class TemporalDesignModel:
         1.1 mm²).
     """
 
-    def __init__(self, compute_area_mm2: float = 1.1) -> None:
+    def __init__(self, compute_area_mm2: float = SAME_AREA_MM2) -> None:
         if compute_area_mm2 <= 0:
             raise ValueError(f"compute area must be positive, got {compute_area_mm2}")
         self.compute_area_mm2 = compute_area_mm2
@@ -147,24 +119,17 @@ class TemporalDesignModel:
     @property
     def fusion_units_in_area(self) -> int:
         """Hybrid Fusion Units that fit in the compute-area budget."""
-        return int(self.compute_area_mm2 * 1e6 // FUSION_UNIT_AREA_UM2)
+        return units_in_area(self.compute_area_mm2, FUSION_UNIT_AREA_UM2)
 
     @property
     def temporal_units_in_area(self) -> int:
         """Temporal units (16 2-bit multipliers each) that fit in the budget."""
-        return int(self.compute_area_mm2 * 1e6 // TEMPORAL_UNIT_AREA_UM2)
-
-    @staticmethod
-    def temporal_cycles_per_mac(input_bits: int, weight_bits: int) -> int:
-        """Cycles one temporal lane needs per multiply-accumulate."""
-        if input_bits <= 0 or weight_bits <= 0:
-            raise ValueError("operand bitwidths must be positive")
-        return ceil(max(2, input_bits) / 2) * ceil(max(2, weight_bits) / 2)
+        return units_in_area(self.compute_area_mm2, TEMPORAL_UNIT_AREA_UM2)
 
     def temporal_macs_per_cycle(self, input_bits: int, weight_bits: int) -> float:
         """Same-area temporal throughput: 16 lanes per unit, serialized per MAC."""
         lanes = self.temporal_units_in_area * LANES_PER_TEMPORAL_UNIT
-        return lanes / self.temporal_cycles_per_mac(input_bits, weight_bits)
+        return lanes / TEMPORAL.cycles_per_mac(input_bits, weight_bits)
 
     def fusion_macs_per_cycle(self, input_bits: int, weight_bits: int) -> float:
         """Same-area Bit Fusion throughput at the given bitwidths."""
@@ -177,130 +142,4 @@ class TemporalDesignModel:
         """Bit Fusion speedup over the temporal design in the same area."""
         return self.fusion_macs_per_cycle(input_bits, weight_bits) / self.temporal_macs_per_cycle(
             input_bits, weight_bits
-        )
-
-
-class TemporalAcceleratorModel(AcceleratorModel):
-    """Whole-network model of the same-area temporal bit-serial design.
-
-    Extends :class:`TemporalDesignModel`'s per-bitwidth throughput answer to
-    full benchmark networks so the temporal design participates in the
-    shared :meth:`~repro.baselines.base.AcceleratorModel.evaluate` protocol
-    and the evaluation session can cache and sweep it like any other
-    platform.  The model charges each GEMM layer ``ceil(a/2) x ceil(w/2)``
-    cycles per multiply-accumulate across the same-area lane budget, and
-    reuses the generous single-transfer DRAM model the Eyeriss baseline
-    uses, at the layer's *quantized* bitwidths (the temporal design is
-    bit-flexible — its weakness is area/power, not precision).
-    """
-
-    def __init__(
-        self,
-        compute_area_mm2: float = 1.1,
-        frequency_mhz: float = 500.0,
-        dram_bandwidth_bits_per_cycle: int = 128,
-        batch_size: int = 16,
-    ) -> None:
-        if frequency_mhz <= 0:
-            raise ValueError(f"frequency must be positive, got {frequency_mhz}")
-        if dram_bandwidth_bits_per_cycle <= 0:
-            raise ValueError(
-                f"dram bandwidth must be positive, got {dram_bandwidth_bits_per_cycle}"
-            )
-        self.design = TemporalDesignModel(compute_area_mm2)
-        self.frequency_mhz = frequency_mhz
-        self.dram_bandwidth_bits_per_cycle = dram_bandwidth_bits_per_cycle
-        self.batch_size = batch_size
-        self.name = "temporal"
-        self._dram = DramEnergyModel()
-
-    @property
-    def lanes(self) -> int:
-        """Concurrent 2-bit x 2-bit multiply lanes in the area budget."""
-        return self.design.temporal_units_in_area * LANES_PER_TEMPORAL_UNIT
-
-    def _run_compute_layer(self, layer: Layer, batch: int) -> LayerResult:
-        workload = layer_gemm_workload(layer, batch)
-        macs = workload.macs
-        per_mac = self.design.temporal_cycles_per_mac(layer.input_bits, layer.weight_bits)
-        compute_cycles = ceil(macs * per_mac / self.lanes)
-
-        dram_read_bits = workload.weight_footprint_bits + workload.input_footprint_bits
-        dram_write_bits = workload.output_footprint_bits
-        memory_cycles = ceil(
-            (dram_read_bits + dram_write_bits) / self.dram_bandwidth_bits_per_cycle
-        )
-
-        compute_seconds = compute_cycles / (self.frequency_mhz * 1e6)
-        compute_energy = (
-            self.design.temporal_units_in_area
-            * TEMPORAL_UNIT_POWER_NW
-            * 1e-9
-            * compute_seconds
-        )
-        traffic = MemoryTraffic(
-            dram_read_bits=int(dram_read_bits), dram_write_bits=int(dram_write_bits)
-        )
-        energy = EnergyBreakdown(
-            compute=compute_energy,
-            dram=self._dram.energy_for_bits_j(dram_read_bits + dram_write_bits),
-        )
-        return LayerResult(
-            name=layer.name,
-            macs=macs,
-            input_bits=layer.input_bits,
-            weight_bits=layer.weight_bits,
-            compute_cycles=compute_cycles,
-            memory_cycles=memory_cycles,
-            traffic=traffic,
-            energy=energy,
-            utilization=1.0,
-        )
-
-    def _run_auxiliary_layer(self, layer: Layer, batch: int) -> LayerResult:
-        moved_bits = (
-            layer.input_elements() * layer.input_bits
-            + layer.output_elements() * layer.output_bits
-        ) * batch
-        memory_cycles = ceil(moved_bits / self.dram_bandwidth_bits_per_cycle)
-        traffic = MemoryTraffic(
-            dram_read_bits=layer.input_elements() * batch * layer.input_bits,
-            dram_write_bits=layer.output_elements() * batch * layer.output_bits,
-        )
-        energy = EnergyBreakdown(dram=self._dram.energy_for_bits_j(moved_bits))
-        return LayerResult(
-            name=layer.name,
-            macs=0,
-            input_bits=layer.input_bits,
-            weight_bits=layer.weight_bits,
-            compute_cycles=0,
-            memory_cycles=memory_cycles,
-            traffic=traffic,
-            energy=energy,
-            utilization=0.0,
-        )
-
-    def evaluate(self, network: Network, batch_size: int | None = None) -> NetworkResult:
-        batch = self.batch_size if batch_size is None else batch_size
-        if batch <= 0:
-            raise ValueError(f"batch size must be positive, got {batch}")
-        layers = tuple(
-            self._run_compute_layer(layer, batch)
-            if layer.has_gemm()
-            else self._run_auxiliary_layer(layer, batch)
-            for layer in network
-        )
-        return compose_network_result(
-            network_name=network.name,
-            platform=self.name,
-            batch_size=batch,
-            frequency_mhz=self.frequency_mhz,
-            layers=layers,
-        )
-
-    def describe(self) -> str:
-        return (
-            f"Temporal bit-serial design: {self.design.temporal_units_in_area} units "
-            f"({self.lanes} lanes) in {self.design.compute_area_mm2} mm2 at "
-            f"{self.frequency_mhz:.0f} MHz"
         )

@@ -39,6 +39,7 @@ __all__ = [
     "temporal_unit_area_breakdown",
     "fusion_unit_power_breakdown",
     "temporal_unit_power_breakdown",
+    "units_in_area",
     "ComputeEnergyModel",
     "accelerator_area_mm2",
 ]
@@ -63,6 +64,11 @@ _FUSION_UNIT_AREA_SPLIT_UM2 = {"bitbricks": 369.0, "shift_add": 934.0, "register
 _TEMPORAL_UNIT_AREA_SPLIT_UM2 = {"bitbricks": 463.0, "shift_add": 2989.0, "register": 1454.0}
 _FUSION_UNIT_POWER_SPLIT_NW = {"bitbricks": 46.0, "shift_add": 424.0, "register": 69.0}
 _TEMPORAL_UNIT_POWER_SPLIT_NW = {"bitbricks": 60.0, "shift_add": 550.0, "register": 1103.0}
+
+
+def units_in_area(area_mm2: float, unit_area_um2: float) -> int:
+    """Whole units of ``unit_area_um2`` that fit in ``area_mm2`` of silicon."""
+    return int(area_mm2 * 1e6 // unit_area_um2)
 
 
 def fusion_unit_area_breakdown() -> dict[str, float]:

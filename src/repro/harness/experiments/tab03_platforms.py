@@ -11,10 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.eyeriss import EyerissConfig
 from repro.baselines.gpu import TEGRA_X2, TITAN_XP
-from repro.baselines.stripes import StripesConfig
-from repro.baselines.temporal import TemporalAcceleratorModel
+from repro.baselines.platform import (
+    EYERISS,
+    LANES_PER_TEMPORAL_UNIT,
+    SAME_AREA_MM2,
+    STRIPES,
+    STRIPES_TILES,
+    TEMPORAL,
+)
 from repro.core.config import BitFusionConfig
 from repro.session import EvaluationSession
 
@@ -50,9 +55,6 @@ def run(session: EvaluationSession | None = None) -> list[PlatformRow]:
     configuration objects, so no simulation is cached.
     """
     del session
-    eyeriss = EyerissConfig()
-    stripes = StripesConfig()
-    temporal = TemporalAcceleratorModel()
     bf_eyeriss = BitFusionConfig.eyeriss_matched()
     bf_stripes = BitFusionConfig.stripes_matched()
     bf_gpu = BitFusionConfig.gpu_scaled_16nm()
@@ -60,19 +62,19 @@ def run(session: EvaluationSession | None = None) -> list[PlatformRow]:
     return [
         PlatformRow(
             platform="Eyeriss",
-            compute_units=f"{eyeriss.pe_count} PEs",
-            frequency_mhz=eyeriss.frequency_mhz,
-            on_chip_memory=f"{eyeriss.global_buffer_kb:.1f} KB",
-            technology=eyeriss.technology.name,
-            precision=f"{eyeriss.operand_bits}-bit fixed",
+            compute_units=f"{EYERISS.mac_lanes} PEs",
+            frequency_mhz=EYERISS.frequency_mhz,
+            on_chip_memory=f"{EYERISS.on_chip_kb:.1f} KB",
+            technology=EYERISS.technology.name,
+            precision=f"{EYERISS.input_bits}-bit fixed",
         ),
         PlatformRow(
             platform="Stripes",
-            compute_units=f"{stripes.tiles}x{stripes.sips_per_tile} SIPs",
-            frequency_mhz=stripes.frequency_mhz,
-            on_chip_memory=f"{stripes.edram_kb / 1024:.0f} MB eDRAM + {stripes.sram_kb:.0f} KB SRAM",
-            technology=stripes.technology.name,
-            precision=f"{stripes.input_bits}-bit inputs x serial weights",
+            compute_units=f"{STRIPES_TILES}x{STRIPES.mac_lanes // STRIPES_TILES} SIPs",
+            frequency_mhz=STRIPES.frequency_mhz,
+            on_chip_memory=f"{STRIPES.on_chip_kb / 1024:.0f} MB eDRAM + 16 KB SRAM",
+            technology=STRIPES.technology.name,
+            precision=f"{STRIPES.input_bits}-bit inputs x serial weights",
         ),
         PlatformRow(
             platform="Tegra X2",
@@ -93,12 +95,13 @@ def run(session: EvaluationSession | None = None) -> list[PlatformRow]:
         PlatformRow(
             platform="Temporal bit-serial (same area)",
             compute_units=(
-                f"{temporal.design.temporal_units_in_area} units ({temporal.lanes} lanes)"
+                f"{TEMPORAL.mac_lanes // LANES_PER_TEMPORAL_UNIT} units "
+                f"({TEMPORAL.mac_lanes} lanes)"
             ),
-            frequency_mhz=temporal.frequency_mhz,
-            on_chip_memory=f"n/a ({temporal.design.compute_area_mm2} mm2 area-matched)",
-            technology="45nm",
-            precision="2-bit serial slices",
+            frequency_mhz=TEMPORAL.frequency_mhz,
+            on_chip_memory=f"n/a ({SAME_AREA_MM2} mm2 area-matched)",
+            technology=TEMPORAL.technology.name,
+            precision=f"{TEMPORAL.input_slice_bits}-bit serial slices",
         ),
         PlatformRow(
             platform="Bit Fusion (Eyeriss-matched)",

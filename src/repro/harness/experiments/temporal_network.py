@@ -3,10 +3,10 @@
 Figure 10 compares the spatial Fusion Unit against the temporal bit-serial
 unit at the level of one multiply-accumulate (area, power, and same-area
 peak throughput).  This experiment extends the comparison to the full
-benchmark networks: the whole-network
-:class:`~repro.baselines.temporal.TemporalAcceleratorModel` speaks the
-shared ``evaluate(network, batch_size)`` protocol, so it runs through the
-same cached evaluation session as every other platform, and the table
+benchmark networks: the whole-network temporal platform,
+:data:`~repro.baselines.platform.TEMPORAL`, is priced by the same
+per-layer path as Eyeriss and Stripes and runs through the same cached
+evaluation session as every other platform, and the table
 reports how much faster (and more energy-efficient) the Eyeriss-matched
 Bit Fusion design is than a same-area temporal design on each benchmark.
 

@@ -54,11 +54,8 @@ from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import Any, Callable, Sequence
 
-from repro.baselines.base import AcceleratorModel
-from repro.baselines.eyeriss import EyerissModel
 from repro.baselines.gpu import GpuModel, GpuPrecision
-from repro.baselines.stripes import StripesModel
-from repro.baselines.temporal import TemporalAcceleratorModel
+from repro.baselines.platform import PLATFORM_SPECS, PlatformModel
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
 from repro.fingerprint import fingerprint_payload
@@ -93,25 +90,20 @@ __all__ = [
 ]
 
 
-def build_model(workload: Workload) -> AcceleratorModel | BitFusionAccelerator:
+def build_model(workload: Workload) -> PlatformModel | GpuModel | BitFusionAccelerator:
     """Instantiate the platform model a workload targets."""
-    # Workload.__post_init__ guarantees config is resolved (or None only for
-    # the fixed-configuration temporal platform), so what the fingerprint
-    # hashed is exactly what runs here.
+    # Workload.__post_init__ guarantees config is resolved, so what the
+    # fingerprint hashed is exactly what runs here.
     if workload.platform == "bitfusion":
         return BitFusionAccelerator(
             workload.config,
             enable_loop_ordering=workload.enable_loop_ordering,
             enable_layer_fusion=workload.enable_layer_fusion,
         )
-    if workload.platform == "eyeriss":
-        return EyerissModel(workload.config)
-    if workload.platform == "stripes":
-        return StripesModel(workload.config)
+    if workload.platform in PLATFORM_SPECS:
+        return PlatformModel(workload.config)
     if workload.platform == "gpu":
         return GpuModel(workload.config, GpuPrecision(workload.gpu_precision))
-    if workload.platform == "temporal":
-        return TemporalAcceleratorModel()
     raise ValueError(f"unknown platform {workload.platform!r}")
 
 

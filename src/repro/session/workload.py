@@ -16,9 +16,8 @@ from typing import Any
 
 from repro.fingerprint import fingerprint_payload
 
-from repro.baselines.eyeriss import EyerissConfig
 from repro.baselines.gpu import GpuPrecision, GpuSpec
-from repro.baselines.stripes import StripesConfig
+from repro.baselines.platform import PLATFORM_SPECS, PlatformSpec
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.dnn.network import Network
@@ -73,10 +72,10 @@ class Workload:
         When set, every layer is forced to this operand bitwidth before
         execution (the ablation experiments' fixed-precision strawman).
     config:
-        Platform configuration dataclass (``BitFusionConfig``,
-        ``EyerissConfig``, ``StripesConfig`` or ``GpuSpec``).  ``None``
-        selects the platform's paper-default configuration at
-        :attr:`batch_size`.
+        Platform configuration dataclass (``BitFusionConfig``, a
+        ``PlatformSpec`` of the same name for Eyeriss, Stripes and the
+        temporal design, or ``GpuSpec``).  ``None`` selects the platform's
+        paper-default configuration.
     gpu_precision:
         ``"fp32"`` or ``"int8"``; only meaningful for the GPU platform.
     enable_loop_ordering, enable_layer_fusion:
@@ -136,14 +135,15 @@ class Workload:
                 object.__setattr__(
                     self, "config", BitFusionConfig.eyeriss_matched(batch_size=self.batch_size)
                 )
-            elif self.platform == "eyeriss":
-                object.__setattr__(self, "config", EyerissConfig(batch_size=self.batch_size))
-            elif self.platform == "stripes":
-                object.__setattr__(self, "config", StripesConfig(batch_size=self.batch_size))
-        elif self.platform == "temporal":
+            elif self.platform in PLATFORM_SPECS:
+                object.__setattr__(self, "config", PLATFORM_SPECS[self.platform])
+        elif self.platform in PLATFORM_SPECS and (
+            not isinstance(self.config, PlatformSpec) or self.config.name != self.platform
+        ):
             raise ValueError(
-                "temporal workloads take no config (the model is the paper's "
-                "fixed same-area design)"
+                f"{self.platform} workloads need a PlatformSpec named {self.platform!r} "
+                f"as config, got {type(self.config).__name__} "
+                f"{getattr(self.config, 'name', None)!r}"
             )
 
     # ------------------------------------------------------------------ #
@@ -177,7 +177,7 @@ class Workload:
 
     @staticmethod
     def eyeriss(
-        network: str, batch_size: int = 16, config: EyerissConfig | None = None
+        network: str, batch_size: int = 16, config: PlatformSpec | None = None
     ) -> "Workload":
         """An Eyeriss run on the regular (non-widened) model variant."""
         return Workload(
@@ -190,7 +190,7 @@ class Workload:
 
     @staticmethod
     def stripes(
-        network: str, batch_size: int = 16, config: StripesConfig | None = None
+        network: str, batch_size: int = 16, config: PlatformSpec | None = None
     ) -> "Workload":
         """A Stripes run on the quantized model variant (Figure 18)."""
         return Workload(
@@ -219,9 +219,13 @@ class Workload:
         )
 
     @staticmethod
-    def temporal(network: str, batch_size: int = 16) -> "Workload":
+    def temporal(
+        network: str, batch_size: int = 16, config: PlatformSpec | None = None
+    ) -> "Workload":
         """A same-area temporal bit-serial design run (Section III-C)."""
-        return Workload(platform="temporal", network=network, batch_size=batch_size)
+        return Workload(
+            platform="temporal", network=network, batch_size=batch_size, config=config
+        )
 
     # ------------------------------------------------------------------ #
     # Fingerprinting

@@ -1,10 +1,12 @@
-"""Tests for the Stripes bit-serial baseline model."""
+"""Tests for the Stripes bit-serial baseline platform."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.baselines.stripes import StripesConfig, StripesModel
+from repro.baselines.platform import STRIPES, PlatformModel
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
@@ -13,30 +15,32 @@ from repro.dnn.network import Network
 
 
 @pytest.fixture
-def stripes() -> StripesModel:
-    return StripesModel()
+def stripes() -> PlatformModel:
+    return PlatformModel(STRIPES)
 
 
-class TestStripesConfig:
+class TestStripesSpec:
     def test_table3_defaults(self):
-        config = StripesConfig()
-        assert config.tiles == 16
-        assert config.sips_per_tile == 4096
-        assert config.total_sips == 65536
-        assert config.frequency_mhz == 980.0
-        assert config.input_bits == 16
+        assert STRIPES.mac_lanes == 16 * 4096
+        assert STRIPES.frequency_mhz == 980.0
+        assert STRIPES.input_bits == 16
+        assert STRIPES.weight_bits is None
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StripesConfig(tiles=0)
-        with pytest.raises(ValueError):
-            StripesConfig(input_bits=4)
+        with pytest.raises(ValueError, match="mac_lanes"):
+            replace(STRIPES, mac_lanes=0)
+        with pytest.raises(ValueError, match="input_bits"):
+            replace(STRIPES, input_bits=4)
 
 
 class TestStripesModel:
-    def test_serial_weight_bits_clamped(self, stripes):
-        assert stripes.serial_weight_bits(FCLayer(name="a", weight_bits=1)) == 1
-        assert stripes.serial_weight_bits(FCLayer(name="b", weight_bits=16)) == 16
+    def test_serial_weight_bits_clamped(self):
+        def weight_bits(spec, bits):
+            return spec.operand_bits(FCLayer(name="fc", weight_bits=bits))[1]
+
+        assert weight_bits(STRIPES, 1) == 1
+        assert weight_bits(STRIPES, 16) == 16
+        assert STRIPES.cycles_per_mac(16, 4) == 4
 
     def test_performance_scales_inversely_with_weight_bits(self, stripes):
         """Stripes' defining property: time is proportional to weight bitwidth."""
@@ -46,7 +50,7 @@ class TestStripesModel:
                 [FCLayer(name="fc", in_features=2048, out_features=2048,
                          input_bits=8, weight_bits=weight_bits)],
             )
-            return stripes.run(network, batch_size=1).compute_cycles
+            return stripes.evaluate(network, batch_size=1).compute_cycles
 
         assert cycles(8) == pytest.approx(2 * cycles(4), rel=0.05)
         assert cycles(4) == pytest.approx(2 * cycles(2), rel=0.05)
@@ -62,13 +66,13 @@ class TestStripesModel:
                           input_bits=8, weight_bits=4)]
         )
         assert (
-            stripes.run(narrow_inputs, 4).compute_cycles
-            == stripes.run(wide_inputs, 4).compute_cycles
+            stripes.evaluate(narrow_inputs, 4).compute_cycles
+            == stripes.evaluate(wide_inputs, 4).compute_cycles
         )
 
     def test_runs_every_benchmark(self, stripes):
         for name in models.benchmark_names():
-            result = stripes.run(models.load(name), batch_size=4)
+            result = stripes.evaluate(models.load(name), batch_size=4)
             assert result.total_cycles > 0
             assert result.energy.total > 0
 
@@ -77,7 +81,7 @@ class TestStripesModel:
         accelerator = BitFusionAccelerator(BitFusionConfig.stripes_matched())
         for name in models.benchmark_names():
             bf = accelerator.run(models.load(name))
-            st = stripes.run(models.load(name), batch_size=16)
+            st = stripes.evaluate(models.load(name), batch_size=16)
             assert bf.speedup_over(st) >= 1.0, name
             assert bf.energy_reduction_over(st) > 1.0, name
 
@@ -87,10 +91,10 @@ class TestStripesModel:
 
         def speedup(name: str) -> float:
             bf = accelerator.run(models.load(name))
-            st = stripes.run(models.load(name), batch_size=16)
+            st = stripes.evaluate(models.load(name), batch_size=16)
             return bf.speedup_over(st)
 
         assert speedup("LeNet-5") > speedup("AlexNet")
 
     def test_describe(self, stripes):
-        assert "SIP" in stripes.describe()
+        assert "65536 MAC lanes" in stripes.describe()

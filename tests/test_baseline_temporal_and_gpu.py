@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.gpu import GpuModel, GpuPrecision, GpuSpec, TEGRA_X2, TITAN_XP
+from repro.baselines.platform import TEMPORAL, PlatformModel
 from repro.baselines.temporal import TemporalDesignComparison, TemporalDesignModel
 from repro.dnn import models
 
@@ -36,11 +37,29 @@ class TestTemporalDesignModel:
         )
 
     def test_temporal_cycles_per_mac(self):
-        assert TemporalDesignModel.temporal_cycles_per_mac(2, 2) == 1
-        assert TemporalDesignModel.temporal_cycles_per_mac(8, 8) == 16
-        assert TemporalDesignModel.temporal_cycles_per_mac(8, 2) == 4
+        assert TEMPORAL.cycles_per_mac(1, 2) == 1
+        assert TEMPORAL.cycles_per_mac(2, 2) == 1
+        assert TEMPORAL.cycles_per_mac(8, 8) == 16
+        assert TEMPORAL.cycles_per_mac(8, 2) == 4
         with pytest.raises(ValueError):
-            TemporalDesignModel.temporal_cycles_per_mac(0, 2)
+            TEMPORAL.cycles_per_mac(0, 2)
+
+    def test_whole_network_platform_fills_the_same_area(self):
+        model = TemporalDesignModel()
+        assert TEMPORAL.mac_lanes == model.temporal_units_in_area * 16
+        assert TEMPORAL.mac_lanes / TEMPORAL.cycles_per_mac(4, 4) == (
+            model.temporal_macs_per_cycle(4, 4)
+        )
+
+    def test_whole_network_runs_at_layer_bitwidths(self):
+        network = models.load("LeNet-5")
+        result = PlatformModel(TEMPORAL).evaluate(network, batch_size=4)
+        assert result.platform == "temporal"
+        for layer, record in zip(network, result.layers, strict=True):
+            assert (record.input_bits, record.weight_bits) == (
+                layer.input_bits,
+                layer.weight_bits,
+            )
 
     def test_spatial_fusion_wins_at_every_bitwidth(self):
         model = TemporalDesignModel()
@@ -84,30 +103,30 @@ class TestGpuModel:
 
     def test_titan_outperforms_tegra(self):
         network = models.load_baseline_variant("AlexNet")
-        tegra = GpuModel(TEGRA_X2, GpuPrecision.FP32).run(network, batch_size=16)
-        titan = GpuModel(TITAN_XP, GpuPrecision.FP32).run(network, batch_size=16)
+        tegra = GpuModel(TEGRA_X2, GpuPrecision.FP32).evaluate(network, batch_size=16)
+        titan = GpuModel(TITAN_XP, GpuPrecision.FP32).evaluate(network, batch_size=16)
         assert titan.speedup_over(tegra) > 5.0
 
     def test_int8_beats_fp32_on_compute_bound_networks(self):
         network = models.load_baseline_variant("VGG-7")
-        fp32 = GpuModel(TITAN_XP, GpuPrecision.FP32).run(network, batch_size=16)
-        int8 = GpuModel(TITAN_XP, GpuPrecision.INT8).run(network, batch_size=16)
+        fp32 = GpuModel(TITAN_XP, GpuPrecision.FP32).evaluate(network, batch_size=16)
+        int8 = GpuModel(TITAN_XP, GpuPrecision.INT8).evaluate(network, batch_size=16)
         assert int8.speedup_over(fp32) > 1.0
 
     def test_recurrent_networks_are_bandwidth_bound_on_gpu(self):
-        result = GpuModel(TITAN_XP, GpuPrecision.FP32).run(models.load("RNN"), batch_size=16)
+        result = GpuModel(TITAN_XP, GpuPrecision.FP32).evaluate(models.load("RNN"), batch_size=16)
         assert result.memory_cycles > result.compute_cycles
 
     def test_energy_uses_tdp(self):
         network = models.load_baseline_variant("LeNet-5")
-        tegra = GpuModel(TEGRA_X2, GpuPrecision.FP32).run(network, batch_size=16)
-        titan = GpuModel(TITAN_XP, GpuPrecision.FP32).run(network, batch_size=16)
+        tegra = GpuModel(TEGRA_X2, GpuPrecision.FP32).evaluate(network, batch_size=16)
+        titan = GpuModel(TITAN_XP, GpuPrecision.FP32).evaluate(network, batch_size=16)
         # The Titan is faster but burns far more power.
         assert titan.average_power_w > tegra.average_power_w
 
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError):
-            GpuModel(TEGRA_X2).run(models.load("LeNet-5"), batch_size=0)
+            GpuModel(TEGRA_X2).evaluate(models.load("LeNet-5"), batch_size=0)
 
     def test_describe_mentions_device(self):
         assert "Titan" in GpuModel(TITAN_XP, GpuPrecision.INT8).describe()

@@ -1,72 +1,112 @@
-"""Physical invariants the Bit Fusion simulator obeys across its config space.
+"""Physical invariants every priced platform obeys across its config space.
 
 Every zoo network runs through the evaluation session (the path reports
-and sweeps take) on the three paper configurations (Eyeriss-matched,
-Stripes-matched and the 16 nm GPU-scaled one), at batch sizes 1 and 16,
-and at off-chip bandwidths from 32 to 1024 bits per cycle.  Each test
-checks one invariant on one network over that whole grid:
+and sweeps take) on the three paper Bit Fusion configurations
+(Eyeriss-matched, Stripes-matched and the 16 nm GPU-scaled one) and on the
+Eyeriss, Stripes and temporal platform specs, at batch sizes 1 and 16, and
+at off-chip bandwidths from 32 to 1024 bits per cycle.  Each test checks
+one invariant on one network over that whole grid:
 
 * total cycles never rise as bandwidth rises;
 * per-layer cycles, traffic and energy sum exactly to the network totals;
 * each layer's cycles cover both its compute and its memory cycles;
-* each GEMM block reads at least its compulsory footprint (all weights
-  and all inputs once) from DRAM.
+* each GEMM layer reads at least its compulsory footprint (all weights
+  and all inputs once, at the platform's operand bits) from DRAM.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.baselines.platform import EYERISS, STRIPES, TEMPORAL, PlatformModel
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.session import EvaluationSession, Workload, compile_program
+from repro.session.workload import load_network
 
 _CONFIGS = (
     BitFusionConfig.eyeriss_matched,
     BitFusionConfig.stripes_matched,
     BitFusionConfig.gpu_scaled_16nm,
 )
+_PLATFORMS = (
+    (Workload.eyeriss, EYERISS),
+    (Workload.stripes, STRIPES),
+    (Workload.temporal, TEMPORAL),
+)
 _BATCHES = (1, 16)
 _BANDWIDTHS = (32, 64, 128, 256, 512, 1024)
+_UNBOUNDED_KB = (1e12, 1e12, 1e12)
+
+
+def _bitfusion_entry(network, make_config, batch):
+    base = make_config(batch_size=batch)
+    sweep = [
+        Workload.bitfusion(network, batch_size=batch, config=base.with_bandwidth(bandwidth))
+        for bandwidth in _BANDWIDTHS
+    ]
+    gemms = [
+        (block.name, block.tiling.workload if block.layer.has_gemm() else None)
+        for block in compile_program(sweep[0]).blocks
+    ]
+    return None, gemms, sweep
+
+
+def _platform_entry(network, make_workload, spec, batch):
+    sweep = [
+        make_workload(
+            network,
+            batch_size=batch,
+            config=replace(spec, dram_bandwidth_bits_per_cycle=bandwidth),
+        )
+        for bandwidth in _BANDWIDTHS
+    ]
+    model = PlatformModel(spec)
+    gemms = [
+        (layer.name, model.gemm_workload(layer, batch) if layer.has_gemm() else None)
+        for layer in load_network(sweep[0])
+    ]
+    return spec, gemms, sweep
 
 
 @pytest.fixture(scope="module")
 def grid():
-    """``{network: [(program, [result per bandwidth, ascending])]}``.
+    """``{network: [(spec, gemms, [result per bandwidth, ascending])]}``.
 
-    One entry per (configuration, batch size) pair; the program is the
-    compiled one the results priced (bandwidth does not change it).
+    One entry per (platform configuration, batch size) pair.  ``gemms``
+    pairs each layer's name with the GEMM the results priced at the
+    platform's operand bits (``None`` for a layer without one); bandwidth
+    does not change it.  ``spec`` is the platform spec, ``None`` for Bit
+    Fusion.
     """
     points = {}
-    workloads = []
     for network in models.BENCHMARKS:
-        for make_config in _CONFIGS:
-            for batch in _BATCHES:
-                base = make_config(batch_size=batch)
-                sweep = [
-                    Workload.bitfusion(
-                        network, batch_size=batch, config=base.with_bandwidth(bandwidth)
-                    )
-                    for bandwidth in _BANDWIDTHS
-                ]
-                points.setdefault(network, []).append((compile_program(sweep[0]), sweep))
-                workloads.extend(sweep)
+        entries = points.setdefault(network, [])
+        for batch in _BATCHES:
+            entries.extend(_bitfusion_entry(network, config, batch) for config in _CONFIGS)
+            entries.extend(
+                _platform_entry(network, make_workload, spec, batch)
+                for make_workload, spec in _PLATFORMS
+            )
+    workloads = [w for entries in points.values() for _, _, sweep in entries for w in sweep]
     with EvaluationSession() as session:
         results = dict(zip(workloads, session.run_many(workloads)))
     return {
-        network: [(program, [results[w] for w in sweep]) for program, sweep in entries]
+        network: [(spec, gemms, [results[w] for w in sweep]) for spec, gemms, sweep in entries]
         for network, entries in points.items()
     }
 
 
 def _results(grid, network):
-    for _, sweep in grid[network]:
+    for _, _, sweep in grid[network]:
         yield from sweep
 
 
 @pytest.mark.parametrize("network", models.BENCHMARKS)
 def test_cycles_never_rise_with_bandwidth(grid, network):
-    for _, sweep in grid[network]:
+    for _, _, sweep in grid[network]:
         cycles = [result.total_cycles for result in sweep]
         assert cycles == sorted(cycles, reverse=True), (sweep[0].platform, cycles)
 
@@ -101,12 +141,19 @@ def test_layer_cycles_cover_compute_and_memory(grid, network):
 
 @pytest.mark.parametrize("network", models.BENCHMARKS)
 def test_gemm_blocks_read_their_compulsory_footprint(grid, network):
-    for program, sweep in grid[network]:
+    for spec, gemms, sweep in grid[network]:
         for result in sweep:
-            for block, layer in zip(program.blocks, result.layers, strict=True):
-                assert block.name == layer.name
-                if not block.layer.has_gemm():
+            for (name, gemm), layer in zip(gemms, result.layers, strict=True):
+                assert name == layer.name
+                if gemm is None:
                     continue
-                gemm = block.tiling.workload
                 compulsory = gemm.weight_footprint_bits + gemm.input_footprint_bits
                 assert layer.traffic.dram_read_bits >= compulsory, layer.name
+        if spec is not None:
+            # buffers_kb=None is the closed form of the tiled rule's
+            # unbounded-buffer limit.
+            closed = PlatformModel(replace(spec, buffers_kb=None))
+            tiled = PlatformModel(replace(spec, buffers_kb=_UNBOUNDED_KB))
+            assert [closed.dram_bits(g) for _, g in gemms if g] == [
+                tiled.dram_bits(g) for _, g in gemms if g
+            ], spec.name
