@@ -75,7 +75,9 @@ from repro import __version__  # noqa: E402
 from repro.core.accelerator import BitFusionAccelerator  # noqa: E402
 from repro.core.config import BitFusionConfig  # noqa: E402
 from repro.dnn import models  # noqa: E402
-from repro.nas import Estimator, SearchSpec, mutate, run_search  # noqa: E402
+from repro.nas.estimator import Estimator  # noqa: E402
+from repro.nas.mutations import mutate  # noqa: E402
+from repro.nas.search import SearchSpec, run_search  # noqa: E402
 from repro.dse.pareto import pareto_indices  # noqa: E402
 from repro.dse.spec import SweepSpec  # noqa: E402
 from repro.isa.compiler import FusionCompiler  # noqa: E402

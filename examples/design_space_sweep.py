@@ -26,7 +26,9 @@ Run with::
 
 from __future__ import annotations
 
-from repro.dse import SweepSpec, format_sweep_report, run_sweep
+from repro.dse.report import format_sweep_report
+from repro.dse.runner import run_sweep
+from repro.dse.spec import SweepSpec
 from repro.session import EvaluationSession
 
 

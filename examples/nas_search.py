@@ -32,7 +32,8 @@ from __future__ import annotations
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
-from repro.nas import Estimator, SearchSpec, format_search_report, run_search
+from repro.nas.estimator import Estimator
+from repro.nas.search import SearchSpec, format_search_report, run_search
 
 
 def main() -> None:

@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.decompose import decompose_multiply, recompose_product
-
 __all__ = [
     "FusionConfig",
     "fusion_config_for",
@@ -221,6 +219,10 @@ class FusionUnit:
         so the result is provably identical to the integer dot product while
         exercising the real fusion datapath.
         """
+        # Imported here: the simulator and the energy model need only
+        # ``FusionConfig``, so start-up never loads the functional brick model.
+        from repro.core.decompose import decompose_multiply, recompose_product
+
         cfg = self.config
         if len(inputs) != cfg.fused_pes or len(weights) != cfg.fused_pes:
             raise ValueError(

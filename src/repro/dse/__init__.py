@@ -21,41 +21,6 @@ declarative operation on top of the evaluation session:
 
 See ``docs/sweeps.md`` for the spec schema and a worked example, and
 ``examples/design_space_sweep.py`` for a runnable two-axis exploration.
+
+The package namespace re-exports nothing; import from the modules.
 """
-
-from repro.dse.pareto import (
-    OBJECTIVES,
-    dominates,
-    pareto_front,
-    pareto_indices,
-    pareto_indices_quadratic,
-)
-from repro.dse.report import format_pareto_table, format_sweep_report
-from repro.dse.runner import DesignSpaceResult, EvaluatedPoint, run_sweep
-from repro.dse.spec import (
-    BASE_CONFIGS,
-    CONFIG_AXES,
-    WORKLOAD_AXES,
-    DesignPoint,
-    SweepSpec,
-    format_axis_value,
-)
-
-__all__ = [
-    "BASE_CONFIGS",
-    "CONFIG_AXES",
-    "OBJECTIVES",
-    "WORKLOAD_AXES",
-    "DesignPoint",
-    "DesignSpaceResult",
-    "EvaluatedPoint",
-    "SweepSpec",
-    "dominates",
-    "format_axis_value",
-    "format_pareto_table",
-    "format_sweep_report",
-    "pareto_front",
-    "pareto_indices",
-    "pareto_indices_quadratic",
-    "run_sweep",
-]

@@ -326,26 +326,23 @@ class SweepSpec:
         The grid order is the cartesian product of networks x batch sizes x
         axis values, iterated in declaration order, so a spec always expands
         to the same point sequence (and hence the same report layout).
+        Each (batch size, axis values) configuration is built once and
+        shared by every network's point.
         """
-        points: list[DesignPoint] = []
-        value_lists = [values for _, values in self.axes]
+        combinations = [
+            tuple(zip(self.axis_names, combination))
+            for combination in product(*(values for _, values in self.axes))
+        ]
         base = BASE_CONFIGS[self.base_config]
+        resolved = {
+            batch: [self._resolve(base(batch), settings) for settings in combinations]
+            for batch in self.batch_sizes
+        }
+        points: list[DesignPoint] = []
         for network, batch in product(self.networks, self.batch_sizes):
-            for combination in product(*value_lists):
-                settings = tuple(zip(self.axis_names, combination))
-                config = base(batch)
-                fixed_bits: int | None = None
-                loop_ordering = True
-                layer_fusion = True
-                for axis, value in settings:
-                    if axis in CONFIG_AXES:
-                        config = CONFIG_AXES[axis](config, value)
-                    elif axis == "fixed_bits":
-                        fixed_bits = None if value is None else int(value)
-                    elif axis == "loop_ordering":
-                        loop_ordering = bool(value)
-                    elif axis == "layer_fusion":
-                        layer_fusion = bool(value)
+            for settings, (config, fixed_bits, loop_ordering, layer_fusion) in zip(
+                combinations, resolved[batch]
+            ):
                 workload = Workload.bitfusion(
                     network,
                     batch_size=batch,
@@ -363,6 +360,25 @@ class SweepSpec:
                     )
                 )
         return points
+
+    @staticmethod
+    def _resolve(
+        config: BitFusionConfig, settings: tuple[tuple[str, Any], ...]
+    ) -> tuple[BitFusionConfig, int | None, bool, bool]:
+        """The (config, fixed_bits, loop_ordering, layer_fusion) that ``settings`` name."""
+        fixed_bits: int | None = None
+        loop_ordering = True
+        layer_fusion = True
+        for axis, value in settings:
+            if axis in CONFIG_AXES:
+                config = CONFIG_AXES[axis](config, value)
+            elif axis == "fixed_bits":
+                fixed_bits = None if value is None else int(value)
+            elif axis == "loop_ordering":
+                loop_ordering = bool(value)
+            elif axis == "layer_fusion":
+                layer_fusion = bool(value)
+        return config, fixed_bits, loop_ordering, layer_fusion
 
     def describe(self) -> str:
         """One-line summary of the grid (axis sizes and point count)."""

@@ -9,6 +9,7 @@ treat them uniformly.  All values are in joules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = ["EnergyBreakdown"]
 
@@ -91,8 +92,16 @@ class EnergyBreakdown:
         return EnergyBreakdown()
 
     @staticmethod
-    def sum(breakdowns: list["EnergyBreakdown"]) -> "EnergyBreakdown":
-        total = EnergyBreakdown()
+    def sum(breakdowns: Iterable["EnergyBreakdown"]) -> "EnergyBreakdown":
+        """Component-wise sum, validated once.
+
+        Folds left to right from zero, exactly as chained ``+`` would, so
+        the floats are bit-identical to it.
+        """
+        compute = buffers = register_file = dram = 0.0
         for breakdown in breakdowns:
-            total = total + breakdown
-        return total
+            compute += breakdown.compute
+            buffers += breakdown.buffers
+            register_file += breakdown.register_file
+            dram += breakdown.dram
+        return EnergyBreakdown(compute, buffers, register_file, dram)

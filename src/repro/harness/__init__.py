@@ -1,11 +1,12 @@
 """Experiment harness: one runner per table/figure of the paper's evaluation.
 
 Each experiment module exposes a ``run(...)`` function that returns plain
-data rows (dataclasses) plus a ``format_table(...)`` helper that renders the
-same rows the paper reports.  The benchmark suite under ``benchmarks/``
-wraps these runners with ``pytest-benchmark`` so that regenerating every
-figure is a single ``pytest benchmarks/ --benchmark-only`` invocation, and
-``python -m repro.harness`` renders every table next to the paper's numbers.
+data rows (dataclasses), a ``format_table(...)`` helper that renders the
+same rows the paper reports, and ``render(benchmarks)``, its report
+section.  The benchmark suite under ``benchmarks/`` wraps these runners
+with ``pytest-benchmark`` so that regenerating every figure is a single
+``pytest benchmarks/ --benchmark-only`` invocation, and ``python -m
+repro.harness`` renders every table next to the paper's numbers.
 
 Experiment index
 ----------------
@@ -23,11 +24,11 @@ Module                              Paper artifact
 ``experiments.fig17_gpu``           Figure 17 — comparison with GPUs
 ``experiments.fig18_stripes``       Figure 18 — speedup / energy vs Stripes
 ``experiments.isa_stats``           Section IV — instructions per block
+``experiments.temporal_network``    Section III-C — whole-network temporal comparison
 ``experiments.ablations``           Section IV-B — compiler-optimization ablations
+``experiments.dse_explore``         Design-space exploration — Pareto frontier
 ==================================  =============================================
+
+The package namespace re-exports nothing; import from the modules
+(:mod:`repro.harness.reporting`, :mod:`repro.harness.paper_data`).
 """
-
-from repro.harness.reporting import format_table, markdown_table
-from repro.harness import paper_data
-
-__all__ = ["format_table", "markdown_table", "paper_data"]

@@ -1,40 +1,10 @@
 """Experiment runners, one module per table/figure of the paper's evaluation.
 
-Every module exposes a ``run(...)`` entry point returning plain result rows
-and a ``format_table(...)`` (or ``summary``) helper; the benchmark suite
-under ``benchmarks/`` wraps these runners in ``pytest-benchmark`` fixtures.
+Every module exposes a ``run(...)`` entry point returning plain result rows,
+a ``format_table(...)`` helper and ``render(benchmarks)``, the report
+section :mod:`repro.harness.runner` prints.  The runner imports a module
+only when it renders it; the benchmark suite under ``benchmarks/`` wraps
+the ``run`` entry points in ``pytest-benchmark`` fixtures.
+
+The package namespace re-exports nothing; import the modules.
 """
-
-from repro.harness.experiments import (
-    ablations,
-    dse_explore,
-    fig01_bitwidths,
-    fig10_fusion_unit,
-    fig13_eyeriss,
-    fig14_breakdown,
-    fig15_bandwidth,
-    fig16_batch,
-    fig17_gpu,
-    fig18_stripes,
-    isa_stats,
-    tab02_benchmarks,
-    tab03_platforms,
-    temporal_network,
-)
-
-__all__ = [
-    "ablations",
-    "dse_explore",
-    "fig01_bitwidths",
-    "fig10_fusion_unit",
-    "fig13_eyeriss",
-    "fig14_breakdown",
-    "fig15_bandwidth",
-    "fig16_batch",
-    "fig17_gpu",
-    "fig18_stripes",
-    "isa_stats",
-    "tab02_benchmarks",
-    "tab03_platforms",
-    "temporal_network",
-]

@@ -22,7 +22,7 @@ from repro.dnn import models
 from repro.session import EvaluationSession, Workload, resolve_session
 from repro.sim.stats import geometric_mean
 
-__all__ = ["AblationRow", "run", "format_table"]
+__all__ = ["AblationRow", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -128,3 +128,11 @@ def format_table(rows: list[AblationRow]) -> str:
     from repro.harness.reporting import format_table as _format
 
     return _format(rows, title="Compiler / fusion ablations (slowdown and energy vs full Bit Fusion)")
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the ablation table plus each knob's geomean impact."""
+    rows = run(benchmarks=benchmarks)
+    lines = [format_table(rows), "", "geomean impact:"]
+    lines.extend(f"  {key}: {value:.2f}x" for key, value in geomean_summary(rows).items())
+    return "\n".join(lines)

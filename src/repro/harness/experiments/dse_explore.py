@@ -16,7 +16,7 @@ from repro.dse.runner import DesignSpaceResult, run_sweep
 from repro.dse.spec import SweepSpec
 from repro.session import EvaluationSession, resolve_session
 
-__all__ = ["DEFAULT_NETWORKS", "default_spec", "run", "format_table"]
+__all__ = ["DEFAULT_NETWORKS", "default_spec", "render", "run", "format_table"]
 
 #: Benchmarks the built-in exploration sweeps (the two cheapest to
 #: simulate, so the section stays a small fraction of the full report).
@@ -55,3 +55,8 @@ def run(
 def format_table(result: DesignSpaceResult) -> str:
     """Render the exploration as the report section body."""
     return format_sweep_report(result)
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the built-in exploration over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

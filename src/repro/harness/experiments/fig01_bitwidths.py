@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.dnn import models
 from repro.session import EvaluationSession
 
-__all__ = ["BitwidthRow", "run", "format_table"]
+__all__ = ["BitwidthRow", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -89,3 +89,8 @@ def format_table(rows: list[BitwidthRow]) -> str:
     from repro.harness.reporting import format_table as _format
 
     return _format(rows, title="Figure 1 - bitwidth variation across benchmarks")
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Figure 1 table over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

@@ -16,7 +16,7 @@ from repro.baselines.temporal import TemporalDesignComparison, TemporalDesignMod
 from repro.harness import paper_data
 from repro.session import EvaluationSession
 
-__all__ = ["FusionUnitRow", "run", "run_throughput_advantage", "format_table"]
+__all__ = ["FusionUnitRow", "render", "run", "run_throughput_advantage", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -99,3 +99,18 @@ def format_table(rows: list[FusionUnitRow]) -> str:
         f"{table}\n"
         f"paper totals: {paper_area:.1f}x area reduction, {paper_power:.1f}x power reduction"
     )
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: area/power rows plus the same-area throughput table.
+
+    The rows derive from synthesis constants, so ``benchmarks`` is ignored.
+    """
+    from repro.harness.reporting import format_table as _format
+
+    del benchmarks
+    advantage = _format(
+        run_throughput_advantage(),
+        title="Same-area throughput: spatial fusion vs temporal design",
+    )
+    return f"{format_table(run())}\n\n{advantage}"

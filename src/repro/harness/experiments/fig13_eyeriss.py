@@ -19,7 +19,14 @@ from repro.session import EvaluationSession, Workload, resolve_session
 from repro.sim.results import NetworkResult
 from repro.sim.stats import geometric_mean
 
-__all__ = ["EyerissComparisonRow", "ComparisonSummary", "run", "run_alexnet_per_layer", "format_table"]
+__all__ = [
+    "EyerissComparisonRow",
+    "ComparisonSummary",
+    "render",
+    "run",
+    "run_alexnet_per_layer",
+    "format_table",
+]
 
 
 @dataclass(frozen=True)
@@ -166,3 +173,15 @@ def format_table(summary: ComparisonSummary) -> str:
         f"geomean energy reduction {summary.geomean_energy_reduction:.2f} "
         f"(paper {summary.paper_geomean_energy_reduction:.1f})"
     )
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Figure 13 summary plus AlexNet per layer group."""
+    from repro.harness.reporting import format_table as _format
+
+    summary = run(benchmarks=benchmarks)
+    per_layer = _format(
+        run_alexnet_per_layer(),
+        title="AlexNet per-layer improvement over Eyeriss",
+    )
+    return f"{format_table(summary)}\n\n{per_layer}"

@@ -17,7 +17,7 @@ from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
 
-__all__ = ["BreakdownRow", "run", "format_table"]
+__all__ = ["BreakdownRow", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -106,3 +106,8 @@ def format_table(rows: list[BreakdownRow]) -> str:
     from repro.harness.reporting import format_table as _format
 
     return _format(rows, title="Figure 14 - energy breakdown (fractions of total)")
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Figure 14 breakdown over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

@@ -21,7 +21,7 @@ from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
 
-__all__ = ["BandwidthRow", "DEFAULT_BANDWIDTHS", "run", "format_table"]
+__all__ = ["BandwidthRow", "DEFAULT_BANDWIDTHS", "render", "run", "format_table"]
 
 #: Bandwidths swept by the paper, in bits per cycle.
 DEFAULT_BANDWIDTHS = (32, 64, 128, 256, 512)
@@ -101,3 +101,8 @@ def format_table(rows: list[BandwidthRow]) -> str:
     return _format(
         rows, title="Figure 15 - speedup vs off-chip bandwidth (normalized to 128 bits/cycle)"
     )
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Figure 15 bandwidth sweep over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

@@ -20,7 +20,7 @@ from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
 
-__all__ = ["BatchRow", "DEFAULT_BATCH_SIZES", "run", "format_table"]
+__all__ = ["BatchRow", "DEFAULT_BATCH_SIZES", "render", "run", "format_table"]
 
 #: Batch sizes swept by the paper.
 DEFAULT_BATCH_SIZES = (1, 4, 16, 64, 256)
@@ -82,3 +82,8 @@ def format_table(rows: list[BatchRow]) -> str:
     from repro.harness.reporting import format_table as _format
 
     return _format(rows, title="Figure 16 - speedup vs batch size (normalized to batch 1)")
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Figure 16 batch sweep over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

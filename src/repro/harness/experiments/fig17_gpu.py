@@ -18,7 +18,7 @@ from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
 from repro.sim.stats import geometric_mean
 
-__all__ = ["GpuComparisonRow", "GpuComparisonSummary", "run", "format_table"]
+__all__ = ["GpuComparisonRow", "GpuComparisonSummary", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -117,3 +117,8 @@ def format_table(summary: GpuComparisonSummary) -> str:
         f"TitanX INT8 {summary.geomean_titanx_int8:.1f}x (paper {paper['titanx-int8']:.0f}x), "
         f"Bit Fusion {summary.geomean_bitfusion:.1f}x (paper {paper['bitfusion']:.0f}x)"
     )
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Figure 17 GPU comparison over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

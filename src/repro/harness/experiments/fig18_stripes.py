@@ -18,7 +18,7 @@ from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
 from repro.sim.stats import geometric_mean
 
-__all__ = ["StripesComparisonRow", "StripesComparisonSummary", "run", "format_table"]
+__all__ = ["StripesComparisonRow", "StripesComparisonSummary", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -101,3 +101,8 @@ def format_table(summary: StripesComparisonSummary) -> str:
         f"geomean energy reduction {summary.geomean_energy_reduction:.2f} "
         f"(paper {summary.paper_geomean_energy_reduction:.1f})"
     )
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Figure 18 Stripes comparison over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

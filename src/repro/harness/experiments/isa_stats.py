@@ -16,7 +16,7 @@ from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
 
-__all__ = ["IsaStatsRow", "run", "format_table"]
+__all__ = ["IsaStatsRow", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -83,3 +83,8 @@ def format_table(rows: list[IsaStatsRow]) -> str:
     low, high = paper_data.ISA_BLOCK_INSTRUCTION_RANGE
     table = _format(rows, title="Fusion-ISA block statistics (Section IV)")
     return f"{table}\npaper: {low}-{high} instructions per block for the evaluated layers"
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the ISA block statistics of ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

@@ -14,7 +14,7 @@ from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession
 
-__all__ = ["BenchmarkRow", "run", "format_table"]
+__all__ = ["BenchmarkRow", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -79,3 +79,8 @@ def format_table(rows: list[BenchmarkRow]) -> str:
     from repro.harness.reporting import format_table as _format
 
     return _format(rows, title="Table II - evaluated CNN/RNN benchmarks")
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the Table II rows of ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

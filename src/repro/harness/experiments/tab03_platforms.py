@@ -23,7 +23,7 @@ from repro.baselines.platform import (
 from repro.core.config import BitFusionConfig
 from repro.session import EvaluationSession
 
-__all__ = ["PlatformRow", "run", "format_table"]
+__all__ = ["PlatformRow", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,12 @@ def format_table(rows: list[PlatformRow]) -> str:
     from repro.harness.reporting import format_table as _format
 
     return _format(rows, title="Table III - evaluated platforms")
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the platform table (independent of ``benchmarks``)."""
+    del benchmarks
+    return format_table(run())
 
 
 # The Tegra X2 spec is referenced for completeness even though its row is

@@ -24,7 +24,7 @@ from repro.dnn import models
 from repro.session import EvaluationSession, Workload, resolve_session
 from repro.sim.stats import geometric_mean
 
-__all__ = ["TemporalComparisonRow", "TemporalComparisonSummary", "run", "format_table"]
+__all__ = ["TemporalComparisonRow", "TemporalComparisonSummary", "render", "run", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -104,3 +104,8 @@ def format_table(summary: TemporalComparisonSummary) -> str:
         f"geomean energy reduction {summary.geomean_energy_reduction:.2f} "
         f"(same-area temporal design, quantized bitwidths on both platforms)"
     )
+
+
+def render(benchmarks: tuple[str, ...] | None = None) -> str:
+    """The report section: the whole-network temporal comparison over ``benchmarks``."""
+    return format_table(run(benchmarks=benchmarks))

@@ -33,27 +33,9 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from repro import __version__
 from repro.dnn import models
-from repro.harness.experiments import (
-    ablations,
-    dse_explore,
-    fig01_bitwidths,
-    fig10_fusion_unit,
-    fig13_eyeriss,
-    fig14_breakdown,
-    fig15_bandwidth,
-    fig16_batch,
-    fig17_gpu,
-    fig18_stripes,
-    isa_stats,
-    tab02_benchmarks,
-    tab03_platforms,
-    temporal_network,
-)
-from repro.harness.reporting import format_table
 from repro.session import (
     EvaluationSession,
     ResultCache,
@@ -78,108 +60,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One runnable experiment: an identifier, a description and a renderer."""
+    """One runnable experiment: an identifier, a description and its module.
+
+    ``module`` names a module of :mod:`repro.harness.experiments`.  It is
+    imported the first time the experiment renders, so a command that
+    renders no experiment (``--list``, ``sweep``, ``nas``) never loads it.
+    """
 
     key: str
     description: str
-    render: Callable[[tuple[str, ...] | None], str]
+    module: str
 
-
-def _render_fig01(benchmarks):
-    return fig01_bitwidths.format_table(fig01_bitwidths.run(benchmarks=benchmarks))
-
-
-def _render_tab02(benchmarks):
-    return tab02_benchmarks.format_table(tab02_benchmarks.run(benchmarks=benchmarks))
-
-
-def _render_tab03(benchmarks):
-    del benchmarks  # the platform table does not depend on the benchmark subset
-    return tab03_platforms.format_table(tab03_platforms.run())
-
-
-def _render_fig10(benchmarks):
-    del benchmarks
-    table = fig10_fusion_unit.format_table(fig10_fusion_unit.run())
-    advantage = format_table(
-        fig10_fusion_unit.run_throughput_advantage(),
-        title="Same-area throughput: spatial fusion vs temporal design",
-    )
-    return f"{table}\n\n{advantage}"
-
-
-def _render_fig13(benchmarks):
-    summary = fig13_eyeriss.run(benchmarks=benchmarks)
-    per_layer = format_table(
-        fig13_eyeriss.run_alexnet_per_layer(),
-        title="AlexNet per-layer improvement over Eyeriss",
-    )
-    return f"{fig13_eyeriss.format_table(summary)}\n\n{per_layer}"
-
-
-def _render_fig14(benchmarks):
-    return fig14_breakdown.format_table(fig14_breakdown.run(benchmarks=benchmarks))
-
-
-def _render_fig15(benchmarks):
-    return fig15_bandwidth.format_table(fig15_bandwidth.run(benchmarks=benchmarks))
-
-
-def _render_fig16(benchmarks):
-    return fig16_batch.format_table(fig16_batch.run(benchmarks=benchmarks))
-
-
-def _render_fig17(benchmarks):
-    return fig17_gpu.format_table(fig17_gpu.run(benchmarks=benchmarks))
-
-
-def _render_fig18(benchmarks):
-    return fig18_stripes.format_table(fig18_stripes.run(benchmarks=benchmarks))
-
-
-def _render_isa(benchmarks):
-    return isa_stats.format_table(isa_stats.run(benchmarks=benchmarks))
-
-
-def _render_temporal(benchmarks):
-    return temporal_network.format_table(temporal_network.run(benchmarks=benchmarks))
-
-
-def _render_dse(benchmarks):
-    return dse_explore.format_table(dse_explore.run(benchmarks=benchmarks))
-
-
-def _render_ablations(benchmarks):
-    rows = ablations.run(benchmarks=benchmarks)
-    summary = ablations.geomean_summary(rows)
-    lines = [ablations.format_table(rows), "", "geomean impact:"]
-    lines.extend(f"  {key}: {value:.2f}x" for key, value in summary.items())
-    return "\n".join(lines)
+    def render(self, benchmarks: tuple[str, ...] | None) -> str:
+        """Import the experiment's module and return its report section."""
+        # ``__import__``, not ``importlib.import_module``: an import hook
+        # installed as ``builtins.__import__`` (a tracer timing first-use
+        # imports) sees the load.
+        module = __import__(f"repro.harness.experiments.{self.module}", fromlist=["render"])
+        return module.render(benchmarks)
 
 
 #: Registry of every experiment the runner knows about, in paper order.
 EXPERIMENTS: tuple[ExperimentSpec, ...] = (
-    ExperimentSpec("fig01", "Figure 1 - bitwidth variation", _render_fig01),
-    ExperimentSpec("tab02", "Table II - benchmark characteristics", _render_tab02),
-    ExperimentSpec("tab03", "Table III - evaluated platforms", _render_tab03),
-    ExperimentSpec("fig10", "Figure 10 - Fusion Unit vs temporal design", _render_fig10),
-    ExperimentSpec("fig13", "Figure 13 - improvement over Eyeriss", _render_fig13),
-    ExperimentSpec("fig14", "Figure 14 - energy breakdown", _render_fig14),
-    ExperimentSpec("fig15", "Figure 15 - bandwidth sensitivity", _render_fig15),
-    ExperimentSpec("fig16", "Figure 16 - batch-size sensitivity", _render_fig16),
-    ExperimentSpec("fig17", "Figure 17 - comparison with GPUs", _render_fig17),
-    ExperimentSpec("fig18", "Figure 18 - improvement over Stripes", _render_fig18),
+    ExperimentSpec("fig01", "Figure 1 - bitwidth variation", "fig01_bitwidths"),
+    ExperimentSpec("tab02", "Table II - benchmark characteristics", "tab02_benchmarks"),
+    ExperimentSpec("tab03", "Table III - evaluated platforms", "tab03_platforms"),
+    ExperimentSpec("fig10", "Figure 10 - Fusion Unit vs temporal design", "fig10_fusion_unit"),
+    ExperimentSpec("fig13", "Figure 13 - improvement over Eyeriss", "fig13_eyeriss"),
+    ExperimentSpec("fig14", "Figure 14 - energy breakdown", "fig14_breakdown"),
+    ExperimentSpec("fig15", "Figure 15 - bandwidth sensitivity", "fig15_bandwidth"),
+    ExperimentSpec("fig16", "Figure 16 - batch-size sensitivity", "fig16_batch"),
+    ExperimentSpec("fig17", "Figure 17 - comparison with GPUs", "fig17_gpu"),
+    ExperimentSpec("fig18", "Figure 18 - improvement over Stripes", "fig18_stripes"),
     ExperimentSpec(
         "temporal",
         "Section III-C - whole-network temporal design comparison",
-        _render_temporal,
+        "temporal_network",
     ),
-    ExperimentSpec("isa", "Section IV - ISA block statistics", _render_isa),
-    ExperimentSpec("ablations", "Ablations of the design mechanisms", _render_ablations),
+    ExperimentSpec("isa", "Section IV - ISA block statistics", "isa_stats"),
+    ExperimentSpec("ablations", "Ablations of the design mechanisms", "ablations"),
     ExperimentSpec(
         "dse",
         "Design-space exploration - array x technology Pareto frontier",
-        _render_dse,
+        "dse_explore",
     ),
 )
 
@@ -332,8 +255,10 @@ def build_sweep_report(
     :class:`~repro.session.engine.WorkloadExecutionError` naming it; points
     committed before it stay in the ``--cache-dir``.
     """
-    # Imported here so `python -m repro.harness --list` stays import-light.
-    from repro.dse import SweepSpec, format_sweep_report, run_sweep
+    # Imported here so the other commands never load the sweep modules.
+    from repro.dse.report import format_sweep_report
+    from repro.dse.runner import run_sweep
+    from repro.dse.spec import SweepSpec
 
     spec = SweepSpec.from_file(spec_path)
     owns_session = session is None
@@ -373,7 +298,7 @@ def build_sweep_dry_run_report(spec_path: str, cache_dir: str | None = None) -> 
     Run this before committing to an expensive sweep to see what it will
     actually cost.
     """
-    from repro.dse import SweepSpec
+    from repro.dse.spec import SweepSpec
 
     spec = SweepSpec.from_file(spec_path)
     points = spec.expand()
@@ -464,8 +389,9 @@ def build_nas_report(spec_path: str, cache_dir: str | None = None) -> str:
     first one priced.  The footer reports the estimator's hit rate, stored
     results read, layers simulated vs composed, and candidates per second.
     """
-    # Imported here so `python -m repro.harness --list` stays import-light.
-    from repro.nas import Estimator, SearchSpec, format_search_report, run_search
+    # Imported here so the other commands never load the search modules.
+    from repro.nas.estimator import Estimator
+    from repro.nas.search import SearchSpec, format_search_report, run_search
 
     spec = SearchSpec.from_file(spec_path)
     cache = ResultCache(cache_dir)

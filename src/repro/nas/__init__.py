@@ -1,30 +1,11 @@
 """NAS over the artifact cache: surrogate estimator plus candidate search.
 
-:class:`Estimator` prices arbitrary candidate networks by cache lookup and
-pure composition — simulating only never-before-seen layers, exactly once
-each — and :func:`run_search` runs random + evolutionary mutation over zoo
+:class:`~repro.nas.estimator.Estimator` prices arbitrary candidate networks
+by cache lookup and pure composition — simulating only never-before-seen
+layers, exactly once each — and :func:`~repro.nas.search.run_search` runs
+random + evolutionary mutation (:mod:`repro.nas.mutations`) over zoo
 networks through it, streaming an incremental Pareto frontier.  See
 ``docs/nas.md``.
+
+The package namespace re-exports nothing; import from the modules.
 """
-
-from repro.nas.estimator import Estimator, EstimatorStats
-from repro.nas.mutations import MUTATION_AXES, mutate
-from repro.nas.search import (
-    Candidate,
-    SearchResult,
-    SearchSpec,
-    format_search_report,
-    run_search,
-)
-
-__all__ = [
-    "Candidate",
-    "Estimator",
-    "EstimatorStats",
-    "MUTATION_AXES",
-    "SearchResult",
-    "SearchSpec",
-    "format_search_report",
-    "mutate",
-    "run_search",
-]

@@ -145,6 +145,16 @@ class Workload:
                 f"as config, got {type(self.config).__name__} "
                 f"{getattr(self.config, 'name', None)!r}"
             )
+        elif self.platform == "bitfusion" and not isinstance(self.config, BitFusionConfig):
+            raise ValueError(
+                f"bitfusion workloads need a BitFusionConfig as config, "
+                f"got {type(self.config).__name__}"
+            )
+        elif self.platform == "gpu" and not isinstance(self.config, GpuSpec):
+            raise ValueError(
+                f"gpu workloads need a GpuSpec as config (e.g. TEGRA_X2, TITAN_XP), "
+                f"got {type(self.config).__name__}"
+            )
 
     # ------------------------------------------------------------------ #
     # Named constructors (one per platform, paper-default configurations)

@@ -25,7 +25,8 @@ looked up again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Any, Iterable
 
 from repro.energy.breakdown import EnergyBreakdown
@@ -179,6 +180,12 @@ class NetworkResult:
 
     All per-layer quantities are *per batch*; the aggregate properties below
     convert to per-inference numbers using :attr:`batch_size`.
+
+    :attr:`total_cycles`, :attr:`traffic` and :attr:`energy` fold every
+    layer, and reports read them many times per result, so each is
+    computed once per instance.  The memo sits in the instance ``__dict__``
+    outside the dataclass fields: equality, hashing, ``asdict``,
+    ``replace`` and pickling ignore it.
     """
 
     network_name: str
@@ -195,10 +202,14 @@ class NetworkResult:
         if not self.layers:
             raise ValueError("a NetworkResult needs at least one layer result")
 
+    def __getstate__(self) -> dict[str, Any]:
+        """The fields only: pickles and copies leave the memoized totals behind."""
+        return {item.name: getattr(self, item.name) for item in fields(self)}
+
     # ------------------------------------------------------------------ #
     # Cycle / time aggregates
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def total_cycles(self) -> int:
         """Cycles to process one batch."""
         return sum(layer.total_cycles for layer in self.layers)
@@ -234,17 +245,17 @@ class NetworkResult:
         """Multiply-accumulates per batch."""
         return sum(layer.macs for layer in self.layers)
 
-    @property
+    @cached_property
     def traffic(self) -> MemoryTraffic:
         total = MemoryTraffic()
         for layer in self.layers:
             total = total + layer.traffic
         return total
 
-    @property
+    @cached_property
     def energy(self) -> EnergyBreakdown:
         """Energy per batch, by component."""
-        return EnergyBreakdown.sum([layer.energy for layer in self.layers])
+        return EnergyBreakdown.sum(layer.energy for layer in self.layers)
 
     @property
     def energy_per_inference_j(self) -> float:

@@ -18,21 +18,24 @@ Covered properties:
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dse import (
+from repro.dse.pareto import dominates, pareto_front, pareto_indices
+from repro.dse.report import format_sweep_report
+from repro.dse.runner import run_sweep
+from repro.dse.spec import (
+    BASE_CONFIGS,
+    CONFIG_AXES,
+    DesignPoint,
     SweepSpec,
-    dominates,
-    format_sweep_report,
-    pareto_front,
-    pareto_indices,
-    run_sweep,
+    checked_field,
+    checked_list,
 )
-from repro.dse.spec import checked_field, checked_list
 from repro.harness.runner import format_cache_info, main
-from repro.session import EvaluationSession
+from repro.session import EvaluationSession, Workload
 from repro.session import cache as cache_module
 
 
@@ -68,6 +71,48 @@ class TestSpecExpansion:
         settings = [dict(point.settings) for point in spec.expand()]
         assert [s["technology"] for s in settings[:2]] == ["45nm", "16nm"]
         assert settings[0]["bandwidth"] == settings[1]["bandwidth"] == 64
+
+    def test_expansion_equals_a_naive_per_point_build_and_shares_configs(self):
+        spec = small_spec(
+            networks=["LeNet-5", "LSTM", "AlexNet"],
+            batch_sizes=[1, 16],
+            axes={
+                "array": [[16, 16], [32, 16]],
+                "bandwidth": [64, 128],
+                "fixed_bits": [None, 8],
+                "layer_fusion": [True, False],
+            },
+        )
+        naive = []
+        for network, batch in product(spec.networks, spec.batch_sizes):
+            for combination in product(*(values for _, values in spec.axes)):
+                settings = tuple(zip(spec.axis_names, combination))
+                values = dict(settings)
+                config = BASE_CONFIGS[spec.base_config](batch)
+                for axis in ("array", "bandwidth"):
+                    config = CONFIG_AXES[axis](config, values[axis])
+                workload = Workload.bitfusion(
+                    network,
+                    batch_size=batch,
+                    config=config,
+                    fixed_bits=values["fixed_bits"],
+                    enable_layer_fusion=values["layer_fusion"],
+                )
+                naive.append(DesignPoint(network, batch, settings, workload))
+        points = spec.expand()
+        assert points == naive
+        assert [point.workload.fingerprint() for point in points] == [
+            point.workload.fingerprint() for point in naive
+        ]
+        shared: dict[tuple, list] = {}
+        for point in points:
+            shared.setdefault((point.batch_size, point.settings), []).append(
+                point.workload.config
+            )
+        assert len(shared) == 2 * 2 * 2 * 2 * 2
+        for configs in shared.values():
+            assert len(configs) == len(spec.networks)
+            assert all(config is configs[0] for config in configs)
 
     def test_axes_land_on_the_right_config_fields(self):
         spec = small_spec(

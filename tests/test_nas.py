@@ -26,14 +26,16 @@ from repro.dnn.layers import ConvLayer, FCLayer
 from repro.dnn.network import Network
 from repro.harness.runner import main
 from repro.isa.compiler import FusionCompiler
-from repro.nas import Estimator, SearchSpec, mutate, run_search
+from repro.nas.estimator import Estimator
 from repro.nas.mutations import (
     MUTATION_AXES,
+    mutate,
     mutate_bits,
     mutate_depth,
     mutate_kernel,
     mutate_width,
 )
+from repro.nas.search import SearchSpec, run_search
 from repro.session import EvaluationSession, ResultCache, Workload
 from repro.session.cache import network_result_to_dict
 from repro.session.workload import load_network

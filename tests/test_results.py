@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import pytest
@@ -172,6 +174,48 @@ _layer_results = st.builds(
     ),
     utilization=st.floats(min_value=0.0, max_value=1.0),
 )
+
+
+class TestNetworkResultMemo:
+    """The network totals are computed once and stay outside the fields."""
+
+    def test_totals_are_computed_once_per_instance(self):
+        result = _result([_layer("a"), _layer("b")])
+        assert result.energy is result.energy
+        assert result.traffic is result.traffic
+        assert result.total_cycles == 2 * 1010
+
+    def test_memo_is_invisible_to_eq_hash_asdict_replace_and_pickle(self):
+        read = _result([_layer("a"), _layer("b")])
+        pickled = pickle.dumps(read)
+        # Reading the totals fills the memo; ``fresh`` never reads them.
+        assert read.total_cycles and read.energy.total and read.traffic.dram_total_bits
+        fresh = _result([_layer("a"), _layer("b")])
+        assert set(vars(read)) > set(vars(fresh))
+        assert read == fresh
+        assert hash(read) == hash(fresh)
+        assert asdict(read) == asdict(fresh)
+        assert pickle.dumps(read) == pickled
+        assert pickle.loads(pickled) == read
+        for clone in (pickle.loads(pickle.dumps(read)), copy.copy(read), copy.deepcopy(read)):
+            assert clone == read
+            assert set(vars(clone)) == set(vars(fresh))
+
+    def test_replace_recomputes_the_totals(self):
+        result = _result([_layer("a"), _layer("b")])
+        assert result.total_cycles == 2020
+        shorter = replace(result, layers=(_layer("a"),))
+        assert shorter.total_cycles == 1010
+        assert shorter.energy == _layer("a").energy
+
+    @given(st.lists(st.builds(
+        EnergyBreakdown, **{name: _joules for name in EnergyBreakdown().as_dict()}
+    ), max_size=12))
+    def test_energy_sum_is_the_chained_left_fold_bit_for_bit(self, breakdowns):
+        chained = EnergyBreakdown()
+        for breakdown in breakdowns:
+            chained = chained + breakdown
+        assert EnergyBreakdown.sum(breakdowns).as_dict() == chained.as_dict()
 
 
 class TestSerializers:

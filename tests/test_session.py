@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 from faults import tear_last_record
 
+from repro.baselines.platform import EYERISS
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.fingerprint import fingerprint_payload
@@ -164,6 +165,18 @@ class TestFingerprints:
     def test_gpu_workload_requires_a_device_spec(self):
         with pytest.raises(ValueError, match="device spec"):
             Workload(platform="gpu", network="LeNet-5", gpu_precision="fp32")
+
+    @pytest.mark.parametrize(
+        "platform, kwargs",
+        [("bitfusion", {}), ("gpu", {"gpu_precision": "fp32"})],
+    )
+    def test_config_of_another_platform_is_a_one_line_error_naming_config(
+        self, platform, kwargs
+    ):
+        with pytest.raises(ValueError, match=rf"^{platform} workloads need a \w+ as config") as error:
+            Workload(platform=platform, network="LeNet-5", config=EYERISS, **kwargs)
+        assert "PlatformSpec" in str(error.value)
+        assert "\n" not in str(error.value)
 
     def test_benchmark_aliases_canonicalize_to_one_fingerprint(self):
         canonical = Workload.bitfusion("AlexNet")
