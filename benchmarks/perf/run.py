@@ -136,9 +136,9 @@ def _collect_searches(config: BitFusionConfig) -> list[tuple]:
     """Every (gemm, orders) pair the zoo's compilation searches."""
     searches: list[tuple] = []
 
-    def recorder(gemm, orders, compute):
-        searches.append((gemm, orders))
-        return compute()
+    def recorder(requests, compute):
+        searches.extend(requests)
+        return compute(requests)
 
     for name in models.BENCHMARKS:
         compiler = FusionCompiler(config, plan_resolver=recorder)

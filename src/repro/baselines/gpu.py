@@ -61,6 +61,9 @@ class GpuSpec:
         Thermal design power, used as the sustained power draw.
     achievable_compute_fraction / achievable_bandwidth_fraction:
         Fraction of the peaks a tuned DNN library (TensorRT) sustains.
+    cuda_cores / clock_mhz / device_memory / technology:
+        The device as Table III describes it.  Descriptive only: the
+        roofline reads the peaks above, not these.
     """
 
     name: str
@@ -71,6 +74,10 @@ class GpuSpec:
     achievable_compute_fraction: float = 0.45
     achievable_bandwidth_fraction: float = 0.70
     achievable_int8_fraction: float = 0.16
+    cuda_cores: int = 0
+    clock_mhz: float = 0.0
+    device_memory: str = ""
+    technology: str = ""
 
     def __post_init__(self) -> None:
         if self.peak_fp32_gflops <= 0:
@@ -121,6 +128,10 @@ TEGRA_X2 = GpuSpec(
     peak_int8_gops=0.0,
     memory_bandwidth_gb_s=58.4,
     tdp_w=7.5,
+    cuda_cores=256,
+    clock_mhz=875.0,
+    device_memory="8 GB LPDDR4",
+    technology="16nm",
 )
 
 #: Titan Xp (Pascal, 3,584 CUDA cores, Table III).  FP32 ~12.1 TFLOPS, INT8
@@ -133,6 +144,10 @@ TITAN_XP = GpuSpec(
     tdp_w=250.0,
     achievable_compute_fraction=0.40,
     achievable_bandwidth_fraction=0.70,
+    cuda_cores=3584,
+    clock_mhz=1531.0,
+    device_memory="12 GB GDDR5X",
+    technology="16nm",
 )
 
 

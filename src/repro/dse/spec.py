@@ -53,6 +53,7 @@ from typing import Any, Callable, Mapping
 
 from repro.core.config import BitFusionConfig
 from repro.session.workload import Workload
+from repro.spec_fields import checked_field, checked_list
 
 __all__ = [
     "CONFIG_AXES",
@@ -60,8 +61,6 @@ __all__ = [
     "BASE_CONFIGS",
     "DesignPoint",
     "SweepSpec",
-    "checked_field",
-    "checked_list",
     "format_axis_value",
 ]
 
@@ -121,25 +120,6 @@ def format_axis_value(axis: str, value: Any) -> str:
     if axis == "bandwidth":
         return f"{value}b/c"
     return str(value)
-
-
-def _is_a(value: Any, kind: type) -> bool:
-    # JSON booleans are Python ints; an integer field rejects them.
-    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-
-
-def checked_field(key: str, value: Any, kind: type) -> Any:
-    """``value`` if it is a ``kind``; else a one-line ``ValueError`` naming ``key``."""
-    if not _is_a(value, kind):
-        raise ValueError(f"spec key {key!r} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def checked_list(key: str, value: Any, kind: type) -> tuple[Any, ...]:
-    """``value`` as a tuple if it is a list of ``kind``; else a ``ValueError`` naming ``key``."""
-    if not isinstance(value, (list, tuple)) or not all(_is_a(item, kind) for item in value):
-        raise ValueError(f"spec key {key!r} must be a list of {kind.__name__}, got {value!r}")
-    return tuple(value)
 
 
 def _hashable(value: Any) -> Any:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baselines.gpu import TEGRA_X2, TITAN_XP
+from repro.baselines.gpu import TEGRA_X2, TITAN_XP, GpuPrecision, GpuSpec
 from repro.baselines.platform import (
     EYERISS,
     LANES_PER_TEMPORAL_UNIT,
@@ -48,6 +48,21 @@ class PlatformRow:
         }
 
 
+def _gpu_row(spec: GpuSpec) -> PlatformRow:
+    """A GPU's row, read from its spec (peaks shown for the INT8 path only)."""
+    precision = "FP32"
+    if spec.supports(GpuPrecision.INT8):
+        precision += f" / INT8 ({spec.peak_int8_gops / 1e3:.0f} TOPS peak)"
+    return PlatformRow(
+        platform=spec.name,
+        compute_units=f"{spec.cuda_cores:,} CUDA cores",
+        frequency_mhz=spec.clock_mhz,
+        on_chip_memory=f"{spec.device_memory} (device memory)",
+        technology=spec.technology,
+        precision=precision,
+    )
+
+
 def run(session: EvaluationSession | None = None) -> list[PlatformRow]:
     """Assemble the Table III platform rows from the configuration objects.
 
@@ -76,22 +91,8 @@ def run(session: EvaluationSession | None = None) -> list[PlatformRow]:
             technology=STRIPES.technology.name,
             precision=f"{STRIPES.input_bits}-bit inputs x serial weights",
         ),
-        PlatformRow(
-            platform="Tegra X2",
-            compute_units="256 CUDA cores",
-            frequency_mhz=875.0,
-            on_chip_memory="8 GB LPDDR4 (device memory)",
-            technology="16nm",
-            precision="FP32",
-        ),
-        PlatformRow(
-            platform="Titan Xp",
-            compute_units="3,584 CUDA cores",
-            frequency_mhz=1531.0,
-            on_chip_memory="12 GB GDDR5X (device memory)",
-            technology="16nm",
-            precision=f"FP32 / INT8 ({TITAN_XP.peak_int8_gops / 1e3:.0f} TOPS peak)",
-        ),
+        _gpu_row(TEGRA_X2),
+        _gpu_row(TITAN_XP),
         PlatformRow(
             platform="Temporal bit-serial (same area)",
             compute_units=(
@@ -140,8 +141,3 @@ def render(benchmarks: tuple[str, ...] | None = None) -> str:
     """The report section: the platform table (independent of ``benchmarks``)."""
     del benchmarks
     return format_table(run())
-
-
-# The Tegra X2 spec is referenced for completeness even though its row is
-# assembled from literals; keeping the import makes the linkage explicit.
-_ = TEGRA_X2

@@ -186,7 +186,7 @@ class InstructionBlock:
     # ------------------------------------------------------------------ #
     def encode(self) -> bytes:
         """Binary image of the block."""
-        return encode_block(list(self._instructions))
+        return encode_block(self._instructions)
 
     def to_dict(self) -> dict[str, str]:
         """JSON-compatible payload: the block name plus its hex binary image.
@@ -200,7 +200,7 @@ class InstructionBlock:
         name-free layer fingerprint share one encoding.
         """
         if self._image is None:
-            self._image = encode_block_hex(list(self._instructions))
+            self._image = encode_block_hex(self._instructions)
         return {"name": self.name, "image": self._image}
 
     def stats(self) -> BlockStats:

@@ -7,7 +7,9 @@ recurrent) to one instruction block:
    :class:`~repro.isa.tiling.GemmWorkload`.
 2. The loop-ordering optimization picks the dataflow (output-, weight- or
    input-stationary) and the loop-tiling optimization picks tile sizes that
-   fit the scratchpads (:func:`~repro.isa.optimizations.choose_loop_order`).
+   fit the scratchpads.  A whole program's searches run as one batch
+   (:func:`~repro.isa.tiling.search_tilings`), after every block is lowered
+   and before any is emitted.
 3. The layer-fusion optimization folds trailing pooling/activation layers
    into the block (:func:`~repro.isa.optimizations.fuse_layers`).
 4. The block's instructions are emitted: a ``setup`` fixing the fusion
@@ -25,7 +27,6 @@ layers, consistent with the paper's reported 30-86 instructions per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.config import BitFusionConfig
@@ -55,20 +56,31 @@ from repro.isa.instructions import (
     StMem,
     WrBuf,
 )
-from repro.isa.optimizations import choose_loop_order, fuse_layers
+from repro.isa.optimizations import fuse_layers
 from repro.isa.program import CompiledBlock, Program
-from repro.isa.tiling import GemmWorkload, TilingPlan
+from repro.isa.tiling import GemmWorkload, TilingPlan, search_tilings
 
-__all__ = ["FusionCompiler", "PlanResolver", "compile_layer", "compile_network"]
+__all__ = [
+    "FusionCompiler",
+    "PlanResolver",
+    "TilingRequest",
+    "compile_layer",
+    "compile_network",
+]
+
+#: One tiling search a compilation needs: the GEMM and the loop orders the
+#: search may consider.
+TilingRequest = tuple[GemmWorkload, tuple[LoopOrder, ...]]
 
 #: Hook the evaluation session uses to memoize tiling searches across
-#: compilations: ``(gemm, orders, compute)`` where ``compute`` runs the
-#: actual search.  A resolver may serve the plan from a cache instead of
-#: calling ``compute``; the plan it returns must be exactly what ``compute``
-#: would have produced (plans serialize losslessly, so a cache round-trip
-#: preserves this).
+#: compilations: ``(requests, compute) -> plans``, one plan per request in
+#: order, where ``compute`` searches a list of requests.  A resolver may
+#: serve plans from a cache and pass only the rest to ``compute``; every
+#: plan it returns must be exactly what ``compute`` would have produced
+#: (plans serialize losslessly, so a cache round-trip preserves this).
 PlanResolver = Callable[
-    [GemmWorkload, tuple[LoopOrder, ...], Callable[[], TilingPlan]], TilingPlan
+    [list[TilingRequest], Callable[[list[TilingRequest]], list[TilingPlan]]],
+    list[TilingPlan],
 ]
 
 _MAX_IMMEDIATE = (1 << 16) - 1
@@ -90,6 +102,46 @@ _LOOP_CHANNEL = 14
 #: First loop identifier available to fused pooling/activation followers.
 _LOOP_FUSED_BASE = 24
 
+#: Outer tile loops from outermost in, per dataflow: the stationary
+#: tensor's loop sits outermost so its tile is re-used across the inner
+#: tile loops.
+_TILE_LOOP_NEST = {
+    LoopOrder.OUTPUT_STATIONARY: (_LOOP_M_TILE, _LOOP_R_TILE, _LOOP_N_TILE),
+    LoopOrder.WEIGHT_STATIONARY: (_LOOP_M_TILE, _LOOP_N_TILE, _LOOP_R_TILE),
+    LoopOrder.INPUT_STATIONARY: (_LOOP_N_TILE, _LOOP_R_TILE, _LOOP_M_TILE),
+}
+
+
+# Instructions whose fields never vary, built (and validated) once and
+# shared by every block; instructions are frozen, so sharing is safe.
+def _unit_stride(scratchpad: ScratchpadType, loop_id: int) -> GenAddr:
+    return GenAddr(scratchpad=scratchpad, loop_id=loop_id, stride=1)
+
+
+_WBUF_N_TILE_STEP = _unit_stride(ScratchpadType.WBUF, _LOOP_N_TILE)
+_IBUF_R_TILE_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_R_TILE)
+_OBUF_R_TILE_STEP = _unit_stride(ScratchpadType.OBUF, _LOOP_R_TILE)
+_IBUF_INNER_R_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_INNER_R)
+_OBUF_INNER_R_STEP = _unit_stride(ScratchpadType.OBUF, _LOOP_INNER_R)
+_IBUF_KERNEL_X_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_KERNEL_X)
+_WBUF_KERNEL_X_STEP = _unit_stride(ScratchpadType.WBUF, _LOOP_KERNEL_X)
+_IBUF_INNER_N_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_INNER_N)
+_WBUF_INNER_N_STEP = _unit_stride(ScratchpadType.WBUF, _LOOP_INNER_N)
+
+_COMPUTE = {fn: Compute(fn=fn) for fn in ComputeFn}
+_IBUF_READ = RdBuf(scratchpad=ScratchpadType.IBUF)
+_OBUF_WRITE = WrBuf(scratchpad=ScratchpadType.OBUF)
+_BLOCK_END = BlockEnd(next_block=0)
+
+#: The multiply-accumulate step closing every compute block's inner loops.
+_MACC_TAIL = (
+    _IBUF_READ,
+    RdBuf(scratchpad=ScratchpadType.WBUF),
+    RdBuf(scratchpad=ScratchpadType.OBUF),
+    _COMPUTE[ComputeFn.MACC],
+    _OBUF_WRITE,
+)
+
 
 def _clamp_iterations(value: int) -> int:
     """Clamp a loop trip count into the 16-bit immediate field."""
@@ -98,14 +150,6 @@ def _clamp_iterations(value: int) -> int:
 
 def _clamp_stride(value: int) -> int:
     return max(0, min(int(value), _MAX_IMMEDIATE))
-
-
-@dataclass(frozen=True)
-class _GemmLowering:
-    """Intermediate result of lowering one compute layer."""
-
-    workload: GemmWorkload
-    tiling: TilingPlan
 
 
 class FusionCompiler:
@@ -123,8 +167,9 @@ class FusionCompiler:
         When ``False``, pooling/activation layers get their own blocks and
         their intermediate tensors travel through DRAM.
     plan_resolver:
-        Optional :data:`PlanResolver` consulted before every tiling search.
-        The evaluation session installs one backed by its artifact cache, so
+        Optional :data:`PlanResolver` consulted before tiling searches, once
+        per compiled program with every search the program needs.  The
+        evaluation session installs one backed by its artifact cache, so
         duplicate GEMM shapes — within a network, across networks, and
         across sweep points that share buffer geometry — skip the search
         entirely.  ``None`` (the default) searches unconditionally.  A
@@ -148,23 +193,37 @@ class FusionCompiler:
         # batch size): see :meth:`compile`.
         self._blocks: dict[tuple[Layer, tuple[Layer, ...], int | None], CompiledBlock] = {}
 
-    def _plan_tiling(
-        self, workload: GemmWorkload, orders: tuple[LoopOrder, ...]
-    ) -> TilingPlan:
-        """Search (or resolve from the memo) the tiling for one GEMM.
+    def _plan_tilings(self, requests: list[TilingRequest]) -> list[TilingPlan]:
+        """Search (or resolve from the memo) the tilings of ``requests``.
 
-        ``orders`` names the dataflows the search may consider — the full
-        tuple when loop ordering is enabled, just ``OUTPUT_STATIONARY``
-        otherwise (and always for auxiliary layers) — and is part of the
-        resolver's memo key, so ablation runs never share plans with
-        optimized ones.
+        Each request's ``orders`` names the dataflows its search may
+        consider — the full tuple when loop ordering is enabled, just
+        ``OUTPUT_STATIONARY`` otherwise (and always for auxiliary layers) —
+        and is part of the resolver's memo key, so ablation runs never
+        share plans with optimized ones.
         """
-        def compute() -> TilingPlan:
-            return choose_loop_order(workload, self.config, orders)
-
         if self.plan_resolver is not None:
-            return self.plan_resolver(workload, orders, compute)
-        return compute()
+            return self.plan_resolver(requests, self._search_tilings)
+        return self._search_tilings(requests)
+
+    def _search_tilings(self, requests: list[TilingRequest]) -> list[TilingPlan]:
+        """Search ``requests``: one batched search per distinct ``orders``."""
+        plans: dict[int, TilingPlan] = {}
+        batches: dict[tuple[LoopOrder, ...], list[int]] = {}
+        for index, (_, orders) in enumerate(requests):
+            batches.setdefault(orders, []).append(index)
+        try:
+            for orders, indices in batches.items():
+                found = search_tilings([requests[i][0] for i in indices], self.config, orders)
+                for index, plan in zip(indices, found):
+                    plans[index] = plan
+        except ValueError:
+            # Name the first failing GEMM in program order, as compiling
+            # one layer at a time would.
+            for gemm, orders in requests:
+                search_tilings((gemm,), self.config, orders)
+            raise
+        return [plans[index] for index in range(len(requests))]
 
     # ------------------------------------------------------------------ #
     # Workload lowering
@@ -202,9 +261,7 @@ class FusionCompiler:
         """The degenerate GEMM a pooling/activation layer lowers to.
 
         The data still flows as a (1, 1, elements x batch) workload so the
-        simulator can charge its DRAM traffic; shared between
-        :meth:`compile_auxiliary_layer` and :meth:`tiling_requests` so the
-        search a request predicts is exactly the search compilation runs.
+        simulator can charge its DRAM traffic.
         """
         batch = self.config.batch_size if batch_size is None else batch_size
         if batch <= 0:
@@ -218,36 +275,32 @@ class FusionCompiler:
             output_bits=layer.output_bits,
         )
 
+    def _tiling_request(self, head: Layer, batch_size: int | None) -> TilingRequest:
+        """The tiling search the block headed by ``head`` needs.
+
+        Shared by :meth:`compile`, the single-layer entry points and
+        :meth:`tiling_requests`, so the search a request predicts is
+        exactly the search compilation runs.
+        """
+        if head.has_gemm():
+            return self.gemm_workload(head, batch_size), self.gemm_orders()
+        return (
+            self.auxiliary_gemm_workload(head, batch_size),
+            (LoopOrder.OUTPUT_STATIONARY,),
+        )
+
     def tiling_requests(
         self, network: Network, batch_size: int | None = None
-    ) -> list[tuple[GemmWorkload, tuple[LoopOrder, ...]]]:
+    ) -> list[TilingRequest]:
         """The ``(gemm, orders)`` tiling searches compiling ``network`` would run.
 
         Derivable without searching or emitting a single instruction: fusion
         grouping plus GEMM-shape lowering only.  The keys built from these
-        pairs are exactly the keys :meth:`~FusionCompiler.compile` would
-        consult through its plan resolver, in program order.
+        pairs are exactly the keys a fresh compiler's :meth:`compile` would
+        hand its plan resolver, in program order.
         """
         decision = fuse_layers(network.layers, enable=self.enable_layer_fusion)
-        requests: list[tuple[GemmWorkload, tuple[LoopOrder, ...]]] = []
-        for group in decision.groups:
-            head = group[0]
-            if head.has_gemm():
-                requests.append((self.gemm_workload(head, batch_size), self.gemm_orders()))
-            else:
-                requests.append(
-                    (
-                        self.auxiliary_gemm_workload(head, batch_size),
-                        (LoopOrder.OUTPUT_STATIONARY,),
-                    )
-                )
-        return requests
-
-    def _lower_gemm(self, layer: Layer, batch_size: int | None = None) -> _GemmLowering:
-        workload = self.gemm_workload(layer, batch_size)
-        return _GemmLowering(
-            workload=workload, tiling=self._plan_tiling(workload, self.gemm_orders())
-        )
+        return [self._tiling_request(group[0], batch_size) for group in decision.groups]
 
     # ------------------------------------------------------------------ #
     # Instruction emission
@@ -256,31 +309,15 @@ class FusionCompiler:
         self, tiling: TilingPlan, fused_output_words: int | None
     ) -> list[Instruction]:
         """Outer tile loops, address generators and DRAM transfer instructions."""
-        instructions: list[Instruction] = []
-
-        # The stationary tensor's loop sits outermost so its tile is re-used
-        # across the inner tile loops; the declaration order encodes that.
-        order_to_loops = {
-            LoopOrder.OUTPUT_STATIONARY: (
-                (_LOOP_M_TILE, tiling.m_tiles),
-                (_LOOP_R_TILE, tiling.r_tiles),
-                (_LOOP_N_TILE, tiling.n_tiles),
-            ),
-            LoopOrder.WEIGHT_STATIONARY: (
-                (_LOOP_M_TILE, tiling.m_tiles),
-                (_LOOP_N_TILE, tiling.n_tiles),
-                (_LOOP_R_TILE, tiling.r_tiles),
-            ),
-            LoopOrder.INPUT_STATIONARY: (
-                (_LOOP_N_TILE, tiling.n_tiles),
-                (_LOOP_R_TILE, tiling.r_tiles),
-                (_LOOP_M_TILE, tiling.m_tiles),
-            ),
+        trips = {
+            _LOOP_M_TILE: tiling.m_tiles,
+            _LOOP_N_TILE: tiling.n_tiles,
+            _LOOP_R_TILE: tiling.r_tiles,
         }
-        for loop_id, trips in order_to_loops[tiling.loop_order]:
-            instructions.append(
-                Loop(loop_id=loop_id, iterations=_clamp_iterations(trips), level=0)
-            )
+        instructions: list[Instruction] = [
+            Loop(loop_id=loop_id, iterations=_clamp_iterations(trips[loop_id]), level=0)
+            for loop_id in _TILE_LOOP_NEST[tiling.loop_order]
+        ]
 
         # Address generation at tile granularity: tiles of each tensor are
         # laid out row-major in its address space, so the outer loop's stride
@@ -290,21 +327,21 @@ class FusionCompiler:
                 GenAddr(
                     scratchpad=ScratchpadType.WBUF,
                     loop_id=_LOOP_M_TILE,
-                    stride=_clamp_stride(tiling.n_tiles),
+                    stride=_clamp_stride(trips[_LOOP_N_TILE]),
                 ),
-                GenAddr(scratchpad=ScratchpadType.WBUF, loop_id=_LOOP_N_TILE, stride=1),
+                _WBUF_N_TILE_STEP,
                 GenAddr(
                     scratchpad=ScratchpadType.IBUF,
                     loop_id=_LOOP_N_TILE,
-                    stride=_clamp_stride(tiling.r_tiles),
+                    stride=_clamp_stride(trips[_LOOP_R_TILE]),
                 ),
-                GenAddr(scratchpad=ScratchpadType.IBUF, loop_id=_LOOP_R_TILE, stride=1),
+                _IBUF_R_TILE_STEP,
                 GenAddr(
                     scratchpad=ScratchpadType.OBUF,
                     loop_id=_LOOP_M_TILE,
-                    stride=_clamp_stride(tiling.r_tiles),
+                    stride=_clamp_stride(trips[_LOOP_R_TILE]),
                 ),
-                GenAddr(scratchpad=ScratchpadType.OBUF, loop_id=_LOOP_R_TILE, stride=1),
+                _OBUF_R_TILE_STEP,
             ]
         )
 
@@ -349,7 +386,7 @@ class FusionCompiler:
                 loop_id=_LOOP_INNER_M,
                 stride=_clamp_stride(tiling.tile_n),
             ),
-            GenAddr(scratchpad=ScratchpadType.OBUF, loop_id=_LOOP_INNER_R, stride=1),
+            _OBUF_INNER_R_STEP,
             GenAddr(
                 scratchpad=ScratchpadType.OBUF,
                 loop_id=_LOOP_INNER_M,
@@ -387,7 +424,7 @@ class FusionCompiler:
                         loop_id=_LOOP_KERNEL_Y,
                         stride=_clamp_stride(layer.in_width),
                     ),
-                    GenAddr(scratchpad=ScratchpadType.IBUF, loop_id=_LOOP_KERNEL_X, stride=1),
+                    _IBUF_KERNEL_X_STEP,
                     GenAddr(
                         scratchpad=ScratchpadType.IBUF,
                         loop_id=_LOOP_CHANNEL,
@@ -398,7 +435,7 @@ class FusionCompiler:
                         loop_id=_LOOP_KERNEL_Y,
                         stride=_clamp_stride(layer.kernel),
                     ),
-                    GenAddr(scratchpad=ScratchpadType.WBUF, loop_id=_LOOP_KERNEL_X, stride=1),
+                    _WBUF_KERNEL_X_STEP,
                     GenAddr(
                         scratchpad=ScratchpadType.WBUF,
                         loop_id=_LOOP_CHANNEL,
@@ -437,23 +474,10 @@ class FusionCompiler:
                     level=1,
                 )
             )
-            gen_addrs.extend(
-                [
-                    GenAddr(scratchpad=ScratchpadType.IBUF, loop_id=_LOOP_INNER_N, stride=1),
-                    GenAddr(scratchpad=ScratchpadType.WBUF, loop_id=_LOOP_INNER_N, stride=1),
-                ]
-            )
+            gen_addrs.extend([_IBUF_INNER_N_STEP, _WBUF_INNER_N_STEP])
 
         instructions.extend(gen_addrs)
-        instructions.extend(
-            [
-                RdBuf(scratchpad=ScratchpadType.IBUF),
-                RdBuf(scratchpad=ScratchpadType.WBUF),
-                RdBuf(scratchpad=ScratchpadType.OBUF),
-                Compute(fn=ComputeFn.MACC),
-                WrBuf(scratchpad=ScratchpadType.OBUF),
-            ]
-        )
+        instructions.extend(_MACC_TAIL)
         return instructions
 
     def _emit_fused_followers(self, fused: tuple[Layer, ...]) -> list[Instruction]:
@@ -468,11 +492,11 @@ class FusionCompiler:
                             iterations=_clamp_iterations(layer.kernel * layer.kernel),
                             level=1,
                         ),
-                        Compute(fn=ComputeFn.MAX if layer.mode == "max" else ComputeFn.ADD),
+                        _COMPUTE[ComputeFn.MAX if layer.mode == "max" else ComputeFn.ADD],
                     ]
                 )
             elif isinstance(layer, ActivationLayer):
-                instructions.append(Compute(fn=ComputeFn.ACTIVATION))
+                instructions.append(_COMPUTE[ComputeFn.ACTIVATION])
         return instructions
 
     # ------------------------------------------------------------------ #
@@ -485,8 +509,18 @@ class FusionCompiler:
         batch_size: int | None = None,
     ) -> CompiledBlock:
         """Compile one GEMM-shaped layer (plus fused followers) to a block."""
-        lowering = self._lower_gemm(layer, batch_size)
-        tiling = lowering.tiling
+        workload = self.gemm_workload(layer, batch_size)
+        (tiling,) = self._plan_tilings([(workload, self.gemm_orders())])
+        return self._emit_compute_block(layer, fused, batch_size, tiling)
+
+    def _emit_compute_block(
+        self,
+        layer: Layer,
+        fused: tuple[Layer, ...],
+        batch_size: int | None,
+        tiling: TilingPlan,
+    ) -> CompiledBlock:
+        """Emit the block of a GEMM-shaped layer whose tiling is planned."""
         batch = self.config.batch_size if batch_size is None else batch_size
 
         fused_output_words: int | None = None
@@ -502,7 +536,7 @@ class FusionCompiler:
         instructions.extend(self._emit_memory_level(tiling, fused_output_words))
         instructions.extend(self._emit_inner_level(layer, tiling))
         instructions.extend(self._emit_fused_followers(fused))
-        instructions.append(BlockEnd(next_block=0))
+        instructions.append(_BLOCK_END)
 
         name = layer.name if not fused else f"{layer.name}+{'+'.join(l.name for l in fused)}"
         return CompiledBlock(
@@ -525,9 +559,14 @@ class FusionCompiler:
             raise ValueError(
                 f"layer {layer.name!r} lowers to a GEMM; use compile_compute_layer"
             )
+        (tiling,) = self._plan_tilings([self._tiling_request(layer, batch_size)])
+        return self._emit_auxiliary_block(layer, batch_size, tiling)
+
+    def _emit_auxiliary_block(
+        self, layer: Layer, batch_size: int | None, tiling: TilingPlan
+    ) -> CompiledBlock:
+        """Emit the block of a pooling/activation layer whose tiling is planned."""
         batch = self.config.batch_size if batch_size is None else batch_size
-        workload = self.auxiliary_gemm_workload(layer, batch_size)
-        tiling = self._plan_tiling(workload, (LoopOrder.OUTPUT_STATIONARY,))
         tiling = tiling.with_output_store_bits(
             layer.output_elements() * batch * layer.output_bits
         )
@@ -542,8 +581,8 @@ class FusionCompiler:
         instructions: list[Instruction] = [
             Setup(input_bits=layer.input_bits, weight_bits=layer.weight_bits),
             Loop(loop_id=_LOOP_R_TILE, iterations=_clamp_iterations(tiling.r_tiles), level=0),
-            GenAddr(scratchpad=ScratchpadType.IBUF, loop_id=_LOOP_R_TILE, stride=1),
-            GenAddr(scratchpad=ScratchpadType.OBUF, loop_id=_LOOP_R_TILE, stride=1),
+            _IBUF_R_TILE_STEP,
+            _OBUF_R_TILE_STEP,
             LdMem(
                 scratchpad=ScratchpadType.IBUF,
                 num_words=_clamp_iterations(tiling.tile_r),
@@ -554,16 +593,16 @@ class FusionCompiler:
                 level=1,
             ),
             Loop(loop_id=_LOOP_CHANNEL, iterations=_clamp_iterations(window), level=1),
-            GenAddr(scratchpad=ScratchpadType.IBUF, loop_id=_LOOP_INNER_R, stride=1),
-            GenAddr(scratchpad=ScratchpadType.OBUF, loop_id=_LOOP_INNER_R, stride=1),
-            RdBuf(scratchpad=ScratchpadType.IBUF),
-            Compute(fn=inner_fn),
-            WrBuf(scratchpad=ScratchpadType.OBUF),
+            _IBUF_INNER_R_STEP,
+            _OBUF_INNER_R_STEP,
+            _IBUF_READ,
+            _COMPUTE[inner_fn],
+            _OBUF_WRITE,
             StMem(
                 scratchpad=ScratchpadType.OBUF,
                 num_words=_clamp_iterations(max(1, tiling.tile_r // max(1, window))),
             ),
-            BlockEnd(next_block=0),
+            _BLOCK_END,
         ]
         return CompiledBlock(
             block=InstructionBlock(layer.name, instructions),
@@ -587,26 +626,38 @@ class FusionCompiler:
         returns the same :class:`CompiledBlock` object, with its memoized
         fingerprints.  Layers compare as dataclasses, so two layers differing
         only in name or concrete class never share a block.
+
+        The groups not built yet are lowered first, and their tiling
+        searches go to the plan resolver in one call, in program order (a
+        network's layer names are unique, so no group repeats within it);
+        only then are their blocks emitted.
         """
         decision = fuse_layers(network.layers, enable=self.enable_layer_fusion)
-        program = Program(network.name)
-        for group in decision.groups:
-            head, followers = group[0], group[1:]
-            key = (head, followers, batch_size)
-            compiled = self._blocks.get(key)
-            if compiled is None:
+        keys = [(group[0], group[1:], batch_size) for group in decision.groups]
+        blocks = [self._blocks.get(key) for key in keys]
+        new_keys = [key for key, block in zip(keys, blocks) if block is None]
+        if new_keys:
+            plans = self._plan_tilings(
+                [self._tiling_request(head, batch_size) for head, _, _ in new_keys]
+            )
+            for key, tiling in zip(new_keys, plans):
+                head, followers, _ = key
                 if head.has_gemm():
-                    compiled = self.compile_compute_layer(
-                        head, fused=followers, batch_size=batch_size
+                    self._blocks[key] = self._emit_compute_block(
+                        head, followers, batch_size, tiling
                     )
                 else:
                     # A non-compute group never has followers (fusion only
                     # attaches pool/activation layers to a preceding compute
                     # layer).
-                    compiled = self.compile_auxiliary_layer(head, batch_size=batch_size)
-                self._blocks[key] = compiled
-            program.append(compiled)
-        return program
+                    self._blocks[key] = self._emit_auxiliary_block(head, batch_size, tiling)
+        return Program(
+            network.name,
+            [
+                block if block is not None else self._blocks[key]
+                for key, block in zip(keys, blocks)
+            ],
+        )
 
 
 def compile_layer(

@@ -22,6 +22,7 @@ hundred bytes — per DNN layer).
 from __future__ import annotations
 
 import struct
+from typing import Any, Callable, Sequence
 
 from repro.isa.instructions import (
     BITWIDTH_FIELD_BITS,
@@ -69,39 +70,78 @@ _LEVEL_SHIFT = _LOOP_ID_SHIFT - SCRATCHPAD_BITS  # 19
 _GENADDR_LOOP_SHIFT = _SCRATCHPAD_SHIFT - LOOP_ID_BITS  # 19
 
 _COMPUTE_FNS = tuple(ComputeFn)
+_COMPUTE_FN_CODES = {fn: code for code, fn in enumerate(_COMPUTE_FNS)}
 
 
 def _mask(bits: int) -> int:
     return (1 << bits) - 1
 
 
+def _encode_setup(instruction: Setup) -> int:
+    return (
+        instruction.input_bits << _FIELD_A_SHIFT
+        | instruction.weight_bits << _FIELD_B_SHIFT
+    )
+
+
+def _encode_block_end(instruction: BlockEnd) -> int:
+    return instruction.next_block & _IMMEDIATE_MASK
+
+
+def _encode_loop(instruction: Loop) -> int:
+    return (
+        instruction.loop_id << _LOOP_ID_SHIFT
+        | instruction.level << _LEVEL_SHIFT
+        | instruction.iterations & _IMMEDIATE_MASK
+    )
+
+
+def _encode_gen_addr(instruction: GenAddr) -> int:
+    return (
+        instruction.scratchpad << _SCRATCHPAD_SHIFT
+        | instruction.loop_id << _GENADDR_LOOP_SHIFT
+        | instruction.stride & _IMMEDIATE_MASK
+    )
+
+
+def _encode_compute(instruction: Compute) -> int:
+    return _COMPUTE_FN_CODES[instruction.fn] << _SCRATCHPAD_SHIFT
+
+
+def _encode_transfer(instruction: LdMem | StMem) -> int:
+    return instruction.scratchpad << _SCRATCHPAD_SHIFT | instruction.num_words & _IMMEDIATE_MASK
+
+
+def _encode_buffer_access(instruction: RdBuf | WrBuf) -> int:
+    return instruction.scratchpad << _SCRATCHPAD_SHIFT
+
+
+#: Per instruction type: its opcode bits and the packer of its fields.
+_ENCODERS: dict[type, tuple[int, Callable[[Any], int]]] = {
+    kind: (int(opcode) << _OPCODE_SHIFT, packer)
+    for kind, opcode, packer in (
+        (Setup, Opcode.SETUP, _encode_setup),
+        (BlockEnd, Opcode.BLOCK_END, _encode_block_end),
+        (Loop, Opcode.LOOP, _encode_loop),
+        (GenAddr, Opcode.GEN_ADDR, _encode_gen_addr),
+        (Compute, Opcode.COMPUTE, _encode_compute),
+        (LdMem, Opcode.LD_MEM, _encode_transfer),
+        (StMem, Opcode.ST_MEM, _encode_transfer),
+        (RdBuf, Opcode.RD_BUF, _encode_buffer_access),
+        (WrBuf, Opcode.WR_BUF, _encode_buffer_access),
+    )
+}
+
+
 def encode_instruction(instruction: Instruction) -> int:
     """Pack one instruction into its 32-bit word."""
-    word = int(instruction.opcode) << _OPCODE_SHIFT
-
-    if isinstance(instruction, Setup):
-        word |= instruction.input_bits << _FIELD_A_SHIFT
-        word |= instruction.weight_bits << _FIELD_B_SHIFT
-    elif isinstance(instruction, BlockEnd):
-        word |= instruction.next_block & _IMMEDIATE_MASK
-    elif isinstance(instruction, Loop):
-        word |= instruction.loop_id << _LOOP_ID_SHIFT
-        word |= instruction.level << _LEVEL_SHIFT
-        word |= instruction.iterations & _IMMEDIATE_MASK
-    elif isinstance(instruction, GenAddr):
-        word |= int(instruction.scratchpad) << _SCRATCHPAD_SHIFT
-        word |= instruction.loop_id << _GENADDR_LOOP_SHIFT
-        word |= instruction.stride & _IMMEDIATE_MASK
-    elif isinstance(instruction, Compute):
-        word |= _COMPUTE_FNS.index(instruction.fn) << _SCRATCHPAD_SHIFT
-    elif isinstance(instruction, (LdMem, StMem)):
-        word |= int(instruction.scratchpad) << _SCRATCHPAD_SHIFT
-        word |= instruction.num_words & _IMMEDIATE_MASK
-    elif isinstance(instruction, (RdBuf, WrBuf)):
-        word |= int(instruction.scratchpad) << _SCRATCHPAD_SHIFT
-    else:  # pragma: no cover - exhaustiveness guard
-        raise TypeError(f"cannot encode unknown instruction type {type(instruction)}")
-    return word
+    try:
+        opcode_bits, packer = _ENCODERS[type(instruction)]
+    except KeyError:
+        raise TypeError(
+            f"cannot encode unknown instruction type {type(instruction)}"
+        ) from None
+    return opcode_bits | packer(instruction)
 
 
 def decode_instruction(word: int) -> Instruction:
@@ -153,14 +193,14 @@ def decode_instruction(word: int) -> Instruction:
     raise ValueError(f"unknown opcode {opcode}")  # pragma: no cover
 
 
-def encode_block(instructions: list[Instruction]) -> bytes:
-    """Encode a sequence of instructions into its binary image."""
-    return b"".join(
-        struct.pack(">I", encode_instruction(instruction)) for instruction in instructions
+def encode_block(instructions: Sequence[Instruction]) -> bytes:
+    """Encode a sequence of instructions into its binary image (one pack)."""
+    return struct.pack(
+        f">{len(instructions)}I", *map(encode_instruction, instructions)
     )
 
 
-def encode_block_hex(instructions: list[Instruction]) -> str:
+def encode_block_hex(instructions: Sequence[Instruction]) -> str:
     """Binary image of a block as a lowercase hex string.
 
     The hex form is the JSON-friendly face of :func:`encode_block`; it is

@@ -22,12 +22,13 @@ traffic of the three dataflow orders is:
   are re-fetched once per ``R``-tile and partial sums spill as above.
 
 :func:`plan_tiling` performs an exhaustive search over tile sizes for one
-order; :func:`~repro.isa.optimizations.choose_loop_order` compares the
-orders.  The search is deterministic, and since the candidate space is a
-dense (tile_m x tile_n x loop_order) grid it is scored *vectorized*: numpy
-broadcasts the buffer-feasibility masks, the traffic formulas and the
-``(total_dram_bits, tile_count)`` tie-break key over the whole grid and a
-single argmin picks the winner (:func:`search_tiling`).  The readable
+order; :func:`search_tiling` compares the orders.  The search is
+deterministic, and since the candidate space is a dense (tile_m x tile_n x
+loop_order) grid it is scored *vectorized*: numpy broadcasts the
+buffer-feasibility masks, the traffic formulas and the
+``(total_dram_bits, tile_count)`` tie-break key over the whole grid, and
+over many GEMMs at once (:func:`search_tilings`, which the compiler calls
+once per program; :func:`search_tiling` is a batch of one).  The readable
 pure-Python double loop over the same grid lives with the tests
 (``tests/reference/tiling.py``), which hold this search to it plan for
 plan.  A GEMM whose traffic could overflow 64-bit arithmetic is rejected
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
+from typing import Sequence
 
 import numpy as np
 
@@ -50,11 +52,16 @@ __all__ = [
     "TilingPlan",
     "plan_tiling",
     "search_tiling",
+    "search_tilings",
     "tile_candidates",
 ]
 
 #: Partial sums travel at 32 bits (Figure 4); spilled partials use this width.
 PARTIAL_SUM_BITS = 32
+
+#: Loop trip counts are 16-bit immediates (Table I), so one tile never spans
+#: more input columns than this.
+_MAX_TILE_R = (1 << 16) - 1
 
 
 @dataclass(frozen=True)
@@ -310,113 +317,229 @@ def _int64_safe(workload: GemmWorkload) -> bool:
     return 4 * worst < _INT64_SAFE_BOUND
 
 
-def search_tiling(
-    workload: GemmWorkload,
+def _too_large_to_tile(workload: GemmWorkload) -> ValueError:
+    return ValueError(
+        f"GEMM {workload.m}x{workload.n}x{workload.r} at "
+        f"{workload.input_bits}/{workload.weight_bits} bits is too large to "
+        f"tile: its traffic could overflow int64 (bound 2**62)"
+    )
+
+
+#: Stands in for a tile_n whose input-buffer column does not fit: larger
+#: than any ``max_tile_n``, which never exceeds the weight buffer's bits.
+_NEVER_FITS = 1 << 62
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _m_rows(
+    workload: GemmWorkload, tiles: list[int], width: int, wbuf_bits: int, obuf_bits: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Per tile_m candidate: the widest tile_n the weight buffer admits
+    beside it (0 when the output buffer cannot hold one of its columns),
+    its ``R`` tile cap and its ``M`` tile count.
+
+    Padded with never-feasible candidates up to ``width``.
+    """
+    max_tile_n, r_caps, m_tiles = [], [], []
+    for tile in tiles:
+        r_by_obuf = obuf_bits // (tile * PARTIAL_SUM_BITS)
+        max_tile_n.append(wbuf_bits // (tile * workload.weight_bits) if r_by_obuf else 0)
+        r_caps.append(max(1, min(r_by_obuf, workload.r, _MAX_TILE_R)))
+        m_tiles.append(-(-workload.m // tile))
+    padding = width - len(tiles)
+    return (
+        max_tile_n + [0] * padding,
+        r_caps + [1] * padding,
+        m_tiles + [1] * padding,
+    )
+
+
+def _n_rows(
+    workload: GemmWorkload, tiles: list[int], width: int, ibuf_bits: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Per tile_n candidate: its weight-fit key (the tile, or
+    :data:`_NEVER_FITS` when the input buffer cannot hold one of its
+    columns), the ``R`` tile the input buffer allows, its ``N`` tile count
+    and the partial-sum bits its extra reduction passes spill and reload.
+
+    Padded with never-feasible candidates up to ``width``.
+    """
+    spill_per_pass = 2 * workload.m * workload.r * PARTIAL_SUM_BITS
+    fit_keys, r_by_ibuf, n_tiles, spilled = [], [], [], []
+    for tile in tiles:
+        rows = ibuf_bits // (tile * workload.input_bits)
+        passes = -(-workload.n // tile)
+        fit_keys.append(tile if rows else _NEVER_FITS)
+        r_by_ibuf.append(max(1, rows))
+        n_tiles.append(passes)
+        spilled.append(spill_per_pass * (passes - 1))
+    padding = width - len(tiles)
+    return (
+        fit_keys + [_NEVER_FITS] * padding,
+        r_by_ibuf + [1] * padding,
+        n_tiles + [1] * padding,
+        spilled + [0] * padding,
+    )
+
+
+def search_tilings(
+    workloads: Sequence[GemmWorkload],
     config: BitFusionConfig,
     orders: tuple[LoopOrder, ...],
-) -> TilingPlan:
-    """Vectorized search over the full (tile_m x tile_n x loop_order) grid.
+) -> list[TilingPlan]:
+    """Vectorized search of many GEMMs' (loop_order x tile_m x tile_n) grids.
 
-    Scores every candidate cell at once with numpy: the buffer-feasibility
-    mask, the derived ``R`` tile, the per-order traffic formulas and the
-    ``(total_dram_bits, tile_count)`` tie-break key are all arrays, and the
-    winner is the first cell (in the reference double loop's order —
-    orders outermost, then tile_m and tile_n descending) achieving the
-    minimal key.  The winning cell's traffic is re-derived with exact
-    Python-integer arithmetic, so vectorization decides *which* candidate
-    wins but never touches the numbers stored in the plan.
+    What depends on one tile size alone — the widest tile beside it that
+    fits the weight buffer, the ``R`` tile the other buffers allow, tile
+    counts, spilled partial sums — is derived per candidate with Python
+    integers.  numpy then scores every cell of a ``(gemm, order, tile_m,
+    tile_n)`` grid in a handful of broadcast operations: the feasibility
+    mask, the ``R`` tile, the per-order traffic formulas and the
+    ``(total_dram_bits, tile_count)`` key.  A GEMM with fewer candidates
+    than the widest is padded with cells that are never feasible.  Each
+    GEMM's winner is its first cell (in the reference double loop's order —
+    orders outermost, then tile_m and tile_n descending) achieving its
+    minimal key.  The winner's ``R`` tile and traffic are re-derived with
+    exact Python-integer arithmetic, so vectorization decides *which*
+    candidate wins but never touches the numbers stored in the plan.
+
+    A GEMM too large for ``int64`` scoring, or with no feasible tiling,
+    raises a one-line :class:`ValueError` naming it; of several, the first
+    in ``workloads`` is named, as searching them one at a time would.
     """
     if not orders:
         raise ValueError("at least one loop order must be considered")
-    if not _int64_safe(workload):
-        raise ValueError(
-            f"GEMM {workload.m}x{workload.n}x{workload.r} at "
-            f"{workload.input_bits}/{workload.weight_bits} bits is too large to "
-            f"tile: its traffic could overflow int64 (bound 2**62)"
-        )
+    for index, workload in enumerate(workloads):
+        if not _int64_safe(workload):
+            # Searching the GEMMs before it names an infeasible one first.
+            search_tilings(workloads[:index], config, orders)
+            raise _too_large_to_tile(workload)
+    if not workloads:
+        return []
 
     ibuf_bits = int(config.ibuf_kb * 1024 * 8)
     wbuf_bits = int(config.wbuf_kb * 1024 * 8)
     obuf_bits = int(config.obuf_kb * 1024 * 8)
 
-    tile_m = np.asarray(tile_candidates(workload.m), dtype=np.int64)[:, None]
-    tile_n = np.asarray(tile_candidates(workload.n), dtype=np.int64)[None, :]
+    # Candidate rows padded to one width: (field, gemm, candidate) arrays.
+    m_candidates = [tile_candidates(w.m) for w in workloads]
+    n_candidates = [tile_candidates(w.n) for w in workloads]
+    m_width = max(map(len, m_candidates))
+    n_width = max(map(len, n_candidates))
+    m_side = [
+        _m_rows(w, tiles, m_width, wbuf_bits, obuf_bits)
+        for w, tiles in zip(workloads, m_candidates)
+    ]
+    n_side = [
+        _n_rows(w, tiles, n_width, ibuf_bits) for w, tiles in zip(workloads, n_candidates)
+    ]
+    for workload, (max_tile_n, *_), (fit_key, *_) in zip(workloads, m_side, n_side):
+        # Some cell fits iff the narrowest fitting tile_n fits beside the
+        # tile_m that admits the widest.
+        if min(fit_key) > max(max_tile_n):
+            raise _no_feasible_tiling(workload, config)
+    max_tile_n, r_cap, m_tiles = np.array(m_side, dtype=np.int64).transpose(1, 0, 2)[
+        :, :, :, None
+    ]
+    fit_key, r_by_ibuf, n_tiles, spilled = np.array(
+        n_side, dtype=np.int64
+    ).transpose(1, 0, 2)[:, :, None, :]
+    r_less_one, weights, inputs, outputs, weights_outputs, inputs_outputs = np.array(
+        [
+            (
+                w.r - 1,
+                w.weight_footprint_bits,
+                w.input_footprint_bits,
+                w.output_footprint_bits,
+                w.weight_footprint_bits + w.output_footprint_bits,
+                w.input_footprint_bits + w.output_footprint_bits,
+            )
+            for w in workloads
+        ],
+        dtype=np.int64,
+    ).T[:, :, None, None]
 
-    feasible = tile_m * tile_n * workload.weight_bits <= wbuf_bits
-    # Largest R tile the input and output scratchpads both allow (the
-    # divisors are >= 1 by construction: tile sizes and bitwidths are
-    # positive, and PARTIAL_SUM_BITS is a constant 32).
-    r_by_ibuf = ibuf_bits // (tile_n * workload.input_bits)
-    r_by_obuf = obuf_bits // (tile_m * PARTIAL_SUM_BITS)
-    tile_r = np.minimum(
-        np.minimum(r_by_ibuf, r_by_obuf), min(workload.r, (1 << 16) - 1)
-    )
-    feasible &= tile_r > 0
-    if not feasible.any():
-        raise _no_feasible_tiling(workload, config)
+    # Shape (gemm, tile_m, tile_n) from here on.
+    infeasible = fit_key > max_tile_n
+    tile_r = np.minimum(r_cap, r_by_ibuf)
+    r_tiles = r_less_one // tile_r + 1
+    mn_tiles = m_tiles * n_tiles
+    nr_tiles = n_tiles * r_tiles
+    tile_count = mn_tiles * r_tiles
+    # A tensor that fits on chip whole is fetched once (see _traffic).
+    refetched_weights = weights * np.where(mn_tiles == 1, 1, r_tiles)
+    refetched_inputs = inputs * np.where(nr_tiles == 1, 1, m_tiles)
 
-    m_tiles = -(-workload.m // tile_m)
-    n_tiles = -(-workload.n // tile_n)
-    r_tiles = -(-workload.r // np.maximum(tile_r, 1))
-    tile_count = m_tiles * n_tiles * r_tiles
-
-    weight_bits = workload.weight_footprint_bits
-    input_bits = workload.input_footprint_bits
-    output_bits = workload.output_footprint_bits
-    partial_bits = workload.m * workload.r * PARTIAL_SUM_BITS
-    weight_refetch = np.where((m_tiles == 1) & (n_tiles == 1), 1, r_tiles)
-    input_refetch = np.where((n_tiles == 1) & (r_tiles == 1), 1, m_tiles)
-    spilled = 2 * partial_bits * np.maximum(0, n_tiles - 1)
-
-    totals = np.empty((len(orders),) + feasible.shape, dtype=np.int64)
+    count = len(workloads)
+    totals = np.empty((count, len(orders)) + infeasible.shape[1:], dtype=np.int64)
     for index, order in enumerate(orders):
+        out = totals[:, index]
         if order is LoopOrder.OUTPUT_STATIONARY:
-            total = weight_bits * weight_refetch + input_bits * input_refetch + output_bits
+            np.add(refetched_weights, refetched_inputs, out=out)
+            out += outputs
         elif order is LoopOrder.WEIGHT_STATIONARY:
-            total = weight_bits + input_bits * input_refetch + output_bits + spilled
+            np.add(refetched_inputs, spilled, out=out)
+            out += weights_outputs
         elif order is LoopOrder.INPUT_STATIONARY:
-            total = weight_bits * weight_refetch + input_bits + output_bits + spilled
+            np.add(refetched_weights, spilled, out=out)
+            out += inputs_outputs
         else:  # pragma: no cover - mirrors _traffic's guard
             raise ValueError(f"unknown loop order {order}")
-        totals[index] = total
 
-    # Lexicographic argmin over (total_dram_bits, tile_count), first
-    # occurrence in C order — exactly the reference double loop's "first
-    # strictly smaller key wins" semantics with orders outermost.
-    infinity = np.iinfo(np.int64).max
-    masked_totals = np.where(feasible[None, :, :], totals, infinity)
-    best_total = masked_totals.min()
-    on_best_total = masked_totals == best_total
-    masked_counts = np.where(
-        on_best_total, np.broadcast_to(tile_count[None, :, :], totals.shape), infinity
+    # Lexicographic argmin over (total_dram_bits, tile_count) per GEMM,
+    # first occurrence in C order — exactly the reference double loop's
+    # "first strictly smaller key wins" semantics with orders outermost
+    # (argmin returns the first of equal minima).  The ufunc and method
+    # forms skip numpy's Python-level wrappers, which dominate at this size.
+    np.copyto(totals, _INT64_MAX, where=infeasible[:, None])
+    flat_totals = totals.reshape(count, -1)
+    on_best_total = flat_totals == np.minimum.reduce(flat_totals, axis=1, keepdims=True)
+    winners = (
+        np.where(on_best_total.reshape(totals.shape), tile_count[:, None], _INT64_MAX)
+        .reshape(count, -1)
+        .argmin(axis=1)
+        .tolist()
     )
-    best_count = masked_counts.min()
-    winner = int(np.argmax(on_best_total & (masked_counts == best_count)))
-    order_index, m_index, n_index = np.unravel_index(winner, totals.shape)
 
-    # Re-derive the winner with exact integer arithmetic so the stored plan
-    # holds Python ints, never numpy scalars.
-    order = orders[order_index]
-    chosen_m = int(tile_m[m_index, 0])
-    chosen_n = int(tile_n[0, n_index])
-    chosen_r = int(tile_r[m_index, n_index])
-    chosen_m_tiles = ceil(workload.m / chosen_m)
-    chosen_n_tiles = ceil(workload.n / chosen_n)
-    chosen_r_tiles = ceil(workload.r / chosen_r)
-    weights, inputs, out_writes, out_reads = _traffic(
-        workload, order, chosen_m_tiles, chosen_n_tiles, chosen_r_tiles
-    )
-    return TilingPlan(
-        workload=workload,
-        loop_order=order,
-        tile_m=chosen_m,
-        tile_n=chosen_n,
-        tile_r=chosen_r,
-        dram_weight_bits=weights,
-        dram_input_bits=inputs,
-        dram_output_write_bits=out_writes,
-        dram_output_read_bits=out_reads,
-    )
+    # Re-derive each winner with exact integer arithmetic so the stored
+    # plan holds Python ints, never numpy scalars.
+    cells = m_width * n_width
+    plans: list[TilingPlan] = []
+    for workload, winner, m_row, n_row in zip(workloads, winners, m_candidates, n_candidates):
+        order_index, cell = divmod(winner, cells)
+        m_index, n_index = divmod(cell, n_width)
+        chosen_m, chosen_n = m_row[m_index], n_row[n_index]
+        chosen_r = min(
+            ibuf_bits // (chosen_n * workload.input_bits),
+            obuf_bits // (chosen_m * PARTIAL_SUM_BITS),
+            workload.r,
+            _MAX_TILE_R,
+        )
+        order = orders[order_index]
+        traffic = _traffic(
+            workload,
+            order,
+            ceil(workload.m / chosen_m),
+            ceil(workload.n / chosen_n),
+            ceil(workload.r / chosen_r),
+        )
+        plans.append(
+            TilingPlan(workload, order, chosen_m, chosen_n, chosen_r, *traffic)
+        )
+    return plans
+
+
+def search_tiling(
+    workload: GemmWorkload,
+    config: BitFusionConfig,
+    orders: tuple[LoopOrder, ...],
+) -> TilingPlan:
+    """The best tiling of one GEMM over ``orders``: a batch of one.
+
+    See :func:`search_tilings` for the search and its errors.
+    """
+    return search_tilings((workload,), config, orders)[0]
 
 
 def plan_tiling(

@@ -43,12 +43,12 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.dnn.network import Network
 from repro.dse.pareto import ParetoArchive
-from repro.dse.spec import checked_field, checked_list
 from repro.energy.components import accelerator_area_mm2
 from repro.nas.estimator import Estimator
 from repro.nas.mutations import MUTATION_AXES, mutate
 from repro.session.cache import ResultCache
 from repro.sim.results import NetworkResult
+from repro.spec_fields import checked_field, checked_list
 
 __all__ = [
     "Candidate",

@@ -59,7 +59,7 @@ from repro.baselines.platform import PLATFORM_SPECS, PlatformModel
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
 from repro.fingerprint import fingerprint_payload
-from repro.isa.compiler import FusionCompiler, PlanResolver
+from repro.isa.compiler import FusionCompiler, PlanResolver, TilingRequest
 from repro.isa.instructions import LoopOrder
 from repro.isa.program import CompiledBlock, Program
 from repro.isa.tiling import GemmWorkload, TilingPlan
@@ -164,25 +164,32 @@ def make_plan_resolver(
     """A compiler plan resolver backed by the cache's in-process memo.
 
     Installed into :class:`~repro.isa.compiler.FusionCompiler` by
-    :func:`compile_program`: every tiling search first consults the memo
-    under :func:`tiling_cache_key` and only runs (then memoizes its plan)
-    on a genuine miss.  Hit/miss traffic lands in ``stats.tilings``.
+    :func:`compile_program`: each program's tiling searches first consult
+    the memo under :func:`tiling_cache_key`, and only the genuine misses
+    run (in one ``compute`` call), then are memoized.  Hit/miss traffic
+    lands in ``stats.tilings``, one lookup per request: a request repeated
+    within one call misses once and hits after, as it would one at a time.
     """
     memo = cache.memo
 
     def resolve(
-        gemm: GemmWorkload,
-        orders: tuple[LoopOrder, ...],
-        compute: Callable[[], TilingPlan],
-    ) -> TilingPlan:
-        key = tiling_cache_key(gemm, orders, config)
-        plan = memo.get(key)
-        if plan is not None:
-            stats.tilings.hits += 1
-            return plan
-        stats.tilings.misses += 1
-        plan = memo[key] = compute()
-        return plan
+        requests: list[TilingRequest],
+        compute: Callable[[list[TilingRequest]], list[TilingPlan]],
+    ) -> list[TilingPlan]:
+        keys = [tiling_cache_key(gemm, orders, config) for gemm, orders in requests]
+        plans = [memo.get(key) for key in keys]
+        missing: dict[str, int] = {}
+        for index, (key, plan) in enumerate(zip(keys, plans)):
+            if plan is None and key not in missing:
+                missing[key] = index
+        stats.tilings.misses += len(missing)
+        stats.tilings.hits += len(requests) - len(missing)
+        if missing:
+            found = compute([requests[index] for index in missing.values()])
+            for key, plan in zip(missing, found):
+                memo[key] = plan
+            plans = [memo[key] if plan is None else plan for key, plan in zip(keys, plans)]
+        return plans
 
     return resolve
 

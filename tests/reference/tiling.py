@@ -1,6 +1,6 @@
 """Scalar tiling search: the pure-Python double loop over tile candidates.
 
-:func:`repro.isa.tiling.search_tiling` scores the same (tile_m x tile_n x
+:func:`repro.isa.tiling.search_tilings` scores the same (tile_m x tile_n x
 loop_order) grid with numpy and must return plans bit-identical to
 :func:`search_tiling_scalar` on every input its int64 guard admits.
 """

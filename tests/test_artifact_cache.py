@@ -338,9 +338,11 @@ class TestTilingMemo:
 
         keys: list[str] = []
 
-        def recorder(gemm, orders, compute):
-            keys.append(tiling_cache_key(gemm, orders, workload.config))
-            return compute()
+        def recorder(requests, compute):
+            keys.extend(
+                tiling_cache_key(gemm, orders, workload.config) for gemm, orders in requests
+            )
+            return compute(requests)
 
         FusionCompiler(
             workload.config,
@@ -473,13 +475,14 @@ class TestTilingMemo:
 
         cache, stats = ResultCache(tmp_path), CacheStats()
         resolver = make_plan_resolver(config, cache, stats)
-        assert resolver(gemm, orders, lambda: fresh) is fresh
+        assert resolver([(gemm, orders)], lambda requests: [fresh])[0] is fresh
         assert stats.tilings.misses == 1
         again = make_plan_resolver(config, cache, stats)
-        assert again(gemm, orders, lambda: pytest.fail("memo should have served")) is fresh
+        served = again([(gemm, orders)], lambda requests: pytest.fail("memo should have served"))
+        assert served[0] is fresh
         assert stats.tilings.hits == 1
 
         reread_stats = CacheStats()
         reread = make_plan_resolver(config, ResultCache(tmp_path), reread_stats)
-        assert reread(gemm, orders, lambda: fresh) == fresh
+        assert reread([(gemm, orders)], lambda requests: [fresh])[0] == fresh
         assert (reread_stats.tilings.hits, reread_stats.tilings.misses) == (0, 1)

@@ -214,7 +214,7 @@ class TestBlockReuse:
     def counted(self, monkeypatch) -> list:
         """Record the head layer of every block the compiler actually builds."""
         built: list = []
-        for method in ("compile_compute_layer", "compile_auxiliary_layer"):
+        for method in ("_emit_compute_block", "_emit_auxiliary_block"):
             original = getattr(FusionCompiler, method)
 
             def counting(self, layer, *args, _original=original, **kwargs):
@@ -348,3 +348,120 @@ class TestZooStructure:
         assert all(not compiled.fused_layers for compiled in program)
         assert len(program) == len(network.layers)
         assert all(compiled.layer is layer for compiled, layer in zip(program, network.layers))
+
+
+class TestBatchedPlanning:
+    """One resolver call per compiled program, holding every new group."""
+
+    @staticmethod
+    def _recording_compiler(config, calls: list, **flags) -> FusionCompiler:
+        def recorder(requests, compute):
+            calls.append(list(requests))
+            return compute(requests)
+
+        return FusionCompiler(config, plan_resolver=recorder, **flags)
+
+    def test_one_resolver_call_per_program(self, default_config):
+        network = models.load("ResNet-18")
+        calls: list = []
+        compiler = self._recording_compiler(default_config, calls)
+        program = compiler.compile(network)
+        assert len(calls) == 1
+        assert calls[0] == FusionCompiler(default_config).tiling_requests(network)
+        assert len(calls[0]) == len(program)
+        assert program.fingerprint() == FusionCompiler(default_config).compile(
+            network
+        ).fingerprint()
+
+    def test_recompile_asks_only_for_new_groups(self, default_config):
+        base = models.load("ResNet-18")
+        mutant = mutate_bits(base, random.Random(5))
+        calls: list = []
+        compiler = self._recording_compiler(default_config, calls)
+        compiler.compile(base)
+        compiler.compile(mutant)
+        changed = [
+            group[0]
+            for group, old in zip(fuse_layers(mutant.layers).groups, fuse_layers(base.layers).groups)
+            if group != old
+        ]
+        assert calls[1] == [
+            (compiler.gemm_workload(head), compiler.gemm_orders()) for head in changed
+        ]
+        compiler.compile(base)
+        assert len(calls) == 2
+
+    def test_single_layer_entry_points_search_one_request(self, default_config):
+        calls: list = []
+        compiler = self._recording_compiler(default_config, calls)
+        layer = FCLayer(name="fc", in_features=64, out_features=32)
+        pool = PoolLayer(name="pool", channels=4, in_height=8, in_width=8)
+        assert compiler.compile_compute_layer(layer).to_dict() == compile_layer(
+            layer, default_config
+        ).to_dict()
+        assert compiler.compile_auxiliary_layer(pool).to_dict() == compile_layer(
+            pool, default_config
+        ).to_dict()
+        assert [len(requests) for requests in calls] == [1, 1]
+
+    def test_error_names_the_first_failing_layer_in_program_order(self, default_config):
+        # An 8-bit input buffer holds no 16-bit operand.  Unfused, the
+        # activation block (output-stationary only) fails before the second
+        # FC layer (all orders); the batched searches must still name it.
+        tiny_ibuf = default_config.with_buffers(0.001, 64.0, 64.0)
+        network = Network(
+            "mixed",
+            [
+                FCLayer(name="fc_ok", in_features=8, out_features=8),
+                ActivationLayer(name="act_bad", elements=8, input_bits=16),
+                FCLayer(name="fc_bad", in_features=8, out_features=8, input_bits=16),
+            ],
+        )
+        compiler = FusionCompiler(tiny_ibuf, enable_layer_fusion=False)
+        aux_gemm = compiler.auxiliary_gemm_workload(network.layers[1], batch_size=1)
+        with pytest.raises(ValueError, match="^no feasible tiling for GEMM 1x1x8 at 16/8") as error:
+            compiler.compile(network, batch_size=1)
+        assert f"{aux_gemm.m}x{aux_gemm.n}x{aux_gemm.r}" in str(error.value)
+        assert "\n" not in str(error.value)
+
+
+class TestSharedInstructions:
+    """Constant instructions are built once and equal freshly built ones."""
+
+    def test_shared_constants_equal_fresh_instructions(self):
+        from repro.isa import compiler as module
+        from repro.isa.instructions import BlockEnd, GenAddr, RdBuf, WrBuf
+
+        assert module._MACC_TAIL == (
+            RdBuf(scratchpad=ScratchpadType.IBUF),
+            RdBuf(scratchpad=ScratchpadType.WBUF),
+            RdBuf(scratchpad=ScratchpadType.OBUF),
+            Compute(fn=ComputeFn.MACC),
+            WrBuf(scratchpad=ScratchpadType.OBUF),
+        )
+        assert module._IBUF_READ == RdBuf(scratchpad=ScratchpadType.IBUF)
+        assert module._OBUF_WRITE == WrBuf(scratchpad=ScratchpadType.OBUF)
+        assert module._BLOCK_END == BlockEnd(next_block=0)
+        assert module._COMPUTE == {fn: Compute(fn=fn) for fn in ComputeFn}
+        steps = {
+            name: value for name, value in vars(module).items() if name.endswith("_STEP")
+        }
+        assert len(steps) == 9
+        for name, step in steps.items():
+            pad, loop = name[1:].split("_", 1)
+            loop_id = getattr(module, f"_LOOP_{loop.removesuffix('_STEP')}")
+            assert step == GenAddr(
+                scratchpad=ScratchpadType[pad], loop_id=loop_id, stride=1
+            ), name
+
+    def test_every_block_still_validates(self, default_config):
+        from repro.isa.block import InstructionBlock
+
+        for name in models.BENCHMARKS:
+            for fusion in (True, False):
+                program = FusionCompiler(default_config, enable_layer_fusion=fusion).compile(
+                    models.load(name)
+                )
+                for compiled in program:
+                    rebuilt = InstructionBlock(compiled.name, list(compiled.block))
+                    assert rebuilt.instructions == compiled.block.instructions

@@ -26,17 +26,11 @@ from hypothesis import given, settings, strategies as st
 from repro.dse.pareto import dominates, pareto_front, pareto_indices
 from repro.dse.report import format_sweep_report
 from repro.dse.runner import run_sweep
-from repro.dse.spec import (
-    BASE_CONFIGS,
-    CONFIG_AXES,
-    DesignPoint,
-    SweepSpec,
-    checked_field,
-    checked_list,
-)
+from repro.dse.spec import BASE_CONFIGS, CONFIG_AXES, DesignPoint, SweepSpec
 from repro.harness.runner import format_cache_info, main
 from repro.session import EvaluationSession, Workload
 from repro.session import cache as cache_module
+from repro.spec_fields import checked_field, checked_list
 
 
 def small_spec(**overrides):

@@ -79,6 +79,26 @@ class TestTable3AndFigure10:
         assert any("Titan" in p for p in platforms)
         assert sum("Bit Fusion" in p for p in platforms) == 3
 
+    @pytest.mark.parametrize("attribute", ["TEGRA_X2", "TITAN_XP"])
+    def test_each_gpu_row_reads_its_spec(self, monkeypatch, attribute):
+        from dataclasses import replace
+
+        spec = replace(
+            getattr(tab03_platforms, attribute),
+            cuda_cores=1234,
+            clock_mhz=999.0,
+            device_memory="3 GB HBM",
+            technology="7nm",
+        )
+        monkeypatch.setattr(tab03_platforms, attribute, spec)
+        (row,) = [row for row in tab03_platforms.run() if row.platform == spec.name]
+        assert row.compute_units == "1,234 CUDA cores"
+        assert row.frequency_mhz == 999.0
+        assert row.on_chip_memory == "3 GB HBM (device memory)"
+        assert row.technology == "7nm"
+        assert row.precision.startswith("FP32")
+        assert ("INT8" in row.precision) == (spec.peak_int8_gops > 0)
+
     def test_fusion_unit_rows_reproduce_figure10(self):
         rows = fig10_fusion_unit.run()
         totals = {

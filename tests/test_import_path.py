@@ -127,6 +127,14 @@ def test_nas_loads_no_sweep_runner_or_report(loaded_modules):
     assert not {"repro.dse.runner", "repro.dse.report"} & modules
 
 
+def test_nas_loads_no_sweep_spec(loaded_modules):
+    # The search validates its spec with the shared field checks; the sweep
+    # spec module (design points, base configurations) stays unloaded.
+    modules = loaded_modules["nas"]
+    assert "repro.spec_fields" in modules
+    assert "repro.dse.spec" not in modules
+
+
 def test_sweep_loads_no_search_module(loaded_modules):
     modules = loaded_modules["sweep"]
     assert "repro.dse.runner" in modules

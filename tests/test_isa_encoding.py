@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.config import BitFusionConfig
+from repro.dnn import models
+from repro.isa.compiler import FusionCompiler
 from repro.isa.encoding import (
     INSTRUCTION_BYTES,
     decode_block,
@@ -17,6 +20,7 @@ from repro.isa.instructions import (
     Compute,
     ComputeFn,
     GenAddr,
+    Instruction,
     LdMem,
     Loop,
     RdBuf,
@@ -25,6 +29,8 @@ from repro.isa.instructions import (
     StMem,
     WrBuf,
 )
+
+from reference.encoding import encode_block_scalar, encode_instruction_scalar
 
 _SAMPLE_INSTRUCTIONS = [
     Setup(input_bits=4, weight_bits=1),
@@ -103,3 +109,32 @@ class TestBlockEncoding:
     def test_empty_block(self):
         assert encode_block([]) == b""
         assert decode_block(b"") == []
+
+
+class TestScalarEncoderOracle:
+    """The table-driven encoder against the readable ``isinstance`` chain."""
+
+    @pytest.mark.parametrize("instruction", _SAMPLE_INSTRUCTIONS, ids=repr)
+    def test_every_kind_matches_the_scalar_word(self, instruction):
+        assert encode_instruction(instruction) == encode_instruction_scalar(instruction)
+
+    def test_every_zoo_block_image_matches_the_scalar_encoder(self):
+        checked = 0
+        for config in (
+            BitFusionConfig.eyeriss_matched(batch_size=16),
+            BitFusionConfig.stripes_matched(batch_size=1),
+        ):
+            for fusion in (True, False):
+                compiler = FusionCompiler(config, enable_layer_fusion=fusion)
+                for name in models.BENCHMARKS:
+                    for compiled in compiler.compile(models.load(name)):
+                        instructions = compiled.block.instructions
+                        expected = encode_block_scalar(instructions)
+                        assert compiled.block.encode() == expected, compiled.name
+                        assert compiled.block.to_dict()["image"] == expected.hex()
+                        checked += 1
+        assert checked > 200
+
+    def test_unknown_instruction_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown instruction type"):
+            encode_instruction(Instruction())

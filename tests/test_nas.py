@@ -93,13 +93,13 @@ class TestEstimatorExactness:
         mutant = mutate_bits(base, random.Random(5))
         reference = BitFusionAccelerator(config).evaluate(mutant)
         built: list[str] = []
-        original = FusionCompiler.compile_compute_layer
+        original = FusionCompiler._emit_compute_block
 
         def counting(self, layer, *args, **kwargs):
             built.append(layer.name)
             return original(self, layer, *args, **kwargs)
 
-        monkeypatch.setattr(FusionCompiler, "compile_compute_layer", counting)
+        monkeypatch.setattr(FusionCompiler, "_emit_compute_block", counting)
         assert estimator.estimate(mutant) == reference
         changed = [a.name for a, b in zip(base, mutant) if a != b]
         assert len(changed) == 1

@@ -12,7 +12,11 @@ traffic totals, and therefore byte-identical compiled programs.  Covered:
 * every individual GEMM the zoo lowers to, for both the full-order search
   and each single order,
 * randomized GEMM shapes and buffer geometries (hypothesis),
-* the int64-overflow guard and infeasible-search error parity.
+* the int64-overflow guard and infeasible-search error parity,
+* the batched search (:func:`~repro.isa.tiling.search_tilings`): every zoo
+  GEMM at batches 1, 16 and 256 in one call, and randomized ragged
+  batches, plan for plan against single searches and the scalar oracle,
+  and the GEMM a failing batch names.
 """
 
 from __future__ import annotations
@@ -24,7 +28,13 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.isa.compiler import FusionCompiler
 from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import GemmWorkload, _int64_safe, plan_tiling, search_tiling
+from repro.isa.tiling import (
+    GemmWorkload,
+    _int64_safe,
+    plan_tiling,
+    search_tiling,
+    search_tilings,
+)
 
 from reference.tiling import plan_tiling_scalar, search_tiling_scalar
 
@@ -42,13 +52,13 @@ _GEOMETRIES = (
 )
 
 
-def _zoo_gemms(config: BitFusionConfig) -> list[GemmWorkload]:
+def _zoo_gemms(config: BitFusionConfig, batch_size: int = 16) -> list[GemmWorkload]:
     compiler = FusionCompiler(config)
     gemms: list[GemmWorkload] = []
     for name in models.BENCHMARKS:
         for layer in models.load(name):
             if layer.has_gemm():
-                gemms.append(compiler.gemm_workload(layer, batch_size=16))
+                gemms.append(compiler.gemm_workload(layer, batch_size=batch_size))
     return gemms
 
 
@@ -56,7 +66,9 @@ def _scalar_compiler(config: BitFusionConfig, **flags) -> FusionCompiler:
     """A compiler whose every tiling search runs the pure-Python reference."""
     return FusionCompiler(
         config,
-        plan_resolver=lambda gemm, orders, compute: search_tiling_scalar(gemm, config, orders),
+        plan_resolver=lambda requests, compute: [
+            search_tiling_scalar(gemm, config, orders) for gemm, orders in requests
+        ],
         **flags,
     )
 
@@ -181,3 +193,95 @@ class TestEdgeParity:
             search_tiling(gemm, _BASE, ())
         with pytest.raises(ValueError):
             search_tiling_scalar(gemm, _BASE, ())
+
+
+#: Order tuples the batched search is exercised with: the compiler's two
+#: (every order; output-stationary only), each other single order, and the
+#: full set reversed (ties then break towards a different order).
+_ORDER_TUPLES = (
+    tuple(LoopOrder),
+    (LoopOrder.OUTPUT_STATIONARY,),
+    (LoopOrder.WEIGHT_STATIONARY,),
+    (LoopOrder.INPUT_STATIONARY,),
+    tuple(reversed(LoopOrder)),
+)
+
+_geometry_id = lambda c: f"{c.ibuf_kb:g}/{c.wbuf_kb:g}/{c.obuf_kb:g}KB"  # noqa: E731
+
+
+class TestBatchedSearch:
+    @pytest.mark.parametrize("batch_size", (1, 16, 256))
+    @pytest.mark.parametrize("config", _GEOMETRIES, ids=_geometry_id)
+    def test_zoo_batch_equals_single_and_scalar_searches(self, config, batch_size):
+        # Every zoo GEMM in one call, duplicates included (ResNet-18's
+        # repeated blocks), against one search per GEMM and the oracle.
+        gemms = _zoo_gemms(config, batch_size)
+        orders = tuple(LoopOrder)
+        batched = search_tilings(gemms, config, orders)
+        assert batched == [search_tiling(gemm, config, orders) for gemm in gemms]
+        scalar = {
+            gemm: search_tiling_scalar(gemm, config, orders) for gemm in dict.fromkeys(gemms)
+        }
+        assert batched == [scalar[gemm] for gemm in gemms]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=1 << 12),
+                st.integers(min_value=1, max_value=1 << 12),
+                st.integers(min_value=1, max_value=1 << 12),
+                st.sampled_from((1, 2, 4, 8, 16)),
+                st.sampled_from((1, 2, 4, 8, 16)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        orders=st.sampled_from(_ORDER_TUPLES),
+        config=st.sampled_from(_GEOMETRIES),
+    )
+    def test_ragged_batches_match_the_oracle(self, shapes, orders, config):
+        # Extents from 1 to 2**12 give each GEMM its own number of tile
+        # candidates, so the grid is padded.
+        gemms = [
+            GemmWorkload(
+                m=m, n=n, r=r, input_bits=input_bits, weight_bits=weight_bits, output_bits=16
+            )
+            for m, n, r, input_bits, weight_bits in shapes
+        ]
+        assert search_tilings(gemms, config, orders) == [
+            search_tiling_scalar(gemm, config, orders) for gemm in gemms
+        ]
+
+    def test_empty_batch(self):
+        assert search_tilings([], _BASE, tuple(LoopOrder)) == []
+        with pytest.raises(ValueError, match="at least one loop order"):
+            search_tilings([], _BASE, ())
+
+    def test_infeasible_gemm_in_a_batch_is_named(self):
+        # An 8-bit input buffer holds no 16-bit operand.
+        config = _BASE.with_buffers(0.001, 64.0, 64.0)
+        fits = GemmWorkload(m=4, n=4, r=4, input_bits=8, weight_bits=8, output_bits=16)
+        bad = GemmWorkload(m=3, n=5, r=7, input_bits=16, weight_bits=8, output_bits=16)
+        search_tilings([fits, fits], config, tuple(LoopOrder))
+        with pytest.raises(ValueError, match=r"^no feasible tiling for GEMM 3x5x7 at 16/8 bits") as error:
+            search_tilings([fits, bad, fits], config, tuple(LoopOrder))
+        assert "\n" not in str(error.value)
+        with pytest.raises(ValueError, match="no feasible tiling") as scalar:
+            search_tiling_scalar(bad, config, tuple(LoopOrder))
+        assert str(scalar.value) == str(error.value)
+
+    def test_first_failing_gemm_is_named(self):
+        # The batch reports the GEMM a one-at-a-time search would fail on
+        # first, whichever way it fails.
+        config = _BASE.with_buffers(0.001, 64.0, 64.0)
+        infeasible = GemmWorkload(m=3, n=5, r=7, input_bits=16, weight_bits=8, output_bits=16)
+        huge = GemmWorkload(
+            m=1 << 20, n=1 << 20, r=1 << 18, input_bits=8, weight_bits=8, output_bits=32
+        )
+        fits = GemmWorkload(m=4, n=4, r=4, input_bits=8, weight_bits=8, output_bits=16)
+        orders = tuple(LoopOrder)
+        with pytest.raises(ValueError, match="^no feasible tiling for GEMM 3x5x7"):
+            search_tilings([fits, infeasible, huge], config, orders)
+        with pytest.raises(ValueError, match=r"^GEMM 1048576x1048576x262144 .* too large"):
+            search_tilings([fits, huge, infeasible], config, orders)
