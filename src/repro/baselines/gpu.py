@@ -59,11 +59,11 @@ class GpuSpec:
         Peak DRAM bandwidth.
     tdp_w:
         Thermal design power, used as the sustained power draw.
-    achievable_compute_fraction / achievable_bandwidth_fraction:
-        Fraction of the peaks a tuned DNN library (TensorRT) sustains.
     cuda_cores / clock_mhz / device_memory / technology:
         The device as Table III describes it.  Descriptive only: the
-        roofline reads the peaks above, not these.
+        roofline reads the peaks and fractions, not these.
+    achievable_compute_fraction / achievable_bandwidth_fraction:
+        Fraction of the peaks a tuned DNN library (TensorRT) sustains.
     """
 
     name: str
@@ -71,13 +71,13 @@ class GpuSpec:
     peak_int8_gops: float
     memory_bandwidth_gb_s: float
     tdp_w: float
+    cuda_cores: int
+    clock_mhz: float
+    device_memory: str
+    technology: str
     achievable_compute_fraction: float = 0.45
     achievable_bandwidth_fraction: float = 0.70
     achievable_int8_fraction: float = 0.16
-    cuda_cores: int = 0
-    clock_mhz: float = 0.0
-    device_memory: str = ""
-    technology: str = ""
 
     def __post_init__(self) -> None:
         if self.peak_fp32_gflops <= 0:

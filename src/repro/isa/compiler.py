@@ -114,19 +114,22 @@ _TILE_LOOP_NEST = {
 
 # Instructions whose fields never vary, built (and validated) once and
 # shared by every block; instructions are frozen, so sharing is safe.
-def _unit_stride(scratchpad: ScratchpadType, loop_id: int) -> GenAddr:
-    return GenAddr(scratchpad=scratchpad, loop_id=loop_id, stride=1)
 
-
-_WBUF_N_TILE_STEP = _unit_stride(ScratchpadType.WBUF, _LOOP_N_TILE)
-_IBUF_R_TILE_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_R_TILE)
-_OBUF_R_TILE_STEP = _unit_stride(ScratchpadType.OBUF, _LOOP_R_TILE)
-_IBUF_INNER_R_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_INNER_R)
-_OBUF_INNER_R_STEP = _unit_stride(ScratchpadType.OBUF, _LOOP_INNER_R)
-_IBUF_KERNEL_X_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_KERNEL_X)
-_WBUF_KERNEL_X_STEP = _unit_stride(ScratchpadType.WBUF, _LOOP_KERNEL_X)
-_IBUF_INNER_N_STEP = _unit_stride(ScratchpadType.IBUF, _LOOP_INNER_N)
-_WBUF_INNER_N_STEP = _unit_stride(ScratchpadType.WBUF, _LOOP_INNER_N)
+#: Unit-stride address generators, by (scratchpad, loop id).
+_UNIT_STEP = {
+    (scratchpad, loop_id): GenAddr(scratchpad=scratchpad, loop_id=loop_id, stride=1)
+    for scratchpad, loop_id in (
+        (ScratchpadType.WBUF, _LOOP_N_TILE),
+        (ScratchpadType.IBUF, _LOOP_R_TILE),
+        (ScratchpadType.OBUF, _LOOP_R_TILE),
+        (ScratchpadType.IBUF, _LOOP_INNER_R),
+        (ScratchpadType.OBUF, _LOOP_INNER_R),
+        (ScratchpadType.IBUF, _LOOP_KERNEL_X),
+        (ScratchpadType.WBUF, _LOOP_KERNEL_X),
+        (ScratchpadType.IBUF, _LOOP_INNER_N),
+        (ScratchpadType.WBUF, _LOOP_INNER_N),
+    )
+}
 
 _COMPUTE = {fn: Compute(fn=fn) for fn in ComputeFn}
 _IBUF_READ = RdBuf(scratchpad=ScratchpadType.IBUF)
@@ -329,19 +332,19 @@ class FusionCompiler:
                     loop_id=_LOOP_M_TILE,
                     stride=_clamp_stride(trips[_LOOP_N_TILE]),
                 ),
-                _WBUF_N_TILE_STEP,
+                _UNIT_STEP[ScratchpadType.WBUF, _LOOP_N_TILE],
                 GenAddr(
                     scratchpad=ScratchpadType.IBUF,
                     loop_id=_LOOP_N_TILE,
                     stride=_clamp_stride(trips[_LOOP_R_TILE]),
                 ),
-                _IBUF_R_TILE_STEP,
+                _UNIT_STEP[ScratchpadType.IBUF, _LOOP_R_TILE],
                 GenAddr(
                     scratchpad=ScratchpadType.OBUF,
                     loop_id=_LOOP_M_TILE,
                     stride=_clamp_stride(trips[_LOOP_R_TILE]),
                 ),
-                _OBUF_R_TILE_STEP,
+                _UNIT_STEP[ScratchpadType.OBUF, _LOOP_R_TILE],
             ]
         )
 
@@ -386,7 +389,7 @@ class FusionCompiler:
                 loop_id=_LOOP_INNER_M,
                 stride=_clamp_stride(tiling.tile_n),
             ),
-            _OBUF_INNER_R_STEP,
+            _UNIT_STEP[ScratchpadType.OBUF, _LOOP_INNER_R],
             GenAddr(
                 scratchpad=ScratchpadType.OBUF,
                 loop_id=_LOOP_INNER_M,
@@ -424,7 +427,7 @@ class FusionCompiler:
                         loop_id=_LOOP_KERNEL_Y,
                         stride=_clamp_stride(layer.in_width),
                     ),
-                    _IBUF_KERNEL_X_STEP,
+                    _UNIT_STEP[ScratchpadType.IBUF, _LOOP_KERNEL_X],
                     GenAddr(
                         scratchpad=ScratchpadType.IBUF,
                         loop_id=_LOOP_CHANNEL,
@@ -435,7 +438,7 @@ class FusionCompiler:
                         loop_id=_LOOP_KERNEL_Y,
                         stride=_clamp_stride(layer.kernel),
                     ),
-                    _WBUF_KERNEL_X_STEP,
+                    _UNIT_STEP[ScratchpadType.WBUF, _LOOP_KERNEL_X],
                     GenAddr(
                         scratchpad=ScratchpadType.WBUF,
                         loop_id=_LOOP_CHANNEL,
@@ -474,7 +477,12 @@ class FusionCompiler:
                     level=1,
                 )
             )
-            gen_addrs.extend([_IBUF_INNER_N_STEP, _WBUF_INNER_N_STEP])
+            gen_addrs.extend(
+                [
+                    _UNIT_STEP[ScratchpadType.IBUF, _LOOP_INNER_N],
+                    _UNIT_STEP[ScratchpadType.WBUF, _LOOP_INNER_N],
+                ]
+            )
 
         instructions.extend(gen_addrs)
         instructions.extend(_MACC_TAIL)
@@ -581,8 +589,8 @@ class FusionCompiler:
         instructions: list[Instruction] = [
             Setup(input_bits=layer.input_bits, weight_bits=layer.weight_bits),
             Loop(loop_id=_LOOP_R_TILE, iterations=_clamp_iterations(tiling.r_tiles), level=0),
-            _IBUF_R_TILE_STEP,
-            _OBUF_R_TILE_STEP,
+            _UNIT_STEP[ScratchpadType.IBUF, _LOOP_R_TILE],
+            _UNIT_STEP[ScratchpadType.OBUF, _LOOP_R_TILE],
             LdMem(
                 scratchpad=ScratchpadType.IBUF,
                 num_words=_clamp_iterations(tiling.tile_r),
@@ -593,8 +601,8 @@ class FusionCompiler:
                 level=1,
             ),
             Loop(loop_id=_LOOP_CHANNEL, iterations=_clamp_iterations(window), level=1),
-            _IBUF_INNER_R_STEP,
-            _OBUF_INNER_R_STEP,
+            _UNIT_STEP[ScratchpadType.IBUF, _LOOP_INNER_R],
+            _UNIT_STEP[ScratchpadType.OBUF, _LOOP_INNER_R],
             _IBUF_READ,
             _COMPUTE[inner_fn],
             _OBUF_WRITE,

@@ -333,38 +333,27 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _m_rows(
-    workload: GemmWorkload, tiles: list[int], width: int, wbuf_bits: int, obuf_bits: int
+    workload: GemmWorkload, tiles: list[int], wbuf_bits: int, obuf_bits: int
 ) -> tuple[list[int], list[int], list[int]]:
     """Per tile_m candidate: the widest tile_n the weight buffer admits
     beside it (0 when the output buffer cannot hold one of its columns),
-    its ``R`` tile cap and its ``M`` tile count.
-
-    Padded with never-feasible candidates up to ``width``.
-    """
+    its ``R`` tile cap and its ``M`` tile count."""
     max_tile_n, r_caps, m_tiles = [], [], []
     for tile in tiles:
         r_by_obuf = obuf_bits // (tile * PARTIAL_SUM_BITS)
         max_tile_n.append(wbuf_bits // (tile * workload.weight_bits) if r_by_obuf else 0)
         r_caps.append(max(1, min(r_by_obuf, workload.r, _MAX_TILE_R)))
         m_tiles.append(-(-workload.m // tile))
-    padding = width - len(tiles)
-    return (
-        max_tile_n + [0] * padding,
-        r_caps + [1] * padding,
-        m_tiles + [1] * padding,
-    )
+    return max_tile_n, r_caps, m_tiles
 
 
 def _n_rows(
-    workload: GemmWorkload, tiles: list[int], width: int, ibuf_bits: int
+    workload: GemmWorkload, tiles: list[int], ibuf_bits: int
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Per tile_n candidate: its weight-fit key (the tile, or
     :data:`_NEVER_FITS` when the input buffer cannot hold one of its
     columns), the ``R`` tile the input buffer allows, its ``N`` tile count
-    and the partial-sum bits its extra reduction passes spill and reload.
-
-    Padded with never-feasible candidates up to ``width``.
-    """
+    and the partial-sum bits its extra reduction passes spill and reload."""
     spill_per_pass = 2 * workload.m * workload.r * PARTIAL_SUM_BITS
     fit_keys, r_by_ibuf, n_tiles, spilled = [], [], [], []
     for tile in tiles:
@@ -374,13 +363,27 @@ def _n_rows(
         r_by_ibuf.append(max(1, rows))
         n_tiles.append(passes)
         spilled.append(spill_per_pass * (passes - 1))
-    padding = width - len(tiles)
-    return (
-        fit_keys + [_NEVER_FITS] * padding,
-        r_by_ibuf + [1] * padding,
-        n_tiles + [1] * padding,
-        spilled + [0] * padding,
-    )
+    return fit_keys, r_by_ibuf, n_tiles, spilled
+
+
+#: What pads each field of :func:`_m_rows` and :func:`_n_rows` up to the
+#: widest GEMM's candidate count: cells that are never feasible.
+_M_PADDING = (0, 1, 1)
+_N_PADDING = (_NEVER_FITS, 1, 1, 0)
+
+
+def _padded(
+    sides: list[tuple[list[int], ...]], fills: tuple[int, ...]
+) -> np.ndarray:
+    """``(field, gemm, candidate)`` array of per-GEMM rows padded to one width."""
+    width = max(len(side[0]) for side in sides)
+    return np.array(
+        [
+            [row + [fill] * (width - len(row)) for row, fill in zip(side, fills)]
+            for side in sides
+        ],
+        dtype=np.int64,
+    ).transpose(1, 0, 2)
 
 
 def search_tilings(
@@ -410,11 +413,6 @@ def search_tilings(
     """
     if not orders:
         raise ValueError("at least one loop order must be considered")
-    for index, workload in enumerate(workloads):
-        if not _int64_safe(workload):
-            # Searching the GEMMs before it names an infeasible one first.
-            search_tilings(workloads[:index], config, orders)
-            raise _too_large_to_tile(workload)
     if not workloads:
         return []
 
@@ -422,29 +420,25 @@ def search_tilings(
     wbuf_bits = int(config.wbuf_kb * 1024 * 8)
     obuf_bits = int(config.obuf_kb * 1024 * 8)
 
-    # Candidate rows padded to one width: (field, gemm, candidate) arrays.
-    m_candidates = [tile_candidates(w.m) for w in workloads]
-    n_candidates = [tile_candidates(w.n) for w in workloads]
-    m_width = max(map(len, m_candidates))
-    n_width = max(map(len, n_candidates))
-    m_side = [
-        _m_rows(w, tiles, m_width, wbuf_bits, obuf_bits)
-        for w, tiles in zip(workloads, m_candidates)
-    ]
-    n_side = [
-        _n_rows(w, tiles, n_width, ibuf_bits) for w, tiles in zip(workloads, n_candidates)
-    ]
-    for workload, (max_tile_n, *_), (fit_key, *_) in zip(workloads, m_side, n_side):
+    # Per GEMM, in order, so the first failing one is named.
+    m_candidates, n_candidates, m_side, n_side = [], [], [], []
+    for workload in workloads:
+        if not _int64_safe(workload):
+            raise _too_large_to_tile(workload)
+        m_tiles = tile_candidates(workload.m)
+        n_tiles = tile_candidates(workload.n)
+        m_rows = _m_rows(workload, m_tiles, wbuf_bits, obuf_bits)
+        n_rows = _n_rows(workload, n_tiles, ibuf_bits)
         # Some cell fits iff the narrowest fitting tile_n fits beside the
         # tile_m that admits the widest.
-        if min(fit_key) > max(max_tile_n):
+        if min(n_rows[0]) > max(m_rows[0]):
             raise _no_feasible_tiling(workload, config)
-    max_tile_n, r_cap, m_tiles = np.array(m_side, dtype=np.int64).transpose(1, 0, 2)[
-        :, :, :, None
-    ]
-    fit_key, r_by_ibuf, n_tiles, spilled = np.array(
-        n_side, dtype=np.int64
-    ).transpose(1, 0, 2)[:, :, None, :]
+        m_candidates.append(m_tiles)
+        n_candidates.append(n_tiles)
+        m_side.append(m_rows)
+        n_side.append(n_rows)
+    max_tile_n, r_cap, m_tiles = _padded(m_side, _M_PADDING)[:, :, :, None]
+    fit_key, r_by_ibuf, n_tiles, spilled = _padded(n_side, _N_PADDING)[:, :, None, :]
     r_less_one, weights, inputs, outputs, weights_outputs, inputs_outputs = np.array(
         [
             (
@@ -504,6 +498,7 @@ def search_tilings(
 
     # Re-derive each winner with exact integer arithmetic so the stored
     # plan holds Python ints, never numpy scalars.
+    m_width, n_width = max_tile_n.shape[1], fit_key.shape[2]
     cells = m_width * n_width
     plans: list[TilingPlan] = []
     for workload, winner, m_row, n_row in zip(workloads, winners, m_candidates, n_candidates):

@@ -206,6 +206,10 @@ class Estimator:
             },
             sort_keys=True,
         )
+        # Network fingerprint -> program key: every input of the key but the
+        # fingerprint is fixed per estimator, and re-dumping the payload was
+        # a sizeable share of a warm estimate.
+        self._program_keys: dict[str, str] = {}
         # One compiler for the whole search: it builds each block once, so a
         # mutant's unchanged layers reuse their parent's compiled blocks.
         self._compiler = FusionCompiler(
@@ -247,20 +251,24 @@ class Estimator:
         # with the same content defer to the claimant.
         claimed: set[str] = set()
         for fingerprint, network in unique.items():
-            program_key = program_content_key(
-                fingerprint,
-                self.batch_size,
-                self.config,
-                self.enable_loop_ordering,
-                self.enable_layer_fusion,
-            )
-            result_key = hashlib.sha256(
-                f"estimate|{program_key}|{self._composition}".encode("utf-8")
-            ).hexdigest()
-            stored = self._stored_result(result_key)
-            if stored is not None:
-                results[fingerprint] = stored
-                continue
+            program_key = self._program_keys.get(fingerprint)
+            if program_key is None:
+                program_key = self._program_keys[fingerprint] = program_content_key(
+                    fingerprint,
+                    self.batch_size,
+                    self.config,
+                    self.enable_loop_ordering,
+                    self.enable_layer_fusion,
+                )
+            result_key = ""
+            if self._store_results:
+                result_key = hashlib.sha256(
+                    f"estimate|{program_key}|{self._composition}".encode("utf-8")
+                ).hexdigest()
+                stored = self._stored_result(result_key)
+                if stored is not None:
+                    results[fingerprint] = stored
+                    continue
             program = obtain_program(
                 program_key,
                 partial(self._compiler.compile, network, batch_size=self.batch_size),
@@ -285,9 +293,7 @@ class Estimator:
         return [results[fingerprint] for fingerprint in requested]
 
     def _stored_result(self, key: str) -> NetworkResult | None:
-        """The candidate's stored composed result, when results are stored."""
-        if not self._store_results:
-            return None
+        """The candidate's stored composed result, if the cache holds one."""
         value, source = self.cache.get_with_source(key)
         if value is not None:
             self.stats.results_read += 1

@@ -343,13 +343,15 @@ def _sim_config_json(config: BitFusionConfig) -> str:
 
 
 @lru_cache(maxsize=None)
-def _layer_content_key(layer_fingerprint: str, config: BitFusionConfig) -> str:
+def _layer_content_key(layer_fingerprint: str, sim_config_json: str) -> str:
     # The exact text fingerprint_payload({"artifact": "layer", "layer": ...,
     # "sim": ...}) hashes (sorted keys, default separators), built from the
-    # memoized config JSON instead of re-dumping the nested payload.
+    # memoized config JSON instead of re-dumping the nested payload.  Keyed
+    # on two strings, whose hashes Python caches: keying on the config
+    # would re-hash the whole dataclass on every block lookup.
     text = (
         f'{{"artifact": "layer", "layer": "{layer_fingerprint}", '
-        f'"sim": {_sim_config_json(config)}}}'
+        f'"sim": {sim_config_json}}}'
     )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -367,10 +369,10 @@ def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
     "layer": <layer fingerprint>, "sim": <sim config>})``, so keys written by
     earlier releases stay valid.  Memoized: the layer fingerprint on the
     block instance, the config JSON per config and the key on
-    (fingerprint, config).  :func:`plan_program` derives each block's key
-    once and passes it on (:attr:`WorkPlan.layer_keys`).
+    (fingerprint, config JSON).  :func:`plan_program` derives each block's
+    key once and passes it on (:attr:`WorkPlan.layer_keys`).
     """
-    return _layer_content_key(compiled.layer_fingerprint(), config)
+    return _layer_content_key(compiled.layer_fingerprint(), _sim_config_json(config))
 
 
 def lookup_block(cache: ResultCache, key: str, name: str) -> LayerResult | None:
@@ -378,10 +380,13 @@ def lookup_block(cache: ResultCache, key: str, name: str) -> LayerResult | None:
 
     None on a miss.  No statistics are recorded here; callers account for
     hits and misses in their own stage counters.  Records are memoized
-    with ``cache.memo[key] = layer`` (:func:`compose_plan`).
+    with ``cache.memo[key] = layer`` (:func:`compose_plan`).  A record
+    already under ``name`` is returned as is (records are frozen).
     """
     value = cache.memo.get(key)
-    return None if value is None else value.renamed(name)
+    if value is None or value.name == name:
+        return value
+    return value.renamed(name)
 
 
 # ---------------------------------------------------------------------- #
@@ -465,7 +470,12 @@ def plan_program(
     instead of being simulated twice.  Plan-time hits count in
     ``stats.blocks.hits``, scheduled simulations in ``stats.blocks.misses``.
     """
-    keys = tuple(layer_cache_key(compiled, config) for compiled in program)
+    # layer_cache_key per block, with the config's JSON looked up once.
+    sim_config_json = _sim_config_json(config)
+    keys = tuple(
+        _layer_content_key(compiled.layer_fingerprint(), sim_config_json)
+        for compiled in program
+    )
     cached: dict[int, LayerResult] = {}
     simulate: list[int] = []
     deferred: list[int] = []

@@ -263,6 +263,8 @@ class TestContentAddressedLayerLevel:
         layer = simulate_blocks_grid([BitFusionSimulator(config)], [compiled])[0][0]
         writer.memo[key] = layer
         assert lookup_block(writer, key, compiled.name) == layer
+        # A record already under the asking block's name is served as is.
+        assert lookup_block(writer, key, compiled.name) is layer
         # Served renamed to whichever block asks.
         twin = _renamed(compiled, "twin")
         assert lookup_block(writer, key, twin.name) == replace(layer, name=twin.name)

@@ -88,12 +88,14 @@ class TestGpuSpec:
         assert TITAN_XP.operand_bytes(GpuPrecision.INT8) == 1
 
     def test_validation(self):
+        device = dict(cuda_cores=1, clock_mhz=1.0, device_memory="1 GB", technology="16nm")
         with pytest.raises(ValueError):
             GpuSpec(name="bad", peak_fp32_gflops=0, peak_int8_gops=0,
-                    memory_bandwidth_gb_s=10, tdp_w=10)
+                    memory_bandwidth_gb_s=10, tdp_w=10, **device)
         with pytest.raises(ValueError):
             GpuSpec(name="bad", peak_fp32_gflops=10, peak_int8_gops=0,
-                    memory_bandwidth_gb_s=10, tdp_w=10, achievable_compute_fraction=0)
+                    memory_bandwidth_gb_s=10, tdp_w=10, achievable_compute_fraction=0,
+                    **device)
 
 
 class TestGpuModel:

@@ -443,16 +443,9 @@ class TestSharedInstructions:
         assert module._OBUF_WRITE == WrBuf(scratchpad=ScratchpadType.OBUF)
         assert module._BLOCK_END == BlockEnd(next_block=0)
         assert module._COMPUTE == {fn: Compute(fn=fn) for fn in ComputeFn}
-        steps = {
-            name: value for name, value in vars(module).items() if name.endswith("_STEP")
-        }
-        assert len(steps) == 9
-        for name, step in steps.items():
-            pad, loop = name[1:].split("_", 1)
-            loop_id = getattr(module, f"_LOOP_{loop.removesuffix('_STEP')}")
-            assert step == GenAddr(
-                scratchpad=ScratchpadType[pad], loop_id=loop_id, stride=1
-            ), name
+        assert len(module._UNIT_STEP) == 9
+        for (scratchpad, loop_id), step in module._UNIT_STEP.items():
+            assert step == GenAddr(scratchpad=scratchpad, loop_id=loop_id, stride=1)
 
     def test_every_block_still_validates(self, default_config):
         from repro.isa.block import InstructionBlock
