@@ -147,7 +147,7 @@ def _collect_searches(config: BitFusionConfig) -> list[tuple]:
 
 
 def bench_compile(repeats: int) -> dict:
-    config = BitFusionConfig.eyeriss_matched(batch_size=16)
+    config = BitFusionConfig.eyeriss_matched()
     networks = {name: models.load(name) for name in models.BENCHMARKS}
 
     per_network: dict[str, float] = {}
@@ -205,7 +205,7 @@ def bench_compile(repeats: int) -> dict:
 
 def bench_tiling_memo_warm() -> dict:
     """Recompile the zoo against a warm tiling memo: zero searches allowed."""
-    config = BitFusionConfig.eyeriss_matched(batch_size=16)
+    config = BitFusionConfig.eyeriss_matched()
     cache = ResultCache()
     warm_stats = CacheStats()
     for name in models.BENCHMARKS:
@@ -227,7 +227,7 @@ def bench_tiling_memo_warm() -> dict:
 
 def bench_sim(repeats: int) -> dict:
     """Batched vs scalar simulation of every zoo block (1-D and grid)."""
-    config = BitFusionConfig.eyeriss_matched(batch_size=16)
+    config = BitFusionConfig.eyeriss_matched()
     blocks = []
     for name in models.BENCHMARKS:
         blocks.extend(FusionCompiler(config).compile(models.load(name), batch_size=16))
@@ -394,7 +394,7 @@ def bench_nas(repeats: int) -> dict:
     composed_before = estimator.stats.layers_composed
     evaluate_s, warm_s, speedup = _interleaved(
         max(repeats * 3, 9),
-        lambda: BitFusionAccelerator(config).evaluate(mutant),
+        lambda: BitFusionAccelerator(config).evaluate(mutant, estimator.batch_size),
         lambda: estimator.estimate(mutant),
         inner=5,
     )

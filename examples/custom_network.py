@@ -103,7 +103,7 @@ def main() -> None:
 
     # Compile and show the Fusion-ISA for the mixed-precision block1 layer.
     accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
-    program = accelerator.compile(network)
+    program = accelerator.compile(network, batch_size=16)
     block = next(compiled for compiled in program if compiled.name.startswith("block1"))
     print(f"Fusion-ISA block for {block.name!r} ({len(block.block)} instructions):")
     for instruction in block.block:
@@ -112,7 +112,7 @@ def main() -> None:
 
     # Simulate at two scale points.
     for config in (BitFusionConfig.eyeriss_matched(), BitFusionConfig.gpu_scaled_16nm()):
-        result = BitFusionAccelerator(config).run(network)
+        result = BitFusionAccelerator(config).run(network, batch_size=16)
         bound = "memory" if result.memory_cycles > result.compute_cycles else "compute"
         print(
             f"{config.name:28s}: {result.latency_per_inference_s * 1e6:8.1f} us/inference, "

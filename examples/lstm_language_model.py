@@ -33,9 +33,9 @@ def batching_sweep() -> None:
     network = models.load("LSTM")
     print("LSTM per-inference latency vs batch size (Figure 16 behaviour)")
     baseline = None
+    accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
     for batch in (1, 4, 16, 64, 256):
-        config = BitFusionConfig.eyeriss_matched(batch_size=batch)
-        result = BitFusionAccelerator(config).run(network, batch_size=batch)
+        result = accelerator.run(network, batch_size=batch)
         latency_us = result.latency_per_inference_s * 1e6
         if baseline is None:
             baseline = latency_us
@@ -52,7 +52,7 @@ def bandwidth_sweep() -> None:
     print("LSTM throughput vs off-chip bandwidth at batch 16 (Figure 15 behaviour)")
     for bandwidth in (32, 64, 128, 256, 512):
         config = BitFusionConfig.eyeriss_matched(bandwidth_bits_per_cycle=bandwidth)
-        result = BitFusionAccelerator(config).run(network)
+        result = BitFusionAccelerator(config).run(network, batch_size=16)
         print(
             f"  {bandwidth:>3d} bits/cycle: {result.throughput_inferences_per_s:10,.0f} inferences/s"
         )

@@ -43,7 +43,7 @@ def main() -> None:
     estimator = Estimator(config)
     network = models.load("Cifar-10")
     estimate = estimator.estimate(network)
-    reference = BitFusionAccelerator(config).evaluate(network)
+    reference = BitFusionAccelerator(config).evaluate(network, estimator.batch_size)
     assert estimate == reference, "estimator must match evaluate() exactly"
     print("cold estimate == evaluate():", estimate.latency_per_inference_s, "s/inf")
     print()

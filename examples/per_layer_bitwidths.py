@@ -50,7 +50,7 @@ def sweep_single_layer() -> None:
                 continue  # keep the table compact; the matrix is symmetric in spirit
             layer = replace(base_layer, input_bits=input_bits, weight_bits=weight_bits)
             network = Network(f"conv-{input_bits}x{weight_bits}", [layer])
-            result = accelerator.run(network)
+            result = accelerator.run(network, batch_size=16)
             fusion = fusion_config_for(input_bits, weight_bits)
             print(
                 f"{input_bits:>5d}/{weight_bits:<6d} {fusion.fused_pes:>11d} "
@@ -69,8 +69,8 @@ def alexnet_vs_fixed_8bit() -> None:
         replace(layer, input_bits=8, weight_bits=8, output_bits=8) for layer in flexible
     ])
 
-    flexible_result = accelerator.run(flexible)
-    fixed_result = accelerator.run(fixed)
+    flexible_result = accelerator.run(flexible, batch_size=16)
+    fixed_result = accelerator.run(fixed, batch_size=16)
     speedup = fixed_result.latency_per_inference_s / flexible_result.latency_per_inference_s
     energy = fixed_result.energy_per_inference_j / flexible_result.energy_per_inference_j
     print("AlexNet: bit-flexible execution vs the same fabric locked to 8-bit/8-bit")

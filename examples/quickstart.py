@@ -40,12 +40,12 @@ def main() -> None:
 
     # 3. Compile to a Fusion-ISA program.  One block per (fused) layer; the
     #    `setup` instruction of each block fixes the fusion configuration.
-    program = accelerator.compile(network)
+    program = accelerator.compile(network, batch_size=16)
     print(program.summary())
     print()
 
     # 4. Simulate: cycles, bandwidth boundedness, energy breakdown.
-    result = accelerator.run(network)
+    result = accelerator.run(network, batch_size=16)
     print(result.summary())
     print()
     fractions = result.energy.fractions()

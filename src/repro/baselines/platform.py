@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.config import BitFusionConfig, TechnologyNode
 from repro.dnn.layers import ConvLayer, Layer
@@ -47,8 +47,8 @@ from repro.energy.components import (
     units_in_area,
 )
 from repro.energy.dram import DRAM_PJ_PER_BIT_45NM, DramEnergyModel
-from repro.isa.optimizations import choose_loop_order
-from repro.isa.tiling import GemmWorkload
+from repro.isa.instructions import LoopOrder
+from repro.isa.tiling import GemmWorkload, search_tilings
 from repro.sim.results import (
     LayerResult,
     MemoryTraffic,
@@ -225,25 +225,41 @@ class PlatformModel:
             output_bits=output_bits,
         )
 
-    def dram_bits(self, gemm: GemmWorkload) -> tuple[int, int, int]:
-        """(read bits, write bits, weight-column tiles) of one GEMM's DRAM traffic."""
-        if self._buffers is None:
-            read = gemm.weight_footprint_bits + gemm.input_footprint_bits
-            return read, gemm.output_footprint_bits, 1
-        plan = choose_loop_order(gemm, self._buffers)
-        read = plan.dram_weight_bits + plan.dram_input_bits + plan.dram_output_read_bits
-        return read, plan.dram_output_write_bits, plan.n_tiles
+    def dram_bits(self, gemms: Sequence[GemmWorkload]) -> list[tuple[int, int, int]]:
+        """(read bits, write bits, weight-column tiles) of each GEMM's DRAM traffic.
 
-    def _gemm_layer(self, layer: Layer, batch_size: int) -> LayerResult:
+        With staging buffers, every GEMM's minimum-traffic tiling over all
+        loop orders comes from one batched search.
+        """
+        if self._buffers is None:
+            return [
+                (
+                    gemm.weight_footprint_bits + gemm.input_footprint_bits,
+                    gemm.output_footprint_bits,
+                    1,
+                )
+                for gemm in gemms
+            ]
+        return [
+            (
+                plan.dram_weight_bits + plan.dram_input_bits + plan.dram_output_read_bits,
+                plan.dram_output_write_bits,
+                plan.n_tiles,
+            )
+            for plan in search_tilings(gemms, self._buffers, tuple(LoopOrder))
+        ]
+
+    def _gemm_layer(
+        self, layer: Layer, gemm: GemmWorkload, dram: tuple[int, int, int]
+    ) -> LayerResult:
         spec = self.spec
-        gemm = self.gemm_workload(layer, batch_size)
         macs = gemm.macs
         utilization = (
             spec.conv_utilization if isinstance(layer, ConvLayer) else spec.fc_utilization
         )
         cycles_per_mac = spec.cycles_per_mac(gemm.input_bits, gemm.weight_bits)
         compute_cycles = ceil(macs / (spec.mac_lanes / cycles_per_mac * utilization))
-        read, write, n_tiles = self.dram_bits(gemm)
+        read, write, n_tiles = dram
         on_chip, compute, buffers, register_file = self._costs(
             self, gemm, n_tiles, compute_cycles
         )
@@ -284,15 +300,18 @@ class PlatformModel:
         )
 
     def evaluate(self, network: Network, batch_size: int) -> NetworkResult:
+        """Price every layer: all GEMMs first, their DRAM traffic in one search."""
         if batch_size <= 0:
             raise ValueError(f"batch size must be positive, got {batch_size}")
+        gemms = [self.gemm_workload(layer, batch_size) for layer in network if layer.has_gemm()]
+        planned = iter(zip(gemms, self.dram_bits(gemms)))
         return compose_network_result(
             network_name=network.name,
             platform=self.name,
             batch_size=batch_size,
             frequency_mhz=self.spec.frequency_mhz,
             layers=[
-                self._gemm_layer(layer, batch_size)
+                self._gemm_layer(layer, *next(planned))
                 if layer.has_gemm()
                 else self._auxiliary_layer(layer, batch_size)
                 for layer in network

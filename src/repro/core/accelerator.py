@@ -8,6 +8,12 @@ description to performance and energy numbers:
 * the Fusion-ISA compiler (:class:`~repro.isa.compiler.FusionCompiler`),
 * the cycle/energy simulator (:class:`~repro.sim.executor.BitFusionSimulator`).
 
+It is the one compile-and-price entry point.  The batch size is not
+hardware: :meth:`~BitFusionAccelerator.compile`,
+:meth:`~BitFusionAccelerator.run` and :meth:`~BitFusionAccelerator.evaluate`
+take it as an argument, and ``evaluate(network, batch_size)`` is the
+signature every baseline platform model shares.
+
 Bit-exact execution of small layers goes through the functional model,
 :class:`~repro.core.systolic.SystolicArray`, directly.
 
@@ -17,7 +23,7 @@ Typical usage::
     from repro.dnn import models
 
     accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
-    result = accelerator.run(models.load("Cifar-10"))
+    result = accelerator.run(models.load("Cifar-10"), batch_size=16)
     print(result.summary())
 """
 
@@ -63,11 +69,11 @@ class BitFusionAccelerator:
     # ------------------------------------------------------------------ #
     # Compilation and simulation
     # ------------------------------------------------------------------ #
-    def compile(self, network: Network, batch_size: int | None = None) -> Program:
+    def compile(self, network: Network, batch_size: int) -> Program:
         """Compile a network to a Fusion-ISA program without simulating it."""
-        return self.compiler.compile(network, batch_size=batch_size)
+        return self.compiler.compile(network, batch_size)
 
-    def run(self, network: Network, batch_size: int | None = None) -> NetworkResult:
+    def run(self, network: Network, batch_size: int) -> NetworkResult:
         """Compile and simulate a network, returning performance and energy.
 
         This is the staged pipeline run end to end in one call: compile the
@@ -77,18 +83,18 @@ class BitFusionAccelerator:
         (:mod:`repro.session`) runs the same stages with a cache at every
         seam; both paths produce byte-identical results.
         """
-        program = self.compile(network, batch_size=batch_size)
-        return self.simulator.run_program(program, batch_size=batch_size)
+        program = self.compile(network, batch_size)
+        return self.simulator.run_program(program, batch_size)
 
-    def evaluate(self, network: Network, batch_size: int | None = None) -> NetworkResult:
+    def evaluate(self, network: Network, batch_size: int) -> NetworkResult:
         """Alias of :meth:`run`; the shared platform protocol the
         evaluation session (:mod:`repro.session`) drives for Bit Fusion and
         every baseline alike."""
-        return self.run(network, batch_size=batch_size)
+        return self.run(network, batch_size)
 
-    def run_program(self, program: Program, batch_size: int | None = None) -> NetworkResult:
-        """Simulate an already-compiled program."""
-        return self.simulator.run_program(program, batch_size=batch_size)
+    def run_program(self, program: Program, batch_size: int) -> NetworkResult:
+        """Simulate a program compiled at ``batch_size``."""
+        return self.simulator.run_program(program, batch_size)
 
     # ------------------------------------------------------------------ #
     # Introspection

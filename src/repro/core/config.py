@@ -6,7 +6,7 @@ accelerator:
 * **Eyeriss-matched** (Section V-A, Table III): 45 nm, 500 MHz, the same
   1.1 mm² compute-area budget as Eyeriss' 168 PEs, a 5.87 mm² chip and
   112 KB of on-chip SRAM split across the input, weight and output buffers,
-  a default off-chip bandwidth of 128 bits/cycle and a default batch of 16.
+  and a default off-chip bandwidth of 128 bits/cycle.
   The 1.1 mm² budget packs 512 Fusion Units (8192 BitBricks).
 * **Stripes-matched** (Section V-B4): the same 512-Fusion-Unit systolic
   array dropped into each of Stripes' 16 tiles with Stripes' frequency.
@@ -16,7 +16,9 @@ accelerator:
 
 :class:`BitFusionConfig` captures every parameter the compiler, the cycle
 model and the energy model need; the named constructors build the three
-paper configurations.
+paper configurations.  The batch size is not hardware: it is an argument
+of every compile, simulate and evaluate call (and a field of the session's
+``Workload``).
 """
 
 from __future__ import annotations
@@ -109,8 +111,6 @@ class BitFusionConfig:
         Capacities of the input, weight and output scratchpad buffers.
     dram_bandwidth_bits_per_cycle:
         Off-chip bandwidth available to the accelerator.
-    batch_size:
-        Inference batch size (weights are reused across the batch).
     technology:
         Process node, used by the energy/area models.
     buffer_access_bits:
@@ -125,7 +125,6 @@ class BitFusionConfig:
     wbuf_kb: float = 64.0
     obuf_kb: float = 16.0
     dram_bandwidth_bits_per_cycle: int = 128
-    batch_size: int = 16
     technology: TechnologyNode = field(default_factory=TechnologyNode.nm45)
     buffer_access_bits: int = 32
     name: str = "bitfusion"
@@ -142,8 +141,6 @@ class BitFusionConfig:
                 "dram bandwidth must be positive, got "
                 f"{self.dram_bandwidth_bits_per_cycle}"
             )
-        if self.batch_size <= 0:
-            raise ValueError(f"batch size must be positive, got {self.batch_size}")
         for label, value in (
             ("ibuf_kb", self.ibuf_kb),
             ("wbuf_kb", self.wbuf_kb),
@@ -205,9 +202,7 @@ class BitFusionConfig:
     # Named paper configurations
     # ------------------------------------------------------------------ #
     @staticmethod
-    def eyeriss_matched(
-        bandwidth_bits_per_cycle: int = 128, batch_size: int = 16
-    ) -> "BitFusionConfig":
+    def eyeriss_matched(bandwidth_bits_per_cycle: int = 128) -> "BitFusionConfig":
         """The 45 nm configuration area-matched to Eyeriss (Table III)."""
         return BitFusionConfig(
             rows=32,
@@ -217,13 +212,12 @@ class BitFusionConfig:
             wbuf_kb=64.0,
             obuf_kb=16.0,
             dram_bandwidth_bits_per_cycle=bandwidth_bits_per_cycle,
-            batch_size=batch_size,
             technology=TechnologyNode.nm45(),
             name="bitfusion-eyeriss-matched",
         )
 
     @staticmethod
-    def stripes_matched(batch_size: int = 16) -> "BitFusionConfig":
+    def stripes_matched() -> "BitFusionConfig":
         """The 45 nm configuration matched to Stripes' area and frequency.
 
         The paper replaces the 4096 SIPs in *each* of Stripes' 16 tiles with
@@ -239,13 +233,12 @@ class BitFusionConfig:
             wbuf_kb=1024.0,
             obuf_kb=256.0,
             dram_bandwidth_bits_per_cycle=256,
-            batch_size=batch_size,
             technology=TechnologyNode.nm45(),
             name="bitfusion-stripes-matched",
         )
 
     @staticmethod
-    def gpu_scaled_16nm(batch_size: int = 16) -> "BitFusionConfig":
+    def gpu_scaled_16nm() -> "BitFusionConfig":
         """The 16 nm, 4096-Fusion-Unit configuration used against the GPUs."""
         return BitFusionConfig(
             rows=64,
@@ -255,7 +248,6 @@ class BitFusionConfig:
             wbuf_kb=512.0,
             obuf_kb=128.0,
             dram_bandwidth_bits_per_cycle=1024,
-            batch_size=batch_size,
             technology=TechnologyNode.nm16(),
             name="bitfusion-16nm",
         )
@@ -272,10 +264,6 @@ class BitFusionConfig:
     def with_bandwidth(self, bits_per_cycle: int) -> "BitFusionConfig":
         """Copy of this configuration with a different off-chip bandwidth."""
         return replace(self, dram_bandwidth_bits_per_cycle=bits_per_cycle)
-
-    def with_batch_size(self, batch_size: int) -> "BitFusionConfig":
-        """Copy of this configuration with a different batch size."""
-        return replace(self, batch_size=batch_size)
 
     # ------------------------------------------------------------------ #
     # Design-space variation points

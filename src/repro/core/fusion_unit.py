@@ -299,16 +299,6 @@ class FusionUnit:
     # ------------------------------------------------------------------ #
     # Performance accounting
     # ------------------------------------------------------------------ #
-    def cycles_for_macs(self, mac_count: int) -> int:
-        """Cycles this unit needs to retire ``mac_count`` multiply-accumulates."""
-        if mac_count < 0:
-            raise ValueError(f"mac_count must be non-negative, got {mac_count}")
-        cfg = self.config
-        if mac_count == 0:
-            return 0
-        groups = -(-mac_count // cfg.fused_pes)  # ceil division
-        return groups * cfg.temporal_passes
-
     def reset_counters(self) -> None:
         """Zero the functional-execution statistics."""
         self.total_brick_multiplies = 0

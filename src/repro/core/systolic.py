@@ -12,14 +12,11 @@ The whole array therefore behaves as a single matrix–vector engine whose
 multiply-accumulates per cycle (divided by the temporal-pass count for
 16-bit operands).
 
-:class:`SystolicArray` provides
-
-* a **functional** matrix–vector / matrix–matrix multiply that routes every
-  scalar multiply through the BitBrick decomposition (used by the
-  correctness tests and the examples), and
-* a **timing** model for GEMM-shaped work (used by the cycle simulator):
-  compute cycles including array fill/drain, plus the buffer-access counts
-  implied by the systolic data flow.
+:class:`SystolicArray` is the **functional** model: its matrix–vector and
+matrix–matrix multiplies route every scalar multiply through the BitBrick
+decomposition (used by the correctness tests and the examples).  The array's
+cycle and buffer-access counts have one implementation, the block simulator
+(:func:`repro.sim.batched.simulate_blocks_grid`).
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import BitFusionConfig
-from repro.core.fusion_unit import FusionConfig, FusionUnit, fusion_config_for
+from repro.core.fusion_unit import FusionConfig, FusionUnit
 
-__all__ = ["SystolicDimensions", "SystolicGemmTiming", "SystolicArray"]
+__all__ = ["SystolicDimensions", "SystolicArray"]
 
 
 @dataclass(frozen=True)
@@ -69,29 +66,8 @@ class SystolicDimensions:
         return self.rows * self.columns * self.fused_pes_per_unit / self.temporal_passes
 
 
-@dataclass(frozen=True)
-class SystolicGemmTiming:
-    """Cycle and access counts for one GEMM mapped onto the array.
-
-    A GEMM here is ``output[M, B] = weights[M, N] @ inputs[N, B]`` — the
-    shape every DNN layer lowers to (N = reduction length, M = output
-    neurons/channels, B = batch × spatial positions).
-    """
-
-    compute_cycles: int
-    fill_drain_cycles: int
-    ibuf_reads: int
-    wbuf_reads: int
-    obuf_reads: int
-    obuf_writes: int
-
-    @property
-    def total_cycles(self) -> int:
-        return self.compute_cycles + self.fill_drain_cycles
-
-
 class SystolicArray:
-    """Functional and timing model of the Fusion Unit systolic array."""
+    """Functional model of the Fusion Unit systolic array."""
 
     def __init__(self, config: BitFusionConfig) -> None:
         self.config = config
@@ -189,53 +165,3 @@ class SystolicArray:
             for b in range(inputs.shape[1])
         ]
         return np.stack(columns, axis=1)
-
-    # ------------------------------------------------------------------ #
-    # Timing model
-    # ------------------------------------------------------------------ #
-    def gemm_timing(self, m: int, n: int, batch: int = 1) -> SystolicGemmTiming:
-        """Timing for ``output[M, B] = weights[M, N] @ inputs[N, B]``.
-
-        The array processes the GEMM as a sequence of tiles: each tile
-        covers ``logical_rows`` elements of the reduction dimension and
-        ``columns`` output neurons, retiring one partial sum per column per
-        cycle once the pipeline is full.  Fill/drain adds ``rows + columns``
-        cycles per output tile, amortized across the batch because
-        consecutive batch elements stream through back to back.
-        """
-        if m <= 0 or n <= 0 or batch <= 0:
-            raise ValueError(
-                f"GEMM dimensions must be positive, got m={m}, n={n}, batch={batch}"
-            )
-        dims = self.dimensions
-
-        reduction_tiles = -(-n // dims.logical_rows)
-        output_tiles = -(-m // dims.logical_columns)
-
-        # Each (reduction tile, output tile, batch element) takes
-        # temporal_passes cycles to issue through a column.
-        compute_cycles = (
-            reduction_tiles * output_tiles * batch * dims.temporal_passes
-        )
-        fill_drain = output_tiles * (self.config.rows + self.config.columns)
-
-        cfg = self.fusion_config
-        # Buffer accesses: each input element is read once per output tile
-        # (row-broadcast amortizes it over all columns); each weight is read
-        # once per batch tile group (weights stay resident across the batch
-        # thanks to the per-unit WBUF); outputs are read+written once per
-        # reduction tile (partial-sum accumulation in OBUF).
-        ibuf_reads = n * batch * output_tiles
-        wbuf_reads = m * n
-        obuf_writes = m * batch * reduction_tiles
-        obuf_reads = m * batch * max(0, reduction_tiles - 1)
-
-        del cfg  # configuration is reflected through dims; kept for clarity
-        return SystolicGemmTiming(
-            compute_cycles=int(compute_cycles),
-            fill_drain_cycles=int(fill_drain),
-            ibuf_reads=int(ibuf_reads),
-            wbuf_reads=int(wbuf_reads),
-            obuf_reads=int(obuf_reads),
-            obuf_writes=int(obuf_writes),
-        )

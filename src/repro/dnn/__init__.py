@@ -4,9 +4,6 @@ Bit Fusion's evaluation runs eight real-world quantized DNNs.  This package
 provides the substrate those experiments need:
 
 * :mod:`repro.dnn.tensor` — quantized tensor specifications and generators.
-* :mod:`repro.dnn.quantization` — linear quantization/dequantization and
-  bitwidth utilities (the encoding logic that lets the accelerator store
-  values at their minimal bitwidth).
 * :mod:`repro.dnn.layers` — the layer IR (convolution, fully-connected,
   pooling, activation, LSTM, vanilla RNN) with per-layer operand bitwidths
   and GEMM lowering.

@@ -65,10 +65,10 @@ __all__ = [
 ]
 
 #: Named base configurations a spec can start from (paper configurations).
-BASE_CONFIGS: dict[str, Callable[[int], BitFusionConfig]] = {
-    "eyeriss_matched": lambda batch: BitFusionConfig.eyeriss_matched(batch_size=batch),
-    "stripes_matched": lambda batch: BitFusionConfig.stripes_matched(batch_size=batch),
-    "gpu_scaled_16nm": lambda batch: BitFusionConfig.gpu_scaled_16nm(batch_size=batch),
+BASE_CONFIGS: dict[str, BitFusionConfig] = {
+    "eyeriss_matched": BitFusionConfig.eyeriss_matched(),
+    "stripes_matched": BitFusionConfig.stripes_matched(),
+    "gpu_scaled_16nm": BitFusionConfig.gpu_scaled_16nm(),
 }
 
 
@@ -306,22 +306,19 @@ class SweepSpec:
         The grid order is the cartesian product of networks x batch sizes x
         axis values, iterated in declaration order, so a spec always expands
         to the same point sequence (and hence the same report layout).
-        Each (batch size, axis values) configuration is built once and
-        shared by every network's point.
+        Each axis combination's configuration is built once and shared by
+        every (network, batch size) point.
         """
         combinations = [
             tuple(zip(self.axis_names, combination))
             for combination in product(*(values for _, values in self.axes))
         ]
         base = BASE_CONFIGS[self.base_config]
-        resolved = {
-            batch: [self._resolve(base(batch), settings) for settings in combinations]
-            for batch in self.batch_sizes
-        }
+        resolved = [self._resolve(base, settings) for settings in combinations]
         points: list[DesignPoint] = []
         for network, batch in product(self.networks, self.batch_sizes):
             for settings, (config, fixed_bits, loop_ordering, layer_fusion) in zip(
-                combinations, resolved[batch]
+                combinations, resolved
             ):
                 workload = Workload.bitfusion(
                     network,

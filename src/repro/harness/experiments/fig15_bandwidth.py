@@ -8,7 +8,7 @@ benchmarks saturate thanks to on-chip data reuse.
 
 The scan is one :meth:`~repro.session.session.EvaluationSession.run_many`
 batch of ``Workload.bitfusion`` points whose configurations are
-``BitFusionConfig.eyeriss_matched(bandwidth, batch_size)``; the 128
+``BitFusionConfig.eyeriss_matched(bandwidth)``; the 128
 bits/cycle point fingerprints exactly like Figure 13's default workload.
 """
 
@@ -67,7 +67,7 @@ def run(
         Workload.bitfusion(
             name,
             batch_size=batch_size,
-            config=BitFusionConfig.eyeriss_matched(bandwidth, batch_size),
+            config=BitFusionConfig.eyeriss_matched(bandwidth),
         )
         for name in names
         for bandwidth in bandwidths

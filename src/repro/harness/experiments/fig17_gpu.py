@@ -71,9 +71,7 @@ def run(
             Workload.gpu(name, TITAN_XP, GpuPrecision.FP32, batch_size=batch_size),
             Workload.gpu(name, TITAN_XP, GpuPrecision.INT8, batch_size=batch_size),
             Workload.bitfusion(
-                name,
-                batch_size=batch_size,
-                config=BitFusionConfig.gpu_scaled_16nm(batch_size=batch_size),
+                name, batch_size=batch_size, config=BitFusionConfig.gpu_scaled_16nm()
             ),
         )
         for name in names

@@ -58,7 +58,7 @@ def run(
     """Run every benchmark on the Stripes-matched Bit Fusion and on Stripes."""
     names = benchmarks if benchmarks is not None else tuple(models.benchmark_names())
     session = resolve_session(session)
-    stripes_matched = BitFusionConfig.stripes_matched(batch_size=batch_size)
+    stripes_matched = BitFusionConfig.stripes_matched()
     results = session.run_many(
         [
             Workload.bitfusion(name, batch_size=batch_size, config=stripes_matched)

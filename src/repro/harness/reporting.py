@@ -1,16 +1,14 @@
 """Table formatting shared by the experiment runners and the benchmarks.
 
 The experiments return plain rows (lists of dictionaries or dataclasses with
-``as_row()``); these helpers render them as aligned text tables (for
-benchmark console output) or GitHub-flavoured markdown (for the report that
-``python -m repro.harness`` writes).
+``as_row()``); :func:`format_table` renders them as aligned text tables.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "markdown_table", "format_ratio"]
+__all__ = ["format_table"]
 
 
 def _format_value(value: Any) -> str:
@@ -67,27 +65,3 @@ def format_table(rows: Sequence[Mapping[str, Any] | Any], title: str | None = No
             )
         )
     return "\n".join(lines)
-
-
-def markdown_table(rows: Sequence[Mapping[str, Any] | Any]) -> str:
-    """Render rows as a GitHub-flavoured markdown table."""
-    if not rows:
-        return ""
-    normalized = _normalize_rows(rows)
-    columns = list(normalized[0].keys())
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "|" + "|".join("---" for _ in columns) + "|",
-    ]
-    for row in normalized:
-        lines.append(
-            "| " + " | ".join(_format_value(row.get(column, "")) for column in columns) + " |"
-        )
-    return "\n".join(lines)
-
-
-def format_ratio(measured: float, paper: float | None) -> str:
-    """Render a measured value next to the paper's published value."""
-    if paper is None:
-        return f"{measured:.2f} (paper: n/a)"
-    return f"{measured:.2f} (paper: {paper:.2f})"

@@ -161,8 +161,8 @@ class FusionCompiler:
     Parameters
     ----------
     config:
-        The accelerator configuration (scratchpad sizes, batch size) the
-        tiling decisions target.
+        The accelerator configuration (scratchpad sizes) the tiling
+        decisions target; the batch size is an argument of every compile.
     enable_loop_ordering:
         When ``False``, the compiler always uses the output-stationary order
         instead of searching (used by the ablation benchmarks).
@@ -194,7 +194,7 @@ class FusionCompiler:
         self.plan_resolver = plan_resolver
         # Blocks already built, keyed by (head layer, fused followers,
         # batch size): see :meth:`compile`.
-        self._blocks: dict[tuple[Layer, tuple[Layer, ...], int | None], CompiledBlock] = {}
+        self._blocks: dict[tuple[Layer, tuple[Layer, ...], int], CompiledBlock] = {}
 
     def _plan_tilings(self, requests: list[TilingRequest]) -> list[TilingPlan]:
         """Search (or resolve from the memo) the tilings of ``requests``.
@@ -231,18 +231,17 @@ class FusionCompiler:
     # ------------------------------------------------------------------ #
     # Workload lowering
     # ------------------------------------------------------------------ #
-    def gemm_workload(self, layer: Layer, batch_size: int | None = None) -> GemmWorkload:
+    def gemm_workload(self, layer: Layer, batch_size: int) -> GemmWorkload:
         """The GEMM a compute layer lowers to, with the batch folded into R."""
         if not layer.has_gemm():
             raise ValueError(f"layer {layer.name!r} does not lower to a GEMM")
-        batch = self.config.batch_size if batch_size is None else batch_size
-        if batch <= 0:
-            raise ValueError(f"batch size must be positive, got {batch}")
+        if batch_size <= 0:
+            raise ValueError(f"batch size must be positive, got {batch_size}")
         shape = layer.gemm_shape()
         return GemmWorkload(
             m=shape.m,
             n=shape.n,
-            r=shape.repeats * batch,
+            r=shape.repeats * batch_size,
             input_bits=layer.input_bits,
             weight_bits=layer.weight_bits,
             output_bits=layer.output_bits,
@@ -258,27 +257,24 @@ class FusionCompiler:
             return tuple(LoopOrder)
         return (LoopOrder.OUTPUT_STATIONARY,)
 
-    def auxiliary_gemm_workload(
-        self, layer: Layer, batch_size: int | None = None
-    ) -> GemmWorkload:
+    def auxiliary_gemm_workload(self, layer: Layer, batch_size: int) -> GemmWorkload:
         """The degenerate GEMM a pooling/activation layer lowers to.
 
         The data still flows as a (1, 1, elements x batch) workload so the
         simulator can charge its DRAM traffic.
         """
-        batch = self.config.batch_size if batch_size is None else batch_size
-        if batch <= 0:
-            raise ValueError(f"batch size must be positive, got {batch}")
+        if batch_size <= 0:
+            raise ValueError(f"batch size must be positive, got {batch_size}")
         return GemmWorkload(
             m=1,
             n=1,
-            r=max(1, layer.input_elements() * batch),
+            r=max(1, layer.input_elements() * batch_size),
             input_bits=layer.input_bits,
             weight_bits=layer.weight_bits,
             output_bits=layer.output_bits,
         )
 
-    def _tiling_request(self, head: Layer, batch_size: int | None) -> TilingRequest:
+    def _tiling_request(self, head: Layer, batch_size: int) -> TilingRequest:
         """The tiling search the block headed by ``head`` needs.
 
         Shared by :meth:`compile`, the single-layer entry points and
@@ -292,9 +288,7 @@ class FusionCompiler:
             (LoopOrder.OUTPUT_STATIONARY,),
         )
 
-    def tiling_requests(
-        self, network: Network, batch_size: int | None = None
-    ) -> list[TilingRequest]:
+    def tiling_requests(self, network: Network, batch_size: int) -> list[TilingRequest]:
         """The ``(gemm, orders)`` tiling searches compiling ``network`` would run.
 
         Derivable without searching or emitting a single instruction: fusion
@@ -513,8 +507,8 @@ class FusionCompiler:
     def compile_compute_layer(
         self,
         layer: Layer,
+        batch_size: int,
         fused: tuple[Layer, ...] = (),
-        batch_size: int | None = None,
     ) -> CompiledBlock:
         """Compile one GEMM-shaped layer (plus fused followers) to a block."""
         workload = self.gemm_workload(layer, batch_size)
@@ -525,16 +519,14 @@ class FusionCompiler:
         self,
         layer: Layer,
         fused: tuple[Layer, ...],
-        batch_size: int | None,
+        batch_size: int,
         tiling: TilingPlan,
     ) -> CompiledBlock:
         """Emit the block of a GEMM-shaped layer whose tiling is planned."""
-        batch = self.config.batch_size if batch_size is None else batch_size
-
         fused_output_words: int | None = None
         if fused:
             final = fused[-1]
-            stored_elements = final.output_elements() * batch
+            stored_elements = final.output_elements() * batch_size
             tiling = tiling.with_output_store_bits(stored_elements * final.output_bits)
             fused_output_words = max(1, stored_elements // max(1, tiling.tile_count))
 
@@ -555,9 +547,7 @@ class FusionCompiler:
             fused_layers=fused,
         )
 
-    def compile_auxiliary_layer(
-        self, layer: Layer, batch_size: int | None = None
-    ) -> CompiledBlock:
+    def compile_auxiliary_layer(self, layer: Layer, batch_size: int) -> CompiledBlock:
         """Compile a standalone pooling/activation layer to its own block.
 
         The data still lowers to a (degenerate) workload so the simulator can
@@ -571,12 +561,11 @@ class FusionCompiler:
         return self._emit_auxiliary_block(layer, batch_size, tiling)
 
     def _emit_auxiliary_block(
-        self, layer: Layer, batch_size: int | None, tiling: TilingPlan
+        self, layer: Layer, batch_size: int, tiling: TilingPlan
     ) -> CompiledBlock:
         """Emit the block of a pooling/activation layer whose tiling is planned."""
-        batch = self.config.batch_size if batch_size is None else batch_size
         tiling = tiling.with_output_store_bits(
-            layer.output_elements() * batch * layer.output_bits
+            layer.output_elements() * batch_size * layer.output_bits
         )
 
         if isinstance(layer, PoolLayer):
@@ -623,7 +612,7 @@ class FusionCompiler:
     # ------------------------------------------------------------------ #
     # Network compilation
     # ------------------------------------------------------------------ #
-    def compile(self, network: Network, batch_size: int | None = None) -> Program:
+    def compile(self, network: Network, batch_size: int) -> Program:
         """Compile a whole network into an ordered program of blocks.
 
         Each fusion group is built once per compiler: a block's instructions
@@ -668,18 +657,14 @@ class FusionCompiler:
         )
 
 
-def compile_layer(
-    layer: Layer, config: BitFusionConfig, batch_size: int | None = None
-) -> CompiledBlock:
+def compile_layer(layer: Layer, config: BitFusionConfig, batch_size: int) -> CompiledBlock:
     """Convenience wrapper: compile a single layer with default optimizations."""
     compiler = FusionCompiler(config)
     if layer.has_gemm():
-        return compiler.compile_compute_layer(layer, batch_size=batch_size)
-    return compiler.compile_auxiliary_layer(layer, batch_size=batch_size)
+        return compiler.compile_compute_layer(layer, batch_size)
+    return compiler.compile_auxiliary_layer(layer, batch_size)
 
 
-def compile_network(
-    network: Network, config: BitFusionConfig, batch_size: int | None = None
-) -> Program:
+def compile_network(network: Network, config: BitFusionConfig, batch_size: int) -> Program:
     """Convenience wrapper: compile a network with default optimizations."""
-    return FusionCompiler(config).compile(network, batch_size=batch_size)
+    return FusionCompiler(config).compile(network, batch_size)

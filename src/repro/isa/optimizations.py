@@ -6,7 +6,9 @@ DNN layers to instruction blocks:
 * **Loop ordering** — choose between output-, weight- and input-stationary
   dataflows to minimize off-chip (and on-chip) accesses for each layer.
 * **Loop tiling** — partition the loops so each tile's data fits in the
-  scratchpads (implemented in :mod:`repro.isa.tiling`).
+  scratchpads.  Both are one search over (loop order, tile sizes),
+  :func:`~repro.isa.tiling.search_tilings`; ties between orders break
+  towards the earliest order considered.
 * **Layer fusion** — when consecutive layers use mutually exclusive on-chip
   resources (the systolic array for convolution/FC, the per-column pooling
   and activation units for pooling/activation), merge them into one block so
@@ -21,33 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import BitFusionConfig
 from repro.dnn.layers import ActivationLayer, Layer, PoolLayer
-from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import GemmWorkload, TilingPlan, search_tiling
 
-__all__ = [
-    "choose_loop_order",
-    "FusionDecision",
-    "fuse_layers",
-]
-
-
-def choose_loop_order(
-    workload: GemmWorkload,
-    config: BitFusionConfig,
-    orders: tuple[LoopOrder, ...] = tuple(LoopOrder),
-) -> TilingPlan:
-    """Pick the dataflow order (and its tiling) with the least off-chip traffic.
-
-    This reproduces the paper's loop-ordering optimization: the compiler
-    "switches between Input-stationary, Output-stationary and
-    Weight-stationary to minimize off-chip and on-chip accesses".  The
-    candidate grid — every (tile_m, tile_n) pair for every order — is scored
-    in one vectorized pass (:func:`~repro.isa.tiling.search_tiling`); ties
-    between orders break towards the earliest order in ``orders``.
-    """
-    return search_tiling(workload, config, orders)
+__all__ = ["FusionDecision", "fuse_layers"]
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,9 @@ of it:
 **Exactness guarantee**: the estimate is not an approximation.  Composition
 is pure and memoized layer records are the very objects a fresh simulation
 produced, so ``estimate(network)`` returns a result byte-identical to
-``BitFusionAccelerator(config).evaluate(network)`` — on a fully-cached
-network without running any simulation at all.  ``tests/test_nas.py``
-property-tests this cold, warm and partially warm.
+``BitFusionAccelerator(config).evaluate(network, batch_size)`` — on a
+fully-cached network without running any simulation at all.
+``tests/test_nas.py`` property-tests this cold, warm and partially warm.
 
 ``estimate_many`` deduplicates candidates by network fingerprint and unseen
 blocks by content within the batch (one ``claimed`` set per call, passed to
@@ -164,9 +164,9 @@ class Estimator:
         result would be read back only for a fingerprint this process
         already priced, which a search never re-prices.
     batch_size:
-        Inference batch size; defaults to ``config.batch_size`` — the same
-        default ``BitFusionAccelerator.evaluate`` applies, which the
-        exactness guarantee relies on.
+        Inference batch size every candidate is priced at (default 16,
+        the paper's).  ``estimate(network)`` equals
+        ``BitFusionAccelerator(config).evaluate(network, batch_size)``.
     enable_loop_ordering, enable_layer_fusion:
         Compiler flags, part of the program cache key.
 
@@ -180,12 +180,12 @@ class Estimator:
         config: BitFusionConfig | None = None,
         cache: ResultCache | None = None,
         *,
-        batch_size: int | None = None,
+        batch_size: int = 16,
         enable_loop_ordering: bool = True,
         enable_layer_fusion: bool = True,
     ) -> None:
         self.config = config if config is not None else BitFusionConfig.eyeriss_matched()
-        self.batch_size = self.config.batch_size if batch_size is None else batch_size
+        self.batch_size = batch_size
         if self.batch_size <= 0:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
         self.cache = cache if cache is not None else ResultCache()
@@ -271,7 +271,7 @@ class Estimator:
                     continue
             program = obtain_program(
                 program_key,
-                partial(self._compiler.compile, network, batch_size=self.batch_size),
+                partial(self._compiler.compile, network, self.batch_size),
                 self.cache,
                 self.cache_stats,
             )

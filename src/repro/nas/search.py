@@ -81,7 +81,7 @@ class SearchSpec:
     generations: int = 4
     seed: int = 0
     objectives: tuple[str, ...] = ("latency", "energy", "area")
-    batch_size: int | None = None
+    batch_size: int = 16
 
     def __post_init__(self) -> None:
         # Resolve aliases eagerly so a bad base network fails before any
@@ -108,7 +108,7 @@ class SearchSpec:
             raise ValueError("population must be at least 2")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if self.batch_size is not None and self.batch_size <= 0:
+        if self.batch_size <= 0:
             raise ValueError(f"batch size must be positive, got {self.batch_size}")
 
     @classmethod

@@ -132,9 +132,7 @@ class Workload:
         # fingerprint, and the fingerprint always hashes what actually runs.
         if self.config is None:
             if self.platform == "bitfusion":
-                object.__setattr__(
-                    self, "config", BitFusionConfig.eyeriss_matched(batch_size=self.batch_size)
-                )
+                object.__setattr__(self, "config", BitFusionConfig.eyeriss_matched())
             elif self.platform in PLATFORM_SPECS:
                 object.__setattr__(self, "config", PLATFORM_SPECS[self.platform])
         elif self.platform in PLATFORM_SPECS and (

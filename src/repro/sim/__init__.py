@@ -8,12 +8,18 @@ energies.  This package is the equivalent component of the reproduction:
 
 * :mod:`repro.sim.results`  — per-layer and per-network result records.
 * :mod:`repro.sim.executor` — the simulator proper: one configuration's
-  energy models, executing a compiled :class:`~repro.isa.program.Program`
-  and producing a :class:`~repro.sim.results.NetworkResult`.
+  energy models, executing a :class:`~repro.isa.program.Program` compiled
+  at a given batch size and producing a
+  :class:`~repro.sim.results.NetworkResult`.  It does not compile;
+  :class:`~repro.core.accelerator.BitFusionAccelerator` compiles and
+  simulates in one call.
 * :mod:`repro.sim.batched`  — the block model itself, vectorized: evaluates
-  whole ``(sim-config, block)`` grids in numpy passes.
-* :mod:`repro.sim.stats`    — aggregation helpers (geometric means,
-  speedups, energy ratios) shared by the experiment harness.
+  whole ``(sim-config, block)`` grids in numpy passes.  It is the only
+  cycle, traffic and buffer-access model of Bit Fusion in ``src/``.
+* :mod:`repro.sim.stats`    — the geometric mean the experiment harness
+  summarizes with; speedups and energy ratios are
+  :meth:`~repro.sim.results.NetworkResult.speedup_over` and
+  :meth:`~repro.sim.results.NetworkResult.energy_reduction_over`.
 
 The package namespace re-exports nothing; import from the modules.
 """

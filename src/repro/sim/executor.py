@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import BitFusionConfig
-from repro.dnn.network import Network
 from repro.energy.cacti import SramEnergyModel
 from repro.energy.components import ComputeEnergyModel
 from repro.energy.dram import DramEnergyModel
-from repro.isa.compiler import FusionCompiler
 from repro.isa.program import Program
 from repro.sim.batched import simulate_blocks_grid
 from repro.sim.results import LayerResult, NetworkResult, compose_network_result
@@ -95,30 +93,12 @@ class BitFusionSimulator:
         """
         return simulate_blocks_grid([self], program.blocks)[0]
 
-    def run_program(self, program: Program, batch_size: int | None = None) -> NetworkResult:
-        """Simulate a compiled program and compose the per-block results."""
-        batch = self.config.batch_size if batch_size is None else batch_size
+    def run_program(self, program: Program, batch_size: int) -> NetworkResult:
+        """Simulate a program compiled at ``batch_size`` and compose its blocks."""
         return compose_network_result(
             network_name=program.network_name,
             platform=self.config.name,
-            batch_size=batch,
+            batch_size=batch_size,
             frequency_mhz=self.config.frequency_mhz,
             layers=self.run_blocks(program),
         )
-
-    def run_network(
-        self,
-        network: Network,
-        batch_size: int | None = None,
-        enable_loop_ordering: bool = True,
-        enable_layer_fusion: bool = True,
-    ) -> NetworkResult:
-        """Compile and simulate a network in one call."""
-        compiler = FusionCompiler(
-            self.config,
-            enable_loop_ordering=enable_loop_ordering,
-            enable_layer_fusion=enable_layer_fusion,
-        )
-        program = compiler.compile(network, batch_size=batch_size)
-        return self.run_program(program, batch_size=batch_size)
-

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from math import exp, log
 
-from repro.sim.results import NetworkResult
-
-__all__ = ["geometric_mean", "speedup", "energy_reduction", "normalize"]
+__all__ = ["geometric_mean"]
 
 
 def geometric_mean(values: list[float] | tuple[float, ...]) -> float:
@@ -25,23 +23,3 @@ def geometric_mean(values: list[float] | tuple[float, ...]) -> float:
             raise ValueError(f"geometric mean requires positive values, got {value}")
         total += log(value)
     return exp(total / len(values))
-
-
-def speedup(candidate: NetworkResult, baseline: NetworkResult) -> float:
-    """Per-inference speedup of ``candidate`` over ``baseline``."""
-    return candidate.speedup_over(baseline)
-
-
-def energy_reduction(candidate: NetworkResult, baseline: NetworkResult) -> float:
-    """Per-inference energy reduction of ``candidate`` over ``baseline``."""
-    return candidate.energy_reduction_over(baseline)
-
-
-def normalize(values: dict[str, float], reference_key: str) -> dict[str, float]:
-    """Express every value relative to the entry named ``reference_key``."""
-    if reference_key not in values:
-        raise KeyError(f"reference {reference_key!r} not present in {sorted(values)}")
-    reference = values[reference_key]
-    if reference == 0:
-        raise ValueError(f"reference value for {reference_key!r} is zero")
-    return {key: value / reference for key, value in values.items()}

@@ -25,7 +25,6 @@ def small_config() -> BitFusionConfig:
         wbuf_kb=8.0,
         obuf_kb=2.0,
         dram_bandwidth_bits_per_cycle=64,
-        batch_size=2,
         name="test-small",
     )
 

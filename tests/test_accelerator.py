@@ -31,30 +31,33 @@ class TestConstruction:
 class TestCompileAndRun:
     def test_compile_returns_program(self):
         accelerator = BitFusionAccelerator()
-        program = accelerator.compile(models.load("LeNet-5"))
+        program = accelerator.compile(models.load("LeNet-5"), batch_size=16)
         assert len(program) > 0
 
     def test_run_returns_network_result(self):
         accelerator = BitFusionAccelerator()
-        result = accelerator.run(models.load("LeNet-5"))
+        result = accelerator.run(models.load("LeNet-5"), batch_size=16)
         assert result.network_name == "LeNet-5"
-        assert result.batch_size == accelerator.config.batch_size
+        assert result.batch_size == 16
 
     def test_run_program_matches_run(self):
         accelerator = BitFusionAccelerator()
         network = models.load("SVHN")
-        program = accelerator.compile(network)
-        assert accelerator.run_program(program).total_cycles == accelerator.run(network).total_cycles
+        program = accelerator.compile(network, batch_size=16)
+        assert (
+            accelerator.run_program(program, batch_size=16).total_cycles
+            == accelerator.run(network, batch_size=16).total_cycles
+        )
 
-    def test_explicit_batch_size_overrides_config(self):
+    def test_result_carries_the_batch_size_of_the_call(self):
         accelerator = BitFusionAccelerator()
         result = accelerator.run(models.load("LSTM"), batch_size=4)
         assert result.batch_size == 4
 
     def test_optimization_flags_are_forwarded(self):
         network = models.load("LeNet-5")
-        fused = BitFusionAccelerator().compile(network)
-        unfused = BitFusionAccelerator(enable_layer_fusion=False).compile(network)
+        fused = BitFusionAccelerator().compile(network, batch_size=16)
+        unfused = BitFusionAccelerator(enable_layer_fusion=False).compile(network, batch_size=16)
         assert len(unfused) > len(fused)
 
 

@@ -26,6 +26,7 @@ from functools import partial
 import pytest
 from faults import tear_last_record
 
+from repro.core.config import BitFusionConfig
 from repro.harness.experiments import fig13_eyeriss, fig15_bandwidth, fig16_batch
 from repro.harness.runner import build_report, format_cache_info
 from repro.isa.block import InstructionBlock
@@ -40,6 +41,7 @@ from repro.session import (
     program_cache_key,
     tiling_cache_key,
 )
+from repro.session import engine
 from repro.session.cache import CacheStats
 from repro.session.workload import load_network
 from repro.sim.results import LayerResult, NetworkResult
@@ -129,6 +131,26 @@ class TestWarmSweeps:
         assert warm.stats.hits == warm.stats.disk_hits == len(sizes)
         assert warm.cache.io_seconds > 0
         assert rows and rows[0].speedup_by_batch[1] == 1.0
+
+    def test_fig16_batches_share_one_config_and_one_simulator(self, monkeypatch):
+        # The batch is a workload axis, not hardware: all five of Figure
+        # 16's batch sizes price their blocks under one configuration and
+        # one memoized simulator.
+        grids = []
+        simulate = engine.simulate_blocks_grid
+
+        def spy(simulators, blocks):
+            grids.append(simulators)
+            return simulate(simulators, blocks)
+
+        monkeypatch.setattr(engine, "simulate_blocks_grid", spy)
+        session = EvaluationSession()
+        fig16_batch.run(benchmarks=("LeNet-5",), session=session)
+        assert session.stats.programs.misses == len(fig16_batch.DEFAULT_BATCH_SIZES) == 5
+        simulators = {id(simulator) for row in grids for simulator in row}
+        config = BitFusionConfig.eyeriss_matched()
+        assert simulators == {id(engine.simulator_for(config))}
+        assert engine.simulator_for(config).config == config
 
     def test_bandwidth_sweep_compiles_one_program_even_cold(self):
         session = EvaluationSession()
@@ -465,12 +487,11 @@ class TestTilingMemo:
         # A plan served from the memo is the freshly computed one — that is
         # what makes memoized compilation byte-identical — and a cache over
         # the same directory in a new process starts with an empty memo.
-        from repro.core.config import BitFusionConfig
         from repro.isa.instructions import LoopOrder
         from repro.isa.tiling import GemmWorkload, search_tiling
         from repro.session.engine import make_plan_resolver
 
-        config = BitFusionConfig.eyeriss_matched(batch_size=16)
+        config = BitFusionConfig.eyeriss_matched()
         gemm = GemmWorkload(m=64, n=128, r=1024, input_bits=8, weight_bits=4, output_bits=16)
         orders = tuple(LoopOrder)
         fresh = search_tiling(gemm, config, orders)

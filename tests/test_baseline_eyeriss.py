@@ -80,7 +80,7 @@ class TestEyerissModel:
         """The headline Figure 13 direction: Bit Fusion always wins."""
         accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
         for name in models.benchmark_names():
-            bf = accelerator.run(models.load(name))
+            bf = accelerator.run(models.load(name), batch_size=16)
             ey = eyeriss.evaluate(models.load_baseline_variant(name), batch_size=16)
             assert bf.speedup_over(ey) > 1.0, name
             assert bf.energy_reduction_over(ey) > 1.0, name
@@ -90,7 +90,7 @@ class TestEyerissModel:
         accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
 
         def speedup(name: str) -> float:
-            bf = accelerator.run(models.load(name))
+            bf = accelerator.run(models.load(name), batch_size=16)
             ey = eyeriss.evaluate(models.load_baseline_variant(name), batch_size=16)
             return bf.speedup_over(ey)
 

@@ -12,6 +12,8 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.dnn.layers import FCLayer
 from repro.dnn.network import Network
+from repro.isa.instructions import LoopOrder
+from repro.isa.tiling import search_tiling
 
 
 @pytest.fixture
@@ -76,11 +78,30 @@ class TestStripesModel:
             assert result.total_cycles > 0
             assert result.energy.total > 0
 
+    @pytest.mark.parametrize("name", models.BENCHMARKS)
+    def test_one_search_per_network_prices_each_layer_like_its_own(self, stripes, name):
+        """Each layer's DRAM bits equal its own single-GEMM tiling search's."""
+        ibuf_kb, wbuf_kb, obuf_kb = STRIPES.buffers_kb
+        buffers = BitFusionConfig(
+            rows=1, columns=1, ibuf_kb=ibuf_kb, wbuf_kb=wbuf_kb, obuf_kb=obuf_kb
+        )
+        network = models.load(name)
+        priced = {layer.name: layer for layer in stripes.evaluate(network, 16).layers}
+        for layer in network:
+            if not layer.has_gemm():
+                continue
+            plan = search_tiling(stripes.gemm_workload(layer, 16), buffers, tuple(LoopOrder))
+            traffic = priced[layer.name].traffic
+            assert traffic.dram_read_bits == (
+                plan.dram_weight_bits + plan.dram_input_bits + plan.dram_output_read_bits
+            ), layer.name
+            assert traffic.dram_write_bits == plan.dram_output_write_bits, layer.name
+
     def test_bitfusion_beats_stripes_on_every_benchmark(self, stripes):
         """Figure 18 direction: Bit Fusion wins everywhere in the matched setup."""
         accelerator = BitFusionAccelerator(BitFusionConfig.stripes_matched())
         for name in models.benchmark_names():
-            bf = accelerator.run(models.load(name))
+            bf = accelerator.run(models.load(name), batch_size=16)
             st = stripes.evaluate(models.load(name), batch_size=16)
             assert bf.speedup_over(st) >= 1.0, name
             assert bf.energy_reduction_over(st) > 1.0, name
@@ -90,7 +111,7 @@ class TestStripesModel:
         accelerator = BitFusionAccelerator(BitFusionConfig.stripes_matched())
 
         def speedup(name: str) -> float:
-            bf = accelerator.run(models.load(name))
+            bf = accelerator.run(models.load(name), batch_size=16)
             st = stripes.evaluate(models.load(name), batch_size=16)
             return bf.speedup_over(st)
 

@@ -36,7 +36,7 @@ from repro.sim.executor import BitFusionSimulator
 
 from reference.simulator import run_block
 
-_BASE = BitFusionConfig.eyeriss_matched(batch_size=16)
+_BASE = BitFusionConfig.eyeriss_matched()
 
 #: Geometries mirroring the tiling-oracle suite: the paper default plus
 #: smaller and skewed scratchpads (multi-tile plans) and a different array.
@@ -45,7 +45,7 @@ _GEOMETRIES = (
     _BASE.with_buffers(16.0, 32.0, 8.0),
     _BASE.with_buffers(4.0, 8.0, 2.0),
     _BASE.with_buffers(64.0, 16.0, 4.0).with_array(32, 16),
-    BitFusionConfig.stripes_matched(batch_size=16),
+    BitFusionConfig.stripes_matched(),
 )
 
 #: Largest integer range a float64 mantissa holds exactly.  Zoo blocks

@@ -34,13 +34,14 @@ class TestGemmWorkloadLowering:
         workload = compiler.gemm_workload(layer, batch_size=2)
         assert workload.r == 64 * 2
 
-    def test_default_batch_comes_from_config(self, compiler, default_config):
+    def test_batch_is_an_argument_not_a_config_default(self, compiler):
         layer = FCLayer(name="fc", in_features=8, out_features=8)
-        assert compiler.gemm_workload(layer).r == default_config.batch_size
+        with pytest.raises(TypeError):
+            compiler.gemm_workload(layer)
 
     def test_rejects_non_gemm_layer(self, compiler):
         with pytest.raises(ValueError):
-            compiler.gemm_workload(PoolLayer(name="p"))
+            compiler.gemm_workload(PoolLayer(name="p"), 16)
 
     def test_rejects_bad_batch(self, compiler):
         with pytest.raises(ValueError):
@@ -50,14 +51,14 @@ class TestGemmWorkloadLowering:
 class TestBlockStructure:
     def test_block_starts_with_setup_matching_layer_bits(self, compiler):
         layer = FCLayer(name="fc", in_features=64, out_features=32, input_bits=4, weight_bits=1)
-        compiled = compiler.compile_compute_layer(layer)
+        compiled = compiler.compile_compute_layer(layer, 16)
         assert compiled.block.setup.input_bits == 4
         assert compiled.block.setup.weight_bits == 1
 
     def test_block_contains_memory_and_compute_instructions(self, compiler):
         layer = ConvLayer(name="c", in_channels=16, out_channels=32, in_height=14, in_width=14,
                           kernel=3, padding=1, input_bits=2, weight_bits=2)
-        compiled = compiler.compile_compute_layer(layer)
+        compiled = compiler.compile_compute_layer(layer, 16)
         mnemonics = {instruction.mnemonic for instruction in compiled.block}
         assert {"setup", "loop", "gen-addr", "ld-mem", "st-mem", "rd-buf", "wr-buf",
                 "compute", "block-end"} <= mnemonics
@@ -65,7 +66,7 @@ class TestBlockStructure:
     def test_conv_blocks_express_kernel_walk(self, compiler):
         layer = ConvLayer(name="c", in_channels=8, out_channels=8, in_height=8, in_width=8,
                           kernel=5, padding=2)
-        compiled = compiler.compile_compute_layer(layer)
+        compiled = compiler.compile_compute_layer(layer, 16)
         kernel_loops = [
             loop for loop in compiled.block.loops_at_level(1) if loop.iterations == 5
         ]
@@ -73,10 +74,10 @@ class TestBlockStructure:
 
     def test_recurrent_blocks_have_gate_loop(self, compiler):
         layer = LSTMLayer(name="lstm", input_size=64, hidden_size=64, input_bits=4, weight_bits=4)
-        compiled = compiler.compile_compute_layer(layer)
+        compiled = compiler.compile_compute_layer(layer, 16)
         assert any(loop.iterations == 4 for loop in compiled.block.loops_at_level(1))
         rnn = RNNLayer(name="rnn", input_size=64, hidden_size=64)
-        rnn_block = compiler.compile_compute_layer(rnn)
+        rnn_block = compiler.compile_compute_layer(rnn, 16)
         assert len(rnn_block.block) > 0
 
     def test_instruction_counts_in_paper_range(self, compiler):
@@ -87,13 +88,13 @@ class TestBlockStructure:
                       kernel=3, padding=1),
             LSTMLayer(name="l", input_size=512, hidden_size=512),
         ):
-            compiled = compiler.compile_compute_layer(layer)
+            compiled = compiler.compile_compute_layer(layer, 16)
             assert 20 <= len(compiled.block) <= 90
 
     def test_memory_loops_iterate_over_tiles(self, compiler):
         layer = FCLayer(name="fc", in_features=8192, out_features=8192,
                         input_bits=8, weight_bits=8)
-        compiled = compiler.compile_compute_layer(layer)
+        compiled = compiler.compile_compute_layer(layer, 16)
         outer_loops = compiled.block.loops_at_level(0)
         trip_product = 1
         for loop in outer_loops:
@@ -102,7 +103,7 @@ class TestBlockStructure:
 
     def test_ld_mem_words_match_tile_sizes(self, compiler):
         layer = FCLayer(name="fc", in_features=256, out_features=128, input_bits=8, weight_bits=8)
-        compiled = compiler.compile_compute_layer(layer)
+        compiled = compiler.compile_compute_layer(layer, 16)
         loads = [i for i in compiled.block if isinstance(i, LdMem)]
         by_target = {load.scratchpad: load.num_words for load in loads}
         assert by_target[ScratchpadType.WBUF] == min(
@@ -113,7 +114,7 @@ class TestBlockStructure:
 class TestAuxiliaryLayerCompilation:
     def test_pool_layer_compiles_to_max_block(self, compiler):
         layer = PoolLayer(name="p", channels=8, in_height=8, in_width=8, kernel=2, stride=2)
-        compiled = compiler.compile_auxiliary_layer(layer)
+        compiled = compiler.compile_auxiliary_layer(layer, 16)
         fns = [i.fn for i in compiled.block if isinstance(i, Compute)]
         assert fns == [ComputeFn.MAX]
         assert compiled.layer is layer
@@ -121,30 +122,30 @@ class TestAuxiliaryLayerCompilation:
     def test_avg_pool_uses_add(self, compiler):
         layer = PoolLayer(name="p", channels=8, in_height=8, in_width=8, kernel=2, stride=2,
                           mode="avg")
-        compiled = compiler.compile_auxiliary_layer(layer)
+        compiled = compiler.compile_auxiliary_layer(layer, 16)
         assert any(i.fn is ComputeFn.ADD for i in compiled.block if isinstance(i, Compute))
 
     def test_activation_layer_compiles_to_activation_block(self, compiler):
         layer = ActivationLayer(name="a", elements=256)
-        compiled = compiler.compile_auxiliary_layer(layer)
+        compiled = compiler.compile_auxiliary_layer(layer, 16)
         assert any(i.fn is ComputeFn.ACTIVATION for i in compiled.block if isinstance(i, Compute))
 
     def test_rejects_compute_layer(self, compiler):
         with pytest.raises(ValueError):
-            compiler.compile_auxiliary_layer(FCLayer(name="fc"))
+            compiler.compile_auxiliary_layer(FCLayer(name="fc"), 16)
 
 
 class TestNetworkCompilation:
     def test_fused_network_has_fewer_blocks_than_layers(self, default_config):
         network = models.load("LeNet-5")
-        program = compile_network(network, default_config)
+        program = compile_network(network, default_config, 16)
         assert len(program) < len(network)
         assert any(compiled.is_fused for compiled in program)
 
     def test_unfused_network_has_block_per_layer(self, default_config):
         network = models.load("LeNet-5")
         compiler = FusionCompiler(default_config, enable_layer_fusion=False)
-        program = compiler.compile(network)
+        program = compiler.compile(network, 16)
         assert len(program) == len(network)
 
     def test_fused_block_output_traffic_shrinks(self, default_config):
@@ -157,33 +158,36 @@ class TestNetworkCompilation:
                           input_bits=4, weight_bits=2, output_bits=4),
             ],
         )
-        fused_program = FusionCompiler(default_config).compile(network)
-        unfused_program = FusionCompiler(default_config, enable_layer_fusion=False).compile(network)
+        fused_program = FusionCompiler(default_config).compile(network, 16)
+        unfused_program = FusionCompiler(default_config, enable_layer_fusion=False).compile(
+            network, 16
+        )
         fused_store = fused_program[0].tiling.dram_output_write_bits
         unfused_store = unfused_program[0].tiling.dram_output_write_bits
         assert fused_store < unfused_store
 
     def test_every_compute_layer_gets_a_block(self, default_config):
         network = models.load("Cifar-10")
-        program = compile_network(network, default_config)
+        program = compile_network(network, default_config, 16)
         compiled_heads = {compiled.layer.name for compiled in program}
         compute_names = {layer.name for layer in network.compute_layers()}
         assert compute_names <= compiled_heads
 
     def test_compile_layer_convenience_wrapper(self, default_config):
-        compute = compile_layer(FCLayer(name="fc", in_features=32, out_features=8), default_config)
-        auxiliary = compile_layer(PoolLayer(name="p"), default_config)
+        fc = FCLayer(name="fc", in_features=32, out_features=8)
+        compute = compile_layer(fc, default_config, 16)
+        auxiliary = compile_layer(PoolLayer(name="p"), default_config, 16)
         assert compute.layer.name == "fc"
         assert auxiliary.layer.name == "p"
 
     def test_program_blocks_store_st_mem(self, default_config):
-        program = compile_network(models.load("LSTM"), default_config)
+        program = compile_network(models.load("LSTM"), default_config, 16)
         for compiled in program:
             assert any(isinstance(i, StMem) for i in compiled.block)
 
     def test_loop_iterations_fit_isa_fields(self, default_config):
         for name in ("AlexNet", "ResNet-18"):
-            program = compile_network(models.load(name), default_config)
+            program = compile_network(models.load(name), default_config, 16)
             for compiled in program:
                 for loop in compiled.block.loops():
                     assert 1 <= loop.iterations <= (1 << 16) - 1
@@ -227,8 +231,8 @@ class TestBlockReuse:
     def test_programs_equal_a_fresh_compilers(self, default_config, networks):
         shared = FusionCompiler(default_config)
         for network in networks:
-            program = shared.compile(network)
-            fresh = FusionCompiler(default_config).compile(network)
+            program = shared.compile(network, 16)
+            fresh = FusionCompiler(default_config).compile(network, 16)
             assert program.to_dict() == fresh.to_dict()
             assert program.fingerprint() == fresh.fingerprint()
 
@@ -237,8 +241,8 @@ class TestBlockReuse:
         changed = self._changed_indices(base, mutant)
         assert len(changed) == 1
         shared = FusionCompiler(default_config)
-        base_program = shared.compile(base)
-        mutant_program = shared.compile(mutant)
+        base_program = shared.compile(base, 16)
+        mutant_program = shared.compile(mutant, 16)
         for index, (old, new) in enumerate(zip(base_program, mutant_program)):
             if index in changed:
                 assert new is not old
@@ -249,14 +253,14 @@ class TestBlockReuse:
     def test_only_changed_groups_compile(self, default_config, networks, counted):
         base, mutant = networks
         shared = FusionCompiler(default_config)
-        shared.compile(base)
+        shared.compile(base, 16)
         assert len(counted) == len(fuse_layers(base.layers).groups)
         counted.clear()
-        shared.compile(mutant)
+        shared.compile(mutant, 16)
         heads = fuse_layers(mutant.layers).groups
         assert counted == [heads[i][0] for i in self._changed_indices(base, mutant)]
         counted.clear()
-        shared.compile(base)
+        shared.compile(base, 16)
         assert counted == []
 
     def test_batch_size_is_part_of_the_entry(self, default_config, counted):
@@ -287,11 +291,11 @@ class TestBlockReuse:
     )
     def test_distinct_layers_never_share_an_entry(self, default_config, first, second):
         shared = FusionCompiler(default_config)
-        a = shared.compile(Network("a", [first]))[0]
-        b = shared.compile(Network("b", [second]))[0]
+        a = shared.compile(Network("a", [first]), 16)[0]
+        b = shared.compile(Network("b", [second]), 16)[0]
         assert a is not b
         assert a.layer is first and b.layer is second
-        fresh = FusionCompiler(default_config).compile(Network("b", [second]))[0]
+        fresh = FusionCompiler(default_config).compile(Network("b", [second]), 16)[0]
         assert b.to_dict() == fresh.to_dict()
 
 
@@ -316,13 +320,13 @@ class TestZooStructure:
     @pytest.mark.parametrize("name", sorted(ZOO_STRUCTURE))
     def test_layer_and_block_counts(self, default_config, name):
         network = models.load(name)
-        program = FusionCompiler(default_config).compile(network)
+        program = FusionCompiler(default_config).compile(network, 16)
         assert (len(network.layers), len(program)) == ZOO_STRUCTURE[name]
 
     @pytest.mark.parametrize("name", sorted(ZOO_STRUCTURE))
     def test_every_source_layer_maps_to_exactly_one_block(self, default_config, name):
         network = models.load(name)
-        program = FusionCompiler(default_config).compile(network)
+        program = FusionCompiler(default_config).compile(network, 16)
         covered = [
             layer for compiled in program for layer in (compiled.layer, *compiled.fused_layers)
         ]
@@ -334,7 +338,7 @@ class TestZooStructure:
     def test_blocks_are_gemm_headed_with_fusable_followers(self, default_config, name):
         # Fusion never spans a layer type it cannot fuse: every zoo block
         # is headed by a GEMM layer and absorbs only pooling/activation.
-        program = FusionCompiler(default_config).compile(models.load(name))
+        program = FusionCompiler(default_config).compile(models.load(name), 16)
         for compiled in program:
             assert compiled.layer.has_gemm(), compiled.name
             assert all(_is_fusable_follower(layer) for layer in compiled.fused_layers), (
@@ -344,7 +348,7 @@ class TestZooStructure:
     @pytest.mark.parametrize("name", sorted(ZOO_STRUCTURE))
     def test_disabled_fusion_yields_no_followers(self, default_config, name):
         network = models.load(name)
-        program = FusionCompiler(default_config, enable_layer_fusion=False).compile(network)
+        program = FusionCompiler(default_config, enable_layer_fusion=False).compile(network, 16)
         assert all(not compiled.fused_layers for compiled in program)
         assert len(program) == len(network.layers)
         assert all(compiled.layer is layer for compiled, layer in zip(program, network.layers))
@@ -365,12 +369,12 @@ class TestBatchedPlanning:
         network = models.load("ResNet-18")
         calls: list = []
         compiler = self._recording_compiler(default_config, calls)
-        program = compiler.compile(network)
+        program = compiler.compile(network, 16)
         assert len(calls) == 1
-        assert calls[0] == FusionCompiler(default_config).tiling_requests(network)
+        assert calls[0] == FusionCompiler(default_config).tiling_requests(network, 16)
         assert len(calls[0]) == len(program)
         assert program.fingerprint() == FusionCompiler(default_config).compile(
-            network
+            network, 16
         ).fingerprint()
 
     def test_recompile_asks_only_for_new_groups(self, default_config):
@@ -378,17 +382,17 @@ class TestBatchedPlanning:
         mutant = mutate_bits(base, random.Random(5))
         calls: list = []
         compiler = self._recording_compiler(default_config, calls)
-        compiler.compile(base)
-        compiler.compile(mutant)
+        compiler.compile(base, 16)
+        compiler.compile(mutant, 16)
         changed = [
             group[0]
             for group, old in zip(fuse_layers(mutant.layers).groups, fuse_layers(base.layers).groups)
             if group != old
         ]
         assert calls[1] == [
-            (compiler.gemm_workload(head), compiler.gemm_orders()) for head in changed
+            (compiler.gemm_workload(head, 16), compiler.gemm_orders()) for head in changed
         ]
-        compiler.compile(base)
+        compiler.compile(base, 16)
         assert len(calls) == 2
 
     def test_single_layer_entry_points_search_one_request(self, default_config):
@@ -396,11 +400,11 @@ class TestBatchedPlanning:
         compiler = self._recording_compiler(default_config, calls)
         layer = FCLayer(name="fc", in_features=64, out_features=32)
         pool = PoolLayer(name="pool", channels=4, in_height=8, in_width=8)
-        assert compiler.compile_compute_layer(layer).to_dict() == compile_layer(
-            layer, default_config
+        assert compiler.compile_compute_layer(layer, 16).to_dict() == compile_layer(
+            layer, default_config, 16
         ).to_dict()
-        assert compiler.compile_auxiliary_layer(pool).to_dict() == compile_layer(
-            pool, default_config
+        assert compiler.compile_auxiliary_layer(pool, 16).to_dict() == compile_layer(
+            pool, default_config, 16
         ).to_dict()
         assert [len(requests) for requests in calls] == [1, 1]
 
@@ -453,7 +457,7 @@ class TestSharedInstructions:
         for name in models.BENCHMARKS:
             for fusion in (True, False):
                 program = FusionCompiler(default_config, enable_layer_fusion=fusion).compile(
-                    models.load(name)
+                    models.load(name), 16
                 )
                 for compiled in program:
                     rebuilt = InstructionBlock(compiled.name, list(compiled.block))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import BitFusionConfig, TechnologyNode
@@ -46,7 +48,6 @@ class TestBitFusionConfig:
         assert config.total_sram_kb == pytest.approx(112.0)
         assert config.dram_bandwidth_bits_per_cycle == 128
         assert config.technology.name == "45nm"
-        assert config.batch_size == 16
 
     def test_stripes_matched_replaces_all_sixteen_tiles(self):
         """Section V-B4: 512 Fusion Units per Stripes tile, 16 tiles."""
@@ -80,17 +81,18 @@ class TestBitFusionConfig:
         config = BitFusionConfig.eyeriss_matched()
         assert config.dram_bandwidth_gbps == pytest.approx(128 * 500e6 / 1e9)
 
+    def test_batch_size_is_not_hardware(self):
+        """Table III lists no batch: it is an evaluation axis (Figure 16)."""
+        assert "batch_size" not in {field.name for field in fields(BitFusionConfig)}
+        assert len(fields(BitFusionConfig)) == 10
+        assert Workload.bitfusion("LeNet-5").batch_size == 16
+
     def test_with_bandwidth_returns_modified_copy(self):
         base = BitFusionConfig.eyeriss_matched()
         modified = base.with_bandwidth(512)
         assert modified.dram_bandwidth_bits_per_cycle == 512
         assert base.dram_bandwidth_bits_per_cycle == 128
         assert modified.rows == base.rows
-
-    def test_with_batch_size_returns_modified_copy(self):
-        base = BitFusionConfig.eyeriss_matched()
-        assert base.with_batch_size(64).batch_size == 64
-        assert base.batch_size == 16
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -99,7 +101,6 @@ class TestBitFusionConfig:
             {"columns": -1},
             {"frequency_mhz": 0},
             {"dram_bandwidth_bits_per_cycle": 0},
-            {"batch_size": 0},
             {"ibuf_kb": 0},
             {"wbuf_kb": -2},
             {"obuf_kb": 0},

@@ -82,7 +82,7 @@ class TestSpecExpansion:
             for combination in product(*(values for _, values in spec.axes)):
                 settings = tuple(zip(spec.axis_names, combination))
                 values = dict(settings)
-                config = BASE_CONFIGS[spec.base_config](batch)
+                config = BASE_CONFIGS[spec.base_config]
                 for axis in ("array", "bandwidth"):
                     config = CONFIG_AXES[axis](config, values[axis])
                 workload = Workload.bitfusion(
@@ -107,6 +107,12 @@ class TestSpecExpansion:
         for configs in shared.values():
             assert len(configs) == len(spec.networks)
             assert all(config is configs[0] for config in configs)
+        # The batch is not part of the config: every batch shares it too.
+        by_settings: dict[tuple, set] = {}
+        for point in points:
+            by_settings.setdefault(point.settings, set()).add(id(point.workload.config))
+        assert len(by_settings) == 2 * 2 * 2 * 2
+        assert all(len(ids) == 1 for ids in by_settings.values())
 
     def test_axes_land_on_the_right_config_fields(self):
         spec = small_spec(

@@ -66,7 +66,7 @@ def _distinct() -> list[Workload]:
 
 def _shared() -> list[Workload]:
     """A batch where a frequency variant shares LeNet-5's blocks."""
-    base = BitFusionConfig.eyeriss_matched(batch_size=4)
+    base = BitFusionConfig.eyeriss_matched()
     return [
         Workload.bitfusion("LeNet-5", batch_size=4, config=base),
         Workload.bitfusion("LSTM", batch_size=4, config=base),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import BitFusionConfig
 from repro.core.fusion_unit import (
     BITBRICKS_PER_FUSION_UNIT,
     MAX_OPERAND_BITS,
@@ -164,21 +165,17 @@ class TestFusionUnitExecution:
         )
         assert unit.dot_product(a, b) == int(np.dot(a, b))
 
-    def test_cycles_for_macs_accounts_for_temporal_passes(self):
-        unit = FusionUnit()
-        unit.configure(16, 16)
-        assert unit.cycles_for_macs(1) == 4
-        unit.configure(2, 2)
-        assert unit.cycles_for_macs(16) == 1
-        assert unit.cycles_for_macs(17) == 2
 
-    def test_cycles_for_macs_rejects_negative(self):
-        unit = FusionUnit()
-        unit.configure(4, 4)
-        with pytest.raises(ValueError):
-            unit.cycles_for_macs(-1)
+@pytest.mark.parametrize("input_bits", (1, 2, 4, 8, 16))
+@pytest.mark.parametrize("weight_bits", (1, 2, 4, 8, 16))
+def test_one_buffer_row_feeds_a_whole_fusion_unit(input_bits, weight_bits):
+    """Figure 4: one 32-bit buffer access per cycle feeds every Fused-PE of a unit.
 
-    def test_cycles_for_zero_macs_is_zero(self):
-        unit = FusionUnit()
-        unit.configure(4, 4)
-        assert unit.cycles_for_macs(0) == 0
+    Each Fused-PE takes one operand lane of the row per cycle.  A lane is 2
+    to 8 bits wide: 1-bit operands ride a 2-bit lane and 16-bit operands
+    move as 8-bit halves over temporal passes.
+    """
+    config = fusion_config_for(input_bits, weight_bits)
+    row_bits = BitFusionConfig().buffer_access_bits
+    for bits in (config.input_bits, config.weight_bits):
+        assert config.fused_pes * max(2, min(bits, 8)) <= row_bits

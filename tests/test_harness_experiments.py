@@ -40,15 +40,6 @@ class TestReporting:
         rows = fig01_bitwidths.run(benchmarks=("LeNet-5",))
         assert "LeNet-5" in reporting.format_table(rows)
 
-    def test_markdown_table(self):
-        markdown = reporting.markdown_table([{"a": 1, "b": "x"}])
-        assert markdown.startswith("| a | b |")
-        assert reporting.markdown_table([]) == ""
-
-    def test_format_ratio(self):
-        assert "paper" in reporting.format_ratio(2.0, 3.0)
-        assert "n/a" in reporting.format_ratio(2.0, None)
-
     def test_format_table_rejects_unknown_row_type(self):
         with pytest.raises(TypeError):
             reporting.format_table([object()])

@@ -17,7 +17,7 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.dnn.layers import ConvLayer, FCLayer
 from repro.dnn.network import Network
-from repro.isa.compiler import FusionCompiler
+from repro.isa.compiler import FusionCompiler, compile_network
 from repro.sim.executor import BitFusionSimulator
 
 
@@ -26,9 +26,9 @@ class TestTrafficConservation:
         """The simulator charges exactly the off-chip traffic the compiler planned."""
         network = models.load("VGG-7")
         compiler = FusionCompiler(default_config)
-        program = compiler.compile(network)
+        program = compiler.compile(network, 16)
         simulator = BitFusionSimulator(default_config)
-        result = simulator.run_program(program)
+        result = simulator.run_program(program, 16)
         for compiled, layer_result in zip(program, result.layers):
             expected = compiled.tiling.total_dram_bits
             assert layer_result.traffic.dram_total_bits == expected
@@ -37,13 +37,13 @@ class TestTrafficConservation:
         """Off-chip reads can never be less than one fetch of the model weights."""
         for name in ("Cifar-10", "LSTM"):
             network = models.load(name)
-            result = BitFusionSimulator(default_config).run_network(network)
+            result = BitFusionAccelerator(default_config).run(network, 16)
             weight_bits = sum(layer.weight_bits_total() for layer in network)
             assert result.traffic.dram_read_bits >= weight_bits
 
     def test_buffer_traffic_exceeds_dram_traffic_for_compute_heavy_nets(self, default_config):
         """On-chip reuse means the buffers see far more traffic than DRAM."""
-        result = BitFusionSimulator(default_config).run_network(models.load("Cifar-10"))
+        result = BitFusionAccelerator(default_config).run(models.load("Cifar-10"), 16)
         assert result.traffic.buffer_total_bits > result.traffic.dram_total_bits
 
 
@@ -56,17 +56,17 @@ class TestMonotonicity:
         )
 
     def test_latency_monotonic_in_bitwidth(self, default_config):
-        simulator = BitFusionSimulator(default_config)
+        accelerator = BitFusionAccelerator(default_config)
         latencies = [
-            simulator.run_network(self._single_layer_network(bits)).total_cycles
+            accelerator.run(self._single_layer_network(bits), 16).total_cycles
             for bits in (2, 4, 8, 16)
         ]
         assert latencies == sorted(latencies)
 
     def test_energy_monotonic_in_bitwidth(self, default_config):
-        simulator = BitFusionSimulator(default_config)
+        accelerator = BitFusionAccelerator(default_config)
         energies = [
-            simulator.run_network(self._single_layer_network(bits)).energy.total
+            accelerator.run(self._single_layer_network(bits), 16).energy.total
             for bits in (2, 4, 8, 16)
         ]
         assert energies == sorted(energies)
@@ -76,15 +76,15 @@ class TestMonotonicity:
         cycles = []
         for bandwidth in (32, 64, 128, 256, 512):
             config = BitFusionConfig.eyeriss_matched(bandwidth_bits_per_cycle=bandwidth)
-            cycles.append(BitFusionSimulator(config).run_network(network).total_cycles)
+            cycles.append(BitFusionAccelerator(config).run(network, 16).total_cycles)
         assert all(later <= earlier for earlier, later in zip(cycles, cycles[1:]))
 
     def test_per_inference_latency_non_increasing_in_batch(self):
         network = models.load("LSTM")
+        accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
         latencies = []
         for batch in (1, 4, 16, 64):
-            config = BitFusionConfig.eyeriss_matched(batch_size=batch)
-            result = BitFusionSimulator(config).run_network(network, batch_size=batch)
+            result = accelerator.run(network, batch_size=batch)
             latencies.append(result.latency_per_inference_s)
         assert all(later <= earlier * 1.001 for earlier, later in zip(latencies, latencies[1:]))
 
@@ -92,32 +92,32 @@ class TestMonotonicity:
         network = models.load("SVHN")
         small = BitFusionConfig(rows=16, columns=8, name="small")
         large = BitFusionConfig(rows=64, columns=16, name="large")
-        small_cycles = BitFusionSimulator(small).run_network(network).total_cycles
-        large_cycles = BitFusionSimulator(large).run_network(network).total_cycles
+        small_cycles = BitFusionAccelerator(small).run(network, 16).total_cycles
+        large_cycles = BitFusionAccelerator(large).run(network, 16).total_cycles
         assert large_cycles <= small_cycles
 
 
 class TestCompilerSimulatorConsistency:
     def test_fusion_configuration_follows_layer_bitwidths(self, default_config):
         network = models.load("AlexNet")
-        program = FusionCompiler(default_config).compile(network)
+        program = FusionCompiler(default_config).compile(network, 16)
         for compiled in program:
             assert compiled.block.input_bits == compiled.layer.input_bits
             assert compiled.block.weight_bits == compiled.layer.weight_bits
 
     def test_macs_accounted_once_per_compute_layer(self, default_config):
         network = models.load("LeNet-5")
-        result = BitFusionSimulator(default_config).run_network(network)
-        expected = network.total_macs() * default_config.batch_size
+        result = BitFusionAccelerator(default_config).run(network, 16)
+        expected = network.total_macs() * 16
         assert result.total_macs == expected
 
     def test_wider_model_takes_longer_on_same_hardware(self, default_config):
-        simulator = BitFusionSimulator(default_config)
-        wide = simulator.run_network(models.load("ResNet-18"))
+        accelerator = BitFusionAccelerator(default_config)
+        wide = accelerator.run(models.load("ResNet-18"), 16)
         regular_net = models.load_baseline_variant("ResNet-18")
         # Execute the regular model at the wide model's bitwidths for a fair
         # hardware-only comparison.
-        regular = simulator.run_network(
+        regular = accelerator.run(
             Network(
                 "ResNet-18-regular-2bit",
                 [
@@ -126,7 +126,8 @@ class TestCompilerSimulatorConsistency:
                     else layer
                     for layer in regular_net
                 ],
-            )
+            ),
+            16,
         )
         assert wide.total_cycles > regular.total_cycles
 
@@ -134,8 +135,10 @@ class TestCompilerSimulatorConsistency:
 class TestPublicApiPaths:
     def test_accelerator_and_simulator_agree(self, default_config):
         network = models.load("SVHN")
-        via_accelerator = BitFusionAccelerator(default_config).run(network)
-        via_simulator = BitFusionSimulator(default_config).run_network(network)
+        via_accelerator = BitFusionAccelerator(default_config).run(network, 16)
+        via_simulator = BitFusionSimulator(default_config).run_program(
+            compile_network(network, default_config, 16), 16
+        )
         assert via_accelerator.total_cycles == via_simulator.total_cycles
         assert via_accelerator.energy.total == pytest.approx(via_simulator.energy.total)
 
@@ -144,7 +147,7 @@ class TestPublicApiPaths:
         layer = ConvLayer(name="c", in_channels=2, out_channels=3, in_height=5, in_width=5,
                           kernel=3, padding=1, input_bits=4, weight_bits=2)
         network = Network("tiny", [layer])
-        result = accelerator.run(network)
+        result = accelerator.run(network, 16)
         assert result.layer(layer.name).input_bits == 4
 
         from repro.dnn.reference import random_layer_data, run_conv_layer
@@ -161,6 +164,6 @@ class TestPublicApiPaths:
         for config in configs:
             accelerator = BitFusionAccelerator(config)
             for name in ("LeNet-5", "LSTM"):
-                result = accelerator.run(models.load(name))
+                result = accelerator.run(models.load(name), 16)
                 assert result.total_cycles > 0
                 assert result.energy.total > 0

@@ -42,7 +42,7 @@ _UNBOUNDED_KB = (1e12, 1e12, 1e12)
 
 
 def _bitfusion_entry(network, make_config, batch):
-    base = make_config(batch_size=batch)
+    base = make_config()
     sweep = [
         Workload.bitfusion(network, batch_size=batch, config=base.with_bandwidth(bandwidth))
         for bandwidth in _BANDWIDTHS
@@ -154,6 +154,5 @@ def test_gemm_blocks_read_their_compulsory_footprint(grid, network):
             # unbounded-buffer limit.
             closed = PlatformModel(replace(spec, buffers_kb=None))
             tiled = PlatformModel(replace(spec, buffers_kb=_UNBOUNDED_KB))
-            assert [closed.dram_bits(g) for _, g in gemms if g] == [
-                tiled.dram_bits(g) for _, g in gemms if g
-            ], spec.name
+            planned = [g for _, g in gemms if g]
+            assert closed.dram_bits(planned) == tiled.dram_bits(planned), spec.name

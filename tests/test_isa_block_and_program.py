@@ -119,7 +119,7 @@ class TestInstructionBlockAccessors:
 class TestProgram:
     def _compiled_block(self, config, name="fc") -> CompiledBlock:
         layer = FCLayer(name=name, in_features=64, out_features=32, input_bits=4, weight_bits=2)
-        return FusionCompiler(config).compile_compute_layer(layer)
+        return FusionCompiler(config).compile_compute_layer(layer, batch_size=2)
 
     def test_append_and_iteration(self, small_config):
         program = Program("net")

@@ -120,14 +120,14 @@ class TestScalarEncoderOracle:
 
     def test_every_zoo_block_image_matches_the_scalar_encoder(self):
         checked = 0
-        for config in (
-            BitFusionConfig.eyeriss_matched(batch_size=16),
-            BitFusionConfig.stripes_matched(batch_size=1),
+        for config, batch_size in (
+            (BitFusionConfig.eyeriss_matched(), 16),
+            (BitFusionConfig.stripes_matched(), 1),
         ):
             for fusion in (True, False):
                 compiler = FusionCompiler(config, enable_layer_fusion=fusion)
                 for name in models.BENCHMARKS:
-                    for compiled in compiler.compile(models.load(name)):
+                    for compiled in compiler.compile(models.load(name), batch_size):
                         instructions = compiled.block.instructions
                         expected = encode_block_scalar(instructions)
                         assert compiled.block.encode() == expected, compiled.name

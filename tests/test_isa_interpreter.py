@@ -30,7 +30,6 @@ def tight_config() -> BitFusionConfig:
         wbuf_kb=4.0,
         obuf_kb=1.0,
         dram_bandwidth_bits_per_cycle=64,
-        batch_size=4,
         name="tight",
     )
 
@@ -81,7 +80,7 @@ class TestCompiledBlocks:
     def test_unique_addresses_match_tile_counts_fc(self, tight_config):
         layer = FCLayer(name="fc", in_features=2048, out_features=1024,
                         input_bits=4, weight_bits=4)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer)
+        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
         trace = interpret_block(compiled.block)
         tiling = compiled.tiling
         assert len(trace.unique_addresses(ScratchpadType.WBUF)) == tiling.m_tiles * tiling.n_tiles
@@ -91,7 +90,7 @@ class TestCompiledBlocks:
     def test_unique_addresses_match_tile_counts_conv(self, tight_config):
         layer = ConvLayer(name="conv", in_channels=16, out_channels=32, in_height=14,
                           in_width=14, kernel=3, padding=1, input_bits=2, weight_bits=2)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer)
+        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
         trace = interpret_block(compiled.block)
         tiling = compiled.tiling
         assert len(trace.unique_addresses(ScratchpadType.WBUF)) == tiling.m_tiles * tiling.n_tiles
@@ -99,7 +98,7 @@ class TestCompiledBlocks:
 
     def test_every_iteration_loads_weights_and_inputs(self, tight_config):
         layer = FCLayer(name="fc", in_features=512, out_features=256)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer)
+        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
         trace = interpret_block(compiled.block)
         loads = trace.events_for(ScratchpadType.WBUF, "load")
         total_iterations = 1
@@ -109,12 +108,12 @@ class TestCompiledBlocks:
 
     def test_store_words_are_positive(self, tight_config):
         layer = FCLayer(name="fc", in_features=256, out_features=128)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer)
+        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
         trace = interpret_block(compiled.block)
         assert trace.total_words(ScratchpadType.OBUF, "store") > 0
 
     def test_event_limit_guard(self, tight_config):
         layer = FCLayer(name="fc", in_features=2048, out_features=2048)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer)
+        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
         with pytest.raises(ValueError):
             interpret_block(compiled.block, max_events=4)

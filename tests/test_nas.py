@@ -51,7 +51,7 @@ class TestEstimatorExactness:
         config = _config()
         network = models.load(name)
         estimate = Estimator(config).estimate(network)
-        reference = BitFusionAccelerator(config).evaluate(network)
+        reference = BitFusionAccelerator(config).evaluate(network, 16)
         # Frozen dataclasses all the way down: == is byte-identity over
         # every field, including each per-layer record.
         assert estimate == reference
@@ -64,7 +64,7 @@ class TestEstimatorExactness:
         simulated = estimator.stats.layers_simulated
         compiled = estimator.stats.programs_compiled
         warm = estimator.estimate(network)
-        assert warm == cold == BitFusionAccelerator(config).evaluate(network)
+        assert warm == cold == BitFusionAccelerator(config).evaluate(network, 16)
         assert estimator.stats.layers_simulated == simulated
         assert estimator.stats.programs_compiled == compiled
         assert estimator.stats.programs_reused == 1
@@ -77,7 +77,7 @@ class TestEstimatorExactness:
         simulated_before = estimator.stats.layers_simulated
         mutant = mutate(base, random.Random(3))
         estimate = estimator.estimate(mutant)
-        assert estimate == BitFusionAccelerator(config).evaluate(mutant)
+        assert estimate == BitFusionAccelerator(config).evaluate(mutant, 16)
         # A single mutation leaves most layers shared with the base — only
         # the genuinely novel ones may simulate.
         novel = estimator.stats.layers_simulated - simulated_before
@@ -91,7 +91,7 @@ class TestEstimatorExactness:
         base = models.load("ResNet-18")
         estimator.estimate(base)
         mutant = mutate_bits(base, random.Random(5))
-        reference = BitFusionAccelerator(config).evaluate(mutant)
+        reference = BitFusionAccelerator(config).evaluate(mutant, 16)
         built: list[str] = []
         original = FusionCompiler._emit_compute_block
 
@@ -156,7 +156,8 @@ class TestEstimatorExactness:
         Estimator(base, ResultCache(tmp_path)).estimate(network)
         for config in (base.with_frequency(250.0), replace(base, name="renamed")):
             estimator = Estimator(config, ResultCache(tmp_path))
-            assert estimator.estimate(network) == BitFusionAccelerator(config).evaluate(network)
+            estimate = estimator.estimate(network)
+            assert estimate == BitFusionAccelerator(config).evaluate(network, 16)
             assert estimator.stats.results_read == 0
         rerun = Estimator(base.with_frequency(250.0), ResultCache(tmp_path))
         rerun.estimate(network)
@@ -170,7 +171,7 @@ class TestEstimatorExactness:
         # Re-pricing composes every block from the layer memo; no result
         # is stored or looked up.
         assert estimator.estimate(network) == first
-        blocks = len(FusionCompiler(_config()).compile(network))
+        blocks = len(FusionCompiler(_config()).compile(network, 16))
         assert estimator.stats.layers_composed - composed == blocks
         assert len(estimator.cache) == 0
         assert estimator.stats.results_read == 0
@@ -191,7 +192,7 @@ class TestEstimatorExactness:
         )
         estimate = estimator.estimate(clone)
         assert estimator.stats.layers_simulated == simulated
-        assert estimate == BitFusionAccelerator(config).evaluate(clone)
+        assert estimate == BitFusionAccelerator(config).evaluate(clone, 16)
         # Every block lookup lands in the one block counter.
         blocks = estimator.cache_stats.blocks
         assert blocks.misses == estimator.stats.layers_simulated
@@ -220,7 +221,7 @@ class TestEstimatorClaimRelease:
         # claimant that never stored anything and dies at compose time.
         estimator = Estimator()
         network = models.load("LeNet-5")
-        first_block = FusionCompiler(estimator.config).compile(network).blocks[0].name
+        first_block = FusionCompiler(estimator.config).compile(network, 16).blocks[0].name
         with faulty_simulators([first_block]):
             with pytest.raises(InjectedSimulatorFault):
                 estimator.estimate(network)
@@ -283,7 +284,7 @@ class TestExactSimulationAccounting:
             assert estimator.stats.layers_simulated - simulated == expect_simulated
             assert estimator.stats.deduped - deduped == expect_deduped
             # Exactness holds regardless of which path served each layer.
-            assert estimate == BitFusionAccelerator(config).evaluate(network)
+            assert estimate == BitFusionAccelerator(config).evaluate(network, 16)
 
 
 class TestMutations:
@@ -297,7 +298,7 @@ class TestMutations:
             assert mutant.compute_layers()
             assert mutant.name.startswith("ResNet-18")
             if index < 3:  # full pipeline is slow; spot-check a few
-                accelerator.evaluate(mutant)
+                accelerator.evaluate(mutant, 16)
 
     def test_chained_mutations_stay_valid(self):
         rng = random.Random(1)
@@ -305,7 +306,7 @@ class TestMutations:
         for _ in range(20):
             network = mutate(network, rng)
             assert network.compute_layers()
-        BitFusionAccelerator(_config()).evaluate(network)
+        BitFusionAccelerator(_config()).evaluate(network, 16)
 
     def test_mutation_is_deterministic_under_a_seed(self):
         base = models.load("Cifar-10")

@@ -6,8 +6,8 @@ import pytest
 
 from repro.dnn.layers import ActivationLayer, ConvLayer, FCLayer, PoolLayer
 from repro.isa.instructions import LoopOrder
-from repro.isa.optimizations import choose_loop_order, fuse_layers
-from repro.isa.tiling import GemmWorkload, plan_tiling
+from repro.isa.optimizations import fuse_layers
+from repro.isa.tiling import GemmWorkload, plan_tiling, search_tiling
 
 
 class TestChooseLoopOrder:
@@ -15,7 +15,7 @@ class TestChooseLoopOrder:
         workload = GemmWorkload(
             m=512, n=4608, r=16384, input_bits=2, weight_bits=2, output_bits=2
         )
-        best = choose_loop_order(workload, default_config)
+        best = search_tiling(workload, default_config, tuple(LoopOrder))
         for order in LoopOrder:
             candidate = plan_tiling(workload, default_config, order)
             assert best.total_dram_bits <= candidate.total_dram_bits
@@ -25,7 +25,7 @@ class TestChooseLoopOrder:
         workload = GemmWorkload(
             m=128, n=1152, r=16384, input_bits=2, weight_bits=2, output_bits=2
         )
-        best = choose_loop_order(workload, default_config)
+        best = search_tiling(workload, default_config, tuple(LoopOrder))
         assert best.dram_weight_bits == workload.weight_footprint_bits
 
     def test_fc_like_workload_avoids_weight_refetch(self, default_config):
@@ -33,22 +33,20 @@ class TestChooseLoopOrder:
         workload = GemmWorkload(
             m=10000, n=1280, r=16, input_bits=4, weight_bits=4, output_bits=8
         )
-        best = choose_loop_order(workload, default_config)
+        best = search_tiling(workload, default_config, tuple(LoopOrder))
         assert best.dram_weight_bits == workload.weight_footprint_bits
 
     def test_restricting_orders_changes_search_space(self, default_config):
         workload = GemmWorkload(
             m=4096, n=9216, r=64, input_bits=4, weight_bits=1, output_bits=4
         )
-        only_output = choose_loop_order(
-            workload, default_config, orders=(LoopOrder.OUTPUT_STATIONARY,)
-        )
+        only_output = search_tiling(workload, default_config, (LoopOrder.OUTPUT_STATIONARY,))
         assert only_output.loop_order is LoopOrder.OUTPUT_STATIONARY
 
     def test_rejects_empty_order_list(self, default_config):
         workload = GemmWorkload(m=8, n=8, r=8, input_bits=4, weight_bits=4, output_bits=4)
         with pytest.raises(ValueError):
-            choose_loop_order(workload, default_config, orders=())
+            search_tiling(workload, default_config, ())
 
 
 class TestFuseLayers:

@@ -85,7 +85,7 @@ def test_golden_table_covers_the_zoo():
 
 @pytest.mark.parametrize("config_name, batch", _CASES, ids=lambda value: str(value))
 def test_program_fingerprints_match_golden(config_name, batch):
-    config = getattr(BitFusionConfig, config_name)(batch_size=batch)
+    config = getattr(BitFusionConfig, config_name)()
     resolver = make_plan_resolver(config, ResultCache(), CacheStats())
     for name in models.BENCHMARKS:
         network = models.load(name)

@@ -57,7 +57,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 def _compile(name: str, batch_size: int = 4) -> Program:
     network = models.load(name)
-    compiler = FusionCompiler(BitFusionConfig.eyeriss_matched(batch_size=batch_size))
+    compiler = FusionCompiler(BitFusionConfig.eyeriss_matched())
     return compiler.compile(network, batch_size=batch_size)
 
 
@@ -210,7 +210,7 @@ class TestProgramSerialization:
             "from repro.dnn import models; "
             "from repro.core.config import BitFusionConfig; "
             "from repro.isa.compiler import FusionCompiler; "
-            "compiler = FusionCompiler(BitFusionConfig.eyeriss_matched(batch_size=4)); "
+            "compiler = FusionCompiler(BitFusionConfig.eyeriss_matched()); "
             "print(compiler.compile(models.load('LeNet-5'), batch_size=4).fingerprint())"
         )
         env = {**os.environ, "PYTHONPATH": _SRC, "PYTHONHASHSEED": "random"}
@@ -281,9 +281,7 @@ class TestStagedPipelineEquivalence:
         bandwidth = Workload.bitfusion(
             "LeNet-5",
             batch_size=4,
-            config=BitFusionConfig.eyeriss_matched(
-                bandwidth_bits_per_cycle=512, batch_size=4
-            ),
+            config=BitFusionConfig.eyeriss_matched(bandwidth_bits_per_cycle=512),
         )
         assert base.fingerprint() != bandwidth.fingerprint()
         assert program_cache_key(base) == program_cache_key(bandwidth)

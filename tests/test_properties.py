@@ -8,8 +8,7 @@ The invariants here are the ones the paper's argument rests on:
   vectors, including mixed signs and bitwidths,
 * the tiling/traffic model never undercounts compulsory traffic and always
   produces tiles that fit the scratchpads,
-* the cycle model never reports more than 100% utilization,
-* packing operands into buffer rows and unpacking them is the identity.
+* the cycle model never reports more than 100% utilization.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.buffers import DataInfusionRegister
 from repro.core.config import BitFusionConfig
 from repro.core.decompose import decompose_multiply, recompose_product
 from repro.core.fusion_unit import FusionUnit, fusion_config_for
@@ -131,20 +129,3 @@ class TestTilingProperties:
         estimate = GemmCycleModel(config).estimate(plan)
         assert 0.0 < estimate.utilization <= 1.0
         assert estimate.total_cycles >= estimate.ideal_cycles
-
-
-class TestBufferPackingProperties:
-    @settings(max_examples=120)
-    @given(
-        bits=st.sampled_from((2, 4, 8)),
-        row_bits=st.sampled_from((16, 32, 64)),
-        data=st.data(),
-    )
-    def test_pack_unpack_identity_for_any_row_width(self, bits, row_bits, data):
-        register = DataInfusionRegister(row_bits=row_bits)
-        lo, hi = _bounds(bits)
-        values = data.draw(
-            st.lists(st.integers(min_value=lo, max_value=hi), min_size=0, max_size=64)
-        )
-        rows = register.pack(values, operand_bits=bits)
-        assert register.unpack(rows, bits, len(values)) == values

@@ -231,7 +231,7 @@ class TestSerializers:
         names = models.benchmark_names()
         assert len(names) == 8
         for name in names:
-            result = accelerator.evaluate(models.load(name))
+            result = accelerator.evaluate(models.load(name), 16)
             assert network_result_to_dict(result) == asdict(result)
             for layer in result.layers:
                 assert layer_result_to_dict(layer) == asdict(layer)
@@ -253,21 +253,3 @@ class TestStatsHelpers:
             geometric_mean([])
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-    def test_speedup_and_energy_helpers(self):
-        from repro.sim.stats import energy_reduction, speedup
-
-        fast = _result([_layer(compute=100)], platform="fast")
-        slow = _result([_layer(compute=200)], platform="slow")
-        assert speedup(fast, slow) == fast.speedup_over(slow)
-        assert energy_reduction(fast, slow) == fast.energy_reduction_over(slow)
-
-    def test_normalize(self):
-        from repro.sim.stats import normalize
-
-        values = {"a": 2.0, "b": 4.0}
-        assert normalize(values, "a") == {"a": 1.0, "b": 2.0}
-        with pytest.raises(KeyError):
-            normalize(values, "c")
-        with pytest.raises(ValueError):
-            normalize({"a": 0.0, "b": 1.0}, "a")

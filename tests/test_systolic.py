@@ -1,11 +1,10 @@
-"""Tests for the systolic array: functional GEMMs and timing."""
+"""Tests for the systolic array's functional GEMMs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.config import BitFusionConfig
 from repro.core.systolic import SystolicArray
 
 
@@ -72,39 +71,3 @@ class TestFunctionalExecution:
         array.configure(4, 4)
         with pytest.raises(ValueError):
             array.matmul(np.zeros((3, 4)), np.zeros(4))
-
-
-class TestGemmTiming:
-    def test_timing_positive_dimensions_required(self, array):
-        array.configure(8, 8)
-        with pytest.raises(ValueError):
-            array.gemm_timing(0, 4)
-        with pytest.raises(ValueError):
-            array.gemm_timing(4, 4, batch=0)
-
-    def test_small_gemm_single_tile(self, array):
-        array.configure(8, 8)
-        timing = array.gemm_timing(m=4, n=4, batch=1)
-        assert timing.compute_cycles == 1
-        assert timing.total_cycles == timing.compute_cycles + timing.fill_drain_cycles
-
-    def test_cycles_scale_with_batch(self, array):
-        array.configure(8, 8)
-        single = array.gemm_timing(m=8, n=8, batch=1)
-        batched = array.gemm_timing(m=8, n=8, batch=10)
-        assert batched.compute_cycles == 10 * single.compute_cycles
-
-    def test_lower_bitwidth_needs_fewer_cycles(self, array):
-        m, n = 64, 256
-        array.configure(8, 8)
-        wide = array.gemm_timing(m, n)
-        array.configure(2, 2)
-        narrow = array.gemm_timing(m, n)
-        assert narrow.compute_cycles < wide.compute_cycles
-
-    def test_buffer_access_counts_positive(self, array):
-        array.configure(4, 4)
-        timing = array.gemm_timing(m=32, n=64, batch=2)
-        assert timing.ibuf_reads > 0
-        assert timing.wbuf_reads > 0
-        assert timing.obuf_writes > 0

@@ -1,18 +1,10 @@
-"""Tests for quantized tensor specs and the linear quantization utilities."""
+"""Tests for quantized tensor specs."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.dnn.quantization import (
-    QuantizationSpec,
-    clip_to_bitwidth,
-    dequantize_linear,
-    minimal_bitwidth,
-    quantize_linear,
-)
 from repro.dnn.tensor import TensorSpec, random_quantized_tensor
 
 
@@ -55,96 +47,3 @@ class TestTensorSpec:
         np.testing.assert_array_equal(
             random_quantized_tensor(spec), random_quantized_tensor(spec)
         )
-
-
-class TestQuantizationSpec:
-    def test_quantization_bounds(self):
-        spec = QuantizationSpec(bits=8, scale=0.5)
-        assert spec.qmin == -128
-        assert spec.qmax == 127
-
-    def test_unsigned_bounds(self):
-        spec = QuantizationSpec(bits=4, scale=1.0, signed=False)
-        assert spec.qmin == 0
-        assert spec.qmax == 15
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            QuantizationSpec(bits=5, scale=1.0)
-        with pytest.raises(ValueError):
-            QuantizationSpec(bits=8, scale=0.0)
-
-    def test_from_tensor_maps_max_to_qmax(self):
-        values = np.array([-1.0, 0.5, 2.0])
-        spec = QuantizationSpec.from_tensor(values, bits=8)
-        assert quantize_linear(values, spec).max() == 127
-
-    def test_from_tensor_handles_all_zero_input(self):
-        spec = QuantizationSpec.from_tensor(np.zeros(4), bits=8)
-        assert spec.scale > 0
-
-
-class TestQuantizeRoundTrip:
-    def test_quantize_clips_to_range(self):
-        spec = QuantizationSpec(bits=4, scale=1.0)
-        values = np.array([-100.0, 0.0, 100.0])
-        q = quantize_linear(values, spec)
-        assert q.min() == -8
-        assert q.max() == 7
-
-    def test_dequantize_inverts_scale(self):
-        spec = QuantizationSpec(bits=8, scale=0.25)
-        q = np.array([4, -8, 0])
-        np.testing.assert_allclose(dequantize_linear(q, spec), [1.0, -2.0, 0.0])
-
-    @given(st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=32))
-    def test_roundtrip_error_bounded_by_half_scale(self, values):
-        values = np.asarray(values)
-        spec = QuantizationSpec.from_tensor(values, bits=8)
-        reconstructed = dequantize_linear(quantize_linear(values, spec), spec)
-        assert np.max(np.abs(reconstructed - values)) <= spec.scale / 2 + 1e-9
-
-
-class TestMinimalBitwidth:
-    def test_matches_value_magnitude(self):
-        assert minimal_bitwidth(np.array([0, -1])) == 1
-        assert minimal_bitwidth(np.array([0, 1, -1])) == 2
-        assert minimal_bitwidth(np.array([0, 1, -2])) == 2
-        assert minimal_bitwidth(np.array([3])) == 4
-        assert minimal_bitwidth(np.array([-9])) == 8
-        assert minimal_bitwidth(np.array([200]), signed=False) == 8
-        assert minimal_bitwidth(np.array([300]), signed=False) == 16
-
-    def test_empty_tensor_uses_smallest_width(self):
-        assert minimal_bitwidth(np.array([])) == 1
-
-    def test_rejects_values_wider_than_sixteen_bits(self):
-        with pytest.raises(ValueError):
-            minimal_bitwidth(np.array([1 << 20]))
-
-    @given(st.sampled_from((1, 2, 4, 8, 16)), st.data())
-    def test_minimal_bitwidth_is_sufficient_property(self, bits, data):
-        """Property: the reported width always represents the data losslessly."""
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        values = np.asarray(
-            data.draw(st.lists(st.integers(min_value=lo, max_value=hi), min_size=1, max_size=20))
-        )
-        width = minimal_bitwidth(values)
-        assert width <= 16
-        clipped = clip_to_bitwidth(values, width)
-        np.testing.assert_array_equal(clipped, values)
-
-
-class TestClipToBitwidth:
-    def test_saturates_out_of_range_values(self):
-        values = np.array([-100, 0, 100])
-        np.testing.assert_array_equal(clip_to_bitwidth(values, 4), [-8, 0, 7])
-
-    def test_unsigned_clipping(self):
-        np.testing.assert_array_equal(
-            clip_to_bitwidth(np.array([-5, 3, 99]), 4, signed=False), [0, 3, 15]
-        )
-
-    def test_rejects_unsupported_width(self):
-        with pytest.raises(ValueError):
-            clip_to_bitwidth(np.array([1]), 5)

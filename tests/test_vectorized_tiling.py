@@ -38,7 +38,7 @@ from repro.isa.tiling import (
 
 from reference.tiling import plan_tiling_scalar, search_tiling_scalar
 
-_BASE = BitFusionConfig.eyeriss_matched(batch_size=16)
+_BASE = BitFusionConfig.eyeriss_matched()
 
 #: Buffer/array geometries the oracle tests sweep — the paper default plus
 #: smaller and skewed scratchpads that force multi-tile plans and different
@@ -48,7 +48,7 @@ _GEOMETRIES = (
     _BASE.with_buffers(16.0, 32.0, 8.0),
     _BASE.with_buffers(4.0, 8.0, 2.0),
     _BASE.with_buffers(64.0, 16.0, 4.0).with_array(32, 16),
-    BitFusionConfig.stripes_matched(batch_size=16),
+    BitFusionConfig.stripes_matched(),
 )
 
 
