@@ -11,7 +11,8 @@ assignment a quantization-aware training flow produces), then
   instruction,
 * simulates it at two hardware scale points and reports where the design is
   compute- versus bandwidth-bound,
-* verifies a slice of one of its convolutions bit-exactly against NumPy.
+* verifies a slice of one of its convolutions bit-exactly against NumPy
+  (the script exits 1 if they differ).
 
 Run with::
 
@@ -20,14 +21,14 @@ Run with::
 
 from __future__ import annotations
 
-from dataclasses import replace
+import sys
 
 import numpy as np
 
 from repro import BitFusionAccelerator, BitFusionConfig
+from repro.core.bitbrick import fused_matmul, im2col, random_operands
 from repro.dnn.layers import ActivationLayer, ConvLayer, FCLayer, PoolLayer
 from repro.dnn.network import Network
-from repro.dnn.reference import random_layer_data, run_conv_layer
 
 
 def build_custom_network() -> Network:
@@ -90,7 +91,7 @@ def build_custom_network() -> Network:
     return net
 
 
-def main() -> None:
+def main() -> int:
     network = build_custom_network()
     print(network.summary())
     print()
@@ -120,21 +121,25 @@ def main() -> None:
         )
     print()
 
-    # Bit-exact check of the ternary-weight convolution.  The functional
-    # fabric routes every multiply through BitBrick decomposition in pure
-    # Python, so check a slice of block2 (8 of its output channels over a
-    # 4x4 crop of its input) rather than all 18.9 M of its MACs.
-    block2 = network["block2"]
-    conv = replace(
-        block2, name=f"{block2.name}[:8, :4, :4]", out_channels=8, in_height=4, in_width=4
+    # Bit-exact check of the ternary-weight convolution on a slice of block2
+    # (8 of its output channels over a 4x4 crop of its input): its im2col
+    # GEMM through 2-bit BitBrick slices against NumPy's integer product.
+    conv = network["block2"]
+    rng = np.random.default_rng(11)
+    inputs = random_operands(rng, (conv.in_channels, 4, 4), conv.input_bits)
+    kernel_shape = (8, conv.in_channels, conv.kernel, conv.kernel)
+    kernels = random_operands(rng, kernel_shape, conv.weight_bits).reshape(8, -1)
+    columns = im2col(inputs, conv.kernel, conv.stride, conv.padding)
+    fused = fused_matmul(
+        kernels, columns, weight_bits=conv.weight_bits, input_bits=conv.input_bits
     )
-    inputs, weights = random_layer_data(conv, rng=np.random.default_rng(11))
-    comparison = run_conv_layer(conv, inputs, weights)
+    error = int(np.max(np.abs(fused - kernels @ columns)))
     print(
-        f"functional check on {conv.name!r}: matches NumPy = {comparison.matches} "
-        f"(max |error| = {comparison.max_abs_error})"
+        f"functional check on '{conv.name}[:8, :4, :4]': matches NumPy = {error == 0} "
+        f"(max |error| = {error})"
     )
+    return 0 if error == 0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

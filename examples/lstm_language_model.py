@@ -24,9 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import BitFusionAccelerator, BitFusionConfig
+from repro.core.bitbrick import fused_matmul, random_operands
 from repro.dnn import models
-from repro.dnn.functional import lstm_cell
-from repro.dnn.tensor import TensorSpec, random_quantized_tensor
 
 
 def batching_sweep() -> None:
@@ -59,17 +58,25 @@ def bandwidth_sweep() -> None:
     print()
 
 
+def sigmoid(values: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-values))
+
+
 def functional_step() -> None:
     print("one functional LSTM step through the quantized gate GEMM")
     hidden_size = 64
     rng = np.random.default_rng(3)
-    inputs = random_quantized_tensor(TensorSpec(shape=(hidden_size,), bits=4), rng)
-    hidden = random_quantized_tensor(TensorSpec(shape=(hidden_size,), bits=4), rng)
-    weights = random_quantized_tensor(
-        TensorSpec(shape=(4 * hidden_size, 2 * hidden_size), bits=4), rng
-    )
+    inputs = random_operands(rng, (hidden_size,), bits=4)
+    hidden = random_operands(rng, (hidden_size,), bits=4)
+    weights = random_operands(rng, (4 * hidden_size, 2 * hidden_size), bits=4)
     cell = np.zeros(hidden_size)
-    new_hidden, new_cell = lstm_cell(inputs, hidden, cell, weights)
+    # The four gate pre-activations are one 4-bit GEMM on the fabric; the
+    # host dequantizes them and applies the nonlinearities.
+    concat = np.concatenate([inputs, hidden])
+    gates = fused_matmul(weights, concat, weight_bits=4, input_bits=4) * (1.0 / 128.0)
+    i_gate, f_gate, g_gate, o_gate = np.split(gates, 4)
+    new_cell = sigmoid(f_gate) * cell + sigmoid(i_gate) * np.tanh(g_gate)
+    new_hidden = sigmoid(o_gate) * np.tanh(new_cell)
     print(f"  hidden state norm after one step : {np.linalg.norm(new_hidden):.3f}")
     print(f"  cell state norm after one step   : {np.linalg.norm(new_cell):.3f}")
     print(f"  hidden state range               : [{new_hidden.min():.3f}, {new_hidden.max():.3f}]")

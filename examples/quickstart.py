@@ -10,7 +10,7 @@ This example walks through the complete public API in a few steps:
 4. simulate it to obtain cycle counts, utilization and an energy breakdown,
 5. prove the bit-level fusion arithmetic is lossless by running a small
    fully-connected layer both through the BitBrick datapath and through
-   plain NumPy integer arithmetic.
+   plain NumPy integer arithmetic (the script exits 1 if they differ).
 
 Run with::
 
@@ -19,15 +19,16 @@ Run with::
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro import BitFusionAccelerator, BitFusionConfig
+from repro.core.bitbrick import fused_matmul, random_operands
 from repro.dnn import models
-from repro.dnn.layers import FCLayer
-from repro.dnn.reference import random_layer_data, run_fc_layer
 
 
-def main() -> None:
+def main() -> int:
     # 1. Configure the accelerator (Table III, Eyeriss-matched, 45 nm).
     accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
     print(accelerator.describe())
@@ -62,14 +63,14 @@ def main() -> None:
 
     # 5. Bit-exactness: a small 2-bit fully-connected layer executed through
     #    the BitBrick decomposition matches NumPy exactly.
-    layer = FCLayer(name="demo_fc", in_features=64, out_features=16, input_bits=2, weight_bits=2)
-    inputs, weights = random_layer_data(layer, rng=np.random.default_rng(7))
-    comparison = run_fc_layer(layer, inputs, weights)
-    print(
-        "bit-exact check on a 2-bit FC layer: "
-        f"matches={comparison.matches}, max |error|={comparison.max_abs_error}"
-    )
+    rng = np.random.default_rng(7)
+    inputs = random_operands(rng, (64,), bits=2)
+    weights = random_operands(rng, (16, 64), bits=2)
+    fused = fused_matmul(weights, inputs, weight_bits=2, input_bits=2)
+    error = int(np.max(np.abs(fused - weights @ inputs)))
+    print(f"bit-exact check on a 2-bit FC layer: matches={error == 0}, max |error|={error}")
+    return 0 if error == 0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

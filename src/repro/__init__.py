@@ -12,7 +12,7 @@ bit-serial design, and GPU roofline models).
 Public entry points
 -------------------
 ``repro.core``
-    BitBrick / Fusion Unit / systolic-array models and ``BitFusionConfig``.
+    BitBrick and Fusion Unit models and ``BitFusionConfig``.
 ``repro.isa``
     Fusion-ISA instruction set, encoder, and the layer-to-ISA compiler.
 ``repro.sim``

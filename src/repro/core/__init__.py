@@ -3,14 +3,12 @@
 The core package contains the paper's primary contribution: the bit-level
 composable compute fabric.
 
-* :mod:`repro.core.bitbrick` — the 2-bit multiply-add element (Figure 5).
-* :mod:`repro.core.decompose` — recursive decomposition of wide multiplies
-  into 2-bit brick multiplies plus shift amounts (Equations 1–3, Figures 6, 7).
-* :mod:`repro.core.fusion_unit` — the 16-BitBrick Fusion Unit with spatial
-  fusion and the hybrid spatio-temporal 16-bit mode (Figures 2, 9, 10).
-* :mod:`repro.core.systolic` — the functional model of the systolic array
-  of Fusion Units with shared input buffers, per-unit weight buffers and
-  per-column output buffers (Figures 3, 4).
+* :mod:`repro.core.bitbrick` — the functional model of Section III: a GEMM
+  computed as the shift-add of 2-bit BitBrick slice GEMMs (Equations 1–3,
+  Figures 5–7), checked against NumPy; examples and tests only.
+* :mod:`repro.core.fusion_unit` — the 16-BitBrick Fusion Unit's performance
+  model: spatial fusion and the hybrid spatio-temporal 16-bit mode
+  (Figures 2, 9, 10), and the 32-bit partial-sum width (Figure 4).
 * :mod:`repro.core.config` — accelerator configuration: the hardware only
   (array geometry, buffer sizes and access width, bandwidth, frequency,
   technology node).  The batch size is an argument of each compile and

@@ -14,8 +14,8 @@ hardware: :meth:`~BitFusionAccelerator.compile`,
 take it as an argument, and ``evaluate(network, batch_size)`` is the
 signature every baseline platform model shares.
 
-Bit-exact execution of small layers goes through the functional model,
-:class:`~repro.core.systolic.SystolicArray`, directly.
+Bit-exact execution of small layers goes through the functional model of
+Section III, :func:`~repro.core.bitbrick.fused_matmul`, directly.
 
 Typical usage::
 

@@ -1,176 +1,140 @@
-"""BitBrick: the 2-bit multiply element at the heart of Bit Fusion.
+"""Section III as arithmetic: a wide GEMM is a shift-add of 2-bit BitBrick GEMMs.
 
-A BitBrick (paper Figure 5) multiplies two 2-bit operands, each of which may
-be interpreted as signed (two's complement, range -2..1) or unsigned
-(range 0..3), producing a product that fits in 6 bits.  The hardware first
-sign-extends each operand to 3 bits according to its sign flag, then feeds
-a 3-bit signed multiplier.  This module is a faithful functional model of
-that datapath: operands are validated against their 2-bit encodings, the
-sign extension is performed explicitly, and the product is returned both as
-a Python integer and as the 6-bit two's-complement word the hardware would
-emit.
+A BitBrick (paper Figure 5) multiplies two 2-bit operands, each signed
+(two's complement, -2..1) or unsigned (0..3).  Bit Fusion's central claim
+(Equations 1-3, Figures 6 and 7) is that a p-bit by q-bit multiply is
+*exactly* the shift-add of BitBrick products over the operands' 2-bit
+slices.  Over whole matrices this reads
 
-The BitBrick is deliberately tiny; all bitwidth flexibility in Bit Fusion
-comes from composing many BitBricks (see :mod:`repro.core.decompose` and
-:mod:`repro.core.fusion_unit`).
+    W @ X = Σ_j Σ_i (W_j @ X_i) << 2·(i + j)
+
+where ``W_j`` and ``X_i`` hold the j-th and i-th 2-bit slices of every
+element.  For a signed operand the most significant slice is signed and
+the lower slices are unsigned, which is what the BitBricks' per-operand
+sign flags select.  1-bit operands ride a 2-bit lane; 16-bit operands are
+eight slices, which the hardware iterates over temporally (Section III-C)
+but which sum the same way.
+
+This module is the functional model of that identity, and the only one:
+:func:`fused_matmul` computes a GEMM through it and is checked against
+NumPy's integer ``@``.  :func:`im2col` lowers a convolution to the GEMM
+the fabric runs, and :func:`random_operands` draws operands of a declared
+width.  The performance model (:mod:`repro.core.fusion_unit`) does not
+use it, so no command loads this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
+
+from repro.core.fusion_unit import PARTIAL_SUM_BITS, SUPPORTED_BITWIDTHS
 
 __all__ = [
-    "BitBrick",
-    "BitBrickResult",
-    "encode_twos_complement",
-    "decode_twos_complement",
+    "SLICE_BITS",
+    "operand_range",
+    "operand_slices",
+    "fused_matmul",
+    "im2col",
+    "random_operands",
 ]
 
-#: Number of bits in a BitBrick operand.
-OPERAND_BITS = 2
-
-#: Number of bits in the BitBrick product (3-bit signed x 3-bit signed).
-PRODUCT_BITS = 6
+#: Bits per BitBrick operand.
+SLICE_BITS = 2
 
 
-def encode_twos_complement(value: int, bits: int) -> int:
-    """Encode ``value`` as an unsigned ``bits``-wide two's-complement word.
+def operand_range(bits: int, signed: bool) -> tuple[int, int]:
+    """Inclusive range of a ``bits``-wide operand, signed or unsigned."""
+    if signed:
+        return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    return 0, (1 << bits) - 1
 
-    Raises :class:`ValueError` if ``value`` does not fit in ``bits`` bits as
-    a signed quantity.
+
+def operand_slices(
+    values: np.ndarray, bits: int, signed: bool, name: str = "operand"
+) -> list[np.ndarray]:
+    """The 2-bit slices of ``bits``-wide ``values``, least significant first.
+
+    Every slice is a BitBrick input: 0..3, except the top slice of a signed
+    operand, which is -2..1.  ``sum(s << 2*k for k, s in enumerate(slices))``
+    equals ``values``.  A width outside ``SUPPORTED_BITWIDTHS`` or values
+    outside the operand's range raise :class:`ValueError`.
     """
-    if bits <= 0:
-        raise ValueError(f"bit width must be positive, got {bits}")
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if not lo <= value <= hi:
-        raise ValueError(f"value {value} does not fit in {bits} signed bits")
-    return value & ((1 << bits) - 1)
-
-
-def decode_twos_complement(word: int, bits: int) -> int:
-    """Decode an unsigned ``bits``-wide word as a signed two's-complement value."""
-    if bits <= 0:
-        raise ValueError(f"bit width must be positive, got {bits}")
-    mask = (1 << bits) - 1
-    if not 0 <= word <= mask:
-        raise ValueError(f"word {word} is not a {bits}-bit pattern")
-    sign_bit = 1 << (bits - 1)
-    return (word & mask) - ((word & sign_bit) << 1)
-
-
-@dataclass(frozen=True)
-class BitBrickResult:
-    """Outcome of a single BitBrick multiply.
-
-    Attributes
-    ----------
-    product:
-        The numeric product as a Python integer.
-    product_word:
-        The 6-bit two's-complement encoding of the product, exactly the word
-        the hardware datapath would drive onto the shift-add tree.
-    x_extended, y_extended:
-        The 3-bit sign-extended operand values used by the internal signed
-        multiplier.
-    """
-
-    product: int
-    product_word: int
-    x_extended: int
-    y_extended: int
-
-
-class BitBrick:
-    """Functional model of a single BitBrick.
-
-    Parameters
-    ----------
-    signed_x, signed_y:
-        Static sign configuration of the brick.  In hardware the sign bits
-        ``sx``/``sy`` arrive with the operands; modelling them as
-        constructor arguments matches how a fused configuration holds the
-        sign mode fixed for a whole layer (only the most-significant brick
-        of a fused operand sees signed data).
-    """
-
-    def __init__(self, signed_x: bool = False, signed_y: bool = False) -> None:
-        self.signed_x = bool(signed_x)
-        self.signed_y = bool(signed_y)
-
-    # ------------------------------------------------------------------ #
-    # Operand handling
-    # ------------------------------------------------------------------ #
-    def _operand_range(self, signed: bool) -> tuple[int, int]:
-        if signed:
-            return -(1 << (OPERAND_BITS - 1)), (1 << (OPERAND_BITS - 1)) - 1
-        return 0, (1 << OPERAND_BITS) - 1
-
-    def _validate(self, value: int, signed: bool, name: str) -> int:
-        lo, hi = self._operand_range(signed)
-        if not lo <= value <= hi:
-            kind = "signed" if signed else "unsigned"
-            raise ValueError(
-                f"operand {name}={value} out of range for a {kind} "
-                f"{OPERAND_BITS}-bit BitBrick input [{lo}, {hi}]"
-            )
-        return value
-
-    @staticmethod
-    def _sign_extend(value: int, signed: bool) -> int:
-        """Model the 2-bit -> 3-bit sign extension stage.
-
-        For unsigned operands the extension bit is zero; for signed operands
-        the sign bit is replicated.  Numerically the extended value equals
-        the operand itself — the extension only matters for the hardware
-        encoding — so we return the value and compute the 3-bit word where
-        needed.
-        """
-        del signed  # numeric value is unchanged by sign extension
-        return value
-
-    # ------------------------------------------------------------------ #
-    # Multiply
-    # ------------------------------------------------------------------ #
-    def multiply(self, x: int, y: int) -> BitBrickResult:
-        """Multiply two 2-bit operands and return the full datapath result."""
-        x = self._validate(x, self.signed_x, "x")
-        y = self._validate(y, self.signed_y, "y")
-        x3 = self._sign_extend(x, self.signed_x)
-        y3 = self._sign_extend(y, self.signed_y)
-        product = x3 * y3
-        return BitBrickResult(
-            product=product,
-            product_word=encode_twos_complement(product, PRODUCT_BITS),
-            x_extended=x3,
-            y_extended=y3,
+    if bits not in SUPPORTED_BITWIDTHS:
+        raise ValueError(f"{name} bitwidth must be one of {SUPPORTED_BITWIDTHS}, got {bits}")
+    values = np.asarray(values, dtype=np.int64)
+    lo, hi = operand_range(bits, signed)
+    if values.size and not (lo <= values.min() and values.max() <= hi):
+        kind = "signed" if signed else "unsigned"
+        raise ValueError(
+            f"{name} in [{values.min()}, {values.max()}] outside the {kind} "
+            f"{bits}-bit range [{lo}, {hi}]"
         )
+    count = max(bits, SLICE_BITS) // SLICE_BITS
+    slices = [(values >> (SLICE_BITS * k)) & 0b11 for k in range(count)]
+    if signed:
+        slices[-1] = slices[-1] - ((slices[-1] & 0b10) << 1)
+    return slices
 
-    def __call__(self, x: int, y: int) -> int:
-        """Convenience form returning only the numeric product."""
-        return self.multiply(x, y).product
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def x_range(self) -> tuple[int, int]:
-        """Valid numeric range of the ``x`` operand."""
-        return self._operand_range(self.signed_x)
+def fused_matmul(
+    weights,
+    inputs,
+    *,
+    weight_bits: int,
+    input_bits: int,
+    signed_weights: bool = True,
+    signed_inputs: bool = True,
+) -> np.ndarray:
+    """``weights @ inputs`` computed as the shift-add of 2-bit slice GEMMs.
 
-    @property
-    def y_range(self) -> tuple[int, int]:
-        """Valid numeric range of the ``y`` operand."""
-        return self._operand_range(self.signed_y)
-
-    @property
-    def product_range(self) -> tuple[int, int]:
-        """Numeric range of products this brick can emit."""
-        xlo, xhi = self.x_range
-        ylo, yhi = self.y_range
-        corners = [xlo * ylo, xlo * yhi, xhi * ylo, xhi * yhi]
-        return min(corners), max(corners)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BitBrick(signed_x={self.signed_x}, signed_y={self.signed_y})"
+    Operands outside their declared width raise :class:`ValueError`.  The
+    output buffer accumulates in a ``PARTIAL_SUM_BITS``-wide two's-complement
+    register, which wraps; the result is therefore exact exactly when every
+    output fits it, and :class:`OverflowError` is raised otherwise.
+    """
+    w_slices = operand_slices(weights, weight_bits, signed_weights, "weights")
+    x_slices = operand_slices(inputs, input_bits, signed_inputs, "inputs")
+    total = sum(
+        (w_j @ x_i) << (SLICE_BITS * (i + j))
+        for j, w_j in enumerate(w_slices)
+        for i, x_i in enumerate(x_slices)
+    )
+    lo, hi = operand_range(PARTIAL_SUM_BITS, signed=True)
+    if total.size and not (lo <= total.min() and total.max() <= hi):
+        raise OverflowError(
+            f"partial sums in [{total.min()}, {total.max()}] exceed the "
+            f"{PARTIAL_SUM_BITS}-bit accumulator"
         )
+    return total
+
+
+def im2col(inputs, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Unfold a ``(C, H, W)`` input into the convolution GEMM's columns.
+
+    Returns ``(C * kernel * kernel, out_h * out_w)``: column ``oy * out_w +
+    ox`` is the receptive field of output ``(oy, ox)``, so the convolution
+    is ``weights.reshape(C_out, -1) @ im2col(...)``.
+    """
+    inputs = np.asarray(inputs, dtype=np.int64)
+    if inputs.ndim != 3 or kernel <= 0 or stride <= 0 or padding < 0:
+        raise ValueError(
+            f"im2col needs a (C, H, W) input, kernel and stride > 0 and padding >= 0; "
+            f"got shape {inputs.shape}, kernel {kernel}, stride {stride}, padding {padding}"
+        )
+    padded = np.pad(inputs, ((0, 0), (padding, padding), (padding, padding)))
+    if min(padded.shape[1:]) < kernel:
+        raise ValueError(
+            f"a {kernel}x{kernel} kernel does not fit the padded input {padded.shape}"
+        )
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kernel, kernel), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    channels, out_h, out_w = windows.shape[:3]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(channels * kernel * kernel, out_h * out_w)
+
+
+def random_operands(
+    rng: np.random.Generator, shape, bits: int, signed: bool = True
+) -> np.ndarray:
+    """Uniform ``int64`` operands over the full ``bits``-wide range."""
+    lo, hi = operand_range(bits, signed)
+    return rng.integers(lo, hi + 1, size=shape, dtype=np.int64)

@@ -20,26 +20,23 @@ spatio-temporal scheme of Section III-C — the unit runs in its 8-bit spatial
 configuration and iterates over the 8-bit halves of the wide operand across
 cycles (2 passes for 16×8, 4 passes for 16×16).
 
-The :class:`FusionUnit` class is both a *functional* model (it really
-multiplies and accumulates through per-brick 2-bit multiplies so the
-arithmetic can be checked bit-exactly against NumPy) and a *performance*
-model (it reports how many multiply-accumulates it retires per cycle in a
-given configuration, which the systolic-array cycle model consumes).
+This module is the unit's *performance* model: :func:`fusion_config_for`
+resolves how many multiply-accumulates a unit retires per cycle, which the
+simulator and the energy model read.  That the fused arithmetic is exact is
+modelled and checked in :mod:`repro.core.bitbrick`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 __all__ = [
     "FusionConfig",
     "fusion_config_for",
-    "FusionUnit",
     "BITBRICKS_PER_FUSION_UNIT",
     "MAX_SPATIAL_OPERAND_BITS",
-    "MAX_OPERAND_BITS",
-    "supported_configurations",
+    "PARTIAL_SUM_BITS",
+    "SUPPORTED_BITWIDTHS",
 ]
 
 #: Number of BitBricks physically present in one Fusion Unit.
@@ -48,13 +45,11 @@ BITBRICKS_PER_FUSION_UNIT = 16
 #: Largest operand bitwidth handled purely spatially (one cycle).
 MAX_SPATIAL_OPERAND_BITS = 8
 
-#: Largest operand bitwidth supported at all (via temporal iteration).
-MAX_OPERAND_BITS = 16
-
 #: Partial sums are carried at 32 bits to avoid accumulation error (Fig. 4).
 PARTIAL_SUM_BITS = 32
 
-_VALID_BITS = (1, 2, 4, 8, 16)
+#: Operand bitwidths the fabric supports (1-bit operands ride a 2-bit lane).
+SUPPORTED_BITWIDTHS = (1, 2, 4, 8, 16)
 
 
 def _effective_bits(bits: int) -> int:
@@ -94,11 +89,6 @@ class FusionConfig:
         return self.fused_pes / self.temporal_passes
 
     @property
-    def parallelism_vs_8bit(self) -> float:
-        """Speedup factor relative to the 8-bit × 8-bit configuration."""
-        return self.macs_per_cycle / 1.0
-
-    @property
     def input_lane_bits(self) -> int:
         """Bits of input data one Fused-PE consumes per cycle."""
         return _effective_bits(min(self.input_bits, MAX_SPATIAL_OPERAND_BITS))
@@ -114,13 +104,13 @@ def fusion_config_for(input_bits: int, weight_bits: int) -> FusionConfig:
 
     Raises :class:`ValueError` for bitwidths outside {1, 2, 4, 8, 16}.
     """
-    if input_bits not in _VALID_BITS:
+    if input_bits not in SUPPORTED_BITWIDTHS:
         raise ValueError(
-            f"input bitwidth must be one of {_VALID_BITS}, got {input_bits}"
+            f"input bitwidth must be one of {SUPPORTED_BITWIDTHS}, got {input_bits}"
         )
-    if weight_bits not in _VALID_BITS:
+    if weight_bits not in SUPPORTED_BITWIDTHS:
         raise ValueError(
-            f"weight bitwidth must be one of {_VALID_BITS}, got {weight_bits}"
+            f"weight bitwidth must be one of {SUPPORTED_BITWIDTHS}, got {weight_bits}"
         )
 
     spatial_in = min(_effective_bits(input_bits), MAX_SPATIAL_OPERAND_BITS)
@@ -142,173 +132,3 @@ def fusion_config_for(input_bits: int, weight_bits: int) -> FusionConfig:
         fused_pes=fused_pes,
         temporal_passes=temporal_passes,
     )
-
-
-def supported_configurations() -> list[FusionConfig]:
-    """Enumerate every fusion configuration the fabric supports."""
-    configs = []
-    for ib in _VALID_BITS:
-        for wb in _VALID_BITS:
-            configs.append(fusion_config_for(ib, wb))
-    return configs
-
-
-class FusionUnit:
-    """Functional + performance model of a single Fusion Unit.
-
-    The unit is configured once per instruction block (per layer) via
-    :meth:`configure`, mirroring the ``setup`` instruction of the
-    Fusion-ISA.  After configuration it accepts vectors of inputs and
-    weights sized to its current parallelism and produces the dot-product
-    contribution it would add to the incoming partial sum.
-    """
-
-    def __init__(self) -> None:
-        self._config: FusionConfig | None = None
-        self.total_brick_multiplies = 0
-        self.total_macs = 0
-
-    # ------------------------------------------------------------------ #
-    # Configuration
-    # ------------------------------------------------------------------ #
-    def configure(self, input_bits: int, weight_bits: int) -> FusionConfig:
-        """Fuse the BitBricks for the given operand bitwidths."""
-        self._config = fusion_config_for(input_bits, weight_bits)
-        return self._config
-
-    @property
-    def config(self) -> FusionConfig:
-        if self._config is None:
-            raise RuntimeError(
-                "FusionUnit is not configured; call configure(input_bits, weight_bits) first"
-            )
-        return self._config
-
-    @property
-    def is_configured(self) -> bool:
-        return self._config is not None
-
-    # ------------------------------------------------------------------ #
-    # Functional execution
-    # ------------------------------------------------------------------ #
-    def _check_operand(self, value: int, bits: int, signed: bool, name: str) -> None:
-        if signed:
-            lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        else:
-            lo, hi = 0, (1 << bits) - 1
-        if not lo <= value <= hi:
-            kind = "signed" if signed else "unsigned"
-            raise ValueError(
-                f"{name}={value} out of range for {kind} {bits}-bit operand [{lo}, {hi}]"
-            )
-
-    def multiply_accumulate(
-        self,
-        inputs: Sequence[int],
-        weights: Sequence[int],
-        partial_sum: int = 0,
-        signed_inputs: bool = True,
-        signed_weights: bool = True,
-    ) -> int:
-        """Compute ``partial_sum + Σ inputs[i] * weights[i]`` through BitBricks.
-
-        ``inputs`` and ``weights`` must have exactly ``config.fused_pes``
-        elements — one multiply per Fused-PE, exactly what the unit retires
-        per temporal-pass group.  Every multiply is executed by decomposing
-        the operands onto 2-bit bricks and shift-adding the brick products,
-        so the result is provably identical to the integer dot product while
-        exercising the real fusion datapath.
-        """
-        # Imported here: the simulator and the energy model need only
-        # ``FusionConfig``, so start-up never loads the functional brick model.
-        from repro.core.decompose import decompose_multiply, recompose_product
-
-        cfg = self.config
-        if len(inputs) != cfg.fused_pes or len(weights) != cfg.fused_pes:
-            raise ValueError(
-                f"expected {cfg.fused_pes} input/weight pairs for the "
-                f"{cfg.input_bits}x{cfg.weight_bits} configuration, got "
-                f"{len(inputs)} inputs and {len(weights)} weights"
-            )
-
-        a_bits = _effective_bits(cfg.input_bits)
-        w_bits = _effective_bits(cfg.weight_bits)
-
-        acc = int(partial_sum)
-        for x, w in zip(inputs, weights):
-            x = int(x)
-            w = int(w)
-            self._check_operand(x, a_bits, signed_inputs, "input")
-            self._check_operand(w, w_bits, signed_weights, "weight")
-            decomposition = decompose_multiply(
-                x, w, a_bits, w_bits, a_signed=signed_inputs, b_signed=signed_weights
-            )
-            acc += recompose_product(decomposition)
-            self.total_brick_multiplies += decomposition.brick_count
-            self.total_macs += 1
-
-        self._check_partial_sum(acc)
-        return acc
-
-    @staticmethod
-    def _check_partial_sum(value: int) -> None:
-        lo = -(1 << (PARTIAL_SUM_BITS - 1))
-        hi = (1 << (PARTIAL_SUM_BITS - 1)) - 1
-        if not lo <= value <= hi:
-            raise OverflowError(
-                f"partial sum {value} exceeds the {PARTIAL_SUM_BITS}-bit accumulator"
-            )
-
-    def dot_product(
-        self,
-        inputs: Iterable[int],
-        weights: Iterable[int],
-        signed_inputs: bool = True,
-        signed_weights: bool = True,
-    ) -> int:
-        """Dot product of arbitrary-length vectors, chunked by Fused-PE count.
-
-        Vectors whose length is not a multiple of the Fused-PE count are
-        zero-padded, matching how the compiler pads the innermost loop.
-        """
-        cfg = self.config
-        xs = [int(v) for v in inputs]
-        ws = [int(v) for v in weights]
-        if len(xs) != len(ws):
-            raise ValueError(
-                f"input and weight vectors must have equal length, got {len(xs)} and {len(ws)}"
-            )
-        acc = 0
-        step = cfg.fused_pes
-        for start in range(0, len(xs), step):
-            chunk_x = xs[start : start + step]
-            chunk_w = ws[start : start + step]
-            pad = step - len(chunk_x)
-            if pad:
-                chunk_x = chunk_x + [0] * pad
-                chunk_w = chunk_w + [0] * pad
-            acc = self.multiply_accumulate(
-                chunk_x,
-                chunk_w,
-                partial_sum=acc,
-                signed_inputs=signed_inputs,
-                signed_weights=signed_weights,
-            )
-        return acc
-
-    # ------------------------------------------------------------------ #
-    # Performance accounting
-    # ------------------------------------------------------------------ #
-    def reset_counters(self) -> None:
-        """Zero the functional-execution statistics."""
-        self.total_brick_multiplies = 0
-        self.total_macs = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._config is None:
-            return "FusionUnit(unconfigured)"
-        cfg = self._config
-        return (
-            f"FusionUnit({cfg.input_bits}x{cfg.weight_bits}, "
-            f"{cfg.fused_pes} F-PEs, {cfg.temporal_passes} passes)"
-        )

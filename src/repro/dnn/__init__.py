@@ -3,7 +3,6 @@
 Bit Fusion's evaluation runs eight real-world quantized DNNs.  This package
 provides the substrate those experiments need:
 
-* :mod:`repro.dnn.tensor` — quantized tensor specifications and generators.
 * :mod:`repro.dnn.layers` — the layer IR (convolution, fully-connected,
   pooling, activation, LSTM, vanilla RNN) with per-layer operand bitwidths
   and GEMM lowering.
@@ -11,10 +10,6 @@ provides the substrate those experiments need:
   aggregate statistics (MACs, weight footprint, bitwidth distribution).
 * :mod:`repro.dnn.models` — the eight benchmark networks of Table II with
   the bitwidth assignments of Figure 1.
-* :mod:`repro.dnn.functional` — integer NumPy kernels (convolution,
-  fully-connected, pooling, recurrent cells).
-* :mod:`repro.dnn.reference` — NumPy integer reference execution used to
-  validate the fusion arithmetic end to end.
 
 The package namespace re-exports nothing; import from the modules.
 """

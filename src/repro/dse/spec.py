@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.core.config import BitFusionConfig
-from repro.session.workload import Workload
+from repro.session.workload import DEFAULT_BATCH_SIZE, Workload
 from repro.spec_fields import checked_field, checked_list
 
 __all__ = [
@@ -176,7 +176,7 @@ class SweepSpec:
     """
 
     networks: tuple[str, ...]
-    batch_sizes: tuple[int, ...] = (16,)
+    batch_sizes: tuple[int, ...] = (DEFAULT_BATCH_SIZE,)
     axes: tuple[tuple[str, tuple[Any, ...]], ...] = ()
     base_config: str = "eyeriss_matched"
     objectives: tuple[str, ...] = ("latency", "energy", "area")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.dnn import models
 from repro.session import EvaluationSession, Workload, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 from repro.sim.stats import geometric_mean
 
 __all__ = ["AblationRow", "render", "run", "format_table"]
@@ -52,7 +53,7 @@ class AblationRow:
 
 
 def run(
-    batch_size: int = 16,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     benchmarks: tuple[str, ...] | None = None,
     fixed_bits: int = 8,
     session: EvaluationSession | None = None,

@@ -15,6 +15,7 @@ from repro.dse.report import format_sweep_report
 from repro.dse.runner import DesignSpaceResult, run_sweep
 from repro.dse.spec import SweepSpec
 from repro.session import EvaluationSession, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 
 __all__ = ["DEFAULT_NETWORKS", "default_spec", "render", "run", "format_table"]
 
@@ -29,7 +30,7 @@ def default_spec(benchmarks: tuple[str, ...] | None = None) -> SweepSpec:
         {
             "name": "array geometry x technology node",
             "networks": list(benchmarks or DEFAULT_NETWORKS),
-            "batch_sizes": [16],
+            "batch_sizes": [DEFAULT_BATCH_SIZE],
             "axes": {
                 "array": [[16, 16], [32, 16], [32, 32]],
                 "technology": ["45nm", "16nm"],

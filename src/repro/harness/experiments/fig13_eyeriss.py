@@ -16,6 +16,7 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 from repro.sim.results import NetworkResult
 from repro.sim.stats import geometric_mean
 
@@ -65,7 +66,7 @@ class ComparisonSummary:
 
 
 def run(
-    batch_size: int = 16,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     benchmarks: tuple[str, ...] | None = None,
     config: BitFusionConfig | None = None,
     session: EvaluationSession | None = None,
@@ -104,7 +105,7 @@ def run(
 
 
 def run_alexnet_per_layer(
-    batch_size: int = 16, session: EvaluationSession | None = None
+    batch_size: int = DEFAULT_BATCH_SIZE, session: EvaluationSession | None = None
 ) -> list[dict[str, object]]:
     """Per-layer-group AlexNet improvement over Eyeriss (Figure 13 aux data).
 

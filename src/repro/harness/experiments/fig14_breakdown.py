@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 
 __all__ = ["BreakdownRow", "render", "run", "format_table"]
 
@@ -52,7 +53,7 @@ class BreakdownRow:
 
 
 def run(
-    batch_size: int = 16,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     benchmarks: tuple[str, ...] | None = None,
     session: EvaluationSession | None = None,
 ) -> list[BreakdownRow]:

@@ -20,6 +20,7 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 
 __all__ = ["BandwidthRow", "DEFAULT_BANDWIDTHS", "render", "run", "format_table"]
 
@@ -46,7 +47,7 @@ class BandwidthRow:
 
 
 def run(
-    batch_size: int = 16,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     bandwidths: tuple[int, ...] = DEFAULT_BANDWIDTHS,
     benchmarks: tuple[str, ...] | None = None,
     session: EvaluationSession | None = None,

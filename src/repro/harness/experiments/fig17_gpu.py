@@ -16,6 +16,7 @@ from repro.baselines.gpu import GpuPrecision, TEGRA_X2, TITAN_XP
 from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 from repro.sim.stats import geometric_mean
 
 __all__ = ["GpuComparisonRow", "GpuComparisonSummary", "render", "run", "format_table"]
@@ -58,7 +59,7 @@ class GpuComparisonSummary:
 
 
 def run(
-    batch_size: int = 16,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     benchmarks: tuple[str, ...] | None = None,
     session: EvaluationSession | None = None,
 ) -> GpuComparisonSummary:

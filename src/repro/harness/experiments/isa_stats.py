@@ -15,6 +15,7 @@ from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.harness import paper_data
 from repro.session import EvaluationSession, Workload, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 
 __all__ = ["IsaStatsRow", "render", "run", "format_table"]
 
@@ -44,7 +45,7 @@ class IsaStatsRow:
 
 
 def run(
-    batch_size: int = 16,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     benchmarks: tuple[str, ...] | None = None,
     config: BitFusionConfig | None = None,
     session: EvaluationSession | None = None,

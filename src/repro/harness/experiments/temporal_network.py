@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.dnn import models
 from repro.session import EvaluationSession, Workload, resolve_session
+from repro.session.workload import DEFAULT_BATCH_SIZE
 from repro.sim.stats import geometric_mean
 
 __all__ = ["TemporalComparisonRow", "TemporalComparisonSummary", "render", "run", "format_table"]
@@ -55,7 +56,7 @@ class TemporalComparisonSummary:
 
 
 def run(
-    batch_size: int = 16,
+    batch_size: int = DEFAULT_BATCH_SIZE,
     benchmarks: tuple[str, ...] | None = None,
     session: EvaluationSession | None = None,
 ) -> TemporalComparisonSummary:

@@ -44,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import BitFusionConfig
+from repro.core.fusion_unit import PARTIAL_SUM_BITS
 from repro.fingerprint import fingerprint_payload
 from repro.isa.instructions import LoopOrder
 
@@ -55,9 +56,6 @@ __all__ = [
     "search_tilings",
     "tile_candidates",
 ]
-
-#: Partial sums travel at 32 bits (Figure 4); spilled partials use this width.
-PARTIAL_SUM_BITS = 32
 
 #: Loop trip counts are 16-bit immediates (Table I), so one tile never spans
 #: more input columns than this.

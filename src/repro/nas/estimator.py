@@ -66,6 +66,7 @@ from repro.session.engine import (
     program_content_key,
     simulate_planned_blocks,
 )
+from repro.session.workload import DEFAULT_BATCH_SIZE
 from repro.sim.results import NetworkResult
 
 __all__ = ["Estimator", "EstimatorStats"]
@@ -164,8 +165,8 @@ class Estimator:
         result would be read back only for a fingerprint this process
         already priced, which a search never re-prices.
     batch_size:
-        Inference batch size every candidate is priced at (default 16,
-        the paper's).  ``estimate(network)`` equals
+        Inference batch size every candidate is priced at (default
+        ``DEFAULT_BATCH_SIZE``, the paper's 16).  ``estimate(network)`` equals
         ``BitFusionAccelerator(config).evaluate(network, batch_size)``.
     enable_loop_ordering, enable_layer_fusion:
         Compiler flags, part of the program cache key.
@@ -180,7 +181,7 @@ class Estimator:
         config: BitFusionConfig | None = None,
         cache: ResultCache | None = None,
         *,
-        batch_size: int = 16,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         enable_loop_ordering: bool = True,
         enable_layer_fusion: bool = True,
     ) -> None:

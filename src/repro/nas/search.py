@@ -47,6 +47,7 @@ from repro.energy.components import accelerator_area_mm2
 from repro.nas.estimator import Estimator
 from repro.nas.mutations import MUTATION_AXES, mutate
 from repro.session.cache import ResultCache
+from repro.session.workload import DEFAULT_BATCH_SIZE
 from repro.sim.results import NetworkResult
 from repro.spec_fields import checked_field, checked_list
 
@@ -81,7 +82,7 @@ class SearchSpec:
     generations: int = 4
     seed: int = 0
     objectives: tuple[str, ...] = ("latency", "energy", "area")
-    batch_size: int = 16
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
         # Resolve aliases eagerly so a bad base network fails before any

@@ -23,12 +23,17 @@ from repro.dnn import models
 from repro.dnn.network import Network
 
 __all__ = [
+    "DEFAULT_BATCH_SIZE",
     "Workload",
     "PLATFORMS",
     "fixed_bitwidth_network",
     "load_network",
     "network_digest",
 ]
+
+#: The paper's evaluation batch (Section V): workloads, sweeps, searches and
+#: the report's experiments price networks at it unless told otherwise.
+DEFAULT_BATCH_SIZE = 16
 
 #: Platform identifiers the session knows how to build models for.
 PLATFORMS = ("bitfusion", "eyeriss", "stripes", "gpu", "temporal")
@@ -86,7 +91,7 @@ class Workload:
 
     platform: str
     network: str
-    batch_size: int = 16
+    batch_size: int = DEFAULT_BATCH_SIZE
     variant: str = "quantized"
     fixed_bits: int | None = None
     config: Any = None
@@ -160,7 +165,7 @@ class Workload:
     @staticmethod
     def bitfusion(
         network: str,
-        batch_size: int = 16,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         config: BitFusionConfig | None = None,
         fixed_bits: int | None = None,
         enable_loop_ordering: bool = True,
@@ -185,7 +190,7 @@ class Workload:
 
     @staticmethod
     def eyeriss(
-        network: str, batch_size: int = 16, config: PlatformSpec | None = None
+        network: str, batch_size: int = DEFAULT_BATCH_SIZE, config: PlatformSpec | None = None
     ) -> "Workload":
         """An Eyeriss run on the regular (non-widened) model variant."""
         return Workload(
@@ -198,7 +203,7 @@ class Workload:
 
     @staticmethod
     def stripes(
-        network: str, batch_size: int = 16, config: PlatformSpec | None = None
+        network: str, batch_size: int = DEFAULT_BATCH_SIZE, config: PlatformSpec | None = None
     ) -> "Workload":
         """A Stripes run on the quantized model variant (Figure 18)."""
         return Workload(
@@ -213,7 +218,7 @@ class Workload:
         network: str,
         spec: GpuSpec,
         precision: GpuPrecision | str = GpuPrecision.FP32,
-        batch_size: int = 16,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> "Workload":
         """A GPU roofline run on the regular model variant (Figure 17)."""
         value = precision.value if isinstance(precision, GpuPrecision) else precision
@@ -228,7 +233,7 @@ class Workload:
 
     @staticmethod
     def temporal(
-        network: str, batch_size: int = 16, config: PlatformSpec | None = None
+        network: str, batch_size: int = DEFAULT_BATCH_SIZE, config: PlatformSpec | None = None
     ) -> "Workload":
         """A same-area temporal bit-serial design run (Section III-C)."""
         return Workload(

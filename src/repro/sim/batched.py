@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.fusion_unit import FusionConfig, fusion_config_for
+from repro.core.fusion_unit import PARTIAL_SUM_BITS, FusionConfig, fusion_config_for
 from repro.energy.breakdown import EnergyBreakdown
 from repro.isa.program import CompiledBlock
 from repro.isa.tiling import _INT64_SAFE_BOUND
@@ -50,9 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from repro.sim.executor import BitFusionSimulator
 
 __all__ = ["simulate_blocks_grid"]
-
-#: Partial sums accumulate at 32 bits in the output buffer (Figure 4).
-_PARTIAL_SUM_BITS = 32
 
 
 def _tiled_quotient_sum(
@@ -308,8 +305,8 @@ def simulate_blocks_grid(
     # Traffic shared across configuration rows except the ibuf column term.
     outputs = m * r
     wbuf_bits = macs * weight_lane_b
-    obuf_write_bits = outputs * _PARTIAL_SUM_BITS * np.maximum(1, reduction_passes)
-    obuf_read_bits = outputs * _PARTIAL_SUM_BITS * np.maximum(0, reduction_passes - 1)
+    obuf_write_bits = outputs * PARTIAL_SUM_BITS * np.maximum(1, reduction_passes)
+    obuf_read_bits = outputs * PARTIAL_SUM_BITS * np.maximum(0, reduction_passes - 1)
     obuf_total_f = (obuf_read_bits + obuf_write_bits).astype(np.float64)
     dram_total = dram_read + dram_write
     dram_total_f = dram_total.astype(np.float64)

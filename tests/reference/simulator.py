@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from repro.core.config import BitFusionConfig
-from repro.core.fusion_unit import FusionConfig, fusion_config_for
+from repro.core.fusion_unit import PARTIAL_SUM_BITS, FusionConfig, fusion_config_for
 from repro.energy.breakdown import EnergyBreakdown
 from repro.isa.program import CompiledBlock
 from repro.isa.tiling import TilingPlan
@@ -39,9 +39,6 @@ from repro.sim.executor import BitFusionSimulator
 from repro.sim.results import LayerResult, MemoryTraffic
 
 __all__ = ["CycleEstimate", "GemmCycleModel", "run_block"]
-
-#: Partial sums accumulate at 32 bits in the output buffer (Figure 4).
-_PARTIAL_SUM_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -173,8 +170,8 @@ def _buffer_traffic(
     # Each output element visits the column accumulator / output buffer
     # once per pass over the reduction dimension.
     outputs = workload.m * workload.r
-    obuf_write_bits = outputs * _PARTIAL_SUM_BITS * max(1, reduction_passes)
-    obuf_read_bits = outputs * _PARTIAL_SUM_BITS * max(0, reduction_passes - 1)
+    obuf_write_bits = outputs * PARTIAL_SUM_BITS * max(1, reduction_passes)
+    obuf_read_bits = outputs * PARTIAL_SUM_BITS * max(0, reduction_passes - 1)
 
     tiling = block.tiling
     return MemoryTraffic(

@@ -10,9 +10,9 @@ from __future__ import annotations
 from math import ceil
 
 from repro.core.config import BitFusionConfig
+from repro.core.fusion_unit import PARTIAL_SUM_BITS
 from repro.isa.instructions import LoopOrder
 from repro.isa.tiling import (
-    PARTIAL_SUM_BITS,
     GemmWorkload,
     TilingPlan,
     _no_feasible_tiling,

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.accelerator import BitFusionAccelerator
-from repro.core.config import BitFusionConfig
-from repro.core.systolic import SystolicArray
 from repro.dnn import models
 
 
@@ -59,15 +56,6 @@ class TestCompileAndRun:
         fused = BitFusionAccelerator().compile(network, batch_size=16)
         unfused = BitFusionAccelerator(enable_layer_fusion=False).compile(network, batch_size=16)
         assert len(unfused) > len(fused)
-
-
-class TestFunctionalArray:
-    def test_functional_array_is_bit_exact(self, rng):
-        array = SystolicArray(BitFusionConfig(rows=2, columns=2))
-        array.configure(4, 2)
-        weights = rng.integers(-2, 2, size=(3, 10))
-        inputs = rng.integers(-8, 8, size=10)
-        np.testing.assert_array_equal(array.matvec(weights, inputs), weights @ inputs)
 
 
 class TestPeakThroughput:

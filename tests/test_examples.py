@@ -2,7 +2,9 @@
 
 Each example runs in its own interpreter with ``PYTHONPATH=src`` from a
 scratch working directory, exactly as a reader would launch it, and must
-exit 0.
+exit 0.  ``quickstart.py`` and ``custom_network.py`` exit 1 when their
+bit-exact check of the BitBrick GEMM against NumPy fails, so the exit code
+gates those checks too.
 """
 
 from __future__ import annotations

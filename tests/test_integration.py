@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.accelerator import BitFusionAccelerator
@@ -142,18 +143,28 @@ class TestPublicApiPaths:
         assert via_accelerator.total_cycles == via_simulator.total_cycles
         assert via_accelerator.energy.total == pytest.approx(via_simulator.energy.total)
 
-    def test_functional_and_performance_paths_share_configuration(self, rng):
-        accelerator = BitFusionAccelerator(BitFusionConfig(rows=2, columns=2))
+    @pytest.mark.parametrize(
+        ("stride", "padding", "input_bits", "weight_bits"),
+        [(1, 1, 4, 2), (2, 1, 8, 4), (1, 0, 2, 2)],
+    )
+    def test_functional_lowering_is_the_gemm_the_simulator_prices(
+        self, rng, stride, padding, input_bits, weight_bits
+    ):
+        from repro.core.bitbrick import fused_matmul, im2col, random_operands
+
         layer = ConvLayer(name="c", in_channels=2, out_channels=3, in_height=5, in_width=5,
-                          kernel=3, padding=1, input_bits=4, weight_bits=2)
-        network = Network("tiny", [layer])
-        result = accelerator.run(network, 16)
-        assert result.layer(layer.name).input_bits == 4
+                          kernel=3, stride=stride, padding=padding,
+                          input_bits=input_bits, weight_bits=weight_bits)
+        result = BitFusionAccelerator().run(Network("tiny", [layer]), 16)
+        assert result.layer(layer.name).input_bits == input_bits
 
-        from repro.dnn.reference import random_layer_data, run_conv_layer
-
-        inputs, weights = random_layer_data(layer, rng)
-        assert run_conv_layer(layer, inputs, weights, accelerator.config).matches
+        inputs = random_operands(rng, (2, 5, 5), input_bits)
+        kernels = random_operands(rng, (3, 2 * 3 * 3), weight_bits)
+        columns = im2col(inputs, layer.kernel, stride, padding)
+        gemm = layer.gemm_shape()
+        assert (kernels.shape[0], *columns.shape) == (gemm.m, gemm.n, gemm.repeats)
+        fused = fused_matmul(kernels, columns, weight_bits=weight_bits, input_bits=input_bits)
+        np.testing.assert_array_equal(fused, kernels @ columns)
 
     def test_all_three_paper_configurations_run_all_benchmarks(self):
         configs = (
