@@ -81,12 +81,11 @@ from repro.nas.search import SearchSpec, run_search  # noqa: E402
 from repro.dse.pareto import pareto_indices  # noqa: E402
 from repro.dse.spec import SweepSpec  # noqa: E402
 from repro.isa.compiler import FusionCompiler  # noqa: E402
-from repro.isa.tiling import search_tiling  # noqa: E402
+from repro.isa.tiling import search_tilings  # noqa: E402
 from repro.session import EvaluationSession, Workload, execute_workload  # noqa: E402
 from repro.session.cache import CacheStats, ResultCache  # noqa: E402
 from repro.session.engine import make_plan_resolver  # noqa: E402
 from repro.sim.batched import simulate_blocks_grid  # noqa: E402
-from repro.sim.executor import BitFusionSimulator  # noqa: E402
 
 from reference.simulator import run_block  # noqa: E402
 from reference.tiling import search_tiling_scalar  # noqa: E402
@@ -167,7 +166,7 @@ def bench_compile(repeats: int) -> dict:
 
     def vector_searches() -> None:
         for gemm, orders in searches:
-            search_tiling(gemm, config, orders)
+            search_tilings((gemm,), config, orders)
 
     memo_stats_runs: list[CacheStats] = []
 
@@ -232,12 +231,11 @@ def bench_sim(repeats: int) -> dict:
     for name in models.BENCHMARKS:
         blocks.extend(FusionCompiler(config).compile(models.load(name), batch_size=16))
 
-    simulator = BitFusionSimulator(config)
     rounds = max(repeats * 3, 9)
     scalar_s, batched_s, batched_speedup = _interleaved(
         rounds,
-        lambda: [run_block(simulator, b) for b in blocks],
-        lambda: simulate_blocks_grid([simulator], blocks),
+        lambda: [run_block(config, b) for b in blocks],
+        lambda: simulate_blocks_grid([config], blocks),
     )
 
     # The bandwidth-sweep fast path: one block batch under several sim
@@ -248,11 +246,10 @@ def bench_sim(repeats: int) -> dict:
         config.with_bandwidth(512),
         config.with_bandwidth(768),
     ]
-    grid_sims = [BitFusionSimulator(c) for c in grid_configs]
     grid_scalar_s, grid_batched_s, grid_speedup = _interleaved(
         rounds,
-        lambda: [[run_block(sim, b) for b in blocks] for sim in grid_sims],
-        lambda: simulate_blocks_grid(grid_sims, blocks),
+        lambda: [[run_block(c, b) for b in blocks] for c in grid_configs],
+        lambda: simulate_blocks_grid(grid_configs, blocks),
     )
     return {
         "sim_blocks": len(blocks),

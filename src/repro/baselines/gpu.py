@@ -238,11 +238,3 @@ class GpuModel:
             frequency_mhz=_NOMINAL_FREQUENCY_MHZ,
             layers=layers,
         )
-
-    def describe(self) -> str:
-        spec = self.spec
-        return (
-            f"{spec.name} ({self.precision.value}): "
-            f"{spec.peak_gops(self.precision) / 1e3:.1f} T(FL)OPS peak, "
-            f"{spec.memory_bandwidth_gb_s:.0f} GB/s, {spec.tdp_w:.0f} W TDP"
-        )

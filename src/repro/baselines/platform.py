@@ -36,6 +36,7 @@ from math import ceil
 from typing import Callable, Sequence
 
 from repro.core.config import BitFusionConfig, TechnologyNode
+from repro.core.fusion_unit import SUPPORTED_BITWIDTHS
 from repro.dnn.layers import ConvLayer, Layer
 from repro.dnn.network import Network
 from repro.energy.breakdown import EnergyBreakdown
@@ -67,8 +68,6 @@ __all__ = [
     "SAME_AREA_MM2",
     "STRIPES_TILES",
 ]
-
-_VALID_BITS = (1, 2, 4, 8, 16)
 
 #: Concurrent 2-bit x 2-bit multiply lanes per temporal unit (the unit holds
 #: 16 BitBricks, matching the Fusion Unit it is compared against).
@@ -154,8 +153,8 @@ class PlatformSpec:
             if not 0.0 < getattr(self, label) <= 1.0:
                 raise bad(label, "in (0, 1]", getattr(self, label))
         for label in ("input_bits", "weight_bits"):
-            if getattr(self, label) not in (None, *_VALID_BITS):
-                raise bad(label, f"None or one of {_VALID_BITS}", getattr(self, label))
+            if getattr(self, label) not in (None, *SUPPORTED_BITWIDTHS):
+                raise bad(label, f"None or one of {SUPPORTED_BITWIDTHS}", getattr(self, label))
         if self.name == "stripes" and self.input_bits not in (8, 16):
             raise bad("input_bits", "8 or 16 on stripes", self.input_bits)
         for label in ("input_slice_bits", "weight_slice_bits"):
@@ -316,13 +315,6 @@ class PlatformModel:
                 else self._auxiliary_layer(layer, batch_size)
                 for layer in network
             ],
-        )
-
-    def describe(self) -> str:
-        spec = self.spec
-        return (
-            f"{spec.name}: {spec.mac_lanes} MAC lanes at {spec.frequency_mhz:.0f} MHz, "
-            f"{spec.technology.name}"
         )
 
 

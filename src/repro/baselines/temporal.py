@@ -51,16 +51,6 @@ class TemporalDesignComparison:
     fusion_power_nw: float = FUSION_UNIT_POWER_NW
     temporal_power_nw: float = TEMPORAL_UNIT_POWER_NW
 
-    @property
-    def area_reduction(self) -> float:
-        """Area advantage of the hybrid Fusion Unit (paper: 3.5x)."""
-        return self.temporal_area_um2 / self.fusion_area_um2
-
-    @property
-    def power_reduction(self) -> float:
-        """Power advantage of the hybrid Fusion Unit (paper: 3.2x)."""
-        return self.temporal_power_nw / self.fusion_power_nw
-
     def area_rows(self) -> list[dict[str, float | str]]:
         """Per-component area rows of the Figure 10 table (µm²)."""
         return _component_rows(

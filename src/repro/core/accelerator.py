@@ -6,7 +6,7 @@ description to performance and energy numbers:
 
 * the hardware configuration (:class:`~repro.core.config.BitFusionConfig`),
 * the Fusion-ISA compiler (:class:`~repro.isa.compiler.FusionCompiler`),
-* the cycle/energy simulator (:class:`~repro.sim.executor.BitFusionSimulator`).
+* the cycle/energy simulator (:func:`~repro.sim.batched.simulate_blocks_grid`).
 
 It is the one compile-and-price entry point.  The batch size is not
 hardware: :meth:`~BitFusionAccelerator.compile`,
@@ -33,8 +33,8 @@ from repro.core.config import BitFusionConfig
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler
 from repro.isa.program import Program
-from repro.sim.executor import BitFusionSimulator
-from repro.sim.results import NetworkResult
+from repro.sim.batched import simulate_blocks_grid
+from repro.sim.results import NetworkResult, compose_network_result
 
 __all__ = ["BitFusionAccelerator"]
 
@@ -64,7 +64,6 @@ class BitFusionAccelerator:
             enable_loop_ordering=enable_loop_ordering,
             enable_layer_fusion=enable_layer_fusion,
         )
-        self.simulator = BitFusionSimulator(self.config)
 
     # ------------------------------------------------------------------ #
     # Compilation and simulation
@@ -84,7 +83,13 @@ class BitFusionAccelerator:
         seam; both paths produce byte-identical results.
         """
         program = self.compile(network, batch_size)
-        return self.simulator.run_program(program, batch_size)
+        return compose_network_result(
+            network_name=program.network_name,
+            platform=self.config.name,
+            batch_size=batch_size,
+            frequency_mhz=self.config.frequency_mhz,
+            layers=simulate_blocks_grid([self.config], program.blocks)[0],
+        )
 
     def evaluate(self, network: Network, batch_size: int) -> NetworkResult:
         """Alias of :meth:`run`; the shared platform protocol the
@@ -92,27 +97,12 @@ class BitFusionAccelerator:
         every baseline alike."""
         return self.run(network, batch_size)
 
-    def run_program(self, program: Program, batch_size: int) -> NetworkResult:
-        """Simulate a program compiled at ``batch_size``."""
-        return self.simulator.run_program(program, batch_size)
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def peak_throughput_gops(self, input_bits: int = 8, weight_bits: int = 8) -> float:
         """Peak throughput at the given operand bitwidths (GOPS)."""
         return self.config.peak_throughput_gops(input_bits, weight_bits)
-
-    def area_mm2(self) -> float:
-        """Silicon area of this instance (compute array + SRAM), in mm².
-
-        Scaled to the configuration's technology node; this is the area
-        objective design-space sweeps (:mod:`repro.dse`) trade against
-        latency and energy.
-        """
-        from repro.energy.components import accelerator_area_mm2
-
-        return accelerator_area_mm2(self.config)
 
     def describe(self) -> str:
         """One-paragraph description of the configured accelerator."""

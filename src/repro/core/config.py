@@ -23,9 +23,7 @@ of every compile, simulate and evaluate call (and a field of the session's
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-
-from repro.fingerprint import fingerprint_payload
+from dataclasses import dataclass, field, replace
 
 __all__ = ["TechnologyNode", "BitFusionConfig"]
 
@@ -70,13 +68,6 @@ class TechnologyNode:
         )
 
     @staticmethod
-    def nm65() -> "TechnologyNode":
-        """The 65 nm node Stripes' power tools reported in (scaled up from 45 nm)."""
-        return TechnologyNode(
-            name="65nm", feature_nm=65.0, voltage_scale=1.1, capacitance_scale=1.4
-        )
-
-    @staticmethod
     def by_name(name: str) -> "TechnologyNode":
         """Look up one of the paper's nodes by name (``"45nm"``/``"16nm"``/``"65nm"``).
 
@@ -86,7 +77,10 @@ class TechnologyNode:
         nodes = {
             "45nm": TechnologyNode.nm45,
             "16nm": TechnologyNode.nm16,
-            "65nm": TechnologyNode.nm65,
+            # The node Stripes' power tools reported in (scaled up from 45 nm).
+            "65nm": lambda: TechnologyNode(
+                name="65nm", feature_nm=65.0, voltage_scale=1.1, capacitance_scale=1.4
+            ),
         }
         try:
             return nodes[name]()
@@ -172,16 +166,6 @@ class BitFusionConfig:
         """Aggregate on-chip scratchpad capacity."""
         return self.ibuf_kb + self.wbuf_kb + self.obuf_kb
 
-    @property
-    def cycle_time_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return 1e3 / self.frequency_mhz
-
-    @property
-    def dram_bandwidth_gbps(self) -> float:
-        """Off-chip bandwidth in gigabits per second."""
-        return self.dram_bandwidth_bits_per_cycle * self.frequency_mhz * 1e6 / 1e9
-
     def peak_macs_per_cycle(self, input_bits: int, weight_bits: int) -> float:
         """Peak multiply-accumulates per cycle at the given bitwidths."""
         from repro.core.fusion_unit import fusion_config_for
@@ -251,15 +235,6 @@ class BitFusionConfig:
             technology=TechnologyNode.nm16(),
             name="bitfusion-16nm",
         )
-
-    def fingerprint(self) -> str:
-        """Deterministic content hash of every configuration parameter.
-
-        Two configurations with equal field values produce the same digest in
-        any process on any platform, which is what lets the evaluation
-        session key its result cache on (config, network, batch) workloads.
-        """
-        return fingerprint_payload({"type": type(self).__name__, **asdict(self)})
 
     def with_bandwidth(self, bits_per_cycle: int) -> "BitFusionConfig":
         """Copy of this configuration with a different off-chip bandwidth."""

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from repro.core.fusion_unit import SUPPORTED_BITWIDTHS
+
 __all__ = [
     "GemmShape",
     "Layer",
@@ -34,15 +36,12 @@ __all__ = [
     "LSTMLayer",
     "RNNLayer",
     "layer_to_dict",
-    "layer_from_dict",
 ]
-
-_VALID_BITS = (1, 2, 4, 8, 16)
 
 
 def _check_bits(bits: int, label: str) -> int:
-    if bits not in _VALID_BITS:
-        raise ValueError(f"{label} must be one of {_VALID_BITS}, got {bits}")
+    if bits not in SUPPORTED_BITWIDTHS:
+        raise ValueError(f"{label} must be one of {SUPPORTED_BITWIDTHS}, got {bits}")
     return bits
 
 
@@ -98,15 +97,6 @@ class Layer:
     def kind(self) -> str:
         return type(self).__name__.replace("Layer", "").lower()
 
-    @property
-    def has_weights(self) -> bool:
-        return self.weight_count() > 0
-
-    @property
-    def is_compute(self) -> bool:
-        """Whether the layer maps onto the systolic array (GEMM-shaped)."""
-        return self.macs() > 0
-
     def macs(self) -> int:
         """Multiply-accumulates per input sample."""
         return self.gemm_shape().macs if self.has_gemm() else 0
@@ -129,12 +119,6 @@ class Layer:
 
     def output_elements(self) -> int:
         raise NotImplementedError
-
-    def input_bits_total(self) -> int:
-        return self.input_elements() * self.input_bits
-
-    def output_bits_total(self) -> int:
-        return self.output_elements() * self.output_bits
 
 
 @dataclass(frozen=True)
@@ -360,13 +344,6 @@ class RNNLayer(_RecurrentLayer):
 # ---------------------------------------------------------------------- #
 # Serialization
 # ---------------------------------------------------------------------- #
-#: Concrete layer classes by name, for :func:`layer_from_dict`.
-_LAYER_TYPES: dict[str, type[Layer]] = {
-    cls.__name__: cls
-    for cls in (Layer, ConvLayer, FCLayer, PoolLayer, ActivationLayer, LSTMLayer, RNNLayer)
-}
-
-
 #: Field names of each layer class, in declaration order (filled on first use).
 _FIELD_NAMES: dict[type[Layer], tuple[str, ...]] = {}
 
@@ -374,10 +351,10 @@ _FIELD_NAMES: dict[type[Layer], tuple[str, ...]] = {}
 def layer_to_dict(layer: Layer) -> dict[str, object]:
     """JSON-compatible payload of a layer: a type tag plus every field value.
 
-    Every layer field is an int or str, so the payload round-trips losslessly
-    through JSON; :func:`layer_from_dict` rebuilds an equal layer instance.
-    Compiled :class:`~repro.isa.program.Program` payloads (which embed the
-    layer each block implements) and hence their fingerprints build on it.
+    Every layer field is an int or str, so the payload survives JSON
+    unchanged.  Compiled :class:`~repro.isa.program.Program` payloads
+    (which embed the layer each block implements) and hence their
+    fingerprints build on it.
 
     Equal to ``{"type": ..., **dataclasses.asdict(layer)}`` but built from a
     per-class tuple of field names: ``asdict`` recurses and deep-copies every
@@ -391,15 +368,3 @@ def layer_to_dict(layer: Layer) -> dict[str, object]:
     for name in names:
         payload[name] = getattr(layer, name)
     return payload
-
-
-def layer_from_dict(payload: dict[str, object]) -> Layer:
-    """Rebuild a layer from :func:`layer_to_dict` output."""
-    type_name = payload.get("type")
-    if type_name not in _LAYER_TYPES:
-        raise ValueError(f"unknown layer type {type_name!r}")
-    cls = _LAYER_TYPES[type_name]
-    # Derived fields (e.g. the recurrent layers' ``gates``, init=False) are
-    # recomputed by the constructor, so only init-able fields pass through.
-    init_fields = {f.name for f in fields(cls) if f.init}
-    return cls(**{key: value for key, value in payload.items() if key in init_fields})

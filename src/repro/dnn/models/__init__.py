@@ -50,7 +50,6 @@ __all__ = [
     "canonical_name",
     "load",
     "load_baseline_variant",
-    "all_benchmarks",
     "build_alexnet",
     "build_cifar10",
     "build_lenet5",
@@ -200,8 +199,3 @@ def load_baseline_variant(name: str) -> Network:
     every other benchmark returns the same network as :func:`load`.
     """
     return _lookup(name).build_baseline()
-
-
-def all_benchmarks() -> dict[str, Network]:
-    """Build every benchmark network, keyed by canonical name."""
-    return {name: info.build() for name, info in BENCHMARKS.items()}

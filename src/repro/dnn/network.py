@@ -123,10 +123,6 @@ class Network:
         """Model size in bytes at each layer's encoded weight bitwidth."""
         return sum(layer.weight_bits_total() for layer in self) / 8.0
 
-    def total_weight_bytes_at(self, bits: int) -> float:
-        """Model size if every weight were stored at a fixed ``bits`` width."""
-        return self.total_weight_count() * bits / 8.0
-
     def bitwidth_profile(self) -> BitwidthProfile:
         """Distribution of MACs and weights over bitwidths (Figure 1)."""
         mac_hist: dict[tuple[int, int], float] = {}
@@ -169,12 +165,6 @@ class Network:
                 }
             )
         return self._fingerprint
-
-    def max_input_bits(self) -> int:
-        return max((layer.input_bits for layer in self.compute_layers()), default=8)
-
-    def max_weight_bits(self) -> int:
-        return max((layer.weight_bits for layer in self.compute_layers()), default=8)
 
     def summary(self) -> str:
         """Human-readable per-layer summary table."""

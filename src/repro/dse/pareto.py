@@ -178,16 +178,9 @@ class ParetoArchive(Generic[T]):
         keep = pareto_indices([vector for _, vector in merged])
         self._entries = [merged[index] for index in keep]
 
-    def add(self, item: T, vector: Sequence[float]) -> None:
-        self.extend([(item, vector)])
-
     @property
     def items(self) -> list[T]:
         return [item for item, _ in self._entries]
-
-    @property
-    def vectors(self) -> list[tuple[float, ...]]:
-        return [vector for _, vector in self._entries]
 
     def __len__(self) -> int:
         return len(self._entries)

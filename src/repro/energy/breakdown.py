@@ -62,41 +62,12 @@ class EnergyBreakdown:
             return {key: 0.0 for key in self.as_dict()}
         return {key: value / total for key, value in self.as_dict().items()}
 
-    def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
-        if not isinstance(other, EnergyBreakdown):
-            return NotImplemented
-        return EnergyBreakdown(
-            compute=self.compute + other.compute,
-            buffers=self.buffers + other.buffers,
-            register_file=self.register_file + other.register_file,
-            dram=self.dram + other.dram,
-        )
-
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        """Breakdown with every component multiplied by ``factor``.
-
-        Used for technology scaling and for converting per-batch energy to
-        per-inference energy.
-        """
-        if factor < 0:
-            raise ValueError(f"scale factor must be non-negative, got {factor}")
-        return EnergyBreakdown(
-            compute=self.compute * factor,
-            buffers=self.buffers * factor,
-            register_file=self.register_file * factor,
-            dram=self.dram * factor,
-        )
-
-    @staticmethod
-    def zero() -> "EnergyBreakdown":
-        return EnergyBreakdown()
-
     @staticmethod
     def sum(breakdowns: Iterable["EnergyBreakdown"]) -> "EnergyBreakdown":
         """Component-wise sum, validated once.
 
-        Folds left to right from zero, exactly as chained ``+`` would, so
-        the floats are bit-identical to it.
+        Folds each component left to right from zero, so the floats do not
+        depend on how the breakdowns are grouped.
         """
         compute = buffers = register_file = dram = 0.0
         for breakdown in breakdowns:

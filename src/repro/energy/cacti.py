@@ -103,19 +103,8 @@ class SramEnergyModel:
         """Energy per bit moved, in picojoules (45 nm)."""
         return self.energy_per_access_pj / self.access_bits
 
-    def energy_for_accesses_j(self, accesses: int | float) -> float:
-        """Total energy in joules for a number of accesses."""
-        if accesses < 0:
-            raise ValueError(f"access count must be non-negative, got {accesses}")
-        return accesses * self.energy_per_access_pj * 1e-12
-
     def energy_for_bits_j(self, bits: int | float) -> float:
         """Total energy in joules for moving a number of bits."""
         if bits < 0:
             raise ValueError(f"bit count must be non-negative, got {bits}")
         return bits * self.energy_per_bit_pj * 1e-12
-
-    @property
-    def area_mm2(self) -> float:
-        """Array area in mm² at 45 nm."""
-        return sram_area_mm2(self.capacity_kb)

@@ -140,12 +140,6 @@ class ComputeEnergyModel:
         fraction = bricks_per_mac / BITBRICKS_PER_FUSION_UNIT
         return FUSION_UNIT_MAC_8x8_PJ * fraction * self._scale
 
-    def fusion_energy_for_macs_j(self, config: FusionConfig, macs: int | float) -> float:
-        """Total Bit Fusion compute energy in joules for ``macs`` multiply-adds."""
-        if macs < 0:
-            raise ValueError(f"mac count must be non-negative, got {macs}")
-        return macs * self.fusion_mac_energy_pj(config) * 1e-12
-
     # -- Eyeriss ---------------------------------------------------------- #
     def eyeriss_mac_energy_pj(self) -> float:
         """Energy of one 16-bit multiply-accumulate in an Eyeriss PE."""
@@ -175,10 +169,6 @@ class ComputeEnergyModel:
     def fusion_unit_area_mm2(self) -> float:
         """Area of one Fusion Unit at the model's technology node, mm²."""
         return FUSION_UNIT_AREA_UM2 * 1e-6 * self.technology.area_scale
-
-    def fusion_units_per_mm2(self) -> float:
-        """Fusion Units that fit in 1 mm² of compute area at this node."""
-        return 1.0 / self.fusion_unit_area_mm2()
 
 
 def accelerator_area_mm2(config: "BitFusionConfig") -> float:

@@ -42,7 +42,3 @@ class DramEnergyModel:
         if bits < 0:
             raise ValueError(f"bit count must be non-negative, got {bits}")
         return bits * self.pj_per_bit * 1e-12
-
-    def energy_for_bytes_j(self, num_bytes: int | float) -> float:
-        """Total DRAM energy in joules for ``num_bytes`` of traffic."""
-        return self.energy_for_bits_j(num_bytes * 8)

@@ -46,11 +46,6 @@ class BreakdownRow:
             "DRAM": self.dram,
         }
 
-    @property
-    def memory_fraction(self) -> float:
-        """Fraction of energy spent moving data (buffers + register file + DRAM)."""
-        return self.buffers + self.register_file + self.dram
-
 
 def run(
     batch_size: int = DEFAULT_BATCH_SIZE,

@@ -17,22 +17,19 @@ the evaluated layers — and binary footprint).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.isa.encoding import (
     INSTRUCTION_BYTES,
-    encode_block,
     encode_block_hex,
 )
 from repro.isa.instructions import (
     BlockEnd,
-    Compute,
     GenAddr,
     Instruction,
     LdMem,
     Loop,
-    Opcode,
     RdBuf,
     Setup,
     StMem,
@@ -121,10 +118,6 @@ class InstructionBlock:
     # ------------------------------------------------------------------ #
     # Container protocol
     # ------------------------------------------------------------------ #
-    @property
-    def instructions(self) -> tuple[Instruction, ...]:
-        return self._instructions
-
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self._instructions)
 
@@ -145,13 +138,6 @@ class InstructionBlock:
         return setup
 
     @property
-    def block_end(self) -> BlockEnd:
-        """The block's terminating ``block-end`` instruction."""
-        end = self._instructions[-1]
-        assert isinstance(end, BlockEnd)
-        return end
-
-    @property
     def input_bits(self) -> int:
         return self.setup.input_bits
 
@@ -163,13 +149,6 @@ class InstructionBlock:
         """Loop instructions in declaration order."""
         return [instr for instr in self if isinstance(instr, Loop)]
 
-    def loops_at_level(self, level: int) -> list[Loop]:
-        """Loop instructions declared at the given nesting level."""
-        return [loop for loop in self.loops() if loop.level == level]
-
-    def address_generators(self) -> list[GenAddr]:
-        return [instr for instr in self if isinstance(instr, GenAddr)]
-
     def memory_instructions(self) -> list[Instruction]:
         """The ``ld-mem``/``st-mem`` instructions of the block."""
         return [instr for instr in self if isinstance(instr, (LdMem, StMem))]
@@ -178,16 +157,9 @@ class InstructionBlock:
         """The ``rd-buf``/``wr-buf`` instructions of the block."""
         return [instr for instr in self if isinstance(instr, (RdBuf, WrBuf))]
 
-    def compute_instructions(self) -> list[Compute]:
-        return [instr for instr in self if isinstance(instr, Compute)]
-
     # ------------------------------------------------------------------ #
     # Statistics and encoding
     # ------------------------------------------------------------------ #
-    def encode(self) -> bytes:
-        """Binary image of the block."""
-        return encode_block(self._instructions)
-
     def to_dict(self) -> dict[str, str]:
         """JSON-compatible payload: the block name plus its hex binary image.
 

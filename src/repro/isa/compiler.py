@@ -33,7 +33,6 @@ from repro.core.config import BitFusionConfig
 from repro.dnn.layers import (
     ActivationLayer,
     ConvLayer,
-    FCLayer,
     Layer,
     LSTMLayer,
     PoolLayer,
@@ -60,13 +59,7 @@ from repro.isa.optimizations import fuse_layers
 from repro.isa.program import CompiledBlock, Program
 from repro.isa.tiling import GemmWorkload, TilingPlan, search_tilings
 
-__all__ = [
-    "FusionCompiler",
-    "PlanResolver",
-    "TilingRequest",
-    "compile_layer",
-    "compile_network",
-]
+__all__ = ["FusionCompiler", "PlanResolver", "TilingRequest"]
 
 #: One tiling search a compilation needs: the GEMM and the loop orders the
 #: search may consider.
@@ -156,7 +149,7 @@ def _clamp_stride(value: int) -> int:
 
 
 class FusionCompiler:
-    """Compiles layers and networks into Fusion-ISA programs.
+    """Compiles networks into Fusion-ISA programs.
 
     Parameters
     ----------
@@ -275,29 +268,13 @@ class FusionCompiler:
         )
 
     def _tiling_request(self, head: Layer, batch_size: int) -> TilingRequest:
-        """The tiling search the block headed by ``head`` needs.
-
-        Shared by :meth:`compile`, the single-layer entry points and
-        :meth:`tiling_requests`, so the search a request predicts is
-        exactly the search compilation runs.
-        """
+        """The tiling search the block headed by ``head`` needs."""
         if head.has_gemm():
             return self.gemm_workload(head, batch_size), self.gemm_orders()
         return (
             self.auxiliary_gemm_workload(head, batch_size),
             (LoopOrder.OUTPUT_STATIONARY,),
         )
-
-    def tiling_requests(self, network: Network, batch_size: int) -> list[TilingRequest]:
-        """The ``(gemm, orders)`` tiling searches compiling ``network`` would run.
-
-        Derivable without searching or emitting a single instruction: fusion
-        grouping plus GEMM-shape lowering only.  The keys built from these
-        pairs are exactly the keys a fresh compiler's :meth:`compile` would
-        hand its plan resolver, in program order.
-        """
-        decision = fuse_layers(network.layers, enable=self.enable_layer_fusion)
-        return [self._tiling_request(group[0], batch_size) for group in decision.groups]
 
     # ------------------------------------------------------------------ #
     # Instruction emission
@@ -502,19 +479,8 @@ class FusionCompiler:
         return instructions
 
     # ------------------------------------------------------------------ #
-    # Layer compilation
+    # Block emission
     # ------------------------------------------------------------------ #
-    def compile_compute_layer(
-        self,
-        layer: Layer,
-        batch_size: int,
-        fused: tuple[Layer, ...] = (),
-    ) -> CompiledBlock:
-        """Compile one GEMM-shaped layer (plus fused followers) to a block."""
-        workload = self.gemm_workload(layer, batch_size)
-        (tiling,) = self._plan_tilings([(workload, self.gemm_orders())])
-        return self._emit_compute_block(layer, fused, batch_size, tiling)
-
     def _emit_compute_block(
         self,
         layer: Layer,
@@ -546,19 +512,6 @@ class FusionCompiler:
             loop_order=tiling.loop_order,
             fused_layers=fused,
         )
-
-    def compile_auxiliary_layer(self, layer: Layer, batch_size: int) -> CompiledBlock:
-        """Compile a standalone pooling/activation layer to its own block.
-
-        The data still lowers to a (degenerate) workload so the simulator can
-        charge its DRAM traffic; the compute happens on the per-column units.
-        """
-        if layer.has_gemm():
-            raise ValueError(
-                f"layer {layer.name!r} lowers to a GEMM; use compile_compute_layer"
-            )
-        (tiling,) = self._plan_tilings([self._tiling_request(layer, batch_size)])
-        return self._emit_auxiliary_block(layer, batch_size, tiling)
 
     def _emit_auxiliary_block(
         self, layer: Layer, batch_size: int, tiling: TilingPlan
@@ -655,16 +608,3 @@ class FusionCompiler:
                 for key, block in zip(keys, blocks)
             ],
         )
-
-
-def compile_layer(layer: Layer, config: BitFusionConfig, batch_size: int) -> CompiledBlock:
-    """Convenience wrapper: compile a single layer with default optimizations."""
-    compiler = FusionCompiler(config)
-    if layer.has_gemm():
-        return compiler.compile_compute_layer(layer, batch_size)
-    return compiler.compile_auxiliary_layer(layer, batch_size)
-
-
-def compile_network(network: Network, config: BitFusionConfig, batch_size: int) -> Program:
-    """Convenience wrapper: compile a network with default optimizations."""
-    return FusionCompiler(config).compile(network, batch_size)

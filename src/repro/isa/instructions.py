@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum, unique
 
+from repro.core.fusion_unit import SUPPORTED_BITWIDTHS
+
 __all__ = [
     "Opcode",
     "ScratchpadType",
@@ -103,8 +105,8 @@ def _check_field(value: int, bits: int, name: str) -> int:
 
 
 def _check_bitwidth(bits: int, name: str) -> int:
-    if bits not in (1, 2, 4, 8, 16):
-        raise ValueError(f"{name} must be one of (1, 2, 4, 8, 16), got {bits}")
+    if bits not in SUPPORTED_BITWIDTHS:
+        raise ValueError(f"{name} must be one of {SUPPORTED_BITWIDTHS}, got {bits}")
     return bits
 
 

@@ -107,13 +107,13 @@ def interpret_block(block: InstructionBlock, max_events: int = 1_000_000) -> Blo
         would emit more events raise :class:`ValueError` (the caller should
         trace a smaller configuration instead).
     """
-    memory_loops: list[Loop] = block.loops_at_level(0)
+    memory_loops: list[Loop] = [loop for loop in block.loops() if loop.level == 0]
     loop_ids = [loop.loop_id for loop in memory_loops]
 
     # gen-addr strides per scratchpad, restricted to the memory-level loops.
     strides: dict[ScratchpadType, dict[int, int]] = {pad: {} for pad in ScratchpadType}
-    for instruction in block.address_generators():
-        if instruction.loop_id in loop_ids:
+    for instruction in block:
+        if isinstance(instruction, GenAddr) and instruction.loop_id in loop_ids:
             strides[instruction.scratchpad][instruction.loop_id] = instruction.stride
 
     transfers: list[tuple[str, ScratchpadType, int]] = []

@@ -40,11 +40,6 @@ class FusionDecision:
 
     groups: tuple[tuple[Layer, ...], ...]
 
-    @property
-    def fused_layer_count(self) -> int:
-        """Number of layers absorbed into a preceding compute layer's block."""
-        return sum(len(group) - 1 for group in self.groups if len(group) > 1)
-
 
 def _is_fusable_follower(layer: Layer) -> bool:
     """Whether a layer can ride along in the preceding compute layer's block.

@@ -57,10 +57,6 @@ class CompiledBlock:
     def name(self) -> str:
         return self.block.name
 
-    @property
-    def is_fused(self) -> bool:
-        return bool(self.fused_layers)
-
     # ------------------------------------------------------------------ #
     # Serialization and fingerprinting
     # ------------------------------------------------------------------ #
@@ -156,11 +152,6 @@ class Program:
         self._blocks: list[CompiledBlock] = list(blocks)
         self._fingerprint: str | None = None
 
-    def append(self, block: CompiledBlock) -> "Program":
-        self._blocks.append(block)
-        self._fingerprint = None
-        return self
-
     @property
     def blocks(self) -> list[CompiledBlock]:
         return list(self._blocks)
@@ -190,9 +181,7 @@ class Program:
     def fingerprint(self) -> str:
         """Stable content hash over the serialized program payload.
 
-        Memoized until the next :meth:`append` (programs are effectively
-        frozen once compiled; the cache re-fingerprints them on every
-        workload-level lookup).
+        Memoized: a program's blocks are fixed when it is built.
         """
         if self._fingerprint is None:
             self._fingerprint = fingerprint_payload(self.to_dict())
@@ -208,10 +197,6 @@ class Program:
     def total_binary_bytes(self) -> int:
         """Total binary footprint of the compiled program."""
         return sum(compiled.block.stats().binary_bytes for compiled in self)
-
-    def instruction_counts(self) -> dict[str, int]:
-        """Per-block instruction counts, keyed by block name."""
-        return {compiled.name: len(compiled.block) for compiled in self}
 
     def summary(self) -> str:
         """Human-readable per-block summary."""

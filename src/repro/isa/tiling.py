@@ -21,17 +21,15 @@ traffic of the three dataflow orders is:
 * **input-stationary** — each input tile is fetched exactly once; weights
   are re-fetched once per ``R``-tile and partial sums spill as above.
 
-:func:`plan_tiling` performs an exhaustive search over tile sizes for one
-order; :func:`search_tiling` compares the orders.  The search is
-deterministic, and since the candidate space is a dense (tile_m x tile_n x
-loop_order) grid it is scored *vectorized*: numpy broadcasts the
-buffer-feasibility masks, the traffic formulas and the
-``(total_dram_bits, tile_count)`` tie-break key over the whole grid, and
-over many GEMMs at once (:func:`search_tilings`, which the compiler calls
-once per program; :func:`search_tiling` is a batch of one).  The readable
-pure-Python double loop over the same grid lives with the tests
-(``tests/reference/tiling.py``), which hold this search to it plan for
-plan.  A GEMM whose traffic could overflow 64-bit arithmetic is rejected
+:func:`search_tilings` performs an exhaustive search over tile sizes and
+the given loop orders for many GEMMs at once; the compiler calls it once
+per program.  The search is deterministic, and since the candidate space
+is a dense (tile_m x tile_n x loop_order) grid it is scored *vectorized*:
+numpy broadcasts the buffer-feasibility masks, the traffic formulas and
+the ``(total_dram_bits, tile_count)`` tie-break key over the whole grid of
+every GEMM in the batch.  The readable pure-Python double loop over the
+same grid lives with the tests (``tests/reference/tiling.py``), which hold
+this search to it plan for plan.  A GEMM whose traffic could overflow 64-bit arithmetic is rejected
 with a one-line :class:`ValueError`.
 """
 
@@ -44,22 +42,18 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import BitFusionConfig
-from repro.core.fusion_unit import PARTIAL_SUM_BITS
+from repro.core.fusion_unit import PARTIAL_SUM_BITS, SUPPORTED_BITWIDTHS
 from repro.fingerprint import fingerprint_payload
 from repro.isa.instructions import LoopOrder
 
-__all__ = [
-    "GemmWorkload",
-    "TilingPlan",
-    "plan_tiling",
-    "search_tiling",
-    "search_tilings",
-    "tile_candidates",
-]
+__all__ = ["GemmWorkload", "TilingPlan", "search_tilings", "tile_candidates"]
 
 #: Loop trip counts are 16-bit immediates (Table I), so one tile never spans
 #: more input columns than this.
 _MAX_TILE_R = (1 << 16) - 1
+
+#: A GEMM's output may also be written back at the full partial-sum width.
+_OUTPUT_BITWIDTHS = (*SUPPORTED_BITWIDTHS, PARTIAL_SUM_BITS)
 
 
 @dataclass(frozen=True)
@@ -81,12 +75,12 @@ class GemmWorkload:
         for label, value in (("m", self.m), ("n", self.n), ("r", self.r)):
             if value <= 0:
                 raise ValueError(f"GEMM dimension {label} must be positive, got {value}")
-        for label, value in (
-            ("input_bits", self.input_bits),
-            ("weight_bits", self.weight_bits),
-            ("output_bits", self.output_bits),
+        for label, value, widths in (
+            ("input_bits", self.input_bits, SUPPORTED_BITWIDTHS),
+            ("weight_bits", self.weight_bits, SUPPORTED_BITWIDTHS),
+            ("output_bits", self.output_bits, _OUTPUT_BITWIDTHS),
         ):
-            if value not in (1, 2, 4, 8, 16, 32):
+            if value not in widths:
                 raise ValueError(f"{label} must be a supported bitwidth, got {value}")
 
     @property
@@ -521,27 +515,3 @@ def search_tilings(
             TilingPlan(workload, order, chosen_m, chosen_n, chosen_r, *traffic)
         )
     return plans
-
-
-def search_tiling(
-    workload: GemmWorkload,
-    config: BitFusionConfig,
-    orders: tuple[LoopOrder, ...],
-) -> TilingPlan:
-    """The best tiling of one GEMM over ``orders``: a batch of one.
-
-    See :func:`search_tilings` for the search and its errors.
-    """
-    return search_tilings((workload,), config, orders)[0]
-
-
-def plan_tiling(
-    workload: GemmWorkload,
-    config: BitFusionConfig,
-    loop_order: LoopOrder = LoopOrder.OUTPUT_STATIONARY,
-) -> TilingPlan:
-    """Find the minimum-traffic tiling of ``workload`` for one loop order.
-
-    Vectorized grid search over one order (see :func:`search_tiling`).
-    """
-    return search_tiling(workload, config, (loop_order,))

@@ -14,7 +14,7 @@ in-process only):
    (or any other simulation-only parameter) therefore reuses one compiled
    program across all its points.
 2. **simulate-blocks** — run each instruction block independently through
-   :class:`~repro.sim.executor.BitFusionSimulator` into a
+   :func:`~repro.sim.batched.simulate_blocks_grid` into a
    :class:`~repro.sim.results.LayerResult`, keyed by the *name-free* layer
    fingerprint plus the simulation-affecting configuration
    (:func:`layer_cache_key`).  Blocks whose cycle/energy inputs are
@@ -66,7 +66,6 @@ from repro.isa.tiling import GemmWorkload, TilingPlan
 from repro.session.cache import CacheStats, ResultCache
 from repro.session.workload import Workload, load_network, network_digest
 from repro.sim.batched import simulate_blocks_grid
-from repro.sim.executor import BitFusionSimulator
 from repro.sim.results import LayerResult, NetworkResult, compose_network_result
 
 __all__ = [
@@ -85,7 +84,6 @@ __all__ = [
     "program_cache_key",
     "program_content_key",
     "simulate_planned_blocks",
-    "simulator_for",
     "tiling_cache_key",
 ]
 
@@ -298,20 +296,6 @@ def obtain_program(
 # ---------------------------------------------------------------------- #
 # Stage 2: simulate-blocks
 # ---------------------------------------------------------------------- #
-@lru_cache(maxsize=None)
-def simulator_for(config: BitFusionConfig) -> BitFusionSimulator:
-    """The (memoized) simulator instance for one configuration.
-
-    Building a :class:`~repro.sim.executor.BitFusionSimulator` re-derives
-    the per-component energy models (SRAM bank sizing, technology scaling)
-    every time; memoizing per configuration means the session stops
-    rebuilding identical model state once per workload.
-    ``BitFusionConfig`` is frozen/hashable and the simulator is stateless,
-    so sharing instances is safe.
-    """
-    return BitFusionSimulator(config)
-
-
 @lru_cache(maxsize=None)
 def _sim_config_json(config: BitFusionConfig) -> str:
     """Canonical JSON of the configuration parameters one block's simulation reads.
@@ -581,11 +565,10 @@ def simulate_planned_blocks(plans: Sequence[WorkPlan]) -> list[dict[int, LayerRe
         signature = tuple(block.fingerprint() for _, _, block in items)
         by_batch.setdefault(signature, []).append((config, items))
     for groups in by_batch.values():
-        simulators = [simulator_for(config) for config, _ in groups]
         # Identical fingerprints mean identical block content, so the first
         # group's blocks stand in for every config row of the grid.
         blocks = [block for _, _, block in groups[0][1]]
-        rows = simulate_blocks_grid(simulators, blocks)
+        rows = simulate_blocks_grid([config for config, _ in groups], blocks)
         for (_, items), row in zip(groups, rows):
             for (plan_index, block_index, _), layer in zip(items, row):
                 out[plan_index][block_index] = layer

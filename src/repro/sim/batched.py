@@ -1,12 +1,33 @@
-"""The block simulator, vectorized over ``(sim-config, block)`` grids.
+"""The Bit Fusion block simulator, vectorized over ``(config, block)`` grids.
 
-One numpy pass per configuration row prices every block of a batch:
-compute cycles of the tiled GEMM on the systolic array, DRAM traffic from
-the block's tiling plan and its conversion to transfer cycles, on-chip
-buffer traffic from the systolic data flow, and the energy of all of it
-(see :mod:`repro.sim.executor` for the model).  The per-block
-structure-of-arrays extraction is done once and broadcast across every
-configuration row, which is what makes bandwidth and geometry sweeps cheap.
+For every :class:`~repro.isa.program.CompiledBlock` the simulator
+(:func:`simulate_blocks_grid`)
+
+1. reads the fusion configuration the block's operand bitwidths select,
+2. estimates the compute-phase cycles of the tiled GEMM on the systolic
+   array,
+3. derives the off-chip traffic from the block's tiling plan and converts it
+   to transfer cycles at the configured bandwidth,
+4. counts on-chip buffer traffic from the systolic data flow (inputs are
+   broadcast along rows, weights are private per Fusion Unit, partial sums
+   accumulate down columns into the output buffer),
+5. prices the counts with the compute / SRAM / DRAM energy models
+   :func:`energy_models` binds per configuration.
+
+The block's latency is ``max(compute, memory) + overheads`` because the ISA
+decouples on-chip execution from off-chip transfers (double-buffered
+scratchpads, Section IV-A); the per-block overhead covers instruction
+fetch/decode and array fill/drain.
+
+Pooling and activation layers that were *not* fused into a compute block are
+charged their data movement (they are always memory-bound) and the pooling
+comparisons are assumed to hide entirely under the transfer time, matching
+the paper's treatment of the per-column units.
+
+One numpy pass per configuration row prices every block of a batch.  The
+per-block structure-of-arrays extraction is done once and broadcast across
+every configuration row, which is what makes bandwidth and geometry sweeps
+cheap.
 
 The model's readable scalar spec — one block at a time in plain Python —
 lives with the tests (``tests/reference/simulator.py``), and the tests
@@ -25,8 +46,8 @@ hold this module to it field for field, float bits included:
 * energy formulas keep the spec's association order
   (``(bits * pj_per_bit) * 1e-12``, buffer terms summed left to right, the
   sum scaled last), and the per-configuration scalars (peak MAC rate, MAC
-  energy, per-bit SRAM/DRAM prices) come *from the simulator's own energy
-  models*, never recomputed.
+  energy, per-bit SRAM/DRAM prices) come *from* :func:`energy_models`,
+  never recomputed.
 
 A block whose counts could overflow ``int64`` — bounded by the tiling
 search's :data:`~repro.isa.tiling._INT64_SAFE_BOUND` — is rejected with a
@@ -36,20 +57,60 @@ the bound.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.config import BitFusionConfig
 from repro.core.fusion_unit import PARTIAL_SUM_BITS, FusionConfig, fusion_config_for
 from repro.energy.breakdown import EnergyBreakdown
+from repro.energy.cacti import SramEnergyModel
+from repro.energy.components import ComputeEnergyModel
+from repro.energy.dram import DramEnergyModel
 from repro.isa.program import CompiledBlock
 from repro.isa.tiling import _INT64_SAFE_BOUND
 from repro.sim.results import LayerResult, MemoryTraffic
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
-    from repro.sim.executor import BitFusionSimulator
+__all__ = ["energy_models", "simulate_blocks_grid"]
 
-__all__ = ["simulate_blocks_grid"]
+
+@dataclass(frozen=True)
+class _EnergyModels:
+    """The per-component energy models bound to one accelerator configuration."""
+
+    compute: ComputeEnergyModel
+    ibuf: SramEnergyModel
+    wbuf: SramEnergyModel
+    obuf: SramEnergyModel
+    dram: DramEnergyModel
+
+
+@lru_cache(maxsize=None)
+def energy_models(config: BitFusionConfig) -> _EnergyModels:
+    """The compute, SRAM and DRAM energy models of one configuration.
+
+    Memoized per configuration (``BitFusionConfig`` is frozen, hence
+    hashable, and the models are immutable), so a sweep derives each
+    configuration's bank sizing and technology scaling once.
+    """
+    scale = config.technology.energy_scale
+    # The weight buffer is physically distributed: one small bank per
+    # Fusion Unit (Figure 3), which is what makes its per-access energy
+    # register-file-like.  The input/output buffers are banked per
+    # row/column; energy is modelled per bank.
+    wbuf_bank_kb = max(config.wbuf_kb / config.fusion_units, 1.0 / 16.0)
+    ibuf_bank_kb = max(config.ibuf_kb / config.rows, 0.25)
+    obuf_bank_kb = max(config.obuf_kb / config.columns, 0.25)
+    return _EnergyModels(
+        compute=ComputeEnergyModel(technology=config.technology),
+        ibuf=SramEnergyModel(capacity_kb=ibuf_bank_kb, access_bits=config.buffer_access_bits),
+        wbuf=SramEnergyModel(capacity_kb=wbuf_bank_kb, access_bits=config.buffer_access_bits),
+        obuf=SramEnergyModel(capacity_kb=obuf_bank_kb, access_bits=config.buffer_access_bits),
+        # The 45 nm DRAM reference, scaled by the technology node.
+        dram=DramEnergyModel(pj_per_bit=DramEnergyModel().pj_per_bit * scale),
+    )
 
 
 def _tiled_quotient_sum(
@@ -151,13 +212,13 @@ def _materialize(
 
 
 def simulate_blocks_grid(
-    simulators: Sequence["BitFusionSimulator"], blocks: Sequence[CompiledBlock]
+    configs: Sequence[BitFusionConfig], blocks: Sequence[CompiledBlock]
 ) -> list[list[LayerResult]]:
-    """Simulate a ``(sim-config, block)`` grid in one vectorized pass.
+    """Simulate a ``(config, block)`` grid in one vectorized pass.
 
-    ``simulators`` are rows, ``blocks`` are columns; row ``i`` holds one
+    ``configs`` are rows, ``blocks`` are columns; row ``i`` holds one
     :class:`LayerResult` per block, in block order, priced at
-    ``simulators[i]``'s configuration.  This is the 2-D entry point the
+    ``configs[i]``.  This is the 2-D entry point the
     session engine uses for sweeps that vary only simulation parameters
     (bandwidth, frequency, array geometry).
 
@@ -175,8 +236,8 @@ def simulate_blocks_grid(
     """
     blocks = list(blocks)
     if not blocks:
-        return [[] for _ in simulators]
-    max_fill = max(sim.config.rows + sim.config.columns for sim in simulators)
+        return [[] for _ in configs]
+    max_fill = max(config.rows + config.columns for config in configs)
     limit = _INT64_SAFE_BOUND
 
     # ---- structure-of-arrays extraction (shared across all config rows) --
@@ -317,9 +378,8 @@ def simulate_blocks_grid(
     obuf_write_list = obuf_write_bits.tolist()
 
     rows_out: list[list[LayerResult]] = []
-    for sim in simulators:
-        config = sim.config
-        models = sim._energy
+    for config in configs:
+        models = energy_models(config)
         rows = config.rows
         columns = config.columns
         scale = config.technology.energy_scale
@@ -328,7 +388,7 @@ def simulate_blocks_grid(
         wbuf_pj = models.wbuf.energy_per_bit_pj
         obuf_pj = models.obuf.energy_per_bit_pj
         dram_pj = models.dram.pj_per_bit
-        # Per-fusion scalars computed through the simulator's own models so
+        # Per-fusion scalars computed through the configuration's models so
         # the float values are the scalar spec's, bit for bit.
         logical_rows = rows * fused_pes
         peak = np.array(

@@ -70,15 +70,6 @@ class MemoryTraffic:
     def dram_total_bits(self) -> int:
         return self.dram_read_bits + self.dram_write_bits
 
-    @property
-    def buffer_total_bits(self) -> int:
-        return (
-            self.ibuf_read_bits
-            + self.wbuf_read_bits
-            + self.obuf_read_bits
-            + self.obuf_write_bits
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "dram_read_bits": self.dram_read_bits,
@@ -89,16 +80,6 @@ class MemoryTraffic:
             "obuf_write_bits": self.obuf_write_bits,
             "register_file_bits": self.register_file_bits,
         }
-
-    def __add__(self, other: "MemoryTraffic") -> "MemoryTraffic":
-        if not isinstance(other, MemoryTraffic):
-            return NotImplemented
-        return MemoryTraffic(
-            **{
-                key: value + other.as_dict()[key]
-                for key, value in self.as_dict().items()
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -181,9 +162,9 @@ class NetworkResult:
     All per-layer quantities are *per batch*; the aggregate properties below
     convert to per-inference numbers using :attr:`batch_size`.
 
-    :attr:`total_cycles`, :attr:`traffic` and :attr:`energy` fold every
-    layer, and reports read them many times per result, so each is
-    computed once per instance.  The memo sits in the instance ``__dict__``
+    :attr:`total_cycles` and :attr:`energy` fold every layer, and reports
+    read them many times per result, so each is computed once per
+    instance.  The memo sits in the instance ``__dict__``
     outside the dataclass fields: equality, hashing, ``asdict``,
     ``replace`` and pickling ignore it.
     """
@@ -246,13 +227,6 @@ class NetworkResult:
         return sum(layer.macs for layer in self.layers)
 
     @cached_property
-    def traffic(self) -> MemoryTraffic:
-        total = MemoryTraffic()
-        for layer in self.layers:
-            total = total + layer.traffic
-        return total
-
-    @cached_property
     def energy(self) -> EnergyBreakdown:
         """Energy per batch, by component."""
         return EnergyBreakdown.sum(layer.energy for layer in self.layers)
@@ -281,13 +255,6 @@ class NetworkResult:
     def energy_reduction_over(self, other: "NetworkResult") -> float:
         """How many times less energy per inference this platform uses than ``other``."""
         return other.energy_per_inference_j / self.energy_per_inference_j
-
-    def layer(self, name: str) -> LayerResult:
-        """Look up a layer result by (block) name."""
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer result named {name!r} in {self.network_name}")
 
     def summary(self) -> str:
         """Human-readable per-layer summary."""

@@ -8,7 +8,7 @@ were derived from live here, one formula per line, so the tests and the
 perf suite (``benchmarks/perf/run.py``) can check the production paths
 against them bit for bit and time them against each other:
 
-* :mod:`reference.simulator` — ``run_block(simulator, block)``, the
+* :mod:`reference.simulator` — ``run_block(config, block)``, the
   per-block cycle, traffic and energy model, and the GEMM cycle model
   (:class:`~reference.simulator.GemmCycleModel`);
 * :mod:`reference.tiling` — ``plan_tiling_scalar`` and

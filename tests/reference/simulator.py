@@ -1,8 +1,8 @@
 """Scalar block simulator: cycles, traffic and energy of one compiled block.
 
 :func:`repro.sim.batched.simulate_blocks_grid` evaluates the same model for
-whole ``(sim-config, block)`` grids in numpy passes; row ``i`` of its
-result must equal ``[run_block(simulators[i], b) for b in blocks]`` field
+whole ``(config, block)`` grids in numpy passes; row ``i`` of its
+result must equal ``[run_block(configs[i], b) for b in blocks]`` field
 for field, float bits included, for every block under its int64 guard.
 
 For one block :func:`run_block`
@@ -15,7 +15,8 @@ For one block :func:`run_block`
 4. counts on-chip buffer traffic from the systolic data flow (inputs are
    broadcast along rows, weights are private per Fusion Unit, partial sums
    accumulate down columns into the output buffer),
-5. prices the counts with the simulator's compute / SRAM / DRAM models.
+5. prices the counts with the configuration's compute / SRAM / DRAM models
+   (:func:`repro.sim.batched.energy_models`).
 
 The cycle model maps every ``(M-tile, N-tile, R-tile)`` combination onto
 the array: the tile's reduction dimension fills the logical rows, its
@@ -35,7 +36,7 @@ from repro.core.fusion_unit import PARTIAL_SUM_BITS, FusionConfig, fusion_config
 from repro.energy.breakdown import EnergyBreakdown
 from repro.isa.program import CompiledBlock
 from repro.isa.tiling import TilingPlan
-from repro.sim.executor import BitFusionSimulator
+from repro.sim.batched import energy_models
 from repro.sim.results import LayerResult, MemoryTraffic
 
 __all__ = ["CycleEstimate", "GemmCycleModel", "run_block"]
@@ -149,7 +150,7 @@ class GemmCycleModel:
 
 
 def _buffer_traffic(
-    simulator: BitFusionSimulator,
+    config: BitFusionConfig,
     block: CompiledBlock,
     fusion: FusionConfig,
     reduction_passes: int,
@@ -166,7 +167,7 @@ def _buffer_traffic(
     wbuf_read_bits = macs * weight_lane_bits
     # Inputs are broadcast along rows: the same operand feeds every
     # column, so the input buffer is read once per column group.
-    ibuf_read_bits = ceil(macs / simulator.config.columns) * input_lane_bits
+    ibuf_read_bits = ceil(macs / config.columns) * input_lane_bits
     # Each output element visits the column accumulator / output buffer
     # once per pass over the reduction dimension.
     outputs = workload.m * workload.r
@@ -187,12 +188,12 @@ def _buffer_traffic(
 
 
 def _energy_breakdown(
-    simulator: BitFusionSimulator, fusion: FusionConfig, macs: int, traffic: MemoryTraffic
+    config: BitFusionConfig, fusion: FusionConfig, macs: int, traffic: MemoryTraffic
 ) -> EnergyBreakdown:
     """Price the block's operation and traffic counts."""
-    models = simulator._energy
-    scale = simulator.config.technology.energy_scale
-    compute_j = models.compute.fusion_energy_for_macs_j(fusion, macs)
+    models = energy_models(config)
+    scale = config.technology.energy_scale
+    compute_j = macs * models.compute.fusion_mac_energy_pj(fusion) * 1e-12
     buffers_j = (
         models.ibuf.energy_for_bits_j(traffic.ibuf_read_bits)
         + models.wbuf.energy_for_bits_j(traffic.wbuf_read_bits)
@@ -202,9 +203,8 @@ def _energy_breakdown(
     return EnergyBreakdown(compute=compute_j, buffers=buffers_j, register_file=0.0, dram=dram_j)
 
 
-def run_block(simulator: BitFusionSimulator, block: CompiledBlock) -> LayerResult:
-    """Simulate one compiled block on ``simulator``'s configuration."""
-    config = simulator.config
+def run_block(config: BitFusionConfig, block: CompiledBlock) -> LayerResult:
+    """Simulate one compiled block at ``config``."""
     cycle_model = GemmCycleModel(config)
     workload = block.tiling.workload
     fusion = cycle_model.fusion_config(workload.input_bits, workload.weight_bits)
@@ -225,9 +225,9 @@ def run_block(simulator: BitFusionSimulator, block: CompiledBlock) -> LayerResul
         macs = 0
         reduction_passes = 1
 
-    traffic = _buffer_traffic(simulator, block, fusion, reduction_passes)
+    traffic = _buffer_traffic(config, block, fusion, reduction_passes)
     memory_cycles = ceil(traffic.dram_total_bits / config.dram_bandwidth_bits_per_cycle)
-    energy = _energy_breakdown(simulator, fusion, macs, traffic)
+    energy = _energy_breakdown(config, fusion, macs, traffic)
 
     return LayerResult(
         name=block.name,

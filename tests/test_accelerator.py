@@ -37,15 +37,6 @@ class TestCompileAndRun:
         assert result.network_name == "LeNet-5"
         assert result.batch_size == 16
 
-    def test_run_program_matches_run(self):
-        accelerator = BitFusionAccelerator()
-        network = models.load("SVHN")
-        program = accelerator.compile(network, batch_size=16)
-        assert (
-            accelerator.run_program(program, batch_size=16).total_cycles
-            == accelerator.run(network, batch_size=16).total_cycles
-        )
-
     def test_result_carries_the_batch_size_of_the_call(self):
         accelerator = BitFusionAccelerator()
         result = accelerator.run(models.load("LSTM"), batch_size=4)

@@ -65,7 +65,7 @@ def _result(tag: str) -> NetworkResult:
 def _renamed(compiled: CompiledBlock, prefix: str) -> CompiledBlock:
     """The same block content under new block and layer names."""
     return CompiledBlock(
-        block=InstructionBlock(f"{prefix}/{compiled.name}", compiled.block.instructions),
+        block=InstructionBlock(f"{prefix}/{compiled.name}", tuple(compiled.block)),
         layer=replace(compiled.layer, name=f"{prefix}-layer"),
         tiling=compiled.tiling,
         loop_order=compiled.loop_order,
@@ -132,25 +132,26 @@ class TestWarmSweeps:
         assert warm.cache.io_seconds > 0
         assert rows and rows[0].speedup_by_batch[1] == 1.0
 
-    def test_fig16_batches_share_one_config_and_one_simulator(self, monkeypatch):
+    def test_fig16_batches_share_one_config_and_one_set_of_energy_models(self, monkeypatch):
         # The batch is a workload axis, not hardware: all five of Figure
         # 16's batch sizes price their blocks under one configuration and
-        # one memoized simulator.
+        # one memoized set of energy models.
+        from repro.sim.batched import energy_models
+
         grids = []
         simulate = engine.simulate_blocks_grid
 
-        def spy(simulators, blocks):
-            grids.append(simulators)
-            return simulate(simulators, blocks)
+        def spy(configs, blocks):
+            grids.append(configs)
+            return simulate(configs, blocks)
 
         monkeypatch.setattr(engine, "simulate_blocks_grid", spy)
         session = EvaluationSession()
         fig16_batch.run(benchmarks=("LeNet-5",), session=session)
         assert session.stats.programs.misses == len(fig16_batch.DEFAULT_BATCH_SIZES) == 5
-        simulators = {id(simulator) for row in grids for simulator in row}
-        config = BitFusionConfig.eyeriss_matched()
-        assert simulators == {id(engine.simulator_for(config))}
-        assert engine.simulator_for(config).config == config
+        configs = [config for row in grids for config in row]
+        assert set(configs) == {BitFusionConfig.eyeriss_matched()}
+        assert len({id(energy_models(config)) for config in configs}) == 1
 
     def test_bandwidth_sweep_compiles_one_program_even_cold(self):
         session = EvaluationSession()
@@ -274,7 +275,6 @@ class TestContentAddressedLayerLevel:
     def test_lookup_block_misses_until_the_layer_record_is_stored(self, tmp_path):
         from repro.session.engine import lookup_block
         from repro.sim.batched import simulate_blocks_grid
-        from repro.sim.executor import BitFusionSimulator
 
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         config = workload.config
@@ -282,7 +282,7 @@ class TestContentAddressedLayerLevel:
         key = layer_cache_key(compiled, config)
         writer = ResultCache(tmp_path)
         assert lookup_block(writer, key, compiled.name) is None
-        layer = simulate_blocks_grid([BitFusionSimulator(config)], [compiled])[0][0]
+        layer = simulate_blocks_grid([config], [compiled])[0][0]
         writer.memo[key] = layer
         assert lookup_block(writer, key, compiled.name) == layer
         # A record already under the asking block's name is served as is.
@@ -488,13 +488,13 @@ class TestTilingMemo:
         # what makes memoized compilation byte-identical — and a cache over
         # the same directory in a new process starts with an empty memo.
         from repro.isa.instructions import LoopOrder
-        from repro.isa.tiling import GemmWorkload, search_tiling
+        from repro.isa.tiling import GemmWorkload, search_tilings
         from repro.session.engine import make_plan_resolver
 
         config = BitFusionConfig.eyeriss_matched()
         gemm = GemmWorkload(m=64, n=128, r=1024, input_bits=8, weight_bits=4, output_bits=16)
         orders = tuple(LoopOrder)
-        fresh = search_tiling(gemm, config, orders)
+        (fresh,) = search_tilings((gemm,), config, orders)
 
         cache, stats = ResultCache(tmp_path), CacheStats()
         resolver = make_plan_resolver(config, cache, stats)

@@ -96,6 +96,3 @@ class TestEyerissModel:
 
         assert speedup("Cifar-10") > speedup("AlexNet")
         assert speedup("SVHN") > speedup("LSTM")
-
-    def test_describe(self, eyeriss):
-        assert "168" in eyeriss.describe()

@@ -13,7 +13,7 @@ from repro.dnn import models
 from repro.dnn.layers import FCLayer
 from repro.dnn.network import Network
 from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import search_tiling
+from repro.isa.tiling import search_tilings
 
 
 @pytest.fixture
@@ -90,7 +90,9 @@ class TestStripesModel:
         for layer in network:
             if not layer.has_gemm():
                 continue
-            plan = search_tiling(stripes.gemm_workload(layer, 16), buffers, tuple(LoopOrder))
+            (plan,) = search_tilings(
+                (stripes.gemm_workload(layer, 16),), buffers, tuple(LoopOrder)
+            )
             traffic = priced[layer.name].traffic
             assert traffic.dram_read_bits == (
                 plan.dram_weight_bits + plan.dram_input_bits + plan.dram_output_read_bits
@@ -116,6 +118,3 @@ class TestStripesModel:
             return bf.speedup_over(st)
 
         assert speedup("LeNet-5") > speedup("AlexNet")
-
-    def test_describe(self, stripes):
-        assert "65536 MAC lanes" in stripes.describe()

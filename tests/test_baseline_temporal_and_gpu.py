@@ -13,8 +13,10 @@ from repro.dnn import models
 class TestTemporalDesignComparison:
     def test_figure10_reductions(self):
         comparison = TemporalDesignComparison()
-        assert comparison.area_reduction == pytest.approx(3.5, rel=0.05)
-        assert comparison.power_reduction == pytest.approx(3.2, rel=0.05)
+        area_reduction = comparison.temporal_area_um2 / comparison.fusion_area_um2
+        power_reduction = comparison.temporal_power_nw / comparison.fusion_power_nw
+        assert area_reduction == pytest.approx(3.5, rel=0.05)
+        assert power_reduction == pytest.approx(3.2, rel=0.05)
 
     def test_component_rows_include_totals(self):
         comparison = TemporalDesignComparison()
@@ -129,6 +131,3 @@ class TestGpuModel:
     def test_rejects_bad_batch(self):
         with pytest.raises(ValueError):
             GpuModel(TEGRA_X2).evaluate(models.load("LeNet-5"), batch_size=0)
-
-    def test_describe_mentions_device(self):
-        assert "Titan" in GpuModel(TITAN_XP, GpuPrecision.INT8).describe()

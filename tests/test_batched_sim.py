@@ -27,13 +27,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.dnn.layers import FCLayer, PoolLayer
-from repro.isa.compiler import FusionCompiler, compile_layer
+from repro.isa.compiler import FusionCompiler
 from repro.isa.program import CompiledBlock
 from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import GemmWorkload, search_tiling
+from repro.isa.tiling import GemmWorkload, search_tilings
 from repro.sim.batched import simulate_blocks_grid
-from repro.sim.executor import BitFusionSimulator
 
+from compiling import compile_alone
 from reference.simulator import run_block
 
 _BASE = BitFusionConfig.eyeriss_matched()
@@ -68,8 +68,8 @@ class TestZooOracle:
     @pytest.mark.parametrize("network", models.BENCHMARKS)
     def test_zoo_blocks_bit_identical(self, network, config):
         program = FusionCompiler(config).compile(models.load(network), batch_size=16)
-        batched = BitFusionSimulator(config).run_blocks(program)
-        scalar = [run_block(BitFusionSimulator(config), b) for b in program]
+        batched = simulate_blocks_grid([config], program.blocks)[0]
+        scalar = [run_block(config, b) for b in program]
         _assert_bit_identical(batched, scalar)
 
     def test_compiler_flags_bit_identical(self):
@@ -81,8 +81,8 @@ class TestZooOracle:
                     enable_loop_ordering=loop_ordering,
                     enable_layer_fusion=layer_fusion,
                 ).compile(net, batch_size=16)
-                batched = BitFusionSimulator(_BASE).run_blocks(program)
-                scalar = [run_block(BitFusionSimulator(_BASE), b) for b in program]
+                batched = simulate_blocks_grid([_BASE], program.blocks)[0]
+                scalar = [run_block(_BASE, b) for b in program]
                 _assert_bit_identical(batched, scalar)
 
     def test_zoo_blocks_stay_under_the_exactness_guard(self):
@@ -113,15 +113,13 @@ class TestGridOracle:
             _BASE.with_buffers(16.0, 32.0, 8.0),
             _BASE.with_array(32, 16),
         ]
-        simulators = [BitFusionSimulator(config) for config in configs]
-        rows = simulate_blocks_grid(simulators, program.blocks)
+        rows = simulate_blocks_grid(configs, program.blocks)
         assert len(rows) == len(configs)
-        for simulator, row in zip(simulators, rows):
-            _assert_bit_identical(row, [run_block(simulator, b) for b in program])
+        for config, row in zip(configs, rows):
+            _assert_bit_identical(row, [run_block(config, b) for b in program])
 
     def test_empty_block_batch(self):
-        simulators = [BitFusionSimulator(_BASE), BitFusionSimulator(_BASE)]
-        assert simulate_blocks_grid(simulators, []) == [[], []]
+        assert simulate_blocks_grid([_BASE, _BASE], []) == [[], []]
 
 
 class TestRandomizedOracle:
@@ -150,12 +148,11 @@ class TestRandomizedOracle:
             weight_bits=weight_bits,
         )
         try:
-            block = compile_layer(layer, config, batch_size=batch)
+            block = compile_alone(FusionCompiler(config), layer, batch)
         except ValueError:
             return  # no feasible tiling under a tiny scratchpad: nothing to simulate
-        simulator = BitFusionSimulator(config)
         _assert_bit_identical(
-            simulate_blocks_grid([simulator], [block])[0], [run_block(simulator, block)]
+            simulate_blocks_grid([config], [block])[0], [run_block(config, block)]
         )
 
     @settings(max_examples=60, deadline=None)
@@ -176,10 +173,9 @@ class TestRandomizedOracle:
             stride=1,
             mode=mode,
         )
-        block = compile_layer(layer, _BASE, batch_size=batch)
-        simulator = BitFusionSimulator(_BASE)
+        block = compile_alone(FusionCompiler(_BASE), layer, batch)
         _assert_bit_identical(
-            simulate_blocks_grid([simulator], [block])[0], [run_block(simulator, block)]
+            simulate_blocks_grid([_BASE], [block])[0], [run_block(_BASE, block)]
         )
 
     @settings(max_examples=40, deadline=None)
@@ -190,7 +186,8 @@ class TestRandomizedOracle:
         bits=st.sampled_from((2, 4, 8)),
     )
     def test_mixed_gemm_and_pooling_batch(self, in_features, out_features, channels, bits):
-        fc = compile_layer(
+        fc = compile_alone(
+            FusionCompiler(_BASE),
             FCLayer(
                 name="fc",
                 in_features=in_features,
@@ -198,29 +195,27 @@ class TestRandomizedOracle:
                 input_bits=bits,
                 weight_bits=bits,
             ),
-            _BASE,
-            batch_size=8,
+            8,
         )
-        pool = compile_layer(
+        pool = compile_alone(
+            FusionCompiler(_BASE),
             PoolLayer(name="pool", channels=channels, in_height=8, in_width=8),
-            _BASE,
-            batch_size=8,
+            8,
         )
-        simulator = BitFusionSimulator(_BASE)
         blocks = [fc, pool, fc]
         _assert_bit_identical(
-            simulate_blocks_grid([simulator], blocks)[0],
-            [run_block(simulator, block) for block in blocks],
+            simulate_blocks_grid([_BASE], blocks)[0],
+            [run_block(_BASE, block) for block in blocks],
         )
 
 
 def _synthetic_block(workload: GemmWorkload, tiling=None) -> CompiledBlock:
     """An FC block whose tiling is replaced by a plan for ``workload``."""
-    base = compile_layer(
-        FCLayer(name="fc", in_features=64, out_features=64), _BASE, batch_size=8
+    base = compile_alone(
+        FusionCompiler(_BASE), FCLayer(name="fc", in_features=64, out_features=64), 8
     )
     if tiling is None:
-        tiling = search_tiling(workload, _BASE, tuple(LoopOrder))
+        tiling = search_tilings((workload,), _BASE, tuple(LoopOrder))[0]
     return CompiledBlock(
         block=base.block, layer=base.layer, tiling=tiling, loop_order=base.loop_order
     )
@@ -263,17 +258,17 @@ class TestPastFloatExactness:
         )
         assert workload.macs > _FLOAT_EXACT_LIMIT
         block = _synthetic_block(workload)
-        simulators = [BitFusionSimulator(_BASE), BitFusionSimulator(_BASE.with_bandwidth(128))]
-        rows = simulate_blocks_grid(simulators, [block])
-        for simulator, row in zip(simulators, rows):
-            _assert_close(row[0], run_block(simulator, block))
+        configs = [_BASE, _BASE.with_bandwidth(128)]
+        rows = simulate_blocks_grid(configs, [block])
+        for config, row in zip(configs, rows):
+            _assert_close(row[0], run_block(config, block))
 
 
 class TestOverflowGuard:
     def _overflow_block(self) -> CompiledBlock:
         """A block whose counts could overflow int64 arithmetic."""
-        base = compile_layer(
-            FCLayer(name="fc", in_features=64, out_features=64), _BASE, batch_size=8
+        base = compile_alone(
+            FusionCompiler(_BASE), FCLayer(name="fc", in_features=64, out_features=64), 8
         )
         huge = GemmWorkload(
             m=1 << 20,
@@ -286,25 +281,23 @@ class TestOverflowGuard:
         return _synthetic_block(huge, dataclasses.replace(base.tiling, workload=huge))
 
     def test_overflow_scale_block_is_rejected_by_name(self):
-        normal = compile_layer(
-            FCLayer(name="small", in_features=32, out_features=32), _BASE, batch_size=8
+        normal = compile_alone(
+            FusionCompiler(_BASE), FCLayer(name="small", in_features=32, out_features=32), 8
         )
-        simulator = BitFusionSimulator(_BASE)
         with pytest.raises(ValueError, match=r"^block 'fc' is too large to simulate") as error:
-            simulate_blocks_grid([simulator], [normal, self._overflow_block(), normal])
+            simulate_blocks_grid([_BASE], [normal, self._overflow_block(), normal])
         assert "\n" not in str(error.value)
 
     def test_overflow_guard_covers_every_grid_row(self):
-        simulators = [BitFusionSimulator(_BASE), BitFusionSimulator(_BASE.with_bandwidth(128))]
         with pytest.raises(ValueError, match="could overflow int64"):
-            simulate_blocks_grid(simulators, [self._overflow_block()])
+            simulate_blocks_grid([_BASE, _BASE.with_bandwidth(128)], [self._overflow_block()])
 
     def test_non_positive_gemm_tile_is_rejected(self):
-        block = compile_layer(
-            FCLayer(name="fc", in_features=64, out_features=64), _BASE, batch_size=8
+        block = compile_alone(
+            FusionCompiler(_BASE), FCLayer(name="fc", in_features=64, out_features=64), 8
         )
         broken = _synthetic_block(
             block.tiling.workload, dataclasses.replace(block.tiling, tile_n=0)
         )
         with pytest.raises(ValueError, match="block 'fc' has a non-positive GEMM tile"):
-            simulate_blocks_grid([BitFusionSimulator(_BASE)], [broken])
+            simulate_blocks_grid([_BASE], [broken])

@@ -9,10 +9,12 @@ import pytest
 from repro.dnn import models
 from repro.dnn.layers import ActivationLayer, ConvLayer, FCLayer, LSTMLayer, PoolLayer, RNNLayer
 from repro.dnn.network import Network
-from repro.isa.compiler import FusionCompiler, compile_layer, compile_network
+from repro.isa.compiler import FusionCompiler
 from repro.isa.instructions import Compute, ComputeFn, LdMem, Loop, ScratchpadType, StMem
 from repro.isa.optimizations import _is_fusable_follower, fuse_layers
 from repro.nas.mutations import mutate_bits
+
+from compiling import compile_alone
 
 
 @pytest.fixture
@@ -51,14 +53,14 @@ class TestGemmWorkloadLowering:
 class TestBlockStructure:
     def test_block_starts_with_setup_matching_layer_bits(self, compiler):
         layer = FCLayer(name="fc", in_features=64, out_features=32, input_bits=4, weight_bits=1)
-        compiled = compiler.compile_compute_layer(layer, 16)
+        compiled = compile_alone(compiler, layer, 16)
         assert compiled.block.setup.input_bits == 4
         assert compiled.block.setup.weight_bits == 1
 
     def test_block_contains_memory_and_compute_instructions(self, compiler):
         layer = ConvLayer(name="c", in_channels=16, out_channels=32, in_height=14, in_width=14,
                           kernel=3, padding=1, input_bits=2, weight_bits=2)
-        compiled = compiler.compile_compute_layer(layer, 16)
+        compiled = compile_alone(compiler, layer, 16)
         mnemonics = {instruction.mnemonic for instruction in compiled.block}
         assert {"setup", "loop", "gen-addr", "ld-mem", "st-mem", "rd-buf", "wr-buf",
                 "compute", "block-end"} <= mnemonics
@@ -66,18 +68,20 @@ class TestBlockStructure:
     def test_conv_blocks_express_kernel_walk(self, compiler):
         layer = ConvLayer(name="c", in_channels=8, out_channels=8, in_height=8, in_width=8,
                           kernel=5, padding=2)
-        compiled = compiler.compile_compute_layer(layer, 16)
+        compiled = compile_alone(compiler, layer, 16)
         kernel_loops = [
-            loop for loop in compiled.block.loops_at_level(1) if loop.iterations == 5
+            loop for loop in compiled.block.loops() if loop.level == 1 and loop.iterations == 5
         ]
         assert len(kernel_loops) >= 2
 
     def test_recurrent_blocks_have_gate_loop(self, compiler):
         layer = LSTMLayer(name="lstm", input_size=64, hidden_size=64, input_bits=4, weight_bits=4)
-        compiled = compiler.compile_compute_layer(layer, 16)
-        assert any(loop.iterations == 4 for loop in compiled.block.loops_at_level(1))
+        compiled = compile_alone(compiler, layer, 16)
+        assert any(
+            loop.level == 1 and loop.iterations == 4 for loop in compiled.block.loops()
+        )
         rnn = RNNLayer(name="rnn", input_size=64, hidden_size=64)
-        rnn_block = compiler.compile_compute_layer(rnn, 16)
+        rnn_block = compile_alone(compiler, rnn, 16)
         assert len(rnn_block.block) > 0
 
     def test_instruction_counts_in_paper_range(self, compiler):
@@ -88,14 +92,14 @@ class TestBlockStructure:
                       kernel=3, padding=1),
             LSTMLayer(name="l", input_size=512, hidden_size=512),
         ):
-            compiled = compiler.compile_compute_layer(layer, 16)
+            compiled = compile_alone(compiler, layer, 16)
             assert 20 <= len(compiled.block) <= 90
 
     def test_memory_loops_iterate_over_tiles(self, compiler):
         layer = FCLayer(name="fc", in_features=8192, out_features=8192,
                         input_bits=8, weight_bits=8)
-        compiled = compiler.compile_compute_layer(layer, 16)
-        outer_loops = compiled.block.loops_at_level(0)
+        compiled = compile_alone(compiler, layer, 16)
+        outer_loops = [loop for loop in compiled.block.loops() if loop.level == 0]
         trip_product = 1
         for loop in outer_loops:
             trip_product *= loop.iterations
@@ -103,7 +107,7 @@ class TestBlockStructure:
 
     def test_ld_mem_words_match_tile_sizes(self, compiler):
         layer = FCLayer(name="fc", in_features=256, out_features=128, input_bits=8, weight_bits=8)
-        compiled = compiler.compile_compute_layer(layer, 16)
+        compiled = compile_alone(compiler, layer, 16)
         loads = [i for i in compiled.block if isinstance(i, LdMem)]
         by_target = {load.scratchpad: load.num_words for load in loads}
         assert by_target[ScratchpadType.WBUF] == min(
@@ -114,7 +118,7 @@ class TestBlockStructure:
 class TestAuxiliaryLayerCompilation:
     def test_pool_layer_compiles_to_max_block(self, compiler):
         layer = PoolLayer(name="p", channels=8, in_height=8, in_width=8, kernel=2, stride=2)
-        compiled = compiler.compile_auxiliary_layer(layer, 16)
+        compiled = compile_alone(compiler, layer, 16)
         fns = [i.fn for i in compiled.block if isinstance(i, Compute)]
         assert fns == [ComputeFn.MAX]
         assert compiled.layer is layer
@@ -122,25 +126,21 @@ class TestAuxiliaryLayerCompilation:
     def test_avg_pool_uses_add(self, compiler):
         layer = PoolLayer(name="p", channels=8, in_height=8, in_width=8, kernel=2, stride=2,
                           mode="avg")
-        compiled = compiler.compile_auxiliary_layer(layer, 16)
+        compiled = compile_alone(compiler, layer, 16)
         assert any(i.fn is ComputeFn.ADD for i in compiled.block if isinstance(i, Compute))
 
     def test_activation_layer_compiles_to_activation_block(self, compiler):
         layer = ActivationLayer(name="a", elements=256)
-        compiled = compiler.compile_auxiliary_layer(layer, 16)
+        compiled = compile_alone(compiler, layer, 16)
         assert any(i.fn is ComputeFn.ACTIVATION for i in compiled.block if isinstance(i, Compute))
-
-    def test_rejects_compute_layer(self, compiler):
-        with pytest.raises(ValueError):
-            compiler.compile_auxiliary_layer(FCLayer(name="fc"), 16)
 
 
 class TestNetworkCompilation:
     def test_fused_network_has_fewer_blocks_than_layers(self, default_config):
         network = models.load("LeNet-5")
-        program = compile_network(network, default_config, 16)
+        program = FusionCompiler(default_config).compile(network, 16)
         assert len(program) < len(network)
-        assert any(compiled.is_fused for compiled in program)
+        assert any(compiled.fused_layers for compiled in program)
 
     def test_unfused_network_has_block_per_layer(self, default_config):
         network = models.load("LeNet-5")
@@ -168,26 +168,19 @@ class TestNetworkCompilation:
 
     def test_every_compute_layer_gets_a_block(self, default_config):
         network = models.load("Cifar-10")
-        program = compile_network(network, default_config, 16)
+        program = FusionCompiler(default_config).compile(network, 16)
         compiled_heads = {compiled.layer.name for compiled in program}
         compute_names = {layer.name for layer in network.compute_layers()}
         assert compute_names <= compiled_heads
 
-    def test_compile_layer_convenience_wrapper(self, default_config):
-        fc = FCLayer(name="fc", in_features=32, out_features=8)
-        compute = compile_layer(fc, default_config, 16)
-        auxiliary = compile_layer(PoolLayer(name="p"), default_config, 16)
-        assert compute.layer.name == "fc"
-        assert auxiliary.layer.name == "p"
-
     def test_program_blocks_store_st_mem(self, default_config):
-        program = compile_network(models.load("LSTM"), default_config, 16)
+        program = FusionCompiler(default_config).compile(models.load("LSTM"), 16)
         for compiled in program:
             assert any(isinstance(i, StMem) for i in compiled.block)
 
     def test_loop_iterations_fit_isa_fields(self, default_config):
         for name in ("AlexNet", "ResNet-18"):
-            program = compile_network(models.load(name), default_config, 16)
+            program = FusionCompiler(default_config).compile(models.load(name), 16)
             for compiled in program:
                 for loop in compiled.block.loops():
                     assert 1 <= loop.iterations <= (1 << 16) - 1
@@ -371,7 +364,9 @@ class TestBatchedPlanning:
         compiler = self._recording_compiler(default_config, calls)
         program = compiler.compile(network, 16)
         assert len(calls) == 1
-        assert calls[0] == FusionCompiler(default_config).tiling_requests(network, 16)
+        assert calls[0] == [
+            compiler._tiling_request(group[0], 16) for group in fuse_layers(network.layers).groups
+        ]
         assert len(calls[0]) == len(program)
         assert program.fingerprint() == FusionCompiler(default_config).compile(
             network, 16
@@ -395,16 +390,16 @@ class TestBatchedPlanning:
         compiler.compile(base, 16)
         assert len(calls) == 2
 
-    def test_single_layer_entry_points_search_one_request(self, default_config):
+    def test_single_layer_programs_search_one_request(self, default_config):
         calls: list = []
         compiler = self._recording_compiler(default_config, calls)
         layer = FCLayer(name="fc", in_features=64, out_features=32)
         pool = PoolLayer(name="pool", channels=4, in_height=8, in_width=8)
-        assert compiler.compile_compute_layer(layer, 16).to_dict() == compile_layer(
-            layer, default_config, 16
+        assert compile_alone(compiler, layer, 16).to_dict() == compile_alone(
+            FusionCompiler(default_config), layer, 16
         ).to_dict()
-        assert compiler.compile_auxiliary_layer(pool, 16).to_dict() == compile_layer(
-            pool, default_config, 16
+        assert compile_alone(compiler, pool, 16).to_dict() == compile_alone(
+            FusionCompiler(default_config), pool, 16
         ).to_dict()
         assert [len(requests) for requests in calls] == [1, 1]
 
@@ -461,4 +456,4 @@ class TestSharedInstructions:
                 )
                 for compiled in program:
                     rebuilt = InstructionBlock(compiled.name, list(compiled.block))
-                    assert rebuilt.instructions == compiled.block.instructions
+                    assert tuple(rebuilt) == tuple(compiled.block)

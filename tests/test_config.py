@@ -7,10 +7,11 @@ from dataclasses import fields
 import pytest
 
 from repro.core.config import BitFusionConfig, TechnologyNode
-from repro.isa.compiler import FusionCompiler
 from repro.session import Workload, compile_program, engine, program_cache_key
 from repro.session.engine import layer_cache_key, tiling_cache_key
 from repro.session.workload import load_network
+
+from compiling import tiling_requests
 
 
 class TestTechnologyNode:
@@ -28,7 +29,7 @@ class TestTechnologyNode:
         assert node.energy_scale < 0.35
 
     def test_65nm_scales_energy_up(self):
-        assert TechnologyNode.nm65().energy_scale > 1.0
+        assert TechnologyNode.by_name("65nm").energy_scale > 1.0
 
     def test_area_scale_is_quadratic_in_feature_size(self):
         assert TechnologyNode.nm16().area_scale == pytest.approx((16 / 45) ** 2)
@@ -73,13 +74,6 @@ class TestBitFusionConfig:
         assert config.peak_throughput_gops(8, 8) == pytest.approx(
             2 * 512 * 500e6 / 1e9
         )
-
-    def test_cycle_time(self):
-        assert BitFusionConfig(frequency_mhz=500.0).cycle_time_ns == pytest.approx(2.0)
-
-    def test_dram_bandwidth_conversion(self):
-        config = BitFusionConfig.eyeriss_matched()
-        assert config.dram_bandwidth_gbps == pytest.approx(128 * 500e6 / 1e9)
 
     def test_batch_size_is_not_hardware(self):
         """Table III lists no batch: it is an evaluation axis (Figure 16)."""
@@ -126,11 +120,8 @@ class TestBufferSizesAreCanonical:
         engine._layer_content_key.cache_clear()
         workload = Workload.bitfusion("LeNet-5", config=config)
         program = compile_program(workload)
-        requests = FusionCompiler(config).tiling_requests(
-            load_network(workload), batch_size=workload.batch_size
-        )
+        requests = tiling_requests(config, load_network(workload), workload.batch_size)
         return (
-            config.fingerprint(),
             workload.fingerprint(),
             program_cache_key(workload),
             [layer_cache_key(compiled, config) for compiled in program],

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa.tiling import GemmWorkload, plan_tiling
+from repro.isa.instructions import LoopOrder
+from repro.isa.tiling import GemmWorkload, search_tilings
 
 from reference.simulator import GemmCycleModel
 
@@ -18,7 +19,8 @@ def _estimate(model, config, m, n, r, input_bits, weight_bits):
     workload = GemmWorkload(
         m=m, n=n, r=r, input_bits=input_bits, weight_bits=weight_bits, output_bits=input_bits
     )
-    return model.estimate(plan_tiling(workload, config))
+    (plan,) = search_tilings((workload,), config, (LoopOrder.OUTPUT_STATIONARY,))
+    return model.estimate(plan)
 
 
 class TestCycleEstimates:

@@ -288,7 +288,7 @@ class TestParetoArchive:
         vectors = [(3.0, 1.0), (1.0, 3.0), (2.0, 2.0), (0.5, 4.0), (4.0, 0.5)]
         archive = ParetoArchive()
         for index, vector in enumerate(vectors):
-            archive.add(index, vector)
+            archive.extend([(index, vector)])
         expected = pareto_indices(vectors)
         assert sorted(archive.items) == expected
 
@@ -308,7 +308,7 @@ class TestParetoArchive:
         archive.extend([("a", (1.0, 1.0))])
         archive.extend([("b", (1.0, 1.0))])
         assert archive.items == ["a", "b"]
-        assert archive.vectors == [(1.0, 1.0), (1.0, 1.0)]
+        assert [vector for _, vector in archive] == [(1.0, 1.0), (1.0, 1.0)]
 
     def test_empty_extend_is_a_noop(self):
         from repro.dse.pareto import ParetoArchive

@@ -1,4 +1,4 @@
-"""Tests for the Bit Fusion simulator (compile + execute networks)."""
+"""Tests for the Bit Fusion simulator (compile + simulate blocks and networks)."""
 
 from __future__ import annotations
 
@@ -11,12 +11,8 @@ from repro.dnn.layers import ConvLayer, FCLayer, PoolLayer
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler
 from repro.sim.batched import simulate_blocks_grid
-from repro.sim.executor import BitFusionSimulator
 
-
-@pytest.fixture
-def simulator(default_config) -> BitFusionSimulator:
-    return BitFusionSimulator(default_config)
+from compiling import compile_alone
 
 
 @pytest.fixture
@@ -32,17 +28,19 @@ def _fc_network(input_bits=4, weight_bits=4, in_features=1024, out_features=1024
     )
 
 
-def _run_block(simulator: BitFusionSimulator, block):
-    return simulate_blocks_grid([simulator], [block])[0][0]
+def _run_block(config: BitFusionConfig, block):
+    return simulate_blocks_grid([config], [block])[0][0]
 
 
 class TestRunBlock:
-    def test_block_result_fields(self, simulator, default_config):
+    def test_block_result_fields(self, default_config):
         compiler = FusionCompiler(default_config)
-        block = compiler.compile_compute_layer(
-            FCLayer(name="fc", in_features=512, out_features=256, input_bits=4, weight_bits=2), 16
+        block = compile_alone(
+            compiler,
+            FCLayer(name="fc", in_features=512, out_features=256, input_bits=4, weight_bits=2),
+            16,
         )
-        result = _run_block(simulator, block)
+        result = _run_block(default_config, block)
         assert result.name == "fc"
         assert result.macs == 512 * 256 * 16
         assert result.compute_cycles > 0
@@ -50,40 +48,36 @@ class TestRunBlock:
         assert result.energy.total > 0
         assert 0 < result.utilization <= 1.0
 
-    def test_auxiliary_block_is_memory_bound(self, simulator, default_config):
+    def test_auxiliary_block_is_memory_bound(self, default_config):
         compiler = FusionCompiler(default_config)
-        block = compiler.compile_auxiliary_layer(
-            PoolLayer(name="pool", channels=64, in_height=32, in_width=32, kernel=2, stride=2), 16
+        block = compile_alone(
+            compiler,
+            PoolLayer(name="pool", channels=64, in_height=32, in_width=32, kernel=2, stride=2),
+            16,
         )
-        result = _run_block(simulator, block)
+        result = _run_block(default_config, block)
         assert result.macs == 0
         assert result.compute_cycles == 0
         assert result.memory_cycles > 0
         assert result.is_memory_bound
 
-    def test_buffer_traffic_scales_with_work(self, simulator, default_config):
+    def test_buffer_traffic_scales_with_work(self, default_config):
         compiler = FusionCompiler(default_config)
         small = _run_block(
-            simulator,
-            compiler.compile_compute_layer(
-                FCLayer(name="s", in_features=128, out_features=128), 16
-            ),
+            default_config,
+            compile_alone(compiler, FCLayer(name="s", in_features=128, out_features=128), 16),
         )
         large = _run_block(
-            simulator,
-            compiler.compile_compute_layer(
-                FCLayer(name="l", in_features=1024, out_features=1024), 16
-            ),
+            default_config,
+            compile_alone(compiler, FCLayer(name="l", in_features=1024, out_features=1024), 16),
         )
         assert large.traffic.wbuf_read_bits > small.traffic.wbuf_read_bits
         assert large.traffic.dram_total_bits > small.traffic.dram_total_bits
 
-    def test_no_register_file_energy(self, simulator, default_config):
+    def test_no_register_file_energy(self, default_config):
         compiler = FusionCompiler(default_config)
-        block = compiler.compile_compute_layer(
-            FCLayer(name="fc", in_features=256, out_features=64), 16
-        )
-        result = _run_block(simulator, block)
+        block = compile_alone(compiler, FCLayer(name="fc", in_features=256, out_features=64), 16)
+        result = _run_block(default_config, block)
         assert result.energy.register_file == 0.0
 
 
@@ -132,7 +126,9 @@ class TestRunNetwork:
         network = models.load("LeNet-5")
         fused = BitFusionAccelerator(default_config, enable_layer_fusion=True).run(network, 16)
         unfused = BitFusionAccelerator(default_config, enable_layer_fusion=False).run(network, 16)
-        assert unfused.traffic.dram_total_bits > fused.traffic.dram_total_bits
+        assert sum(layer.traffic.dram_total_bits for layer in unfused.layers) > sum(
+            layer.traffic.dram_total_bits for layer in fused.layers
+        )
 
     def test_energy_is_dominated_by_memory(self, accelerator):
         """Figure 14: more than 80% of Bit Fusion energy is data movement."""

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.baselines.platform import EYERISS
 from repro.core.config import BitFusionConfig
 from repro.core.fusion_unit import (
     BITBRICKS_PER_FUSION_UNIT,
     MAX_SPATIAL_OPERAND_BITS,
+    PARTIAL_SUM_BITS,
     SUPPORTED_BITWIDTHS,
     fusion_config_for,
 )
+from repro.dnn.layers import FCLayer
+from repro.isa.instructions import Setup
+from repro.isa.tiling import GemmWorkload
 
 
 class TestFusionConfigFor:
@@ -83,3 +90,50 @@ def test_one_buffer_row_feeds_a_whole_fusion_unit(input_bits, weight_bits):
     row_bits = BitFusionConfig().buffer_access_bits
     for bits in (config.input_bits, config.weight_bits):
         assert config.fused_pes * max(2, min(bits, 8)) <= row_bits
+
+
+#: Every check of an operand width, with the error it raises for ``{bits}``.
+_WIDTH_VALIDATORS = {
+    "fusion_config_for": (
+        lambda bits: fusion_config_for(bits, bits),
+        "input bitwidth must be one of (1, 2, 4, 8, 16), got {bits}",
+    ),
+    "Layer": (
+        lambda bits: FCLayer(name="fc", input_bits=bits, weight_bits=bits),
+        "input_bits must be one of (1, 2, 4, 8, 16), got {bits}",
+    ),
+    "PlatformSpec": (
+        lambda bits: replace(EYERISS, input_bits=bits, weight_bits=bits),
+        "PlatformSpec.input_bits must be None or one of (1, 2, 4, 8, 16), got {bits}",
+    ),
+    "Setup": (
+        lambda bits: Setup(input_bits=bits, weight_bits=bits),
+        "input_bits must be one of (1, 2, 4, 8, 16), got {bits}",
+    ),
+    "GemmWorkload": (
+        lambda bits: GemmWorkload(
+            m=1, n=1, r=1, input_bits=bits, weight_bits=bits, output_bits=bits
+        ),
+        "input_bits must be a supported bitwidth, got {bits}",
+    ),
+}
+
+
+@pytest.mark.parametrize("bits", (*SUPPORTED_BITWIDTHS, 0, 3, PARTIAL_SUM_BITS))
+@pytest.mark.parametrize("validator", sorted(_WIDTH_VALIDATORS))
+def test_every_operand_width_check_states_the_fabric_widths(validator, bits):
+    """``SUPPORTED_BITWIDTHS`` is the one statement of the operand widths."""
+    check, message = _WIDTH_VALIDATORS[validator]
+    if bits in SUPPORTED_BITWIDTHS:
+        check(bits)
+        return
+    with pytest.raises(ValueError) as error:
+        check(bits)
+    assert str(error.value) == message.format(bits=bits)
+
+
+def test_a_gemm_output_may_be_a_full_partial_sum():
+    workload = GemmWorkload(
+        m=1, n=1, r=1, input_bits=8, weight_bits=8, output_bits=PARTIAL_SUM_BITS
+    )
+    assert workload.output_bits == PARTIAL_SUM_BITS

@@ -21,7 +21,8 @@ from repro.isa.instructions import (
     WrBuf,
 )
 from repro.isa.program import CompiledBlock, Program
-from repro.isa.tiling import GemmWorkload, plan_tiling
+
+from compiling import compile_alone
 
 
 def _minimal_block(name: str = "layer") -> InstructionBlock:
@@ -47,7 +48,7 @@ class TestInstructionBlockValidation:
         assert len(block) == 9
         assert block.input_bits == 4
         assert block.weight_bits == 2
-        assert block.block_end.next_block == 1
+        assert tuple(block)[-1] == BlockEnd(next_block=1)
 
     def test_requires_setup_first(self):
         with pytest.raises(ValueError):
@@ -85,16 +86,12 @@ class TestInstructionBlockValidation:
 class TestInstructionBlockAccessors:
     def test_loop_queries(self):
         block = _minimal_block()
-        assert len(block.loops()) == 1
-        assert block.loops_at_level(0)[0].iterations == 8
-        assert block.loops_at_level(1) == []
+        assert block.loops() == [Loop(loop_id=0, iterations=8, level=0)]
 
     def test_instruction_category_queries(self):
         block = _minimal_block()
         assert len(block.memory_instructions()) == 2
         assert len(block.buffer_instructions()) == 2
-        assert len(block.compute_instructions()) == 1
-        assert len(block.address_generators()) == 1
 
     def test_stats(self):
         stats = _minimal_block().stats()
@@ -106,10 +103,10 @@ class TestInstructionBlockAccessors:
         assert stats.counts_by_opcode["compute"] == 1
 
     def test_encoding_roundtrips_through_bytes(self):
-        from repro.isa.encoding import decode_block
+        from repro.isa.encoding import decode_block, encode_block
 
         block = _minimal_block()
-        assert decode_block(block.encode()) == list(block.instructions)
+        assert decode_block(encode_block(tuple(block))) == list(block)
 
     def test_iteration_protocol(self):
         block = _minimal_block()
@@ -119,22 +116,20 @@ class TestInstructionBlockAccessors:
 class TestProgram:
     def _compiled_block(self, config, name="fc") -> CompiledBlock:
         layer = FCLayer(name=name, in_features=64, out_features=32, input_bits=4, weight_bits=2)
-        return FusionCompiler(config).compile_compute_layer(layer, batch_size=2)
+        return compile_alone(FusionCompiler(config), layer, 2)
 
-    def test_append_and_iteration(self, small_config):
-        program = Program("net")
-        program.append(self._compiled_block(small_config))
+    def test_construction_and_iteration(self, small_config):
+        program = Program("net", [self._compiled_block(small_config)])
         assert len(program) == 1
         assert program[0].name == "fc"
         assert [compiled.name for compiled in program] == ["fc"]
 
     def test_total_statistics(self, small_config):
-        program = Program("net")
-        program.append(self._compiled_block(small_config, "a"))
-        program.append(self._compiled_block(small_config, "b"))
+        program = Program(
+            "net", [self._compiled_block(small_config, "a"), self._compiled_block(small_config, "b")]
+        )
         assert program.total_instructions() == sum(len(c.block) for c in program)
         assert program.total_binary_bytes() == program.total_instructions() * 4
-        assert set(program.instruction_counts()) == {"a", "b"}
 
     def test_summary_mentions_every_block(self, small_config):
         program = Program("net", [self._compiled_block(small_config, "layer_x")])
@@ -147,17 +142,5 @@ class TestProgram:
     def test_compiled_block_metadata(self, small_config):
         compiled = self._compiled_block(small_config)
         assert compiled.loop_order in tuple(LoopOrder)
-        assert not compiled.is_fused
+        assert compiled.fused_layers == ()
         assert compiled.tiling.workload.m == 32
-
-    def test_compiled_block_fused_flag(self, small_config):
-        workload = GemmWorkload(m=8, n=8, r=4, input_bits=4, weight_bits=4, output_bits=4)
-        tiling = plan_tiling(workload, small_config)
-        block = _minimal_block("conv+pool")
-        layer = FCLayer(name="conv", in_features=8, out_features=8)
-        pool = FCLayer(name="pool", in_features=8, out_features=8)
-        compiled = CompiledBlock(
-            block=block, layer=layer, tiling=tiling,
-            loop_order=LoopOrder.OUTPUT_STATIONARY, fused_layers=(pool,),
-        )
-        assert compiled.is_fused

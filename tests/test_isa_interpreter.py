@@ -19,6 +19,8 @@ from repro.isa.instructions import (
 )
 from repro.isa.interpreter import interpret_block
 
+from compiling import compile_alone
+
 
 @pytest.fixture
 def tight_config() -> BitFusionConfig:
@@ -80,7 +82,7 @@ class TestCompiledBlocks:
     def test_unique_addresses_match_tile_counts_fc(self, tight_config):
         layer = FCLayer(name="fc", in_features=2048, out_features=1024,
                         input_bits=4, weight_bits=4)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
+        compiled = compile_alone(FusionCompiler(tight_config), layer, 4)
         trace = interpret_block(compiled.block)
         tiling = compiled.tiling
         assert len(trace.unique_addresses(ScratchpadType.WBUF)) == tiling.m_tiles * tiling.n_tiles
@@ -90,7 +92,7 @@ class TestCompiledBlocks:
     def test_unique_addresses_match_tile_counts_conv(self, tight_config):
         layer = ConvLayer(name="conv", in_channels=16, out_channels=32, in_height=14,
                           in_width=14, kernel=3, padding=1, input_bits=2, weight_bits=2)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
+        compiled = compile_alone(FusionCompiler(tight_config), layer, 4)
         trace = interpret_block(compiled.block)
         tiling = compiled.tiling
         assert len(trace.unique_addresses(ScratchpadType.WBUF)) == tiling.m_tiles * tiling.n_tiles
@@ -98,22 +100,23 @@ class TestCompiledBlocks:
 
     def test_every_iteration_loads_weights_and_inputs(self, tight_config):
         layer = FCLayer(name="fc", in_features=512, out_features=256)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
+        compiled = compile_alone(FusionCompiler(tight_config), layer, 4)
         trace = interpret_block(compiled.block)
         loads = trace.events_for(ScratchpadType.WBUF, "load")
         total_iterations = 1
-        for loop in compiled.block.loops_at_level(0):
-            total_iterations *= loop.iterations
+        for loop in compiled.block.loops():
+            if loop.level == 0:
+                total_iterations *= loop.iterations
         assert len(loads) == total_iterations
 
     def test_store_words_are_positive(self, tight_config):
         layer = FCLayer(name="fc", in_features=256, out_features=128)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
+        compiled = compile_alone(FusionCompiler(tight_config), layer, 4)
         trace = interpret_block(compiled.block)
         assert trace.total_words(ScratchpadType.OBUF, "store") > 0
 
     def test_event_limit_guard(self, tight_config):
         layer = FCLayer(name="fc", in_features=2048, out_features=2048)
-        compiled = FusionCompiler(tight_config).compile_compute_layer(layer, batch_size=4)
+        compiled = compile_alone(FusionCompiler(tight_config), layer, 4)
         with pytest.raises(ValueError):
             interpret_block(compiled.block, max_events=4)

@@ -54,7 +54,6 @@ class TestConvLayer:
         assert layer.weight_bits_total() == layer.weight_count() * 2
         assert layer.input_elements() == 400
         assert layer.output_elements() == 800
-        assert layer.input_bits_total() == 1600
 
     def test_rejects_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -77,8 +76,8 @@ class TestConvLayer:
         layer = ConvLayer(name="c")
         assert layer.kind == "conv"
         assert layer.has_gemm()
-        assert layer.has_weights
-        assert layer.is_compute
+        assert layer.weight_count() > 0
+        assert layer.macs() > 0
 
 
 class TestFCLayer:
@@ -117,7 +116,7 @@ class TestActivationLayer:
         assert layer.input_elements() == 100
         assert layer.output_elements() == 100
         assert not layer.has_gemm()
-        assert not layer.has_weights
+        assert layer.weight_count() == 0
 
     def test_rejects_unknown_function(self):
         with pytest.raises(ValueError):

@@ -70,11 +70,7 @@ class TestAggregateStatistics:
         assert tiny_network.total_weight_count() == sum(
             layer.weight_count() for layer in tiny_network
         )
-        assert tiny_network.total_weight_bytes() < tiny_network.total_weight_bytes_at(16)
-
-    def test_max_bitwidths(self, tiny_network):
-        assert tiny_network.max_input_bits() == 8
-        assert tiny_network.max_weight_bits() == 8
+        assert tiny_network.total_weight_bytes() < tiny_network.total_weight_count() * 16 / 8
 
     def test_summary_lists_every_layer(self, tiny_network):
         summary = tiny_network.summary()

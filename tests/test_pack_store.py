@@ -19,9 +19,9 @@ from pathlib import Path
 
 import pytest
 from faults import delete_segments
+from compiling import tiling_requests
 
 from repro.harness.runner import format_cache_info
-from repro.isa.compiler import FusionCompiler
 from repro.session import (
     EvaluationSession,
     ResultCache,
@@ -466,9 +466,7 @@ class TestOldDirectories:
         records.append(
             (program_cache_key(workload), {"kind": "program", "payload": program.to_dict()})
         )
-        requests = FusionCompiler(workload.config).tiling_requests(
-            load_network(workload), batch_size=workload.batch_size
-        )
+        requests = tiling_requests(workload.config, load_network(workload), workload.batch_size)
         tiling_keys = {tiling_cache_key(gemm, orders, workload.config) for gemm, orders in requests}
         records.extend((key, {"kind": "tiling", "payload": {}}) for key in tiling_keys)
         store = SegmentedStore(tmp_path)

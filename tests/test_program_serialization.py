@@ -34,7 +34,6 @@ from repro.dnn.layers import (
     LSTMLayer,
     PoolLayer,
     RNNLayer,
-    layer_from_dict,
     layer_to_dict,
 )
 from repro.fingerprint import fingerprint_payload
@@ -50,7 +49,7 @@ from repro.session import (
     program_cache_key,
 )
 from repro.session.cache import network_result_to_dict
-from repro.session.engine import simulator_for
+from repro.sim.batched import simulate_blocks_grid
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -63,20 +62,10 @@ def _compile(name: str, batch_size: int = 4) -> Program:
 
 class TestLayerSerialization:
     @pytest.mark.parametrize("benchmark_name", ["LeNet-5", "LSTM", "AlexNet", "Cifar-10"])
-    def test_every_layer_round_trips(self, benchmark_name):
+    def test_every_layer_survives_json(self, benchmark_name):
         for layer in models.load(benchmark_name):
             payload = json.loads(json.dumps(layer_to_dict(layer)))
-            assert layer_from_dict(payload) == layer
-
-    def test_unknown_layer_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown layer type"):
-            layer_from_dict({"type": "HologramLayer", "name": "x"})
-
-    def test_recurrent_gates_are_recomputed_not_trusted(self):
-        lstm = next(iter(models.load("LSTM")))
-        payload = layer_to_dict(lstm)
-        payload["gates"] = 99  # derived field: must be ignored on rebuild
-        assert layer_from_dict(payload).gates == lstm.gates
+            assert payload == _asdict_payload(layer)
 
 
 _bits = st.sampled_from((1, 2, 4, 8, 16))
@@ -136,11 +125,11 @@ class TestSerializersMatchAsdict:
                 assert layer_to_dict(layer) == _asdict_payload(layer)
 
     @given(_drawn_layers)
-    def test_drawn_layer_encodes_like_asdict_and_round_trips(self, layer):
+    def test_drawn_layer_encodes_like_asdict_and_survives_json(self, layer):
         payload = layer_to_dict(layer)
         assert payload == _asdict_payload(layer)
         assert list(payload) == list(_asdict_payload(layer))
-        assert layer_from_dict(json.loads(json.dumps(payload))) == layer
+        assert json.loads(json.dumps(payload)) == payload
 
     @pytest.mark.parametrize("benchmark_name", ["LeNet-5", "LSTM", "ResNet-18"])
     def test_gemm_workloads_encode_like_asdict(self, benchmark_name):
@@ -160,7 +149,7 @@ class TestSerializersMatchAsdict:
             assert compiled.to_dict()["block"]["image"] == fresh
             assert compiled.layer_content_dict()["image"] == fresh
             rebuilt = InstructionBlock(block.name, decode_block_hex(block.to_dict()["image"]))
-            assert rebuilt.instructions == block.instructions
+            assert tuple(rebuilt) == tuple(block)
             assert rebuilt.to_dict() == block.to_dict()
 
 
@@ -173,14 +162,12 @@ class TestProgramSerialization:
         assert payload["network_name"] == program.network_name
         assert len(payload["blocks"]) == len(program)
         for original, item in zip(program, payload["blocks"]):
-            assert tuple(decode_block_hex(item["block"]["image"])) == original.block.instructions
+            assert tuple(decode_block_hex(item["block"]["image"])) == tuple(original.block)
             assert item["block"]["name"] == original.name
-            assert layer_from_dict(item["layer"]) == original.layer
+            assert item["layer"] == layer_to_dict(original.layer)
             assert item["tiling"] == original.tiling.to_dict()
             assert item["loop_order"] == original.loop_order.value
-            assert tuple(layer_from_dict(layer) for layer in item["fused_layers"]) == (
-                original.fused_layers
-            )
+            assert item["fused_layers"] == [layer_to_dict(layer) for layer in original.fused_layers]
 
     def test_fingerprint_is_the_digest_of_the_payload(self):
         program = _compile("LeNet-5")
@@ -255,7 +242,7 @@ class TestStagedPipelineEquivalence:
         session.run(workload)
         program = session.cache.memo[program_cache_key(workload)]
         assert isinstance(program, Program)
-        layers = simulator_for(workload.config).run_blocks(program)
+        (layers,) = simulate_blocks_grid([workload.config], program.blocks)
         assert tuple(layers) == execute_workload(workload).layers
 
     def test_disk_restored_result_is_byte_identical(self, tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import BitFusionConfig
 from repro.core.fusion_unit import fusion_config_for
 from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import GemmWorkload, plan_tiling
+from repro.isa.tiling import GemmWorkload, search_tilings
 
 from reference.simulator import GemmCycleModel
 
@@ -50,7 +50,7 @@ class TestTilingProperties:
         workload = GemmWorkload(
             m=m, n=n, r=r, input_bits=input_bits, weight_bits=weight_bits, output_bits=input_bits
         )
-        plan = plan_tiling(workload, config, order)
+        plan = search_tilings((workload,), config, (order,))[0]
         assert plan.tile_m * plan.tile_n * weight_bits <= config.wbuf_kb * 1024 * 8
         assert plan.tile_n * plan.tile_r * input_bits <= config.ibuf_kb * 1024 * 8
         assert plan.tile_m * plan.tile_r * 32 <= config.obuf_kb * 1024 * 8
@@ -68,7 +68,7 @@ class TestTilingProperties:
     def test_utilization_bounded(self, m, n, r, bits):
         config = BitFusionConfig.eyeriss_matched()
         workload = GemmWorkload(m=m, n=n, r=r, input_bits=bits, weight_bits=bits, output_bits=bits)
-        plan = plan_tiling(workload, config)
+        plan = search_tilings((workload,), config, (LoopOrder.OUTPUT_STATIONARY,))[0]
         estimate = GemmCycleModel(config).estimate(plan)
         assert 0.0 < estimate.utilization <= 1.0
         assert estimate.total_cycles >= estimate.ideal_cycles

@@ -53,15 +53,6 @@ class TestMemoryTraffic:
         traffic = MemoryTraffic(dram_read_bits=10, dram_write_bits=5, ibuf_read_bits=3,
                                 wbuf_read_bits=2, obuf_read_bits=1, obuf_write_bits=4)
         assert traffic.dram_total_bits == 15
-        assert traffic.buffer_total_bits == 10
-
-    def test_addition(self):
-        a = MemoryTraffic(dram_read_bits=1, wbuf_read_bits=2)
-        b = MemoryTraffic(dram_read_bits=3, obuf_write_bits=4)
-        combined = a + b
-        assert combined.dram_read_bits == 4
-        assert combined.wbuf_read_bits == 2
-        assert combined.obuf_write_bits == 4
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -113,11 +104,6 @@ class TestNetworkResult:
         assert result.energy_per_inference_j == pytest.approx(6e-6 / 16)
         assert result.average_power_w == pytest.approx(result.energy.total / result.batch_latency_s)
 
-    def test_traffic_aggregation(self):
-        result = _result([_layer(), _layer()])
-        assert result.traffic.dram_read_bits == 2048
-        assert result.traffic.ibuf_read_bits == 4096
-
     def test_speedup_and_energy_reduction(self):
         fast = _result([_layer(compute=100, memory=50)], platform="fast")
         slow = _result([_layer(compute=1000, memory=50)], platform="slow")
@@ -131,12 +117,6 @@ class TestNetworkResult:
         result = _result([_layer(macs=1_000_000)])
         expected = 2 * 1_000_000 / result.batch_latency_s / 1e9
         assert result.effective_throughput_gops == pytest.approx(expected)
-
-    def test_layer_lookup(self):
-        result = _result([_layer("conv1"), _layer("fc")])
-        assert result.layer("fc").name == "fc"
-        with pytest.raises(KeyError):
-            result.layer("missing")
 
     def test_summary_contains_layer_names_and_totals(self):
         summary = _result([_layer("conv1")]).summary()
@@ -182,14 +162,13 @@ class TestNetworkResultMemo:
     def test_totals_are_computed_once_per_instance(self):
         result = _result([_layer("a"), _layer("b")])
         assert result.energy is result.energy
-        assert result.traffic is result.traffic
         assert result.total_cycles == 2 * 1010
 
     def test_memo_is_invisible_to_eq_hash_asdict_replace_and_pickle(self):
         read = _result([_layer("a"), _layer("b")])
         pickled = pickle.dumps(read)
         # Reading the totals fills the memo; ``fresh`` never reads them.
-        assert read.total_cycles and read.energy.total and read.traffic.dram_total_bits
+        assert read.total_cycles and read.energy.total
         fresh = _result([_layer("a"), _layer("b")])
         assert set(vars(read)) > set(vars(fresh))
         assert read == fresh
@@ -211,11 +190,12 @@ class TestNetworkResultMemo:
     @given(st.lists(st.builds(
         EnergyBreakdown, **{name: _joules for name in EnergyBreakdown().as_dict()}
     ), max_size=12))
-    def test_energy_sum_is_the_chained_left_fold_bit_for_bit(self, breakdowns):
-        chained = EnergyBreakdown()
+    def test_energy_sum_is_the_componentwise_left_fold_bit_for_bit(self, breakdowns):
+        folded = dict.fromkeys(EnergyBreakdown().as_dict(), 0.0)
         for breakdown in breakdowns:
-            chained = chained + breakdown
-        assert EnergyBreakdown.sum(breakdowns).as_dict() == chained.as_dict()
+            for key, value in breakdown.as_dict().items():
+                folded[key] += value
+        assert EnergyBreakdown.sum(breakdowns).as_dict() == folded
 
 
 class TestSerializers:

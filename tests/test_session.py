@@ -24,13 +24,13 @@ from pathlib import Path
 
 import pytest
 from faults import tear_last_record
+from compiling import tiling_requests
 
 from repro.baselines.platform import EYERISS
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
 from repro.fingerprint import fingerprint_payload
 from repro.harness.runner import build_report, run_experiments
-from repro.isa.compiler import FusionCompiler
 from repro.session import (
     EvaluationSession,
     ProgramStats,
@@ -85,14 +85,17 @@ _GOLDEN_KEYS = {
 
 
 class TestFingerprints:
-    def test_config_fingerprint_is_deterministic(self):
-        a = BitFusionConfig.eyeriss_matched()
-        b = BitFusionConfig.eyeriss_matched()
+    def test_workload_fingerprint_is_deterministic_in_its_config(self):
+        a = Workload.bitfusion("LeNet-5", config=BitFusionConfig.eyeriss_matched())
+        b = Workload.bitfusion("LeNet-5", config=BitFusionConfig.eyeriss_matched())
         assert a.fingerprint() == b.fingerprint()
 
-    def test_config_fingerprint_changes_with_any_field(self):
+    def test_workload_fingerprint_changes_with_a_config_field(self):
         base = BitFusionConfig.eyeriss_matched()
-        assert base.fingerprint() != base.with_bandwidth(256).fingerprint()
+        assert (
+            Workload.bitfusion("LeNet-5", config=base).fingerprint()
+            != Workload.bitfusion("LeNet-5", config=base.with_bandwidth(256)).fingerprint()
+        )
 
     def test_network_fingerprint_is_deterministic(self):
         assert models.load("LeNet-5").fingerprint() == models.load("LeNet-5").fingerprint()
@@ -195,9 +198,7 @@ class TestFingerprints:
         config = BitFusionConfig.eyeriss_matched().with_technology(technology)
         workload = Workload.bitfusion("LeNet-5", config=config)
         program = compile_program(workload)
-        requests = FusionCompiler(config).tiling_requests(
-            load_network(workload), batch_size=workload.batch_size
-        )
+        requests = tiling_requests(config, load_network(workload), workload.batch_size)
         assert workload.fingerprint() == golden["workload"]
         assert program_cache_key(workload) == golden["program"]
         assert [layer_cache_key(program[i], config) for i in (0, -1)] == golden["layer"]
@@ -555,7 +556,7 @@ class TestPartiallyWarmRuns:
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         original = compile_program(workload)[0]
         renamed = CompiledBlock(
-            block=InstructionBlock("renamed-twin", original.block.instructions),
+            block=InstructionBlock("renamed-twin", tuple(original.block)),
             layer=dc_replace(original.layer, name="renamed-twin"),
             tiling=original.tiling,
             loop_order=original.loop_order,

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import BitFusionConfig
 from repro.isa.instructions import LoopOrder
-from repro.isa.tiling import GemmWorkload, plan_tiling, tile_candidates
+from repro.isa.tiling import GemmWorkload, search_tilings, tile_candidates
+
+_OUTPUT_STATIONARY = (LoopOrder.OUTPUT_STATIONARY,)
 
 
 class TestGemmWorkload:
@@ -43,7 +45,7 @@ class TestTileCandidates:
 class TestPlanTiling:
     def test_small_gemm_fits_on_chip(self, default_config):
         workload = GemmWorkload(m=64, n=64, r=16, input_bits=8, weight_bits=8, output_bits=8)
-        plan = plan_tiling(workload, default_config)
+        plan = search_tilings((workload,), default_config, _OUTPUT_STATIONARY)[0]
         assert plan.fits_on_chip
         assert plan.dram_weight_bits == workload.weight_footprint_bits
         assert plan.dram_input_bits == workload.input_footprint_bits
@@ -54,7 +56,7 @@ class TestPlanTiling:
         workload = GemmWorkload(
             m=4096, n=9216, r=64, input_bits=4, weight_bits=1, output_bits=4
         )
-        plan = plan_tiling(workload, default_config)
+        plan = search_tilings((workload,), default_config, _OUTPUT_STATIONARY)[0]
         assert plan.m_tiles * plan.tile_m >= workload.m
         assert plan.n_tiles * plan.tile_n >= workload.n
         assert plan.r_tiles * plan.tile_r >= workload.r
@@ -64,7 +66,7 @@ class TestPlanTiling:
         workload = GemmWorkload(
             m=8192, n=8192, r=256, input_bits=8, weight_bits=8, output_bits=8
         )
-        plan = plan_tiling(workload, default_config)
+        plan = search_tilings((workload,), default_config, _OUTPUT_STATIONARY)[0]
         assert plan.tile_m * plan.tile_n * 8 <= default_config.wbuf_kb * 1024 * 8
         assert plan.tile_n * plan.tile_r * 8 <= default_config.ibuf_kb * 1024 * 8
         assert plan.tile_m * plan.tile_r * 32 <= default_config.obuf_kb * 1024 * 8
@@ -73,34 +75,38 @@ class TestPlanTiling:
         workload = GemmWorkload(
             m=512, n=4608, r=16384, input_bits=2, weight_bits=2, output_bits=2
         )
-        plan = plan_tiling(workload, default_config, LoopOrder.WEIGHT_STATIONARY)
+        plan = search_tilings(
+            (workload,), default_config, (LoopOrder.WEIGHT_STATIONARY,)
+        )[0]
         assert plan.dram_weight_bits == workload.weight_footprint_bits
 
     def test_input_stationary_fetches_inputs_once(self, default_config):
         workload = GemmWorkload(
             m=512, n=4608, r=16384, input_bits=2, weight_bits=2, output_bits=2
         )
-        plan = plan_tiling(workload, default_config, LoopOrder.INPUT_STATIONARY)
+        plan = search_tilings(
+            (workload,), default_config, (LoopOrder.INPUT_STATIONARY,)
+        )[0]
         assert plan.dram_input_bits == workload.input_footprint_bits
 
     def test_output_stationary_never_spills_partials(self, default_config):
         workload = GemmWorkload(
             m=10000, n=1280, r=16, input_bits=4, weight_bits=4, output_bits=8
         )
-        plan = plan_tiling(workload, default_config, LoopOrder.OUTPUT_STATIONARY)
+        plan = search_tilings((workload,), default_config, _OUTPUT_STATIONARY)[0]
         assert plan.dram_output_read_bits == 0
         assert plan.dram_output_write_bits == workload.output_footprint_bits
 
     def test_lower_weight_bitwidth_reduces_weight_traffic(self, default_config):
         high = GemmWorkload(m=1024, n=4096, r=256, input_bits=8, weight_bits=8, output_bits=8)
         low = GemmWorkload(m=1024, n=4096, r=256, input_bits=8, weight_bits=2, output_bits=8)
-        plan_high = plan_tiling(high, default_config)
-        plan_low = plan_tiling(low, default_config)
+        plan_high = search_tilings((high,), default_config, _OUTPUT_STATIONARY)[0]
+        plan_low = search_tilings((low,), default_config, _OUTPUT_STATIONARY)[0]
         assert plan_low.dram_weight_bits < plan_high.dram_weight_bits
 
     def test_with_output_store_bits_override(self, default_config):
         workload = GemmWorkload(m=16, n=16, r=16, input_bits=4, weight_bits=4, output_bits=4)
-        plan = plan_tiling(workload, default_config)
+        plan = search_tilings((workload,), default_config, _OUTPUT_STATIONARY)[0]
         fused = plan.with_output_store_bits(128)
         assert fused.dram_output_write_bits == 128
         assert fused.dram_weight_bits == plan.dram_weight_bits
@@ -111,7 +117,7 @@ class TestPlanTiling:
         workload = GemmWorkload(
             m=1, n=1, r=10_000_000, input_bits=1, weight_bits=1, output_bits=1
         )
-        plan = plan_tiling(workload, default_config)
+        plan = search_tilings((workload,), default_config, _OUTPUT_STATIONARY)[0]
         assert plan.tile_r <= (1 << 16) - 1
 
     @settings(max_examples=40, deadline=None)
@@ -126,7 +132,7 @@ class TestPlanTiling:
         """Property: DRAM traffic can never drop below one fetch of each tensor."""
         config = BitFusionConfig.eyeriss_matched()
         workload = GemmWorkload(m=m, n=n, r=r, input_bits=bits, weight_bits=bits, output_bits=bits)
-        plan = plan_tiling(workload, config, order)
+        plan = search_tilings((workload,), config, (order,))[0]
         assert plan.dram_weight_bits >= workload.weight_footprint_bits
         assert plan.dram_input_bits >= workload.input_footprint_bits
         assert plan.dram_output_write_bits >= workload.output_footprint_bits

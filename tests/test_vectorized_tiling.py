@@ -1,10 +1,11 @@
 """The vectorized tiling search against its scalar reference oracle.
 
-The contract under test: :func:`~repro.isa.tiling.search_tiling` (the
+The contract under test: :func:`~repro.isa.tiling.search_tilings` (the
 numpy grid scorer the compiler runs) returns plans *bit-identical* to
 ``reference.tiling.search_tiling_scalar`` (the readable pure-Python
-double loop) on every input the int64 guard admits — same tile sizes, same loop order, same
-traffic totals, and therefore byte-identical compiled programs.  Covered:
+double loop) on every input the int64 guard admits — same tile sizes, same
+loop order, same traffic totals, and therefore byte-identical compiled
+programs.  Covered:
 
 * every in-zoo network, compiled whole under several
   ``BitFusionConfig.with_*`` buffer/array geometries and both compiler
@@ -13,8 +14,8 @@ traffic totals, and therefore byte-identical compiled programs.  Covered:
   and each single order,
 * randomized GEMM shapes and buffer geometries (hypothesis),
 * the int64-overflow guard and infeasible-search error parity,
-* the batched search (:func:`~repro.isa.tiling.search_tilings`): every zoo
-  GEMM at batches 1, 16 and 256 in one call, and randomized ragged
+* many GEMMs in one search: every zoo GEMM at batches 1, 16 and 256 in
+  one call, and randomized ragged
   batches, plan for plan against single searches and the scalar oracle,
   and the GEMM a failing batch names.
 """
@@ -31,8 +32,6 @@ from repro.isa.instructions import LoopOrder
 from repro.isa.tiling import (
     GemmWorkload,
     _int64_safe,
-    plan_tiling,
-    search_tiling,
     search_tilings,
 )
 
@@ -103,11 +102,11 @@ class TestZooOracle:
     def test_every_zoo_gemm_every_order(self, config):
         orders = tuple(LoopOrder)
         for gemm in _zoo_gemms(config):
-            assert search_tiling(gemm, config, orders) == search_tiling_scalar(
+            assert search_tilings((gemm,), config, orders)[0] == search_tiling_scalar(
                 gemm, config, orders
             )
             for order in orders:
-                assert plan_tiling(gemm, config, order) == plan_tiling_scalar(
+                assert search_tilings((gemm,), config, (order,))[0] == plan_tiling_scalar(
                     gemm, config, order
                 )
 
@@ -142,9 +141,9 @@ class TestRandomizedOracle:
             expected = search_tiling_scalar(gemm, config, orders)
         except ValueError:
             with pytest.raises(ValueError):
-                search_tiling(gemm, config, orders)
+                search_tilings((gemm,), config, orders)
             return
-        assert search_tiling(gemm, config, orders) == expected
+        assert search_tilings((gemm,), config, orders)[0] == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -157,7 +156,9 @@ class TestRandomizedOracle:
         gemm = GemmWorkload(
             m=m, n=n, r=r, input_bits=8, weight_bits=8, output_bits=16
         )
-        assert plan_tiling(gemm, _BASE, order) == plan_tiling_scalar(gemm, _BASE, order)
+        assert search_tilings((gemm,), _BASE, (order,))[0] == plan_tiling_scalar(
+            gemm, _BASE, order
+        )
 
 
 class TestEdgeParity:
@@ -165,12 +166,12 @@ class TestEdgeParity:
         # Large enough that int64 traffic arithmetic could overflow: the
         # guard must reject it with a one-line error naming the GEMM.
         gemm = GemmWorkload(
-            m=1 << 20, n=1 << 20, r=1 << 18, input_bits=32, weight_bits=32, output_bits=32
+            m=1 << 20, n=1 << 20, r=1 << 18, input_bits=16, weight_bits=16, output_bits=32
         )
         assert not _int64_safe(gemm)
         config = _BASE.with_buffers(1024.0, 4096.0, 1024.0)
         with pytest.raises(ValueError, match=r"^GEMM 1048576x1048576x262144 .* too large") as error:
-            search_tiling(gemm, config, tuple(LoopOrder))
+            search_tilings((gemm,), config, tuple(LoopOrder))
         assert "\n" not in str(error.value)
 
     def test_zoo_workloads_are_int64_safe(self):
@@ -180,17 +181,17 @@ class TestEdgeParity:
             assert _int64_safe(gemm)
 
     def test_infeasible_search_raises_like_scalar(self):
-        gemm = GemmWorkload(m=64, n=64, r=64, input_bits=32, weight_bits=32, output_bits=32)
+        gemm = GemmWorkload(m=64, n=64, r=64, input_bits=16, weight_bits=16, output_bits=32)
         tiny = _BASE.with_buffers(0.001, 0.001, 0.001)
         with pytest.raises(ValueError, match="no feasible tiling"):
             search_tiling_scalar(gemm, tiny, tuple(LoopOrder))
         with pytest.raises(ValueError, match="no feasible tiling"):
-            search_tiling(gemm, tiny, tuple(LoopOrder))
+            search_tilings((gemm,), tiny, tuple(LoopOrder))
 
     def test_empty_orders_rejected(self):
         gemm = GemmWorkload(m=8, n=8, r=8, input_bits=8, weight_bits=8, output_bits=16)
         with pytest.raises(ValueError):
-            search_tiling(gemm, _BASE, ())
+            search_tilings((gemm,), _BASE, ())
         with pytest.raises(ValueError):
             search_tiling_scalar(gemm, _BASE, ())
 
@@ -218,7 +219,7 @@ class TestBatchedSearch:
         gemms = _zoo_gemms(config, batch_size)
         orders = tuple(LoopOrder)
         batched = search_tilings(gemms, config, orders)
-        assert batched == [search_tiling(gemm, config, orders) for gemm in gemms]
+        assert batched == [search_tilings((gemm,), config, orders)[0] for gemm in gemms]
         scalar = {
             gemm: search_tiling_scalar(gemm, config, orders) for gemm in dict.fromkeys(gemms)
         }
