@@ -16,49 +16,58 @@ tiling searches and block simulations within one process (and between a
 session and a NAS estimator sharing the cache), but they are never
 written: recomputing them costs less than decoding them.
 
-Every result serializes losslessly to JSON — ints, floats and strings
-only, and Python's JSON round-trips floats exactly — so a result read back
-from disk is bit-identical to the freshly computed one.
+A result record is a small JSON header (network, platform, batch,
+frequency and layer names) and one packed row per layer: its 13 counts as
+int64 and its four energies and utilization as float64
+(:func:`encode_result`).  Counts are ints and energies floats, so the rows
+round-trip exactly and a result read back from disk is bit-identical to
+the freshly computed one; a count beyond int64 raises instead of being
+truncated.  Decoding goes through the validating constructors, so a
+corrupt row (say, a negative count) reads as a miss.
 
 On disk, entries live in append-only pack segments managed by
-:class:`repro.session.store.SegmentedStore` (length-prefixed compact
-records + per-segment index sidecars).  The key index is built once at
+:class:`repro.session.store.SegmentedStore` (length-prefixed records +
+per-segment index sidecars).  The key index is built once at
 open from the sidecars, which are the directory's only index: lookups are
 dictionary hits, a :meth:`ResultCache.put` appends one record, and a warm
 run that only reads leaves every file in the directory untouched.  A
 read-only directory still serves reads; an unreadable record, or one of
 any other kind (the program, tiling and layer records older releases
-wrote), is a miss.  Nothing is ever evicted: entries are small (a 576-point
-sweep stores about 2.2 MiB) and a stale one is simply never looked up
-again; delete the directory to reclaim it.
+wrote, and every record of an older store schema), is a miss.  Nothing is
+ever evicted: entries are small (a 576-point sweep stores about 0.8 MiB)
+and a stale one is simply never looked up again; delete the directory to
+reclaim it.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.energy.breakdown import EnergyBreakdown
 from repro.isa.program import Program
 from repro.session.store import SegmentedStore, encode_body
-from repro.sim.results import (
-    NetworkResult,
-    layer_result_from_dict,
-    layer_result_to_dict,
-)
+from repro.sim.results import LayerResult, MemoryTraffic, NetworkResult
 
 __all__ = [
     "CacheStats",
     "StageStats",
     "ProgramStats",
     "ResultCache",
-    "network_result_to_dict",
-    "network_result_from_dict",
+    "decode_result",
+    "encode_result",
 ]
 
 #: The one record kind the disk holds.
 _KIND = "network_result"
+
+#: One layer of a ``network_result`` record: macs, the two operand widths,
+#: the three cycle counts and the seven traffic fields as int64, then the
+#: four energies and the utilization as float64 (little-endian, unpadded).
+_ROW = struct.Struct("<13q5d")
 
 
 @dataclass(frozen=True)
@@ -174,10 +183,6 @@ class CacheStats:
     def record_execution(self, key: str) -> None:
         self.executions[key] = self.executions.get(key, 0) + 1
 
-    def max_executions_per_workload(self) -> int:
-        """1 when every unique workload was simulated exactly once."""
-        return max(self.executions.values(), default=0)
-
     def summary(self) -> str:
         lines = [
             f"{self.lookups} workload lookups: {self.hits} cache hits "
@@ -193,32 +198,54 @@ class CacheStats:
 
 
 # ---------------------------------------------------------------------- #
-# NetworkResult <-> JSON
+# NetworkResult <-> record
 # ---------------------------------------------------------------------- #
-def network_result_to_dict(result: NetworkResult) -> dict[str, Any]:
-    """Serialize a NetworkResult to a JSON-compatible dictionary.
+def _pack_layer(layer: LayerResult) -> bytes:
+    traffic, energy = layer.traffic, layer.energy
+    return _ROW.pack(
+        layer.macs, layer.input_bits, layer.weight_bits,
+        layer.compute_cycles, layer.memory_cycles, layer.overhead_cycles,
+        traffic.dram_read_bits, traffic.dram_write_bits, traffic.ibuf_read_bits,
+        traffic.wbuf_read_bits, traffic.obuf_read_bits, traffic.obuf_write_bits,
+        traffic.register_file_bits,
+        energy.compute, energy.buffers, energy.register_file, energy.dram,
+        layer.utilization,
+    )
 
-    Equal to ``dataclasses.asdict(result)`` (``layers`` stays a tuple),
-    built from :func:`~repro.sim.results.layer_result_to_dict` per layer.
+
+def encode_result(result: NetworkResult) -> tuple[dict[str, Any], bytes]:
+    """A result's record header and its packed layer rows.
+
+    ``struct`` raises on a count outside int64 rather than truncating it.
     """
-    return {
-        "network_name": result.network_name,
+    header = {
+        "network": result.network_name,
         "platform": result.platform,
-        "batch_size": result.batch_size,
-        "frequency_mhz": result.frequency_mhz,
-        "layers": tuple(layer_result_to_dict(layer) for layer in result.layers),
+        "batch": result.batch_size,
+        "frequency": result.frequency_mhz,
+        "layers": [layer.name for layer in result.layers],
     }
+    return header, b"".join(_pack_layer(layer) for layer in result.layers)
 
 
-def network_result_from_dict(payload: dict[str, Any]) -> NetworkResult:
-    """Rebuild a NetworkResult from :func:`network_result_to_dict` output."""
-    layers = tuple(layer_result_from_dict(layer) for layer in payload["layers"])
+def decode_result(header: dict[str, Any], rows: bytes) -> NetworkResult:
+    """Rebuild a result from :func:`encode_result` output.
+
+    Every record goes through the validating constructors, so a malformed
+    one raises ``ValueError`` (a negative count, too few or too many
+    rows), ``KeyError`` or ``TypeError`` (a header field missing or of the
+    wrong type).
+    """
+    names = header["layers"]
+    if len(rows) != _ROW.size * len(names):
+        raise ValueError(f"{len(rows)} row bytes for {len(names)} layers")
+    layers = tuple(
+        LayerResult(name, *row[:6], MemoryTraffic(*row[6:13]), EnergyBreakdown(*row[13:17]),
+                    row[17])
+        for name, row in zip(names, _ROW.iter_unpack(rows))
+    )
     return NetworkResult(
-        network_name=payload["network_name"],
-        platform=payload["platform"],
-        batch_size=payload["batch_size"],
-        frequency_mhz=payload["frequency_mhz"],
-        layers=layers,
+        header["network"], header["platform"], header["batch"], header["frequency"], layers
     )
 
 
@@ -251,9 +278,6 @@ class ResultCache:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             self._store = SegmentedStore(self.cache_dir)
 
-    def __len__(self) -> int:
-        return len(self._memory)
-
     def __contains__(self, key: str) -> bool:
         return key in self._memory or (self._store is not None and key in self._store)
 
@@ -268,24 +292,21 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Lookup / store
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _decode_entry(entry: dict[str, Any]) -> NetworkResult | None:
-        """Deserialize one result record; None when unreadable or another kind."""
-        if entry.get("kind") != _KIND:
-            return None
-        try:
-            return network_result_from_dict(entry["payload"])
-        except (ValueError, KeyError, TypeError):
-            return None
-
     def _read_disk_entry(self, key: str) -> NetworkResult | None:
-        """One store record, deserialized (IO time is accounted here)."""
+        """One store record, decoded; None when unreadable or another kind.
+
+        IO time is accounted here.
+        """
         if self._store is None:
             return None
         started = time.perf_counter()
         try:
             record = self._store.get_record(key)
-            return self._decode_entry(record) if record is not None else None
+            if record is None or record[0]["kind"] != _KIND:
+                return None
+            return decode_result(*record)
+        except (ValueError, KeyError, TypeError):
+            return None
         finally:
             self.io_seconds += time.perf_counter() - started
 
@@ -318,7 +339,7 @@ class ResultCache:
         self._memory[key] = value
         if self._store is None:
             return
-        body = encode_body(key, {"kind": _KIND, "payload": network_result_to_dict(value)})
+        body = encode_body(key, _KIND, *encode_result(value))
         started = time.perf_counter()
         # A read-only shared cache directory still serves reads; an append
         # that fails leaves the fresh value memory-only this session.
@@ -343,10 +364,6 @@ class ResultCache:
             bucket["entries"] += 1
             bucket["bytes"] += size
         return summary
-
-    def disk_keys(self) -> set[str]:
-        """Keys currently resolvable from the on-disk store."""
-        return set(self._store.keys()) if self._store is not None else set()
 
     def describe_layout(self) -> str:
         """One human-readable line describing the on-disk format (``--cache-info``)."""

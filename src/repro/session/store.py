@@ -4,11 +4,13 @@
 handful of **append-only pack segments** instead of one file per entry,
 so a write is one buffered append and a lookup is a dictionary hit:
 
-* **Record**: a 4-byte big-endian length prefix followed by one compact
-  (``sort_keys``, no whitespace) UTF-8 JSON object ``{"key", "kind",
-  "payload"}``, so a record is self-delimiting and a truncated tail (a
-  writer killed mid-append) is detected and dropped at the next scan
-  instead of poisoning the file.
+* **Record**: a 4-byte big-endian length prefix followed by a body: one
+  byte holding :data:`STORE_SCHEMA_VERSION`, a 4-byte header length, a
+  compact UTF-8 JSON header ``{"key", "kind", ...}`` and a binary payload
+  the header's kind gives meaning to (a result's packed layer rows, see
+  :mod:`repro.session.cache`).  A record is self-delimiting, so a
+  truncated tail (a writer killed mid-append) is detected and dropped at
+  the next scan instead of poisoning the file.
 * **Segment**: ``pack-<pid>-<nonce>.seg``, append-only, owned by exactly
   one writer process for its lifetime.  Writers never share a segment, so
   the data path needs no locks, and readers merge all segments at open
@@ -24,6 +26,11 @@ The merged sidecars are the directory's only index: entry kinds and sizes
 segments.  Records are never deleted or rewritten.  A key is a content
 fingerprint, so every record stored under it holds the same result; the
 index keeps the last one it scanned or appended.
+
+A directory of another schema needs no migration: its sidecars are stale,
+and a rescan stops at the first body with another version byte (a schema-1
+record was one keyed JSON object, opening with ``{``).  Its segments index
+nothing, so every lookup is a miss and new records go to a new segment.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import struct
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import Any, BinaryIO, Iterator
 
 __all__ = [
     "SEGMENT_SUFFIX",
@@ -42,8 +49,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "SegmentedStore",
     "encode_body",
-    "encode_record",
-    "iter_records",
 ]
 
 #: Segment files are ``pack-<pid>-<nonce>.seg``; the prefix + suffix pair is
@@ -54,57 +59,53 @@ _SEGMENT_GLOB = f"pack-*{SEGMENT_SUFFIX}"
 #: Per-segment index sidecar (``<segment>.idx``).
 INDEX_SUFFIX = ".idx"
 
-#: Version of the record/sidecar format; bumped on incompatible changes
-#: (readers treat an unknown sidecar schema as stale and rescan).
-STORE_SCHEMA_VERSION = 1
+#: Version of the record/sidecar format; bumped on incompatible changes.
+#: Readers treat a sidecar of another schema as stale and rescan, and the
+#: scan reads no record whose body opens with another version byte.
+STORE_SCHEMA_VERSION = 2
 
 #: Length prefix of one record.
 _LENGTH = struct.Struct(">I")
+
+#: Head of one record body: the schema version and the JSON header's length.
+_HEAD = struct.Struct(">BI")
 
 #: Sanity cap on one record's body; anything larger is treated as a torn
 #: or corrupt tail when scanning.
 MAX_RECORD_BYTES = 256 * 1024 * 1024
 
 
-#: Reused encoder for record bodies: ``json.dumps`` with non-default
+#: Reused encoder for headers and sidecars: ``json.dumps`` with non-default
 #: keyword arguments constructs a fresh ``JSONEncoder`` per call, which is
 #: measurable per-record overhead on a sweep's hundreds of puts.
-_BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def encode_body(key: str, entry: dict[str, Any]) -> bytes:
-    """One record body: compact JSON of the entry plus its key (no prefix)."""
-    return _BODY_ENCODER.encode({"key": key, **entry}).encode("utf-8")
+def encode_body(key: str, kind: str, header: dict[str, Any], payload: bytes) -> bytes:
+    """One record body (no length prefix): version, JSON header, payload.
 
-
-def encode_record(key: str, entry: dict[str, Any]) -> bytes:
-    """One length-prefixed record: compact JSON of the entry plus its key."""
-    body = encode_body(key, entry)
-    return _LENGTH.pack(len(body)) + body
-
-
-def iter_records(data: bytes) -> Iterator[tuple[int, int, dict[str, Any]]]:
-    """Yield ``(body_offset, body_length, record)`` from raw segment bytes.
-
-    Stops at the first torn or undecodable record: a writer killed
-    mid-append leaves a truncated tail, and everything before it is intact
-    by construction (single-writer, append-only).
+    The header is ``header`` plus the record's ``key`` and ``kind``, which
+    are all a scan reads to rebuild the index.
     """
-    position = 0
-    total = len(data)
-    while position + _LENGTH.size <= total:
-        (length,) = _LENGTH.unpack_from(data, position)
-        start = position + _LENGTH.size
-        if length > MAX_RECORD_BYTES or start + length > total:
-            return  # torn tail
-        try:
-            record = json.loads(data[start : start + length].decode("utf-8"))
-            if not isinstance(record, dict) or "key" not in record:
-                return
-        except (ValueError, UnicodeDecodeError):
-            return
-        yield start, length, record
-        position = start + length
+    text = _ENCODER.encode({**header, "key": key, "kind": kind}).encode("utf-8")
+    return _HEAD.pack(STORE_SCHEMA_VERSION, len(text)) + text + payload
+
+
+def _decode_body(body: bytes) -> tuple[dict[str, Any], bytes] | None:
+    """``(header, payload)`` of one record body; None unless it is this schema's."""
+    if len(body) < _HEAD.size:
+        return None
+    version, length = _HEAD.unpack_from(body)
+    end = _HEAD.size + length
+    if version != STORE_SCHEMA_VERSION or end > len(body):
+        return None
+    try:
+        header = json.loads(body[_HEAD.size : end])
+    except ValueError:  # not JSON, or not UTF-8
+        return None
+    if isinstance(header, dict) and all(isinstance(header.get(f), str) for f in ("key", "kind")):
+        return header, body[end:]
+    return None
 
 
 @dataclass
@@ -178,14 +179,30 @@ class SegmentedStore:
         return entries
 
     def _scan_segment(self, path: Path, size: int) -> dict[str, tuple[int, int, str]]:
-        """Rebuild one segment's entries by a sequential record scan."""
+        """Rebuild one segment's entries by a sequential record scan.
+
+        Stops at the first torn or undecodable record: a writer killed
+        mid-append leaves a truncated tail, and everything before it is
+        intact by construction (single-writer, append-only).  A segment of
+        an older schema stops at its first record and indexes nothing.
+        """
         try:
             data = path.read_bytes()[:size]
         except OSError:
             return {}
         entries: dict[str, tuple[int, int, str]] = {}
-        for offset, length, record in iter_records(data):
-            entries[str(record["key"])] = (offset, length, str(record.get("kind", "unknown")))
+        position = 0
+        while position + _LENGTH.size <= len(data):
+            (length,) = _LENGTH.unpack_from(data, position)
+            start = position + _LENGTH.size
+            if length > MAX_RECORD_BYTES or start + length > len(data):
+                break  # torn tail
+            record = _decode_body(data[start : start + length])
+            if record is None:
+                break
+            header, _ = record
+            entries[header["key"]] = (start, length, header["kind"])
+            position = start + length
         return entries
 
     def _write_sidecar(
@@ -200,7 +217,7 @@ class SegmentedStore:
         path = self.directory / (name + INDEX_SUFFIX)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(_BODY_ENCODER.encode(payload), encoding="utf-8")
+            tmp.write_text(_ENCODER.encode(payload), encoding="utf-8")
             tmp.replace(path)
         except OSError:
             return  # advisory: the next open rescans instead
@@ -210,12 +227,6 @@ class SegmentedStore:
     # ------------------------------------------------------------------ #
     def __contains__(self, key: str) -> bool:
         return key in self._index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def keys(self) -> Iterable[str]:
-        return self._index.keys()
 
     @property
     def segment_count(self) -> int:
@@ -239,20 +250,23 @@ class SegmentedStore:
             self._handles[name] = handle
         return handle
 
-    def _read_location(self, location: _Location) -> dict[str, Any] | None:
+    def _read_location(self, location: _Location) -> tuple[dict[str, Any], bytes] | None:
         handle = self._read_handle(location.segment)
         if handle is None:
             return None
         try:
             handle.seek(location.offset)
             body = handle.read(location.length)
-            record = json.loads(body.decode("utf-8"))
-        except (OSError, ValueError, UnicodeDecodeError):
+        except OSError:
             return None
-        return record if isinstance(record, dict) else None
+        return _decode_body(body)
 
-    def get_record(self, key: str) -> dict[str, Any] | None:
-        """One entry record (``{"key", "kind", "payload"}``), or None."""
+    def get_record(self, key: str) -> tuple[dict[str, Any], bytes] | None:
+        """One record's ``(header, payload)``, or None.
+
+        The header holds the record's ``key`` and ``kind`` next to the
+        fields its writer put there.
+        """
         location = self._index.get(key)
         if location is None:
             return None
@@ -280,8 +294,8 @@ class SegmentedStore:
     ) -> dict[str, int] | None:
         """Append pre-encoded record bodies to this process's segment.
 
-        ``items`` is ``(key, kind, body)`` with ``body`` the compact JSON
-        record bytes (:func:`encode_record` without the length prefix).
+        ``items`` is ``(key, kind, body)`` with ``body`` from
+        :func:`encode_body`.
         Returns ``{key: body_bytes}`` on success, ``None`` when the
         directory is unwritable (callers keep those entries memory-only).
         """

@@ -12,6 +12,7 @@ boundaries and on-disk round trips.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, is_dataclass, replace
+from functools import lru_cache
 from typing import Any
 
 from repro.fingerprint import fingerprint_payload
@@ -247,7 +248,7 @@ class Workload:
         if self.config is None:
             return None
         if is_dataclass(self.config):
-            return {"type": type(self.config).__name__, **asdict(self.config)}
+            return _dataclass_payload(self.config)
         raise TypeError(
             f"workload config must be a dataclass, got {type(self.config).__name__}"
         )
@@ -304,6 +305,17 @@ class Workload:
         if self.gpu_precision is not None:
             parts.append(f"precision={self.gpu_precision}")
         return " ".join(parts)
+
+
+@lru_cache(maxsize=None)
+def _dataclass_payload(config: Any) -> dict[str, Any]:
+    """A config's fingerprint payload, built once per (frozen, hashable) config.
+
+    A sweep fingerprints one config at every batch size, and ``asdict``
+    recurses and deep-copies every field each time.  Callers only hash the
+    payload, never mutate it.
+    """
+    return {"type": type(config).__name__, **asdict(config)}
 
 
 def load_network(workload: Workload) -> Network:

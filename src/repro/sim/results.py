@@ -10,17 +10,16 @@ and energy ratios uniformly:
 * :class:`NetworkResult` — the ordered layer results for one network on one
   platform, with aggregate latency / throughput / energy properties.
 
-Both records are frozen and serialize losslessly to JSON (ints, floats and
-strings only), which is what lets the evaluation session cache them:
-``LayerResult`` is the per-block artifact of the simulate stage, memoized
-in process under the name-free layer fingerprint plus the
+Both records are frozen, which is what lets the evaluation session cache
+them: ``LayerResult`` is the per-block artifact of the simulate stage,
+memoized in process under the name-free layer fingerprint plus the
 simulation-affecting configuration (see
 :func:`repro.session.engine.layer_cache_key`), and a ``NetworkResult`` is
-what a cache directory stores, read back bit-identical to the freshly
-composed one.  A cached result is invalidated only by its key changing —
-there is no epoch or timestamp scheme; if the layer content or any
-simulation-affecting parameter changes, the old entry is simply never
-looked up again.
+what a cache directory stores (:func:`repro.session.cache.encode_result`),
+read back bit-identical to the freshly composed one.  A cached result is
+invalidated only by its key changing — there is no epoch or timestamp
+scheme; if the layer content or any simulation-affecting parameter
+changes, the old entry is simply never looked up again.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ __all__ = [
     "MemoryTraffic",
     "LayerResult",
     "NetworkResult",
-    "layer_result_to_dict",
-    "layer_result_from_dict",
     "compose_network_result",
 ]
 
@@ -285,50 +282,8 @@ class NetworkResult:
 
 
 # ---------------------------------------------------------------------- #
-# Per-layer serialization and result composition (pipeline stage 3)
+# Result composition (pipeline stage 3)
 # ---------------------------------------------------------------------- #
-def layer_result_to_dict(layer: LayerResult) -> dict[str, Any]:
-    """Serialize one layer result to a JSON-compatible dictionary.
-
-    Every field is an int, float or string and Python's JSON round-trips
-    floats exactly, so an entry read back from disk is bit-identical to the
-    freshly simulated result.  This is the unit the staged pipeline caches:
-    one payload per simulated instruction block.
-
-    Equal to ``dataclasses.asdict(layer)`` but built field by field:
-    ``asdict`` recurses and deep-copies every leaf, and it dominated the
-    cost of storing simulated blocks.
-    """
-    return {
-        "name": layer.name,
-        "macs": layer.macs,
-        "input_bits": layer.input_bits,
-        "weight_bits": layer.weight_bits,
-        "compute_cycles": layer.compute_cycles,
-        "memory_cycles": layer.memory_cycles,
-        "overhead_cycles": layer.overhead_cycles,
-        "traffic": layer.traffic.as_dict(),
-        "energy": layer.energy.as_dict(),
-        "utilization": layer.utilization,
-    }
-
-
-def layer_result_from_dict(payload: dict[str, Any]) -> LayerResult:
-    """Rebuild a layer result from :func:`layer_result_to_dict` output."""
-    return LayerResult(
-        name=payload["name"],
-        macs=payload["macs"],
-        input_bits=payload["input_bits"],
-        weight_bits=payload["weight_bits"],
-        compute_cycles=payload["compute_cycles"],
-        memory_cycles=payload["memory_cycles"],
-        overhead_cycles=payload["overhead_cycles"],
-        traffic=MemoryTraffic(**payload["traffic"]),
-        energy=EnergyBreakdown(**payload["energy"]),
-        utilization=payload["utilization"],
-    )
-
-
 def compose_network_result(
     network_name: str,
     platform: str,

@@ -17,13 +17,13 @@ ordinary module state or edit a closed cache directory.
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 from unittest import mock
 
 from repro.session import engine
-from repro.session.store import iter_records
 
 __all__ = [
     "InjectedSimulatorFault",
@@ -78,11 +78,14 @@ def delete_segments(cache_dir: str | Path) -> list[str]:
 def tear_last_record(cache_dir: str | Path) -> dict[str, Any]:
     """Truncate a one-segment cache directory halfway into its last record.
 
-    The state a writer killed mid-append leaves behind.  Returns the torn
-    record (``key``, ``kind``, ``payload``).
+    The state a writer killed mid-append leaves behind.  The record is
+    located through the segment's index sidecar, which a closed directory
+    has.  Returns the torn record's ``key`` and ``kind``.
     """
     (segment,) = Path(cache_dir).glob("pack-*.seg")
-    data = segment.read_bytes()
-    offset, length, record = list(iter_records(data))[-1]
-    segment.write_bytes(data[: offset + length // 2])
-    return record
+    sidecar = json.loads(segment.with_name(segment.name + ".idx").read_text(encoding="utf-8"))
+    key, (offset, length, kind) = max(
+        sidecar["entries"].items(), key=lambda item: item[1][0]
+    )
+    segment.write_bytes(segment.read_bytes()[: offset + length // 2])
+    return {"key": key, "kind": kind}

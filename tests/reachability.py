@@ -74,11 +74,12 @@ SCENARIOS: list[tuple[str, tuple[str, str], list[str]]] = [
 #: Why a function that no scenario runs may stay in ``src/``: it raises on
 #: bad input or an unsupported call; tests check the program against it; a
 #: sweep or NAS spec field the scenarios leave at its default reaches it;
-#: it is a dunder; a library example in ``docs/`` calls it; or it belongs to
-#: ``session/``, which ROADMAP item 10 holds until the store is cut.
+#: it is a dunder; a library example in ``docs/`` calls it; or it is one of
+#: the ``session/`` functions ROADMAP item 10 still lists for a caller or a
+#: removal.
 REASONS = ("error path", "oracle", "spec-reachable", "dunder", "documented", "session")
 
-_SESSION = "session: held by ROADMAP item 10"
+_SESSION = "session: ROADMAP item 10 asks for a caller or a removal"
 _INTERPRETER = "oracle: isa/interpreter.py, the candidate traffic gate of ROADMAP item 4"
 _ENCODING = "oracle: decodes Table I words, the round trip of the encoder's tests"
 
@@ -135,17 +136,12 @@ ALLOWED: dict[str, str] = {
     "repro.isa.tiling:_no_feasible_tiling": "error path: no tiling fits the buffers",
     "repro.isa.tiling:_too_large_to_tile": "error path: traffic could overflow int64",
     "repro.nas.mutations:mutate_kernel": "spec-reachable: the \"kernel\" entry of a NAS spec's axes",
-    "repro.session.cache:CacheStats.max_executions_per_workload": _SESSION,
-    "repro.session.cache:ResultCache.__len__": _SESSION,
-    "repro.session.cache:ResultCache.disk_keys": _SESSION,
     "repro.session.engine:describe_workload_error": _SESSION,
     "repro.session.engine:layer_cache_key": _SESSION,
     "repro.session.session:EvaluationSession.run": _SESSION,
-    "repro.session.store:SegmentedStore.__len__": _SESSION,
-    "repro.session.store:SegmentedStore._scan_segment": _SESSION,
-    "repro.session.store:SegmentedStore.keys": _SESSION,
-    "repro.session.store:encode_record": _SESSION,
-    "repro.session.store:iter_records": _SESSION,
+    "repro.session.store:SegmentedStore._scan_segment": (
+        "error path: index recovery when a segment's sidecar is missing or stale"
+    ),
     "repro.session.workload:Workload.label": _SESSION,
     "repro.sim.results:MemoryTraffic.dram_total_bits": (
         "oracle: the reference simulator in tests/reference/ prices DRAM by it"

@@ -266,11 +266,9 @@ class TestContentAddressedLayerLevel:
         store = SegmentedStore(tmp_path)
         for block in program:
             assert store.get_record(layer_cache_key(block, workload.config)) is None
-        record = store.get_record(workload.fingerprint())
-        assert record is not None and record["kind"] == "network_result"
-        assert [layer["name"] for layer in record["payload"]["layers"]] == [
-            layer.name for layer in fresh.layers
-        ]
+        header, _ = store.get_record(workload.fingerprint())
+        assert header["kind"] == "network_result"
+        assert header["layers"] == [layer.name for layer in fresh.layers]
 
     def test_lookup_block_misses_until_the_layer_record_is_stored(self, tmp_path):
         from repro.session.engine import lookup_block
@@ -293,7 +291,7 @@ class TestContentAddressedLayerLevel:
         writer.close()
         # The memo never reaches the disk: a fresh reader misses.
         assert lookup_block(ResultCache(tmp_path), key, compiled.name) is None
-        assert ResultCache(tmp_path).disk_keys() == set()
+        assert ResultCache(tmp_path).entry_summary() == {}
 
     def test_block_stage_counts_every_block_lookup(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)

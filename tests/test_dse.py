@@ -363,14 +363,14 @@ class TestSweepExecution:
         assert cold_session.stats.unique_executions == len(unique) == 8
 
         decoded: list[str] = []
-        decode = cache_module.network_result_from_dict
+        decode = cache_module.decode_result
 
-        def counting_decode(payload):
-            result = decode(payload)
+        def counting_decode(header, rows):
+            result = decode(header, rows)
             decoded.append(result.network_name)
             return result
 
-        monkeypatch.setattr(cache_module, "network_result_from_dict", counting_decode)
+        monkeypatch.setattr(cache_module, "decode_result", counting_decode)
         with EvaluationSession(cache_dir=tmp_path) as warm_session:
             warm = run_sweep(spec, warm_session)
         stats = warm_session.stats

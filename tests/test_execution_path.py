@@ -38,7 +38,7 @@ from repro.session import (
     use_session,
 )
 from repro.session import session as session_module
-from repro.session.cache import CacheStats, network_result_to_dict
+from repro.session.cache import CacheStats
 from repro.session.engine import (
     compose_plan,
     obtain_program,
@@ -49,10 +49,6 @@ from repro.session.engine import (
 )
 
 _FAST = ("LeNet-5", "LSTM")
-
-
-def _dicts(results):
-    return [network_result_to_dict(result) for result in results]
 
 
 def _distinct() -> list[Workload]:
@@ -93,16 +89,16 @@ class TestBatchEquivalence:
         workloads = _shared()
         batch = EvaluationSession().run_many(workloads)
         single = [EvaluationSession().run(workload) for workload in workloads]
-        assert _dicts(batch) == _dicts(single)
+        assert list(batch) == list(single)
 
     def test_disk_cached_batch_matches_in_memory_batch(self, tmp_path):
         workloads = _shared()
         with EvaluationSession() as memory:
-            expected = _dicts(memory.run_many(workloads))
+            expected = list(memory.run_many(workloads))
         with EvaluationSession(cache_dir=tmp_path) as disk:
-            assert _dicts(disk.run_many(workloads)) == expected
+            assert list(disk.run_many(workloads)) == expected
         with EvaluationSession(cache_dir=tmp_path) as warm:
-            assert _dicts(warm.run_many(workloads)) == expected
+            assert list(warm.run_many(workloads)) == expected
 
     def test_report_with_cache_dir_is_byte_identical_to_in_memory(self, tmp_path):
         with EvaluationSession() as memory:
@@ -209,9 +205,7 @@ class TestFailFast:
             assert str(raised.value) == describe_workload_error(bad, cause)
             assert session.cache.get(bad.fingerprint()) is None
             result = session.run(bad)
-        assert network_result_to_dict(result) == network_result_to_dict(
-            execute_workload(bad)
-        )
+        assert result == execute_workload(bad)
 
     def test_faulting_batched_call_degrades_to_per_plan_simulation(self, monkeypatch):
         real = session_module.simulate_planned_blocks
@@ -227,7 +221,7 @@ class TestFailFast:
         workloads = _distinct()
         with EvaluationSession() as session:
             results = session.run_many(workloads)
-        assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
+        assert list(results) == list(execute_workload(w) for w in workloads)
         # One failed batched call, then one call per plan.
         assert calls == [len(workloads)] + [1] * len(workloads)
 
@@ -237,7 +231,7 @@ class TestFailFast:
             with faulty_simulators(["lstm1"], budget=1) as counter:
                 results = session.run_many(workloads)
         assert sum(counter.values()) == 1
-        assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
+        assert list(results) == list(execute_workload(w) for w in workloads)
 
     def test_sweep_on_a_failing_spec_exits_with_one_error_line(self, tmp_path, capsys):
         spec = _spec_file(tmp_path, ["LSTM"])
@@ -285,7 +279,7 @@ class TestFailFast:
             results = rerun.run_many(workloads)
         assert rerun.stats.disk_hits == 2
         assert list(rerun.stats.executions) == [bad.fingerprint()]
-        assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
+        assert list(results) == list(execute_workload(w) for w in workloads)
 
     def test_planning_failure_names_the_workload(self, monkeypatch):
         workloads = _distinct()
@@ -412,8 +406,8 @@ class TestSharedPlanner:
             compose_plan(plan, layers, cache, stats)
             for plan, layers in zip((first, second), fresh)
         ]
-        expected = network_result_to_dict(execute_workload(workload))
-        assert _dicts(results) == [expected, expected]
+        expected = execute_workload(workload)
+        assert results == [expected, expected]
 
     def test_compose_plan_memoizes_fresh_layers_for_later_plans(self):
         workload = Workload.bitfusion("LSTM", batch_size=4)

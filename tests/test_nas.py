@@ -37,7 +37,6 @@ from repro.nas.mutations import (
 )
 from repro.nas.search import SearchSpec, run_search
 from repro.session import EvaluationSession, ResultCache, Workload
-from repro.session.cache import network_result_to_dict
 from repro.session.workload import load_network
 
 
@@ -163,8 +162,10 @@ class TestEstimatorExactness:
         rerun.estimate(network)
         assert rerun.stats.results_from_disk == 1
 
-    def test_memory_only_estimator_stores_no_results(self):
+    def test_memory_only_estimator_stores_no_results(self, monkeypatch):
         estimator = Estimator(_config())
+        stored: list[str] = []
+        monkeypatch.setattr(estimator.cache, "put", lambda key, value: stored.append(key))
         network = models.load("LeNet-5")
         first = estimator.estimate(network)
         composed = estimator.stats.layers_composed
@@ -173,7 +174,7 @@ class TestEstimatorExactness:
         assert estimator.estimate(network) == first
         blocks = len(FusionCompiler(_config()).compile(network, 16))
         assert estimator.stats.layers_composed - composed == blocks
-        assert len(estimator.cache) == 0
+        assert stored == []
         assert estimator.stats.results_read == 0
 
     def test_renamed_clone_prices_through_layer_dedupe(self):
@@ -229,7 +230,7 @@ class TestEstimatorClaimRelease:
         # deferred-block RuntimeError from leaked claims).
         result = estimator.estimate(network)
         fresh = Estimator().estimate(network)
-        assert network_result_to_dict(result) == network_result_to_dict(fresh)
+        assert result == fresh
 
 
 class TestExactSimulationAccounting:

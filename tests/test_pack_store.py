@@ -1,11 +1,12 @@
 """Tests for the segmented pack-file artifact store and its cache wiring.
 
-Covers the store format itself (record codec, torn-tail tolerance, index
-sidecars), the :class:`~repro.session.cache.ResultCache` integration (one
+Covers the store format itself (record framing, torn-tail tolerance, index
+sidecars), the ``network_result`` record codec (exact round trips, corrupt
+rows), the :class:`~repro.session.cache.ResultCache` integration (one
 segment per writer, immediate appends, the ``--cache-info`` format line),
-directories written by older releases, and the concurrent-writer model
-(per-process segments, readers merge at open) — including a real
-multi-process stress test.
+directories written by older releases and older store schemas, and the
+concurrent-writer model (per-process segments, readers merge at open) —
+including a real multi-process stress test.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import pytest
 from faults import delete_segments
 from compiling import tiling_requests
 
+from repro.baselines.gpu import TEGRA_X2, TITAN_XP
+from repro.dnn import models
 from repro.harness.runner import format_cache_info
 from repro.session import (
     EvaluationSession,
@@ -34,11 +38,15 @@ from repro.session import (
     program_cache_key,
     tiling_cache_key,
 )
-from repro.session.cache import network_result_to_dict
-from repro.session.store import encode_body, encode_record, iter_records
-from repro.sim.results import LayerResult, NetworkResult, layer_result_to_dict
+from repro.session.cache import decode_result, encode_result
+from repro.session.store import STORE_SCHEMA_VERSION, encode_body
+from repro.sim.results import LayerResult, NetworkResult
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: A record's length prefix, and the head of its body (schema, header length).
+_LENGTH = struct.Struct(">I")
+_HEAD = struct.Struct(">BI")
 
 
 def _result(tag: str) -> NetworkResult:
@@ -56,57 +64,134 @@ def _result(tag: str) -> NetworkResult:
     )
 
 
-def _entry(tag: str) -> dict:
-    return {"kind": "tiling", "payload": {"tag": tag}}
+def _entry(tag: str) -> tuple[str, dict, bytes]:
+    """``(kind, header fields, payload)`` of a small record of a foreign kind."""
+    return "tiling", {"tag": tag}, tag.encode("utf-8")
 
 
-def _append(store: SegmentedStore, items: list[tuple[str, dict]]) -> dict[str, int] | None:
-    """Append raw entry dicts to a store in one segment write."""
+def _append(
+    store: SegmentedStore, items: list[tuple[str, tuple[str, dict, bytes]]]
+) -> dict[str, int] | None:
+    """Append ``(key, (kind, header fields, payload))`` records in one segment write."""
     return store.append_encoded(
-        [(key, entry["kind"], encode_body(key, entry)) for key, entry in items]
+        [
+            (key, kind, encode_body(key, kind, header, payload))
+            for key, (kind, header, payload) in items
+        ]
     )
 
 
-class TestRecordCodec:
-    def test_round_trip_through_raw_bytes(self):
-        blob = encode_record("k1", _entry("a")) + encode_record("k2", _entry("b"))
-        records = list(iter_records(blob))
-        assert [r["key"] for _, _, r in records] == ["k1", "k2"]
-        assert records[0][2]["payload"] == {"tag": "a"}
-        # Offsets/lengths address exactly the JSON body within the blob.
-        offset, length, record = records[1]
-        assert json.loads(blob[offset : offset + length].decode("utf-8")) == record
+def _record(key: str, entry: tuple[str, dict, bytes]) -> bytes:
+    """One length-prefixed record, as a segment holds it."""
+    body = encode_body(key, *entry)
+    return _LENGTH.pack(len(body)) + body
 
-    def test_torn_tail_is_dropped_not_fatal(self):
-        blob = encode_record("whole", _entry("w")) + encode_record("torn", _entry("t"))
-        truncated = blob[:-7]  # writer killed mid-append
-        records = list(iter_records(truncated))
-        assert [r["key"] for _, _, r in records] == ["whole"]
 
-    def test_garbage_length_prefix_stops_the_scan(self):
-        blob = encode_record("whole", _entry("w")) + struct.pack(">I", 2**31) + b"xx"
-        assert [r["key"] for _, _, r in iter_records(blob)] == ["whole"]
+def _record_spans(data: bytes) -> list[tuple[int, int]]:
+    """``(body offset, body length)`` of every whole record in raw segment bytes."""
+    spans: list[tuple[int, int]] = []
+    position = 0
+    while position + _LENGTH.size <= len(data):
+        (length,) = _LENGTH.unpack_from(data, position)
+        start = position + _LENGTH.size
+        if start + length > len(data):
+            break
+        spans.append((start, length))
+        position = start + length
+    return spans
 
-    def test_half_a_length_prefix_yields_nothing_more(self):
-        blob = encode_record("whole", _entry("w")) + b"\x00\x00"
-        assert [r["key"] for _, _, r in iter_records(blob)] == ["whole"]
-        assert list(iter_records(b"\x00")) == []
+
+def _scanned(directory: Path, blob: bytes) -> SegmentedStore:
+    """A store over one segment of raw bytes and no sidecar, so opening scans it."""
+    (directory / "pack-0-scan.seg").write_bytes(blob)
+    return SegmentedStore(directory)
+
+
+def _live(store: SegmentedStore) -> int:
+    """Number of keys the store's index holds."""
+    return sum(1 for _ in store.index_entries())
+
+
+def _tag(store: SegmentedStore, key: str) -> str:
+    """The ``tag`` an :func:`_entry` record read back carries in header and payload."""
+    header, payload = store.get_record(key)
+    assert payload == header["tag"].encode("utf-8")
+    return header["tag"]
+
+
+def _sidecar_entries(directory: Path) -> dict[str, list]:
+    """Key -> (body offset, body length, kind) from a one-segment directory's sidecar."""
+    (segment,) = directory.glob("pack-*.seg")
+    return json.loads(segment.with_name(segment.name + ".idx").read_text(encoding="utf-8"))[
+        "entries"
+    ]
+
+
+class TestSegmentScan:
+    """Opening a segment without a usable sidecar rebuilds its index by a scan."""
+
+    def test_scan_indexes_every_record_at_its_body(self, tmp_path):
+        blob = _record("k1", _entry("a")) + _record("k2", _entry("b"))
+        store = _scanned(tmp_path, blob)
+        assert "k1" in store and "k2" in store and _live(store) == 2
+        assert (_tag(store, "k1"), _tag(store, "k2")) == ("a", "b")
+        # Index lengths address exactly the record bodies within the blob.
+        assert sorted(length for _, length in store.index_entries()) == sorted(
+            length for _, length in _record_spans(blob)
+        )
+
+    def test_torn_tail_is_dropped_not_fatal(self, tmp_path):
+        blob = _record("whole", _entry("w")) + _record("torn", _entry("t"))
+        store = _scanned(tmp_path, blob[:-7])  # writer killed mid-append
+        assert "whole" in store and "torn" not in store
+
+    def test_garbage_length_prefix_stops_the_scan(self, tmp_path):
+        blob = _record("whole", _entry("w")) + struct.pack(">I", 2**31) + b"xx"
+        store = _scanned(tmp_path, blob)
+        assert "whole" in store and _live(store) == 1
+
+    def test_half_a_length_prefix_yields_nothing_more(self, tmp_path):
+        store = _scanned(tmp_path, _record("whole", _entry("w")) + b"\x00\x00")
+        assert "whole" in store and _live(store) == 1
+        (tmp_path / "pack-0-scan.seg.idx").unlink()
+        assert _live(_scanned(tmp_path, b"\x00")) == 0
 
     @pytest.mark.parametrize(
         "body",
-        [b"[1, 2]", b'{"kind": "tiling"}', b"\xff\xfe{}", b"{not json"],
-        ids=["not-an-object", "no-key", "not-utf8", "not-json"],
+        [
+            b'{"key":"x","kind":"tiling","payload":{}}',
+            bytes([STORE_SCHEMA_VERSION + 1]) + encode_body("x", *_entry("x"))[1:],
+            bytes([STORE_SCHEMA_VERSION]),
+            _HEAD.pack(STORE_SCHEMA_VERSION, 100) + b"{}",
+            _HEAD.pack(STORE_SCHEMA_VERSION, 6) + b"[1, 2]",
+            _HEAD.pack(STORE_SCHEMA_VERSION, 17) + b'{"kind":"tiling"}',
+            _HEAD.pack(STORE_SCHEMA_VERSION, 11) + b'{"key":"x"}',
+            _HEAD.pack(STORE_SCHEMA_VERSION, 4) + b"\xff\xfe{}",
+            _HEAD.pack(STORE_SCHEMA_VERSION, 9) + b"{not json",
+        ],
+        ids=[
+            "schema-1-json",
+            "other-schema",
+            "no-head",
+            "header-past-the-body",
+            "header-not-an-object",
+            "no-key",
+            "no-kind",
+            "not-utf8",
+            "not-json",
+        ],
     )
-    def test_unreadable_body_stops_the_scan(self, body):
+    def test_unreadable_body_stops_the_scan(self, tmp_path, body):
         blob = (
-            encode_record("whole", _entry("w"))
-            + struct.pack(">I", len(body))
+            _record("whole", _entry("w"))
+            + _LENGTH.pack(len(body))
             + body
-            + encode_record("after", _entry("a"))
+            + _record("after", _entry("a"))
         )
         # Nothing past an unreadable record is trusted: its length prefix
         # may be garbage too.
-        assert [r["key"] for _, _, r in iter_records(blob)] == ["whole"]
+        store = _scanned(tmp_path, blob)
+        assert "whole" in store and _live(store) == 1
 
 
 class TestSegmentedStore:
@@ -116,8 +201,8 @@ class TestSegmentedStore:
         assert sizes and set(sizes) == {"k1", "k2"}
         writer.flush()
         reader = SegmentedStore(tmp_path)
-        assert set(reader.keys()) == {"k1", "k2"}
-        assert reader.get_record("k1")["payload"] == {"tag": "a"}
+        assert "k1" in reader and "k2" in reader
+        assert _tag(reader, "k1") == "a"
         assert [kind for kind, _ in reader.index_entries()] == ["tiling", "tiling"]
 
     def test_stale_sidecar_triggers_rescan(self, tmp_path):
@@ -128,7 +213,7 @@ class TestSegmentedStore:
         # size no longer matches, so a reader must rescan, not trust it.
         _append(writer, [("k2", _entry("b"))])
         reader = SegmentedStore(tmp_path)
-        assert set(reader.keys()) == {"k1", "k2"}
+        assert "k1" in reader and "k2" in reader
 
     def test_missing_sidecar_triggers_rescan_and_repair(self, tmp_path):
         writer = SegmentedStore(tmp_path)
@@ -152,7 +237,7 @@ class TestSegmentedStore:
         # but a fresh reader merges both.
         assert "kb" not in a and "ka" not in b
         reader = SegmentedStore(tmp_path)
-        assert set(reader.keys()) == {"ka", "kb"}
+        assert "ka" in reader and "kb" in reader and _live(reader) == 2
         assert reader.segment_count == 2
 
     @pytest.mark.parametrize(
@@ -160,10 +245,11 @@ class TestSegmentedStore:
         [
             "garbage",
             '{"schema": 999, "segment_bytes": 0, "entries": {}}',
-            '{"schema": 1, "segment_bytes": SIZE, "entries": {"k1": 7}}',
-            '{"schema": 1, "segment_bytes": SIZE}',
+            '{"schema": 1, "segment_bytes": SIZE, "entries": {}}',
+            '{"schema": SCHEMA, "segment_bytes": SIZE, "entries": {"k1": 7}}',
+            '{"schema": SCHEMA, "segment_bytes": SIZE}',
         ],
-        ids=["not-json", "unknown-schema", "malformed-entry", "no-entries"],
+        ids=["not-json", "unknown-schema", "schema-1", "malformed-entry", "no-entries"],
     )
     def test_unusable_sidecar_triggers_rescan_and_repair(self, tmp_path, sidecar):
         writer = SegmentedStore(tmp_path)
@@ -171,10 +257,11 @@ class TestSegmentedStore:
         writer.close()
         (segment,) = tmp_path.glob("pack-*.seg")
         index = segment.with_name(segment.name + ".idx")
-        index.write_text(sidecar.replace("SIZE", str(segment.stat().st_size)), encoding="utf-8")
+        text = sidecar.replace("SIZE", str(segment.stat().st_size))
+        index.write_text(text.replace("SCHEMA", str(STORE_SCHEMA_VERSION)), encoding="utf-8")
         reader = SegmentedStore(tmp_path)
-        assert set(reader.keys()) == {"k1", "k2"}
-        assert reader.get_record("k2")["payload"] == {"tag": "b"}
+        assert "k1" in reader and "k2" in reader
+        assert _tag(reader, "k2") == "b"
         repaired = json.loads(index.read_text(encoding="utf-8"))
         assert repaired["segment_bytes"] == segment.stat().st_size
         assert set(repaired["entries"]) == {"k1", "k2"}
@@ -188,7 +275,7 @@ class TestSegmentedStore:
             raise AssertionError(f"rescanned {path.name} despite a fresh sidecar")
 
         monkeypatch.setattr(SegmentedStore, "_scan_segment", no_scan)
-        assert SegmentedStore(tmp_path).get_record("k1")["payload"] == {"tag": "a"}
+        assert _tag(SegmentedStore(tmp_path), "k1") == "a"
 
     def test_torn_segment_tail_is_dropped_at_open(self, tmp_path):
         writer = SegmentedStore(tmp_path)
@@ -197,26 +284,21 @@ class TestSegmentedStore:
         (segment,) = tmp_path.glob("pack-*.seg")
         segment.write_bytes(segment.read_bytes()[:-5])  # writer killed mid-append
         reader = SegmentedStore(tmp_path)
-        assert set(reader.keys()) == {"whole"}
-        assert reader.get_record("whole")["payload"] == {"tag": "w"}
+        assert "whole" in reader and _live(reader) == 1
+        assert _tag(reader, "whole") == "w"
         assert reader.get_record("torn") is None
         # A later writer appends to its own segment, so the torn tail never
         # corrupts a new record.
         _append(reader, [("torn", _entry("t"))])
         reader.close()
-        assert SegmentedStore(tmp_path).get_record("torn")["payload"] == {"tag": "t"}
-
-    def test_record_without_a_kind_is_indexed_as_unknown(self, tmp_path):
-        (tmp_path / "pack-0-old.seg").write_bytes(encode_record("k1", {"payload": {}}))
-        store = SegmentedStore(tmp_path)
-        assert list(store.index_entries()) == [("unknown", len(encode_body("k1", {"payload": {}})))]
+        assert _tag(SegmentedStore(tmp_path), "torn") == "t"
 
     def test_index_entries_report_record_body_lengths(self, tmp_path):
-        items = [("k1", _entry("a")), ("key-two", {"kind": "other", "payload": [1, 2, 3]})]
+        items = [("k1", _entry("a")), ("key-two", ("other", {"payload": [1, 2, 3]}, b"rows"))]
         writer = SegmentedStore(tmp_path)
         _append(writer, items)
         writer.close()
-        expected = sorted((entry["kind"], len(encode_body(key, entry))) for key, entry in items)
+        expected = sorted((entry[0], len(encode_body(key, *entry))) for key, entry in items)
         assert sorted(SegmentedStore(tmp_path).index_entries()) == expected
 
     def test_empty_append_creates_no_segment(self, tmp_path):
@@ -284,7 +366,6 @@ class TestPackCache:
         cache.put("alpha", _result("a"))
         assert cache.describe_layout() == "memory-only (no cache directory)"
         assert cache.get("alpha") == _result("a")
-        assert cache.disk_keys() == set()
         assert cache.entry_summary() == {}
 
     def test_contains_sees_memory_and_disk_entries(self, tmp_path):
@@ -306,7 +387,7 @@ class TestPackCache:
         with pytest.raises(TypeError, match="LayerResult"):
             cache.put("layer", _result("a").layers[0])
         cache.close()
-        assert ResultCache(tmp_path).disk_keys() == set()
+        assert ResultCache(tmp_path).entry_summary() == {}
 
     def test_put_without_flush_is_visible_to_a_fresh_reader(self, tmp_path):
         # A put is on disk before any flush (the segment append is
@@ -323,7 +404,7 @@ class TestPackCache:
         cache.flush()
         store = SegmentedStore(tmp_path)
         assert store.segment_count == 1
-        assert len(store) == 8
+        assert _live(store) == 8
 
     def test_a_key_written_twice_resolves_to_one_record(self, tmp_path):
         writer = ResultCache(tmp_path)
@@ -360,7 +441,7 @@ class TestPackCache:
         writer.close()
         (segment,) = tmp_path.glob("pack-*.seg")
         data = segment.read_bytes()
-        offset, length, _ = next(iter_records(data))
+        offset, length, _ = _sidecar_entries(tmp_path)["alpha"]
         # Same size, so the sidecar stays fresh and still points at it.
         segment.write_bytes(data[:offset] + b"\xff" * length + data[offset + length :])
         reader = ResultCache(tmp_path)
@@ -369,18 +450,21 @@ class TestPackCache:
         assert reader.get("beta") == _result("b")
 
     def test_result_record_with_an_unreadable_payload_is_a_miss(self, tmp_path):
+        header, rows = encode_result(_result("a"))
         store = SegmentedStore(tmp_path)
         _append(
             store,
             [
-                ("empty", {"kind": "network_result", "payload": {}}),
-                ("listed", {"kind": "network_result", "payload": [1, 2]}),
+                ("empty", ("network_result", {}, b"")),
+                ("no-names", ("network_result", dict(header, layers=3), rows)),
+                ("short", ("network_result", header, rows[:-1])),
+                ("extra-row", ("network_result", header, rows + rows)),
             ],
         )
         store.close()
         cache = ResultCache(tmp_path)
-        assert cache.get("empty") is None
-        assert cache.get("listed") is None
+        for key in ("empty", "no-names", "short", "extra-row"):
+            assert cache.get(key) is None, key
 
     def test_unwritable_segment_keeps_the_put_memory_only(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -388,7 +472,7 @@ class TestPackCache:
         cache.put("alpha", _result("a"))
         assert cache.get("alpha") == _result("a")
         cache.close()
-        assert ResultCache(tmp_path).disk_keys() == set()
+        assert ResultCache(tmp_path).entry_summary() == {}
 
     def test_entry_summary_adds_up_record_body_bytes(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -396,20 +480,148 @@ class TestPackCache:
             cache.put(f"key-{tag}", _result(tag))
         cache.close()
         (segment,) = tmp_path.glob("pack-*.seg")
-        lengths = [length for _, length, _ in iter_records(segment.read_bytes())]
+        lengths = [length for _, length in _record_spans(segment.read_bytes())]
         summary = ResultCache(tmp_path).entry_summary()
         assert summary == {"network_result": {"entries": 3, "bytes": sum(lengths)}}
 
     def test_corrupt_record_kind_is_a_miss_not_a_crash(self, tmp_path):
         store = SegmentedStore(tmp_path)
-        _append(store, [("weird", {"kind": "no_such_kind", "payload": {}})])
+        _append(store, [("weird", ("no_such_kind", {}, b""))])
         store.flush()
         cache = ResultCache(tmp_path)
         assert cache.get("weird") is None
 
 
+def _zoo_result(network: str, platform: str, batch: int) -> NetworkResult:
+    workloads = {
+        "bitfusion": Workload.bitfusion,
+        "eyeriss": Workload.eyeriss,
+        "stripes": Workload.stripes,
+        "temporal": Workload.temporal,
+        "tegra-x2-fp32": lambda name, batch_size: Workload.gpu(
+            name, TEGRA_X2, "fp32", batch_size=batch_size
+        ),
+        "titan-xp-int8": lambda name, batch_size: Workload.gpu(
+            name, TITAN_XP, "int8", batch_size=batch_size
+        ),
+    }
+    return execute_workload(workloads[platform](network, batch_size=batch))
+
+
+def _typed_fields(value, path="result"):
+    """``(path, type, value)`` of every leaf field of a (nested) result."""
+    if is_dataclass(value):
+        for item in fields(value):
+            yield from _typed_fields(getattr(value, item.name), f"{path}.{item.name}")
+    elif isinstance(value, tuple):
+        for index, item in enumerate(value):
+            yield from _typed_fields(item, f"{path}[{index}]")
+    else:
+        yield path, type(value), value
+
+
+#: Columns of a layer row that the constructors reject when negative.
+_VALIDATED_COUNTS = {
+    "macs": 0,
+    "compute_cycles": 3,
+    "memory_cycles": 4,
+    "overhead_cycles": 5,
+    "dram_read_bits": 6,
+    "dram_write_bits": 7,
+    "ibuf_read_bits": 8,
+    "wbuf_read_bits": 9,
+    "obuf_read_bits": 10,
+    "obuf_write_bits": 11,
+    "register_file_bits": 12,
+}
+
+
+class TestResultRecord:
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize(
+        "platform",
+        ["bitfusion", "eyeriss", "stripes", "temporal", "tegra-x2-fp32", "titan-xp-int8"],
+    )
+    @pytest.mark.parametrize("network", models.benchmark_names())
+    def test_zoo_result_round_trips_with_every_type(self, network, platform, batch):
+        result = _zoo_result(network, platform, batch)
+        decoded = decode_result(*encode_result(result))
+        assert decoded == result
+        # Counts stay ints and energies floats: int64/float64 rows are exact.
+        assert list(_typed_fields(decoded)) == list(_typed_fields(result))
+
+    def test_every_layer_field_has_a_column(self):
+        # A field added to LayerResult, MemoryTraffic or EnergyBreakdown but
+        # not to the row would drop out of every stored result.
+        layer = _result("a").layers[0]
+        leaves = [path for path, _, _ in _typed_fields(layer, "layer")]
+        header, rows = encode_result(_result("a"))
+        assert len(leaves) == 1 + len(rows) // 8  # the name rides in the header
+        assert header["layers"] == ["l0"]
+
+    def test_a_count_beyond_int64_raises_instead_of_truncating(self):
+        layer = LayerResult(
+            name="huge", macs=2**63, input_bits=8, weight_bits=8, compute_cycles=1, memory_cycles=1
+        )
+        huge = NetworkResult("net", "test", 1, 500.0, (layer,))
+        with pytest.raises(struct.error):
+            encode_result(huge)
+
+    @pytest.mark.parametrize("column", sorted(_VALIDATED_COUNTS))
+    def test_a_count_flipped_negative_reads_as_a_miss(self, tmp_path, column):
+        writer = ResultCache(tmp_path)
+        writer.put("alpha", _result("a"))
+        writer.put("beta", _result("b"))
+        writer.close()
+        (segment,) = tmp_path.glob("pack-*.seg")
+        data = bytearray(segment.read_bytes())
+        offset, _, _ = _sidecar_entries(tmp_path)["alpha"]
+        _, header_length = _HEAD.unpack_from(data, offset)
+        # The top byte of the little-endian int64 holds the sign bit.
+        sign_byte = offset + _HEAD.size + header_length + 8 * _VALIDATED_COUNTS[column] + 7
+        data[sign_byte] |= 0x80
+        segment.write_bytes(bytes(data))  # same size: the sidecar stays fresh
+        rows = bytes(data[offset + _HEAD.size + header_length :][: 8 * 18])
+        assert struct.unpack_from("<q", rows, 8 * _VALIDATED_COUNTS[column])[0] < 0
+        reader = ResultCache(tmp_path)
+        assert reader.get("alpha") is None
+        assert reader.get("beta") == _result("b")
+
+
+def _write_records(directory: Path, schema: int, records: list[tuple[str, str, dict]]) -> None:
+    """Write ``(key, kind, fields)`` records as a store of ``schema`` did.
+
+    Schema 1 wrote each record as one keyed JSON object (``fields`` plus
+    its key and kind) and a schema-1 sidecar; this release's schema puts
+    ``fields`` in the JSON header of a record with no payload.
+    """
+    if schema == STORE_SCHEMA_VERSION:
+        store = SegmentedStore(directory)
+        _append(store, [(key, (kind, fields, b"")) for key, kind, fields in records])
+        store.close()
+        return
+    assert schema == 1
+    blob = bytearray()
+    entries = {}
+    for key, kind, fields in records:
+        body = json.dumps({"key": key, "kind": kind, **fields}, sort_keys=True).encode("utf-8")
+        blob += _LENGTH.pack(len(body))
+        entries[key] = [len(blob), len(body), kind]
+        blob += body
+    segment = directory / "pack-1-schema1.seg"
+    segment.write_bytes(bytes(blob))
+    sidecar = {"schema": 1, "segment_bytes": len(blob), "entries": entries}
+    segment.with_name(segment.name + ".idx").write_text(json.dumps(sidecar), encoding="utf-8")
+
+
+_SCHEMAS = pytest.mark.parametrize(
+    "schema", [STORE_SCHEMA_VERSION, 1], ids=["this-schema", "schema-1"]
+)
+
+
 class TestOldDirectories:
-    def test_stray_json_and_block_keyed_records_are_ignored(self, tmp_path):
+    @_SCHEMAS
+    def test_stray_json_and_block_keyed_records_are_ignored(self, tmp_path, schema):
         # A directory written by an older release: an older-schema
         # ``manifest.json``, a block-keyed ``layer_result`` record and a
         # stray per-entry ``<key>.json`` file.  It opens, ignores every
@@ -419,17 +631,11 @@ class TestOldDirectories:
         program = compile_program(workload)
         with EvaluationSession(cache_dir=tmp_path) as cold:
             fresh = cold.run(workload)
-        old_record = {
-            "kind": "layer_result",
-            "workload": {},
-            "payload": layer_result_to_dict(fresh.layers[0]),
-        }
-        store = SegmentedStore(tmp_path)
-        _append(store, [("old-block-key", old_record)])
-        store.close()
+        old_fields = {"workload": {}, "payload": asdict(fresh.layers[0])}
+        _write_records(tmp_path, schema, [("old-block-key", "layer_result", old_fields)])
         # The stray entry shadows a live layer key with a wrong payload: if
         # it were ever read, the warm result would differ.
-        stray_payload = dict(old_record["payload"], name="stray", compute_cycles=1)
+        stray_payload = dict(old_fields["payload"], name="stray", compute_cycles=1)
         stray = tmp_path / f"{layer_cache_key(program[0], workload.config)}.json"
         stray.write_text(json.dumps({"kind": "layer", "payload": stray_payload}), encoding="utf-8")
         manifest = tmp_path / "manifest.json"
@@ -438,17 +644,21 @@ class TestOldDirectories:
 
         with EvaluationSession(cache_dir=tmp_path) as warm:
             restored = warm.run(workload)
-        assert network_result_to_dict(restored) == network_result_to_dict(fresh)
+        assert restored == fresh
         assert warm.stats.unique_executions == 0
         assert warm.stats.disk_hits == 1
         assert warm.stats.blocks.lookups == 0 and warm.stats.programs.lookups == 0
         assert stray.exists()
         assert manifest.read_bytes() == leftover
         summary = ResultCache(tmp_path).entry_summary()
-        assert summary["layer_result"]["entries"] == 1  # listed, never read
-        assert "unknown" not in summary
+        # A record of this schema is listed, never read; one of schema 1 is
+        # not even listed.
+        listed = summary.get("layer_result", {"entries": 0})["entries"]
+        assert listed == (1 if schema == STORE_SCHEMA_VERSION else 0)
+        assert summary["network_result"]["entries"] == 1
 
-    def test_schema_4_directory_serves_no_stale_entry(self, tmp_path):
+    @_SCHEMAS
+    def test_schema_4_directory_serves_no_stale_entry(self, tmp_path, schema):
         # A directory the previous release wrote: a schema-4 manifest plus
         # program, tiling and layer records under the very keys this
         # release memoizes in process.  The layer payloads are stale on
@@ -457,37 +667,33 @@ class TestOldDirectories:
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         fresh = execute_workload(workload)
         program = compile_program(workload)
-        stale = dict(layer_result_to_dict(fresh.layers[0]), name="")
+        stale = dict(asdict(fresh.layers[0]), name="")
         stale["compute_cycles"] += 1
         records = [
-            (layer_cache_key(block, workload.config), {"kind": "layer", "payload": stale})
+            (layer_cache_key(block, workload.config), "layer", {"payload": stale})
             for block in program
         ]
-        records.append(
-            (program_cache_key(workload), {"kind": "program", "payload": program.to_dict()})
-        )
+        records.append((program_cache_key(workload), "program", {"payload": program.to_dict()}))
         requests = tiling_requests(workload.config, load_network(workload), workload.batch_size)
         tiling_keys = {tiling_cache_key(gemm, orders, workload.config) for gemm, orders in requests}
-        records.extend((key, {"kind": "tiling", "payload": {}}) for key in tiling_keys)
-        store = SegmentedStore(tmp_path)
-        _append(store, records)
-        store.close()
+        records.extend((key, "tiling", {"payload": {}}) for key in tiling_keys)
+        _write_records(tmp_path, schema, records)
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"schema_version": 4, "entries": {}}), encoding="utf-8")
         leftover = manifest.read_bytes()
 
         with EvaluationSession(cache_dir=tmp_path) as session:
             result = session.run(workload)
-        assert network_result_to_dict(result) == network_result_to_dict(fresh)
+        assert result == fresh
         stats = session.stats
         assert (stats.unique_executions, stats.disk_hits) == (1, 0)
         assert stats.programs.misses == 1
         assert stats.tilings.misses == len(tiling_keys)
-        assert stats.blocks.misses == len({key for key, _ in records[: len(program)]})
+        assert stats.blocks.misses == len({key for key, _, _ in records[: len(program)]})
         # The re-run reads the one record this release wrote.
         with EvaluationSession(cache_dir=tmp_path) as rerun:
             again = rerun.run(workload)
-        assert network_result_to_dict(again) == network_result_to_dict(fresh)
+        assert again == fresh
         assert (rerun.stats.disk_hits, rerun.stats.unique_executions) == (1, 0)
         # The old records and the old manifest are never read or rewritten.
         assert manifest.read_bytes() == leftover
@@ -496,41 +702,50 @@ class TestOldDirectories:
     def test_stray_json_entry_is_invisible_to_the_cache(self, tmp_path):
         stray = tmp_path / "alpha.json"
         stray.write_text(
-            json.dumps({"kind": "network_result", "payload": network_result_to_dict(_result("a"))}),
+            json.dumps({"kind": "network_result", "payload": asdict(_result("a"))}),
             encoding="utf-8",
         )
         cache = ResultCache(tmp_path)
         assert "alpha" not in cache
         assert cache.get("alpha") is None
-        assert cache.disk_keys() == set()
+        assert cache.entry_summary() == {}
         cache.put("beta", _result("b"))
         cache.close()
         reader = ResultCache(tmp_path)
-        assert reader.disk_keys() == {"beta"}
+        assert "beta" in reader and "alpha" not in reader
         assert reader.entry_summary()["network_result"]["entries"] == 1
         assert set(reader.entry_summary()) == {"network_result"}
         assert stray.exists()
 
-    def test_record_with_a_workload_description_decodes_identically(self, tmp_path):
+    @_SCHEMAS
+    def test_result_record_of_an_older_release_decodes_or_misses(self, tmp_path, schema):
         # Older releases stored a write-only ``"workload"`` description
-        # next to each result's payload.  Such a record decodes to exactly
-        # the result a record without the field does.
+        # next to each result.  A record of this schema that carries one in
+        # its header decodes to exactly the result a record without the
+        # field does.  A schema-1 record (a keyed JSON payload) under the
+        # very key is a miss, never decoded, and the miss refills the
+        # directory with a record of this schema.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         fresh = execute_workload(workload)
         key = workload.fingerprint()
-        old_record = {
-            "kind": "network_result",
-            "payload": network_result_to_dict(fresh),
-            "workload": {"platform": "bitfusion", "network": "LeNet-5", "batch_size": 4},
-        }
-        store = SegmentedStore(tmp_path)
-        _append(store, [(key, old_record)])
-        store.close()
-        with EvaluationSession(cache_dir=tmp_path) as warm:
-            restored = warm.run(workload)
-        assert (warm.stats.disk_hits, warm.stats.unique_executions) == (1, 0)
+        description = {"platform": "bitfusion", "network": "LeNet-5", "batch_size": 4}
+        if schema == STORE_SCHEMA_VERSION:
+            header, rows = encode_result(fresh)
+            store = SegmentedStore(tmp_path)
+            _append(store, [(key, ("network_result", dict(header, workload=description), rows))])
+            store.close()
+        else:
+            old_fields = {"payload": asdict(fresh), "workload": description}
+            _write_records(tmp_path, schema, [(key, "network_result", old_fields)])
+        with EvaluationSession(cache_dir=tmp_path) as first:
+            restored = first.run(workload)
         assert restored == fresh
-        assert network_result_to_dict(restored) == network_result_to_dict(fresh)
+        expected = (1, 0) if schema == STORE_SCHEMA_VERSION else (0, 1)
+        assert (first.stats.disk_hits, first.stats.unique_executions) == expected
+        with EvaluationSession(cache_dir=tmp_path) as rerun:
+            assert rerun.run(workload) == fresh
+        assert (rerun.stats.disk_hits, rerun.stats.unique_executions) == (1, 0)
+        assert ResultCache(tmp_path).entry_summary()["network_result"]["entries"] == 1
 
 
 _WRITER_SCRIPT = """
@@ -579,7 +794,8 @@ class TestConcurrentWriters:
             assert "done" in out
         reader = ResultCache(tmp_path)
         expected = {f"{p}-{i}" for p in ("alpha", "beta") for i in range(count)}
-        assert reader.disk_keys() == expected
+        assert all(key in reader for key in expected)
+        assert reader.entry_summary()["network_result"]["entries"] == len(expected)
         # Every single record must decode intact — a torn interleaved write
         # would surface here as a None or a mismatched payload.
         values = {key: reader.get(key) for key in sorted(expected)}
@@ -589,5 +805,5 @@ class TestConcurrentWriters:
             assert value.network_name == prefix
             assert value.layers[0].macs == int(index)
         store = SegmentedStore(tmp_path)
-        assert len(store) == 2 * count
+        assert _live(store) == 2 * count
         assert store.segment_count == 2  # one segment per writer process

@@ -82,3 +82,39 @@ def test_alexnet_group_energies_contradict_the_fig13_network_value():
     network_energy = paper_data.FIG13_ENERGY_REDUCTION_OVER_EYERISS["AlexNet"]
     assert (min(group_energy), max(group_energy)) == (6.50, 30.74)
     assert network_energy < min(group_energy)
+
+
+def _least_share(network: float, slow: float, fast: float) -> float:
+    """Least share of Eyeriss time at speedup ``slow`` that mixes to ``network``.
+
+    The rest runs at ``fast``.  A network speedup is the harmonic mean of
+    its parts' speedups weighted by Eyeriss time, so a share ``w`` at
+    ``slow`` gives ``1 / network = w / slow + (1 - w) / fast``.
+    """
+    return (1 / network - 1 / fast) / (1 / slow - 1 / fast)
+
+
+def test_alexnet_speedup_pins_eyeriss_time_in_the_8_bit_groups():
+    """Constraint: Fig 13's 1.9 and the group speedups pin Eyeriss's time split.
+
+    The four groups partition AlexNet's GEMM layers.  The 8-bit share of
+    Eyeriss time is least when all of it sits in the slowest 8-bit group
+    (fc 8/8, 1.01) and the rest in the slowest 4/1-bit group (fc 4/1,
+    3.31): 32.6%.  If both parts are convolution (1.67 and 6.39), 83.6%.
+    """
+    speedup = {group: value for group, (value, _) in paper_data.FIG13_ALEXNET_PER_LAYER.items()}
+    network = paper_data.FIG13_SPEEDUP_OVER_EYERISS["AlexNet"]
+    eight_bit = {group: value for group, value in speedup.items() if "8/8" in group}
+    others = {group: value for group, value in speedup.items() if group not in eight_bit}
+    assert len(eight_bit) == len(others) == 2
+    # 1.9 lies between the groups, so some time split reproduces it.
+    assert min(speedup.values()) < network < max(speedup.values())
+    least = _least_share(network, min(eight_bit.values()), min(others.values()))
+    assert least == pytest.approx(0.326, abs=5e-4)
+    least_conv = _least_share(network, speedup["conv 8/8-bit"], speedup["conv 4/1-bit"])
+    assert least_conv == pytest.approx(0.836, abs=5e-4)
+    # Any other split puts more time at 8 bits: the slowest pair is the bound.
+    for slow in eight_bit.values():
+        for fast in others.values():
+            if fast > network:
+                assert _least_share(network, slow, fast) >= least

@@ -48,7 +48,6 @@ from repro.session import (
     execute_workload,
     program_cache_key,
 )
-from repro.session.cache import network_result_to_dict
 from repro.sim.batched import simulate_blocks_grid
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -232,7 +231,7 @@ class TestStagedPipelineEquivalence:
     def test_staged_result_is_byte_identical_to_monolithic(self, workload):
         staged = EvaluationSession().run(workload)
         monolithic = execute_workload(workload)
-        assert network_result_to_dict(staged) == network_result_to_dict(monolithic)
+        assert staged == monolithic
 
     def test_memoized_program_blocks_are_byte_identical_to_monolithic(self):
         # Simulating the blocks of the program a session memoized must
@@ -253,7 +252,7 @@ class TestStagedPipelineEquivalence:
         with EvaluationSession(cache_dir=tmp_path) as warm:
             restored = warm.run(workload)
         assert warm.stats.disk_hits == 1 and warm.stats.programs.lookups == 0
-        assert network_result_to_dict(restored) == network_result_to_dict(monolithic)
+        assert restored == monolithic
         # Drop the stored result: a fresh session recompiles and
         # re-simulates every block — same result, bit for bit.
         assert delete_segments(tmp_path)
@@ -261,7 +260,7 @@ class TestStagedPipelineEquivalence:
             recomputed = second.run(workload)
         assert second.stats.programs.misses == 1
         assert second.stats.blocks.misses > 0
-        assert network_result_to_dict(recomputed) == network_result_to_dict(monolithic)
+        assert recomputed == monolithic
 
     def test_program_cache_key_ignores_simulation_only_parameters(self):
         base = Workload.bitfusion("LeNet-5", batch_size=4)

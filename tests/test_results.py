@@ -9,18 +9,9 @@ from dataclasses import FrozenInstanceError, asdict, replace
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.accelerator import BitFusionAccelerator
-from repro.core.config import BitFusionConfig
-from repro.dnn import models
 from repro.energy.breakdown import EnergyBreakdown
-from repro.session.cache import network_result_to_dict
-from repro.sim.results import (
-    LayerResult,
-    MemoryTraffic,
-    NetworkResult,
-    layer_result_from_dict,
-    layer_result_to_dict,
-)
+from repro.session.cache import decode_result, encode_result
+from repro.sim.results import LayerResult, MemoryTraffic, NetworkResult
 
 
 def _layer(name="layer", compute=1000, memory=500, macs=10_000, energy_j=1e-6) -> LayerResult:
@@ -198,29 +189,18 @@ class TestNetworkResultMemo:
         assert EnergyBreakdown.sum(breakdowns).as_dict() == folded
 
 
-class TestSerializers:
-    """The hand-written encoders must stay field-for-field equal to ``asdict``.
+class TestRecordCodec:
+    """Every field of a drawn layer survives a ``network_result`` record.
 
     A field added to ``LayerResult``, ``MemoryTraffic`` or
-    ``EnergyBreakdown`` but not to the encoder would silently drop out of
-    every cached record.
+    ``EnergyBreakdown`` but not to the record's row would silently drop
+    out of every cached result.
     """
 
-    def test_zoo_results_encode_like_asdict(self):
-        accelerator = BitFusionAccelerator(BitFusionConfig.eyeriss_matched())
-        names = models.benchmark_names()
-        assert len(names) == 8
-        for name in names:
-            result = accelerator.evaluate(models.load(name), 16)
-            assert network_result_to_dict(result) == asdict(result)
-            for layer in result.layers:
-                assert layer_result_to_dict(layer) == asdict(layer)
-
     @given(_layer_results)
-    def test_drawn_layer_result_encodes_like_asdict_and_round_trips(self, layer):
-        payload = layer_result_to_dict(layer)
-        assert payload == asdict(layer)
-        assert layer_result_from_dict(payload) == layer
+    def test_drawn_layer_result_round_trips_through_a_record(self, layer):
+        result = _result([layer])
+        assert decode_result(*encode_result(result)) == result
 
 
 class TestStatsHelpers:

@@ -45,7 +45,7 @@ from repro.session import (
     program_cache_key,
     tiling_cache_key,
 )
-from repro.session.cache import network_result_from_dict, network_result_to_dict
+from repro.session.cache import decode_result, encode_result
 from repro.session.store import encode_body
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -268,7 +268,7 @@ class TestResultCache:
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         cached = session.run(workload)
         fresh = execute_workload(workload)
-        assert network_result_to_dict(cached) == network_result_to_dict(fresh)
+        assert cached == fresh
 
     def test_disk_round_trip_is_bit_identical(self, tmp_path):
         workload = Workload.bitfusion("LSTM", batch_size=4)
@@ -278,14 +278,13 @@ class TestResultCache:
             restored = second.run(workload)
         assert second.stats.disk_hits == 1
         assert second.stats.unique_executions == 0
-        assert network_result_to_dict(restored) == network_result_to_dict(fresh)
+        assert restored == fresh
         assert restored.latency_per_inference_s == fresh.latency_per_inference_s
         assert restored.energy.total == fresh.energy.total
 
     def test_serialization_round_trip_preserves_every_field(self):
         result = execute_workload(Workload.eyeriss("LeNet-5", batch_size=2))
-        payload = network_result_to_dict(result)
-        assert network_result_to_dict(network_result_from_dict(payload)) == payload
+        assert decode_result(*encode_result(result)) == result
 
     def test_cache_rejects_unknown_payloads(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -311,7 +310,7 @@ class TestResultCache:
         assert second.stats.programs.misses == 1
         assert second.stats.blocks.misses == len(program)
         assert second.stats.blocks.hits == 0
-        assert network_result_to_dict(recovered) == network_result_to_dict(fresh)
+        assert recovered == fresh
         # The fresh simulation repaired the on-disk entry.
         with EvaluationSession(cache_dir=tmp_path) as third:
             third.run(workload)
@@ -341,9 +340,7 @@ class TestResultCache:
             assert "ghost" not in second.cache
         assert second.stats.unique_executions == 0
         assert second.stats.disk_hits == len(workloads)
-        assert [network_result_to_dict(r) for r in restored] == [
-            network_result_to_dict(r) for r in fresh
-        ]
+        assert restored == fresh
         assert manifest.read_text(encoding="utf-8") == leftover
         assert set(ResultCache(tmp_path).entry_summary()) == {"network_result"}
 
@@ -357,7 +354,7 @@ class TestResultCache:
         # Program statistics are no workload result: nothing is looked up,
         # executed or written.
         assert first.stats.lookups == 0 and first.stats.unique_executions == 0
-        assert ResultCache(tmp_path).disk_keys() == set()
+        assert ResultCache(tmp_path).entry_summary() == {}
         with EvaluationSession(cache_dir=tmp_path) as second:
             restored = second.compile_stats(workload)
         assert restored == fresh
@@ -373,7 +370,7 @@ class TestResultCache:
             cache.put("stats", ProgramStats.from_program(compile_program(workload)))
         store = SegmentedStore(tmp_path)
         store.append_encoded(
-            [("old", "program_stats", encode_body("old", {"kind": "program_stats", "payload": {}}))]
+            [("old", "program_stats", encode_body("old", "program_stats", {}, b""))]
         )
         store.close()
         assert ResultCache(tmp_path).get("old") is None
@@ -387,8 +384,9 @@ class TestResultCache:
         assert layer_keys <= set(session.cache.memo)
         # The composed result is the one record on disk; the program, its
         # tiling plans and its layer records never leave the process.
-        assert session.cache.disk_keys() == {workload.fingerprint()}
         reader = ResultCache(tmp_path)
+        assert workload.fingerprint() in reader
+        assert reader.entry_summary()["network_result"]["entries"] == 1
         assert reader.memo == {}
         assert reader.get(workload.fingerprint()) == result
         assert all(reader.get(key) is None for key in layer_keys)
@@ -414,9 +412,7 @@ class TestEvaluationSession:
         ]
         batch = EvaluationSession().run_many(workloads)
         serial = [execute_workload(w) for w in workloads]
-        assert [network_result_to_dict(r) for r in batch] == [
-            network_result_to_dict(r) for r in serial
-        ]
+        assert batch == serial
 
     def test_duplicate_workloads_in_one_batch_simulate_once(self):
         session = EvaluationSession()
@@ -462,7 +458,7 @@ class TestReportAcceptance:
         run_experiments(benchmarks=_FAST, session=session)
         assert session.stats.unique_executions > 0
         # The headline guarantee: no workload is ever simulated twice...
-        assert session.stats.max_executions_per_workload() == 1
+        assert max(session.stats.executions.values()) == 1
         assert session.stats.unique_executions == session.stats.misses
         # ...and the figures genuinely share workloads through the cache.
         assert session.stats.hits > 0
@@ -473,10 +469,6 @@ class TestReportAcceptance:
         report = build_report(keys=["tab02"], benchmarks=("LeNet-5",))
         assert f"_repro {repro.__version__}_" in report
         assert "## Evaluation session statistics" in report
-
-
-def _dicts(results):
-    return [network_result_to_dict(result) for result in results]
 
 
 class TestPartiallyWarmRuns:
@@ -493,7 +485,7 @@ class TestPartiallyWarmRuns:
         with EvaluationSession(cache_dir=tmp_path) as warm:
             results = warm.run_many(superset)
 
-        assert _dicts(results) == _dicts(execute_workload(w) for w in superset)
+        assert list(results) == list(execute_workload(w) for w in superset)
         # The seeded workload was read straight from its stored result...
         assert warm.stats.hits == 1 and warm.stats.disk_hits == 1
         assert warm.stats.misses == 2
@@ -515,7 +507,7 @@ class TestPartiallyWarmRuns:
             first = cold.run_many(workloads)
         with EvaluationSession(cache_dir=tmp_path) as warm:
             second = warm.run_many(workloads)
-        assert _dicts(first) == _dicts(second)
+        assert list(first) == list(second)
         assert warm.stats.unique_executions == 0
         assert warm.stats.programs.misses == 0
         assert warm.stats.blocks.misses == 0
@@ -531,7 +523,7 @@ class TestPartiallyWarmRuns:
         ]
         with EvaluationSession() as session:
             results = session.run_many(workloads)
-        assert _dicts(results) == _dicts(execute_workload(w) for w in workloads)
+        assert list(results) == list(execute_workload(w) for w in workloads)
         assert session.stats.programs.misses == 1
         assert session.stats.programs.hits == 1
         blocks = len(compile_program(workloads[0]))
@@ -589,4 +581,4 @@ class TestPartiallyWarmRuns:
         assert rerun == cold
         # The warm-started report reused the seeded artifacts and never
         # executed any workload twice.
-        assert warm.stats.max_executions_per_workload() == 1
+        assert max(warm.stats.executions.values()) == 1
