@@ -2,7 +2,8 @@
 
 ``python benchmarks/perf/run.py`` measures the scenarios the ROADMAP's
 "runs as fast as the hardware allows" goal cares about and emits one
-trajectory point as JSON (``BENCH_9.json`` by default):
+trajectory point as JSON (``BENCH_9.json`` at the repo root by default;
+``--check`` alone writes no file, so a perf check leaves the tree clean):
 
 * **cold compile** — every zoo network through a fresh ``FusionCompiler``
   (vectorized tiling search, no memoization), total and per network;
@@ -12,7 +13,7 @@ trajectory point as JSON (``BENCH_9.json`` by default):
 * **memoized compile** — the zoo compiled through the session's tiling
   memo (``make_plan_resolver``), the way reports and sweeps compile;
 * **compile speedup vs the scalar baseline** — reconstructed old cost
-  (emission + scalar searches) over the new memoized cost; the repo's
+  (planning + scalar searches) over the new memoized cost; the repo's
   acceptance bar is >= 3x;
 * **batched simulation** — every zoo block simulated through the scalar
   ``run_block`` oracle (``tests/reference/simulator.py``) and through the
@@ -179,7 +180,7 @@ def bench_compile(repeats: int) -> dict:
 
     # One round times all three sides back to back, so every round's ratio
     # sees one host speed.  The pre-vectorization compiler = today's
-    # emission (cold total minus vectorized searches) + scalar searches.
+    # planning (cold total minus vectorized searches) + scalar searches.
     rounds = [
         (_timed(scalar_searches), _timed(vector_searches), _timed(memoized_compile))
         for _ in range(max(repeats, 5))
@@ -484,8 +485,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--output",
         metavar="PATH",
-        default=str(REPO_ROOT / "BENCH_9.json"),
-        help="where to write the trajectory point (default: BENCH_9.json at the repo root)",
+        help="where to write the trajectory point (default: BENCH_9.json at the "
+        "repo root, or no file with --check)",
     )
     parser.add_argument(
         "--check",
@@ -504,12 +505,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
 
+    output = args.output
+    if output is None and not args.check:
+        output = str(REPO_ROOT / "BENCH_9.json")
+
     result = run_suite(args.repeats)
-    Path(args.output).write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    if output is not None:
+        Path(output).write_text(
+            json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        print(f"wrote {output}")
     metrics = result["metrics"]
-    print(f"wrote {args.output}")
     print(
         f"cold compile: {metrics['cold_compile_total_s'] * 1e3:.1f} ms over "
         f"{len(metrics['cold_compile_per_network_s'])} networks "

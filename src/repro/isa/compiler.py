@@ -8,21 +8,29 @@ recurrent) to one instruction block:
 2. The loop-ordering optimization picks the dataflow (output-, weight- or
    input-stationary) and the loop-tiling optimization picks tile sizes that
    fit the scratchpads.  A whole program's searches run as one batch
-   (:func:`~repro.isa.tiling.search_tilings`), after every block is lowered
-   and before any is emitted.
+   (:func:`~repro.isa.tiling.search_tilings`), after every block is lowered.
 3. The layer-fusion optimization folds trailing pooling/activation layers
    into the block (:func:`~repro.isa.optimizations.fuse_layers`).
-4. The block's instructions are emitted: a ``setup`` fixing the fusion
-   configuration, the outer (memory-level) tile loops with their ``gen-addr``
-   and ``ld-mem``/``st-mem`` instructions, the inner (buffer-level) loops
-   with ``rd-buf``/``compute``/``wr-buf``, and the closing ``block-end``.
+
+A compile stops there: each block is its plan, a
+:class:`~repro.isa.program.CompiledBlock` holding the layer, its fused
+followers, the tiling, the loop order and the block's instruction count,
+which is all the simulator prices.  The instructions themselves are emitted
+on first read of :attr:`CompiledBlock.block
+<repro.isa.program.CompiledBlock.block>` (:func:`emit_block`): a ``setup``
+fixing the fusion configuration, the outer (memory-level) tile loops with
+their ``gen-addr`` and ``ld-mem``/``st-mem`` instructions, the inner
+(buffer-level) loops with ``rd-buf``/``compute``/``wr-buf``, and the
+closing ``block-end``.  Each emitter has its instruction count beside it,
+and every emission checks the block it built against the plan's count.
 
 Standalone pooling/activation layers (ones with no preceding compute layer
-to fuse into) compile to small blocks that exercise only the per-column
-pooling/activation units and the input/output scratchpads.
+to fuse into) compile to 14-instruction blocks that exercise only the
+per-column pooling/activation units and the input/output scratchpads.
 
-The emitted blocks land in the 25-60 instruction range for the evaluated
-layers, consistent with the paper's reported 30-86 instructions per block.
+At the paper's configuration the compute blocks of the evaluated layers
+hold 28-37 instructions, in line with the paper's reported 30-86
+instructions per block.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from repro.isa.optimizations import fuse_layers
 from repro.isa.program import CompiledBlock, Program
 from repro.isa.tiling import GemmWorkload, TilingPlan, search_tilings
 
-__all__ = ["FusionCompiler", "PlanResolver", "TilingRequest"]
+__all__ = ["FusionCompiler", "PlanResolver", "TilingRequest", "emit_block"]
 
 #: One tiling search a compilation needs: the GEMM and the loop orders the
 #: search may consider.
@@ -185,7 +193,7 @@ class FusionCompiler:
         self.enable_loop_ordering = enable_loop_ordering
         self.enable_layer_fusion = enable_layer_fusion
         self.plan_resolver = plan_resolver
-        # Blocks already built, keyed by (head layer, fused followers,
+        # Blocks already planned, keyed by (head layer, fused followers,
         # batch size): see :meth:`compile`.
         self._blocks: dict[tuple[Layer, tuple[Layer, ...], int], CompiledBlock] = {}
 
@@ -277,289 +285,43 @@ class FusionCompiler:
         )
 
     # ------------------------------------------------------------------ #
-    # Instruction emission
+    # Block planning
     # ------------------------------------------------------------------ #
-    def _emit_memory_level(
-        self, tiling: TilingPlan, fused_output_words: int | None
-    ) -> list[Instruction]:
-        """Outer tile loops, address generators and DRAM transfer instructions."""
-        trips = {
-            _LOOP_M_TILE: tiling.m_tiles,
-            _LOOP_N_TILE: tiling.n_tiles,
-            _LOOP_R_TILE: tiling.r_tiles,
-        }
-        instructions: list[Instruction] = [
-            Loop(loop_id=loop_id, iterations=_clamp_iterations(trips[loop_id]), level=0)
-            for loop_id in _TILE_LOOP_NEST[tiling.loop_order]
-        ]
-
-        # Address generation at tile granularity: tiles of each tensor are
-        # laid out row-major in its address space, so the outer loop's stride
-        # is the inner tile count and the inner loop's stride is one tile.
-        instructions.extend(
-            [
-                GenAddr(
-                    scratchpad=ScratchpadType.WBUF,
-                    loop_id=_LOOP_M_TILE,
-                    stride=_clamp_stride(trips[_LOOP_N_TILE]),
-                ),
-                _UNIT_STEP[ScratchpadType.WBUF, _LOOP_N_TILE],
-                GenAddr(
-                    scratchpad=ScratchpadType.IBUF,
-                    loop_id=_LOOP_N_TILE,
-                    stride=_clamp_stride(trips[_LOOP_R_TILE]),
-                ),
-                _UNIT_STEP[ScratchpadType.IBUF, _LOOP_R_TILE],
-                GenAddr(
-                    scratchpad=ScratchpadType.OBUF,
-                    loop_id=_LOOP_M_TILE,
-                    stride=_clamp_stride(trips[_LOOP_R_TILE]),
-                ),
-                _UNIT_STEP[ScratchpadType.OBUF, _LOOP_R_TILE],
-            ]
-        )
-
-        weight_words = _clamp_iterations(tiling.tile_m * tiling.tile_n)
-        input_words = _clamp_iterations(tiling.tile_n * tiling.tile_r)
-        output_words = _clamp_iterations(
-            fused_output_words
-            if fused_output_words is not None
-            else tiling.tile_m * tiling.tile_r
-        )
-        instructions.append(LdMem(scratchpad=ScratchpadType.WBUF, num_words=weight_words))
-        instructions.append(LdMem(scratchpad=ScratchpadType.IBUF, num_words=input_words))
-        if tiling.dram_output_read_bits > 0:
-            instructions.append(
-                LdMem(scratchpad=ScratchpadType.OBUF, num_words=output_words)
-            )
-        instructions.append(StMem(scratchpad=ScratchpadType.OBUF, num_words=output_words))
-        return instructions
-
-    def _emit_inner_level(self, layer: Layer, tiling: TilingPlan) -> list[Instruction]:
-        """Buffer-level loops, address generators and compute instructions."""
-        instructions: list[Instruction] = [
-            Loop(
-                loop_id=_LOOP_INNER_R,
-                iterations=_clamp_iterations(tiling.tile_r),
-                level=1,
-            ),
-            Loop(
-                loop_id=_LOOP_INNER_M,
-                iterations=_clamp_iterations(tiling.tile_m),
-                level=1,
-            ),
-        ]
-        gen_addrs: list[GenAddr] = [
-            GenAddr(
-                scratchpad=ScratchpadType.IBUF,
-                loop_id=_LOOP_INNER_R,
-                stride=_clamp_stride(tiling.tile_n),
-            ),
-            GenAddr(
-                scratchpad=ScratchpadType.WBUF,
-                loop_id=_LOOP_INNER_M,
-                stride=_clamp_stride(tiling.tile_n),
-            ),
-            _UNIT_STEP[ScratchpadType.OBUF, _LOOP_INNER_R],
-            GenAddr(
-                scratchpad=ScratchpadType.OBUF,
-                loop_id=_LOOP_INNER_M,
-                stride=_clamp_stride(tiling.tile_r),
-            ),
-        ]
-
-        if isinstance(layer, ConvLayer):
-            inner_channels = max(
-                1, tiling.tile_n // max(1, layer.kernel * layer.kernel)
-            )
-            instructions.extend(
-                [
-                    Loop(
-                        loop_id=_LOOP_KERNEL_Y,
-                        iterations=_clamp_iterations(layer.kernel),
-                        level=1,
-                    ),
-                    Loop(
-                        loop_id=_LOOP_KERNEL_X,
-                        iterations=_clamp_iterations(layer.kernel),
-                        level=1,
-                    ),
-                    Loop(
-                        loop_id=_LOOP_CHANNEL,
-                        iterations=_clamp_iterations(inner_channels),
-                        level=1,
-                    ),
-                ]
-            )
-            gen_addrs.extend(
-                [
-                    GenAddr(
-                        scratchpad=ScratchpadType.IBUF,
-                        loop_id=_LOOP_KERNEL_Y,
-                        stride=_clamp_stride(layer.in_width),
-                    ),
-                    _UNIT_STEP[ScratchpadType.IBUF, _LOOP_KERNEL_X],
-                    GenAddr(
-                        scratchpad=ScratchpadType.IBUF,
-                        loop_id=_LOOP_CHANNEL,
-                        stride=_clamp_stride(layer.in_height * layer.in_width),
-                    ),
-                    GenAddr(
-                        scratchpad=ScratchpadType.WBUF,
-                        loop_id=_LOOP_KERNEL_Y,
-                        stride=_clamp_stride(layer.kernel),
-                    ),
-                    _UNIT_STEP[ScratchpadType.WBUF, _LOOP_KERNEL_X],
-                    GenAddr(
-                        scratchpad=ScratchpadType.WBUF,
-                        loop_id=_LOOP_CHANNEL,
-                        stride=_clamp_stride(layer.kernel * layer.kernel),
-                    ),
-                ]
-            )
-        elif isinstance(layer, (LSTMLayer, RNNLayer)):
-            instructions.append(
-                Loop(
-                    loop_id=_LOOP_GATE,
-                    iterations=_clamp_iterations(layer.gates),
-                    level=1,
-                )
-            )
-            gen_addrs.extend(
-                [
-                    GenAddr(
-                        scratchpad=ScratchpadType.WBUF,
-                        loop_id=_LOOP_GATE,
-                        stride=_clamp_stride(layer.hidden_size),
-                    ),
-                    GenAddr(
-                        scratchpad=ScratchpadType.OBUF,
-                        loop_id=_LOOP_GATE,
-                        stride=_clamp_stride(layer.hidden_size),
-                    ),
-                ]
-            )
-        else:
-            # Fully-connected layers walk the reduction dimension explicitly.
-            instructions.append(
-                Loop(
-                    loop_id=_LOOP_INNER_N,
-                    iterations=_clamp_iterations(tiling.tile_n),
-                    level=1,
-                )
-            )
-            gen_addrs.extend(
-                [
-                    _UNIT_STEP[ScratchpadType.IBUF, _LOOP_INNER_N],
-                    _UNIT_STEP[ScratchpadType.WBUF, _LOOP_INNER_N],
-                ]
-            )
-
-        instructions.extend(gen_addrs)
-        instructions.extend(_MACC_TAIL)
-        return instructions
-
-    def _emit_fused_followers(self, fused: tuple[Layer, ...]) -> list[Instruction]:
-        """Compute instructions for pooling/activation layers fused into a block."""
-        instructions: list[Instruction] = []
-        for index, layer in enumerate(fused):
-            if isinstance(layer, PoolLayer):
-                instructions.extend(
-                    [
-                        Loop(
-                            loop_id=_LOOP_FUSED_BASE + index,
-                            iterations=_clamp_iterations(layer.kernel * layer.kernel),
-                            level=1,
-                        ),
-                        _COMPUTE[ComputeFn.MAX if layer.mode == "max" else ComputeFn.ADD],
-                    ]
-                )
-            elif isinstance(layer, ActivationLayer):
-                instructions.append(_COMPUTE[ComputeFn.ACTIVATION])
-        return instructions
-
-    # ------------------------------------------------------------------ #
-    # Block emission
-    # ------------------------------------------------------------------ #
-    def _emit_compute_block(
+    def _plan_compute_block(
         self,
         layer: Layer,
         fused: tuple[Layer, ...],
         batch_size: int,
         tiling: TilingPlan,
     ) -> CompiledBlock:
-        """Emit the block of a GEMM-shaped layer whose tiling is planned."""
-        fused_output_words: int | None = None
+        """Plan the block of a GEMM-shaped layer whose tiling is searched."""
         if fused:
             final = fused[-1]
-            stored_elements = final.output_elements() * batch_size
-            tiling = tiling.with_output_store_bits(stored_elements * final.output_bits)
-            fused_output_words = max(1, stored_elements // max(1, tiling.tile_count))
-
-        instructions: list[Instruction] = [
-            Setup(input_bits=layer.input_bits, weight_bits=layer.weight_bits)
-        ]
-        instructions.extend(self._emit_memory_level(tiling, fused_output_words))
-        instructions.extend(self._emit_inner_level(layer, tiling))
-        instructions.extend(self._emit_fused_followers(fused))
-        instructions.append(_BLOCK_END)
-
+            tiling = tiling.with_output_store_bits(
+                final.output_elements() * batch_size * final.output_bits
+            )
         name = layer.name if not fused else f"{layer.name}+{'+'.join(l.name for l in fused)}"
         return CompiledBlock(
-            block=InstructionBlock(name, instructions),
+            name=name,
             layer=layer,
             tiling=tiling,
             loop_order=tiling.loop_order,
+            instruction_count=_compute_block_count(layer, fused, tiling),
             fused_layers=fused,
         )
 
-    def _emit_auxiliary_block(
+    def _plan_auxiliary_block(
         self, layer: Layer, batch_size: int, tiling: TilingPlan
     ) -> CompiledBlock:
-        """Emit the block of a pooling/activation layer whose tiling is planned."""
-        tiling = tiling.with_output_store_bits(
-            layer.output_elements() * batch_size * layer.output_bits
-        )
-
-        if isinstance(layer, PoolLayer):
-            inner_fn = ComputeFn.MAX if layer.mode == "max" else ComputeFn.ADD
-            window = layer.kernel * layer.kernel
-        else:
-            inner_fn = ComputeFn.ACTIVATION
-            window = 1
-
-        instructions: list[Instruction] = [
-            Setup(input_bits=layer.input_bits, weight_bits=layer.weight_bits),
-            Loop(loop_id=_LOOP_R_TILE, iterations=_clamp_iterations(tiling.r_tiles), level=0),
-            _UNIT_STEP[ScratchpadType.IBUF, _LOOP_R_TILE],
-            _UNIT_STEP[ScratchpadType.OBUF, _LOOP_R_TILE],
-            LdMem(
-                scratchpad=ScratchpadType.IBUF,
-                num_words=_clamp_iterations(tiling.tile_r),
-            ),
-            Loop(
-                loop_id=_LOOP_INNER_R,
-                iterations=_clamp_iterations(tiling.tile_r // max(1, window)),
-                level=1,
-            ),
-            Loop(loop_id=_LOOP_CHANNEL, iterations=_clamp_iterations(window), level=1),
-            _UNIT_STEP[ScratchpadType.IBUF, _LOOP_INNER_R],
-            _UNIT_STEP[ScratchpadType.OBUF, _LOOP_INNER_R],
-            _IBUF_READ,
-            _COMPUTE[inner_fn],
-            _OBUF_WRITE,
-            StMem(
-                scratchpad=ScratchpadType.OBUF,
-                num_words=_clamp_iterations(max(1, tiling.tile_r // max(1, window))),
-            ),
-            _BLOCK_END,
-        ]
+        """Plan the block of a pooling/activation layer whose tiling is searched."""
         return CompiledBlock(
-            block=InstructionBlock(layer.name, instructions),
+            name=layer.name,
             layer=layer,
-            tiling=tiling,
+            tiling=tiling.with_output_store_bits(
+                layer.output_elements() * batch_size * layer.output_bits
+            ),
             loop_order=LoopOrder.OUTPUT_STATIONARY,
-            fused_layers=(),
+            instruction_count=_AUXILIARY_BLOCK_COUNT,
         )
 
     # ------------------------------------------------------------------ #
@@ -568,19 +330,21 @@ class FusionCompiler:
     def compile(self, network: Network, batch_size: int) -> Program:
         """Compile a whole network into an ordered program of blocks.
 
-        Each fusion group is built once per compiler: a block's instructions
-        depend only on its head layer, fused followers and batch size (plus
+        Each fusion group is planned once per compiler: a block's plan
+        depends only on its head layer, fused followers and batch size (plus
         this compiler's config, flags and resolver), and every block ends in
         ``block-end 0``, so its position in the network never enters the
         image.  A group seen before — a NAS mutant's unchanged layers, say —
         returns the same :class:`CompiledBlock` object, with its memoized
-        fingerprints.  Layers compare as dataclasses, so two layers differing
-        only in name or concrete class never share a block.
+        fingerprint and, once read, its emitted instructions.  Layers
+        compare as dataclasses, so two layers differing only in name or
+        concrete class never share a block.
 
-        The groups not built yet are lowered first, and their tiling
+        The groups not planned yet are lowered first, and their tiling
         searches go to the plan resolver in one call, in program order (a
-        network's layer names are unique, so no group repeats within it);
-        only then are their blocks emitted.
+        network's layer names are unique, so no group repeats within it).
+        No instruction is emitted here: a block emits on first read of
+        :attr:`CompiledBlock.block <repro.isa.program.CompiledBlock.block>`.
         """
         decision = fuse_layers(network.layers, enable=self.enable_layer_fusion)
         keys = [(group[0], group[1:], batch_size) for group in decision.groups]
@@ -593,14 +357,14 @@ class FusionCompiler:
             for key, tiling in zip(new_keys, plans):
                 head, followers, _ = key
                 if head.has_gemm():
-                    self._blocks[key] = self._emit_compute_block(
+                    self._blocks[key] = self._plan_compute_block(
                         head, followers, batch_size, tiling
                     )
                 else:
                     # A non-compute group never has followers (fusion only
                     # attaches pool/activation layers to a preceding compute
                     # layer).
-                    self._blocks[key] = self._emit_auxiliary_block(head, batch_size, tiling)
+                    self._blocks[key] = self._plan_auxiliary_block(head, batch_size, tiling)
         return Program(
             network.name,
             [
@@ -608,3 +372,215 @@ class FusionCompiler:
                 for key, block in zip(keys, blocks)
             ],
         )
+
+
+# ---------------------------------------------------------------------- #
+# Instruction emission, level by level, each emitter beside its count
+# ---------------------------------------------------------------------- #
+def _loop(loop_id: int, trips: int, level: int) -> Loop:
+    return Loop(loop_id=loop_id, iterations=_clamp_iterations(trips), level=level)
+
+
+def _gen_addr(scratchpad: ScratchpadType, loop_id: int, stride: int) -> GenAddr:
+    return GenAddr(scratchpad=scratchpad, loop_id=loop_id, stride=_clamp_stride(stride))
+
+
+def _memory_level(tiling: TilingPlan, fused_output_words: int | None) -> list[Instruction]:
+    """Outer tile loops, address generators and DRAM transfer instructions."""
+    trips = {
+        _LOOP_M_TILE: tiling.m_tiles,
+        _LOOP_N_TILE: tiling.n_tiles,
+        _LOOP_R_TILE: tiling.r_tiles,
+    }
+    instructions: list[Instruction] = [
+        _loop(loop_id, trips[loop_id], 0) for loop_id in _TILE_LOOP_NEST[tiling.loop_order]
+    ]
+    # Address generation at tile granularity: tiles of each tensor are
+    # laid out row-major in its address space, so the outer loop's stride
+    # is the inner tile count and the inner loop's stride is one tile.
+    instructions += [
+        _gen_addr(ScratchpadType.WBUF, _LOOP_M_TILE, trips[_LOOP_N_TILE]),
+        _UNIT_STEP[ScratchpadType.WBUF, _LOOP_N_TILE],
+        _gen_addr(ScratchpadType.IBUF, _LOOP_N_TILE, trips[_LOOP_R_TILE]),
+        _UNIT_STEP[ScratchpadType.IBUF, _LOOP_R_TILE],
+        _gen_addr(ScratchpadType.OBUF, _LOOP_M_TILE, trips[_LOOP_R_TILE]),
+        _UNIT_STEP[ScratchpadType.OBUF, _LOOP_R_TILE],
+    ]
+    weight_words = _clamp_iterations(tiling.tile_m * tiling.tile_n)
+    input_words = _clamp_iterations(tiling.tile_n * tiling.tile_r)
+    output_words = _clamp_iterations(
+        fused_output_words if fused_output_words is not None else tiling.tile_m * tiling.tile_r
+    )
+    instructions.append(LdMem(scratchpad=ScratchpadType.WBUF, num_words=weight_words))
+    instructions.append(LdMem(scratchpad=ScratchpadType.IBUF, num_words=input_words))
+    if tiling.dram_output_read_bits > 0:
+        instructions.append(LdMem(scratchpad=ScratchpadType.OBUF, num_words=output_words))
+    instructions.append(StMem(scratchpad=ScratchpadType.OBUF, num_words=output_words))
+    return instructions
+
+
+def _memory_level_count(tiling: TilingPlan) -> int:
+    """Length of :func:`_memory_level`: three tile loops, six address
+    generators, the weight and input loads, an output reload when the plan
+    reads partial sums back, and the output store."""
+    return 3 + 6 + 2 + (1 if tiling.dram_output_read_bits > 0 else 0) + 1
+
+
+def _inner_level(layer: Layer, tiling: TilingPlan) -> list[Instruction]:
+    """Buffer-level loops, address generators and compute instructions."""
+    loops = [_loop(_LOOP_INNER_R, tiling.tile_r, 1), _loop(_LOOP_INNER_M, tiling.tile_m, 1)]
+    gen_addrs = [
+        _gen_addr(ScratchpadType.IBUF, _LOOP_INNER_R, tiling.tile_n),
+        _gen_addr(ScratchpadType.WBUF, _LOOP_INNER_M, tiling.tile_n),
+        _UNIT_STEP[ScratchpadType.OBUF, _LOOP_INNER_R],
+        _gen_addr(ScratchpadType.OBUF, _LOOP_INNER_M, tiling.tile_r),
+    ]
+    if isinstance(layer, ConvLayer):
+        window = layer.kernel * layer.kernel
+        inner_channels = max(1, tiling.tile_n // max(1, window))
+        loops += [
+            _loop(_LOOP_KERNEL_Y, layer.kernel, 1),
+            _loop(_LOOP_KERNEL_X, layer.kernel, 1),
+            _loop(_LOOP_CHANNEL, inner_channels, 1),
+        ]
+        gen_addrs += [
+            _gen_addr(ScratchpadType.IBUF, _LOOP_KERNEL_Y, layer.in_width),
+            _UNIT_STEP[ScratchpadType.IBUF, _LOOP_KERNEL_X],
+            _gen_addr(ScratchpadType.IBUF, _LOOP_CHANNEL, layer.in_height * layer.in_width),
+            _gen_addr(ScratchpadType.WBUF, _LOOP_KERNEL_Y, layer.kernel),
+            _UNIT_STEP[ScratchpadType.WBUF, _LOOP_KERNEL_X],
+            _gen_addr(ScratchpadType.WBUF, _LOOP_CHANNEL, window),
+        ]
+    elif isinstance(layer, (LSTMLayer, RNNLayer)):
+        loops.append(_loop(_LOOP_GATE, layer.gates, 1))
+        gen_addrs += [
+            _gen_addr(ScratchpadType.WBUF, _LOOP_GATE, layer.hidden_size),
+            _gen_addr(ScratchpadType.OBUF, _LOOP_GATE, layer.hidden_size),
+        ]
+    else:
+        # Fully-connected layers walk the reduction dimension explicitly.
+        loops.append(_loop(_LOOP_INNER_N, tiling.tile_n, 1))
+        gen_addrs += [
+            _UNIT_STEP[ScratchpadType.IBUF, _LOOP_INNER_N],
+            _UNIT_STEP[ScratchpadType.WBUF, _LOOP_INNER_N],
+        ]
+    return [*loops, *gen_addrs, *_MACC_TAIL]
+
+
+def _inner_level_count(layer: Layer) -> int:
+    """Length of :func:`_inner_level`: the R and M loops with their four
+    address generators, the layer kind's own walk, and the MACC tail."""
+    if isinstance(layer, ConvLayer):
+        walk = 3 + 6  # kernel-row, kernel-column and channel loops; six generators
+    else:
+        walk = 1 + 2  # one gate or reduction loop; two generators
+    return 2 + 4 + walk + len(_MACC_TAIL)
+
+
+def _fused_followers(fused: tuple[Layer, ...]) -> list[Instruction]:
+    """Compute instructions for pooling/activation layers fused into a block."""
+    instructions: list[Instruction] = []
+    for index, layer in enumerate(fused):
+        if isinstance(layer, PoolLayer):
+            instructions += [
+                _loop(_LOOP_FUSED_BASE + index, layer.kernel * layer.kernel, 1),
+                _COMPUTE[ComputeFn.MAX if layer.mode == "max" else ComputeFn.ADD],
+            ]
+        elif isinstance(layer, ActivationLayer):
+            instructions.append(_COMPUTE[ComputeFn.ACTIVATION])
+    return instructions
+
+
+def _fused_followers_count(fused: tuple[Layer, ...]) -> int:
+    """Length of :func:`_fused_followers`: a loop and a compute per pooling
+    layer, one compute per activation."""
+    return sum(
+        2 if isinstance(layer, PoolLayer) else 1 if isinstance(layer, ActivationLayer) else 0
+        for layer in fused
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Block emission
+# ---------------------------------------------------------------------- #
+def _compute_block_count(layer: Layer, fused: tuple[Layer, ...], tiling: TilingPlan) -> int:
+    """Length of :func:`_compute_block`: ``setup``, the two levels, the
+    fused followers and ``block-end``."""
+    memory, inner = _memory_level_count(tiling), _inner_level_count(layer)
+    return 1 + memory + inner + _fused_followers_count(fused) + 1
+
+
+def _compute_block(
+    layer: Layer, fused: tuple[Layer, ...], tiling: TilingPlan
+) -> list[Instruction]:
+    """The instructions of a GEMM-shaped layer's block."""
+    fused_output_words: int | None = None
+    if fused:
+        # The plan's output store is the last follower's output tensor.
+        stored_elements = tiling.dram_output_write_bits // fused[-1].output_bits
+        fused_output_words = max(1, stored_elements // max(1, tiling.tile_count))
+    return [
+        Setup(input_bits=layer.input_bits, weight_bits=layer.weight_bits),
+        *_memory_level(tiling, fused_output_words),
+        *_inner_level(layer, tiling),
+        *_fused_followers(fused),
+        _BLOCK_END,
+    ]
+
+
+#: Length of :func:`_auxiliary_block`, whatever the layer.
+_AUXILIARY_BLOCK_COUNT = 14
+
+
+def _auxiliary_block(layer: Layer, tiling: TilingPlan) -> list[Instruction]:
+    """The instructions of a standalone pooling/activation layer's block."""
+    if isinstance(layer, PoolLayer):
+        inner_fn = ComputeFn.MAX if layer.mode == "max" else ComputeFn.ADD
+        window = layer.kernel * layer.kernel
+    else:
+        inner_fn = ComputeFn.ACTIVATION
+        window = 1
+    return [
+        Setup(input_bits=layer.input_bits, weight_bits=layer.weight_bits),
+        _loop(_LOOP_R_TILE, tiling.r_tiles, 0),
+        _UNIT_STEP[ScratchpadType.IBUF, _LOOP_R_TILE],
+        _UNIT_STEP[ScratchpadType.OBUF, _LOOP_R_TILE],
+        LdMem(scratchpad=ScratchpadType.IBUF, num_words=_clamp_iterations(tiling.tile_r)),
+        _loop(_LOOP_INNER_R, tiling.tile_r // max(1, window), 1),
+        _loop(_LOOP_CHANNEL, window, 1),
+        _UNIT_STEP[ScratchpadType.IBUF, _LOOP_INNER_R],
+        _UNIT_STEP[ScratchpadType.OBUF, _LOOP_INNER_R],
+        _IBUF_READ,
+        _COMPUTE[inner_fn],
+        _OBUF_WRITE,
+        StMem(
+            scratchpad=ScratchpadType.OBUF,
+            num_words=_clamp_iterations(max(1, tiling.tile_r // max(1, window))),
+        ),
+        _BLOCK_END,
+    ]
+
+
+def emit_block(compiled: CompiledBlock) -> InstructionBlock:
+    """Emit a planned block's instructions (what ``compiled.block`` reads).
+
+    The instructions are a pure function of the plan: the layer and its
+    fused followers, the tiling (output store included) and the loop order.
+    Every :class:`~repro.isa.instructions.Instruction` and the
+    :class:`~repro.isa.block.InstructionBlock` validate as they are built,
+    and the block must hold the plan's ``instruction_count``, the count the
+    simulator charges fetch/decode for; a mismatch is a one-line
+    :class:`ValueError` naming the block.
+    """
+    layer = compiled.layer
+    if layer.has_gemm():
+        instructions = _compute_block(layer, compiled.fused_layers, compiled.tiling)
+    else:
+        instructions = _auxiliary_block(layer, compiled.tiling)
+    block = InstructionBlock(compiled.name, instructions)
+    if len(block) != compiled.instruction_count:
+        raise ValueError(
+            f"block {compiled.name!r} emitted {len(block)} instructions, "
+            f"its plan counts {compiled.instruction_count}"
+        )
+    return block

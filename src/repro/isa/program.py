@@ -1,17 +1,19 @@
 """Compiled programs: the ordered instruction blocks of one network.
 
 A :class:`Program` is what the compiler produces for a whole DNN and what
-the cycle-accurate simulator executes.  Each entry pairs an
-:class:`~repro.isa.block.InstructionBlock` with the compilation metadata the
-simulator needs (the layer it implements, its tiling plan, the chosen loop
-order and any fused follow-on layers).
+the simulator prices.  Each entry is a :class:`CompiledBlock`, the block's
+plan: the layer it implements, any fused follow-on layers, its tiling plan,
+the chosen loop order and its instruction count — everything the simulator
+reads.  The block's :class:`~repro.isa.block.InstructionBlock` is emitted
+from the plan on first read and kept on the instance.
 
 Programs (and their blocks) serialize deterministically to JSON-compatible
 dictionaries — instructions through the Table I binary encoding, layers and
-tiling plans field by field — and fingerprint themselves over that payload.
-The evaluation session memoizes programs in process, reuses them across
-sweep points that only vary simulation parameters, and keys per-block
-simulation results on the name-free block fingerprint.
+tiling plans field by field — and :meth:`Program.fingerprint` hashes that
+payload.  The evaluation session keys per-block simulation results on the
+name-free :meth:`CompiledBlock.layer_fingerprint`, which hashes the plan
+(layer, fused layers, tiling, loop order), never the instructions: they
+are a pure function of it.
 """
 
 from __future__ import annotations
@@ -30,38 +32,57 @@ __all__ = ["CompiledBlock", "Program"]
 
 @dataclass(frozen=True)
 class CompiledBlock:
-    """One instruction block plus the metadata the simulator consumes.
+    """One instruction block's plan: everything the simulator consumes.
 
     Attributes
     ----------
-    block:
-        The validated instruction block.
+    name:
+        The block's name: its layer's, joined with any fused followers'.
     layer:
         The compute layer the block implements.
     tiling:
-        The tiling plan (tile sizes and off-chip traffic) chosen for it.
+        The tiling plan (tile sizes and off-chip traffic) chosen for it,
+        with the output store of any fused followers already applied.
     loop_order:
         The dataflow ordering picked by the loop-ordering optimization.
+    instruction_count:
+        The number of instructions the block holds, ``setup`` and
+        ``block-end`` included: the simulator charges one fetch/decode
+        cycle each.  Emission checks the instructions against it.
     fused_layers:
         Pooling/activation layers folded into this block by layer fusion;
         their intermediate tensors never travel to DRAM.
     """
 
-    block: InstructionBlock
+    name: str
     layer: Layer
     tiling: TilingPlan
     loop_order: LoopOrder
+    instruction_count: int
     fused_layers: tuple[Layer, ...] = field(default_factory=tuple)
 
     @property
-    def name(self) -> str:
-        return self.block.name
+    def block(self) -> InstructionBlock:
+        """The validated instruction block, emitted on first read.
+
+        Emission (:func:`repro.isa.compiler.emit_block`) runs once per
+        instance; the block is kept outside the dataclass fields, so
+        equality and ``asdict`` are unaffected.
+        """
+        block = self.__dict__.get("_block")
+        if block is None:
+            # The compiler builds CompiledBlocks, so it imports this module.
+            from repro.isa.compiler import emit_block
+
+            block = emit_block(self)
+            object.__setattr__(self, "_block", block)
+        return block
 
     # ------------------------------------------------------------------ #
     # Serialization and fingerprinting
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible payload carrying everything the simulator reads."""
+        """JSON-compatible payload: the block's instruction image and plan."""
         return {
             "block": self.block.to_dict(),
             "layer": layer_to_dict(self.layer),
@@ -70,39 +91,20 @@ class CompiledBlock:
             "fused_layers": [layer_to_dict(layer) for layer in self.fused_layers],
         }
 
-    def fingerprint(self) -> str:
-        """Stable content hash over the serialized block payload.
-
-        Two blocks with identical instructions, layer, tiling and fusion
-        metadata hash the same in any process; the batched simulation
-        executor uses this digest to recognize identical block batches
-        across sweep points.
-
-        Memoized on the (frozen) instance: serializing the instruction
-        image anew for each call was a measurable share of the warm path.
-        The memo is stored outside the dataclass fields, so equality,
-        ``asdict`` and pickling are unaffected.
-        """
-        cached = self.__dict__.get("_fingerprint")
-        if cached is None:
-            cached = fingerprint_payload(self.to_dict())
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
-
     def layer_content_dict(self) -> dict[str, Any]:
-        """The block's payload with every name stripped: pure layer content.
+        """The block's plan with every name stripped: pure layer content.
 
         Block and layer names carry no simulation-affecting information —
         they only label results — so this payload identifies *what the block
-        computes*: the binary instruction image, the layer shape and
-        bitwidths, the tiling plan and any fused follow-on layers.
+        computes*: the layer shape and bitwidths, the tiling plan, the loop
+        order and any fused follow-on layers, which determine the
+        instruction image (:func:`repro.isa.compiler.emit_block`).
         """
 
         def _nameless(layer: Layer) -> dict[str, Any]:
             return {k: v for k, v in layer_to_dict(layer).items() if k != "name"}
 
         return {
-            "image": self.block.to_dict()["image"],
             "layer": _nameless(self.layer),
             "tiling": self.tiling.fingerprint(),
             "loop_order": self.loop_order.value,
@@ -112,15 +114,14 @@ class CompiledBlock:
     def layer_fingerprint(self) -> str:
         """Name-free content hash: identical layers collapse across networks.
 
-        Unlike :meth:`fingerprint`, this digest ignores the block and layer
-        names, so the same (layer shape, bitwidths, tiling, instruction
-        image) appearing in two different networks — the model-family case —
-        hashes identically.  It keys the result cache's simulated-block
-        records (:func:`repro.session.engine.layer_cache_key`); a record
-        found through it is renamed to the requesting block before use.
+        This digest ignores the block and layer names, so the same (layer
+        shape, bitwidths, tiling, loop order, fused layers) appearing in two
+        different networks — the model-family case — hashes identically.
+        It keys the session's simulated-block records
+        (:func:`repro.session.engine.plan_program`); a record found through
+        it is renamed to the requesting block before use.
 
-        Memoized like :meth:`fingerprint` (the layer key is derived on
-        every block lookup).
+        Memoized on the (frozen) instance, outside the dataclass fields.
         """
         cached = self.__dict__.get("_layer_fingerprint")
         if cached is None:
@@ -136,13 +137,12 @@ class Program:
     caches.  Its identity is purely content-based: :meth:`fingerprint`
     hashes the serialized payload of every block (instructions through the
     Table I binary encoding, plus layer, tiling, loop order and fusion
-    metadata), so two compilations that emit identical code collapse onto
-    one cache entry, and any compiler change that alters the emitted code
-    automatically invalidates cached programs.  Note the *cache key* the
-    session stores programs under is not this fingerprint but the
-    structure-only :func:`~repro.session.engine.program_cache_key` over the
-    compiler's inputs — the program fingerprint identifies what came out,
-    the cache key what went in.
+    metadata), emitting every block, so the golden tests pin each emitted
+    instruction by it.  The *cache key* the session stores programs under
+    is not this fingerprint but the structure-only
+    :func:`~repro.session.engine.program_cache_key` over the compiler's
+    inputs — the program fingerprint identifies what came out, the cache
+    key what went in.
     """
 
     def __init__(self, network_name: str, blocks: Sequence[CompiledBlock] = ()) -> None:
@@ -151,6 +151,7 @@ class Program:
         self.network_name = network_name
         self._blocks: list[CompiledBlock] = list(blocks)
         self._fingerprint: str | None = None
+        self._layer_fingerprints: tuple[str, ...] | None = None
 
     @property
     def blocks(self) -> list[CompiledBlock]:
@@ -187,11 +188,19 @@ class Program:
             self._fingerprint = fingerprint_payload(self.to_dict())
         return self._fingerprint
 
+    def layer_fingerprints(self) -> tuple[str, ...]:
+        """Every block's :meth:`CompiledBlock.layer_fingerprint`, in order (memoized)."""
+        if self._layer_fingerprints is None:
+            self._layer_fingerprints = tuple(
+                compiled.layer_fingerprint() for compiled in self._blocks
+            )
+        return self._layer_fingerprints
+
     # ------------------------------------------------------------------ #
     # Aggregate statistics
     # ------------------------------------------------------------------ #
     def total_instructions(self) -> int:
-        """Total instruction count over all blocks."""
+        """Total instruction count over all blocks (emitting each)."""
         return sum(len(compiled.block) for compiled in self)
 
     def total_binary_bytes(self) -> int:

@@ -17,9 +17,9 @@ comparison routes through:
   pack-file store — :class:`~repro.session.store.SegmentedStore`,
   append-only segments whose index sidecars are the only index), plus the
   in-process artifact memo.
-* :class:`~repro.session.session.EvaluationSession` — ``run`` /
-  ``run_many`` (one batched simulation pass per batch, committed in input
-  order) with per-stage cache-hit accounting.
+* :class:`~repro.session.session.EvaluationSession` — ``run_many`` (one
+  batched simulation pass per batch, committed in input order) with
+  per-stage cache-hit accounting.
 
 Cache keys and invalidation
 ---------------------------
@@ -39,14 +39,15 @@ in-process memo.
   and compiler flags, the only inputs the compiler reads.  Bandwidth,
   array geometry, frequency and technology node are deliberately excluded,
   so sweeps along those axes reuse one compiled program.
-* **Layer key** (:func:`~repro.session.engine.layer_cache_key`): one
-  simulated block's *name-free* content fingerprint (layer shape,
-  bitwidths, tiling, instruction image) plus the simulation-affecting
-  configuration (array geometry, buffer capacities and access width,
-  bandwidth, technology node).  Frequency and the configuration name are
-  excluded — they only affect composition metadata.  Identical (layer,
-  tiling) pairs therefore share one record across networks in
-  model-family sweeps.
+* **Layer key** (derived per block by
+  :func:`~repro.session.engine.plan_program`): one simulated block's
+  *name-free* plan fingerprint (layer shape and bitwidths, fused layers,
+  tiling, loop order — the instruction image is a pure function of these,
+  so pricing never emits it) plus the simulation-affecting configuration
+  (array geometry, buffer capacities and access width, bandwidth,
+  technology node).  Frequency and the configuration name are excluded —
+  they only affect composition metadata.  Identical (layer, tiling) pairs
+  therefore share one record across networks in model-family sweeps.
 * **Tiling key** (:func:`~repro.session.engine.tiling_cache_key`): one
   tiling search's inputs — GEMM shape and bitwidths, the loop orders
   considered, and the scratchpad capacities.  The compiler consults this
@@ -81,7 +82,6 @@ from repro.session.engine import (
     build_model,
     compile_program,
     execute_workload,
-    layer_cache_key,
     make_plan_resolver,
     program_cache_key,
     tiling_cache_key,
@@ -118,7 +118,6 @@ __all__ = [
     "execute_workload",
     "fixed_bitwidth_network",
     "get_default_session",
-    "layer_cache_key",
     "load_network",
     "make_plan_resolver",
     "network_digest",

@@ -268,10 +268,11 @@ class ResultCache:
         self.io_seconds = 0.0
         self._memory: dict[str, NetworkResult] = {}
         #: In-process memo of the pipeline's intermediate artifacts —
-        #: compiled programs, tiling plans and name-normalized layer records
-        #: under their program, tiling and layer keys
+        #: compiled programs, tiling plans and layer records under their
+        #: program, tiling and layer keys, and a layer record's copies
+        #: under other block names under ``(layer key, block name)``
         #: (:mod:`repro.session.engine`).  Never persisted.
-        self.memo: dict[str, Any] = {}
+        self.memo: dict[str | tuple[str, str], Any] = {}
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._store: SegmentedStore | None = None
         if self.cache_dir is not None:

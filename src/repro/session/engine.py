@@ -13,14 +13,16 @@ in-process only):
    only inputs the compiler reads.  A sweep that varies off-chip bandwidth
    (or any other simulation-only parameter) therefore reuses one compiled
    program across all its points.
-2. **simulate-blocks** — run each instruction block independently through
+2. **simulate-blocks** — price each block's plan independently through
    :func:`~repro.sim.batched.simulate_blocks_grid` into a
-   :class:`~repro.sim.results.LayerResult`, keyed by the *name-free* layer
-   fingerprint plus the simulation-affecting configuration
-   (:func:`layer_cache_key`).  Blocks whose cycle/energy inputs are
-   unchanged are never re-simulated, and identical (layer, tiling) pairs
-   share one record across networks in model-family sweeps; a record is
-   renamed to the requesting block on use, so composition stays
+   :class:`~repro.sim.results.LayerResult`, keyed by the layer key: the
+   *name-free* layer fingerprint (a hash of the block's plan — layer,
+   fused layers, tiling, loop order — not of its instructions, which are
+   never emitted for pricing) plus the simulation-affecting configuration
+   (:func:`plan_program` derives it).  Blocks whose cycle/energy inputs
+   are unchanged are never re-simulated, and identical (layer, tiling)
+   pairs share one record across networks in model-family sweeps; a
+   record is renamed to the requesting block on use, so composition stays
    byte-identical.
 3. **compose** — assemble the per-block results into a
    :class:`~repro.sim.results.NetworkResult`
@@ -52,7 +54,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.baselines.gpu import GpuModel, GpuPrecision
 from repro.baselines.platform import PLATFORM_SPECS, PlatformModel
@@ -76,7 +78,6 @@ __all__ = [
     "compose_plan",
     "describe_workload_error",
     "execute_workload",
-    "layer_cache_key",
     "make_plan_resolver",
     "obtain_program",
     "plan_program",
@@ -328,11 +329,13 @@ def _sim_config_json(config: BitFusionConfig) -> str:
 
 @lru_cache(maxsize=None)
 def _layer_content_key(layer_fingerprint: str, sim_config_json: str) -> str:
-    # The exact text fingerprint_payload({"artifact": "layer", "layer": ...,
-    # "sim": ...}) hashes (sorted keys, default separators), built from the
-    # memoized config JSON instead of re-dumping the nested payload.  Keyed
-    # on two strings, whose hashes Python caches: keying on the config
-    # would re-hash the whole dataclass on every block lookup.
+    """The layer key: ``fingerprint_payload({"artifact": "layer", "layer":
+    <layer fingerprint>, "sim": <sim config>})``, from its exact text.
+
+    Identical layer plans collapse onto one key whatever network or layer
+    name produced them.  Keyed on two strings, whose hashes Python caches:
+    keying on the config would re-hash the dataclass on every lookup.
+    """
     text = (
         f'{{"artifact": "layer", "layer": "{layer_fingerprint}", '
         f'"sim": {sim_config_json}}}'
@@ -340,37 +343,32 @@ def _layer_content_key(layer_fingerprint: str, sim_config_json: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
-    """Content-addressed cache key of one simulated layer.
-
-    Hashes the block's *name-free* content (:meth:`~repro.isa.program.
-    CompiledBlock.layer_fingerprint`) plus the simulation-affecting
-    configuration: identical (layer shape, bitwidths, tiling, instruction
-    image) pairs collapse onto one key no matter which network — or which
-    layer name within a network — produced them, which is what dedupes
-    simulations across the model-family sweeps the paper's benchmark suite
-    is full of.  The digest is ``fingerprint_payload({"artifact": "layer",
-    "layer": <layer fingerprint>, "sim": <sim config>})``, so keys written by
-    earlier releases stay valid.  Memoized: the layer fingerprint on the
-    block instance, the config JSON per config and the key on
-    (fingerprint, config JSON).  :func:`plan_program` derives each block's
-    key once and passes it on (:attr:`WorkPlan.layer_keys`).
-    """
-    return _layer_content_key(compiled.layer_fingerprint(), _sim_config_json(config))
+@lru_cache(maxsize=None)
+def _layer_keys(layer_fingerprints: tuple[str, ...], sim_config_json: str) -> tuple[str, ...]:
+    """A program's layer keys, memoized so a program priced again derives none."""
+    return tuple(
+        _layer_content_key(fingerprint, sim_config_json) for fingerprint in layer_fingerprints
+    )
 
 
 def lookup_block(cache: ResultCache, key: str, name: str) -> LayerResult | None:
-    """The memoized result under layer ``key``, renamed to block ``name``.
+    """The memoized result under layer ``key``, named after block ``name``.
 
     None on a miss.  No statistics are recorded here; callers account for
-    hits and misses in their own stage counters.  Records are memoized
-    with ``cache.memo[key] = layer`` (:func:`compose_plan`).  A record
-    already under ``name`` is returned as is (records are frozen).
+    hits and misses in their own stage counters.  A record is memoized
+    under its layer key with the name of the block that simulated it
+    (:func:`compose_plan`); its copy under another block's name is made
+    once and memoized under ``(key, name)``, so a program priced again
+    renames nothing.  Records are frozen, so sharing them is safe.
     """
-    value = cache.memo.get(key)
+    memo = cache.memo
+    value = memo.get(key)
     if value is None or value.name == name:
         return value
-    return value.renamed(name)
+    renamed = memo.get((key, name))
+    if renamed is None:
+        renamed = memo[key, name] = value.renamed(name)
+    return renamed
 
 
 # ---------------------------------------------------------------------- #
@@ -398,8 +396,8 @@ class WorkPlan:
     ``program`` is the compiled program, priced under ``config`` at
     ``batch_size``; baseline workloads (no compile stage) plan with
     ``program=None`` and nothing else to resolve.
-    ``layer_keys`` holds every block's :func:`layer_cache_key`, derived
-    once at plan time and reused by every later lookup and store;
+    ``layer_keys`` holds every block's layer key (:func:`_layer_content_key`),
+    derived once at plan time and reused by every later lookup and store;
     ``cached_layers`` maps block index → result resolved at plan time;
     ``simulate_indices`` are the blocks that must be simulated;
     ``deferred_indices`` are blocks whose key an earlier plan of the same
@@ -454,27 +452,26 @@ def plan_program(
     instead of being simulated twice.  Plan-time hits count in
     ``stats.blocks.hits``, scheduled simulations in ``stats.blocks.misses``.
     """
-    # layer_cache_key per block, with the config's JSON looked up once.
-    sim_config_json = _sim_config_json(config)
-    keys = tuple(
-        _layer_content_key(compiled.layer_fingerprint(), sim_config_json)
-        for compiled in program
-    )
+    keys = _layer_keys(program.layer_fingerprints(), _sim_config_json(config))
+    memo = cache.memo
     cached: dict[int, LayerResult] = {}
     simulate: list[int] = []
     deferred: list[int] = []
     for index, (compiled, key) in enumerate(zip(program, keys)):
-        value = lookup_block(cache, key, compiled.name)
+        value = memo.get(key)
         if value is not None:
-            stats.blocks.hits += 1
-            cached[index] = value
+            # lookup_block, with its common case (no rename) inlined: this
+            # loop is most of a warm NAS estimate.
+            name = compiled.name
+            cached[index] = value if value.name == name else lookup_block(cache, key, name)
             continue
         if key in claimed:
             deferred.append(index)
             continue
         claimed.add(key)
-        stats.blocks.misses += 1
         simulate.append(index)
+    stats.blocks.hits += len(cached)
+    stats.blocks.misses += len(simulate)
     return WorkPlan(
         program=program,
         config=config,
@@ -503,20 +500,26 @@ def compose_plan(
     """
     program = plan.program
     assert program is not None
-    layers: list[LayerResult] = []
-    for index, (compiled, key) in enumerate(zip(program, plan.layer_keys)):
-        if index in plan.cached_layers:
-            layers.append(plan.cached_layers[index])
-            continue
-        if index in fresh_layers:
-            layer = cache.memo[key] = fresh_layers[index]
-            layers.append(layer)
-            continue
-        value = lookup_block(cache, key, compiled.name)
-        if value is None:
-            raise RuntimeError(f"deferred block {compiled.name!r} has no stored record")
-        stats.blocks.hits += 1
-        layers.append(value)
+    cached = plan.cached_layers
+    layers: Iterable[LayerResult]
+    if len(cached) == len(program):
+        # Every block resolved at plan time, in block order: a warm price.
+        layers = cached.values()
+    else:
+        layers = []
+        for index, (compiled, key) in enumerate(zip(program, plan.layer_keys)):
+            if index in cached:
+                layers.append(cached[index])
+                continue
+            if index in fresh_layers:
+                layer = cache.memo[key] = fresh_layers[index]
+                layers.append(layer)
+                continue
+            value = lookup_block(cache, key, compiled.name)
+            if value is None:
+                raise RuntimeError(f"deferred block {compiled.name!r} has no stored record")
+            stats.blocks.hits += 1
+            layers.append(value)
     return compose_network_result(
         network_name=program.network_name,
         platform=plan.config.name,
@@ -530,11 +533,12 @@ def simulate_planned_blocks(plans: Sequence[WorkPlan]) -> list[dict[int, LayerRe
     """Simulate every planned-but-missing block across ``plans``, batched.
 
     The missing blocks of *all* in-flight plans are gathered into as few
-    :func:`~repro.sim.batched.simulate_blocks_grid` calls as possible.  Plans are grouped by their simulation-affecting
-    configuration (:func:`_sim_config_json` — so e.g. a frequency sweep
-    shares one group), and groups whose ordered block
-    fingerprints are identical are merged into one 2-D grid call: the same
-    block batch evaluated under every distinct sim config in one numpy
+    :func:`~repro.sim.batched.simulate_blocks_grid` calls as possible.
+    Plans are grouped by their simulation-affecting configuration
+    (:func:`_sim_config_json` — so e.g. a frequency sweep shares one
+    group), and groups whose ordered blocks carry identical (layer
+    fingerprint, block name) pairs are merged into one 2-D grid call: the
+    same block batch evaluated under every distinct sim config in one numpy
     pass.  That is the bandwidth/frequency-sweep fast path — ``N`` sweep
     points of a ``B``-block network cost one ``N × B`` grid instead of
     ``N`` separate passes.
@@ -559,14 +563,16 @@ def simulate_planned_blocks(plans: Sequence[WorkPlan]) -> list[dict[int, LayerRe
         )
     # Merge config groups carrying identical block batches into 2-D grids.
     by_batch: dict[
-        tuple[str, ...], list[tuple[BitFusionConfig, list[tuple[int, int, CompiledBlock]]]]
+        tuple[tuple[str, str], ...],
+        list[tuple[BitFusionConfig, list[tuple[int, int, CompiledBlock]]]],
     ] = {}
     for config, items in by_config.values():
-        signature = tuple(block.fingerprint() for _, _, block in items)
+        signature = tuple((block.layer_fingerprint(), block.name) for _, _, block in items)
         by_batch.setdefault(signature, []).append((config, items))
     for groups in by_batch.values():
-        # Identical fingerprints mean identical block content, so the first
-        # group's blocks stand in for every config row of the grid.
+        # Equal layer fingerprints and names mean equal results per config
+        # (a result is named after its block), so the first group's blocks
+        # stand in for every config row of the grid.
         blocks = [block for _, _, block in groups[0][1]]
         rows = simulate_blocks_grid([config for config, _ in groups], blocks)
         for (_, items), row in zip(groups, rows):

@@ -1,8 +1,8 @@
 """EvaluationSession: the shared, cached workload engine.
 
 One session backs one report (or one interactive study).  Every experiment
-routes its simulations through :meth:`EvaluationSession.run` /
-:meth:`~EvaluationSession.run_many`, so a full-report invocation simulates
+routes its simulations through :meth:`EvaluationSession.run_many` (a
+single workload is a batch of one), so a full-report invocation simulates
 each unique (platform config, network, batch, compiler flags) point exactly
 once regardless of how many figures need it, and the missing blocks of a
 whole batch of workloads simulate together through the vectorized executor.
@@ -88,10 +88,6 @@ class EvaluationSession:
     # ------------------------------------------------------------------ #
     # Core execution
     # ------------------------------------------------------------------ #
-    def run(self, workload: Workload) -> NetworkResult:
-        """Run one workload, serving it from the cache when possible."""
-        return self.run_many([workload])[0]
-
     def run_many(self, workloads: Iterable[Workload]) -> list[NetworkResult]:
         """Run a batch of workloads, in input order.
 

@@ -19,7 +19,9 @@ so a write is one buffered append and a lookup is a dictionary hit:
   length, kind) plus the segment size it describes.  A missing or stale
   sidecar (size mismatch after a crash) degrades to one sequential scan of
   the segment, never an error.  Writers rewrite their own sidecar once per
-  :meth:`SegmentedStore.flush`, not once per record.
+  :meth:`SegmentedStore.flush`, not once per record, and the same flush
+  repairs the sidecar of any segment the open had to rescan.  Opening a
+  store writes nothing, so ``--cache-info`` leaves a directory as it was.
 
 The merged sidecars are the directory's only index: entry kinds and sizes
 (``--cache-info``) are read off it, and nothing else is written beside the
@@ -137,6 +139,8 @@ class SegmentedStore:
         self._own_name = f"pack-{os.getpid()}-{uuid.uuid4().hex[:8]}{SEGMENT_SUFFIX}"
         self._own_handle: BinaryIO | None = None
         self._own_dirty = False
+        #: Rescanned segments' sidecars :meth:`flush` owes: name -> (entries, size).
+        self._repairs: dict[str, tuple[dict[str, tuple[int, int, str]], int]] = {}
         self._load()
 
     # ------------------------------------------------------------------ #
@@ -152,9 +156,9 @@ class SegmentedStore:
             entries = self._read_sidecar(path, size)
             if entries is None:
                 entries = self._scan_segment(path, size)
-                # Best-effort repair so the next open skips the scan; a
-                # read-only shared directory still serves reads without it.
-                self._write_sidecar(path.name, entries, size)
+                # Repaired at the next flush, so the next open skips the
+                # scan; opening alone never writes.
+                self._repairs[path.name] = (entries, size)
             for key, (offset, length, kind) in entries.items():
                 self._index[key] = _Location(path.name, offset, length, kind)
 
@@ -324,7 +328,11 @@ class SegmentedStore:
         return {key: location.length for key, location in placed}
 
     def flush(self) -> None:
-        """Rewrite the writer segment's index sidecar if records were appended."""
+        """Write the sidecars this store owes: the rescanned segments' (best
+        effort), and the writer segment's if records were appended."""
+        for name, (entries, size) in self._repairs.items():
+            self._write_sidecar(name, entries, size)
+        self._repairs.clear()
         if not self._own_dirty:
             return
         entries = {

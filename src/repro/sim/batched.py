@@ -305,7 +305,7 @@ def simulate_blocks_grid(
                 tr,
                 dram_read_v,
                 dram_write_v,
-                len(block.block),
+                block.instruction_count,
             )
         )
 

@@ -14,7 +14,7 @@ Both records are frozen, which is what lets the evaluation session cache
 them: ``LayerResult`` is the per-block artifact of the simulate stage,
 memoized in process under the name-free layer fingerprint plus the
 simulation-affecting configuration (see
-:func:`repro.session.engine.layer_cache_key`), and a ``NetworkResult`` is
+:func:`repro.session.engine.plan_program`), and a ``NetworkResult`` is
 what a cache directory stores (:func:`repro.session.cache.encode_result`),
 read back bit-identical to the freshly composed one.  A cached result is
 invalidated only by its key changing — there is no epoch or timestamp

@@ -3,7 +3,8 @@
 ``compile`` is the compiler's one entry point: a layer compiled alone is a
 one-layer network, whose program holds exactly that layer's block, and the
 tiling searches a compile needs are the requests it hands its plan
-resolver.
+resolver.  A block's layer key is the one ``plan_program`` derives when it
+prices the block.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from repro.core.config import BitFusionConfig
 from repro.dnn.layers import Layer
 from repro.dnn.network import Network
 from repro.isa.compiler import FusionCompiler, TilingRequest
-from repro.isa.program import CompiledBlock
+from repro.isa.program import CompiledBlock, Program
+from repro.session.cache import CacheStats, ResultCache
+from repro.session.engine import plan_program
 
 
 def compile_alone(compiler: FusionCompiler, layer: Layer, batch_size: int) -> CompiledBlock:
@@ -33,3 +36,11 @@ def tiling_requests(
 
     FusionCompiler(config, plan_resolver=record).compile(network, batch_size)
     return requests
+
+
+def layer_cache_key(compiled: CompiledBlock, config: BitFusionConfig) -> str:
+    """The layer key ``plan_program`` looks ``compiled`` up under at ``config``."""
+    plan = plan_program(
+        Program("one-block", [compiled]), config, 1, ResultCache(), CacheStats(), set()
+    )
+    return plan.layer_keys[0]

@@ -74,14 +74,17 @@ SCENARIOS: list[tuple[str, tuple[str, str], list[str]]] = [
 #: Why a function that no scenario runs may stay in ``src/``: it raises on
 #: bad input or an unsupported call; tests check the program against it; a
 #: sweep or NAS spec field the scenarios leave at its default reaches it;
-#: it is a dunder; a library example in ``docs/`` calls it; or it is one of
-#: the ``session/`` functions ROADMAP item 10 still lists for a caller or a
-#: removal.
-REASONS = ("error path", "oracle", "spec-reachable", "dunder", "documented", "session")
+#: it is a dunder; or a library example in ``docs/`` calls it.
+REASONS = ("error path", "oracle", "spec-reachable", "dunder", "documented")
 
-_SESSION = "session: ROADMAP item 10 asks for a caller or a removal"
 _INTERPRETER = "oracle: isa/interpreter.py, the candidate traffic gate of ROADMAP item 4"
 _ENCODING = "oracle: decodes Table I words, the round trip of the encoder's tests"
+#: Pricing reads a block's plan and the ISA section counts its instructions;
+#: only the payload the golden programs hash encodes them.
+_IMAGE = (
+    "oracle: the Table I image Program.fingerprint hashes, "
+    "which tests/test_program_golden.py pins"
+)
 
 #: Functions no scenario runs, by ``module:qualname``, each with its reason.
 ALLOWED: dict[str, str] = {
@@ -108,10 +111,24 @@ ALLOWED: dict[str, str] = {
     "repro.dse.spec:DesignPoint.label": "documented: the library example in docs/sweeps.md",
     "repro.dse.spec:_apply_frequency": "spec-reachable: a sweep spec's frequency axis",
     "repro.isa.block:InstructionBlock.__repr__": "dunder",
+    "repro.isa.block:InstructionBlock.to_dict": _IMAGE,
+    "repro.isa.compiler:_auxiliary_block": (
+        "documented: the emission example in docs/architecture.md reads an unfused pooling block"
+    ),
+    "repro.isa.encoding:_encode_block_end": _IMAGE,
+    "repro.isa.encoding:_encode_buffer_access": _IMAGE,
+    "repro.isa.encoding:_encode_compute": _IMAGE,
+    "repro.isa.encoding:_encode_gen_addr": _IMAGE,
+    "repro.isa.encoding:_encode_loop": _IMAGE,
+    "repro.isa.encoding:_encode_setup": _IMAGE,
+    "repro.isa.encoding:_encode_transfer": _IMAGE,
     "repro.isa.encoding:_mask": _ENCODING,
     "repro.isa.encoding:decode_block": _ENCODING,
     "repro.isa.encoding:decode_block_hex": _ENCODING,
     "repro.isa.encoding:decode_instruction": _ENCODING,
+    "repro.isa.encoding:encode_block": _IMAGE,
+    "repro.isa.encoding:encode_block_hex": _IMAGE,
+    "repro.isa.encoding:encode_instruction": _IMAGE,
     "repro.isa.instructions:Instruction.opcode": "error path: abstract",
     "repro.isa.interpreter:BlockTrace.event_count": _INTERPRETER,
     "repro.isa.interpreter:BlockTrace.events_for": _INTERPRETER,
@@ -119,6 +136,7 @@ ALLOWED: dict[str, str] = {
     "repro.isa.interpreter:BlockTrace.unique_addresses": _INTERPRETER,
     "repro.isa.interpreter:_equation4_address": _INTERPRETER,
     "repro.isa.interpreter:interpret_block": _INTERPRETER,
+    "repro.isa.program:CompiledBlock.to_dict": _IMAGE,
     "repro.isa.program:Program.__getitem__": "dunder",
     "repro.isa.program:Program.__repr__": "dunder",
     "repro.isa.program:Program.fingerprint": (
@@ -136,13 +154,15 @@ ALLOWED: dict[str, str] = {
     "repro.isa.tiling:_no_feasible_tiling": "error path: no tiling fits the buffers",
     "repro.isa.tiling:_too_large_to_tile": "error path: traffic could overflow int64",
     "repro.nas.mutations:mutate_kernel": "spec-reachable: the \"kernel\" entry of a NAS spec's axes",
-    "repro.session.engine:describe_workload_error": _SESSION,
-    "repro.session.engine:layer_cache_key": _SESSION,
-    "repro.session.session:EvaluationSession.run": _SESSION,
+    "repro.session.engine:describe_workload_error": (
+        "error path: the one-line message of a workload that fails"
+    ),
     "repro.session.store:SegmentedStore._scan_segment": (
         "error path: index recovery when a segment's sidecar is missing or stale"
     ),
-    "repro.session.workload:Workload.label": _SESSION,
+    "repro.session.workload:Workload.label": (
+        "error path: names a failing workload in its one-line message"
+    ),
     "repro.sim.results:MemoryTraffic.dram_total_bits": (
         "oracle: the reference simulator in tests/reference/ prices DRAM by it"
     ),

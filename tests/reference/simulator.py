@@ -212,7 +212,7 @@ def run_block(config: BitFusionConfig, block: CompiledBlock) -> LayerResult:
     if block.layer.has_gemm():
         estimate = cycle_model.estimate(block.tiling)
         compute_cycles = estimate.compute_cycles
-        overhead_cycles = estimate.fill_drain_cycles + len(block.block)
+        overhead_cycles = estimate.fill_drain_cycles + block.instruction_count
         utilization = estimate.utilization
         macs = workload.macs
         reduction_passes = max(1, block.tiling.n_tiles)
@@ -220,7 +220,7 @@ def run_block(config: BitFusionConfig, block: CompiledBlock) -> LayerResult:
         # Standalone pooling/activation: the per-column units keep up with
         # the streaming rate, so the block is purely memory-bound.
         compute_cycles = 0
-        overhead_cycles = len(block.block)
+        overhead_cycles = block.instruction_count
         utilization = 0.0
         macs = 0
         reduction_passes = 1

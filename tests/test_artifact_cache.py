@@ -25,11 +25,11 @@ from functools import partial
 
 import pytest
 from faults import tear_last_record
+from compiling import layer_cache_key
 
 from repro.core.config import BitFusionConfig
 from repro.harness.experiments import fig13_eyeriss, fig15_bandwidth, fig16_batch
 from repro.harness.runner import build_report, format_cache_info
-from repro.isa.block import InstructionBlock
 from repro.isa.program import CompiledBlock
 from repro.session import (
     EvaluationSession,
@@ -37,7 +37,6 @@ from repro.session import (
     SegmentedStore,
     Workload,
     compile_program,
-    layer_cache_key,
     program_cache_key,
     tiling_cache_key,
 )
@@ -64,11 +63,10 @@ def _result(tag: str) -> NetworkResult:
 
 def _renamed(compiled: CompiledBlock, prefix: str) -> CompiledBlock:
     """The same block content under new block and layer names."""
-    return CompiledBlock(
-        block=InstructionBlock(f"{prefix}/{compiled.name}", tuple(compiled.block)),
+    return replace(
+        compiled,
+        name=f"{prefix}/{compiled.name}",
         layer=replace(compiled.layer, name=f"{prefix}-layer"),
-        tiling=compiled.tiling,
-        loop_order=compiled.loop_order,
         fused_layers=tuple(
             replace(layer, name=f"{prefix}-{i}")
             for i, layer in enumerate(compiled.fused_layers)
@@ -206,9 +204,9 @@ class TestContentAddressedLayerLevel:
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         compiled = compile_program(workload)[0]
         renamed = _renamed(compiled, "other")
-        # The block-level fingerprint sees the rename; the layer-level
-        # content fingerprint (and hence the cache key) does not.
-        assert renamed.fingerprint() != compiled.fingerprint()
+        # The block payload sees the rename; the layer-level content
+        # fingerprint (and hence the cache key) does not.
+        assert renamed.to_dict() != compiled.to_dict()
         assert renamed.layer_fingerprint() == compiled.layer_fingerprint()
         assert layer_cache_key(renamed, workload.config) == layer_cache_key(
             compiled, workload.config
@@ -228,7 +226,7 @@ class TestContentAddressedLayerLevel:
 
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession() as first:
-            fresh = first.run(workload)
+            fresh = first.run_many([workload])[0]
         for compiled, layer in zip(compile_program(workload), fresh.layers):
             twin = _renamed(compiled, "sibling")
             key = layer_cache_key(twin, workload.config)
@@ -241,7 +239,7 @@ class TestContentAddressedLayerLevel:
         key = workload.fingerprint()
         assert key not in ResultCache(tmp_path)
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(workload)
+            session.run_many([workload])
         assert key in ResultCache(tmp_path)
         assert tear_last_record(tmp_path)["key"] == key
         assert key not in ResultCache(tmp_path)
@@ -249,7 +247,7 @@ class TestContentAddressedLayerLevel:
     def test_entry_summary_reports_only_network_results(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(workload)
+            session.run_many([workload])
         summary = ResultCache(tmp_path).entry_summary()
         # One record per workload and nothing per program, plan or block.
         assert set(summary) == {"network_result"}
@@ -261,7 +259,7 @@ class TestContentAddressedLayerLevel:
         # the composition, carrying the requesting network's block names.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as session:
-            fresh = session.run(workload)
+            fresh = session.run_many([workload])[0]
         program = compile_program(workload)
         store = SegmentedStore(tmp_path)
         for block in program:
@@ -298,13 +296,13 @@ class TestContentAddressedLayerLevel:
         program = compile_program(workload)
         distinct = {layer_cache_key(block, workload.config) for block in program}
         with EvaluationSession(cache_dir=tmp_path) as cold:
-            cold.run(workload)
+            cold.run_many([workload])
             assert cold.stats.blocks.misses == len(distinct)
             assert cold.stats.blocks.lookups == len(program)
             # A frequency variant shares every layer key: its stored result
             # misses, so it executes once, reusing the program and planning
             # every block as a memo hit — no block simulates.
-            cold.run(replace(workload, config=workload.config.with_frequency(250.0)))
+            cold.run_many([replace(workload, config=workload.config.with_frequency(250.0))])
             assert (cold.stats.blocks.hits, cold.stats.blocks.misses) == (
                 2 * len(program) - len(distinct),
                 len(distinct),
@@ -313,7 +311,7 @@ class TestContentAddressedLayerLevel:
             assert cold.stats.unique_executions == 2
             assert (cold.stats.programs.hits, cold.stats.programs.misses) == (1, 1)
         with EvaluationSession(cache_dir=tmp_path) as warm:
-            warm.run(workload)
+            warm.run_many([workload])
         assert warm.stats.blocks.lookups == 0
         assert not hasattr(warm.stats, "layers")
         assert "layer dedup" not in warm.stats.summary()
@@ -406,7 +404,7 @@ class TestTilingMemo:
         # directory reads the stored result without compiling at all.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as cold:
-            cold.run(workload)
+            cold.run_many([workload])
             cold_searches = cold.stats.tilings.misses
             assert cold_searches > 0
             assert cold.stats.tilings.hits == 0
@@ -417,7 +415,7 @@ class TestTilingMemo:
                 batch_size=4,
                 config=workload.config.with_bandwidth(256),
             )
-            cold.run(varied)
+            cold.run_many([varied])
             assert (cold.stats.programs.misses, cold.stats.programs.hits) == (1, 1)
             assert cold.stats.tilings.lookups == cold_searches
 
@@ -436,7 +434,7 @@ class TestTilingMemo:
             ablated = Workload.bitfusion(
                 "LeNet-5", batch_size=4, enable_loop_ordering=False
             )
-            flags.run(ablated)
+            flags.run_many([ablated])
             assert flags.stats.tilings.hits == 0
             assert flags.stats.tilings.misses > 0
 
@@ -464,9 +462,9 @@ class TestTilingMemo:
                 memoized.add(key)
 
         with EvaluationSession() as session:
-            session.run(fused)
+            session.run_many([fused])
             before = (session.stats.tilings.hits, session.stats.tilings.misses)
-            session.run(unfused)
+            session.run_many([unfused])
             assert session.stats.programs.misses == 2
             assert session.stats.tilings.misses - before[1] == expected_misses
             assert session.stats.tilings.hits - before[0] == expected_hits
@@ -474,7 +472,7 @@ class TestTilingMemo:
     def test_tiling_plans_are_memoized_not_persisted(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as session:
-            session.run(workload)
+            session.run_many([workload])
         search_keys = set(self._search_key_sequence(workload))
         assert search_keys <= set(session.cache.memo)
         assert set(ResultCache(tmp_path).entry_summary()) == {"network_result"}

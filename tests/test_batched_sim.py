@@ -216,9 +216,7 @@ def _synthetic_block(workload: GemmWorkload, tiling=None) -> CompiledBlock:
     )
     if tiling is None:
         tiling = search_tilings((workload,), _BASE, tuple(LoopOrder))[0]
-    return CompiledBlock(
-        block=base.block, layer=base.layer, tiling=tiling, loop_order=base.loop_order
-    )
+    return dataclasses.replace(base, tiling=tiling)
 
 
 def _assert_close(got, want):

@@ -211,7 +211,7 @@ class TestBlockReuse:
     def counted(self, monkeypatch) -> list:
         """Record the head layer of every block the compiler actually builds."""
         built: list = []
-        for method in ("_emit_compute_block", "_emit_auxiliary_block"):
+        for method in ("_plan_compute_block", "_plan_auxiliary_block"):
             original = getattr(FusionCompiler, method)
 
             def counting(self, layer, *args, _original=original, **kwargs):

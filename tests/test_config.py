@@ -8,10 +8,10 @@ import pytest
 
 from repro.core.config import BitFusionConfig, TechnologyNode
 from repro.session import Workload, compile_program, engine, program_cache_key
-from repro.session.engine import layer_cache_key, tiling_cache_key
+from repro.session.engine import tiling_cache_key
 from repro.session.workload import load_network
 
-from compiling import tiling_requests
+from compiling import layer_cache_key, tiling_requests
 
 
 class TestTechnologyNode:

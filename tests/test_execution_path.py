@@ -88,7 +88,7 @@ class TestBatchEquivalence:
     def test_run_many_is_byte_identical_to_one_at_a_time(self):
         workloads = _shared()
         batch = EvaluationSession().run_many(workloads)
-        single = [EvaluationSession().run(workload) for workload in workloads]
+        single = [EvaluationSession().run_many([workload])[0] for workload in workloads]
         assert list(batch) == list(single)
 
     def test_disk_cached_batch_matches_in_memory_batch(self, tmp_path):
@@ -204,7 +204,7 @@ class TestFailFast:
             assert isinstance(cause, InjectedSimulatorFault)
             assert str(raised.value) == describe_workload_error(bad, cause)
             assert session.cache.get(bad.fingerprint()) is None
-            result = session.run(bad)
+            result = session.run_many([bad])[0]
         assert result == execute_workload(bad)
 
     def test_faulting_batched_call_degrades_to_per_plan_simulation(self, monkeypatch):
@@ -437,7 +437,7 @@ class TestSharedPlanner:
 class TestSessionLifecycle:
     def test_close_is_idempotent(self, tmp_path):
         session = EvaluationSession(cache_dir=tmp_path / "cache")
-        session.run(Workload.bitfusion("LeNet-5", batch_size=4))
+        session.run_many([Workload.bitfusion("LeNet-5", batch_size=4)])
         session.close()
         session.close()
 
@@ -476,7 +476,7 @@ class TestSessionLifecycle:
     def test_compile_stats_after_run_reuses_the_program(self):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession() as session:
-            session.run(workload)
+            session.run_many([workload])
             compiles = session.stats.programs.misses
             stats = session.compile_stats(workload)
         assert session.stats.programs.misses == compiles

@@ -92,13 +92,13 @@ class TestEstimatorExactness:
         mutant = mutate_bits(base, random.Random(5))
         reference = BitFusionAccelerator(config).evaluate(mutant, 16)
         built: list[str] = []
-        original = FusionCompiler._emit_compute_block
+        original = FusionCompiler._plan_compute_block
 
         def counting(self, layer, *args, **kwargs):
             built.append(layer.name)
             return original(self, layer, *args, **kwargs)
 
-        monkeypatch.setattr(FusionCompiler, "_emit_compute_block", counting)
+        monkeypatch.setattr(FusionCompiler, "_plan_compute_block", counting)
         assert estimator.estimate(mutant) == reference
         changed = [a.name for a, b in zip(base, mutant) if a != b]
         assert len(changed) == 1
@@ -111,7 +111,7 @@ class TestEstimatorExactness:
         # composition.
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession() as session:
-            session_result = session.run(workload)
+            session_result = session.run_many([workload])[0]
         estimator = Estimator(workload.config, session.cache, batch_size=workload.batch_size)
         estimate = estimator.estimate(load_network(workload))
         assert estimator.stats.layers_simulated == 0

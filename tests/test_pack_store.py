@@ -11,6 +11,7 @@ including a real multi-process stress test.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -21,11 +22,11 @@ from pathlib import Path
 
 import pytest
 from faults import delete_segments
-from compiling import tiling_requests
+from compiling import layer_cache_key, tiling_requests
 
 from repro.baselines.gpu import TEGRA_X2, TITAN_XP
 from repro.dnn import models
-from repro.harness.runner import format_cache_info
+from repro.harness.runner import format_cache_info, main
 from repro.session import (
     EvaluationSession,
     ResultCache,
@@ -33,7 +34,6 @@ from repro.session import (
     Workload,
     compile_program,
     execute_workload,
-    layer_cache_key,
     load_network,
     program_cache_key,
     tiling_cache_key,
@@ -119,6 +119,14 @@ def _tag(store: SegmentedStore, key: str) -> str:
     return header["tag"]
 
 
+def _sha256s(directory: Path) -> dict[str, str]:
+    """Name -> sha256 of every file in ``directory``."""
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.iterdir()
+    }
+
+
 def _sidecar_entries(directory: Path) -> dict[str, list]:
     """Key -> (body offset, body length, kind) from a one-segment directory's sidecar."""
     (segment,) = directory.glob("pack-*.seg")
@@ -153,7 +161,7 @@ class TestSegmentScan:
     def test_half_a_length_prefix_yields_nothing_more(self, tmp_path):
         store = _scanned(tmp_path, _record("whole", _entry("w")) + b"\x00\x00")
         assert "whole" in store and _live(store) == 1
-        (tmp_path / "pack-0-scan.seg.idx").unlink()
+        assert not list(tmp_path.glob("*.idx"))  # opening writes no sidecar
         assert _live(_scanned(tmp_path, b"\x00")) == 0
 
     @pytest.mark.parametrize(
@@ -223,7 +231,9 @@ class TestSegmentedStore:
             sidecar.unlink()
         reader = SegmentedStore(tmp_path)
         assert reader.get_record("k1") is not None
-        # The rescan rewrote the sidecar so the next open skips the scan.
+        assert not list(tmp_path.glob("*.idx"))  # opening writes nothing
+        reader.close()
+        # Closing wrote the rescan's sidecar so the next open skips the scan.
         assert list(tmp_path.glob("*.idx"))
 
     def test_two_writers_merge_at_open(self, tmp_path):
@@ -262,6 +272,7 @@ class TestSegmentedStore:
         reader = SegmentedStore(tmp_path)
         assert "k1" in reader and "k2" in reader
         assert _tag(reader, "k2") == "b"
+        reader.close()
         repaired = json.loads(index.read_text(encoding="utf-8"))
         assert repaired["segment_bytes"] == segment.stat().st_size
         assert set(repaired["entries"]) == {"k1", "k2"}
@@ -346,6 +357,25 @@ class TestPackCache:
         cache.flush()
         assert not list(tmp_path.glob("*.json"))  # no per-entry files
         assert list(tmp_path.glob("pack-*.seg"))
+
+    def test_cache_info_writes_nothing_and_a_run_repairs(self, tmp_path, capsys):
+        writer = ResultCache(tmp_path)
+        writer.put("alpha", _result("a"))
+        writer.close()
+        (segment,) = tmp_path.glob("pack-*.seg")
+        index = segment.with_name(segment.name + ".idx")
+        stale = {"schema": 1, "segment_bytes": segment.stat().st_size, "entries": {}}
+        index.write_text(json.dumps(stale), encoding="utf-8")
+        before = _sha256s(tmp_path)
+        assert main(["--cache-info", "--cache-dir", str(tmp_path)]) == 0
+        assert "network_result: 1 entries" in capsys.readouterr().out
+        assert _sha256s(tmp_path) == before
+        # A run on the directory repairs the stale sidecar when it flushes.
+        with EvaluationSession(cache_dir=tmp_path) as session:
+            session.run_many([Workload.bitfusion("LeNet-5", batch_size=4)])
+        repaired = json.loads(index.read_text(encoding="utf-8"))
+        assert repaired["schema"] == STORE_SCHEMA_VERSION
+        assert set(repaired["entries"]) == {"alpha"}
 
     def test_cache_info_reports_the_format_line(self, tmp_path):
         pack = ResultCache(tmp_path)
@@ -630,7 +660,7 @@ class TestOldDirectories:
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         program = compile_program(workload)
         with EvaluationSession(cache_dir=tmp_path) as cold:
-            fresh = cold.run(workload)
+            fresh = cold.run_many([workload])[0]
         old_fields = {"workload": {}, "payload": asdict(fresh.layers[0])}
         _write_records(tmp_path, schema, [("old-block-key", "layer_result", old_fields)])
         # The stray entry shadows a live layer key with a wrong payload: if
@@ -643,7 +673,7 @@ class TestOldDirectories:
         leftover = manifest.read_bytes()
 
         with EvaluationSession(cache_dir=tmp_path) as warm:
-            restored = warm.run(workload)
+            restored = warm.run_many([workload])[0]
         assert restored == fresh
         assert warm.stats.unique_executions == 0
         assert warm.stats.disk_hits == 1
@@ -683,7 +713,7 @@ class TestOldDirectories:
         leftover = manifest.read_bytes()
 
         with EvaluationSession(cache_dir=tmp_path) as session:
-            result = session.run(workload)
+            result = session.run_many([workload])[0]
         assert result == fresh
         stats = session.stats
         assert (stats.unique_executions, stats.disk_hits) == (1, 0)
@@ -692,7 +722,7 @@ class TestOldDirectories:
         assert stats.blocks.misses == len({key for key, _, _ in records[: len(program)]})
         # The re-run reads the one record this release wrote.
         with EvaluationSession(cache_dir=tmp_path) as rerun:
-            again = rerun.run(workload)
+            again = rerun.run_many([workload])[0]
         assert again == fresh
         assert (rerun.stats.disk_hits, rerun.stats.unique_executions) == (1, 0)
         # The old records and the old manifest are never read or rewritten.
@@ -738,12 +768,12 @@ class TestOldDirectories:
             old_fields = {"payload": asdict(fresh), "workload": description}
             _write_records(tmp_path, schema, [(key, "network_result", old_fields)])
         with EvaluationSession(cache_dir=tmp_path) as first:
-            restored = first.run(workload)
+            restored = first.run_many([workload])[0]
         assert restored == fresh
         expected = (1, 0) if schema == STORE_SCHEMA_VERSION else (0, 1)
         assert (first.stats.disk_hits, first.stats.unique_executions) == expected
         with EvaluationSession(cache_dir=tmp_path) as rerun:
-            assert rerun.run(workload) == fresh
+            assert rerun.run_many([workload])[0] == fresh
         assert (rerun.stats.disk_hits, rerun.stats.unique_executions) == (1, 0)
         assert ResultCache(tmp_path).entry_summary()["network_result"]["entries"] == 1
 

@@ -143,10 +143,10 @@ class TestSerializersMatchAsdict:
             fresh = encode_block_hex(list(block))
             assert block.to_dict()["image"] == fresh
             # The memo serves every later call, including through the
-            # compiled block's payload and its name-free content payload.
+            # compiled block's payload; the block itself is emitted once.
             assert block.to_dict()["image"] == fresh
             assert compiled.to_dict()["block"]["image"] == fresh
-            assert compiled.layer_content_dict()["image"] == fresh
+            assert compiled.block is block
             rebuilt = InstructionBlock(block.name, decode_block_hex(block.to_dict()["image"]))
             assert tuple(rebuilt) == tuple(block)
             assert rebuilt.to_dict() == block.to_dict()
@@ -175,8 +175,8 @@ class TestProgramSerialization:
         assert program.fingerprint() == fingerprint_payload(json.loads(json.dumps(program.to_dict())))
         assert recompiled.fingerprint() == program.fingerprint()
         for original, rebuilt in zip(program, recompiled):
-            assert rebuilt.fingerprint() == fingerprint_payload(original.to_dict())
-            assert rebuilt.fingerprint() == original.fingerprint()
+            assert rebuilt.to_dict() == original.to_dict()
+            assert rebuilt.layer_fingerprint() == original.layer_fingerprint()
 
     def test_fingerprint_sees_content_changes(self):
         base = _compile("LeNet-5", batch_size=4)
@@ -229,7 +229,7 @@ class TestStagedPipelineEquivalence:
         ids=lambda w: f"{w.platform}-{w.network}-b{w.batch_size}",
     )
     def test_staged_result_is_byte_identical_to_monolithic(self, workload):
-        staged = EvaluationSession().run(workload)
+        staged = EvaluationSession().run_many([workload])[0]
         monolithic = execute_workload(workload)
         assert staged == monolithic
 
@@ -238,7 +238,7 @@ class TestStagedPipelineEquivalence:
         # reproduce the monolithic per-layer results bit for bit.
         workload = Workload.bitfusion("LSTM", batch_size=4)
         session = EvaluationSession()
-        session.run(workload)
+        session.run_many([workload])
         program = session.cache.memo[program_cache_key(workload)]
         assert isinstance(program, Program)
         (layers,) = simulate_blocks_grid([workload.config], program.blocks)
@@ -248,16 +248,16 @@ class TestStagedPipelineEquivalence:
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         monolithic = execute_workload(workload)
         with EvaluationSession(cache_dir=tmp_path) as first:
-            first.run(workload)
+            first.run_many([workload])
         with EvaluationSession(cache_dir=tmp_path) as warm:
-            restored = warm.run(workload)
+            restored = warm.run_many([workload])[0]
         assert warm.stats.disk_hits == 1 and warm.stats.programs.lookups == 0
         assert restored == monolithic
         # Drop the stored result: a fresh session recompiles and
         # re-simulates every block — same result, bit for bit.
         assert delete_segments(tmp_path)
         with EvaluationSession(cache_dir=tmp_path) as second:
-            recomputed = second.run(workload)
+            recomputed = second.run_many([workload])[0]
         assert second.stats.programs.misses == 1
         assert second.stats.blocks.misses > 0
         assert recomputed == monolithic
@@ -282,7 +282,9 @@ class TestStagedPipelineEquivalence:
         for compiled in program:
             payload = compiled.to_dict()
             assert json.loads(json.dumps(payload)) == payload
-            assert compiled.fingerprint() == fingerprint_payload(payload)
+            assert compiled.layer_fingerprint() == fingerprint_payload(
+                compiled.layer_content_dict()
+            )
 
     def test_compile_program_rejects_non_bitfusion(self):
         with pytest.raises(ValueError, match="bitfusion"):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 from faults import tear_last_record
-from compiling import tiling_requests
+from compiling import layer_cache_key, tiling_requests
 
 from repro.baselines.platform import EYERISS
 from repro.core.config import BitFusionConfig
@@ -40,7 +40,6 @@ from repro.session import (
     compile_program,
     execute_workload,
     fixed_bitwidth_network,
-    layer_cache_key,
     load_network,
     program_cache_key,
     tiling_cache_key,
@@ -61,8 +60,8 @@ _GOLDEN_KEYS = {
         "workload": "14964e76f0da76925f10f597b7057049c5ac7b1df75e474794d21bb7af0eb88f",
         "program": "9c98ea47d28da398e60738ed4a792115849a5d61e1f9fc12f0710e8a88da98a3",
         "layer": [
-            "1011c086f9fb4639e6e3215486096505be7911b8cee5a4653cf839c1e4f019b8",
-            "a85e318f5627b92ca01abc03a751f8211bd24a625fc3c5705301a9317f7cea55",
+            "83e81eef38fbf8204fe05eb224363c7ead893cc9a92f45c03f3c16b3cc80521d",
+            "bd604d410cb129f40b8b2d482feabd71f6ce4fcf47e19ab27ba6354edbd76512",
         ],
         "tiling": [
             "d18242222163a1b0f05e50399e3ee676cbe4fea4e1ce99b256eea7375b54bc28",
@@ -73,8 +72,8 @@ _GOLDEN_KEYS = {
         "workload": "bead9d4e52b8a5dc8cf60e1782df32785c68478bf70a030c39449a18142a7a5c",
         "program": "9c98ea47d28da398e60738ed4a792115849a5d61e1f9fc12f0710e8a88da98a3",
         "layer": [
-            "60dfb3221a153fd5eada1beaf15f6b3f3350ed0175bdf7f819576bf69eb350b1",
-            "62484118c8cc028cca20a634ed828416f7ccceb958f31832475e8f960279a697",
+            "4fc6cad62f2fd9032998401814c4f0da6a9058860cbe7bd948c54eb64f434965",
+            "3601566ecab64cceffc376d3523f318ea22d07a7fad6c63bff1c702f28e73420",
         ],
         "tiling": [
             "d18242222163a1b0f05e50399e3ee676cbe4fea4e1ce99b256eea7375b54bc28",
@@ -266,16 +265,16 @@ class TestResultCache:
     def test_cached_result_is_bit_identical_to_fresh(self):
         session = EvaluationSession()
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        cached = session.run(workload)
+        cached = session.run_many([workload])[0]
         fresh = execute_workload(workload)
         assert cached == fresh
 
     def test_disk_round_trip_is_bit_identical(self, tmp_path):
         workload = Workload.bitfusion("LSTM", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as first:
-            fresh = first.run(workload)
+            fresh = first.run_many([workload])[0]
         with EvaluationSession(cache_dir=tmp_path) as second:
-            restored = second.run(workload)
+            restored = second.run_many([workload])[0]
         assert second.stats.disk_hits == 1
         assert second.stats.unique_executions == 0
         assert restored == fresh
@@ -294,7 +293,7 @@ class TestResultCache:
     def test_torn_result_record_is_a_miss_and_gets_rewritten(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as first:
-            fresh = first.run(workload)
+            fresh = first.run_many([workload])[0]
         program = compile_program(workload)
         # The only record written is the workload's composed result;
         # tearing it leaves nothing that could serve the workload back.
@@ -302,7 +301,7 @@ class TestResultCache:
         assert torn["kind"] == "network_result"
         assert torn["key"] == workload.fingerprint()
         with EvaluationSession(cache_dir=tmp_path) as second:
-            recovered = second.run(workload)
+            recovered = second.run_many([workload])[0]
         assert second.stats.misses == 1
         assert second.stats.unique_executions == 1
         # The workload was recompiled and every block re-simulated in
@@ -313,7 +312,7 @@ class TestResultCache:
         assert recovered == fresh
         # The fresh simulation repaired the on-disk entry.
         with EvaluationSession(cache_dir=tmp_path) as third:
-            third.run(workload)
+            third.run_many([workload])
             assert third.stats.disk_hits == 1
             assert third.stats.unique_executions == 0
 
@@ -378,7 +377,7 @@ class TestResultCache:
     def test_memo_entries_stay_in_memory(self, tmp_path):
         workload = Workload.bitfusion("LeNet-5", batch_size=2)
         with EvaluationSession(cache_dir=tmp_path) as session:
-            result = session.run(workload)
+            result = session.run_many([workload])[0]
         program = session.cache.memo[program_cache_key(workload)]
         layer_keys = {layer_cache_key(block, workload.config) for block in program}
         assert layer_keys <= set(session.cache.memo)
@@ -396,8 +395,8 @@ class TestEvaluationSession:
     def test_second_run_is_a_hit_not_a_simulation(self):
         session = EvaluationSession()
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
-        first = session.run(workload)
-        second = session.run(workload)
+        first = session.run_many([workload])[0]
+        second = session.run_many([workload])[0]
         assert first is second
         assert session.stats.hits == 1
         assert session.stats.misses == 1
@@ -441,8 +440,10 @@ class TestEvaluationSession:
 
     def test_flag_change_invalidates_cached_result(self):
         session = EvaluationSession()
-        session.run(Workload.bitfusion("LeNet-5", batch_size=4))
-        session.run(Workload.bitfusion("LeNet-5", batch_size=4, enable_loop_ordering=False))
+        session.run_many([Workload.bitfusion("LeNet-5", batch_size=4)])
+        session.run_many(
+            [Workload.bitfusion("LeNet-5", batch_size=4, enable_loop_ordering=False)]
+        )
         assert session.stats.misses == 2
         assert session.stats.hits == 0
         assert session.stats.unique_executions == 2
@@ -475,7 +476,7 @@ class TestPartiallyWarmRuns:
     def test_partially_warm_run_compiles_only_new_networks(self, tmp_path):
         seed = Workload.bitfusion("LeNet-5", batch_size=4)
         with EvaluationSession(cache_dir=tmp_path) as warmup:
-            warmup.run(seed)
+            warmup.run_many([seed])
 
         superset = [
             seed,
@@ -541,17 +542,15 @@ class TestPartiallyWarmRuns:
         # is served that one record under its own name.
         from dataclasses import replace as dc_replace
 
-        from repro.isa.block import InstructionBlock
-        from repro.isa.program import CompiledBlock, Program
+        from repro.isa.program import Program
         from repro.session.engine import program_cache_key
 
         workload = Workload.bitfusion("LeNet-5", batch_size=4)
         original = compile_program(workload)[0]
-        renamed = CompiledBlock(
-            block=InstructionBlock("renamed-twin", tuple(original.block)),
+        renamed = dc_replace(
+            original,
+            name="renamed-twin",
             layer=dc_replace(original.layer, name="renamed-twin"),
-            tiling=original.tiling,
-            loop_order=original.loop_order,
             fused_layers=tuple(
                 dc_replace(layer, name=f"renamed-{i}")
                 for i, layer in enumerate(original.fused_layers)
