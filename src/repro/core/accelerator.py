@@ -117,6 +117,3 @@ class BitFusionAccelerator:
             f"{self.peak_throughput_gops(8, 8):.0f} GOPS at 8b/8b and "
             f"{self.peak_throughput_gops(2, 2):.0f} GOPS at 2b/2b."
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BitFusionAccelerator(config={self.config.name!r})"

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.core.fusion_unit import SUPPORTED_BITWIDTHS
+from repro.fingerprint import canonical_json
 
 __all__ = [
     "GemmShape",
@@ -35,6 +36,7 @@ __all__ = [
     "ActivationLayer",
     "LSTMLayer",
     "RNNLayer",
+    "layer_json",
     "layer_to_dict",
 ]
 
@@ -353,12 +355,12 @@ def layer_to_dict(layer: Layer) -> dict[str, object]:
 
     Every layer field is an int or str, so the payload survives JSON
     unchanged.  Compiled :class:`~repro.isa.program.Program` payloads
-    (which embed the layer each block implements) and hence their
-    fingerprints build on it.
+    (which embed the layer each block implements) and :func:`layer_json`,
+    the text network fingerprints splice, build on it.
 
     Equal to ``{"type": ..., **dataclasses.asdict(layer)}`` but built from a
     per-class tuple of field names: ``asdict`` recurses and deep-copies every
-    leaf, and it dominated the cost of cache keys and network fingerprints.
+    leaf.
     """
     cls = type(layer)
     names = _FIELD_NAMES.get(cls)
@@ -368,3 +370,19 @@ def layer_to_dict(layer: Layer) -> dict[str, object]:
     for name in names:
         payload[name] = getattr(layer, name)
     return payload
+
+
+def layer_json(layer: Layer) -> str:
+    """The canonical JSON of :func:`layer_to_dict`, memoized on the layer.
+
+    Network fingerprints and NAS candidate names splice it.  Layers are
+    frozen, and a NAS mutant shares every layer it did not change with its
+    parent, so each layer serializes once however many candidates carry
+    it.  The memo lives outside the dataclass fields, so equality, hashing
+    and ``replace`` ignore it.
+    """
+    text = layer.__dict__.get("_json")
+    if text is None:
+        text = canonical_json(layer_to_dict(layer))
+        object.__setattr__(layer, "_json", text)
+    return text

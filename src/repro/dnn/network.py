@@ -13,8 +13,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.dnn.layers import Layer, layer_to_dict
-from repro.fingerprint import fingerprint_payload
+from repro.dnn.layers import Layer, layer_json
+from repro.fingerprint import fingerprint_text, spliced_json
 
 __all__ = ["Network", "BitwidthProfile"]
 
@@ -82,9 +82,6 @@ class Network:
     def __contains__(self, name: str) -> bool:
         return name in self._layers
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Network({self.name!r}, {len(self)} layers, {self.total_macs() / 1e6:.0f} MMACs)"
-
     # ------------------------------------------------------------------ #
     # Aggregate statistics (Table II / Figure 1)
     # ------------------------------------------------------------------ #
@@ -148,21 +145,20 @@ class Network:
     def fingerprint(self) -> str:
         """Deterministic content hash of the network structure.
 
-        Hashes the network name plus every layer's concrete type and field
-        values, so two structurally identical networks fingerprint the same
-        in any process while any shape or bitwidth change invalidates cached
-        simulation results keyed on the digest.
+        The digest of ``{"name": ..., "layers": [layer_to_dict(layer),
+        ...]}``: the network name plus every layer's concrete type and
+        field values, so two structurally identical networks fingerprint
+        the same in any process while any shape or bitwidth change
+        invalidates cached simulation results keyed on the digest.  Spliced
+        from each layer's memoized :func:`~repro.dnn.layers.layer_json`.
 
         Memoized (and invalidated by :meth:`add`): warm-cache estimator
         lookups are dominated by this hash, so repeated pricing of the same
         candidate must not re-serialize the layer list.
         """
         if self._fingerprint is None:
-            self._fingerprint = fingerprint_payload(
-                {
-                    "name": self.name,
-                    "layers": [layer_to_dict(layer) for layer in self],
-                }
+            self._fingerprint = fingerprint_text(
+                spliced_json({"name": self.name}, layers=[layer_json(layer) for layer in self])
             )
         return self._fingerprint
 

@@ -182,12 +182,6 @@ class ParetoArchive(Generic[T]):
     def items(self) -> list[T]:
         return [item for item, _ in self._entries]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterable[Tuple[T, tuple[float, ...]]]:
-        return iter(self._entries)
-
 
 def pareto_front(
     items: Sequence[T], objectives: Sequence[Callable[[T], float]]

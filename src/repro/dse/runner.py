@@ -13,8 +13,8 @@ extracted from the whole grid once the batch has run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.dse.pareto import OBJECTIVES, pareto_front
 from repro.dse.spec import DesignPoint, SweepSpec, format_axis_value
@@ -27,30 +27,29 @@ __all__ = ["EvaluatedPoint", "DesignSpaceResult", "run_sweep"]
 
 @dataclass(frozen=True)
 class EvaluatedPoint:
-    """One design point together with its simulated result and metrics."""
+    """One design point together with its simulated result and metrics.
+
+    The metrics are computed once, when the point is built: the Pareto
+    extraction and both tables read them again.
+    """
 
     point: DesignPoint
     result: NetworkResult
+    #: Latency per inference, milliseconds (minimized objective).
+    latency_ms: float = field(init=False)
+    #: Energy per inference, millijoules (minimized objective).
+    energy_mj: float = field(init=False)
+    #: Accelerator area at the point's technology node, mm² (minimized).
+    area_mm2: float = field(init=False)
+    #: Delivered throughput, GOPS (reported, not an objective).
+    throughput_gops: float = field(init=False)
 
-    @property
-    def latency_ms(self) -> float:
-        """Latency per inference, milliseconds (minimized objective)."""
-        return self.result.latency_per_inference_s * 1e3
-
-    @property
-    def energy_mj(self) -> float:
-        """Energy per inference, millijoules (minimized objective)."""
-        return self.result.energy_per_inference_j * 1e3
-
-    @property
-    def area_mm2(self) -> float:
-        """Accelerator area at the point's technology node, mm² (minimized)."""
-        return accelerator_area_mm2(self.point.workload.config)
-
-    @property
-    def throughput_gops(self) -> float:
-        """Delivered throughput, GOPS (reported, not an objective)."""
-        return self.result.effective_throughput_gops
+    def __post_init__(self) -> None:
+        result = self.result
+        object.__setattr__(self, "latency_ms", result.latency_per_inference_s * 1e3)
+        object.__setattr__(self, "energy_mj", result.energy_per_inference_j * 1e3)
+        object.__setattr__(self, "area_mm2", accelerator_area_mm2(self.point.workload.config))
+        object.__setattr__(self, "throughput_gops", result.effective_throughput_gops)
 
     def as_row(self, on_frontier: bool | None = None) -> dict[str, Any]:
         """Table row: one column per axis, then the metric columns."""
@@ -85,9 +84,6 @@ class DesignSpaceResult:
                     f"unknown objective {name!r}; expected one of {sorted(OBJECTIVES)}"
                 )
 
-    def __iter__(self) -> Iterator[EvaluatedPoint]:
-        return iter(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -103,16 +99,12 @@ class DesignSpaceResult:
         """
         if self._frontier is not None:
             return list(self._frontier)
-        frontier: list[EvaluatedPoint] = []
+        groups: dict[tuple[str, int], list[EvaluatedPoint]] = {}
+        for point in self.points:
+            groups.setdefault((point.point.network, point.point.batch_size), []).append(point)
         extractors = [OBJECTIVES[name].extract for name in self.spec.objectives]
-        for network, batch in {
-            (point.point.network, point.point.batch_size): None for point in self.points
-        }:
-            group = [
-                point
-                for point in self.points
-                if point.point.network == network and point.point.batch_size == batch
-            ]
+        frontier: list[EvaluatedPoint] = []
+        for group in groups.values():
             frontier.extend(pareto_front(group, extractors))
         self._frontier = frontier
         return list(frontier)

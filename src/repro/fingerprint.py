@@ -1,28 +1,88 @@
-"""Shared content-fingerprint helper.
+"""Shared content-fingerprint helpers.
 
-Configs, networks and workloads all fingerprint themselves the same way:
-sha256 over a canonical (sorted-keys) JSON dump of a payload dictionary.
-Keeping the incantation in one place guarantees the three call sites can
-never drift apart — a silent divergence would fragment or invalidate the
-evaluation session's on-disk result cache.
+Networks, workloads, tiling plans, compiled blocks and every cache key
+fingerprint themselves the same way: sha256 over the canonical JSON of a
+payload, the text ``json.dumps(payload, sort_keys=True, default=str)``
+gives for it.  Keeping the incantation in one place guarantees the call
+sites can never drift apart — a silent divergence would fragment or
+invalidate the evaluation session's on-disk result cache.
+
+The immutable values that many digests share keep their own canonical
+JSON memoized on the instance: a layer
+(:func:`repro.dnn.layers.layer_json`) and a workload's config.  A
+composite digest is spliced together from those texts by
+:func:`spliced_json` and hashed by :func:`fingerprint_text`, instead of
+re-serializing the nested payload: the text, and hence the digest, is the
+nested payload's byte for byte.  A NAS mutant therefore serializes only the
+layers it changed.  Payloads with no shared member (tiling plans, the
+tiling and program keys, a block's layer fingerprint) dump whole through
+:func:`fingerprint_payload`, which is as fast for them as splicing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Mapping, Sequence
 
-__all__ = ["fingerprint_payload"]
+__all__ = ["canonical_json", "fingerprint_payload", "fingerprint_text", "spliced_json"]
+
+#: ``json.dumps(value, sort_keys=True, default=str)`` builds exactly this
+#: encoder on every call; one shared instance skips the construction.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+#: The encoder's own text for the scalar types a key holds, keyed by exact
+#: type (a bool is not an int here), without a call into the encoder.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def canonical_json(value: Any) -> str:
+    """The canonical JSON text of a JSON-representable value.
+
+    ``default=str`` covers enum/Path-like leaves; ``sort_keys`` makes the
+    text independent of dict insertion order, so equal payloads serialize
+    identically in any process on any platform.
+    """
+    return _ENCODER.encode(value)
+
+
+def spliced_json(values: Mapping[str, Any], /, **texts: str | Sequence[str]) -> str:
+    """The canonical JSON text of an object, spliced from serialized members.
+
+    ``values`` holds plain members, serialized here.  Each of ``texts`` is
+    a member already serialized by :func:`canonical_json` (or spliced by
+    this function), or a sequence of such texts for an array member.  The
+    result equals :func:`canonical_json` of the nested object those texts
+    stand for: keys sorted, joined with ``json.dumps``'s default ``", "``
+    and ``": "`` separators.
+    """
+    members = {
+        key: text if isinstance(text, str) else "[" + ", ".join(text) + "]"
+        for key, text in texts.items()
+    }
+    for key, value in values.items():
+        scalar = _SCALAR_TEXT.get(type(value))
+        members[key] = _ENCODER.encode(value) if scalar is None else scalar(value)
+    return (
+        "{"
+        + ", ".join(
+            f"{encode_basestring_ascii(key)}: {text}" for key, text in sorted(members.items())
+        )
+        + "}"
+    )
+
+
+def fingerprint_text(text: str) -> str:
+    """The sha256 hex digest of a canonical JSON text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def fingerprint_payload(payload: dict[str, Any]) -> str:
-    """Deterministic sha256 hex digest of a JSON-representable payload.
-
-    ``default=str`` covers enum/Path-like leaves; ``sort_keys`` makes the
-    digest independent of dict insertion order, so equal payloads hash
-    identically in any process on any platform.
-    """
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()
+    """Deterministic sha256 hex digest of a JSON-representable payload."""
+    return fingerprint_text(canonical_json(payload))

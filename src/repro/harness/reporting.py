@@ -45,23 +45,28 @@ def format_table(rows: Sequence[Mapping[str, Any] | Any], title: str | None = No
         return title or "(no rows)"
     normalized = _normalize_rows(rows)
     columns = list(normalized[0].keys())
-    widths = {
-        column: max(len(column), *(len(_format_value(row.get(column, ""))) for row in normalized))
-        for column in columns
-    }
+    # Each cell is formatted once; a string cell's text is the value itself.
+    texts = [[_format_value(row.get(column, "")) for column in columns] for row in normalized]
+    widths = [
+        max(len(column), *(len(line[index]) for line in texts))
+        for index, column in enumerate(columns)
+    ]
     lines: list[str] = []
     if title:
         lines.append(title)
-    header = "  ".join(column.ljust(widths[column]) for column in columns)
+    header = "  ".join(column.ljust(width) for column, width in zip(columns, widths))
     lines.append(header)
     lines.append("-" * len(header))
-    for row in normalized:
+    for row, line in zip(normalized, texts):
+        # Numbers right-align; bools, strings and missing cells do not.
         lines.append(
             "  ".join(
-                _format_value(row.get(column, "")).rjust(widths[column])
-                if isinstance(row.get(column), (int, float)) and not isinstance(row.get(column), bool)
-                else _format_value(row.get(column, "")).ljust(widths[column])
-                for column in columns
+                text.rjust(width)
+                if isinstance(value, (int, float)) and not isinstance(value, bool)
+                else text.ljust(width)
+                for value, text, width in zip(
+                    (row.get(column) for column in columns), line, widths
+                )
             )
         )
     return "\n".join(lines)

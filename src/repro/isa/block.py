@@ -124,9 +124,6 @@ class InstructionBlock:
     def __len__(self) -> int:
         return len(self._instructions)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InstructionBlock({self.name!r}, {len(self)} instructions)"
-
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #

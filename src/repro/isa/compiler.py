@@ -14,7 +14,7 @@ recurrent) to one instruction block:
 
 A compile stops there: each block is its plan, a
 :class:`~repro.isa.program.CompiledBlock` holding the layer, its fused
-followers, the tiling, the loop order and the block's instruction count,
+followers, the tiling (loop order included) and the block's instruction count,
 which is all the simulator prices.  The instructions themselves are emitted
 on first read of :attr:`CompiledBlock.block
 <repro.isa.program.CompiledBlock.block>` (:func:`emit_block`): a ``setup``
@@ -305,7 +305,6 @@ class FusionCompiler:
             name=name,
             layer=layer,
             tiling=tiling,
-            loop_order=tiling.loop_order,
             instruction_count=_compute_block_count(layer, fused, tiling),
             fused_layers=fused,
         )
@@ -320,7 +319,6 @@ class FusionCompiler:
             tiling=tiling.with_output_store_bits(
                 layer.output_elements() * batch_size * layer.output_bits
             ),
-            loop_order=LoopOrder.OUTPUT_STATIONARY,
             instruction_count=_AUXILIARY_BLOCK_COUNT,
         )
 
@@ -565,7 +563,7 @@ def emit_block(compiled: CompiledBlock) -> InstructionBlock:
     """Emit a planned block's instructions (what ``compiled.block`` reads).
 
     The instructions are a pure function of the plan: the layer and its
-    fused followers, the tiling (output store included) and the loop order.
+    fused followers and the tiling (output store and loop order included).
     Every :class:`~repro.isa.instructions.Instruction` and the
     :class:`~repro.isa.block.InstructionBlock` validate as they are built,
     and the block must hold the plan's ``instruction_count``, the count the

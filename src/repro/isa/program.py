@@ -2,10 +2,11 @@
 
 A :class:`Program` is what the compiler produces for a whole DNN and what
 the simulator prices.  Each entry is a :class:`CompiledBlock`, the block's
-plan: the layer it implements, any fused follow-on layers, its tiling plan,
-the chosen loop order and its instruction count — everything the simulator
-reads.  The block's :class:`~repro.isa.block.InstructionBlock` is emitted
-from the plan on first read and kept on the instance.
+plan: the layer it implements, any fused follow-on layers, its tiling plan
+(which carries the chosen loop order) and its instruction count —
+everything the simulator reads.  The block's
+:class:`~repro.isa.block.InstructionBlock` is emitted from the plan on
+first read and kept on the instance.
 
 Programs (and their blocks) serialize deterministically to JSON-compatible
 dictionaries — instructions through the Table I binary encoding, layers and
@@ -24,7 +25,6 @@ from typing import Any, Iterator, Sequence
 from repro.dnn.layers import Layer, layer_to_dict
 from repro.fingerprint import fingerprint_payload
 from repro.isa.block import InstructionBlock
-from repro.isa.instructions import LoopOrder
 from repro.isa.tiling import TilingPlan
 
 __all__ = ["CompiledBlock", "Program"]
@@ -41,10 +41,9 @@ class CompiledBlock:
     layer:
         The compute layer the block implements.
     tiling:
-        The tiling plan (tile sizes and off-chip traffic) chosen for it,
-        with the output store of any fused followers already applied.
-    loop_order:
-        The dataflow ordering picked by the loop-ordering optimization.
+        The tiling plan (tile sizes, off-chip traffic and the dataflow
+        loop order the search picked) chosen for it, with the output
+        store of any fused followers already applied.
     instruction_count:
         The number of instructions the block holds, ``setup`` and
         ``block-end`` included: the simulator charges one fetch/decode
@@ -57,7 +56,6 @@ class CompiledBlock:
     name: str
     layer: Layer
     tiling: TilingPlan
-    loop_order: LoopOrder
     instruction_count: int
     fused_layers: tuple[Layer, ...] = field(default_factory=tuple)
 
@@ -87,7 +85,7 @@ class CompiledBlock:
             "block": self.block.to_dict(),
             "layer": layer_to_dict(self.layer),
             "tiling": self.tiling.to_dict(),
-            "loop_order": self.loop_order.value,
+            "loop_order": self.tiling.loop_order.value,
             "fused_layers": [layer_to_dict(layer) for layer in self.fused_layers],
         }
 
@@ -107,7 +105,7 @@ class CompiledBlock:
         return {
             "layer": _nameless(self.layer),
             "tiling": self.tiling.fingerprint(),
-            "loop_order": self.loop_order.value,
+            "loop_order": self.tiling.loop_order.value,
             "fused_layers": [_nameless(layer) for layer in self.fused_layers],
         }
 
@@ -122,6 +120,9 @@ class CompiledBlock:
         it is renamed to the requesting block before use.
 
         Memoized on the (frozen) instance, outside the dataclass fields.
+        The payload is dumped whole: a compiler hands back the block it
+        already planned for an unchanged layer, so no layer text would be
+        reused by memoizing it.
         """
         cached = self.__dict__.get("_layer_fingerprint")
         if cached is None:
@@ -165,9 +166,6 @@ class Program:
 
     def __getitem__(self, index: int) -> CompiledBlock:
         return self._blocks[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Program({self.network_name!r}, {len(self)} blocks)"
 
     # ------------------------------------------------------------------ #
     # Serialization and fingerprinting
@@ -221,6 +219,6 @@ class Program:
             lines.append(
                 f"{compiled.name:28s} {stats.instruction_count:7d} {stats.loop_count:6d} "
                 f"{compiled.block.input_bits:>4d}/{compiled.block.weight_bits:<5d} "
-                f"{compiled.loop_order.value:>18s} {len(compiled.fused_layers):6d}"
+                f"{compiled.tiling.loop_order.value:>18s} {len(compiled.fused_layers):6d}"
             )
         return "\n".join(lines)

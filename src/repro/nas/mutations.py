@@ -43,10 +43,10 @@ from repro.dnn.layers import (
     LSTMLayer,
     PoolLayer,
     RNNLayer,
-    layer_to_dict,
+    layer_json,
 )
 from repro.dnn.network import Network
-from repro.fingerprint import fingerprint_payload
+from repro.fingerprint import fingerprint_text, spliced_json
 
 __all__ = [
     "MUTATION_AXES",
@@ -82,8 +82,11 @@ def candidate_name(base: str, layers: Sequence[Layer]) -> str:
     Derived from the layer list alone, so any two candidates with identical
     architectures share a name — and therefore a network fingerprint and a
     program-cache entry — no matter which mutation path produced them.
+    The digest is that of ``{"layers": [layer_to_dict(layer), ...]}``,
+    spliced from each layer's memoized :func:`~repro.dnn.layers.layer_json`:
+    the layers a mutant shares with its parent are not serialized again.
     """
-    digest = fingerprint_payload({"layers": [layer_to_dict(layer) for layer in layers]})
+    digest = fingerprint_text(spliced_json({}, layers=[layer_json(layer) for layer in layers]))
     return f"{_base_name(base)}/nas-{digest[:12]}"
 
 

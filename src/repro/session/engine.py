@@ -49,8 +49,6 @@ workload stops the batch with a :class:`WorkloadExecutionError` naming it.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -60,7 +58,12 @@ from repro.baselines.gpu import GpuModel, GpuPrecision
 from repro.baselines.platform import PLATFORM_SPECS, PlatformModel
 from repro.core.accelerator import BitFusionAccelerator
 from repro.core.config import BitFusionConfig
-from repro.fingerprint import fingerprint_payload
+from repro.fingerprint import (
+    canonical_json,
+    fingerprint_payload,
+    fingerprint_text,
+    spliced_json,
+)
 from repro.isa.compiler import FusionCompiler, PlanResolver, TilingRequest
 from repro.isa.instructions import LoopOrder
 from repro.isa.program import CompiledBlock, Program
@@ -324,7 +327,25 @@ def _sim_config_json(config: BitFusionConfig) -> str:
         "buffer_access_bits": config.buffer_access_bits,
         "technology": asdict(config.technology),
     }
-    return json.dumps(payload, sort_keys=True, default=str)
+    return canonical_json(payload)
+
+
+#: Stands in for the layer fingerprint while a layer key's frame is spliced;
+#: canonical JSON escapes every control character, so it occurs only there.
+_SLOT = "\0"
+
+
+@lru_cache(maxsize=None)
+def _layer_key_frame(sim_config_json: str) -> tuple[str, str]:
+    """A layer key's text before and after its layer fingerprint.
+
+    Spliced once per simulation config around a slot for the fingerprint,
+    so each layer key costs one concatenation and one sha256.
+    """
+    head, tail = spliced_json({"artifact": "layer"}, layer=_SLOT, sim=sim_config_json).split(
+        _SLOT
+    )
+    return head + '"', '"' + tail
 
 
 @lru_cache(maxsize=None)
@@ -333,14 +354,13 @@ def _layer_content_key(layer_fingerprint: str, sim_config_json: str) -> str:
     <layer fingerprint>, "sim": <sim config>})``, from its exact text.
 
     Identical layer plans collapse onto one key whatever network or layer
-    name produced them.  Keyed on two strings, whose hashes Python caches:
-    keying on the config would re-hash the dataclass on every lookup.
+    name produced them.  A layer fingerprint is a hex digest, so it is its
+    own JSON string body.  Keyed on two strings, whose hashes Python
+    caches: keying on the config would re-hash the dataclass on every
+    lookup.
     """
-    text = (
-        f'{{"artifact": "layer", "layer": "{layer_fingerprint}", '
-        f'"sim": {sim_config_json}}}'
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    head, tail = _layer_key_frame(sim_config_json)
+    return fingerprint_text(head + layer_fingerprint + tail)
 
 
 @lru_cache(maxsize=None)
@@ -556,9 +576,9 @@ def simulate_planned_blocks(plans: Sequence[WorkPlan]) -> list[dict[int, LayerRe
             continue
         config = plan.config
         _, items = by_config.setdefault(_sim_config_json(config), (config, []))
-        blocks = plan.program.blocks
+        program = plan.program
         items.extend(
-            (plan_index, block_index, blocks[block_index])
+            (plan_index, block_index, program[block_index])
             for block_index in plan.simulate_indices
         )
     # Merge config groups carrying identical block batches into 2-D grids.

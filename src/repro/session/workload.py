@@ -11,11 +11,10 @@ boundaries and on-disk round trips.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, is_dataclass, replace
-from functools import lru_cache
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from repro.fingerprint import fingerprint_payload
+from repro.fingerprint import canonical_json, fingerprint_text, spliced_json
 
 from repro.baselines.gpu import GpuPrecision, GpuSpec
 from repro.baselines.platform import PLATFORM_SPECS, PlatformSpec
@@ -38,6 +37,10 @@ DEFAULT_BATCH_SIZE = 16
 
 #: Platform identifiers the session knows how to build models for.
 PLATFORMS = ("bitfusion", "eyeriss", "stripes", "gpu", "temporal")
+
+#: The configuration a Bit Fusion workload without one runs, shared like
+#: the baselines' ``PLATFORM_SPECS`` so its fingerprint text is built once.
+_DEFAULT_BITFUSION_CONFIG = BitFusionConfig.eyeriss_matched()
 
 #: Memoized network-structure digests keyed by (canonical name, variant,
 #: fixed_bits).  The model zoo is static at runtime, so rebuilding and
@@ -138,7 +141,7 @@ class Workload:
         # fingerprint, and the fingerprint always hashes what actually runs.
         if self.config is None:
             if self.platform == "bitfusion":
-                object.__setattr__(self, "config", BitFusionConfig.eyeriss_matched())
+                object.__setattr__(self, "config", _DEFAULT_BITFUSION_CONFIG)
             elif self.platform in PLATFORM_SPECS:
                 object.__setattr__(self, "config", PLATFORM_SPECS[self.platform])
         elif self.platform in PLATFORM_SPECS and (
@@ -244,47 +247,40 @@ class Workload:
     # ------------------------------------------------------------------ #
     # Fingerprinting
     # ------------------------------------------------------------------ #
-    def _config_payload(self) -> dict[str, Any] | None:
-        if self.config is None:
-            return None
-        if is_dataclass(self.config):
-            return _dataclass_payload(self.config)
-        raise TypeError(
-            f"workload config must be a dataclass, got {type(self.config).__name__}"
-        )
-
     def fingerprint(self) -> str:
         """Stable content hash of everything that determines the result.
 
         Includes the *structure* of the resolved network (via
         :meth:`repro.dnn.network.Network.fingerprint`), so a change to the
         model zoo invalidates cached results for the affected benchmark.
+        The config member, ``{"type": <class name>, **asdict(config)}``, is
+        spliced from the config's memoized canonical JSON.
 
         Memoized on the (frozen) instance like
-        :meth:`~repro.isa.program.CompiledBlock.fingerprint`: a sweep point
-        is fingerprinted by the sweep runner, the session and the report.
-        The memo sits outside the dataclass fields, so equality, hashing,
-        ``asdict`` and ``replace`` ignore it.
+        :meth:`~repro.isa.program.CompiledBlock.layer_fingerprint`: a sweep
+        point is fingerprinted by the sweep runner, the session and the
+        report.  The memo sits outside the dataclass fields, so equality,
+        hashing, ``asdict`` and ``replace`` ignore it.
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
             return cached
-        payload: dict[str, Any] = {
+        values: dict[str, Any] = {
             "platform": self.platform,
             "network": self.network,
             "network_fingerprint": network_digest(self),
             "batch_size": self.batch_size,
             "variant": self.variant,
             "fixed_bits": self.fixed_bits,
-            "config": self._config_payload(),
             "gpu_precision": self.gpu_precision,
         }
         if self.platform == "bitfusion":
-            payload["compiler"] = {
+            values["compiler"] = {
                 "enable_loop_ordering": self.enable_loop_ordering,
                 "enable_layer_fusion": self.enable_layer_fusion,
             }
-        digest = fingerprint_payload(payload)
+        # __post_init__ resolved the config, so there always is one.
+        digest = fingerprint_text(spliced_json(values, config=_config_json(self.config)))
         object.__setattr__(self, "_fingerprint", digest)
         return digest
 
@@ -307,15 +303,19 @@ class Workload:
         return " ".join(parts)
 
 
-@lru_cache(maxsize=None)
-def _dataclass_payload(config: Any) -> dict[str, Any]:
-    """A config's fingerprint payload, built once per (frozen, hashable) config.
+def _config_json(config: Any) -> str:
+    """The canonical JSON of a config's fingerprint payload, memoized on the config.
 
-    A sweep fingerprints one config at every batch size, and ``asdict``
-    recurses and deep-copies every field each time.  Callers only hash the
-    payload, never mutate it.
+    The payload is ``{"type": <class name>, **asdict(config)}``.  A sweep
+    fingerprints one (frozen) config at every (network, batch) point, and
+    ``asdict`` recurses and deep-copies every field each time.  The memo
+    lives outside the dataclass fields, so equality and hashing ignore it.
     """
-    return {"type": type(config).__name__, **asdict(config)}
+    text = config.__dict__.get("_fingerprint_json")
+    if text is None:
+        text = canonical_json({"type": type(config).__name__, **asdict(config)})
+        object.__setattr__(config, "_fingerprint_json", text)
+    return text
 
 
 def load_network(workload: Workload) -> Network:

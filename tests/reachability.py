@@ -72,10 +72,11 @@ SCENARIOS: list[tuple[str, tuple[str, str], list[str]]] = [
 ]
 
 #: Why a function that no scenario runs may stay in ``src/``: it raises on
-#: bad input or an unsupported call; tests check the program against it; a
-#: sweep or NAS spec field the scenarios leave at its default reaches it;
-#: it is a dunder; or a library example in ``docs/`` calls it.
-REASONS = ("error path", "oracle", "spec-reachable", "dunder", "documented")
+#: bad input or an unsupported call, or guards against a wrong answer;
+#: tests check the program against it; a sweep or NAS spec field the
+#: scenarios leave at its default reaches it; or a library example in
+#: ``docs/`` calls it.
+REASONS = ("error path", "oracle", "spec-reachable", "documented")
 
 _INTERPRETER = "oracle: isa/interpreter.py, the candidate traffic gate of ROADMAP item 4"
 _ENCODING = "oracle: decodes Table I words, the round trip of the encoder's tests"
@@ -91,7 +92,6 @@ ALLOWED: dict[str, str] = {
     "repro.baselines.platform:PlatformSpec.__post_init__.<locals>.bad": (
         "error path: builds the one-line error of an invalid PlatformSpec"
     ),
-    "repro.core.accelerator:BitFusionAccelerator.__repr__": "dunder",
     "repro.core.config:BitFusionConfig.with_frequency": (
         "spec-reachable: a sweep spec's frequency axis"
     ),
@@ -100,17 +100,15 @@ ALLOWED: dict[str, str] = {
     "repro.dnn.layers:Layer.input_elements": "error path: abstract",
     "repro.dnn.layers:Layer.output_elements": "error path: abstract",
     "repro.dnn.layers:PoolLayer.gemm_shape": "error path: has no GEMM",
-    "repro.dnn.network:Network.__contains__": "dunder",
-    "repro.dnn.network:Network.__repr__": "dunder",
-    "repro.dse.pareto:ParetoArchive.__iter__": "dunder",
-    "repro.dse.pareto:ParetoArchive.__len__": "dunder",
+    "repro.dnn.network:Network.__contains__": (
+        "error path: without it `name in network` falls back to __iter__, "
+        "compares the name with layers and answers False"
+    ),
     "repro.dse.pareto:pareto_indices_quadratic": (
         "error path: pareto_indices falls back to it for NaN objectives"
     ),
-    "repro.dse.runner:DesignSpaceResult.__iter__": "dunder",
     "repro.dse.spec:DesignPoint.label": "documented: the library example in docs/sweeps.md",
     "repro.dse.spec:_apply_frequency": "spec-reachable: a sweep spec's frequency axis",
-    "repro.isa.block:InstructionBlock.__repr__": "dunder",
     "repro.isa.block:InstructionBlock.to_dict": _IMAGE,
     "repro.isa.compiler:_auxiliary_block": (
         "documented: the emission example in docs/architecture.md reads an unfused pooling block"
@@ -137,8 +135,6 @@ ALLOWED: dict[str, str] = {
     "repro.isa.interpreter:_equation4_address": _INTERPRETER,
     "repro.isa.interpreter:interpret_block": _INTERPRETER,
     "repro.isa.program:CompiledBlock.to_dict": _IMAGE,
-    "repro.isa.program:Program.__getitem__": "dunder",
-    "repro.isa.program:Program.__repr__": "dunder",
     "repro.isa.program:Program.fingerprint": (
         "oracle: tests/test_program_golden.py pins every zoo program by it"
     ),
@@ -166,7 +162,10 @@ ALLOWED: dict[str, str] = {
     "repro.sim.results:MemoryTraffic.dram_total_bits": (
         "oracle: the reference simulator in tests/reference/ prices DRAM by it"
     ),
-    "repro.sim.results:NetworkResult.__getstate__": "dunder",
+    "repro.sim.results:NetworkResult.__getstate__": (
+        "oracle: pickles and copies carry the fields only, so results pickled "
+        "in two trees compare byte for byte (tests/test_results.py)"
+    ),
 }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 import pytest
+from payloads import workload_payload
 
 from repro.baselines.gpu import TEGRA_X2, TITAN_XP, GpuModel, GpuPrecision
 from repro.baselines.platform import EYERISS, STRIPES, TEMPORAL, PlatformModel
@@ -110,7 +111,7 @@ def test_the_batch_is_fingerprinted_on_the_workload_only(platform):
     build = WORKLOADS[platform]
     assert build(16).fingerprint() == build(16).fingerprint()
     assert build(16).fingerprint() != build(4).fingerprint()
-    payload = build(16)._config_payload()
+    payload = workload_payload(build(16))["config"]
     assert payload is None or "batch_size" not in payload
 
 

@@ -308,14 +308,13 @@ class TestParetoArchive:
         archive.extend([("a", (1.0, 1.0))])
         archive.extend([("b", (1.0, 1.0))])
         assert archive.items == ["a", "b"]
-        assert [vector for _, vector in archive] == [(1.0, 1.0), (1.0, 1.0)]
 
     def test_empty_extend_is_a_noop(self):
         from repro.dse.pareto import ParetoArchive
 
         archive = ParetoArchive()
         archive.extend([])
-        assert len(archive) == 0
+        assert archive.items == []
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

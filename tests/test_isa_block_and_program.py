@@ -141,6 +141,6 @@ class TestProgram:
 
     def test_compiled_block_metadata(self, small_config):
         compiled = self._compiled_block(small_config)
-        assert compiled.loop_order in tuple(LoopOrder)
+        assert compiled.tiling.loop_order in tuple(LoopOrder)
         assert compiled.fused_layers == ()
         assert compiled.tiling.workload.m == 32

@@ -422,6 +422,32 @@ class TestSearch:
             c.objectives for c in second.frontier
         ]
 
+    def test_candidate_names_are_pinned(self):
+        # Names are content digests of the layer list: a changed byte in
+        # how a candidate serializes renames every candidate.
+        spec = self._spec(
+            base_network="cifar10",
+            population=4,
+            generations=3,
+            seed=3,
+            axes=["bits", "width", "depth", "kernel"],
+        )
+        names = [candidate.network.name for candidate in run_search(spec).candidates]
+        assert names == [
+            "Cifar-10",
+            "Cifar-10/nas-5170c15cde2c",
+            "Cifar-10/nas-cd46b6b638b7",
+            "Cifar-10/nas-4865e46864f0",
+            "Cifar-10/nas-055fa382d137",
+            "Cifar-10/nas-b034a3d78b1e",
+            "Cifar-10/nas-c344034cb280",
+            "Cifar-10/nas-e1686798cf6a",
+            "Cifar-10/nas-9b5569f03eca",
+            "Cifar-10/nas-f9358c9e58c6",
+            "Cifar-10/nas-0257e74b3c73",
+            "Cifar-10/nas-d034d70fb5bb",
+        ]
+
     def test_each_fingerprint_is_priced_exactly_once(self):
         estimator = Estimator(_config())
         result = run_search(self._spec(generations=3), estimator=estimator)

@@ -165,7 +165,7 @@ class TestProgramSerialization:
             assert item["block"]["name"] == original.name
             assert item["layer"] == layer_to_dict(original.layer)
             assert item["tiling"] == original.tiling.to_dict()
-            assert item["loop_order"] == original.loop_order.value
+            assert item["loop_order"] == original.tiling.loop_order.value
             assert item["fused_layers"] == [layer_to_dict(layer) for layer in original.fused_layers]
 
     def test_fingerprint_is_the_digest_of_the_payload(self):
