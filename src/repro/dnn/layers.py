@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.core.fusion_unit import SUPPORTED_BITWIDTHS
-from repro.fingerprint import canonical_json
+from repro.fingerprint import memoized_json
 
 __all__ = [
     "GemmShape",
@@ -381,8 +381,4 @@ def layer_json(layer: Layer) -> str:
     it.  The memo lives outside the dataclass fields, so equality, hashing
     and ``replace`` ignore it.
     """
-    text = layer.__dict__.get("_json")
-    if text is None:
-        text = canonical_json(layer_to_dict(layer))
-        object.__setattr__(layer, "_json", text)
-    return text
+    return memoized_json(layer, layer_to_dict)

@@ -79,9 +79,6 @@ class Network:
     def __getitem__(self, name: str) -> Layer:
         return self._layers[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._layers
-
     # ------------------------------------------------------------------ #
     # Aggregate statistics (Table II / Figure 1)
     # ------------------------------------------------------------------ #

@@ -8,7 +8,7 @@ sites can never drift apart — a silent divergence would fragment or
 invalidate the evaluation session's on-disk result cache.
 
 The immutable values that many digests share keep their own canonical
-JSON memoized on the instance: a layer
+JSON memoized on the instance by :func:`memoized_json`: a layer
 (:func:`repro.dnn.layers.layer_json`) and a workload's config.  A
 composite digest is spliced together from those texts by
 :func:`spliced_json` and hashed by :func:`fingerprint_text`, instead of
@@ -23,23 +23,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Mapping, Sequence
 
-__all__ = ["canonical_json", "fingerprint_payload", "fingerprint_text", "spliced_json"]
+__all__ = [
+    "canonical_json",
+    "fingerprint_payload",
+    "fingerprint_text",
+    "memoized_json",
+    "spliced_json",
+]
 
 #: ``json.dumps(value, sort_keys=True, default=str)`` builds exactly this
 #: encoder on every call; one shared instance skips the construction.
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
-
-#: The encoder's own text for the scalar types a key holds, keyed by exact
-#: type (a bool is not an int here), without a call into the encoder.
-_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
 
 
 def canonical_json(value: Any) -> str:
@@ -50,6 +46,19 @@ def canonical_json(value: Any) -> str:
     identically in any process on any platform.
     """
     return _ENCODER.encode(value)
+
+
+def memoized_json(value: Any, build: Callable[[Any], Any]) -> str:
+    """The canonical JSON of ``build(value)``, memoized on the frozen ``value``.
+
+    The text lives in the instance ``__dict__``, outside the dataclass
+    fields, so equality, hashing, ``asdict`` and ``replace`` ignore it.
+    """
+    text = value.__dict__.get("_canonical_json")
+    if text is None:
+        text = _ENCODER.encode(build(value))
+        object.__setattr__(value, "_canonical_json", text)
+    return text
 
 
 def spliced_json(values: Mapping[str, Any], /, **texts: str | Sequence[str]) -> str:
@@ -67,12 +76,11 @@ def spliced_json(values: Mapping[str, Any], /, **texts: str | Sequence[str]) -> 
         for key, text in texts.items()
     }
     for key, value in values.items():
-        scalar = _SCALAR_TEXT.get(type(value))
-        members[key] = _ENCODER.encode(value) if scalar is None else scalar(value)
+        members[key] = _ENCODER.encode(value)
     return (
         "{"
         + ", ".join(
-            f"{encode_basestring_ascii(key)}: {text}" for key, text in sorted(members.items())
+            f"{_ENCODER.encode(key)}: {text}" for key, text in sorted(members.items())
         )
         + "}"
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any
 
-from repro.fingerprint import canonical_json, fingerprint_text, spliced_json
+from repro.fingerprint import fingerprint_text, memoized_json, spliced_json
 
 from repro.baselines.gpu import GpuPrecision, GpuSpec
 from repro.baselines.platform import PLATFORM_SPECS, PlatformSpec
@@ -279,8 +279,14 @@ class Workload:
                 "enable_loop_ordering": self.enable_loop_ordering,
                 "enable_layer_fusion": self.enable_layer_fusion,
             }
-        # __post_init__ resolved the config, so there always is one.
-        digest = fingerprint_text(spliced_json(values, config=_config_json(self.config)))
+        # __post_init__ resolved the config, so there always is one.  A
+        # sweep shares one (frozen) config across its (network, batch)
+        # points, and ``asdict`` deep-copies every field, so the config
+        # keeps its JSON.
+        config_json = memoized_json(
+            self.config, lambda config: {"type": type(config).__name__, **asdict(config)}
+        )
+        digest = fingerprint_text(spliced_json(values, config=config_json))
         object.__setattr__(self, "_fingerprint", digest)
         return digest
 
@@ -301,21 +307,6 @@ class Workload:
         if self.gpu_precision is not None:
             parts.append(f"precision={self.gpu_precision}")
         return " ".join(parts)
-
-
-def _config_json(config: Any) -> str:
-    """The canonical JSON of a config's fingerprint payload, memoized on the config.
-
-    The payload is ``{"type": <class name>, **asdict(config)}``.  A sweep
-    fingerprints one (frozen) config at every (network, batch) point, and
-    ``asdict`` recurses and deep-copies every field each time.  The memo
-    lives outside the dataclass fields, so equality and hashing ignore it.
-    """
-    text = config.__dict__.get("_fingerprint_json")
-    if text is None:
-        text = canonical_json({"type": type(config).__name__, **asdict(config)})
-        object.__setattr__(config, "_fingerprint_json", text)
-    return text
 
 
 def load_network(workload: Workload) -> Network:

@@ -72,10 +72,9 @@ SCENARIOS: list[tuple[str, tuple[str, str], list[str]]] = [
 ]
 
 #: Why a function that no scenario runs may stay in ``src/``: it raises on
-#: bad input or an unsupported call, or guards against a wrong answer;
-#: tests check the program against it; a sweep or NAS spec field the
-#: scenarios leave at its default reaches it; or a library example in
-#: ``docs/`` calls it.
+#: bad input or an unsupported call; tests check the program against it; a
+#: sweep or NAS spec field the scenarios leave at its default reaches it; or
+#: a library example in ``docs/`` calls it.
 REASONS = ("error path", "oracle", "spec-reachable", "documented")
 
 _INTERPRETER = "oracle: isa/interpreter.py, the candidate traffic gate of ROADMAP item 4"
@@ -100,10 +99,6 @@ ALLOWED: dict[str, str] = {
     "repro.dnn.layers:Layer.input_elements": "error path: abstract",
     "repro.dnn.layers:Layer.output_elements": "error path: abstract",
     "repro.dnn.layers:PoolLayer.gemm_shape": "error path: has no GEMM",
-    "repro.dnn.network:Network.__contains__": (
-        "error path: without it `name in network` falls back to __iter__, "
-        "compares the name with layers and answers False"
-    ),
     "repro.dse.pareto:pareto_indices_quadratic": (
         "error path: pareto_indices falls back to it for NaN objectives"
     ),

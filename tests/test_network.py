@@ -30,8 +30,9 @@ class TestContainerProtocol:
         assert len(tiny_network) == 5
         assert [layer.name for layer in tiny_network][:2] == ["conv1", "pool1"]
         assert tiny_network["fc"].name == "fc"
-        assert "conv2" in tiny_network
-        assert "missing" not in tiny_network
+        assert tiny_network["conv2"].name == "conv2"
+        with pytest.raises(KeyError):
+            tiny_network["missing"]
 
     def test_duplicate_layer_names_rejected(self):
         net = Network("dup", [FCLayer(name="fc")])
