@@ -14,7 +14,7 @@ Public entry points
 ``repro.core``
     BitBrick and Fusion Unit models and ``BitFusionConfig``.
 ``repro.isa``
-    Fusion-ISA instruction set, encoder, and the layer-to-ISA compiler.
+    Fusion-ISA instruction set and the layer-to-ISA compiler.
 ``repro.sim``
     Cycle-accurate simulator producing cycle counts and memory traffic.
 ``repro.energy``

@@ -1,10 +1,12 @@
 """Figure 15 — sensitivity of Bit Fusion performance to off-chip bandwidth.
 
 The default configuration provides 128 bits/cycle; the sweep scales it from
-0.25x to 4x.  The paper's headline observations, which the acceptance checks
-verify, are that the recurrent benchmarks (LSTM, RNN) scale almost linearly
-with bandwidth because they are bandwidth-bound, while the convolutional
-benchmarks saturate thanks to on-chip data reuse.
+0.25x to 4x.  In the paper every benchmark is still bandwidth-bound at 128
+bits/cycle: doubling it to 256 speeds the CNNs up 1.66-2.00x (four of six
+read at least 1.96x), and only past 256 do they fall behind the recurrent
+benchmarks (LSTM, RNN), which scale linearly all the way to 512.  Our CNNs
+saturate earlier, so their rows above 128 bits/cycle sit below the
+paper's; ROADMAP item 1 traces that gap to Bit Fusion's own memory model.
 
 The scan is one :meth:`~repro.session.session.EvaluationSession.run_many`
 batch of ``Workload.bitfusion`` points whose configurations are

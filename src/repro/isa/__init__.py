@@ -18,14 +18,15 @@ while amortizing the von Neumann overhead of instruction handling:
 
 Sub-modules
 -----------
-:mod:`repro.isa.instructions`  instruction dataclasses and opcodes (Table I).
-:mod:`repro.isa.encoding`      32-bit binary encoding / decoding.
-:mod:`repro.isa.block`         instruction blocks and per-block statistics.
+:mod:`repro.isa.instructions`  instruction dataclasses, opcodes and field widths (Table I).
+:mod:`repro.isa.block`         validated instruction blocks.
 :mod:`repro.isa.program`       a compiled network: an ordered list of blocks.
 :mod:`repro.isa.tiling`        loop tiling against the scratchpad capacities.
 :mod:`repro.isa.optimizations` loop ordering and layer fusion (Section IV-B).
 :mod:`repro.isa.compiler`      the layer-to-block / network-to-program compiler.
-:mod:`repro.isa.interpreter`   walks a block's memory-level loop nest.
 
-The package namespace re-exports nothing; import from the modules.
+The package namespace re-exports nothing; import from the modules.  The
+Table I binary encoder/decoder and the interpreter that walks a block's
+memory-level loop nest (Equation 4) are test oracles, in
+``tests/reference/encoding.py`` and ``tests/reference/interpreter.py``.
 """

@@ -9,58 +9,17 @@ this is how the ISA amortizes the von Neumann overhead (Section IV-A).
 
 :class:`InstructionBlock` validates the structural invariants (exactly one
 ``setup`` at the start, exactly one ``block-end`` at the end, unique loop
-identifiers, address generators referencing declared loops) and exposes the
-statistics the paper reports (instruction counts per block — 30 to 86 for
-the evaluated layers — and binary footprint).
+identifiers, address generators referencing declared loops).  Its length is
+the instruction count the paper reports: 30 to 86 for the evaluated layers.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.isa.encoding import (
-    INSTRUCTION_BYTES,
-    encode_block_hex,
-)
-from repro.isa.instructions import (
-    BlockEnd,
-    GenAddr,
-    Instruction,
-    LdMem,
-    Loop,
-    RdBuf,
-    Setup,
-    StMem,
-    WrBuf,
-)
+from repro.isa.instructions import BlockEnd, GenAddr, Instruction, Loop, Setup
 
-__all__ = ["BlockStats", "InstructionBlock"]
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Summary statistics of one instruction block.
-
-    Attributes
-    ----------
-    instruction_count:
-        Total instructions in the block, including ``setup``/``block-end``.
-    counts_by_opcode:
-        Mapping from mnemonic to the number of instructions with that opcode.
-    loop_count, memory_instruction_count, buffer_instruction_count:
-        Convenience totals used by the ISA-statistics experiment.
-    binary_bytes:
-        Size of the encoded block image.
-    """
-
-    instruction_count: int
-    counts_by_opcode: dict[str, int]
-    loop_count: int
-    memory_instruction_count: int
-    buffer_instruction_count: int
-    binary_bytes: int
+__all__ = ["InstructionBlock"]
 
 
 class InstructionBlock:
@@ -79,7 +38,6 @@ class InstructionBlock:
             raise ValueError("instruction block name must be non-empty")
         self.name = name
         self._instructions = tuple(instructions)
-        self._image: str | None = None
         self._validate()
 
     # ------------------------------------------------------------------ #
@@ -145,41 +103,3 @@ class InstructionBlock:
     def loops(self) -> list[Loop]:
         """Loop instructions in declaration order."""
         return [instr for instr in self if isinstance(instr, Loop)]
-
-    def memory_instructions(self) -> list[Instruction]:
-        """The ``ld-mem``/``st-mem`` instructions of the block."""
-        return [instr for instr in self if isinstance(instr, (LdMem, StMem))]
-
-    def buffer_instructions(self) -> list[Instruction]:
-        """The ``rd-buf``/``wr-buf`` instructions of the block."""
-        return [instr for instr in self if isinstance(instr, (RdBuf, WrBuf))]
-
-    # ------------------------------------------------------------------ #
-    # Statistics and encoding
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, str]:
-        """JSON-compatible payload: the block name plus its hex binary image.
-
-        The instruction encoder/decoder pair round-trips every instruction
-        kind exactly (see :mod:`repro.isa.encoding`), so the image
-        identifies the instruction sequence.
-
-        The hex image is encoded once and memoized (the instructions are an
-        immutable tuple), so a compiled block's payload, fingerprint and
-        name-free layer fingerprint share one encoding.
-        """
-        if self._image is None:
-            self._image = encode_block_hex(self._instructions)
-        return {"name": self.name, "image": self._image}
-
-    def stats(self) -> BlockStats:
-        """Per-block statistics (instruction counts, binary footprint)."""
-        counts = Counter(instr.mnemonic for instr in self)
-        return BlockStats(
-            instruction_count=len(self),
-            counts_by_opcode=dict(counts),
-            loop_count=len(self.loops()),
-            memory_instruction_count=len(self.memory_instructions()),
-            buffer_instruction_count=len(self.buffer_instructions()),
-            binary_bytes=len(self) * INSTRUCTION_BYTES,
-        )

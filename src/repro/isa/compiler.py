@@ -331,8 +331,8 @@ class FusionCompiler:
         Each fusion group is planned once per compiler: a block's plan
         depends only on its head layer, fused followers and batch size (plus
         this compiler's config, flags and resolver), and every block ends in
-        ``block-end 0``, so its position in the network never enters the
-        image.  A group seen before — a NAS mutant's unchanged layers, say —
+        ``block-end 0``, so its position in the network never enters its
+        instructions.  A group seen before — a NAS mutant's unchanged layers, say —
         returns the same :class:`CompiledBlock` object, with its memoized
         fingerprint and, once read, its emitted instructions.  Layers
         compare as dataclasses, so two layers differing only in name or

@@ -7,8 +7,10 @@ counts, strides and immediates.  Field widths are validated on construction
 so that a block that encodes also decodes to the same instructions.
 
 The instruction classes are deliberately free of behaviour: semantics live
-in the compiler (which emits them), the encoder (which packs them) and the
-simulator (which consumes the block structure).
+in the compiler (which emits them) and the simulator (which consumes the
+block structure).  The Table I encoder and decoder are test oracles
+(``tests/reference/encoding.py``); the report reads only the word size,
+:data:`INSTRUCTION_BYTES`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "BITWIDTH_FIELD_BITS",
     "LOOP_ID_BITS",
     "IMMEDIATE_BITS",
+    "INSTRUCTION_BYTES",
 ]
 
 #: Field widths of the 32-bit instruction word (Table I).
@@ -46,6 +49,9 @@ SCRATCHPAD_BITS = 2
 BITWIDTH_FIELD_BITS = 5
 LOOP_ID_BITS = 6
 IMMEDIATE_BITS = 16
+
+#: Every Fusion-ISA instruction occupies one 32-bit word.
+INSTRUCTION_BYTES = 4
 
 
 @unique

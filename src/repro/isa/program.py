@@ -8,13 +8,10 @@ everything the simulator reads.  The block's
 :class:`~repro.isa.block.InstructionBlock` is emitted from the plan on
 first read and kept on the instance.
 
-Programs (and their blocks) serialize deterministically to JSON-compatible
-dictionaries — instructions through the Table I binary encoding, layers and
-tiling plans field by field — and :meth:`Program.fingerprint` hashes that
-payload.  The evaluation session keys per-block simulation results on the
-name-free :meth:`CompiledBlock.layer_fingerprint`, which hashes the plan
-(layer, fused layers, tiling, loop order), never the instructions: they
-are a pure function of it.
+The evaluation session keys per-block simulation results on the name-free
+:meth:`CompiledBlock.layer_fingerprint`, which hashes the plan (layer,
+fused layers, tiling, loop order), never the instructions: they are a pure
+function of it.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from typing import Any, Iterator, Sequence
 from repro.dnn.layers import Layer, layer_to_dict
 from repro.fingerprint import fingerprint_payload
 from repro.isa.block import InstructionBlock
+from repro.isa.instructions import INSTRUCTION_BYTES
 from repro.isa.tiling import TilingPlan
 
 __all__ = ["CompiledBlock", "Program"]
@@ -77,18 +75,8 @@ class CompiledBlock:
         return block
 
     # ------------------------------------------------------------------ #
-    # Serialization and fingerprinting
+    # Fingerprinting
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible payload: the block's instruction image and plan."""
-        return {
-            "block": self.block.to_dict(),
-            "layer": layer_to_dict(self.layer),
-            "tiling": self.tiling.to_dict(),
-            "loop_order": self.tiling.loop_order.value,
-            "fused_layers": [layer_to_dict(layer) for layer in self.fused_layers],
-        }
-
     def layer_content_dict(self) -> dict[str, Any]:
         """The block's plan with every name stripped: pure layer content.
 
@@ -96,7 +84,7 @@ class CompiledBlock:
         they only label results — so this payload identifies *what the block
         computes*: the layer shape and bitwidths, the tiling plan, the loop
         order and any fused follow-on layers, which determine the
-        instruction image (:func:`repro.isa.compiler.emit_block`).
+        instructions (:func:`repro.isa.compiler.emit_block`).
         """
 
         def _nameless(layer: Layer) -> dict[str, Any]:
@@ -135,15 +123,9 @@ class Program:
     """The ordered list of compiled blocks for one network.
 
     A program is the unit the compile stage of the evaluation pipeline
-    caches.  Its identity is purely content-based: :meth:`fingerprint`
-    hashes the serialized payload of every block (instructions through the
-    Table I binary encoding, plus layer, tiling, loop order and fusion
-    metadata), emitting every block, so the golden tests pin each emitted
-    instruction by it.  The *cache key* the session stores programs under
-    is not this fingerprint but the structure-only
+    caches, under the structure-only
     :func:`~repro.session.engine.program_cache_key` over the compiler's
-    inputs — the program fingerprint identifies what came out, the cache
-    key what went in.
+    inputs: the key identifies what went in, never what came out.
     """
 
     def __init__(self, network_name: str, blocks: Sequence[CompiledBlock] = ()) -> None:
@@ -151,7 +133,6 @@ class Program:
             raise ValueError("program network name must be non-empty")
         self.network_name = network_name
         self._blocks: list[CompiledBlock] = list(blocks)
-        self._fingerprint: str | None = None
         self._layer_fingerprints: tuple[str, ...] | None = None
 
     @property
@@ -168,24 +149,8 @@ class Program:
         return self._blocks[index]
 
     # ------------------------------------------------------------------ #
-    # Serialization and fingerprinting
+    # Fingerprinting
     # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible payload of the whole program."""
-        return {
-            "network_name": self.network_name,
-            "blocks": [compiled.to_dict() for compiled in self],
-        }
-
-    def fingerprint(self) -> str:
-        """Stable content hash over the serialized program payload.
-
-        Memoized: a program's blocks are fixed when it is built.
-        """
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint_payload(self.to_dict())
-        return self._fingerprint
-
     def layer_fingerprints(self) -> tuple[str, ...]:
         """Every block's :meth:`CompiledBlock.layer_fingerprint`, in order (memoized)."""
         if self._layer_fingerprints is None:
@@ -203,7 +168,7 @@ class Program:
 
     def total_binary_bytes(self) -> int:
         """Total binary footprint of the compiled program."""
-        return sum(compiled.block.stats().binary_bytes for compiled in self)
+        return self.total_instructions() * INSTRUCTION_BYTES
 
     def summary(self) -> str:
         """Human-readable per-block summary."""
@@ -215,10 +180,10 @@ class Program:
         lines.append(header)
         lines.append("-" * len(header))
         for compiled in self:
-            stats = compiled.block.stats()
+            block = compiled.block
             lines.append(
-                f"{compiled.name:28s} {stats.instruction_count:7d} {stats.loop_count:6d} "
-                f"{compiled.block.input_bits:>4d}/{compiled.block.weight_bits:<5d} "
+                f"{compiled.name:28s} {len(block):7d} {len(block.loops()):6d} "
+                f"{block.input_bits:>4d}/{block.weight_bits:<5d} "
                 f"{compiled.tiling.loop_order.value:>18s} {len(compiled.fused_layers):6d}"
             )
         return "\n".join(lines)

@@ -154,11 +154,6 @@ class TilingPlan:
             + self.dram_output_read_bits
         )
 
-    @property
-    def fits_on_chip(self) -> bool:
-        """Whether the whole GEMM fits in the scratchpads as a single tile."""
-        return self.tile_count == 1
-
     def to_dict(self) -> dict[str, object]:
         """JSON-compatible payload of the plan (workload nested, enum by value)."""
         return {

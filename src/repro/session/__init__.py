@@ -42,7 +42,7 @@ in-process memo.
 * **Layer key** (derived per block by
   :func:`~repro.session.engine.plan_program`): one simulated block's
   *name-free* plan fingerprint (layer shape and bitwidths, fused layers,
-  tiling, loop order — the instruction image is a pure function of these,
+  tiling, loop order — the instructions are a pure function of these,
   so pricing never emits it) plus the simulation-affecting configuration
   (array geometry, buffer capacities and access width, bandwidth,
   technology node).  Frequency and the configuration name are excluded —

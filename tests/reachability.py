@@ -77,15 +77,6 @@ SCENARIOS: list[tuple[str, tuple[str, str], list[str]]] = [
 #: a library example in ``docs/`` calls it.
 REASONS = ("error path", "oracle", "spec-reachable", "documented")
 
-_INTERPRETER = "oracle: isa/interpreter.py, the candidate traffic gate of ROADMAP item 4"
-_ENCODING = "oracle: decodes Table I words, the round trip of the encoder's tests"
-#: Pricing reads a block's plan and the ISA section counts its instructions;
-#: only the payload the golden programs hash encodes them.
-_IMAGE = (
-    "oracle: the Table I image Program.fingerprint hashes, "
-    "which tests/test_program_golden.py pins"
-)
-
 #: Functions no scenario runs, by ``module:qualname``, each with its reason.
 ALLOWED: dict[str, str] = {
     "repro.baselines.platform:PlatformSpec.__post_init__.<locals>.bad": (
@@ -104,41 +95,10 @@ ALLOWED: dict[str, str] = {
     ),
     "repro.dse.spec:DesignPoint.label": "documented: the library example in docs/sweeps.md",
     "repro.dse.spec:_apply_frequency": "spec-reachable: a sweep spec's frequency axis",
-    "repro.isa.block:InstructionBlock.to_dict": _IMAGE,
     "repro.isa.compiler:_auxiliary_block": (
         "documented: the emission example in docs/architecture.md reads an unfused pooling block"
     ),
-    "repro.isa.encoding:_encode_block_end": _IMAGE,
-    "repro.isa.encoding:_encode_buffer_access": _IMAGE,
-    "repro.isa.encoding:_encode_compute": _IMAGE,
-    "repro.isa.encoding:_encode_gen_addr": _IMAGE,
-    "repro.isa.encoding:_encode_loop": _IMAGE,
-    "repro.isa.encoding:_encode_setup": _IMAGE,
-    "repro.isa.encoding:_encode_transfer": _IMAGE,
-    "repro.isa.encoding:_mask": _ENCODING,
-    "repro.isa.encoding:decode_block": _ENCODING,
-    "repro.isa.encoding:decode_block_hex": _ENCODING,
-    "repro.isa.encoding:decode_instruction": _ENCODING,
-    "repro.isa.encoding:encode_block": _IMAGE,
-    "repro.isa.encoding:encode_block_hex": _IMAGE,
-    "repro.isa.encoding:encode_instruction": _IMAGE,
     "repro.isa.instructions:Instruction.opcode": "error path: abstract",
-    "repro.isa.interpreter:BlockTrace.event_count": _INTERPRETER,
-    "repro.isa.interpreter:BlockTrace.events_for": _INTERPRETER,
-    "repro.isa.interpreter:BlockTrace.total_words": _INTERPRETER,
-    "repro.isa.interpreter:BlockTrace.unique_addresses": _INTERPRETER,
-    "repro.isa.interpreter:_equation4_address": _INTERPRETER,
-    "repro.isa.interpreter:interpret_block": _INTERPRETER,
-    "repro.isa.program:CompiledBlock.to_dict": _IMAGE,
-    "repro.isa.program:Program.fingerprint": (
-        "oracle: tests/test_program_golden.py pins every zoo program by it"
-    ),
-    "repro.isa.program:Program.to_dict": (
-        "oracle: the payload tests/test_program_golden.py fingerprints"
-    ),
-    "repro.isa.tiling:TilingPlan.fits_on_chip": (
-        "oracle: the scalar buffer constraint tests hold searched plans to"
-    ),
     "repro.isa.tiling:TilingPlan.total_dram_bits": (
         "oracle: the objective the reference search in tests/reference/ ranks by"
     ),

@@ -1,9 +1,8 @@
-"""Scalar reference models: the readable spec of the vectorized hot paths.
+"""Reference models: the readable spec of the hot paths, and the ISA's oracles.
 
 ``src/`` keeps exactly one implementation of each model — the numpy
-simulator (:mod:`repro.sim.batched`), the numpy tiling search
-(:func:`repro.isa.tiling.search_tilings`) and the table-driven instruction
-encoder (:mod:`repro.isa.encoding`).  The plain-Python versions they
+simulator (:mod:`repro.sim.batched`) and the numpy tiling search
+(:func:`repro.isa.tiling.search_tilings`).  The plain-Python versions they
 were derived from live here, one formula per line, so the tests and the
 perf suite (``benchmarks/perf/run.py``) can check the production paths
 against them bit for bit and time them against each other:
@@ -12,10 +11,16 @@ against them bit for bit and time them against each other:
   per-block cycle, traffic and energy model, and the GEMM cycle model
   (:class:`~reference.simulator.GemmCycleModel`);
 * :mod:`reference.tiling` — ``plan_tiling_scalar`` and
-  ``search_tiling_scalar``, the double loop over tile candidates;
-* :mod:`reference.encoding` — ``encode_instruction_scalar`` and
-  ``encode_block_scalar``, one ``isinstance`` branch per instruction kind
-  and one ``struct.pack`` per word.
+  ``search_tiling_scalar``, the double loop over tile candidates.
+
+The Fusion-ISA's specifications, which no command runs, live here too:
+
+* :mod:`reference.encoding` — the repo's only Table I encoder and decoder
+  (``encode_instruction``/``decode_instruction``, ``encode_block``/
+  ``decode_block`` and their hex forms), one ``isinstance`` branch per
+  instruction kind;
+* :mod:`reference.interpreter` — ``interpret_block``, the Equation-4 walk
+  of a block's memory-level loop nest, one event per ``ld-mem``/``st-mem``.
 
 Nothing under ``src/`` imports this package.
 """

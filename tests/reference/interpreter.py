@@ -1,20 +1,17 @@
 """Tile-level interpreter for Fusion-ISA instruction blocks.
 
 The cycle simulator computes traffic and cycles in closed form from a
-block's tiling plan; this module provides the complementary *operational*
-view: it walks the block's memory-level loop nest iteration by iteration,
+block's tiling plan; this module is the complementary *operational* view:
+it walks the block's memory-level loop nest iteration by iteration,
 applies the ``gen-addr`` semantics of Equation 4
 (``address = base + Σ loop_iterator[id] × stride[id]``) and emits one event
 per ``ld-mem``/``st-mem`` execution.
 
-Two things use it:
-
-* tests, to prove that the ``gen-addr`` strides the compiler emits generate
-  exactly one distinct tile address per tile of each tensor (the number of
-  unique addresses per scratchpad equals the tiling plan's tile counts), and
-* debugging/teaching: the trace shows exactly which tile of which tensor a
-  block touches at every step, which is the easiest way to understand a
-  compiled program.
+The tests use it to prove that the ``gen-addr`` strides the compiler emits
+generate exactly one distinct tile address per tile of each tensor (the
+number of unique addresses per scratchpad equals the tiling plan's tile
+counts).  The trace also shows which tile of which tensor a block touches
+at every step, the easiest way to read a compiled program.
 
 Only the memory-level (level-0) loops are walked literally; the inner
 buffer-level loops repeat identically inside every tile and are summarized
@@ -117,7 +114,7 @@ def interpret_block(block: InstructionBlock, max_events: int = 1_000_000) -> Blo
             strides[instruction.scratchpad][instruction.loop_id] = instruction.stride
 
     transfers: list[tuple[str, ScratchpadType, int]] = []
-    for instruction in block.memory_instructions():
+    for instruction in block:
         if isinstance(instruction, LdMem):
             transfers.append(("load", instruction.scratchpad, instruction.num_words))
         elif isinstance(instruction, StMem):

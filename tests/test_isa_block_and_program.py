@@ -8,6 +8,7 @@ from repro.dnn.layers import FCLayer
 from repro.isa.block import InstructionBlock
 from repro.isa.compiler import FusionCompiler
 from repro.isa.instructions import (
+    INSTRUCTION_BYTES,
     BlockEnd,
     Compute,
     GenAddr,
@@ -23,6 +24,7 @@ from repro.isa.instructions import (
 from repro.isa.program import CompiledBlock, Program
 
 from compiling import compile_alone
+from reference.encoding import decode_block, encode_block
 
 
 def _minimal_block(name: str = "layer") -> InstructionBlock:
@@ -88,25 +90,9 @@ class TestInstructionBlockAccessors:
         block = _minimal_block()
         assert block.loops() == [Loop(loop_id=0, iterations=8, level=0)]
 
-    def test_instruction_category_queries(self):
-        block = _minimal_block()
-        assert len(block.memory_instructions()) == 2
-        assert len(block.buffer_instructions()) == 2
-
-    def test_stats(self):
-        stats = _minimal_block().stats()
-        assert stats.instruction_count == 9
-        assert stats.loop_count == 1
-        assert stats.memory_instruction_count == 2
-        assert stats.buffer_instruction_count == 2
-        assert stats.binary_bytes == 9 * 4
-        assert stats.counts_by_opcode["compute"] == 1
-
     def test_encoding_roundtrips_through_bytes(self):
-        from repro.isa.encoding import decode_block, encode_block
-
         block = _minimal_block()
-        assert decode_block(encode_block(tuple(block))) == list(block)
+        assert decode_block(encode_block(block)) == list(block)
 
     def test_iteration_protocol(self):
         block = _minimal_block()
@@ -134,6 +120,22 @@ class TestProgram:
     def test_summary_mentions_every_block(self, small_config):
         program = Program("net", [self._compiled_block(small_config, "layer_x")])
         assert "layer_x" in program.summary()
+
+    def test_summary_counts_instructions_and_loops(self, small_config):
+        compiled = self._compiled_block(small_config, "layer_x")
+        row = Program("net", [compiled]).summary().splitlines()[3].split()
+        block = compiled.block
+        assert row[:4] == ["layer_x", str(len(block)), str(len(block.loops())), "4/2"]
+
+    def test_binary_bytes_are_the_encoded_images(self, small_config):
+        program = Program(
+            "net", [self._compiled_block(small_config, "a"), self._compiled_block(small_config, "b")]
+        )
+        images = [encode_block(compiled.block) for compiled in program]
+        assert program.total_binary_bytes() == sum(map(len, images))
+        assert program.total_binary_bytes() == INSTRUCTION_BYTES * sum(
+            compiled.instruction_count for compiled in program
+        )
 
     def test_rejects_empty_name(self):
         with pytest.raises(ValueError):

@@ -17,9 +17,9 @@ from repro.isa.instructions import (
     Setup,
     StMem,
 )
-from repro.isa.interpreter import interpret_block
 
 from compiling import compile_alone
+from reference.interpreter import interpret_block
 
 
 @pytest.fixture

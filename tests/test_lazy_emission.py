@@ -22,6 +22,7 @@ from dataclasses import replace
 
 import pytest
 from reachability import NAS_SPEC, SWEEP_SPEC
+from reference.encoding import encode_block_hex
 
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
@@ -97,16 +98,12 @@ def test_layer_fingerprint_splits_blocks_where_images_differ():
     for config in _CONFIGS.values():
         blocks += _zoo_blocks(config)
     images: dict[str, str] = {}
-    for block in blocks:
-        image = block.block.to_dict()["image"]
-        assert images.setdefault(block.layer_fingerprint(), image) == image, block.name
     # The partition the image-hashing key drew: image plus the same plan.
-    image_keys = {
-        fingerprint_payload(
-            {**block.layer_content_dict(), "image": block.block.to_dict()["image"]}
-        )
-        for block in blocks
-    }
+    image_keys: set[str] = set()
+    for block in blocks:
+        image = encode_block_hex(block.block)
+        assert images.setdefault(block.layer_fingerprint(), image) == image, block.name
+        image_keys.add(fingerprint_payload({**block.layer_content_dict(), "image": image}))
     assert len(image_keys) == len(images)
 
 

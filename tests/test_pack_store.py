@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 from faults import delete_segments
-from compiling import layer_cache_key, tiling_requests
+from compiling import layer_cache_key, program_payload, tiling_requests
 
 from repro.baselines.gpu import TEGRA_X2, TITAN_XP
 from repro.dnn import models
@@ -703,7 +703,8 @@ class TestOldDirectories:
             (layer_cache_key(block, workload.config), "layer", {"payload": stale})
             for block in program
         ]
-        records.append((program_cache_key(workload), "program", {"payload": program.to_dict()}))
+        payload = program_payload(program)
+        records.append((program_cache_key(workload), "program", {"payload": payload}))
         requests = tiling_requests(workload.config, load_network(workload), workload.batch_size)
         tiling_keys = {tiling_cache_key(gemm, orders, workload.config) for gemm, orders in requests}
         records.extend((key, "tiling", {"payload": {}}) for key in tiling_keys)

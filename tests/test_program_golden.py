@@ -1,13 +1,13 @@
-"""Golden program fingerprints: the compiler's output, pinned.
+"""Golden program digests: the compiler's output, pinned.
 
 Every zoo network compiled under the three paper Bit Fusion configurations
 (Eyeriss-matched, Stripes-matched and the 16 nm GPU-scaled one) at batch
-sizes 1 and 16 must hash to the digest recorded here.  The fingerprint
-covers each block's binary image, layer, tiling plan, loop order and fused
-followers, so any change to what the compiler emits — instruction choice,
-encoding, tiling search, plan resolution — shows up as a mismatch.  A
-change that *means* to alter the emitted programs updates these digests in
-the same commit and says why.
+sizes 1 and 16 must hash to the digest recorded here.  The digest
+(``compiling.program_digest``) covers each block's Table I binary image,
+layer, tiling plan, loop order and fused followers, so any change to what
+the compiler emits — instruction choice, encoding, tiling search, plan
+resolution — shows up as a mismatch.  A change that *means* to alter the
+emitted programs updates these digests in the same commit and says why.
 
 Each program is compiled twice: by a fresh compiler searching every tiling
 itself, and through the evaluation session's tiling memo shared across all
@@ -17,6 +17,7 @@ the networks of one configuration (the path reports and sweeps take).
 from __future__ import annotations
 
 import pytest
+from compiling import program_digest
 
 from repro.core.config import BitFusionConfig
 from repro.dnn import models
@@ -91,8 +92,8 @@ def test_program_fingerprints_match_golden(config_name, batch):
         network = models.load(name)
         expected = _GOLDEN[config_name, batch, name]
         fresh = FusionCompiler(config).compile(network, batch_size=batch)
-        assert fresh.fingerprint() == expected, name
+        assert program_digest(fresh) == expected, name
         memoized = FusionCompiler(config, plan_resolver=resolver).compile(
             network, batch_size=batch
         )
-        assert memoized.fingerprint() == expected, name
+        assert program_digest(memoized) == expected, name

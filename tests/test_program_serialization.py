@@ -2,10 +2,12 @@
 
 The three guarantees the memoized-program pipeline rests on:
 
-* a compiled ``Program``'s JSON payload carries every instruction, layer,
-  tiling plan and fusion annotation, so its fingerprints see all of them,
-* program and block fingerprints are stable across processes (they key the
-  in-process memos and, through the network, every stored result), and
+* a compiled ``Program``'s image payload (``compiling.program_payload``)
+  carries every instruction, layer, tiling plan and fusion annotation, so
+  the golden digest sees all of them,
+* program digests and block fingerprints are stable across processes (the
+  fingerprints key the in-process memos and, through the network, every
+  stored result), and
 * a ``NetworkResult`` produced by the staged compile → simulate-blocks →
   compose pipeline — including one read back from disk — is byte-identical
   to the monolithic ``evaluate()`` path.
@@ -21,6 +23,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from compiling import block_payload, program_digest, program_payload
 from faults import delete_segments
 from hypothesis import given, strategies as st
 
@@ -39,7 +42,6 @@ from repro.dnn.layers import (
 from repro.fingerprint import fingerprint_payload
 from repro.isa.block import InstructionBlock
 from repro.isa.compiler import FusionCompiler
-from repro.isa.encoding import decode_block_hex, encode_block_hex
 from repro.isa.program import Program
 from repro.session import (
     EvaluationSession,
@@ -50,7 +52,10 @@ from repro.session import (
 )
 from repro.sim.batched import simulate_blocks_grid
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+from reference.encoding import decode_block_hex, encode_block_hex
+
+_TESTS = Path(__file__).resolve().parent
+_SRC = str(_TESTS.parent / "src")
 
 
 def _compile(name: str, batch_size: int = 4) -> Program:
@@ -137,27 +142,23 @@ class TestSerializersMatchAsdict:
             assert workload.to_dict() == asdict(workload)
 
     @pytest.mark.parametrize("benchmark_name", ["LeNet-5", "LSTM", "ResNet-18"])
-    def test_memoized_block_image_matches_fresh_encoding(self, benchmark_name):
+    def test_block_payload_image_decodes_to_the_block(self, benchmark_name):
         for compiled in _compile(benchmark_name):
             block = compiled.block
-            fresh = encode_block_hex(list(block))
-            assert block.to_dict()["image"] == fresh
-            # The memo serves every later call, including through the
-            # compiled block's payload; the block itself is emitted once.
-            assert block.to_dict()["image"] == fresh
-            assert compiled.to_dict()["block"]["image"] == fresh
+            image = block_payload(compiled)["block"]["image"]
+            assert image == encode_block_hex(block)
+            # The block is emitted once and kept on the compiled block.
             assert compiled.block is block
-            rebuilt = InstructionBlock(block.name, decode_block_hex(block.to_dict()["image"]))
+            rebuilt = InstructionBlock(block.name, decode_block_hex(image))
             assert tuple(rebuilt) == tuple(block)
-            assert rebuilt.to_dict() == block.to_dict()
 
 
 class TestProgramSerialization:
     @pytest.mark.parametrize("benchmark_name", ["LeNet-5", "LSTM", "SVHN"])
     def test_payload_carries_every_field(self, benchmark_name):
         program = _compile(benchmark_name)
-        payload = json.loads(json.dumps(program.to_dict(), sort_keys=True))
-        assert payload == program.to_dict()
+        payload = json.loads(json.dumps(program_payload(program), sort_keys=True))
+        assert payload == program_payload(program)
         assert payload["network_name"] == program.network_name
         assert len(payload["blocks"]) == len(program)
         for original, item in zip(program, payload["blocks"]):
@@ -172,20 +173,22 @@ class TestProgramSerialization:
         program = _compile("LeNet-5")
         recompiled = _compile("LeNet-5")
         assert recompiled is not program
-        assert program.fingerprint() == fingerprint_payload(json.loads(json.dumps(program.to_dict())))
-        assert recompiled.fingerprint() == program.fingerprint()
+        assert program_digest(program) == fingerprint_payload(
+            json.loads(json.dumps(program_payload(program)))
+        )
+        assert program_digest(recompiled) == program_digest(program)
         for original, rebuilt in zip(program, recompiled):
-            assert rebuilt.to_dict() == original.to_dict()
+            assert block_payload(rebuilt) == block_payload(original)
             assert rebuilt.layer_fingerprint() == original.layer_fingerprint()
 
     def test_fingerprint_sees_content_changes(self):
         base = _compile("LeNet-5", batch_size=4)
         other_batch = _compile("LeNet-5", batch_size=8)
-        assert base.fingerprint() != other_batch.fingerprint()
+        assert program_digest(base) != program_digest(other_batch)
 
     def test_corrupted_image_fails_validation(self):
         program = _compile("LeNet-5")
-        image = program.to_dict()["blocks"][0]["block"]["image"]
+        image = block_payload(program[0])["block"]["image"]
         # Truncate the first block's image so setup/block-end framing breaks.
         with pytest.raises(ValueError):
             InstructionBlock(program[0].name, decode_block_hex(image[:8]))
@@ -193,13 +196,15 @@ class TestProgramSerialization:
     def test_fingerprint_stable_across_processes(self):
         program = _compile("LeNet-5")
         code = (
+            "from compiling import program_digest; "
             "from repro.dnn import models; "
             "from repro.core.config import BitFusionConfig; "
             "from repro.isa.compiler import FusionCompiler; "
             "compiler = FusionCompiler(BitFusionConfig.eyeriss_matched()); "
-            "print(compiler.compile(models.load('LeNet-5'), batch_size=4).fingerprint())"
+            "print(program_digest(compiler.compile(models.load('LeNet-5'), batch_size=4)))"
         )
-        env = {**os.environ, "PYTHONPATH": _SRC, "PYTHONHASHSEED": "random"}
+        path = os.pathsep.join([_SRC, str(_TESTS)])
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": "random"}
         outputs = {
             subprocess.run(
                 [sys.executable, "-c", code],
@@ -210,7 +215,7 @@ class TestProgramSerialization:
             ).stdout.strip()
             for _ in range(2)
         }
-        assert outputs == {program.fingerprint()}
+        assert outputs == {program_digest(program)}
 
 
 class TestStagedPipelineEquivalence:
@@ -280,7 +285,7 @@ class TestStagedPipelineEquivalence:
     def test_compiled_block_payload_is_json_stable(self):
         program = _compile("LeNet-5")
         for compiled in program:
-            payload = compiled.to_dict()
+            payload = block_payload(compiled)
             assert json.loads(json.dumps(payload)) == payload
             assert compiled.layer_fingerprint() == fingerprint_payload(
                 compiled.layer_content_dict()

@@ -46,7 +46,7 @@ class TestPlanTiling:
     def test_small_gemm_fits_on_chip(self, default_config):
         workload = GemmWorkload(m=64, n=64, r=16, input_bits=8, weight_bits=8, output_bits=8)
         plan = search_tilings((workload,), default_config, _OUTPUT_STATIONARY)[0]
-        assert plan.fits_on_chip
+        assert plan.tile_count == 1
         assert plan.dram_weight_bits == workload.weight_footprint_bits
         assert plan.dram_input_bits == workload.input_footprint_bits
         assert plan.dram_output_write_bits == workload.output_footprint_bits

@@ -9,7 +9,7 @@ programs.  Covered:
 
 * every in-zoo network, compiled whole under several
   ``BitFusionConfig.with_*`` buffer/array geometries and both compiler
-  flag settings (program fingerprints must match),
+  flag settings (program digests must match),
 * every individual GEMM the zoo lowers to, for both the full-order search
   and each single order,
 * randomized GEMM shapes and buffer geometries (hypothesis),
@@ -35,6 +35,7 @@ from repro.isa.tiling import (
     search_tilings,
 )
 
+from compiling import program_digest, program_payload
 from reference.tiling import plan_tiling_scalar, search_tiling_scalar
 
 _BASE = BitFusionConfig.eyeriss_matched()
@@ -79,8 +80,8 @@ class TestZooOracle:
         net = models.load(network)
         vectorized = FusionCompiler(config).compile(net, batch_size=16)
         scalar = _scalar_compiler(config).compile(net, batch_size=16)
-        assert vectorized.fingerprint() == scalar.fingerprint()
-        assert vectorized.to_dict() == scalar.to_dict()
+        assert program_digest(vectorized) == program_digest(scalar)
+        assert program_payload(vectorized) == program_payload(scalar)
 
     def test_compiler_flags_byte_identical(self):
         net = models.load("SVHN")
@@ -96,7 +97,7 @@ class TestZooOracle:
                     enable_loop_ordering=loop_ordering,
                     enable_layer_fusion=layer_fusion,
                 ).compile(net, batch_size=16)
-                assert vectorized.fingerprint() == scalar.fingerprint()
+                assert program_digest(vectorized) == program_digest(scalar)
 
     @pytest.mark.parametrize("config", _GEOMETRIES[:3], ids=lambda c: f"{c.ibuf_kb:g}/{c.wbuf_kb:g}/{c.obuf_kb:g}KB")
     def test_every_zoo_gemm_every_order(self, config):
