@@ -17,13 +17,20 @@ session and a NAS estimator sharing the cache), but they are never
 written: recomputing them costs less than decoding them.
 
 A result record is a small JSON header (network, platform, batch,
-frequency and layer names) and one packed row per layer: its 13 counts as
-int64 and its four energies and utilization as float64
-(:func:`encode_result`).  Counts are ints and energies floats, so the rows
-round-trip exactly and a result read back from disk is bit-identical to
-the freshly computed one; a count beyond int64 raises instead of being
-truncated.  Decoding goes through the validating constructors, so a
-corrupt row (say, a negative count) reads as a miss.
+frequency, layer names, and the result's own total cycles, MACs and
+energy components) and one packed row per layer: its 13 counts as int64
+and its four energies and utilization as float64 (:func:`encode_result`).
+Counts are ints and energies floats, so the rows round-trip exactly and a
+result read back from disk is bit-identical to the freshly computed one;
+a count beyond int64 raises instead of being truncated.
+
+Decoding (:func:`decode_result`) checks every row in one pass — row
+count, no negative count or energy, utilization in [0, 1] — and the
+header's totals for type, so a corrupt record reads as a miss.  It then
+returns a :meth:`~repro.sim.results.NetworkResult.deferred` result: the
+totals are seeded into its memos, and its layers are unpacked through
+the validating constructors only when something reads them.  A warm
+sweep reads only the totals, so it builds no layer record at all.
 
 On disk, entries live in append-only pack segments managed by
 :class:`repro.session.store.SegmentedStore` (length-prefixed records +
@@ -34,7 +41,7 @@ run that only reads leaves every file in the directory untouched.  A
 read-only directory still serves reads; an unreadable record, or one of
 any other kind (the program, tiling and layer records older releases
 wrote, and every record of an older store schema), is a miss.  Nothing is
-ever evicted: entries are small (a 576-point sweep stores about 0.8 MiB)
+ever evicted: entries are small (a 576-point sweep stores about 0.9 MiB)
 and a stale one is simply never looked up again; delete the directory to
 reclaim it.
 """
@@ -44,6 +51,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -213,39 +221,76 @@ def _pack_layer(layer: LayerResult) -> bytes:
     )
 
 
+def _unpack_layers(names: list[str], rows: bytes) -> tuple[LayerResult, ...]:
+    """The layer records of checked rows, built by the validating constructors."""
+    return tuple(
+        LayerResult(name, *row[:6], MemoryTraffic(*row[6:13]), EnergyBreakdown(*row[13:17]),
+                    row[17])
+        for name, row in zip(names, _ROW.iter_unpack(rows))
+    )
+
+
 def encode_result(result: NetworkResult) -> tuple[dict[str, Any], bytes]:
     """A result's record header and its packed layer rows.
 
-    ``struct`` raises on a count outside int64 rather than truncating it.
+    The header carries the result's own totals next to the layer names,
+    so a reader that needs only the totals never unpacks a row.  ``struct``
+    raises on a count outside int64 rather than truncating it.
     """
+    energy = result.energy
     header = {
         "network": result.network_name,
         "platform": result.platform,
         "batch": result.batch_size,
         "frequency": result.frequency_mhz,
         "layers": [layer.name for layer in result.layers],
+        "cycles": result.total_cycles,
+        "macs": result.total_macs,
+        "energy": [energy.compute, energy.buffers, energy.register_file, energy.dram],
     }
     return header, b"".join(_pack_layer(layer) for layer in result.layers)
 
 
 def decode_result(header: dict[str, Any], rows: bytes) -> NetworkResult:
-    """Rebuild a result from :func:`encode_result` output.
+    """Rebuild a result from :func:`encode_result` output, its layers deferred.
 
-    Every record goes through the validating constructors, so a malformed
-    one raises ``ValueError`` (a negative count, too few or too many
-    rows), ``KeyError`` or ``TypeError`` (a header field missing or of the
-    wrong type).
+    The header's totals are seeded into the result and its layers are
+    unpacked on their first read (:meth:`NetworkResult.deferred`).  Every
+    row is checked here, in one pass, for what the constructors check,
+    so a malformed record raises now and never on that later read:
+    ``ValueError`` (too few or too many rows, a negative count, energy or
+    total, a utilization outside [0, 1]), ``KeyError`` or ``TypeError`` (a
+    header field missing or of the wrong type).
     """
     names = header["layers"]
     if len(rows) != _ROW.size * len(names):
         raise ValueError(f"{len(rows)} row bytes for {len(names)} layers")
-    layers = tuple(
-        LayerResult(name, *row[:6], MemoryTraffic(*row[6:13]), EnergyBreakdown(*row[13:17]),
-                    row[17])
-        for name, row in zip(names, _ROW.iter_unpack(rows))
-    )
-    return NetworkResult(
-        header["network"], header["platform"], header["batch"], header["frequency"], layers
+    for row in _ROW.iter_unpack(rows):
+        # ``row[0]`` is an int, so ``min`` never starts from a NaN and
+        # finds any negative value; the utilization is the last column.
+        if min(row) < 0 or not row[17] <= 1.0:
+            raise ValueError(f"layer row out of range: {row}")
+    total_cycles, total_macs, energy = header["cycles"], header["macs"], header["energy"]
+    if (
+        type(total_cycles) is not int
+        or type(total_macs) is not int
+        or type(energy) is not list
+        or len(energy) != 4
+        or any(type(value) is not float for value in energy)
+    ):
+        raise TypeError("a result record's totals are missing or mistyped")
+    if total_cycles < 0 or total_macs < 0:
+        raise ValueError(f"negative totals: {total_cycles} cycles, {total_macs} MACs")
+    return NetworkResult.deferred(
+        header["network"],
+        header["platform"],
+        header["batch"],
+        header["frequency"],
+        len(names),
+        partial(_unpack_layers, names, rows),
+        total_cycles=total_cycles,
+        total_macs=total_macs,
+        energy=EnergyBreakdown(*energy),
     )
 
 

@@ -64,7 +64,7 @@ INDEX_SUFFIX = ".idx"
 #: Version of the record/sidecar format; bumped on incompatible changes.
 #: Readers treat a sidecar of another schema as stale and rescan, and the
 #: scan reads no record whose body opens with another version byte.
-STORE_SCHEMA_VERSION = 2
+STORE_SCHEMA_VERSION = 3
 
 #: Length prefix of one record.
 _LENGTH = struct.Struct(">I")

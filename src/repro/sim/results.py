@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.energy.breakdown import EnergyBreakdown
 
@@ -159,11 +159,16 @@ class NetworkResult:
     All per-layer quantities are *per batch*; the aggregate properties below
     convert to per-inference numbers using :attr:`batch_size`.
 
-    :attr:`total_cycles` and :attr:`energy` fold every layer, and reports
-    read them many times per result, so each is computed once per
-    instance.  The memo sits in the instance ``__dict__``
+    :attr:`total_cycles`, :attr:`total_macs` and :attr:`energy` fold every
+    layer, and reports read them many times per result, so each is
+    computed once per instance.  The memo sits in the instance ``__dict__``
     outside the dataclass fields: equality, hashing, ``asdict``,
     ``replace`` and pickling ignore it.
+
+    A result read back from a cache directory is :meth:`deferred`: its
+    totals come seeded and its :attr:`layers` are built on first read, so
+    a sweep that reads only the totals builds no layer record.  It equals,
+    hashes, pickles and prints as the result built with its layers.
     """
 
     network_name: str
@@ -173,12 +178,60 @@ class NetworkResult:
     layers: tuple[LayerResult, ...]
 
     def __post_init__(self) -> None:
+        self._check(len(self.layers))
+
+    def _check(self, layer_count: int) -> None:
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if self.frequency_mhz <= 0:
             raise ValueError(f"frequency_mhz must be positive, got {self.frequency_mhz}")
-        if not self.layers:
+        if not layer_count:
             raise ValueError("a NetworkResult needs at least one layer result")
+
+    @classmethod
+    def deferred(
+        cls,
+        network_name: str,
+        platform: str,
+        batch_size: int,
+        frequency_mhz: float,
+        layer_count: int,
+        load_layers: Callable[[], tuple[LayerResult, ...]],
+        *,
+        total_cycles: int,
+        total_macs: int,
+        energy: EnergyBreakdown,
+    ) -> "NetworkResult":
+        """A result whose ``layer_count`` layers ``load_layers()`` builds on first read.
+
+        ``total_cycles``, ``total_macs`` and ``energy`` must be the totals
+        of those layers: they are seeded into the memos, so the aggregates
+        that read only them build no layer.  The caller has checked that
+        ``load_layers`` will not raise.  Attributes are set one at a time,
+        so instances share their dict keys.
+        """
+        result = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(result, "network_name", network_name)
+        set_(result, "platform", platform)
+        set_(result, "batch_size", batch_size)
+        set_(result, "frequency_mhz", frequency_mhz)
+        set_(result, "_load_layers", load_layers)
+        set_(result, "total_cycles", total_cycles)
+        set_(result, "total_macs", total_macs)
+        set_(result, "energy", energy)
+        result._check(layer_count)
+        return result
+
+    def __getattr__(self, name: str) -> Any:
+        """Build a :meth:`deferred` result's layers on their first read."""
+        load = self.__dict__.get("_load_layers") if name == "layers" else None
+        if load is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        layers = load()
+        object.__setattr__(self, "layers", layers)
+        del self.__dict__["_load_layers"]
+        return layers
 
     def __getstate__(self) -> dict[str, Any]:
         """The fields only: pickles and copies leave the memoized totals behind."""
@@ -218,7 +271,7 @@ class NetworkResult:
     # ------------------------------------------------------------------ #
     # Work / traffic / energy aggregates
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def total_macs(self) -> int:
         """Multiply-accumulates per batch."""
         return sum(layer.macs for layer in self.layers)

@@ -7,7 +7,9 @@ Run from the repository root (CI runs it in the ``docs`` job)::
 Each scenario below runs in a fresh interpreter under :func:`sys.setprofile`,
 which records the code object of every Python call.  The scenarios are the
 commands a user runs and the scripts under ``examples/``: the full report,
-a ``--profile`` report, ``--list``, the seed-0 sweep cold, warm, without
+a ``--profile`` report, ``--experiments fig13`` cold and warm on a
+``--cache-dir`` (its per-layer table reads the layer rows of results read
+back from disk), ``--list``, the seed-0 sweep cold, warm, without
 ``--cache-dir``, as a ``--dry-run`` and under ``--cache-info``, and the
 seed-0 ``nas`` search with and without a cache directory.  The union of
 what they ran is compared with every ``def`` under ``src/repro``, read with
@@ -54,10 +56,21 @@ NAS_SPEC = {"base_network": "resnet18", "population": 16, "generations": 5, "see
 
 _HARNESS = ("module", "repro.harness")
 #: (label, how to run, arguments), run in order in one working directory:
-#: the warm sweep, the dry run and ``--cache-info`` read the cold sweep's cache.
+#: the warm fig13 report reads the cold one's cache, and the warm sweep, the
+#: dry run and ``--cache-info`` read the cold sweep's.
 SCENARIOS: list[tuple[str, tuple[str, str], list[str]]] = [
     ("report", _HARNESS, ["--output", "report.md"]),
     ("report --profile", _HARNESS, ["--experiments", "fig13", "isa", "--profile"]),
+    (
+        "fig13 cold",
+        _HARNESS,
+        ["--experiments", "fig13", "--cache-dir", "report-cache", "--output", "fig13-cold.md"],
+    ),
+    (
+        "fig13 warm",
+        _HARNESS,
+        ["--experiments", "fig13", "--cache-dir", "report-cache", "--output", "fig13-warm.md"],
+    ),
     ("--list", _HARNESS, ["--list"]),
     ("sweep cold", _HARNESS, ["sweep", "sweep.json", "--cache-dir", "cache", "--output", "cold.md"]),
     ("sweep warm", _HARNESS, ["sweep", "sweep.json", "--cache-dir", "cache", "--output", "warm.md"]),
